@@ -14,6 +14,7 @@ package delaystage
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -684,6 +685,55 @@ func BenchmarkPlanOnlineLatency(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkServiceSubmit measures one admission into a data plane that
+// already holds busy live jobs; ns/op and allocs/op are per admission.
+// Planning is held constant — ReviseQueueDepth 1 dispatches every job
+// that arrives into a non-empty world submit-when-ready, without an
+// Alg. 1 sweep — and the measured job arrives together with the last
+// live one, so no simulated time passes: the number is the admission
+// mechanism itself (the service's path plus putting the job into the
+// data plane), not the world's own work between arrivals, which any data
+// plane must step. Live injection keeps it flat in busy; rebuilding the
+// world and replaying its prefix on every admission grows with it. Each
+// op sets up, with the timer stopped, a fresh service holding busy jobs
+// admitted one second apart (a fresh one, so the heap holds only those);
+// BENCH_sim.json records the timed admissions only.
+func BenchmarkServiceSubmit(b *testing.B) {
+	c := cluster.NewM4LargeCluster(10)
+	job := workload.LDA(c, 0.1) // ~90 s solo: every setup job is still live at the measured arrival
+	for _, busy := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("busy=%d", busy), func(b *testing.B) {
+			var svc *service.Service
+			submit := func(at float64) {
+				if _, err := svc.Submit(service.SubmitRequest{Tenant: "bench", Job: job, Arrival: &at}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			var admitted time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var err error
+				svc, err = service.New(service.Options{Cluster: c, FairByJob: true, ReviseQueueDepth: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < busy; j++ {
+					submit(float64(j))
+				}
+				if live := svc.ClusterState().Live; live != busy {
+					b.Fatalf("%d live jobs before the measured admission, want %d", live, busy)
+				}
+				b.StartTimer()
+				t0 := time.Now()
+				submit(float64(busy - 1))
+				admitted += time.Since(t0)
+			}
+			benchTimings[b.Name()] += admitted.Seconds()
+		})
+	}
 }
 
 // BenchmarkSensitivity runs the parameter sweeps.

@@ -1,0 +1,285 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"strings"
+	"testing"
+
+	"delaystage/internal/cluster"
+	"delaystage/internal/sim"
+	"delaystage/internal/trace"
+	"delaystage/internal/workload"
+)
+
+// arrival is one submission of a load driver.
+type arrival struct {
+	job *workload.Job
+	at  float64
+}
+
+// galleryLoad submits every gallery job in turn, 60 s apart: each arrives
+// while earlier ones still run.
+func galleryLoad(c *cluster.Cluster) []arrival {
+	g := workload.Gallery(c, 0.5)
+	names := make([]string, 0, len(g))
+	for n := range g {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var load []arrival
+	for round := 0; round < 3; round++ {
+		for _, n := range names {
+			load = append(load, arrival{job: g[n], at: float64(len(load)) * 60})
+		}
+	}
+	return load
+}
+
+// poissonLoad mirrors cmd/schedd -poisson: gallery jobs at the given
+// scale and exponential gaps of mean 1/rate.
+func poissonLoad(c *cluster.Cluster, n int, scale, rate float64, seed int64) []arrival {
+	rng := rand.New(rand.NewSource(seed))
+	g := workload.Gallery(c, scale)
+	names := make([]string, 0, len(g))
+	for name := range g {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	at := 0.0
+	var load []arrival
+	for i := 0; i < n; i++ {
+		at += rng.ExpFloat64() / rate
+		load = append(load, arrival{job: g[names[rng.Intn(len(names))]], at: at})
+	}
+	return load
+}
+
+// replayLoad mirrors cmd/schedd -replay: synthetic trace DAGs at their
+// recorded arrivals, rebased to zero.
+func replayLoad(t *testing.T, c *cluster.Cluster, n int, span float64) []arrival {
+	t.Helper()
+	tr := trace.Generate(trace.GenConfig{Jobs: n, Span: span, Seed: 3, MaxStages: 40})
+	tr.SortByArrival()
+	var load []arrival
+	for i := range tr.Jobs {
+		wl, err := tr.Jobs[i].Workload(c, trace.DefaultSplit, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load = append(load, arrival{job: wl, at: tr.Jobs[i].Arrival - tr.Jobs[0].Arrival})
+	}
+	return load
+}
+
+// runLoad submits a load to a fresh service under cmd/schedd's planning
+// defaults with a frozen wall clock, calling between after every
+// submission, and drains it.
+func runLoad(t *testing.T, c *cluster.Cluster, load []arrival, between func(*Service)) *Service {
+	t.Helper()
+	s := newTestService(t, Options{Cluster: c, FairByJob: true, MaxCandidates: 16, SlotSeconds: 1})
+	for _, a := range load {
+		at := a.at
+		if _, err := s.Submit(SubmitRequest{Tenant: "t", Job: a.job, Arrival: &at}); err != nil {
+			t.Fatal(err)
+		}
+		between(s)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// liveJCTs returns every job's JCT bits by ID.
+func liveJCTs(s *Service) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, st := range s.Jobs() {
+		out[st.ID] = math.Float64bits(st.JCT)
+	}
+	return out
+}
+
+// requireEpochsOffline is the live-equals-offline oracle: for every
+// drained epoch, sim.Run over the epoch's committed runs — each job at its
+// admitted arrival with its chosen delays, in admission order — gives
+// every job the live JCT bit for bit.
+func requireEpochsOffline(t *testing.T, name string, s *Service, load []arrival) {
+	t.Helper()
+	byEpoch := map[int][]*jobRecord{}
+	jobOf := map[*jobRecord]*workload.Job{}
+	for i, rec := range s.history { // submission order
+		if rec.state != StateDone {
+			t.Fatalf("%s: %s ended %s", name, rec.id, rec.state)
+		}
+		byEpoch[rec.epoch] = append(byEpoch[rec.epoch], rec)
+		jobOf[rec] = load[i].job
+	}
+	if len(byEpoch) != s.epoch {
+		t.Fatalf("%s: %d epochs hold jobs, %d drained", name, len(byEpoch), s.epoch)
+	}
+	multi := 0
+	for epoch, recs := range byEpoch {
+		runs := make([]sim.JobRun, len(recs))
+		for i, rec := range recs {
+			runs[i] = sim.JobRun{Job: jobOf[rec], Arrival: rec.arrival, Delays: rec.delays}
+		}
+		res, err := sim.Run(sim.Options{Cluster: s.coarse, TrackNode: -1, FairByJob: s.opt.FairByJob}, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			if math.Float64bits(res.JCT(i)) != math.Float64bits(rec.jct) {
+				t.Fatalf("%s: epoch %d job %s: live JCT %v, offline %v", name, epoch, rec.id, rec.jct, res.JCT(i))
+			}
+		}
+		if len(recs) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatalf("%s: vacuous — no epoch held more than one job", name)
+	}
+}
+
+// readsBetween exercises every read path that advances the data plane.
+func readsBetween(s *Service) {
+	if err := s.Sync(); err != nil {
+		panic(err)
+	}
+	s.Jobs()
+	s.ClusterState()
+}
+
+// TestLiveMatchesOffline: under the gallery, Poisson and replay drivers,
+// with and without reads between submissions, every drained epoch's live
+// JCTs equal sim.Run over its committed runs.
+func TestLiveMatchesOffline(t *testing.T) {
+	c := cluster.NewM4LargeCluster(10)
+	loads := map[string][]arrival{
+		"gallery": galleryLoad(c),
+		"poisson": poissonLoad(c, 40, 0.05, 0.9/50, 7),
+		"replay":  replayLoad(t, c, 12, 6000),
+	}
+	for name, load := range loads {
+		requireEpochsOffline(t, name, runLoad(t, c, load, func(*Service) {}), load)
+		requireEpochsOffline(t, name+"+sync", runLoad(t, c, load, readsBetween), load)
+	}
+}
+
+// TestSyncDoesNotPerturb: with a frozen wall clock, reading the service
+// (Sync, Jobs, ClusterState) between every submission must leave every
+// JCT bit-identical to the same submissions without reads. A read only
+// advances the world to the present; it must not move the clock a later
+// arrival is clamped to.
+func TestSyncDoesNotPerturb(t *testing.T) {
+	c := cluster.NewM4LargeCluster(10)
+	load := poissonLoad(c, 150, 0.05, 0.9/50, 1)
+	plain := liveJCTs(runLoad(t, c, load, func(*Service) {}))
+	synced := liveJCTs(runLoad(t, c, load, readsBetween))
+	differ := 0
+	for id, v := range plain {
+		if synced[id] != v {
+			differ++
+		}
+	}
+	if differ > 0 || len(plain) != len(synced) {
+		t.Fatalf("reads between submissions changed %d of %d JCTs", differ, len(plain))
+	}
+}
+
+// TestSubmitCounterConservation drives valid, bounced and invalid
+// submissions — over HTTP and in process — and after each requires the
+// /v1/cluster counters to conserve: submitted = admitted + rejected and
+// live = admitted − done − failed, with invalid input counted nowhere.
+func TestSubmitCounterConservation(t *testing.T) {
+	c := cluster.NewM4LargeCluster(10)
+	s := newTestService(t, Options{Cluster: c, Admission: QueueDepthCap{Max: 2}})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	job := workload.LDA(c, 0.1)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name      string
+		body      string         // POST /v1/jobs body, or
+		req       *SubmitRequest // an in-process submission
+		code      int            // HTTP status (in process: 200 = no error)
+		submitted int            // counter delta
+	}{
+		{"accepted", string(submitBodyFor(t, job, "a", 0)), nil, http.StatusOK, 1},
+		{"accepted 2", string(submitBodyFor(t, job, "a", 1)), nil, http.StatusOK, 1},
+		{"bounced", string(submitBodyFor(t, job, "a", 2)), nil, http.StatusTooManyRequests, 1},
+		{"bad json", `{"job":`, nil, http.StatusBadRequest, 0},
+		{"missing job", `{"tenant":"a"}`, nil, http.StatusBadRequest, 0},
+		{"empty stages", `{"job":{"name":"x","stages":[]}}`, nil, http.StatusBadRequest, 0},
+		{"nil job", "", &SubmitRequest{}, http.StatusBadRequest, 0},
+		{"invalid job", "", &SubmitRequest{Job: &workload.Job{Name: "nograph"}}, http.StatusBadRequest, 0},
+		{"NaN arrival", "", &SubmitRequest{Job: job, Arrival: &nan}, http.StatusBadRequest, 0},
+		{"Inf arrival", "", &SubmitRequest{Job: job, Arrival: &inf}, http.StatusBadRequest, 0},
+		{"after the queue drains", string(submitBodyFor(t, job, "a", 1e5)), nil, http.StatusOK, 1},
+	}
+	prev := 0
+	for _, tc := range cases {
+		code := http.StatusOK
+		if tc.req != nil {
+			if _, err := s.Submit(*tc.req); err != nil {
+				code = http.StatusBadRequest
+			}
+		} else {
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			code = resp.StatusCode
+		}
+		if code != tc.code {
+			t.Fatalf("%s: status %d, want %d", tc.name, code, tc.code)
+		}
+		var cs ClusterState
+		_, raw := getBody(t, srv.URL+"/v1/cluster")
+		if err := json.Unmarshal(raw, &cs); err != nil {
+			t.Fatal(err)
+		}
+		if cs.Submitted-prev != tc.submitted {
+			t.Fatalf("%s: submitted moved by %d, want %d", tc.name, cs.Submitted-prev, tc.submitted)
+		}
+		prev = cs.Submitted
+		if cs.Submitted != cs.Admitted+cs.Rejected || cs.Live != cs.Admitted-cs.Done-cs.Failed {
+			t.Fatalf("%s: counters not conserved: %+v", tc.name, cs)
+		}
+	}
+	_, metrics := getBody(t, srv.URL+"/metrics")
+	if !bytes.Contains(metrics, []byte("schedd_jobs_submitted_total 4\n")) {
+		t.Fatalf("metrics disagree with the counted submissions:\n%s", metrics)
+	}
+}
+
+// TestSubmitBodyLimit: a POST /v1/jobs body over maxSubmitBytes is
+// refused with 413 before any of it is decoded or counted.
+func TestSubmitBodyLimit(t *testing.T) {
+	s := newTestService(t, Options{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	big := `{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(eb.Error, "too large") {
+		t.Fatalf("oversized body: %d %q", resp.StatusCode, eb.Error)
+	}
+	if cs := s.ClusterState(); cs.Submitted != 0 {
+		t.Fatalf("oversized body counted: %+v", cs)
+	}
+}

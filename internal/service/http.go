@@ -25,7 +25,12 @@ import (
 //
 // Submit returns 200 on acceptance, 429 on an admission bounce (body
 // carries the policy's reason), 400 on malformed input — including the
-// NaN/Inf arrival vetting shared with the planner.
+// NaN/Inf arrival vetting shared with the planner — and 413 on a body
+// over maxSubmitBytes.
+
+// maxSubmitBytes bounds a POST /v1/jobs body; a 186-stage DAG's jobspec
+// encodes to about 29 KB.
+const maxSubmitBytes = 8 << 20
 
 // submitBody is the POST /v1/jobs request payload. Job is kept raw so
 // jobspec.Parse applies its own validation and error messages.
@@ -92,10 +97,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var body submitBody
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if len(body.Job) == 0 {

@@ -7,10 +7,13 @@
 // of completion times over every live job, Sec. 6) with a plan-template
 // cache in front so recurring DAG shapes skip Alg. 1 on the hot path.
 //
-// The data plane is a shared simulated cluster advanced between arrivals
-// with sim.Stepper — the step primitives' first policy-observes-live-state
-// consumer: the queue depth a policy sees, and the queue-length delay
-// revision at dispatch, read the world exactly as of the arrival instant.
+// The data plane is a shared simulated cluster, one live sim.Stepper per
+// busy period: each submission halts it just before the arrival
+// (AdvanceBefore), runs admission and planning against that state, and
+// injects the admitted run (Inject). The queue depth a policy sees, and
+// the queue-length delay revision at dispatch, read the world exactly as
+// of the arrival instant, and the live world evolves exactly as sim.Run
+// over the epoch's committed runs.
 //
 // State is bounded by busy-period epochs: when the stepper drains (every
 // admitted job finished), completed runs are constants of the objective
@@ -181,16 +184,14 @@ type jobRecord struct {
 	epoch      int
 
 	// Tracing state. queueDepth is the live-job count admission saw;
-	// firstSubmit is the first stage dispatch (−1 until seen), copied out
-	// of the epoch span data at terminal time; stageParents renders the
-	// DAG edges for stage-span attrs; audit is the planning decision;
-	// epochIdx indexes epochSpans while the record's epoch is current;
-	// trace is the span tree frozen at terminal time.
+	// stageParents renders the DAG edges for stage-span attrs; audit is
+	// the planning decision; spans collects the data plane's per-stage
+	// observations from dispatch until the trace freezes; trace is the
+	// span tree frozen at terminal time.
 	queueDepth   int
-	firstSubmit  float64
 	stageParents map[dag.StageID]string
 	audit        *obs.DecisionAudit
-	epochIdx     int
+	spans        *jobSpanData
 	trace        *obs.Trace
 }
 
@@ -207,18 +208,17 @@ type Service struct {
 	logger   *slog.Logger
 	traceLog io.Writer
 
-	mu         sync.Mutex
-	planner    *scheduler.OnlinePlanner
-	cache      *templateCache
-	jobs       map[string]*jobRecord
-	history    []*jobRecord
-	nextID     int
-	epoch      int
-	epochRecs  []*jobRecord   // parallel to planner.Committed()
-	epochSpans []*jobSpanData // parallel to epochRecs; wiped on rebuild
-	stepper    *sim.Stepper
-	simClock   float64
-	counts     struct{ submitted, admitted, rejected, done, failed int }
+	mu        sync.Mutex
+	planner   *scheduler.OnlinePlanner
+	cache     *templateCache
+	jobs      map[string]*jobRecord
+	history   []*jobRecord
+	nextID    int
+	epoch     int
+	epochRecs []*jobRecord // indexed by the stepper's job index
+	stepper   *sim.Stepper // the epoch's live world; nil between epochs
+	simClock  float64
+	counts    struct{ submitted, admitted, rejected, done, failed int }
 
 	timeline []TimelineEvent // bounded milestone ring (GET /v1/timeline)
 	tlSeq    int             // next sequence number; also total ever added
@@ -331,34 +331,27 @@ type epochObserver struct{ s *Service }
 // OnEvent implements sim.Observer.
 func (o *epochObserver) OnEvent(ev sim.Event) {
 	if ev.Job < 0 || ev.Job >= len(o.s.epochRecs) {
-		return
+		return // node-level events
 	}
+	rec := o.s.epochRecs[ev.Job]
 	switch ev.Kind {
 	case sim.EvJobDone, sim.EvJobFailed:
 		// The engine emits every stage event of a job before its terminal
 		// event, so the span data is complete when the freeze fires.
-		o.s.markTerminal(o.s.epochRecs[ev.Job], ev.T, ev.Kind == sim.EvJobFailed, ev.Detail)
+		o.s.markTerminal(rec, ev.T, ev.Kind == sim.EvJobFailed, ev.Detail)
 	default:
-		if ev.Job < len(o.s.epochSpans) {
-			o.s.epochSpans[ev.Job].observeStage(ev)
-		}
+		rec.spans.observeStage(ev)
 	}
 }
 
-// markTerminal transitions a record to done/failed exactly once. Stepper
-// rebuilds replay the epoch prefix deterministically, so the same
-// completion event fires again; the state check makes that idempotent.
+// markTerminal transitions a dispatched record to done/failed, freezes its
+// trace and releases its span data. The live world steps each event once,
+// so each record gets here once.
 func (s *Service) markTerminal(rec *jobRecord, t float64, failed bool, detail string) {
-	if rec.state == StateDone || rec.state == StateFailed {
-		return
-	}
 	rec.end = t
 	rec.jct = t - rec.arrival
-	if sd := s.spanData(rec); sd != nil {
-		rec.firstSubmit = sd.firstSubmit
-	}
-	if rec.firstSubmit >= 0 {
-		s.mQueueWait.Observe(rec.firstSubmit - rec.arrival)
+	if fs := rec.spans.firstSubmit; fs >= 0 {
+		s.mQueueWait.Observe(fs - rec.arrival)
 	}
 	if failed {
 		rec.state = StateFailed
@@ -375,6 +368,7 @@ func (s *Service) markTerminal(rec *jobRecord, t float64, failed bool, detail st
 		s.logger.Info("job done", "trace_id", rec.id, "t", t, "jct", rec.jct)
 	}
 	s.freezeTrace(rec)
+	rec.spans = nil
 }
 
 // liveCount is the number of admitted jobs not yet terminal.
@@ -382,55 +376,48 @@ func (s *Service) liveCount() int {
 	return s.counts.admitted - s.counts.done - s.counts.failed
 }
 
-// rebuild replaces the stepper with a fresh one over the epoch's committed
-// runs. The replayed prefix is deterministic, so records already marked
-// terminal stay consistent; only events past the advance point change when
-// a new run joins the world.
-func (s *Service) rebuild() error {
-	runs := s.planner.Committed()
-	// The fresh stepper replays the epoch prefix from scratch, so the
-	// per-job span observations are wiped and repopulated by the replay —
-	// they always describe exactly the events the current stepper stepped.
-	// Terminal records are unaffected: their trees froze at terminal time.
-	for i := range s.epochSpans {
-		s.epochSpans[i] = newJobSpanData()
+// dispatch puts a planned run into the data plane: the epoch's first job
+// starts a fresh world, later ones join the live one at the boundary
+// advanceBefore(arrival) halted it on. Either way the world evolves
+// exactly as sim.Run over the epoch's committed runs.
+func (s *Service) dispatch(rec *jobRecord, run sim.JobRun) error {
+	if s.stepper == nil {
+		st, err := sim.NewStepper(sim.Options{
+			Cluster:   s.coarse,
+			TrackNode: -1,
+			FairByJob: s.opt.FairByJob,
+			Observer:  &epochObserver{s},
+		}, []sim.JobRun{run})
+		if err != nil {
+			return fmt.Errorf("service: data plane: %w", err)
+		}
+		s.stepper = st
+	} else if err := s.stepper.Inject(run); err != nil {
+		return fmt.Errorf("service: data plane: %w", err)
 	}
-	if len(runs) == 0 {
-		s.stepper = nil
-		return nil
-	}
-	st, err := sim.NewStepper(sim.Options{
-		Cluster:   s.coarse,
-		TrackNode: -1,
-		FairByJob: s.opt.FairByJob,
-		Observer:  &epochObserver{s},
-	}, runs)
-	if err != nil {
-		return fmt.Errorf("service: data plane rebuild: %w", err)
-	}
-	s.stepper = st
+	rec.spans = newJobSpanData()
+	s.epochRecs = append(s.epochRecs, rec)
 	return nil
 }
 
-// advanceTo steps the data plane through every event at or before t and
-// rolls the epoch over when the world drains. t = +Inf drains fully.
-func (s *Service) advanceTo(t float64) error {
+// advanceBefore steps the data plane through every event strictly before
+// t — a job arriving at t is then injected without anything at or after
+// its arrival having happened — and rolls the epoch over once every
+// admitted job has finished. t = +Inf drains fully.
+func (s *Service) advanceBefore(t float64) error {
 	if s.stepper != nil {
-		for s.stepper.HasPendingEvents() && s.stepper.PeekNextEventTime() <= t {
-			if err := s.stepper.StepNextEvent(); err != nil {
-				return fmt.Errorf("service: data plane step: %w", err)
-			}
+		if err := s.stepper.AdvanceBefore(t); err != nil {
+			return fmt.Errorf("service: data plane step: %w", err)
 		}
 		if c := s.stepper.Clock(); c > s.simClock {
 			s.simClock = c
 		}
-		if !s.stepper.HasPendingEvents() {
+		if s.liveCount() == 0 {
 			// Busy period drained: every admitted job finished. Completed
 			// runs are constants of the objective — reset the epoch so
 			// planning cost tracks the busy period, not daemon uptime.
 			s.stepper = nil
 			s.epochRecs = s.epochRecs[:0]
-			s.epochSpans = s.epochSpans[:0]
 			s.planner.Reset()
 			s.timelineAdd(s.simClock, "epoch", "", fmt.Sprintf("epoch %d drained", s.epoch))
 			s.logger.Debug("epoch drained", "epoch", s.epoch, "sim_clock", s.simClock)
@@ -462,8 +449,6 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 	now := s.clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mSubmitted.Inc()
-	s.counts.submitted++
 	if req.Job == nil {
 		return JobStatus{}, fmt.Errorf("service: nil job")
 	}
@@ -479,24 +464,26 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		requested = *req.Arrival
 	}
 	arrival := math.Max(requested, math.Max(s.simClock, s.planner.LastArrival()))
-	if err := s.advanceTo(arrival); err != nil {
+	if err := s.advanceBefore(arrival); err != nil {
 		return JobStatus{}, err
 	}
+	// Counted once the submission is valid and the world stands at its
+	// arrival, so every counted submission ends admitted or rejected.
+	s.mSubmitted.Inc()
+	s.counts.submitted++
 	depth := s.liveCount()
 
 	rec := &jobRecord{
-		id:          fmt.Sprintf("j-%d", s.nextID),
-		name:        req.Job.Name,
-		tenant:      req.Tenant,
-		stages:      req.Job.Graph.Len(),
-		state:       StateQueued,
-		requested:   requested,
-		clamped:     arrival > requested,
-		arrival:     arrival,
-		epoch:       s.epoch,
-		queueDepth:  depth,
-		firstSubmit: -1,
-		epochIdx:    -1,
+		id:         fmt.Sprintf("j-%d", s.nextID),
+		name:       req.Job.Name,
+		tenant:     req.Tenant,
+		stages:     req.Job.Graph.Len(),
+		state:      StateQueued,
+		requested:  requested,
+		clamped:    arrival > requested,
+		arrival:    arrival,
+		epoch:      s.epoch,
+		queueDepth: depth,
 	}
 	s.nextID++
 	s.jobs[rec.id] = rec
@@ -527,6 +514,10 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 	rec.stageParents = stageParents(req.Job.Graph)
 
 	run, err := s.plan(rec, req.Job, arrival, depth)
+	if err == nil {
+		rec.delays = run.Delays
+		err = s.dispatch(rec, run)
+	}
 	if err != nil {
 		rec.state = StateFailed
 		rec.reason = err.Error()
@@ -538,10 +529,6 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		s.freezeTrace(rec)
 		return JobStatus{}, err
 	}
-	rec.delays = run.Delays
-	rec.epochIdx = len(s.epochRecs)
-	s.epochRecs = append(s.epochRecs, rec)
-	s.epochSpans = append(s.epochSpans, newJobSpanData())
 	planDetail := rec.planSource
 	if rec.audit != nil && rec.audit.Source == "planner" {
 		// Surface the two-tier scan's outcome in the milestone feed so an
@@ -556,12 +543,6 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 	s.logger.Info("job planned", "trace_id", rec.id, "tenant", rec.tenant,
 		"arrival", arrival, "source", rec.planSource, "delays", len(run.Delays),
 		"queue_depth", depth)
-	if err := s.rebuild(); err != nil {
-		return JobStatus{}, err
-	}
-	if err := s.advanceTo(arrival); err != nil {
-		return JobStatus{}, err
-	}
 	return s.snapshot(rec), nil
 }
 
@@ -763,7 +744,7 @@ func (s *Service) Sync() error {
 	now := s.clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.advanceTo(s.virtualNow(now))
+	return s.advanceBefore(s.virtualNow(now))
 }
 
 // Drain runs the data plane until every admitted job has finished — the
@@ -771,7 +752,7 @@ func (s *Service) Sync() error {
 func (s *Service) Drain() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.advanceTo(math.Inf(1))
+	return s.advanceBefore(math.Inf(1))
 }
 
 // Job returns one submission's status.

@@ -17,18 +17,17 @@ import (
 // instant through admission, planning, queue wait and per-stage execution
 // to its terminal state, and rendered as an obs.Trace span tree.
 //
-// Collection rides the data plane's determinism. The stepper is rebuilt
-// on every admission and replays the whole epoch prefix, so per-stage
-// observations (epochSpans) are wiped on rebuild and repopulated by the
-// replay — always consistent with the events the current stepper has
-// actually stepped. A job's trace is frozen exactly once, inside
-// markTerminal, while its span data is complete and present; from then on
-// the frozen tree is what /v1/trace serves and what the trace log
-// exported (live and offline renderings are byte-identical).
+// Collection follows the live data plane. Admitted runs are injected into
+// one stepper per epoch and every engine event is stepped exactly once, so
+// each record's per-stage observations (jobRecord.spans) accumulate from
+// dispatch on and never need replaying. A job's trace is frozen exactly
+// once, inside markTerminal, while its span data is complete; from then on
+// the frozen tree is what /v1/trace serves and what the trace log exported
+// (live and offline renderings are byte-identical).
 //
-// Memory bounds: span data lives only for the current epoch (wiped when
-// the busy period drains); the timeline is a fixed-capacity ring; frozen
-// traces are O(stages) per job and follow the job map's lifetime.
+// Memory bounds: span data lives from dispatch until the trace freezes;
+// the timeline is a fixed-capacity ring; frozen traces are O(stages) per
+// job and follow the job map's lifetime.
 
 // TimelineSchema identifies the GET /v1/timeline response format.
 const TimelineSchema = "delaystage/timeline/v1"
@@ -54,8 +53,8 @@ type TimelineStatus struct {
 	Events   []TimelineEvent `json:"events"`
 }
 
-// jobSpanData is the per-job execution observation of the current epoch,
-// rebuilt deterministically by every stepper replay.
+// jobSpanData is one dispatched job's execution observation, folded from
+// the live data plane's event stream.
 type jobSpanData struct {
 	firstSubmit float64 // first stage dispatch (queue-wait end); -1 unseen
 	stages      map[dag.StageID]*stageSpanData
@@ -109,16 +108,6 @@ func (d *jobSpanData) observeStage(ev sim.Event) {
 	}
 }
 
-// spanData returns rec's live observation, nil when none exists (other
-// epoch, never installed, or epoch already drained — terminal records are
-// frozen before that can happen).
-func (s *Service) spanData(rec *jobRecord) *jobSpanData {
-	if rec.epoch != s.epoch || rec.epochIdx < 0 || rec.epochIdx >= len(s.epochSpans) {
-		return nil
-	}
-	return s.epochSpans[rec.epochIdx]
-}
-
 // stageParents renders a job's DAG edges as compact per-stage parent
 // lists ("0,1"), stored on the record at submit so traces don't retain
 // the workload.
@@ -141,10 +130,10 @@ func stageParents(g *dag.Graph) map[dag.StageID]string {
 	return out
 }
 
-// buildTrace assembles rec's span tree from the record and its epoch span
-// data. Called under the service mutex: at freeze time for terminal
-// records (span data complete), or on demand for live ones (open spans
-// carry End = the data-plane clock and Open = true).
+// buildTrace assembles rec's span tree from the record and its span data.
+// Called under the service mutex: at freeze time for terminal records
+// (span data complete), or on demand for live ones (open spans carry End
+// = the data-plane clock and Open = true).
 func (s *Service) buildTrace(rec *jobRecord) *obs.Trace {
 	terminal := rec.state == StateDone || rec.state == StateFailed || rec.state == StateRejected
 	st := rec.state
@@ -204,11 +193,9 @@ func (s *Service) buildTrace(rec *jobRecord) *obs.Trace {
 	}
 	add(root, obs.SpanPlan, "plan", rec.arrival, rec.arrival, false, nil, rec.audit)
 
-	sd := s.spanData(rec)
+	sd := rec.spans
 	fs := -1.0
-	if terminal {
-		fs = rec.firstSubmit
-	} else if sd != nil {
+	if sd != nil {
 		fs = sd.firstSubmit
 	}
 	switch {

@@ -302,9 +302,17 @@ type engine struct {
 	// that would land at or past it. A halted engine holds exactly the
 	// state a from-scratch run has at that boundary, so resuming replays
 	// the identical floating-point trajectory.
-	haltSet bool
-	haltAt  float64
-	halted  bool
+	//
+	// haltInject (Stepper.AdvanceBefore) also stops where a timer at haltAt
+	// would already be due — within eps, before the prefetch pass — so the
+	// stepped prefix is exactly the one a world that also held a run
+	// arriving at haltAt would have stepped: the boundary Inject needs.
+	// (An advance never needs the extra care: if now+dt rounds below
+	// haltAt, haltAt−now ≥ dt, so such a timer would not shorten it.)
+	haltSet    bool
+	haltAt     float64
+	halted     bool
+	haltInject bool
 
 	// Scratch buffers reused across events (the engine is single-threaded;
 	// each is live only within one helper call).
@@ -445,53 +453,16 @@ func (e *engine) pushTimer(at float64, kind timerKind, key skey, job int) {
 	e.timers.push(timer{at: at, seq: e.seq, kind: kind, key: key, job: job})
 }
 
+// arrivalSeq is job ji's arrival-timer sequence number. Arrivals take a
+// reserved range below every counter-issued seq, so at equal times they
+// fire before all other timers and in job-index order — whether the job
+// was set up with the world or injected after other timers were queued.
+func arrivalSeq(ji int) int { return math.MinInt64/2 + ji }
+
 func (e *engine) setup() {
-	n := float64(e.nNodes)
 	for ji, run := range e.runs {
 		e.res.JobStart[ji] = run.Arrival
-		g := run.Job.Graph
-		for _, sid := range g.StagesView() {
-			p := run.Job.Profiles[sid]
-			st := &stageState{
-				key: skey{ji, sid},
-				profile: profileView{
-					perNodeIn:    float64(p.ShuffleIn) / n,
-					perNodeOut:   float64(p.ShuffleOut) / n,
-					procRate:     p.ProcRate,
-					skew:         p.Skew,
-					tasksPerNode: float64(p.Tasks) / n,
-				},
-				parentsLeft: len(g.Stage(sid).Parents),
-				tl:          StageTimeline{JobIndex: ji, Stage: sid},
-			}
-			st.computeTot = st.profile.perNodeIn * n
-			for _, c := range g.ChildrenView(sid) {
-				st.children = append(st.children, skey{ji, c})
-			}
-			// Availability weights over parents, proportional to parent
-			// shuffle-output size (fallback: equal).
-			parents := g.Stage(sid).Parents
-			if len(parents) > 0 {
-				tot := 0.0
-				outs := make([]float64, len(parents))
-				for i, pid := range parents {
-					outs[i] = float64(run.Job.Profiles[pid].ShuffleOut)
-					tot += outs[i]
-				}
-				for i, pid := range parents {
-					st.availParents = append(st.availParents, skey{ji, pid})
-					if tot > 0 {
-						st.availWeights = append(st.availWeights, outs[i]/tot)
-					} else {
-						st.availWeights = append(st.availWeights, 1/float64(len(parents)))
-					}
-				}
-			}
-			e.states[st.key] = st
-			e.stateList = append(e.stateList, st)
-		}
-		e.stagesLeft = append(e.stagesLeft, g.Len())
-		e.pushTimer(run.Arrival, tJobArrival, skey{}, ji)
+		e.addRun(ji, run)
 	}
 	e.jobsLeft = len(e.runs)
 	if e.opt.Faults != nil {
@@ -515,6 +486,56 @@ func (e *engine) setup() {
 		e.faultCount = make([]int, e.nNodes)
 		e.blacklisted = make([]bool, e.nNodes)
 	}
+}
+
+// addRun wires job ji's stage states and arms its arrival timer. The
+// per-job result and abort slots are the caller's: newEngine sizes them
+// for the initial runs, Stepper.Inject grows them.
+func (e *engine) addRun(ji int, run JobRun) {
+	n := float64(e.nNodes)
+	g := run.Job.Graph
+	for _, sid := range g.StagesView() {
+		p := run.Job.Profiles[sid]
+		st := &stageState{
+			key: skey{ji, sid},
+			profile: profileView{
+				perNodeIn:    float64(p.ShuffleIn) / n,
+				perNodeOut:   float64(p.ShuffleOut) / n,
+				procRate:     p.ProcRate,
+				skew:         p.Skew,
+				tasksPerNode: float64(p.Tasks) / n,
+			},
+			parentsLeft: len(g.Stage(sid).Parents),
+			tl:          StageTimeline{JobIndex: ji, Stage: sid},
+		}
+		st.computeTot = st.profile.perNodeIn * n
+		for _, c := range g.ChildrenView(sid) {
+			st.children = append(st.children, skey{ji, c})
+		}
+		// Availability weights over parents, proportional to parent
+		// shuffle-output size (fallback: equal).
+		parents := g.Stage(sid).Parents
+		if len(parents) > 0 {
+			tot := 0.0
+			outs := make([]float64, len(parents))
+			for i, pid := range parents {
+				outs[i] = float64(run.Job.Profiles[pid].ShuffleOut)
+				tot += outs[i]
+			}
+			for i, pid := range parents {
+				st.availParents = append(st.availParents, skey{ji, pid})
+				if tot > 0 {
+					st.availWeights = append(st.availWeights, outs[i]/tot)
+				} else {
+					st.availWeights = append(st.availWeights, 1/float64(len(parents)))
+				}
+			}
+		}
+		e.states[st.key] = st
+		e.stateList = append(e.stateList, st)
+	}
+	e.stagesLeft = append(e.stagesLeft, g.Len())
+	e.timers.push(timer{at: run.Arrival, seq: arrivalSeq(ji), kind: tJobArrival, job: ji})
 }
 
 // placeNode maps a partition's home node to the machine that will run
@@ -1536,6 +1557,12 @@ func (e *engine) step() (done bool, err error) {
 		}
 		e.fireTimer(t)
 	}
+	if e.haltInject && e.haltAt <= e.now+eps {
+		// An arrival at haltAt is due: it would fire here, before the
+		// prefetch pass.
+		e.halted = true
+		return true, nil
+	}
 	e.maybePrefetch()
 	// Stop when nothing remains — or when every job has completed or
 	// failed (leftover crash/retry timers no longer matter).
@@ -1628,12 +1655,17 @@ func (e *engine) finalize() {
 		}
 	}
 	e.occOpen = map[skey]*OccupancySegment{}
+	// Segments are closed in map order; the job tie-break makes the
+	// multi-job order deterministic too.
 	sort.Slice(e.res.Occupancy, func(i, j int) bool {
 		a, b := e.res.Occupancy[i], e.res.Occupancy[j]
 		if a.From != b.From {
 			return a.From < b.From
 		}
-		return a.Stage < b.Stage
+		if a.Stage != b.Stage {
+			return a.Stage < b.Stage
+		}
+		return a.JobIndex < b.JobIndex
 	})
 	start := math.Inf(1)
 	for _, r := range e.runs {

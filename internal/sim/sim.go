@@ -310,19 +310,8 @@ func prepare(opt Options, runs []JobRun) (Options, error) {
 		return opt, fmt.Errorf("sim: no jobs")
 	}
 	for i, r := range runs {
-		if r.Job == nil {
-			return opt, fmt.Errorf("sim: job %d is nil", i)
-		}
-		if err := r.Job.Validate(); err != nil {
-			return opt, fmt.Errorf("sim: job %d: %w", i, err)
-		}
-		if r.Arrival < 0 || math.IsNaN(r.Arrival) {
-			return opt, fmt.Errorf("sim: job %d has invalid arrival %v", i, r.Arrival)
-		}
-		for s, d := range r.Delays {
-			if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-				return opt, fmt.Errorf("sim: job %d stage %d has invalid delay %v", i, s, d)
-			}
+		if err := validateRun(i, r); err != nil {
+			return opt, err
 		}
 	}
 	if opt.Faults != nil {
@@ -361,4 +350,23 @@ func prepare(opt Options, runs []JobRun) (Options, error) {
 		opt.AggShuffleOverhead = 0
 	}
 	return opt, nil
+}
+
+// validateRun vets job i of a run list (prepare) or an injected run.
+func validateRun(i int, r JobRun) error {
+	if r.Job == nil {
+		return fmt.Errorf("sim: job %d is nil", i)
+	}
+	if err := r.Job.Validate(); err != nil {
+		return fmt.Errorf("sim: job %d: %w", i, err)
+	}
+	if r.Arrival < 0 || math.IsNaN(r.Arrival) {
+		return fmt.Errorf("sim: job %d has invalid arrival %v", i, r.Arrival)
+	}
+	for s, d := range r.Delays {
+		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("sim: job %d stage %d has invalid delay %v", i, s, d)
+		}
+	}
+	return nil
 }
