@@ -411,7 +411,7 @@ func BenchmarkOverheadAlg1AndProfiling(b *testing.B) {
 // --- Ablation benches (DESIGN.md "Key design decisions") ---
 
 // BenchmarkAlg1Evaluators contrasts the what-if fluid-simulation evaluator
-// with the closed-form model evaluator (design decision 4) on the same job.
+// with the analytic model (Approximate, design decision 4) on the same job.
 func BenchmarkAlg1Evaluators(b *testing.B) {
 	c := cluster.NewM4LargeCluster(15)
 	job := workload.TriangleCount(c, 0.2)
@@ -422,9 +422,9 @@ func BenchmarkAlg1Evaluators(b *testing.B) {
 			}
 		}
 	})
-	b.Run("model", func(b *testing.B) {
+	b.Run("approx", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Compute(core.Options{Cluster: c, UseModelEvaluator: true}, job); err != nil {
+			if _, err := core.Compute(core.Options{Cluster: c, Approximate: true}, job); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -35,7 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for the random order / profiling noise")
 	profile := flag.Bool("profile", false, "plan on profiled (noisy) parameters, as the prototype does")
 	noCache := flag.Bool("no-eval-cache", false, "disable the what-if memo cache and snapshot forking (every candidate simulated from scratch; the schedule is identical either way)")
-	approx := flag.Bool("approx-plan", false, "plan from the analytic bound surrogate only (no simulation per candidate; makespans are estimates)")
+	approx := flag.Bool("approx-plan", false, "plan from the analytic Eq. 1–3 model (no simulation per candidate; makespans are predictions)")
 	noPrune := flag.Bool("no-bound-prune", false, "disable the analytic pruning tier of the candidate scan (single-tier reference; the schedule is identical either way)")
 	specPath := flag.String("spec", "", "JSON job spec (overrides -workload)")
 	logPath := flag.String("eventlog", "", "Spark event log to derive the job from (overrides -workload)")

@@ -10,7 +10,7 @@
 //	replay -f trace.csv -events ev.jsonl -chrometrace tr.json -json sum.json
 //	replay -f trace.csv -fault-rate 0.05 -node-mttf 4000 -speculate -blacklist-after 2
 //	replay -f trace.csv -checkpoint-dir ckpt -resume -json sum.json
-//	tracegen -scale full | replay -shards 8 -model-eval -variants fuxi,default
+//	tracegen -scale full | replay -shards 8 -approx-plan -variants fuxi,default
 //
 // -events and -chrometrace capture the default-DelayStage replays (one sim
 // run per trace job, labelled run=<job index>); -json summarizes every
@@ -26,9 +26,9 @@
 // -events and -chrometrace: an obs.ShardMux buffers each world's event
 // stream and drains finished worlds in index order, so the logs are
 // byte-identical to the sequential path at any shard count. For
-// full-scale traces combine -shards with -model-eval (closed-form planner
-// evaluation instead of what-if simulation) and -variants to pick the
-// strategies to replay.
+// full-scale traces combine -shards with -approx-plan (plan from the
+// analytic Eq. 1–3 model instead of what-if simulation) and -variants to
+// pick the strategies to replay.
 //
 // -checkpoint-dir makes the replay crash-safe: after every job the
 // per-variant progress (bit-exact JCTs and utilization sums) is written
@@ -184,7 +184,7 @@ func main() {
 	shards := flag.Int("shards", 0, "replay through this many merging-clock engine shards (0 = sequential legacy path); the summary is byte-identical at any setting")
 	shardWindow := flag.Int("shard-window", 0, "max live simulation worlds per shard (0 = default 64); bounds sharded replay memory at full trace scale")
 	variantsFlag := flag.String("variants", "", "comma-separated subset of variants to replay: fuxi,random,default,ascending (default: all)")
-	modelEval := flag.Bool("model-eval", false, "plan with the closed-form model evaluator instead of what-if simulation (needed to replay full-scale traces in minutes)")
+	approxPlan := flag.Bool("approx-plan", false, "plan from the analytic model instead of what-if simulation (needed to replay full-scale traces in minutes)")
 	logLevel := flag.String("log-level", "info", "stderr log floor: debug, info, warn or error")
 	flag.Parse()
 
@@ -353,7 +353,7 @@ func main() {
 		float64(*faultSeed), float64(*maxRetries), float64(*blacklistAfter)} {
 		cfgBuf = binary.LittleEndian.AppendUint64(cfgBuf, math.Float64bits(v))
 	}
-	for _, b := range []bool{*speculate, *modelEval} {
+	for _, b := range []bool{*speculate, *approxPlan} {
 		if b {
 			cfgBuf = append(cfgBuf, 1)
 		} else {
@@ -434,7 +434,7 @@ func main() {
 				}
 				sched, err := core.Compute(core.Options{
 					Cluster: slices[i], Order: v.order, Seed: *seed + int64(i),
-					MaxCandidates: mc, UseModelEvaluator: *modelEval,
+					MaxCandidates: mc, Approximate: *approxPlan,
 				}, wl)
 				if err != nil {
 					return shardsim.World{}, err

@@ -70,7 +70,7 @@ func main() {
 	maxCandidates := flag.Int("max-candidates", 16, "delay candidates per stage in the planning sweep")
 	slot := flag.Float64("slot", 1, "delay granularity in seconds")
 	fair := flag.Bool("fair", true, "share resources first equally among jobs (Sec. 5.3)")
-	approxPlan := flag.Bool("approx-plan", false, "answer planning decisions from the analytic bound surrogate (no simulation on the control-plane hot path)")
+	approxPlan := flag.Bool("approx-plan", false, "answer planning decisions from the analytic Eq. 1–3 model (no simulation on the control-plane hot path)")
 	timescale := flag.Float64("timescale", 1, "simulated seconds per wall-clock second for submissions without an arrival")
 	replayPath := flag.String("replay", "", "open-loop driver: replay this batch_task CSV trace at its recorded arrivals")
 	poisson := flag.Int("poisson", 0, "open-loop driver: submit this many synthetic gallery jobs with Poisson arrivals")

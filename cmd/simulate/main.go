@@ -74,7 +74,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir if one exists (missing or stale checkpoints start fresh)")
 	guarded := flag.Bool("guarded", false, "attach the runtime watchdog to a delaystage strategy (cancels stale delays)")
 	parallelism := flag.Int("parallelism", 1, "goroutines for the delaystage candidate scan (plan is bit-identical at any setting)")
-	approxPlan := flag.Bool("approx-plan", false, "plan delaystage variants from the analytic bound surrogate only (no simulation per candidate)")
+	approxPlan := flag.Bool("approx-plan", false, "plan delaystage variants from the analytic Eq. 1–3 model (no simulation per candidate)")
 	eventsPath := flag.String("events", "", "write a JSONL event log of the run to this file (\"-\" = stdout)")
 	tracePath := flag.String("chrometrace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) to this file")
 	jsonPath := flag.String("json", "", "write a machine-readable run summary to this file (\"-\" = stdout)")

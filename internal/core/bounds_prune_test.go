@@ -20,7 +20,9 @@ import (
 const sandwichEps = 1e-9
 
 // checkSandwich asserts lower ≤ simulated makespan ≤ upper for one
-// (job, delays) configuration on the given cluster, fault-free.
+// (job, delays) configuration on the given cluster, fault-free, and that
+// the analytic tier's pruning bound (no work term) stays sound against
+// the prediction it prunes: lower ≤ prediction ≤ upper.
 func checkSandwich(t *testing.T, c *cluster.Cluster, j *workload.Job,
 	delays map[dag.StageID]float64, label string) {
 	t.Helper()
@@ -29,6 +31,15 @@ func checkSandwich(t *testing.T, c *cluster.Cluster, j *workload.Job,
 		t.Fatalf("%s: NewBoundEvaluator: %v", label, err)
 	}
 	bd := b.Bounds(delays)
+	pb, err := perfmodel.NewBoundEvaluator(c, j, perfmodel.BoundConfig{})
+	if err != nil {
+		t.Fatalf("%s: NewBoundEvaluator: %v", label, err)
+	}
+	pbd, pred := pb.Bounds(delays), pb.Predict(delays)
+	if pbd.Lower > pred || pred > pbd.Upper {
+		t.Errorf("%s: prediction %.9f outside the analytic sandwich [%.9f, %.9f]",
+			label, pred, pbd.Lower, pbd.Upper)
+	}
 	res, err := sim.Run(sim.Options{Cluster: c, TrackNode: -1},
 		[]sim.JobRun{{Job: j, Delays: delays}})
 	if err != nil {
@@ -124,8 +135,8 @@ func FuzzBoundSandwich(f *testing.F) {
 // TestTwoTierByteIdentical is the invariance regression: with the bound
 // tier on (default) the chosen delay vector, makespan, and path audit are
 // byte-identical to the single-tier scan (DisableBoundPrune) on every
-// gallery and paper workload, under both exact evaluators — and the tier
-// must actually fire somewhere, or it is dead weight.
+// gallery and paper workload, under both evaluators — and the tier must
+// actually fire somewhere, or it is dead weight.
 func TestTwoTierByteIdentical(t *testing.T) {
 	c := c30()
 	jobs := workload.PaperWorkloads(c, 1)
@@ -143,8 +154,8 @@ func TestTwoTierByteIdentical(t *testing.T) {
 		opt   Options
 	}{
 		{"sim", Options{Cluster: c}},
-		{"model", Options{Cluster: c, UseModelEvaluator: true}},
-		{"model-par4", Options{Cluster: c, UseModelEvaluator: true, Parallelism: 4}},
+		{"approx", Options{Cluster: c, Approximate: true}},
+		{"approx-par4", Options{Cluster: c, Approximate: true, Parallelism: 4}},
 	} {
 		for _, name := range names {
 			j := jobs[name]
@@ -169,9 +180,12 @@ func TestTwoTierByteIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: single-tier run reported bound activity: %+v",
 					cfg.label, name, ref.Prune)
 			}
-			if two.Prune.Exact != two.Evaluations {
-				t.Fatalf("%s/%s: exact counter %d != evaluations %d",
-					cfg.label, name, two.Prune.Exact, two.Evaluations)
+			if n := two.Prune.Exact + two.Prune.Approx; n != two.Evaluations {
+				t.Fatalf("%s/%s: exact+approx counters %d != evaluations %d",
+					cfg.label, name, n, two.Evaluations)
+			}
+			if cfg.opt.Approximate != (two.Prune.Exact == 0) {
+				t.Fatalf("%s/%s: exact counter %d in the wrong mode", cfg.label, name, two.Prune.Exact)
 			}
 			totalPruned += two.Prune.Pruned
 		}

@@ -64,11 +64,6 @@ type Options struct {
 	// stage; when the scan range divided by SlotSeconds exceeds it, the
 	// slot is widened adaptively. Zero means 64.
 	MaxCandidates int
-	// UseModelEvaluator switches the candidate evaluation from the
-	// what-if fluid simulation (default; faithful to Alg. 1 lines 12–14)
-	// to the closed-form interference model (much faster; used for
-	// trace-scale jobs).
-	UseModelEvaluator bool
 	// RefinePasses re-scans every stage after the first greedy sweep,
 	// fixing the staleness of one-shot greedy decisions (a delay chosen
 	// early can become useless — or harmful — once later stages get
@@ -100,7 +95,7 @@ type Options struct {
 	// simulation, as Alg. 1 is written. Schedules are identical either way
 	// (the cache is exact and forked runs are bit-identical); the switch
 	// exists for benchmarking the speedup and as a safety valve. Ignored
-	// under UseModelEvaluator.
+	// under Approximate.
 	DisableEvalCache bool
 	// DisableBoundPrune turns off the two-tier scan's analytic tier so
 	// every candidate is answered by the exact evaluator — the single-tier
@@ -109,12 +104,12 @@ type Options struct {
 	// bound already met the scan's best, so its exact makespan provably
 	// fails the improve-by-tolerance test.
 	DisableBoundPrune bool
-	// Approximate answers every candidate from the analytic bound
-	// surrogate's estimate instead of any exact evaluator — massive-scale
-	// planning at O(V log V) per candidate, no simulation at all. The
-	// schedule quality is whatever the surrogate's overlap model buys;
-	// Makespan/StockMakespan are estimates, not simulations. Overrides
-	// UseModelEvaluator; Evaluations land in PruneStats.Approx.
+	// Approximate switches the candidate evaluation from the what-if
+	// fluid simulation (default; faithful to Alg. 1 lines 12–14) to the
+	// analytic model's Eq. 1–3 per-phase prediction (perfmodel
+	// BoundEvaluator.Predict) — no simulation at all, which is what
+	// replays trace-scale jobs in minutes. Makespan/StockMakespan are
+	// predictions, not simulations; Evaluations land in PruneStats.Approx.
 	Approximate bool
 }
 
@@ -130,10 +125,9 @@ type PruneStats struct {
 	// already met the scan-start best, so the exact evaluator provably
 	// could not improve on it.
 	Pruned int `json:"pruned"`
-	// Exact counts evaluations answered by the exact evaluator (fluid
-	// simulation or closed-form model); Approx counts evaluations answered
-	// by the bound surrogate (Options.Approximate). Exact + Approx =
-	// Schedule.Evaluations.
+	// Exact counts evaluations answered by the fluid simulation; Approx
+	// counts evaluations answered by the analytic model
+	// (Options.Approximate). Exact + Approx = Schedule.Evaluations.
 	Exact  int `json:"exact"`
 	Approx int `json:"approx"`
 }
@@ -167,10 +161,8 @@ type Schedule struct {
 	// CacheHits, ForkedEvals and FullEvals break Evaluations down by how
 	// the evaluator answered them: from the what-if memo cache, by
 	// forking a scan snapshot (prefix shared, only the suffix simulated),
-	// or by a from-scratch run. Under UseModelEvaluator, CacheHits counts
-	// layout-memo hits and FullEvals full layouts (nothing forks); all
-	// zero under Approximate (the bound surrogate is cheaper than any
-	// cache).
+	// or by a from-scratch run. Under Approximate, CacheHits counts
+	// layout-memo hits and FullEvals full layouts (nothing forks).
 	CacheHits   int
 	ForkedEvals int
 	FullEvals   int
@@ -187,7 +179,7 @@ type Schedule struct {
 // Alg. 1 schedules path by path, and a stage's candidates are judged
 // against the paths scheduled so far (plus its own), not against paths it
 // has not reached yet. Implementations: simEvaluator (what-if fluid
-// simulation) and modelEvaluator (closed-form interference model).
+// simulation) and approxEvaluator (the analytic model's prediction).
 type Evaluator interface {
 	// SetActive restricts evaluation to the given stages (nil = all).
 	SetActive(active map[dag.StageID]bool) error
@@ -277,36 +269,30 @@ func Compute(opt Options, job *workload.Job) (*Schedule, error) {
 	}
 	sched.Paths = paths
 
-	// The analytic bound evaluator backs both tiers of the two-tier scan:
-	// the pruning tier (lower bounds against the scan-start best) and, in
-	// approximate mode, the scoring itself. It must be built on the cluster
-	// the exact evaluator actually runs against — the coarse view for the
-	// sim tier, the raw cluster for the model tier — and the aggregate
-	// work/capacity term is only sound against the simulator (the model's
-	// truncated stretch fixed point does not conserve capacity).
+	// The analytic bound evaluator backs the pruning tier (lower bounds
+	// against the scan-start best) and, in approximate mode, the scoring
+	// itself. It must be built on the cluster the scored evaluator runs
+	// against: the coarse view for the sim tier, the raw cluster for the
+	// analytic tier. The aggregate work/capacity term is only sound
+	// against the simulator (the prediction's truncated stretch fixed
+	// point does not conserve capacity), so one evaluator without it
+	// serves both of the analytic tier's roles.
 	var bev *perfmodel.BoundEvaluator
-	if !opt.DisableBoundPrune || opt.Approximate {
-		bcl := opt.Cluster
-		includeWork := true
-		if opt.UseModelEvaluator && !opt.Approximate {
-			includeWork = false
-		} else {
-			bcl = coarseFor(opt.Cluster)
-		}
-		bev, err = perfmodel.NewBoundEvaluator(bcl, job, perfmodel.BoundConfig{IncludeWorkBound: includeWork})
-		if err != nil {
-			return nil, err
-		}
+	switch {
+	case opt.Approximate:
+		bev, err = perfmodel.NewBoundEvaluator(opt.Cluster, job, perfmodel.BoundConfig{})
+	case !opt.DisableBoundPrune:
+		bev, err = perfmodel.NewBoundEvaluator(coarseFor(opt.Cluster), job, perfmodel.BoundConfig{IncludeWorkBound: true})
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	var ev Evaluator
-	switch {
-	case opt.Approximate:
-		ev = &approxEvaluator{b: bev}
-	case opt.UseModelEvaluator:
-		ev = newModelEvaluator(model, job, reach, k, solo)
-	default:
-		ev = newSimEvaluator(opt.Cluster, job, k, opt.DisableEvalCache)
+	if opt.Approximate {
+		ev = newApproxEvaluator(bev)
+	} else {
+		ev = newSimEvaluator(opt.Cluster, job, opt.DisableEvalCache)
 	}
 	captureStats := func() {
 		if sp, ok := ev.(evalStatser); ok {
@@ -314,7 +300,7 @@ func Compute(opt Options, job *workload.Job) (*Schedule, error) {
 			sched.CacheHits, sched.ForkedEvals, sched.FullEvals = st.CacheHits, st.ForkedRuns, st.FullRuns
 		}
 	}
-	// In approximate mode ev *is* the bound evaluator, so its SetActive
+	// In approximate mode ev wraps the bound evaluator, so its SetActive
 	// keeps the bounds in sync; otherwise the pruning tier tracks the
 	// exact evaluator's active set explicitly.
 	setActive := func(active map[dag.StageID]bool) error {

@@ -137,14 +137,13 @@ func TestModelEvaluatorAgreesDirectionally(t *testing.T) {
 	c := c30()
 	j := workload.CosineSimilarity(c, 0.2)
 	simSched := computeOK(t, Options{Cluster: c}, j)
-	modelSched := computeOK(t, Options{Cluster: c, UseModelEvaluator: true}, j)
+	modelSched := computeOK(t, Options{Cluster: c, Approximate: true}, j)
 	stock := simJCT(t, c, j, nil)
 	simJCTv := simJCT(t, c, j, simSched.Delays)
 	modelJCTv := simJCT(t, c, j, modelSched.Delays)
-	// Both evaluators must not hurt, and the sim evaluator must be at
-	// least as good as the model one (it sees the true dynamics).
+	// Neither the sim evaluator nor the analytic model may hurt.
 	if simJCTv > stock*1.005 || modelJCTv > stock*1.01 {
-		t.Fatalf("stock %.1f, sim-eval %.1f, model-eval %.1f", stock, simJCTv, modelJCTv)
+		t.Fatalf("stock %.1f, sim-eval %.1f, approx %.1f", stock, simJCTv, modelJCTv)
 	}
 }
 

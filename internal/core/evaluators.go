@@ -136,23 +136,17 @@ type simEvaluator struct {
 	coarse    *cluster.Cluster
 	job       *workload.Job
 	cur       *workload.Job // restricted to the active set
-	inK       map[dag.StageID]bool
 	shared    *evalShared
 	activeKey string // canonical key of the active set ("*" = all)
 
 	// Per-clone scratch, reset by Clone.
-	keyScratch    []byte
-	pairScratch   []delayPair
+	keys          fingerprinter
 	filterScratch map[dag.StageID]float64
 }
 
-func newSimEvaluator(c *cluster.Cluster, job *workload.Job, k []dag.StageID, disableCache bool) *simEvaluator {
-	inK := make(map[dag.StageID]bool, len(k))
-	for _, id := range k {
-		inK[id] = true
-	}
+func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool) *simEvaluator {
 	return &simEvaluator{
-		coarse: coarseFor(c), job: job, cur: job, inK: inK, activeKey: "*",
+		coarse: coarseFor(c), job: job, cur: job, activeKey: "*",
 		shared: &evalShared{
 			disable: disableCache,
 			memo:    map[string]float64{},
@@ -165,7 +159,7 @@ func newSimEvaluator(c *cluster.Cluster, job *workload.Job, k []dag.StageID, dis
 // cache state are carried over, the per-clone scratch buffers are not.
 func (e *simEvaluator) Clone() Evaluator {
 	c := *e
-	c.keyScratch, c.pairScratch, c.filterScratch = nil, nil, nil
+	c.keys, c.filterScratch = fingerprinter{}, nil
 	return &c
 }
 
@@ -243,36 +237,45 @@ func (e *simEvaluator) evalStats() EvalStats {
 	return e.shared.stats
 }
 
-// fingerprint canonically encodes (active set, effective delay vector):
-// the active-set key plus sorted (stage, exact float bits) pairs of every
-// non-zero delay that applies to the active sub-job. Exact — distinct
-// configurations can never collide — and zero entries drop out, so "no
-// entry" and "explicit 0" (the same simulation) share one slot.
-func (e *simEvaluator) fingerprint(delays map[dag.StageID]float64) string {
-	pairs := e.pairScratch[:0]
+// fingerprinter builds exact memo keys for (active set, effective delay
+// vector) configurations: the active-set key plus sorted (stage, exact
+// float bits) pairs of every non-zero delay that applies to the active
+// stages. Distinct configurations can never collide, and zero entries drop
+// out, so "no entry" and "explicit 0" (the same evaluation) share one
+// slot. Its buffers are per-evaluator scratch.
+type fingerprinter struct {
+	buf   []byte
+	pairs []delayPair
+}
+
+func (f *fingerprinter) key(activeKey string, delays map[dag.StageID]float64, applies func(dag.StageID) bool) string {
+	pairs := f.pairs[:0]
 	for id, v := range delays {
-		if v != 0 && e.cur.Graph.Stage(id) != nil {
+		if v != 0 && applies(id) {
 			pairs = append(pairs, delayPair{id: id, bits: math.Float64bits(v)})
 		}
 	}
 	slices.SortFunc(pairs, func(a, b delayPair) int { return int(a.id) - int(b.id) })
-	e.pairScratch = pairs
-	key := append(e.keyScratch[:0], e.activeKey...)
+	f.pairs = pairs
+	key := append(f.buf[:0], activeKey...)
 	for _, p := range pairs {
 		key = append(key, '|')
 		key = strconv.AppendInt(key, int64(p.id), 10)
 		key = append(key, ':')
 		key = strconv.AppendUint(key, p.bits, 16)
 	}
-	e.keyScratch = key
+	f.buf = key
 	return string(key)
 }
+
+// inSub reports whether a stage belongs to the active sub-job.
+func (e *simEvaluator) inSub(id dag.StageID) bool { return e.cur.Graph.Stage(id) != nil }
 
 func (e *simEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error) {
 	sh := e.shared
 	var fp string
 	if !sh.disable {
-		fp = e.fingerprint(delays)
+		fp = e.keys.key(e.activeKey, delays, e.inSub)
 		sh.mu.Lock()
 		if mk, ok := sh.memo[fp]; ok {
 			sh.stats.CacheHits++
@@ -407,192 +410,63 @@ func jobEnd(res *sim.Result) float64 {
 	return end
 }
 
-// modelEvaluator approximates the same question in closed form, phase by
-// phase: every stage is three consecutive intervals — shuffle read
-// (network), compute (executors), shuffle write (disk) — and each phase's
-// solo duration is stretched by the time-averaged number of *same-phase*
-// concurrent stages (the equal-share assumption of Eq. 1). Interval layout
-// and stretches are iterated to a fixed point. O(|K|²) per evaluation and
-// close enough to the fluid simulation to rank delay candidates correctly
-// for the DAG shapes in the Alibaba trace.
-type modelEvaluator struct {
-	job    *workload.Job
-	topo   []dag.StageID
-	idx    map[dag.StageID]int
-	active map[dag.StageID]bool
-	inK    map[dag.StageID]bool
-	soloR  map[dag.StageID]float64
-	soloC  map[dag.StageID]float64
-	soloW  map[dag.StageID]float64
-	alpha  float64 // contention-overhead factor matching the simulator
-
-	// Memoized layouts, shared with clones like the sim evaluator's memo:
-	// refine passes and the base evaluation of each scan re-ask
-	// configurations the previous scan already priced, and a layout on a
-	// 100+-stage job is thousands of float operations. The key is exact
-	// (active set + float bits of every applicable non-zero delay), so a
-	// hit returns the identical float a recomputation would.
-	shared    *modelShared
+// approxEvaluator answers the same question from the analytic model's
+// Prediction (Options.Approximate): the Eq. 1–3 per-phase layout, no
+// simulation at all, so the whole Alg. 1 machinery — growing-active-set
+// sweeps, refinement passes, the never-worse guard — runs unchanged at
+// O(|K|²) per evaluation. The same BoundEvaluator serves the pruning tier;
+// without the work term its Lower never exceeds the Prediction.
+//
+// Layouts are memoized like the sim evaluator's runs: refine passes and
+// the base evaluation of each scan re-ask configurations the previous
+// scan already priced, and a layout on a 100+-stage job is thousands of
+// float operations. The key is exact, so a hit returns the identical
+// float a recomputation would.
+type approxEvaluator struct {
+	b         *perfmodel.BoundEvaluator
+	shared    *approxShared
 	activeKey string
-
-	// Flattened per-index state, precomputed once: layout() runs tens of
-	// thousands of times per Compute call on large jobs.
-	parentIdx  [][]int
-	soloRi     []float64
-	soloCi     []float64
-	soloWi     []float64
-	activeIdx  []bool
-	bounds     [][4]float64
-	stretch    [][3]float64
-	covScratch []covEvent
-	ovS, ovF   []float64
-
-	keyScratch  []byte
-	pairScratch []delayPair
+	keys      fingerprinter // per-clone scratch, reset by Clone
 }
 
-// modelShared is the memo state one modelEvaluator shares with its clones.
-type modelShared struct {
+// approxShared is the memo state one approxEvaluator shares with its
+// clones.
+type approxShared struct {
 	mu    sync.Mutex
 	memo  map[string]float64
 	stats EvalStats
 }
 
-func newModelEvaluator(m *perfmodel.Model, job *workload.Job, reach *dag.Reachability,
-	k []dag.StageID, solo map[dag.StageID]float64) *modelEvaluator {
-	inK := make(map[dag.StageID]bool, len(k))
-	for _, id := range k {
-		inK[id] = true
-	}
-	topo, _ := job.Graph.TopoSort()
-	e := &modelEvaluator{
-		job: job, topo: topo, inK: inK,
-		soloR:  make(map[dag.StageID]float64, len(topo)),
-		soloC:  make(map[dag.StageID]float64, len(topo)),
-		soloW:  make(map[dag.StageID]float64, len(topo)),
-		alpha:  0.22,
-		shared: &modelShared{memo: map[string]float64{}},
-
-		activeKey: "*",
-	}
-	idx := make(map[dag.StageID]int, len(topo))
-	for i, id := range topo {
-		idx[id] = i
-	}
-	e.idx = idx
-	n := len(topo)
-	e.parentIdx = make([][]int, n)
-	e.soloRi = make([]float64, n)
-	e.soloCi = make([]float64, n)
-	e.soloWi = make([]float64, n)
-	e.activeIdx = make([]bool, n)
-	e.bounds = make([][4]float64, n)
-	e.stretch = make([][3]float64, n)
-	e.ovS = make([]float64, n)
-	e.ovF = make([]float64, n)
-	for i, id := range topo {
-		r, c, w := m.PhaseBreakdown(job.Profiles[id])
-		e.soloR[id], e.soloC[id], e.soloW[id] = r, c, w
-		e.soloRi[i], e.soloCi[i], e.soloWi[i] = r, c, w
-		for _, p := range job.Graph.Stage(id).Parents {
-			e.parentIdx[i] = append(e.parentIdx[i], idx[p])
-		}
-		e.activeIdx[i] = true
-	}
-	return e
+func newApproxEvaluator(b *perfmodel.BoundEvaluator) *approxEvaluator {
+	return &approxEvaluator{b: b, activeKey: "*",
+		shared: &approxShared{memo: map[string]float64{}}}
 }
 
-// Clone returns a copy whose layout scratch (bounds, stretch, coverage
-// events) is private, so concurrent Makespan calls on distinct clones are
-// safe. The immutable inputs (topo, profiles, parent indices) and the
-// active set — fixed for the clone's scan-scoped lifetime — are shared.
-func (e *modelEvaluator) Clone() Evaluator {
-	c := *e
-	n := len(e.topo)
-	c.bounds = make([][4]float64, n)
-	c.stretch = make([][3]float64, n)
-	c.ovS = make([]float64, n)
-	c.ovF = make([]float64, n)
-	c.covScratch = nil
-	c.keyScratch, c.pairScratch = nil, nil
-	return &c
-}
-
-func (e *modelEvaluator) SetActive(active map[dag.StageID]bool) error {
-	e.active = active
+func (e *approxEvaluator) SetActive(active map[dag.StageID]bool) error {
+	e.b.SetActive(active)
 	e.activeKey = activeKeyOf(active)
-	for i, id := range e.topo {
-		e.activeIdx[i] = active == nil || active[id]
-	}
 	return nil
 }
 
-// fingerprint canonically encodes (active set, effective delay vector) the
-// same way the sim evaluator does: only non-zero delays of active stages
-// count, so "no entry" and "explicit 0" share one memo slot.
-func (e *modelEvaluator) fingerprint(delays map[dag.StageID]float64) string {
-	pairs := e.pairScratch[:0]
-	for id, v := range delays {
-		if v == 0 {
-			continue
-		}
-		if i, ok := e.idx[id]; ok && e.activeIdx[i] {
-			pairs = append(pairs, delayPair{id: id, bits: math.Float64bits(v)})
-		}
-	}
-	slices.SortFunc(pairs, func(a, b delayPair) int { return int(a.id) - int(b.id) })
-	e.pairScratch = pairs
-	key := append(e.keyScratch[:0], e.activeKey...)
-	for _, p := range pairs {
-		key = append(key, '|')
-		key = strconv.AppendInt(key, int64(p.id), 10)
-		key = append(key, ':')
-		key = strconv.AppendUint(key, p.bits, 16)
-	}
-	e.keyScratch = key
-	return string(key)
+// Clone hands the clone its own bound-evaluator and key scratch; the
+// immutable inputs, the active set and the memo stay shared.
+func (e *approxEvaluator) Clone() Evaluator {
+	c := *e
+	c.b = e.b.Clone()
+	c.keys = fingerprinter{}
+	return &c
 }
 
 // evalStats returns the shared memo counters (ForkedRuns stays zero: the
-// closed-form model has nothing to fork).
-func (e *modelEvaluator) evalStats() EvalStats {
+// analytic model has nothing to fork).
+func (e *approxEvaluator) evalStats() EvalStats {
 	e.shared.mu.Lock()
 	defer e.shared.mu.Unlock()
 	return e.shared.stats
 }
 
-func (e *modelEvaluator) isActive(id dag.StageID) bool {
-	return e.active == nil || e.active[id]
-}
-
-// PredictTimelines returns the model-predicted execution time of every
-// stage of the job under stock scheduling (no delays), using the same
-// phase-aware interference model as Alg. 1's fast evaluator. This is the
-// prediction the Appendix A.2 experiment scores against the simulator.
-func PredictTimelines(m *perfmodel.Model, job *workload.Job) (map[dag.StageID]float64, error) {
-	reach, err := dag.NewReachability(job.Graph)
-	if err != nil {
-		return nil, err
-	}
-	k := dag.ParallelStages(job.Graph, reach)
-	solo := m.SoloTimes(job)
-	ev := newModelEvaluator(m, job, reach, k, solo)
-	bounds, err := ev.layout(nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[dag.StageID]float64, len(ev.topo))
-	for i, id := range ev.topo {
-		out[id] = bounds[i][3] - bounds[i][0]
-	}
-	return out, nil
-}
-
-// Makespan lays every active stage out as three consecutive phase
-// intervals and iterates interference stretches to a fixed point,
-// memoizing per exact configuration.
-func (e *modelEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error) {
-	fp := e.fingerprint(delays)
+func (e *approxEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error) {
+	fp := e.keys.key(e.activeKey, delays, e.b.Active)
 	sh := e.shared
 	sh.mu.Lock()
 	if mk, ok := sh.memo[fp]; ok {
@@ -601,232 +475,10 @@ func (e *modelEvaluator) Makespan(delays map[dag.StageID]float64) (float64, erro
 		return mk, nil
 	}
 	sh.mu.Unlock()
-	bounds, err := e.layout(delays)
-	if err != nil {
-		return 0, err
-	}
-	// Completion time of the last active stage from job start (see the
-	// sim evaluator for why the job end, not the K-set end, is the
-	// objective).
-	hi := 0.0
-	for i := range e.topo {
-		if !e.activeIdx[i] {
-			continue
-		}
-		if bounds[i][3] > hi {
-			hi = bounds[i][3]
-		}
-	}
+	mk := e.b.Predict(delays)
 	sh.mu.Lock()
-	sh.memo[fp] = hi
+	sh.memo[fp] = mk
 	sh.stats.FullRuns++
 	sh.mu.Unlock()
-	return hi, nil
+	return mk, nil
 }
-
-// layout computes every active stage's phase boundaries under the delays.
-// It reuses the evaluator's scratch buffers; the returned slice is only
-// valid until the next call.
-func (e *modelEvaluator) layout(delays map[dag.StageID]float64) ([][4]float64, error) {
-	bounds, stretch := e.bounds, e.stretch
-	for i := range stretch {
-		stretch[i] = [3]float64{1, 1, 1}
-		bounds[i] = [4]float64{}
-	}
-	iters := 4
-	if len(e.topo) > 100 {
-		// Large trace jobs: one fewer fixed-point pass keeps Alg. 1's
-		// runtime in the paper's Fig. 15 envelope at negligible accuracy
-		// cost (the layout changes little after the second pass).
-		iters = 2
-	}
-	for it := 0; it < iters; it++ {
-		for i, id := range e.topo {
-			if !e.activeIdx[i] {
-				continue
-			}
-			ready := 0.0
-			for _, pi := range e.parentIdx[i] {
-				if !e.activeIdx[pi] {
-					continue
-				}
-				if pe := bounds[pi][3]; pe > ready {
-					ready = pe
-				}
-			}
-			d := 0.0
-			if delays != nil {
-				d = delays[id]
-			}
-			b := ready + d
-			bounds[i][0] = b
-			b += e.soloRi[i] * stretch[i][0]
-			bounds[i][1] = b
-			b += e.soloCi[i] * stretch[i][1]
-			bounds[i][2] = b
-			b += e.soloWi[i] * stretch[i][2]
-			bounds[i][3] = b
-		}
-		if it == iters-1 {
-			break
-		}
-		// Per-phase stretch: equal sharing with contention overhead. With
-		// a time-averaged overlap count f̄ (self included), the effective
-		// rate is 1/(f̄·(1+α(f̄−1))) of solo. The pairwise overlap sums are
-		// answered in O(1) per stage from one sorted event sweep — Alg. 1
-		// calls this layout thousands of times per Compute on 100+-stage
-		// trace jobs (Fig. 15), so the sweep is the planner's hot loop.
-		for ph := 0; ph < 3; ph++ {
-			e.phaseOverlaps(bounds, ph)
-			for i := range e.topo {
-				if !e.activeIdx[i] {
-					continue
-				}
-				s, f := bounds[i][ph], bounds[i][ph+1]
-				if f <= s {
-					stretch[i][ph] = 1
-					continue
-				}
-				// Total coverage over [s,f] minus this stage's own f−s.
-				overlap := e.ovF[i] - e.ovS[i] - (f - s)
-				if overlap < 0 {
-					overlap = 0
-				}
-				fbar := 1 + overlap/(f-s)
-				extra := fbar - 1
-				if extra > 4 { // matches the simulator's saturation cap
-					extra = 4
-				}
-				stretch[i][ph] = fbar * (1 + e.alpha*extra)
-			}
-		}
-	}
-	return bounds, nil
-}
-
-// covEvent is one +1/−1 coverage-count change of stage idx's interval.
-type covEvent struct {
-	t   float64
-	idx int32
-	d   int8
-}
-
-// sortCovEvents orders events by time ascending (ties in any order) with
-// a direct-compare quicksort: the generic/closure sort's indirect compare
-// calls alone were ~25% of Alg. 1's model-tier runtime on Fig. 15 jobs.
-func sortCovEvents(evs []covEvent) {
-	for len(evs) > 12 {
-		// Median-of-three pivot to first position.
-		m := len(evs) / 2
-		h := len(evs) - 1
-		if evs[m].t < evs[0].t {
-			evs[m], evs[0] = evs[0], evs[m]
-		}
-		if evs[h].t < evs[0].t {
-			evs[h], evs[0] = evs[0], evs[h]
-		}
-		if evs[h].t < evs[m].t {
-			evs[h], evs[m] = evs[m], evs[h]
-		}
-		evs[0], evs[m] = evs[m], evs[0]
-		p := evs[0].t
-		i, j := 1, h
-		for {
-			for i <= j && evs[i].t < p {
-				i++
-			}
-			for i <= j && evs[j].t > p {
-				j--
-			}
-			if i > j {
-				break
-			}
-			evs[i], evs[j] = evs[j], evs[i]
-			i++
-			j--
-		}
-		evs[0], evs[j] = evs[j], evs[0]
-		// Recurse on the smaller half, loop on the larger.
-		if j < len(evs)-j {
-			sortCovEvents(evs[:j])
-			evs = evs[j+1:]
-		} else {
-			sortCovEvents(evs[j+1:])
-			evs = evs[:j]
-		}
-	}
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].t < evs[j-1].t; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
-// phaseOverlaps fills ovS/ovF with ∫₀ᵗ coverage du evaluated at every
-// active stage's ph-phase start and end: one typed sort plus one event
-// sweep, no per-stage binary searches. Every query time is itself an
-// event time and the integral is accumulated group-by-group in ascending
-// time order — exactly the sequence of float additions the former
-// coverage index performed — so the recorded values are bit-identical to
-// what its integral() lookups returned.
-func (e *modelEvaluator) phaseOverlaps(bounds [][4]float64, ph int) {
-	evs := e.covScratch[:0]
-	for i := range e.topo {
-		if !e.activeIdx[i] {
-			continue
-		}
-		s, f := bounds[i][ph], bounds[i][ph+1]
-		if f <= s {
-			continue
-		}
-		evs = append(evs,
-			covEvent{t: s, idx: int32(i), d: 1},
-			covEvent{t: f, idx: int32(i), d: -1})
-	}
-	e.covScratch = evs
-	// Ties may land in any order: the integral value at t is recorded for
-	// every event of the group before any of the group's ±1 deltas apply,
-	// so intra-group order cannot change a result.
-	sortCovEvents(evs)
-	cur, integral, prev := 0.0, 0.0, 0.0
-	for i := 0; i < len(evs); {
-		t := evs[i].t
-		if i > 0 {
-			integral += cur * (t - prev)
-		}
-		prev = t
-		for i < len(evs) && evs[i].t == t {
-			ev := evs[i]
-			if ev.d > 0 {
-				e.ovS[ev.idx] = integral
-			} else {
-				e.ovF[ev.idx] = integral
-			}
-			cur += float64(ev.d)
-			i++
-		}
-	}
-}
-
-// approxEvaluator adapts the analytic BoundEvaluator to the Evaluator
-// interface for Options.Approximate: Makespan returns the bound
-// surrogate's Estimate, so the whole Alg. 1 machinery — growing-active-set
-// sweeps, refinement passes, the never-worse guard — runs unchanged with
-// zero simulations. The pruning tier stays sound against it because the
-// Estimate is clamped to ≥ Lower by construction.
-type approxEvaluator struct {
-	b *perfmodel.BoundEvaluator
-}
-
-func (e *approxEvaluator) SetActive(active map[dag.StageID]bool) error {
-	e.b.SetActive(active)
-	return nil
-}
-
-func (e *approxEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error) {
-	return e.b.Bounds(delays).Estimate, nil
-}
-
-// Clone hands the clone its own bound-evaluator scratch; the immutable
-// inputs and the per-active-set concurrency cache stay shared.
-func (e *approxEvaluator) Clone() Evaluator { return &approxEvaluator{b: e.b.Clone()} }

@@ -6,7 +6,6 @@ import (
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
-	"delaystage/internal/perfmodel"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
@@ -52,9 +51,7 @@ func TestRestrictJobDropsCrossEdges(t *testing.T) {
 func TestSimEvaluatorMatchesDirectSim(t *testing.T) {
 	c := c30()
 	j := workload.LDA(c, 0.2)
-	reach, _ := dag.NewReachability(j.Graph)
-	k := dag.ParallelStages(j.Graph, reach)
-	ev := newSimEvaluator(c, j, k, false)
+	ev := newSimEvaluator(c, j, false)
 	got, err := ev.Makespan(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -66,48 +63,6 @@ func TestSimEvaluatorMatchesDirectSim(t *testing.T) {
 	}
 	if math.Abs(got-res.JCT(0)) > 1e-6 {
 		t.Fatalf("evaluator %.3f != sim %.3f", got, res.JCT(0))
-	}
-}
-
-func TestModelEvaluatorMonotoneInDelay(t *testing.T) {
-	// Delaying the only stage of a single-stage job by d moves its end by
-	// exactly d under the model.
-	c := c30()
-	g := dag.New()
-	g.MustAdd(dag.Stage{ID: 1})
-	g.MustAdd(dag.Stage{ID: 2})
-	p := workload.FromPhases(c, workload.PhaseSpec{ReadSec: 10, ComputeSec: 10, WriteSec: 1})
-	j := &workload.Job{Name: "m", Graph: g, Profiles: map[dag.StageID]workload.StageProfile{1: p, 2: p}}
-	if err := j.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := perfmodel.New(c)
-	reach, _ := dag.NewReachability(j.Graph)
-	k := dag.ParallelStages(j.Graph, reach)
-	ev := newModelEvaluator(m, j, reach, k, m.SoloTimes(j))
-	base, _ := ev.Makespan(nil)
-	big, _ := ev.Makespan(map[dag.StageID]float64{1: 1000})
-	if big < base+900 {
-		t.Fatalf("huge delay must dominate: base %.1f, delayed %.1f", base, big)
-	}
-}
-
-func TestPredictTimelinesCoversAllStages(t *testing.T) {
-	c := c30()
-	j := workload.TriangleCount(c, 0.2)
-	m, _ := perfmodel.New(c)
-	pred, err := PredictTimelines(m, j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pred) != j.Graph.Len() {
-		t.Fatalf("%d predictions for %d stages", len(pred), j.Graph.Len())
-	}
-	solo := m.SoloTimes(j)
-	for id, v := range pred {
-		if v < solo[id]-1e-6 {
-			t.Errorf("stage %d predicted %.1f below its solo time %.1f", id, v, solo[id])
-		}
 	}
 }
 

@@ -2,11 +2,8 @@ package core
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
-	"delaystage/internal/dag"
-	"delaystage/internal/perfmodel"
 	"delaystage/internal/workload"
 )
 
@@ -15,68 +12,24 @@ import (
 // and at worker counts above and below the candidate count.
 func TestParallelScanMatchesSequential(t *testing.T) {
 	c := c30()
-	for _, model := range []bool{false, true} {
+	for _, approx := range []bool{false, true} {
 		for name, j := range workload.PaperWorkloads(c, 0.2) {
-			seq := computeOK(t, Options{Cluster: c, UseModelEvaluator: model}, j)
+			seq := computeOK(t, Options{Cluster: c, Approximate: approx}, j)
 			for _, par := range []int{2, 8, 100} {
-				got := computeOK(t, Options{Cluster: c, UseModelEvaluator: model, Parallelism: par}, j)
+				got := computeOK(t, Options{Cluster: c, Approximate: approx, Parallelism: par}, j)
 				if !reflect.DeepEqual(got.Delays, seq.Delays) {
-					t.Errorf("%s model=%v par=%d: delays %v != sequential %v",
-						name, model, par, got.Delays, seq.Delays)
+					t.Errorf("%s approx=%v par=%d: delays %v != sequential %v",
+						name, approx, par, got.Delays, seq.Delays)
 				}
 				if got.Makespan != seq.Makespan || got.StockMakespan != seq.StockMakespan {
-					t.Errorf("%s model=%v par=%d: makespan %v/%v != sequential %v/%v",
-						name, model, par, got.Makespan, got.StockMakespan, seq.Makespan, seq.StockMakespan)
+					t.Errorf("%s approx=%v par=%d: makespan %v/%v != sequential %v/%v",
+						name, approx, par, got.Makespan, got.StockMakespan, seq.Makespan, seq.StockMakespan)
 				}
 				if got.Evaluations != seq.Evaluations {
-					t.Errorf("%s model=%v par=%d: %d evaluations != sequential %d",
-						name, model, par, got.Evaluations, seq.Evaluations)
+					t.Errorf("%s approx=%v par=%d: %d evaluations != sequential %d",
+						name, approx, par, got.Evaluations, seq.Evaluations)
 				}
 			}
-		}
-	}
-}
-
-// Clones must not share layout scratch with their parent: concurrent
-// Makespan calls on the original and many clones with different delay
-// vectors must each match their sequential answer exactly.
-func TestModelEvaluatorCloneIsolated(t *testing.T) {
-	c := c30()
-	j := workload.LDA(c, 0.2)
-	m, err := perfmodel.New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reach, _ := dag.NewReachability(j.Graph)
-	k := dag.ParallelStages(j.Graph, reach)
-	ev := newModelEvaluator(m, j, reach, k, m.SoloTimes(j))
-	delays := make([]map[dag.StageID]float64, 16)
-	want := make([]float64, len(delays))
-	for i := range delays {
-		delays[i] = map[dag.StageID]float64{k[i%len(k)]: float64(10 * (i + 1))}
-		w, err := ev.Makespan(delays[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = w
-	}
-	var wg sync.WaitGroup
-	got := make([]float64, len(delays))
-	errs := make([]error, len(delays))
-	for i := range delays {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = ev.Clone().Makespan(delays[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range delays {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if got[i] != want[i] {
-			t.Errorf("clone %d: makespan %v != sequential %v", i, got[i], want[i])
 		}
 	}
 }

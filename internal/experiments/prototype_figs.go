@@ -488,15 +488,16 @@ func AppendixA2(cfg Config) (*A2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Predict with the phase-aware interference model used by Alg. 1's
-	// fast evaluator, built from Eq. (1)–(2) phase breakdowns.
-	m, err := perfmodel.New(c)
+	// Predict with the phase-aware interference model Alg. 1's
+	// approximate mode plans against, built from Eq. (1)–(2) phase
+	// breakdowns on the raw cluster.
+	b, err := perfmodel.NewBoundEvaluator(c, job, perfmodel.BoundConfig{})
 	if err != nil {
 		return nil, err
 	}
-	pred, err := core.PredictTimelines(m, job)
-	if err != nil {
-		return nil, err
+	pred := map[dag.StageID]float64{}
+	for id, sp := range b.PredictSpans(nil) {
+		pred[id] = sp.End - sp.Start
 	}
 	r := &A2Result{Workload: "LDA", Errors: map[dag.StageID]float64{}, MinE: math.Inf(1)}
 	sum := 0.0

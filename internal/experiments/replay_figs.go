@@ -38,12 +38,11 @@ type Fig14Row struct {
 }
 
 // EvalEfficiency aggregates the planner's what-if evaluation counters over
-// one figure: how many candidate evaluations Alg. 1 made and how the sim
+// one figure: how many candidate evaluations Alg. 1 made and how the
 // evaluator answered them — from the memo cache, by forking a scan
-// snapshot (only the suffix after the scanned stage's ready time was
-// simulated), or by a full from-scratch simulation. Evaluations answered
-// by the closed-form model evaluator count only toward Evaluations (it
-// neither caches nor forks), so Evaluations ≥ CacheHits+Forked+Full.
+// snapshot (sim evaluator only: just the suffix after the scanned stage's
+// ready time was simulated), or by a full from-scratch simulation or
+// layout.
 type EvalEfficiency struct {
 	Evaluations int
 	CacheHits   int
@@ -51,7 +50,7 @@ type EvalEfficiency struct {
 	FullEvals   int
 	// Two-tier scan counters: candidates screened by the analytic bound,
 	// candidates discarded without evaluation, and (approximate mode only)
-	// candidates answered by the bound surrogate itself.
+	// evaluations answered by the analytic model.
 	Bounded int
 	Pruned  int
 	Approx  int
@@ -81,8 +80,8 @@ type Fig14Result struct {
 // each replayed job therefore runs on its own even slice of the cluster
 // (machines with heterogeneous 100 Mbit/s–2 Gbit/s NICs and 80 MB/s
 // disks, executor count = cores), and jobs are simulated independently.
-// Alg. 1 runs per job with the what-if sim evaluator (the closed-form
-// evaluator transfers poorly on wide trace DAGs); candidate counts shrink
+// Alg. 1 runs per job with the what-if sim evaluator (the analytic model
+// transfers poorly on wide trace DAGs); candidate counts shrink
 // for very large jobs to bound the replay's wall-clock time.
 func Fig14(cfg Config) (*Fig14Result, error) {
 	cfg.defaults()
@@ -256,7 +255,7 @@ func Table4(cfg Config) (*Fig14Result, error) { return Fig14(cfg) }
 // Fig15Point is one measurement of Alg. 1's computation time.
 type Fig15Point struct {
 	Stages  int
-	ModelMs float64 // fast model evaluator (trace-scale configuration)
+	ModelMs float64 // analytic model, Approximate (trace-scale configuration)
 	SimMs   float64 // what-if sim evaluator (prototype configuration)
 }
 
@@ -279,7 +278,7 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 	for _, n := range []int{10, 20, 40, 80, 120, 160, 186} {
 		job := workload.RandomJob("fig15", c, n, rng)
 		t0 := time.Now()
-		ms, err := core.Compute(core.Options{Cluster: c, UseModelEvaluator: true, MaxCandidates: 12, RefinePasses: -1, Parallelism: cfg.Parallelism}, job)
+		ms, err := core.Compute(core.Options{Cluster: c, Approximate: true, MaxCandidates: 12, RefinePasses: -1, Parallelism: cfg.Parallelism}, job)
 		if err != nil {
 			return nil, err
 		}

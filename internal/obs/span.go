@@ -81,7 +81,7 @@ type DecisionAudit struct {
 	// received an analytic makespan lower bound, Pruned were eliminated
 	// by it before any simulation, and ExactEvals/ApproxEvals split how
 	// the surviving candidates were answered (full simulation vs the
-	// bound surrogate of approximate-planning mode).
+	// analytic model of approximate-planning mode).
 	Bounded     int `json:"bounded,omitempty"`
 	Pruned      int `json:"pruned,omitempty"`
 	ExactEvals  int `json:"exact_evals,omitempty"`

@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"delaystage/internal/cluster"
@@ -11,18 +10,20 @@ import (
 	"delaystage/internal/workload"
 )
 
-// This file implements the analytic surrogate behind the two-tier candidate
-// scan (DESIGN.md, "Two-tier candidate evaluation"): deterministic makespan
-// bounds for a (DAG, profiles, cluster, delay vector) configuration that
-// cost O(V+E) instead of a simulation.
+// This file implements the planner's one analytic makespan model (DESIGN.md,
+// "Two-tier candidate evaluation"): for a (DAG, profiles, cluster, delay
+// vector) configuration it answers two deterministic bounds in O(V+E) and
+// a prediction, all without a simulation.
 //
-//   Lower  = max(critical path at solo rates + delays, Σ work / capacity)
-//   Upper  = layout where every stage runs at its structural worst-case
-//            share: solo time × conc × (1 + α·min(conc−1, 4)), conc = the
-//            number of stages that can overlap it per the (restricted) DAG
-//   Estimate = layout stretched by the *time-averaged* overlap of a first
-//            unstretched pass — the delay-sensitive score approximate mode
-//            minimizes; clamped into [Lower, Upper]
+//   Lower      = max(critical path at solo rates + delays, Σ work / capacity)
+//   Upper      = layout where every stage runs at its structural worst-case
+//                share: solo time × conc × (1 + α·min(conc−1, 4)), conc = the
+//                number of stages that can overlap it per the (restricted) DAG
+//   Prediction = the Eq. 1–3 per-phase layout: every stage is three
+//                consecutive intervals (shuffle read, compute, shuffle write),
+//                each stretched by the time-averaged number of same-phase
+//                concurrent stages and iterated to a fixed point — what
+//                approximate planning minimizes in place of a simulation
 //
 // Soundness against the fluid simulator (fault-free, no aggressive
 // shuffle): the waterfill never allocates beyond contended capacity
@@ -31,10 +32,14 @@ import (
 // solo critical path predicts, and no resource can drain its aggregate
 // work faster than its aggregate capacity. Upper holds because max-min
 // fairness guarantees each of f concurrent consumers at least a 1/f share
-// of contended capacity and at most conc stages can ever share. Against
-// the closed-form model evaluator only the critical-path term is provable
-// (its truncated stretch fixed point is not capacity-conserving), so that
-// tier sets IncludeWorkBound = false.
+// of contended capacity and at most conc stages can ever share.
+//
+// Against the Prediction only the critical-path term is provable: every
+// phase stretch is ≥ 1, so the layout is at least the solo critical path,
+// but its truncated fixed point does not conserve capacity. Pruning the
+// analytic tier therefore sets IncludeWorkBound = false. The Prediction
+// also never exceeds Upper: a layout never overlaps related stages, so the
+// time-averaged overlap of a phase is at most conc.
 
 // contentionSaturation mirrors the simulator's cap on the effective number
 // of interfering extra consumers (internal/sim/engine.go).
@@ -43,33 +48,35 @@ const contentionSaturation = 4
 // defaultAlpha mirrors sim.Options.ContentionOverhead's default.
 const defaultAlpha = 0.22
 
+// Eq. 1's phases, in execution order.
+const (
+	phaseRead = iota
+	phaseCompute
+	phaseWrite
+	nPhases
+)
+
 // Bounds is one configuration's analytic verdict.
 type Bounds struct {
 	// Lower is a certified lower bound on the exact makespan.
 	Lower float64
 	// Upper is a pessimistic upper bound (structural worst-case sharing).
 	Upper float64
-	// Estimate is the bound evaluator's best guess, in [Lower, Upper] —
-	// what approximate mode minimizes in place of a simulation.
-	Estimate float64
 }
 
 // BoundConfig tunes a BoundEvaluator for the exact evaluator it prunes.
 type BoundConfig struct {
 	// IncludeWorkBound folds the aggregate work/capacity term into Lower.
-	// Sound against the fluid simulator; the closed-form model evaluator's
-	// truncated fixed point does not conserve capacity, so pruning that
-	// tier must leave it off.
+	// Sound against the fluid simulator; the Prediction's truncated fixed
+	// point does not conserve capacity, so pruning the analytic tier must
+	// leave it off.
 	IncludeWorkBound bool
-	// Alpha is the contention-overhead factor of the pessimistic terms
-	// (zero means the simulator default, 0.22).
-	Alpha float64
 }
 
-// BoundEvaluator computes Bounds for one job on one cluster. Build it on
-// the cluster the exact evaluator actually runs against (the coarse view
-// for the sim tier, the raw cluster for the model tier) or the bounds are
-// bounds on the wrong quantity.
+// BoundEvaluator computes Bounds and the Prediction for one job on one
+// cluster. Build it on the cluster the scored evaluator actually runs
+// against (the coarse view for the sim tier, the raw cluster for the
+// analytic tier) or the bounds are bounds on the wrong quantity.
 //
 // Not safe for concurrent use; Clone for parallel scans (clones share the
 // immutable inputs and the concurrency cache, own all scratch).
@@ -81,6 +88,7 @@ type BoundEvaluator struct {
 	parents  [][]int
 	children [][]int
 	solo     []float64 // solo read+compute+write per stage
+	phase    []float64 // solo read, compute, write of stage i at i*nPhases+ph
 	// Full-capacity busy seconds per stage and resource, for the
 	// work/capacity lower bound.
 	netW, diskW, execW []float64
@@ -92,11 +100,15 @@ type BoundEvaluator struct {
 
 	shared *boundShared
 
-	// Scratch, reused across calls.
-	up, up2, down  []float64
-	starts, ends   []float64
-	stretchScratch []float64
-	evs            []boundEvent
+	// Bound scratch, reused across calls.
+	up, up2, down, ends []float64
+
+	// Prediction scratch, allocated on the first Predict so the
+	// pruning-only callers never pay for it.
+	lay      [][nPhases + 1]float64 // phase boundaries per stage
+	stretch  [][nPhases]float64
+	ovS, ovF []float64
+	covs     []covEvent
 }
 
 // boundShared is the state clones share: the per-active-set structural
@@ -105,12 +117,6 @@ type BoundEvaluator struct {
 type boundShared struct {
 	mu   sync.Mutex
 	conc map[string][]float64
-}
-
-// boundEvent is one ±1 interval-coverage change of the overlap sweep.
-type boundEvent struct {
-	t float64
-	d float64
 }
 
 // NewBoundEvaluator validates the inputs and precomputes the per-stage
@@ -130,22 +136,22 @@ func NewBoundEvaluator(c *cluster.Cluster, job *workload.Job, cfg BoundConfig) (
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = defaultAlpha
-	} else if cfg.Alpha < 0 {
-		cfg.Alpha = 0
-	}
 	n := len(topo)
+	// One backing array for every per-stage float input: the pruning-only
+	// callers build an evaluator per job, and storing the phase times must
+	// not cost them an allocation.
+	f := make([]float64, (4+nPhases)*n)
 	b := &BoundEvaluator{
 		cfg:      cfg,
 		ids:      topo,
 		idx:      make(map[dag.StageID]int, n),
 		parents:  make([][]int, n),
 		children: make([][]int, n),
-		solo:     make([]float64, n),
-		netW:     make([]float64, n),
-		diskW:    make([]float64, n),
-		execW:    make([]float64, n),
+		solo:     f[:n:n],
+		netW:     f[n : 2*n : 2*n],
+		diskW:    f[2*n : 3*n : 3*n],
+		execW:    f[3*n : 4*n : 4*n],
+		phase:    f[4*n:],
 		shared:   &boundShared{conc: map[string][]float64{}},
 	}
 	for i, id := range topo {
@@ -161,6 +167,8 @@ func NewBoundEvaluator(c *cluster.Cluster, job *workload.Job, cfg BoundConfig) (
 		p := job.Profiles[id]
 		r, cm, wr := m.PhaseBreakdown(p)
 		b.solo[i] = r + cm + wr
+		ph := b.phase[i*nPhases:]
+		ph[phaseRead], ph[phaseCompute], ph[phaseWrite] = r, cm, wr
 		if netCap > 0 {
 			b.netW[i] = float64(p.ShuffleIn) / netCap
 		}
@@ -188,9 +196,8 @@ func NewBoundEvaluator(c *cluster.Cluster, job *workload.Job, cfg BoundConfig) (
 func (b *BoundEvaluator) Clone() *BoundEvaluator {
 	c := *b
 	c.activeIdx = append([]bool(nil), b.activeIdx...)
-	c.up, c.up2, c.down = nil, nil, nil
-	c.starts, c.ends, c.stretchScratch = nil, nil, nil
-	c.evs = nil
+	c.up, c.up2, c.down, c.ends = nil, nil, nil, nil
+	c.lay, c.stretch, c.ovS, c.ovF, c.covs = nil, nil, nil, nil, nil
 	return &c
 }
 
@@ -287,15 +294,13 @@ func (b *BoundEvaluator) grow() {
 		b.up = make([]float64, n)
 		b.up2 = make([]float64, n)
 		b.down = make([]float64, n)
-		b.starts = make([]float64, n)
 		b.ends = make([]float64, n)
-		b.stretchScratch = make([]float64, n)
 	}
 }
 
 // Lower returns the certified lower bound alone — the cheap end of
-// Bounds, used where Upper/Estimate are not needed (committed-job
-// constants in the online planner).
+// Bounds, used where Upper is not needed (committed-job constants in the
+// online planner).
 func (b *BoundEvaluator) Lower(delays map[dag.StageID]float64) float64 {
 	b.grow()
 	return math.Max(b.cpForward(b.up, delays, -1, -1), b.workLB)
@@ -418,7 +423,7 @@ func (b *BoundEvaluator) concStretch() []float64 {
 		if extra > contentionSaturation {
 			extra = contentionSaturation
 		}
-		st[i] = conc * (1 + b.cfg.Alpha*extra)
+		st[i] = conc * (1 + defaultAlpha*extra)
 	}
 	sh.mu.Lock()
 	sh.conc[b.activeKey] = st
@@ -435,13 +440,12 @@ func popcount(x uint64) int {
 }
 
 // stretchedEnd lays the active stages out with per-stage duration
-// solo × stretch (stretch nil = 1) and fills starts/ends; returns the
-// maximum end.
+// solo × stretch, fills ends and returns the maximum end.
 func (b *BoundEvaluator) stretchedEnd(delays map[dag.StageID]float64, stretch []float64) float64 {
 	hi := 0.0
 	for i, id := range b.ids {
 		if !b.activeIdx[i] {
-			b.starts[i], b.ends[i] = 0, 0
+			b.ends[i] = 0
 			continue
 		}
 		ready := 0.0
@@ -453,90 +457,12 @@ func (b *BoundEvaluator) stretchedEnd(delays map[dag.StageID]float64, stretch []
 				ready = b.ends[pi]
 			}
 		}
-		s := ready + delayOf(delays, id)
-		dur := b.solo[i]
-		if stretch != nil {
-			dur *= stretch[i]
-		}
-		b.starts[i], b.ends[i] = s, s+dur
-		if s+dur > hi {
-			hi = s + dur
+		b.ends[i] = ready + delayOf(delays, id) + b.solo[i]*stretch[i]
+		if b.ends[i] > hi {
+			hi = b.ends[i]
 		}
 	}
 	return hi
-}
-
-// overlapStretch derives the Estimate's per-stage slowdown from the
-// unstretched layout currently in starts/ends: the time-averaged number
-// of overlapping stages f̄ (self included) costs f̄ × (1 + α·min(f̄−1,
-// saturation)) — the equal-share reading of the simulator's waterfill
-// plus its contention overhead. Only structurally concurrent stages can
-// overlap a DAG layout, so f̄ never exceeds the Upper bound's conc.
-func (b *BoundEvaluator) overlapStretch() []float64 {
-	evs := b.evs[:0]
-	for i := range b.ids {
-		if !b.activeIdx[i] || b.ends[i] <= b.starts[i] {
-			continue
-		}
-		evs = append(evs, boundEvent{t: b.starts[i], d: 1}, boundEvent{t: b.ends[i], d: -1})
-	}
-	b.evs = evs
-	slices.SortFunc(evs, func(x, y boundEvent) int {
-		switch {
-		case x.t < y.t:
-			return -1
-		case x.t > y.t:
-			return 1
-		}
-		return 0
-	})
-	st := b.stretchScratch
-	for i := range b.ids {
-		st[i] = 1
-		if !b.activeIdx[i] {
-			continue
-		}
-		s, f := b.starts[i], b.ends[i]
-		if f <= s {
-			continue
-		}
-		// ∫ coverage over [s,f], linear walk of the sorted events. The
-		// scans this feeds are O(candidates × n log n) anyway; keeping the
-		// walk simple beats indexing for the job sizes in play.
-		integral := 0.0
-		cur := 0.0
-		prev := s
-		for _, e := range evs {
-			if e.t <= s {
-				cur += e.d
-				continue
-			}
-			t := e.t
-			if t > f {
-				t = f
-			}
-			integral += cur * (t - prev)
-			prev = t
-			if e.t >= f {
-				break
-			}
-			cur += e.d
-		}
-		if prev < f {
-			integral += cur * (f - prev)
-		}
-		overlap := integral - (f - s)
-		if overlap < 0 {
-			overlap = 0
-		}
-		fbar := 1 + overlap/(f-s)
-		extra := fbar - 1
-		if extra > contentionSaturation {
-			extra = contentionSaturation
-		}
-		st[i] = fbar * (1 + b.cfg.Alpha*extra)
-	}
-	return st
 }
 
 // Bounds evaluates one delay configuration. Stages outside the active set
@@ -548,32 +474,234 @@ func (b *BoundEvaluator) Bounds(delays map[dag.StageID]float64) Bounds {
 	if upper < lower {
 		upper = lower
 	}
-	// Estimate: unstretched pass to measure overlap, stretched pass to
-	// price it.
-	b.stretchedEnd(delays, nil)
-	est := b.stretchedEnd(delays, b.overlapStretch())
-	if est < lower {
-		est = lower
-	}
-	if est > upper {
-		est = upper
-	}
-	return Bounds{Lower: lower, Upper: upper, Estimate: est}
+	return Bounds{Lower: lower, Upper: upper}
 }
 
-// EstimateEnds returns the Estimate layout's per-stage end times — the
-// analytic stand-in for simulated stage ends that approximate planning
-// feeds the plan-template drift check.
-func (b *BoundEvaluator) EstimateEnds(delays map[dag.StageID]float64) map[dag.StageID]float64 {
-	b.grow()
-	b.stretchedEnd(delays, nil)
-	b.stretchedEnd(delays, b.overlapStretch())
-	out := make(map[dag.StageID]float64, b.nActive)
-	for i, id := range b.ids {
+// Span is one stage's predicted execution interval: Start is its
+// submission (ready time plus delay), End its completion, both measured
+// from job start.
+type Span struct {
+	Start, End float64
+}
+
+// Predict returns the Prediction: the completion time, from job start, of
+// the last active stage of the Eq. 1–3 per-phase layout under the delays.
+func (b *BoundEvaluator) Predict(delays map[dag.StageID]float64) float64 {
+	lay := b.layout(delays)
+	hi := 0.0
+	for i := range b.ids {
 		if !b.activeIdx[i] {
 			continue
 		}
-		out[id] = b.ends[i]
+		if lay[i][nPhases] > hi {
+			hi = lay[i][nPhases]
+		}
+	}
+	return hi
+}
+
+// PredictSpans returns every active stage's span in the Prediction's
+// layout — the per-stage view Appendix A.2 scores against the simulator
+// and approximate planning feeds the plan-template drift check.
+func (b *BoundEvaluator) PredictSpans(delays map[dag.StageID]float64) map[dag.StageID]Span {
+	lay := b.layout(delays)
+	out := make(map[dag.StageID]Span, b.nActive)
+	for i, id := range b.ids {
+		if b.activeIdx[i] {
+			out[id] = Span{Start: lay[i][0], End: lay[i][nPhases]}
+		}
 	}
 	return out
+}
+
+// Active reports whether a stage is known and in the active set.
+func (b *BoundEvaluator) Active(id dag.StageID) bool {
+	i, ok := b.idx[id]
+	return ok && b.activeIdx[i]
+}
+
+// layout computes every active stage's phase boundaries under the delays:
+// every stage is three consecutive phase intervals, and each phase's solo
+// duration is stretched by the time-averaged number of *same-phase*
+// concurrent stages (the equal-share assumption of Eq. 1). Interval layout
+// and stretches are iterated to a fixed point. It reuses the evaluator's
+// scratch buffers; the returned slice is only valid until the next call.
+func (b *BoundEvaluator) layout(delays map[dag.StageID]float64) [][nPhases + 1]float64 {
+	if n := len(b.ids); len(b.lay) < n {
+		b.lay = make([][nPhases + 1]float64, n)
+		b.stretch = make([][nPhases]float64, n)
+		b.ovS = make([]float64, n)
+		b.ovF = make([]float64, n)
+	}
+	lay, stretch := b.lay, b.stretch
+	for i := range stretch {
+		stretch[i] = [nPhases]float64{1, 1, 1}
+		lay[i] = [nPhases + 1]float64{}
+	}
+	iters := 4
+	if len(b.ids) > 100 {
+		// Large trace jobs: two fewer fixed-point passes keep Alg. 1's
+		// runtime in the paper's Fig. 15 envelope at negligible accuracy
+		// cost (the layout changes little after the second pass).
+		iters = 2
+	}
+	for it := 0; it < iters; it++ {
+		for i, id := range b.ids {
+			if !b.activeIdx[i] {
+				continue
+			}
+			ready := 0.0
+			for _, pi := range b.parents[i] {
+				if !b.activeIdx[pi] {
+					continue
+				}
+				if pe := lay[pi][nPhases]; pe > ready {
+					ready = pe
+				}
+			}
+			t := ready + delayOf(delays, id)
+			lay[i][0] = t
+			for ph := 0; ph < nPhases; ph++ {
+				t += b.phase[i*nPhases+ph] * stretch[i][ph]
+				lay[i][ph+1] = t
+			}
+		}
+		if it == iters-1 {
+			break
+		}
+		// Per-phase stretch: equal sharing with contention overhead. With
+		// a time-averaged overlap count f̄ (self included), the effective
+		// rate is 1/(f̄·(1+α(f̄−1))) of solo. The pairwise overlap sums are
+		// answered in O(1) per stage from one sorted event sweep — Alg. 1
+		// calls this layout thousands of times per Compute on 100+-stage
+		// trace jobs (Fig. 15), so the sweep is the planner's hot loop.
+		for ph := 0; ph < nPhases; ph++ {
+			b.phaseOverlaps(lay, ph)
+			for i := range b.ids {
+				if !b.activeIdx[i] {
+					continue
+				}
+				s, f := lay[i][ph], lay[i][ph+1]
+				if f <= s {
+					stretch[i][ph] = 1
+					continue
+				}
+				// Total coverage over [s,f] minus this stage's own f−s.
+				overlap := b.ovF[i] - b.ovS[i] - (f - s)
+				if overlap < 0 {
+					overlap = 0
+				}
+				fbar := 1 + overlap/(f-s)
+				extra := fbar - 1
+				if extra > contentionSaturation {
+					extra = contentionSaturation
+				}
+				stretch[i][ph] = fbar * (1 + defaultAlpha*extra)
+			}
+		}
+	}
+	return lay
+}
+
+// covEvent is one +1/−1 coverage-count change of stage idx's interval.
+type covEvent struct {
+	t   float64
+	idx int32
+	d   int8
+}
+
+// sortCovEvents orders events by time ascending (ties in any order) with
+// a direct-compare quicksort: the generic/closure sort's indirect compare
+// calls alone were ~25% of Alg. 1's analytic-tier runtime on Fig. 15 jobs.
+func sortCovEvents(evs []covEvent) {
+	for len(evs) > 12 {
+		// Median-of-three pivot to first position.
+		m := len(evs) / 2
+		h := len(evs) - 1
+		if evs[m].t < evs[0].t {
+			evs[m], evs[0] = evs[0], evs[m]
+		}
+		if evs[h].t < evs[0].t {
+			evs[h], evs[0] = evs[0], evs[h]
+		}
+		if evs[h].t < evs[m].t {
+			evs[h], evs[m] = evs[m], evs[h]
+		}
+		evs[0], evs[m] = evs[m], evs[0]
+		p := evs[0].t
+		i, j := 1, h
+		for {
+			for i <= j && evs[i].t < p {
+				i++
+			}
+			for i <= j && evs[j].t > p {
+				j--
+			}
+			if i > j {
+				break
+			}
+			evs[i], evs[j] = evs[j], evs[i]
+			i++
+			j--
+		}
+		evs[0], evs[j] = evs[j], evs[0]
+		// Recurse on the smaller half, loop on the larger.
+		if j < len(evs)-j {
+			sortCovEvents(evs[:j])
+			evs = evs[j+1:]
+		} else {
+			sortCovEvents(evs[j+1:])
+			evs = evs[:j]
+		}
+	}
+	for i := 1; i < len(evs); i++ {
+		for j := i; j > 0 && evs[j].t < evs[j-1].t; j-- {
+			evs[j], evs[j-1] = evs[j-1], evs[j]
+		}
+	}
+}
+
+// phaseOverlaps fills ovS/ovF with ∫₀ᵗ coverage du evaluated at every
+// active stage's ph-phase start and end: one typed sort plus one event
+// sweep, no per-stage binary searches. Every query time is itself an
+// event time and the integral is accumulated group-by-group in ascending
+// time order, so each recorded value is the exact running sum at its
+// event.
+func (b *BoundEvaluator) phaseOverlaps(lay [][nPhases + 1]float64, ph int) {
+	evs := b.covs[:0]
+	for i := range b.ids {
+		if !b.activeIdx[i] {
+			continue
+		}
+		s, f := lay[i][ph], lay[i][ph+1]
+		if f <= s {
+			continue
+		}
+		evs = append(evs,
+			covEvent{t: s, idx: int32(i), d: 1},
+			covEvent{t: f, idx: int32(i), d: -1})
+	}
+	b.covs = evs
+	// Ties may land in any order: the integral value at t is recorded for
+	// every event of the group before any of the group's ±1 deltas apply,
+	// so intra-group order cannot change a result.
+	sortCovEvents(evs)
+	cur, integral, prev := 0.0, 0.0, 0.0
+	for i := 0; i < len(evs); {
+		t := evs[i].t
+		if i > 0 {
+			integral += cur * (t - prev)
+		}
+		prev = t
+		for i < len(evs) && evs[i].t == t {
+			ev := evs[i]
+			if ev.d > 0 {
+				b.ovS[ev.idx] = integral
+			} else {
+				b.ovF[ev.idx] = integral
+			}
+			cur += float64(ev.d)
+			i++
+		}
+	}
 }

@@ -54,13 +54,22 @@ func TestBoundsOrderingGallery(t *testing.T) {
 	for _, name := range names {
 		j := jobs[name]
 		b := boundEval(t, ref, j, BoundConfig{IncludeWorkBound: true})
+		pb := boundEval(t, ref, j, BoundConfig{})
 		for _, delays := range []map[dag.StageID]float64{nil, {1: 25}, {2: 10, 3: 40}} {
 			bd := b.Bounds(delays)
-			if !(bd.Lower > 0) || math.IsInf(bd.Upper, 0) || math.IsNaN(bd.Estimate) {
+			if !(bd.Lower > 0) || math.IsInf(bd.Upper, 0) || bd.Lower > bd.Upper {
 				t.Fatalf("%s: degenerate bounds %+v", name, bd)
 			}
-			if bd.Lower > bd.Estimate || bd.Estimate > bd.Upper {
-				t.Fatalf("%s: want Lower ≤ Estimate ≤ Upper, got %+v", name, bd)
+			// Without the work term the bounds sandwich the prediction.
+			pbd, pred := pb.Bounds(delays), pb.Predict(delays)
+			if math.IsNaN(pred) || pbd.Lower > pred || pred > pbd.Upper {
+				t.Fatalf("%s: want Lower ≤ Predict ≤ Upper, got %v outside %+v", name, pred, pbd)
+			}
+			if cp := pb.Clone().Predict(delays); cp != pred {
+				t.Fatalf("%s: clone prediction %v != %v", name, cp, pred)
+			}
+			if again := pb.Predict(delays); again != pred {
+				t.Fatalf("%s: prediction not deterministic: %v then %v", name, pred, again)
 			}
 			if got := b.Lower(delays); got != bd.Lower {
 				t.Fatalf("%s: Lower()=%v but Bounds().Lower=%v", name, got, bd.Lower)
@@ -141,18 +150,19 @@ func TestWorkBoundDominatesWideFan(t *testing.T) {
 	}
 }
 
-// The Estimate must be delay-sensitive — separating two overlapping
-// stages removes the contention stretch — or approximate mode could never
-// prefer a non-zero delay.
+// The prediction must be delay-sensitive — separating two overlapping
+// stages, or interleaving their phases, removes contention stretch — or
+// approximate mode could never prefer a non-zero delay.
 func TestEstimateDiscriminatesDelays(t *testing.T) {
 	ref := oneNode()
 	j := twoParallel(ref)
 	b := boundEval(t, ref, j, BoundConfig{})
-	overlapped := b.Bounds(nil).Estimate
-	separated := b.Bounds(map[dag.StageID]float64{2: 100}).Estimate
-	if !(separated < overlapped) {
-		t.Fatalf("estimate must drop when overlap is delayed away: overlapped=%v separated=%v",
-			overlapped, separated)
+	overlapped := b.Predict(nil)
+	separated := b.Predict(map[dag.StageID]float64{2: 100})
+	interleaved := b.Predict(map[dag.StageID]float64{2: 40})
+	if !(separated < overlapped) || !(interleaved < overlapped) {
+		t.Fatalf("prediction must drop when overlap is delayed away: overlapped=%v separated=%v interleaved=%v",
+			overlapped, separated, interleaved)
 	}
 }
 

@@ -1,0 +1,78 @@
+package perfmodel
+
+import (
+	"sync"
+	"testing"
+
+	"delaystage/internal/cluster"
+	"delaystage/internal/dag"
+	"delaystage/internal/workload"
+)
+
+func TestPredictMonotoneInDelay(t *testing.T) {
+	// Delaying one of two independent stages by a huge amount moves the
+	// predicted job end past the delay.
+	c := cluster.NewM4LargeCluster(30)
+	g := dag.New()
+	g.MustAdd(dag.Stage{ID: 1})
+	g.MustAdd(dag.Stage{ID: 2})
+	p := workload.FromPhases(c, workload.PhaseSpec{ReadSec: 10, ComputeSec: 10, WriteSec: 1})
+	j := &workload.Job{Name: "m", Graph: g, Profiles: map[dag.StageID]workload.StageProfile{1: p, 2: p}}
+	b := boundEval(t, c, j, BoundConfig{})
+	base := b.Predict(nil)
+	big := b.Predict(map[dag.StageID]float64{1: 1000})
+	if big < base+900 {
+		t.Fatalf("huge delay must dominate: base %.1f, delayed %.1f", base, big)
+	}
+}
+
+// Clones must not share layout scratch with their parent: concurrent
+// Predict calls on many clones with different delay vectors must each
+// match their sequential answer exactly.
+func TestPredictCloneIsolated(t *testing.T) {
+	c := cluster.NewM4LargeCluster(30)
+	j := workload.LDA(c, 0.2)
+	b := boundEval(t, c, j, BoundConfig{})
+	reach, err := dag.NewReachability(j.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := dag.ParallelStages(j.Graph, reach)
+	delays := make([]map[dag.StageID]float64, 16)
+	want := make([]float64, len(delays))
+	for i := range delays {
+		delays[i] = map[dag.StageID]float64{k[i%len(k)]: float64(10 * (i + 1))}
+		want[i] = b.Predict(delays[i])
+	}
+	var wg sync.WaitGroup
+	got := make([]float64, len(delays))
+	for i := range delays {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = b.Clone().Predict(delays[i])
+		}(i)
+	}
+	wg.Wait()
+	for i := range delays {
+		if got[i] != want[i] {
+			t.Errorf("clone %d: prediction %v != sequential %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestPredictSpansCoversAllStages(t *testing.T) {
+	c := cluster.NewM4LargeCluster(30)
+	j := workload.TriangleCount(c, 0.2)
+	m, _ := New(c)
+	spans := boundEval(t, c, j, BoundConfig{}).PredictSpans(nil)
+	if len(spans) != j.Graph.Len() {
+		t.Fatalf("%d spans for %d stages", len(spans), j.Graph.Len())
+	}
+	solo := m.SoloTimes(j)
+	for id, sp := range spans {
+		if v := sp.End - sp.Start; v < solo[id]-1e-6 {
+			t.Errorf("stage %d predicted %.1f below its solo time %.1f", id, v, solo[id])
+		}
+	}
+}

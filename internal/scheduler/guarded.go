@@ -403,16 +403,16 @@ func (p *GuardPrimer) compute(c *cluster.Cluster, scale float64, budget time.Dur
 	defer cancel()
 	inner := p.g.DelayStage
 	s, err := core.Compute(core.Options{
-		Ctx:               ctx,
-		Cluster:           c,
-		Order:             inner.Order,
-		Seed:              inner.Seed,
-		UseModelEvaluator: inner.UseModelEvaluator,
-		SlotSeconds:       inner.SlotSeconds,
-		MaxCandidates:     inner.MaxCandidates,
-		Parallelism:       inner.Parallelism,
-		DisableEvalCache:  inner.DisableEvalCache,
-		Budget:            budget,
+		Ctx:              ctx,
+		Cluster:          c,
+		Order:            inner.Order,
+		Seed:             inner.Seed,
+		Approximate:      inner.Approximate,
+		SlotSeconds:      inner.SlotSeconds,
+		MaxCandidates:    inner.MaxCandidates,
+		Parallelism:      inner.Parallelism,
+		DisableEvalCache: inner.DisableEvalCache,
+		Budget:           budget,
 	}, scaled)
 	if err != nil {
 		return nil, err

@@ -39,12 +39,13 @@ type OnlineOptions struct {
 	// bound already met the running best, so its exact evaluation provably
 	// fails the improve-by-tolerance test.
 	DisableBoundPrune bool
-	// Approximate scores every candidate from the analytic bound
-	// surrogate instead of simulating the committed runs: the objective
-	// becomes Σ committed-job lower bounds + the newcomer's delay-aware
-	// makespan estimate. No simulation runs at all during planning —
-	// the massive-scale mode behind service ApproximatePlanning.
-	// IncumbentTotal/ChosenTotal become estimates, not simulated sums.
+	// Approximate scores every candidate from the analytic model instead
+	// of simulating the committed runs: the objective becomes Σ
+	// committed-job lower bounds + the newcomer's predicted makespan (the
+	// Eq. 1–3 per-phase layout). No simulation runs at all during
+	// planning — the massive-scale mode behind service
+	// ApproximatePlanning. IncumbentTotal/ChosenTotal become predictions,
+	// not simulated sums.
 	Approximate bool
 }
 
@@ -105,7 +106,7 @@ type PlanAudit struct {
 	// Prune breaks the two-tier candidate scan down: Bounded candidates
 	// received an analytic objective lower bound, Pruned ones were
 	// eliminated by it before any simulation, and the rest were answered
-	// exactly (Exact) or by the bound surrogate (Approx, approximate
+	// exactly (Exact) or by the analytic model (Approx, approximate
 	// mode). Evaluations == Exact + Approx.
 	Prune core.PruneStats
 }
@@ -245,13 +246,13 @@ func (p *OnlinePlanner) evalTotal(candidate sim.JobRun) (float64, error) {
 
 // score answers one candidate configuration's objective value and counts
 // the evaluation: a full multi-job simulation normally, or the analytic
-// surrogate (committed lower bounds + the newcomer's delay-aware
-// estimate) in approximate mode.
+// model (committed lower bounds + the newcomer's predicted makespan) in
+// approximate mode.
 func (p *OnlinePlanner) score(candidate sim.JobRun, bev *perfmodel.BoundEvaluator) (float64, error) {
 	p.audit.Evaluations++
 	if p.opt.Approximate {
 		p.audit.Prune.Approx++
-		return p.lbSum + bev.Bounds(candidate.Delays).Estimate, nil
+		return p.lbSum + bev.Predict(candidate.Delays), nil
 	}
 	p.audit.Prune.Exact++
 	return p.evalTotal(candidate)
@@ -281,10 +282,11 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 	}
 	// The analytic tier: bounds the newcomer's share of the objective so
 	// hopeless candidates never reach a simulation (and, in approximate
-	// mode, scores candidates outright).
+	// mode, scores candidates outright — the work term is then left out,
+	// being sound only against the simulator).
 	var bev *perfmodel.BoundEvaluator
 	if !p.opt.DisableBoundPrune || p.opt.Approximate {
-		bev, err = perfmodel.NewBoundEvaluator(p.coarse, job, perfmodel.BoundConfig{IncludeWorkBound: true})
+		bev, err = perfmodel.NewBoundEvaluator(p.coarse, job, perfmodel.BoundConfig{IncludeWorkBound: !p.opt.Approximate})
 		if err != nil {
 			return sim.JobRun{}, err
 		}

@@ -438,10 +438,10 @@ func TestOnlineApproximatePlans(t *testing.T) {
 		gj += got.JCT(i)
 		rj += ref.JCT(i)
 	}
-	// The surrogate has no never-worse simulation guard, so allow a small
+	// The analytic model has no never-worse simulation guard, so allow a small
 	// modeling margin rather than demanding strict improvement.
 	if gj > rj*1.10 {
 		t.Fatalf("approximate plans regressed total JCT >10%%: %.1f vs naive %.1f", gj, rj)
 	}
-	t.Logf("total JCT: naive %.1f → approx-planned %.1f (%d surrogate evals)", rj, gj, approx)
+	t.Logf("total JCT: naive %.1f → approx-planned %.1f (%d analytic evals)", rj, gj, approx)
 }

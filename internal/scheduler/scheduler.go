@@ -81,9 +81,6 @@ type DelayStage struct {
 	Order core.Order
 	// Seed drives the Random order.
 	Seed int64
-	// UseModelEvaluator selects the fast closed-form candidate evaluator
-	// (used for trace-scale jobs).
-	UseModelEvaluator bool
 	// SlotSeconds / MaxCandidates tune the delay scan (0 = defaults).
 	SlotSeconds   float64
 	MaxCandidates int
@@ -94,9 +91,9 @@ type DelayStage struct {
 	// forking in the sim evaluator (see core.Options.DisableEvalCache);
 	// plans are identical either way.
 	DisableEvalCache bool
-	// Approximate plans from the analytic bound surrogate only — no
-	// simulation or model evaluation per candidate (see
-	// core.Options.Approximate). Overrides UseModelEvaluator.
+	// Approximate plans from the analytic model's prediction instead of
+	// what-if simulation (see core.Options.Approximate; used for
+	// trace-scale jobs).
 	Approximate bool
 }
 
@@ -111,15 +108,14 @@ func (d DelayStage) Name() string {
 // Plan implements Strategy: it runs the delay-time calculator.
 func (d DelayStage) Plan(c *cluster.Cluster, job *workload.Job) (Plan, error) {
 	s, err := core.Compute(core.Options{
-		Cluster:           c,
-		Order:             d.Order,
-		Seed:              d.Seed,
-		UseModelEvaluator: d.UseModelEvaluator,
-		SlotSeconds:       d.SlotSeconds,
-		MaxCandidates:     d.MaxCandidates,
-		Parallelism:       d.Parallelism,
-		DisableEvalCache:  d.DisableEvalCache,
-		Approximate:       d.Approximate,
+		Cluster:          c,
+		Order:            d.Order,
+		Seed:             d.Seed,
+		SlotSeconds:      d.SlotSeconds,
+		MaxCandidates:    d.MaxCandidates,
+		Parallelism:      d.Parallelism,
+		DisableEvalCache: d.DisableEvalCache,
+		Approximate:      d.Approximate,
 	}, job)
 	if err != nil {
 		return Plan{}, err

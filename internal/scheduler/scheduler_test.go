@@ -92,7 +92,7 @@ func TestRunJobsMultiJob(t *testing.T) {
 	c := cluster.NewM4LargeCluster(10)
 	j1 := workload.LDA(c, 0.1)
 	j2 := workload.CosineSimilarity(c, 0.1)
-	res, err := RunJobs(c, []*workload.Job{j1, j2}, []float64{0, 30}, DelayStage{UseModelEvaluator: true}, sim.Options{TrackNode: -1})
+	res, err := RunJobs(c, []*workload.Job{j1, j2}, []float64{0, 30}, DelayStage{Approximate: true}, sim.Options{TrackNode: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

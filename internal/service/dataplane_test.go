@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -217,6 +218,7 @@ func TestSubmitCounterConservation(t *testing.T) {
 		{"bad json", `{"job":`, nil, http.StatusBadRequest, 0},
 		{"missing job", `{"tenant":"a"}`, nil, http.StatusBadRequest, 0},
 		{"empty stages", `{"job":{"name":"x","stages":[]}}`, nil, http.StatusBadRequest, 0},
+		{"too many stages", wideJobBody(maxSubmitStages + 1), nil, http.StatusBadRequest, 0},
 		{"nil job", "", &SubmitRequest{}, http.StatusBadRequest, 0},
 		{"invalid job", "", &SubmitRequest{Job: &workload.Job{Name: "nograph"}}, http.StatusBadRequest, 0},
 		{"NaN arrival", "", &SubmitRequest{Job: job, Arrival: &nan}, http.StatusBadRequest, 0},
@@ -258,6 +260,20 @@ func TestSubmitCounterConservation(t *testing.T) {
 	if !bytes.Contains(metrics, []byte("schedd_jobs_submitted_total 4\n")) {
 		t.Fatalf("metrics disagree with the counted submissions:\n%s", metrics)
 	}
+}
+
+// wideJobBody is a POST /v1/jobs body whose DAG has n independent stages.
+func wideJobBody(n int) string {
+	var b strings.Builder
+	b.WriteString(`{"tenant":"a","job":{"name":"wide","stages":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"id":%d,"phases":{"read_sec":1,"compute_sec":1,"write_sec":1}}`, i)
+	}
+	b.WriteString(`]}}`)
+	return b.String()
 }
 
 // TestSubmitBodyLimit: a POST /v1/jobs body over maxSubmitBytes is

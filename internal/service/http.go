@@ -25,12 +25,17 @@ import (
 //
 // Submit returns 200 on acceptance, 429 on an admission bounce (body
 // carries the policy's reason), 400 on malformed input — including the
-// NaN/Inf arrival vetting shared with the planner — and 413 on a body
-// over maxSubmitBytes.
+// NaN/Inf arrival vetting shared with the planner and DAGs over
+// maxSubmitStages — and 413 on a body over maxSubmitBytes.
 
 // maxSubmitBytes bounds a POST /v1/jobs body; a 186-stage DAG's jobspec
 // encodes to about 29 KB.
 const maxSubmitBytes = 8 << 20
+
+// maxSubmitStages bounds a submitted DAG: planning cost grows
+// superlinearly in the stage count, and the largest trace job has 186
+// stages.
+const maxSubmitStages = 1024
 
 // submitBody is the POST /v1/jobs request payload. Job is kept raw so
 // jobspec.Parse applies its own validation and error messages.
@@ -115,6 +120,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := jobspec.Parse(bytes.NewReader(body.Job))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if n := len(spec.Stages); n > maxSubmitStages {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("job has %d stages, over the limit of %d", n, maxSubmitStages))
 		return
 	}
 	job, err := spec.Job(s.opt.Cluster)

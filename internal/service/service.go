@@ -54,10 +54,10 @@ type Options struct {
 	MaxCandidates int
 	FairByJob     bool
 	// ApproximatePlanning answers every planning decision from the
-	// analytic bound surrogate instead of simulation — candidate scoring
+	// analytic model instead of simulation — candidate scoring
 	// (scheduler.OnlineOptions.Approximate), the template drift test, and
-	// the stored drift reference all use the surrogate's layout, so the
-	// control plane never simulates on the hot path. Plans are
+	// the stored drift reference all use the model's predicted layout, so
+	// the control plane never simulates on the hot path. Plans are
 	// approximate; the data plane still simulates reality.
 	ApproximatePlanning bool
 	// DriftTolerance is the template-validity threshold: a cache hit is
@@ -641,17 +641,22 @@ func auditDelays(delays map[dag.StageID]float64) map[string]float64 {
 
 // planEnds predicts every stage's solo completion time under the delays
 // on the coarse planning cluster: a fault-free simulation normally, or
-// the analytic surrogate's stretched layout under ApproximatePlanning
+// the analytic model's predicted stage ends under ApproximatePlanning
 // (the drift test must not reintroduce simulations when planning is
-// bound-only). Both sides of a drift comparison always come from the same
+// analytic). Both sides of a drift comparison always come from the same
 // predictor, so the mode switch cannot invalidate stored templates.
 func (s *Service) planEnds(job *workload.Job, delays map[dag.StageID]float64) (map[dag.StageID]float64, error) {
 	if s.opt.ApproximatePlanning {
-		b, err := perfmodel.NewBoundEvaluator(s.coarse, job, perfmodel.BoundConfig{IncludeWorkBound: true})
+		b, err := perfmodel.NewBoundEvaluator(s.coarse, job, perfmodel.BoundConfig{})
 		if err != nil {
 			return nil, err
 		}
-		return b.EstimateEnds(delays), nil
+		spans := b.PredictSpans(delays)
+		ends := make(map[dag.StageID]float64, len(spans))
+		for id, sp := range spans {
+			ends[id] = sp.End
+		}
+		return ends, nil
 	}
 	res, err := sim.Run(sim.Options{Cluster: s.coarse, TrackNode: -1},
 		[]sim.JobRun{{Job: job, Delays: delays}})

@@ -466,7 +466,7 @@ func TestPlanAuditPruneFields(t *testing.T) {
 }
 
 // TestApproximatePlanningService: with ApproximatePlanning on, planning
-// decisions are answered entirely by the bound surrogate (no exact
+// decisions are answered entirely by the analytic model (no exact
 // evaluations anywhere, audit says so) and the template cache still
 // round-trips byte-identical plans.
 func TestApproximatePlanningService(t *testing.T) {
@@ -492,7 +492,7 @@ func TestApproximatePlanningService(t *testing.T) {
 			t.Fatal("approximate mode scored no candidates")
 		}
 	}
-	// A same-fingerprint resubmission must hit the surrogate-backed drift
+	// A same-fingerprint resubmission must hit the model-backed drift
 	// test and reuse the cached plan.
 	st2, err := s.Submit(SubmitRequest{Job: workload.ALS(c, 0.3), Arrival: ptr(5000.0)})
 	if err != nil {
