@@ -17,7 +17,7 @@ import (
 	"delaystage/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the approximate-mode schedule golden in testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the schedule goldens in testdata/")
 
 const approxGoldenPath = "testdata/approx_schedules.golden"
 
@@ -74,9 +74,10 @@ func scheduleBits(s *Schedule) string {
 	return b.String()
 }
 
-func readApproxGolden(t *testing.T) map[string]string {
+// readGolden parses a "name rest-of-line" golden file into a map.
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(approxGoldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestApproximateGolden(t *testing.T) {
 		}
 		return
 	}
-	golden := readApproxGolden(t)
+	golden := readGolden(t, approxGoldenPath)
 	if len(golden) != len(cases) {
 		t.Fatalf("golden has %d configurations, want %d", len(golden), len(cases))
 	}
