@@ -21,9 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the schedule goldens in t
 
 const approxGoldenPath = "testdata/approx_schedules.golden"
 
-// approxCase is one (cluster, job, options) configuration of the
-// approximate-mode golden.
-type approxCase struct {
+// goldenCase is one (cluster, job, options) configuration of a schedule
+// golden.
+type goldenCase struct {
 	name string
 	opt  Options
 	job  *workload.Job
@@ -33,8 +33,8 @@ type approxCase struct {
 // gallery jobs on raw 15- and 30-node m4.large clusters, plus random DAGs
 // of 4–133 stages on the coarse trace cluster (the 100+-stage ones take
 // the layout's two-pass branch).
-func approxGoldenCases() []approxCase {
-	var out []approxCase
+func approxGoldenCases() []goldenCase {
+	var out []goldenCase
 	for _, n := range []int{15, 30} {
 		c := cluster.NewM4LargeCluster(n)
 		jobs := workload.PaperWorkloads(c, 1)
@@ -48,7 +48,7 @@ func approxGoldenCases() []approxCase {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			out = append(out, approxCase{fmt.Sprintf("m4x%d/%s", n, name),
+			out = append(out, goldenCase{fmt.Sprintf("m4x%d/%s", n, name),
 				Options{Cluster: c, Approximate: true}, jobs[name]})
 		}
 	}
@@ -56,7 +56,7 @@ func approxGoldenCases() []approxCase {
 	tc := sim.Coarsen(cluster.NewTraceCluster(64, 4, rng))
 	for i := 0; i < 44; i++ {
 		n := 4 + 3*i
-		out = append(out, approxCase{fmt.Sprintf("trace/rand%02d-n%d", i, n),
+		out = append(out, goldenCase{fmt.Sprintf("trace/rand%02d-n%d", i, n),
 			Options{Cluster: tc, Approximate: true, MaxCandidates: 12},
 			workload.RandomJob(fmt.Sprintf("golden-%d", i), tc, n, rng)})
 	}

@@ -22,9 +22,9 @@ const exactGoldenPath = "testdata/exact_schedules.golden"
 // m4.large clusters under default options, plus 200 seeded trace DAGs
 // planned the way cmd/replay plans them — Descending order on the job's
 // own coarsened two-machine slice, MaxCandidates 10 (6 above 60 stages).
-func exactGoldenCases(t *testing.T) []approxCase {
+func exactGoldenCases(t *testing.T) []goldenCase {
 	t.Helper()
-	var out []approxCase
+	var out []goldenCase
 	for _, n := range []int{15, 30} {
 		c := cluster.NewM4LargeCluster(n)
 		jobs := workload.PaperWorkloads(c, 1)
@@ -38,7 +38,7 @@ func exactGoldenCases(t *testing.T) []approxCase {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			out = append(out, approxCase{fmt.Sprintf("m4x%d/%s", n, name), Options{Cluster: c}, jobs[name]})
+			out = append(out, goldenCase{fmt.Sprintf("m4x%d/%s", n, name), Options{Cluster: c}, jobs[name]})
 		}
 	}
 	tr := trace.Generate(trace.GenConfig{Jobs: 200, Seed: 14})
@@ -53,7 +53,7 @@ func exactGoldenCases(t *testing.T) []approxCase {
 		if wl.Graph.Len() > 60 {
 			mc = 6
 		}
-		out = append(out, approxCase{fmt.Sprintf("trace/%03d-n%d", i, wl.Graph.Len()),
+		out = append(out, goldenCase{fmt.Sprintf("trace/%03d-n%d", i, wl.Graph.Len()),
 			Options{Cluster: slice, Order: Descending, MaxCandidates: mc}, wl})
 	}
 	return out

@@ -11,7 +11,7 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // StageID identifies a stage within one job's graph. IDs are assigned by
@@ -24,6 +24,8 @@ type Stage struct {
 	ID      StageID
 	Name    string
 	Parents []StageID // stages whose full output this stage shuffle-reads
+
+	pos int // insertion position, set by AddStage
 }
 
 // Graph is a directed acyclic graph of stages. The zero value is not
@@ -32,6 +34,11 @@ type Graph struct {
 	stages   map[StageID]*Stage
 	children map[StageID][]StageID
 	order    []StageID // insertion order, for deterministic iteration
+	// childPos / parentPos index the edges by insertion position: entry i
+	// lists the positions of stage order[i]'s children (in the order of
+	// the child index) and parents (in Stage.Parents order). Validate
+	// builds both over one backing array.
+	childPos, parentPos [][]int
 	// validated marks that the child index matches the current stage set,
 	// making repeated Validate calls read-only — and therefore safe from
 	// concurrent evaluators hammering the same job (sim.Run validates on
@@ -66,6 +73,7 @@ func (g *Graph) AddStage(s Stage) error {
 	}
 	cp := s
 	cp.Parents = append([]StageID(nil), s.Parents...)
+	cp.pos = len(g.order)
 	g.stages[s.ID] = &cp
 	g.order = append(g.order, s.ID)
 	g.validated = false
@@ -118,70 +126,145 @@ func (g *Graph) Children(id StageID) []StageID {
 func (g *Graph) ChildrenView(id StageID) []StageID { return g.children[id] }
 
 // Validate checks referential integrity and acyclicity and (re)builds the
-// child index. It must be called after the last AddStage and before any
-// analysis method. Once a graph has validated, further calls are read-only
-// no-ops until the next AddStage.
+// child index and the position index (Pos, ChildPos, ParentPos). It must
+// be called after the last AddStage and before any analysis method. Once
+// a graph has validated, further calls are read-only no-ops until the
+// next AddStage.
 func (g *Graph) Validate() error {
 	if g.validated {
 		return nil
 	}
+	kids, parents, err := g.buildIndex()
+	if err != nil {
+		return err
+	}
 	children := make(map[StageID][]StageID, len(g.stages))
 	for _, id := range g.order {
 		for _, p := range g.stages[id].Parents {
-			if _, ok := g.stages[p]; !ok {
-				return fmt.Errorf("%w: stage %d references parent %d", ErrUnknownStage, id, p)
-			}
 			children[p] = append(children[p], id)
 		}
 	}
-	g.children = children
-	if _, err := g.TopoSort(); err != nil {
-		return err
+	g.children, g.childPos, g.parentPos = children, kids, parents
+	if topoOrder(kids, parents) == nil {
+		return ErrCycle
 	}
 	g.validated = true
 	return nil
 }
 
-// TopoSort returns the stage IDs in a topological order (parents before
-// children). Ties are broken by insertion order so the result is
-// deterministic. Returns ErrCycle if the graph is cyclic.
-func (g *Graph) TopoSort() ([]StageID, error) {
-	indeg := make(map[StageID]int, len(g.stages))
+// buildIndex derives the position index of the current stage set without
+// storing it: per insertion position, the positions of the stage's parents
+// (Stage.Parents order) and children (insertion order of the child), all
+// slices of one backing array.
+func (g *Graph) buildIndex() (kids, parents [][]int, err error) {
+	n := len(g.order)
+	edges := 0
 	for _, id := range g.order {
-		indeg[id] = len(g.stages[id].Parents)
+		edges += len(g.stages[id].Parents)
 	}
-	// Ready queue kept in insertion order for determinism.
-	var ready []StageID
-	for _, id := range g.order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	back := make([]int, 2*edges)
+	nKids := make([]int, n)
+	parents = make([][]int, n)
+	off := 0
+	for i, id := range g.order {
+		ps := g.stages[id].Parents
+		pp := back[off : off+len(ps) : off+len(ps)]
+		for j, p := range ps {
+			par, ok := g.stages[p]
+			if !ok {
+				return nil, nil, fmt.Errorf("%w: stage %d references parent %d", ErrUnknownStage, id, p)
+			}
+			pp[j] = par.pos
+			nKids[par.pos]++
+		}
+		parents[i] = pp
+		off += len(ps)
+	}
+	kids = make([][]int, n)
+	for i, k := range nKids {
+		kids[i] = back[off : off : off+k]
+		off += k
+	}
+	for i, pp := range parents {
+		for _, p := range pp {
+			kids[p] = append(kids[p], i)
 		}
 	}
-	out := make([]StageID, 0, len(g.stages))
-	pos := make(map[StageID]int, len(g.stages))
-	for i, id := range g.order {
-		pos[id] = i
+	return kids, parents, nil
+}
+
+// topoOrder is Kahn's algorithm over the position index: the ready queue
+// is kept in insertion order (stages that become ready together enter in
+// position order), so the result is deterministic. It returns the
+// positions in topological order, or nil on a cycle.
+func topoOrder(kids, parents [][]int) []int {
+	n := len(parents)
+	indeg := make([]int, n)
+	queue := make([]int, 0, n)
+	for i, pp := range parents {
+		indeg[i] = len(pp)
+		if indeg[i] == 0 {
+			queue = append(queue, i)
+		}
 	}
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		out = append(out, id)
-		next := g.children[id]
-		var newly []StageID
-		for _, c := range next {
+	for head := 0; head < len(queue); head++ {
+		start := len(queue)
+		for _, c := range kids[queue[head]] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				newly = append(newly, c)
+				queue = append(queue, c)
 			}
 		}
-		sort.Slice(newly, func(a, b int) bool { return pos[newly[a]] < pos[newly[b]] })
-		ready = append(ready, newly...)
+		slices.Sort(queue[start:])
 	}
-	if len(out) != len(g.stages) {
+	if len(queue) != n {
+		return nil
+	}
+	return queue
+}
+
+// TopoSort returns the stage IDs in a topological order (parents before
+// children). Ties are broken by insertion order so the result is
+// deterministic. Returns ErrCycle if the graph is cyclic. On a validated
+// graph it reads the stored position index; otherwise it derives one.
+func (g *Graph) TopoSort() ([]StageID, error) {
+	kids, parents := g.childPos, g.parentPos
+	if !g.validated {
+		var err error
+		if kids, parents, err = g.buildIndex(); err != nil {
+			return nil, err
+		}
+	}
+	order := topoOrder(kids, parents)
+	if order == nil {
 		return nil, ErrCycle
+	}
+	out := make([]StageID, len(order))
+	for i, p := range order {
+		out[i] = g.order[p]
 	}
 	return out, nil
 }
+
+// Pos returns the insertion position of stage id (its index in
+// StagesView), or -1 if the graph has no such stage.
+func (g *Graph) Pos(id StageID) int {
+	if s := g.stages[id]; s != nil {
+		return s.pos
+	}
+	return -1
+}
+
+// ChildPos returns the positions of the children of the stage at
+// position i, in child-index order, WITHOUT copying. Callers must treat
+// it as read-only; Validate must have run. The simulator wires every
+// what-if run from the position index instead of hashing stage IDs.
+func (g *Graph) ChildPos(i int) []int { return g.childPos[i] }
+
+// ParentPos returns the positions of the parents of the stage at
+// position i, in Stage.Parents order, WITHOUT copying. Same contract as
+// ChildPos.
+func (g *Graph) ParentPos(i int) []int { return g.parentPos[i] }
 
 // Roots returns stages with no parents, in insertion order.
 func (g *Graph) Roots() []StageID {

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"delaystage/internal/dag"
 )
@@ -44,7 +47,7 @@ type skey struct {
 // item is one fluid work unit: a phase of one stage's partition on one node.
 type item struct {
 	key skey
-	st  *stageState // owning stage, avoiding a states-map lookup per touch
+	st  int // owning stage's slab index (engine.states)
 	// home is the logical partition index (which of the stage's N
 	// partitions this is); node is the machine executing it. They are
 	// equal unless blacklisting rerouted the work. Lifecycle bookkeeping
@@ -87,13 +90,25 @@ type item struct {
 	startAt   float64
 }
 
-// stageState tracks one (job, stage) through its lifecycle.
+// stageState tracks one (job, stage) through its lifecycle. It lives in
+// the engine's slab (engine.states) and refers to other stages by slab
+// index, never by pointer, so a fork copies the slab in bulk.
 type stageState struct {
 	key     skey
 	profile profileView
 
+	// idx is the stage's own slab index, base the slab index of its
+	// job's first stage. children and parents are the graph's shared,
+	// read-only position lists (dag.Graph.ChildPos/ParentPos): base+p is
+	// a relative's slab index. wOff is where the stage's availability
+	// weights over its parents start in engine.availW (AggShuffle only).
+	idx      int
+	base     int
+	children []int
+	parents  []int
+	wOff     int
+
 	parentsLeft int
-	children    []skey
 
 	readsLeft   int
 	computeLeft int
@@ -107,10 +122,6 @@ type stageState struct {
 	prefetched  bool // read items were created as an AggShuffle prefetch
 	computeDone float64
 	computeTot  float64
-
-	// availability weighting of this stage's input over its parents
-	availParents []skey
-	availWeights []float64
 
 	tl StageTimeline
 	// readyValid marks tl.Ready as set.
@@ -131,9 +142,11 @@ type stageState struct {
 	// watchdog may move it (tSubmitStage re-schedules itself until now ≥
 	// submitAt).
 	submitAt float64
-	// delayOverride, when set, replaces the run's configured delay
-	// (watchdog revision that arrived before the stage became ready).
-	delayOverride *float64
+	// delayOverride, when hasOverride is set, replaces the run's
+	// configured delay (a watchdog or Resume revision that arrived before
+	// the stage became ready).
+	hasOverride   bool
+	delayOverride float64
 }
 
 type profileView struct {
@@ -153,7 +166,7 @@ type timer struct {
 	at   float64
 	seq  int
 	kind timerKind
-	key  skey
+	st   int // slab index of the stage (tSubmitStage, tRetry only)
 	job  int
 	// retry payload (tRetry only); home is the logical partition, node
 	// the machine the dead attempt ran on.
@@ -186,45 +199,50 @@ func (t timer) before(o timer) bool {
 	return t.seq < o.seq
 }
 
-// push inserts a timer, sifting it up to its heap position.
+// push inserts a timer, sifting it up to its heap position. Both sifts
+// move a hole instead of swapping, one timer copy per level; the array
+// they leave is the one a swapping sift leaves.
 func (h *timerHeap) push(t timer) {
 	*h = append(*h, t)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s[i].before(s[p]) {
+		if !t.before(s[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = t
 }
 
 // pop removes and returns the earliest timer.
 func (h *timerHeap) pop() timer {
 	s := *h
 	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
+	top, last := s[0], s[n]
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && s[l].before(s[least]) {
-			least = l
-		}
-		if r < n && s[r].before(s[least]) {
-			least = r
-		}
-		if least == i {
+		least := 2*i + 1
+		if least >= n {
 			break
 		}
-		s[i], s[least] = s[least], s[i]
+		if r := least + 1; r < n && s[r].before(s[least]) {
+			least = r
+		}
+		if !s[least].before(last) {
+			break
+		}
+		s[i] = s[least]
 		i = least
 	}
+	s[i] = last
 	return top
 }
 
@@ -238,17 +256,19 @@ type engine struct {
 	execs                          []float64
 	totalExec, totalNet, totalDisk float64
 
-	states map[skey]*stageState
-	// stateList holds the stage states in (job, stage) order: map
-	// iteration order is randomized per process, and iterating e.states
-	// directly in maybePrefetch would submit prefetches — and thus append
-	// items — in a run-to-run random order, perturbing the floating-point
-	// accumulation downstream.
-	stateList []*stageState
-	items     []*item
-	timers    timerHeap
-	seq       int
-	now       float64
+	// states is the stage-state slab, one entry per (job, stage) in
+	// (job, insertion) order: job j's stage s sits at jobBase[j] +
+	// Graph.Pos(s). Iterating it is deterministic, so maybePrefetch
+	// submits prefetches — and thus appends items — in a fixed order.
+	states  []stageState
+	jobBase []int
+	// availW holds every stage's availability weights over its parents,
+	// proportional to parent shuffle-output size (AggShuffle only).
+	availW []float64
+	items  []*item
+	timers timerHeap
+	seq    int
+	now    float64
 
 	// Per-node, per-phase item buckets, maintained incrementally as items
 	// are added and removed so the rates pass does not rebuild them every
@@ -316,17 +336,17 @@ type engine struct {
 
 	// Scratch buffers reused across events (the engine is single-threaded;
 	// each is live only within one helper call).
-	itemPool         []*item
-	shareScratch     []float64
-	demandScratch    []float64
-	weightScratch    []float64
-	wfAlloc          []float64
-	wfActive         []int
-	busyScratch      []float64
-	doneScratch      []*item
-	deadScratch      []*item
-	perJobScratch    map[int]int
-	stageRateScratch map[skey]float64
+	itemPool      []*item
+	shareScratch  []float64
+	demandScratch []float64
+	weightScratch []float64
+	wfAlloc       []float64
+	wfActive      []int
+	busyScratch   []float64
+	doneScratch   []*item
+	deadScratch   []*item
+	perJobScratch map[int]int
+	stageRates    []float64 // per-slab-index total compute rate (AggShuffle)
 }
 
 // recompKey identifies one lineage recomputation: the producing stage's
@@ -336,61 +356,181 @@ type recompKey struct {
 	node int
 }
 
-// recompState tracks an in-flight recomputation and the child stages it
-// holds back from computing.
+// recompState tracks an in-flight recomputation and the child stages (by
+// slab index) it holds back from computing.
 type recompState struct {
-	held []skey
+	held []int
 }
 
+// enginePool recycles the buffers of engines whose run is over: the stage
+// slab, item list and item pool, timer heap, per-node buckets and every
+// scratch slice. A what-if evaluation thus rebuilds no world — newEngine
+// resets a pooled engine in place. Only engines nothing else references go
+// back (release): a Run's, a Resume's fork, a Stepper's once its Result is
+// taken. The Result is never pooled; it always belongs to the caller.
+var enginePool sync.Pool
+
+// newEngine returns an engine for the given runs with a fresh Result. The
+// per-job result and abort slots are sized for the initial runs;
+// Stepper.Inject grows them.
 func newEngine(opt Options, runs []JobRun) *engine {
-	totalStages := 0
-	for _, r := range runs {
-		totalStages += r.Job.Graph.Len()
+	e := resetEngine(opt, runs)
+	e.res = &Result{
+		Timelines: make([]StageTimeline, 0, stageCount(runs)),
+		JobEnd:    make([]float64, len(runs)),
+		JobStart:  make([]float64, len(runs)),
+		JobErrors: make([]error, len(runs)),
 	}
-	e := &engine{
-		opt:     opt,
-		runs:    runs,
-		states:  make(map[skey]*stageState, totalStages),
-		res:     &Result{JobEnd: make([]float64, len(runs)), JobStart: make([]float64, len(runs)), JobErrors: make([]error, len(runs))},
-		occOpen: make(map[skey]*OccupancySegment),
-		failed:  make([]bool, len(runs)),
-		recomps: make(map[recompKey]*recompState),
+	return e
+}
+
+// resetEngine returns an engine for the given runs, reset from a pooled
+// one when the pool has one, without a Result.
+func resetEngine(opt Options, runs []JobRun) *engine {
+	e, _ := enginePool.Get().(*engine)
+	if e == nil {
+		e = &engine{
+			occOpen:       make(map[skey]*OccupancySegment),
+			recomps:       make(map[recompKey]*recompState),
+			perJobScratch: make(map[int]int),
+		}
 	}
+	nNodes := len(opt.Cluster.Nodes)
+	// Every field not carried over below starts at its zero value; the
+	// carried buffers keep their capacity and are emptied or overwritten.
+	*e = engine{
+		opt:           opt,
+		runs:          runs,
+		nNodes:        nNodes,
+		netBW:         slices.Grow(e.netBW[:0], nNodes),
+		diskBW:        slices.Grow(e.diskBW[:0], nNodes),
+		execs:         slices.Grow(e.execs[:0], nNodes),
+		states:        slices.Grow(e.states[:0], stageCount(runs)),
+		jobBase:       e.jobBase[:0],
+		availW:        e.availW[:0],
+		items:         e.items[:0],
+		timers:        e.timers[:0],
+		computeBk:     resizeBuckets(e.computeBk, nNodes),
+		readBk:        resizeBuckets(e.readBk, nNodes),
+		writeBk:       resizeBuckets(e.writeBk, nNodes),
+		dirtyC:        resizeBools(e.dirtyC, nNodes),
+		dirtyR:        resizeBools(e.dirtyR, nNodes),
+		dirtyW:        resizeBools(e.dirtyW, nNodes),
+		occOpen:       e.occOpen,
+		stagesLeft:    e.stagesLeft[:0],
+		failed:        resizeBools(e.failed, len(runs)),
+		recomps:       e.recomps,
+		medScratch:    e.medScratch,
+		shareScr:      e.shareScr,
+		itemPool:      e.itemPool,
+		shareScratch:  e.shareScratch,
+		demandScratch: e.demandScratch,
+		weightScratch: e.weightScratch,
+		wfAlloc:       e.wfAlloc,
+		wfActive:      e.wfActive,
+		busyScratch:   resizeF64(&e.busyScratch, nNodes),
+		doneScratch:   e.doneScratch[:0],
+		deadScratch:   e.deadScratch[:0],
+		perJobScratch: e.perJobScratch,
+		stageRates:    e.stageRates,
+	}
+	clear(e.occOpen)
+	clear(e.recomps)
 	for _, n := range opt.Cluster.Nodes {
 		e.netBW = append(e.netBW, n.NetBW)
 		e.diskBW = append(e.diskBW, n.DiskBW)
 		e.execs = append(e.execs, float64(n.Executors))
 	}
-	e.nNodes = len(e.netBW)
 	e.totalExec = float64(opt.Cluster.TotalExecutors())
 	e.totalNet = opt.Cluster.TotalNetBW()
 	e.totalDisk = opt.Cluster.TotalDiskBW()
-	e.computeBk = make([][]*item, e.nNodes)
-	e.readBk = make([][]*item, e.nNodes)
-	e.writeBk = make([][]*item, e.nNodes)
-	e.dirtyC = make([]bool, e.nNodes)
-	e.dirtyR = make([]bool, e.nNodes)
-	e.dirtyW = make([]bool, e.nNodes)
-	e.busyScratch = make([]float64, e.nNodes)
-	e.perJobScratch = make(map[int]int)
-	e.stageRateScratch = make(map[skey]float64)
-	e.stateList = make([]*stageState, 0, totalStages)
-	e.items = make([]*item, 0, totalStages*e.nNodes)
 	if so, ok := opt.Observer.(ShareObserver); ok {
 		e.shareObs = so
 	}
 	return e
 }
 
-// newItem returns a zeroed item, recycled from the pool when possible.
-func (e *engine) newItem() *item {
-	if n := len(e.itemPool); n > 0 {
-		it := e.itemPool[n-1]
-		e.itemPool = e.itemPool[:n-1]
-		*it = item{}
-		return it
+// stageCount is the number of (job, stage) pairs over the runs.
+func stageCount(runs []JobRun) int {
+	n := 0
+	for _, r := range runs {
+		n += r.Job.Graph.Len()
 	}
-	return &item{}
+	return n
+}
+
+// release hands a finished engine's buffers back to the pool. The caller
+// must hold the only reference: nothing may touch the engine afterwards.
+// Live items rejoin the item pool; references into the caller's world
+// (options, runs, graphs, the Result) are dropped so a pooled engine pins
+// none of it.
+func (e *engine) release() {
+	e.itemPool = append(e.itemPool, e.items...)
+	clear(e.items)
+	clear(e.states)
+	clear(e.occOpen)
+	clear(e.recomps)
+	for w := range e.computeBk {
+		clear(e.computeBk[w])
+		clear(e.readBk[w])
+		clear(e.writeBk[w])
+	}
+	e.opt, e.runs, e.res, e.shareObs = Options{}, nil, nil, nil
+	enginePool.Put(e)
+}
+
+// resizeBuckets empties n per-node item buckets, keeping their backing
+// arrays. Buckets it has to create start as bucketCap-slot windows of one
+// shared array, so a fresh engine allocates two slices per phase rather
+// than a growing slice per node; a bucket that outgrows its window moves
+// to an array of its own.
+func resizeBuckets(bk [][]*item, n int) [][]*item {
+	if old := len(bk); cap(bk) < n {
+		bk = append(bk[:cap(bk)], make([][]*item, n-cap(bk))...)
+		back := make([]*item, (n-old)*bucketCap)
+		for w := old; w < n; w++ {
+			i := (w - old) * bucketCap
+			bk[w] = back[i : i : i+bucketCap]
+		}
+	}
+	bk = bk[:n]
+	for w := range bk {
+		bk[w] = bk[w][:0]
+	}
+	return bk
+}
+
+// bucketCap is the initial per-node bucket capacity.
+const bucketCap = 4
+
+// resizeBools returns n false flags, reusing s's backing array.
+func resizeBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// itemBlock is how many items one item-pool miss allocates at once: a
+// fresh engine pays a few block allocations instead of one per item.
+const itemBlock = 32
+
+// newItem returns an item from the pool. Its contents are stale: every
+// caller overwrites the whole item.
+func (e *engine) newItem() *item {
+	if len(e.itemPool) == 0 {
+		block := make([]item, itemBlock)
+		e.itemPool = slices.Grow(e.itemPool, itemBlock)
+		for i := range block {
+			e.itemPool = append(e.itemPool, &block[i])
+		}
+	}
+	n := len(e.itemPool)
+	it := e.itemPool[n-1]
+	e.itemPool = e.itemPool[:n-1]
+	return it
 }
 
 // freeItem returns a no-longer-referenced item to the pool.
@@ -417,40 +557,45 @@ func (e *engine) addItem(it *item) {
 	}
 }
 
+// bucketOf returns the item's node's bucket for its phase.
+func (e *engine) bucketOf(it *item) *[]*item {
+	switch it.ph {
+	case phCompute:
+		return &e.computeBk[it.node]
+	case phRead:
+		return &e.readBk[it.node]
+	}
+	return &e.writeBk[it.node]
+}
+
 // bucketRemove drops an item from its node's phase bucket (preserving
 // order) and marks the node dirty. The caller removes it from e.items.
 func (e *engine) bucketRemove(it *item) {
-	var bk []*item
 	switch it.ph {
 	case phCompute:
-		bk = e.computeBk[it.node]
 		e.dirtyC[it.node] = true
 	case phRead:
-		bk = e.readBk[it.node]
 		e.dirtyR[it.node] = true
 	case phWrite:
-		bk = e.writeBk[it.node]
 		e.dirtyW[it.node] = true
 	}
-	for i, b := range bk {
-		if b == it {
-			bk = append(bk[:i], bk[i+1:]...)
-			break
-		}
-	}
-	switch it.ph {
-	case phCompute:
-		e.computeBk[it.node] = bk
-	case phRead:
-		e.readBk[it.node] = bk
-	case phWrite:
-		e.writeBk[it.node] = bk
+	bk := e.bucketOf(it)
+	if i := slices.Index(*bk, it); i >= 0 {
+		*bk = slices.Delete(*bk, i, i+1)
 	}
 }
 
-func (e *engine) pushTimer(at float64, kind timerKind, key skey, job int) {
+func (e *engine) pushTimer(at float64, kind timerKind, st, job int) {
 	e.seq++
-	e.timers.push(timer{at: at, seq: e.seq, kind: kind, key: key, job: job})
+	e.timers.push(timer{at: at, seq: e.seq, kind: kind, st: st, job: job})
+}
+
+// timerKey is the stage a timer names, zero for job and node timers.
+func (e *engine) timerKey(t timer) skey {
+	if t.kind == tSubmitStage || t.kind == tRetry {
+		return e.states[t.st].key
+	}
+	return skey{}
 }
 
 // arrivalSeq is job ji's arrival-timer sequence number. Arrivals take a
@@ -488,15 +633,18 @@ func (e *engine) setup() {
 	}
 }
 
-// addRun wires job ji's stage states and arms its arrival timer. The
-// per-job result and abort slots are the caller's: newEngine sizes them
-// for the initial runs, Stepper.Inject grows them.
+// addRun wires job ji's stage states into the slab and arms its arrival
+// timer. The per-job result and abort slots are the caller's: newEngine
+// sizes them for the initial runs, Stepper.Inject grows them.
 func (e *engine) addRun(ji int, run JobRun) {
 	n := float64(e.nNodes)
 	g := run.Job.Graph
-	for _, sid := range g.StagesView() {
+	base := len(e.states)
+	e.jobBase = append(e.jobBase, base)
+	for i, sid := range g.StagesView() {
 		p := run.Job.Profiles[sid]
-		st := &stageState{
+		parents := g.ParentPos(i)
+		e.states = append(e.states, stageState{
 			key: skey{ji, sid},
 			profile: profileView{
 				perNodeIn:    float64(p.ShuffleIn) / n,
@@ -505,37 +653,57 @@ func (e *engine) addRun(ji int, run JobRun) {
 				skew:         p.Skew,
 				tasksPerNode: float64(p.Tasks) / n,
 			},
-			parentsLeft: len(g.Stage(sid).Parents),
+			idx:         base + i,
+			base:        base,
+			children:    g.ChildPos(i),
+			parents:     parents,
+			parentsLeft: len(parents),
 			tl:          StageTimeline{JobIndex: ji, Stage: sid},
-		}
+		})
+		st := &e.states[base+i]
 		st.computeTot = st.profile.perNodeIn * n
-		for _, c := range g.ChildrenView(sid) {
-			st.children = append(st.children, skey{ji, c})
-		}
-		// Availability weights over parents, proportional to parent
-		// shuffle-output size (fallback: equal).
-		parents := g.Stage(sid).Parents
-		if len(parents) > 0 {
-			tot := 0.0
-			outs := make([]float64, len(parents))
-			for i, pid := range parents {
-				outs[i] = float64(run.Job.Profiles[pid].ShuffleOut)
-				tot += outs[i]
-			}
-			for i, pid := range parents {
-				st.availParents = append(st.availParents, skey{ji, pid})
-				if tot > 0 {
-					st.availWeights = append(st.availWeights, outs[i]/tot)
-				} else {
-					st.availWeights = append(st.availWeights, 1/float64(len(parents)))
-				}
-			}
-		}
-		e.states[st.key] = st
-		e.stateList = append(e.stateList, st)
+	}
+	if e.opt.AggShuffle {
+		e.addAvailWeights(run, base)
 	}
 	e.stagesLeft = append(e.stagesLeft, g.Len())
 	e.timers.push(timer{at: run.Arrival, seq: arrivalSeq(ji), kind: tJobArrival, job: ji})
+}
+
+// addAvailWeights appends the availability weights of the run whose
+// stages start at slab index base: over each stage's parents,
+// proportional to parent shuffle-output size (fallback: equal). Only
+// prefetching reads them, so only AggShuffle runs build them.
+func (e *engine) addAvailWeights(run JobRun, base int) {
+	order := run.Job.Graph.StagesView()
+	for i := base; i < len(e.states); i++ {
+		st := &e.states[i]
+		st.wOff = len(e.availW)
+		tot := 0.0
+		for _, p := range st.parents {
+			tot += float64(run.Job.Profiles[order[p]].ShuffleOut)
+		}
+		for _, p := range st.parents {
+			if tot > 0 {
+				e.availW = append(e.availW, float64(run.Job.Profiles[order[p]].ShuffleOut)/tot)
+			} else {
+				e.availW = append(e.availW, 1/float64(len(st.parents)))
+			}
+		}
+	}
+}
+
+// stateIdx returns the slab index of (job, stage), or -1 when the world
+// has no such stage.
+func (e *engine) stateIdx(k skey) int {
+	if k.job < 0 || k.job >= len(e.jobBase) {
+		return -1
+	}
+	p := e.runs[k.job].Job.Graph.Pos(k.stage)
+	if p < 0 {
+		return -1
+	}
+	return e.jobBase[k.job] + p
 }
 
 // placeNode maps a partition's home node to the machine that will run
@@ -598,11 +766,11 @@ func (e *engine) markReady(st *stageState) {
 		return
 	}
 	d := e.delayOf(st.key)
-	if st.delayOverride != nil {
-		d = *st.delayOverride
+	if st.hasOverride {
+		d = st.delayOverride
 	}
 	st.submitAt = e.now + d
-	e.pushTimer(st.submitAt, tSubmitStage, st.key, st.key.job)
+	e.pushTimer(st.submitAt, tSubmitStage, st.idx, st.key.job)
 }
 
 // submit creates the stage's read items on every node.
@@ -630,7 +798,7 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 			continue
 		}
 		it := e.newItem()
-		*it = item{key: st.key, st: st, home: w, node: e.placeNode(w), ph: phRead, remaining: vol, volume: vol, capped: prefetch}
+		*it = item{key: st.key, st: st.idx, home: w, node: e.placeNode(w), ph: phRead, remaining: vol, volume: vol, capped: prefetch}
 		e.addItem(it)
 	}
 	if st.readsLeft == 0 {
@@ -677,7 +845,7 @@ func (e *engine) startCompute(st *stageState, node int) {
 		return
 	}
 	it := e.newItem()
-	*it = item{key: st.key, st: st, home: node, node: e.placeNode(node), ph: phCompute, remaining: vol, volume: vol, attempt: 1}
+	*it = item{key: st.key, st: st.idx, home: node, node: e.placeNode(node), ph: phCompute, remaining: vol, volume: vol, attempt: 1}
 	e.armCompute(it)
 	e.addItem(it)
 }
@@ -696,7 +864,7 @@ func (e *engine) finishCompute(st *stageState, node int) {
 		return
 	}
 	it := e.newItem()
-	*it = item{key: st.key, st: st, home: node, node: e.placeNode(node), ph: phWrite, remaining: vol, volume: vol}
+	*it = item{key: st.key, st: st.idx, home: node, node: e.placeNode(node), ph: phWrite, remaining: vol, volume: vol}
 	e.addItem(it)
 }
 
@@ -733,8 +901,8 @@ func (e *engine) finishWrite(st *stageState, node int) {
 			Retries: st.retries, JobStart: e.runs[st.key.job].Arrival, Now: e.now,
 		}))
 	}
-	for _, ck := range st.children {
-		cst := e.states[ck]
+	for _, c := range st.children {
+		cst := &e.states[st.base+c]
 		cst.parentsLeft--
 		if cst.parentsLeft == 0 {
 			if cst.recomputeHolds == 0 {
@@ -752,18 +920,21 @@ func (e *engine) finishWrite(st *stageState, node int) {
 func (e *engine) fireTimer(t timer) {
 	switch t.kind {
 	case tJobArrival:
-		g := e.runs[t.job].Job.Graph
-		for _, sid := range g.Roots() {
-			e.markReady(e.states[skey{t.job, sid}])
+		// The job's roots, in insertion order.
+		base := e.jobBase[t.job]
+		for i := base; i < base+e.runs[t.job].Job.Graph.Len(); i++ {
+			if len(e.states[i].parents) == 0 {
+				e.markReady(&e.states[i])
+			}
 		}
 	case tSubmitStage:
-		st := e.states[t.key]
+		st := &e.states[t.st]
 		if e.failed[t.job] || st.submitted {
 			return
 		}
 		if st.submitAt > e.now+eps {
 			// A watchdog pushed the submission later; chase it.
-			e.pushTimer(st.submitAt, tSubmitStage, t.key, t.job)
+			e.pushTimer(st.submitAt, tSubmitStage, t.st, t.job)
 			return
 		}
 		e.submit(st, false)
@@ -777,19 +948,19 @@ func (e *engine) fireTimer(t timer) {
 }
 
 // maybePrefetch creates AggShuffle prefetch read items for stages whose
-// parents have all started computing. Iterates stateList, not the states
-// map, so submissions happen in a deterministic (job, stage) order.
+// parents have all started computing, in slab — (job, insertion) — order.
 func (e *engine) maybePrefetch() {
 	if !e.opt.AggShuffle {
 		return
 	}
-	for _, st := range e.stateList {
-		if st.submitted || len(st.availParents) == 0 {
+	for i := range e.states {
+		st := &e.states[i]
+		if st.submitted || len(st.parents) == 0 {
 			continue
 		}
 		ok := true
-		for _, pk := range st.availParents {
-			pst := e.states[pk]
+		for _, p := range st.parents {
+			pst := &e.states[st.base+p]
 			if !pst.submitted && !pst.complete {
 				ok = false
 				break
@@ -802,11 +973,13 @@ func (e *engine) maybePrefetch() {
 }
 
 // availability returns A(t) ∈ [0,1] and dA/dt for a prefetched stage given
-// current parent compute progress/rates.
-func (e *engine) availability(st *stageState, computeRates map[skey]float64) (a, da float64) {
-	for i, pk := range st.availParents {
-		w := st.availWeights[i]
-		pst := e.states[pk]
+// current parent compute progress and the per-slab-index compute rates
+// (nil when the caller needs no dA/dt).
+func (e *engine) availability(st *stageState, computeRates []float64) (a, da float64) {
+	for i, p := range st.parents {
+		w := e.availW[st.wOff+i]
+		pi := st.base + p
+		pst := &e.states[pi]
 		if pst.complete {
 			a += w
 			continue
@@ -829,7 +1002,11 @@ func (e *engine) availability(st *stageState, computeRates map[skey]float64) (a,
 			continue
 		}
 		a += w * ramp
-		da += w * computeRates[pk] / (pst.computeTot * s)
+		var rate float64
+		if computeRates != nil {
+			rate = computeRates[pi]
+		}
+		da += w * rate / (pst.computeTot * s)
 	}
 	if a > 1 {
 		a = 1
@@ -857,7 +1034,7 @@ func (e *engine) computeRatesPass() {
 	//    rates (for availability derivatives) are only assembled when a
 	//    capped item actually needs them — i.e. never in non-AggShuffle
 	//    runs.
-	var stageRates map[skey]float64
+	var stageRates []float64
 	for w := 0; w < e.nNodes; w++ {
 		if !e.dirtyR[w] {
 			for _, it := range e.readBk[w] {
@@ -869,7 +1046,7 @@ func (e *engine) computeRatesPass() {
 		}
 		if e.dirtyR[w] && stageRates == nil {
 			for _, it := range e.readBk[w] {
-				if it.capped && it.st.parentsLeft > 0 {
+				if it.capped && e.states[it.st].parentsLeft > 0 {
 					stageRates = e.stageComputeRates()
 					break
 				}
@@ -915,7 +1092,7 @@ func (e *engine) computeNodeRates(w int) {
 	cf := e.contended(1, len(its))
 	nodeCF := e.nodeSlowdown(w)
 	for i, it := range its {
-		st := it.st
+		st := &e.states[it.st]
 		share := shares[i]
 		if tpn := st.profile.tasksPerNode; tpn > 0 && share > tpn {
 			share = tpn
@@ -941,22 +1118,22 @@ func (e *engine) nodeSlowdown(w int) float64 {
 	return e.nodeSlow[w]
 }
 
-// stageComputeRates sums every stage's total compute rate across nodes,
-// in node-then-bucket order — the same accumulation order the pre-dirty
-// engine used, so availability derivatives stay bit-identical.
-func (e *engine) stageComputeRates() map[skey]float64 {
-	m := e.stageRateScratch
-	clear(m)
+// stageComputeRates sums every stage's total compute rate across nodes
+// into a per-slab-index scratch, in node-then-bucket order — the same
+// accumulation order the pre-dirty engine used, so availability
+// derivatives stay bit-identical.
+func (e *engine) stageComputeRates() []float64 {
+	r := resizeF64(&e.stageRates, len(e.states))
 	for w := 0; w < e.nNodes; w++ {
 		for _, it := range e.computeBk[w] {
-			m[it.key] += it.rate
+			r[it.st] += it.rate
 		}
 	}
-	return m
+	return r
 }
 
 // readNodeRates water-fills one node's NIC among its read items.
-func (e *engine) readNodeRates(w int, stageRates map[skey]float64) {
+func (e *engine) readNodeRates(w int, stageRates []float64) {
 	its := e.readBk[w]
 	if len(its) == 0 {
 		return
@@ -966,7 +1143,7 @@ func (e *engine) readNodeRates(w int, stageRates map[skey]float64) {
 		demands[i] = math.Inf(1)
 		it.capRate = 0
 		if it.capped {
-			st := it.st
+			st := &e.states[it.st]
 			if st.parentsLeft > 0 {
 				a, da := e.availability(st, stageRates)
 				capVol := it.volume * a
@@ -1102,7 +1279,7 @@ func (e *engine) nextDT() float64 {
 			}
 		}
 		if it.capped && it.ph == phRead {
-			st := it.st
+			st := &e.states[it.st]
 			if st.parentsLeft > 0 {
 				a, _ := e.availability(st, nil) // da not needed here
 				capVol := it.volume * a
@@ -1136,10 +1313,11 @@ func (e *engine) emitShares(dt float64) {
 		case phCompute:
 			res = ResCPU
 			ex := e.execs[it.node]
-			if tpn := it.st.profile.tasksPerNode; tpn > 0 && ex > tpn {
+			prof := &e.states[it.st].profile
+			if tpn := prof.tasksPerNode; tpn > 0 && ex > tpn {
 				ex = tpn
 			}
-			iso = ex * it.st.profile.procRate
+			iso = ex * prof.procRate
 			if it.slow > 1 {
 				iso /= it.slow
 			}
@@ -1172,7 +1350,7 @@ func (e *engine) advance(dt float64) {
 			it.done += p
 		}
 		if it.ph == phCompute && !it.recompute {
-			it.st.computeDone += p
+			e.states[it.st].computeDone += p
 		}
 	}
 	e.now += dt
@@ -1327,9 +1505,9 @@ func itemOrder(a, b *item) bool {
 // removeDone drops completed and freshly-failed items and fires their
 // transitions.
 func (e *engine) removeDone() {
-	kept := e.items[:0]
+	kept := 0
 	done, dead := e.doneScratch[:0], e.deadScratch[:0]
-	for _, it := range e.items {
+	for i, it := range e.items {
 		switch {
 		case it.remaining <= eps:
 			done = append(done, it)
@@ -1338,10 +1516,13 @@ func (e *engine) removeDone() {
 			dead = append(dead, it)
 			e.bucketRemove(it)
 		default:
-			kept = append(kept, it)
+			if kept != i { // most events keep most items in place
+				e.items[kept] = it
+			}
+			kept++
 		}
 	}
-	e.items = kept
+	e.items = e.items[:kept]
 	e.doneScratch, e.deadScratch = done, dead
 	sortItems(done)
 	for _, it := range done {
@@ -1361,14 +1542,14 @@ func (e *engine) removeDone() {
 					Node: it.node, Attempt: it.attempt})
 			}
 		}
+		st := &e.states[it.st]
 		if e.opt.Speculation && it.ph == phCompute && !it.recompute {
-			it.st.compDurs = append(it.st.compDurs, e.now-it.startAt)
+			st.compDurs = append(st.compDurs, e.now-it.startAt)
 		}
 		if it.recompute {
 			e.finishRecompute(it)
 			continue
 		}
-		st := it.st
 		switch it.ph {
 		case phRead:
 			e.finishRead(st, it.home)
@@ -1430,7 +1611,7 @@ func (e *engine) maybeSpeculate() {
 		if it.ph != phCompute || it.recompute || it.spec || it.rival != nil || it.cancelled {
 			continue
 		}
-		st := it.st
+		st := &e.states[it.st]
 		if st.specDone[it.home] || len(st.compDurs)*2 < e.nNodes {
 			continue
 		}
@@ -1460,7 +1641,7 @@ func (e *engine) medianDur(ds []float64) float64 {
 // not migrate partial state); original and clone race, first finisher
 // wins. The partition is marked so it is never cloned twice.
 func (e *engine) launchSpec(it *item) {
-	st := it.st
+	st := &e.states[it.st]
 	if st.specDone == nil {
 		st.specDone = make(map[int]bool)
 	}
@@ -1470,7 +1651,7 @@ func (e *engine) launchSpec(it *item) {
 		return
 	}
 	cl := e.newItem()
-	*cl = item{key: it.key, st: st, home: it.home, node: tgt, ph: phCompute,
+	*cl = item{key: it.key, st: it.st, home: it.home, node: tgt, ph: phCompute,
 		remaining: it.volume, volume: it.volume, attempt: it.attempt, spec: true}
 	e.armCompute(cl)
 	cl.rival = it
@@ -1654,18 +1835,17 @@ func (e *engine) finalize() {
 			e.res.Occupancy = append(e.res.Occupancy, *seg)
 		}
 	}
-	e.occOpen = map[skey]*OccupancySegment{}
+	clear(e.occOpen)
 	// Segments are closed in map order; the job tie-break makes the
 	// multi-job order deterministic too.
-	sort.Slice(e.res.Occupancy, func(i, j int) bool {
-		a, b := e.res.Occupancy[i], e.res.Occupancy[j]
-		if a.From != b.From {
-			return a.From < b.From
+	slices.SortFunc(e.res.Occupancy, func(a, b OccupancySegment) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
+		if c := cmp.Compare(a.Stage, b.Stage); c != 0 {
+			return c
 		}
-		return a.JobIndex < b.JobIndex
+		return cmp.Compare(a.JobIndex, b.JobIndex)
 	})
 	start := math.Inf(1)
 	for _, r := range e.runs {
@@ -1692,11 +1872,11 @@ func (e *engine) finalize() {
 		e.res.Node.NetRate = appendStep(e.res.Node.NetRate, e.now, 0)
 		e.res.Node.DiskRate = appendStep(e.res.Node.DiskRate, e.now, 0)
 	}
-	sort.Slice(e.res.Timelines, func(i, j int) bool {
-		a, b := e.res.Timelines[i], e.res.Timelines[j]
-		if a.JobIndex != b.JobIndex {
-			return a.JobIndex < b.JobIndex
+	// (JobIndex, Stage) keys are unique, so any sort gives this order.
+	slices.SortFunc(e.res.Timelines, func(a, b StageTimeline) int {
+		if c := cmp.Compare(a.JobIndex, b.JobIndex); c != 0 {
+			return c
 		}
-		return a.Stage < b.Stage
+		return cmp.Compare(a.Stage, b.Stage)
 	})
 }

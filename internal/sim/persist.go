@@ -289,10 +289,11 @@ func encodeEngine(e *engine, at float64) []byte {
 	w.bools(e.blacklisted)
 	w.int(e.nBlacklisted)
 
-	// Stage states, in stateList order; keys are written for verification
+	// Stage states, in slab order; keys are written for verification
 	// against the freshly wired engine on decode.
-	w.int(len(e.stateList))
-	for _, st := range e.stateList {
+	w.int(len(e.states))
+	for i := range e.states {
+		st := &e.states[i]
 		w.key(st.key)
 		w.int(st.parentsLeft)
 		w.int(st.readsLeft)
@@ -322,9 +323,9 @@ func encodeEngine(e *engine, at float64) []byte {
 		}
 		w.int(st.recomputeHolds)
 		w.f64(st.submitAt)
-		w.bool(st.delayOverride != nil)
-		if st.delayOverride != nil {
-			w.f64(*st.delayOverride)
+		w.bool(st.hasOverride)
+		if st.hasOverride {
+			w.f64(st.delayOverride)
 		}
 	}
 
@@ -380,7 +381,7 @@ func encodeEngine(e *engine, at float64) []byte {
 		w.f64(t.at)
 		w.int(t.seq)
 		w.int(int(t.kind))
-		w.key(t.key)
+		w.key(e.timerKey(t))
 		w.int(t.job)
 		w.int(t.node)
 		w.int(t.home)
@@ -466,7 +467,7 @@ func encodeEngine(e *engine, at float64) []byte {
 		held := e.recomps[k].held
 		w.int(len(held))
 		for _, h := range held {
-			w.key(h)
+			w.key(e.states[h].key)
 		}
 	}
 	return w.b
@@ -505,11 +506,11 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 	}
 
 	nStates := r.int()
-	if r.err == nil && nStates != len(e.stateList) {
-		return nil, 0, &ckpt.FormatError{Reason: fmt.Sprintf("stage count %d, want %d", nStates, len(e.stateList))}
+	if r.err == nil && nStates != len(e.states) {
+		return nil, 0, &ckpt.FormatError{Reason: fmt.Sprintf("stage count %d, want %d", nStates, len(e.states))}
 	}
 	for i := 0; i < nStates && r.err == nil; i++ {
-		st := e.stateList[i]
+		st := &e.states[i]
 		if k := r.key(); k != st.key {
 			return nil, 0, &ckpt.FormatError{Reason: fmt.Sprintf("stage key %v, want %v", k, st.key)}
 		}
@@ -537,8 +538,7 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 		st.recomputeHolds = r.int()
 		st.submitAt = r.f64()
 		if r.bool() {
-			d := r.f64()
-			st.delayOverride = &d
+			st.hasOverride, st.delayOverride = true, r.f64()
 		}
 	}
 
@@ -550,8 +550,8 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 	for i := 0; i < nItems && r.err == nil; i++ {
 		it := &item{}
 		it.key = r.key()
-		it.st = e.states[it.key]
-		if r.err == nil && it.st == nil {
+		it.st = e.stateIdx(it.key)
+		if r.err == nil && it.st < 0 {
 			return nil, 0, &ckpt.FormatError{Reason: fmt.Sprintf("item for unknown stage %v", it.key)}
 		}
 		it.home = r.int()
@@ -612,7 +612,11 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 		t.at = r.f64()
 		t.seq = r.int()
 		t.kind = timerKind(r.int())
-		t.key = r.key()
+		if k := r.key(); t.kind == tSubmitStage || t.kind == tRetry {
+			if t.st = e.stateIdx(k); r.err == nil && t.st < 0 {
+				return nil, 0, &ckpt.FormatError{Reason: fmt.Sprintf("timer for unknown stage %v", k)}
+			}
+		}
 		t.job = r.int()
 		t.node = r.int()
 		t.home = r.int()
@@ -688,7 +692,11 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 		nh := r.int()
 		rs := &recompState{}
 		for j := 0; j < nh && r.err == nil; j++ {
-			rs.held = append(rs.held, r.key())
+			h := e.stateIdx(r.key())
+			if r.err == nil && h < 0 {
+				return nil, 0, &ckpt.FormatError{Reason: "recompute holds an unknown stage"}
+			}
+			rs.held = append(rs.held, h)
 		}
 		e.recomps[k] = rs
 	}

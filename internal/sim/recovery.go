@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -35,7 +37,7 @@ func (e *engine) taskFailed(it *item) {
 	if e.failed[it.key.job] {
 		return
 	}
-	st := it.st
+	st := &e.states[it.st]
 	st.retries++
 	e.res.Retries++
 	if it.attempt >= e.opt.MaxAttempts {
@@ -46,7 +48,7 @@ func (e *engine) taskFailed(it *item) {
 	}
 	backoff := e.opt.RetryBackoff * math.Pow(2, float64(it.attempt-1))
 	e.seq++
-	e.timers.push(timer{at: e.now + backoff, seq: e.seq, kind: tRetry, key: it.key,
+	e.timers.push(timer{at: e.now + backoff, seq: e.seq, kind: tRetry, st: it.st,
 		job: it.key.job, node: it.node, home: it.home, ph: it.ph, attempt: it.attempt + 1, recomp: it.recompute})
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvTaskRetry, Job: it.key.job, Stage: it.key.stage,
@@ -63,7 +65,7 @@ func (e *engine) retryTask(t timer) {
 	if e.failed[t.job] {
 		return
 	}
-	st := e.states[t.key]
+	st := &e.states[t.st]
 	var vol float64
 	switch t.ph {
 	case phRead, phCompute:
@@ -81,7 +83,7 @@ func (e *engine) retryTask(t timer) {
 	// Re-place from the partition's home: if the machine that killed the
 	// previous attempts got blacklisted meanwhile, the retry lands on a
 	// healthy node instead of dying in the same place again.
-	*it = item{key: t.key, st: st, home: t.home, node: e.placeNode(t.home), ph: t.ph,
+	*it = item{key: st.key, st: t.st, home: t.home, node: e.placeNode(t.home), ph: t.ph,
 		remaining: vol, volume: vol, attempt: t.attempt, recompute: t.recomp}
 	if t.ph == phRead && st.prefetched && st.parentsLeft > 0 && !t.recomp {
 		it.capped = true
@@ -130,28 +132,30 @@ func (e *engine) crashNode(w int) {
 	for _, it := range killed {
 		e.freeItem(it)
 	}
-	// Lineage recomputation: completed stages whose output is still needed.
-	var lost []*stageState
-	for _, st := range e.states {
+	// Lineage recomputation: completed stages whose output is still
+	// needed, in (job, stage ID) order.
+	var lost []int
+	for i := range e.states {
+		st := &e.states[i]
 		if !st.complete || e.failed[st.key.job] || e.stagesLeft[st.key.job] == 0 {
 			continue
 		}
-		for _, ck := range st.children {
-			if !e.states[ck].complete {
-				lost = append(lost, st)
+		for _, c := range st.children {
+			if !e.states[st.base+c].complete {
+				lost = append(lost, i)
 				break
 			}
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool {
-		a, b := lost[i].key, lost[j].key
-		if a.job != b.job {
-			return a.job < b.job
+	slices.SortFunc(lost, func(a, b int) int {
+		ka, kb := e.states[a].key, e.states[b].key
+		if c := cmp.Compare(ka.job, kb.job); c != 0 {
+			return c
 		}
-		return a.stage < b.stage
+		return cmp.Compare(ka.stage, kb.stage)
 	})
-	for _, st := range lost {
-		e.scheduleRecompute(st, w)
+	for _, i := range lost {
+		e.scheduleRecompute(&e.states[i], w)
 	}
 	if cw, ok := e.opt.Watchdog.(CrashWatcher); ok {
 		e.applyDelayUpdates(cw.NodeCrashed(w, e.now))
@@ -169,13 +173,13 @@ func (e *engine) scheduleRecompute(st *stageState, w int) {
 		return
 	}
 	rs := &recompState{}
-	for _, ck := range st.children {
-		cst := e.states[ck]
+	for _, c := range st.children {
+		cst := &e.states[st.base+c]
 		if cst.complete || cst.computeLeft == 0 {
 			continue // already past consuming this output
 		}
 		cst.recomputeHolds++
-		rs.held = append(rs.held, ck)
+		rs.held = append(rs.held, cst.idx)
 	}
 	e.recomps[rk] = rs
 	e.recompPhase(st, w, phRead, 1)
@@ -196,7 +200,7 @@ func (e *engine) recompPhase(st *stageState, w int, ph phase, attempt int) {
 		}
 		if vol > eps {
 			it := e.newItem()
-			*it = item{key: st.key, st: st, home: w, node: e.placeNode(w), ph: ph,
+			*it = item{key: st.key, st: st.idx, home: w, node: e.placeNode(w), ph: ph,
 				remaining: vol, volume: vol, attempt: attempt, recompute: true}
 			if ph == phCompute {
 				e.armCompute(it)
@@ -215,7 +219,7 @@ func (e *engine) recompPhase(st *stageState, w int, ph phase, attempt int) {
 // finishRecompute advances a recomputation chain when one of its items
 // completes.
 func (e *engine) finishRecompute(it *item) {
-	st := it.st
+	st := &e.states[it.st]
 	if it.ph == phWrite {
 		e.releaseRecompute(it.key, it.home)
 		return
@@ -231,8 +235,8 @@ func (e *engine) releaseRecompute(k skey, w int) {
 		return
 	}
 	delete(e.recomps, rk)
-	for _, ck := range rs.held {
-		cst := e.states[ck]
+	for _, h := range rs.held {
+		cst := &e.states[h]
 		cst.recomputeHolds--
 		if cst.recomputeHolds == 0 && cst.parentsLeft == 0 {
 			for _, node := range cst.pendingCompute {
@@ -280,26 +284,29 @@ func (e *engine) failJob(job int, err error) {
 // failed jobs ignore revisions; past-due times submit immediately).
 func (e *engine) applyDelayUpdates(us []DelayUpdate) {
 	for _, u := range us {
-		st := e.states[skey{u.Job, u.Stage}]
-		if st == nil || st.submitted || e.failed[u.Job] {
+		si := e.stateIdx(skey{u.Job, u.Stage})
+		if si < 0 {
+			continue
+		}
+		st := &e.states[si]
+		if st.submitted || e.failed[u.Job] {
 			continue
 		}
 		d := u.Delay
 		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 			d = 0
 		}
-		dd := d
-		st.delayOverride = &dd
+		st.hasOverride, st.delayOverride = true, d
 		if o := e.opt.Observer; o != nil {
-			o.OnEvent(Event{T: e.now, Kind: EvDelayRevised, Job: u.Job, Stage: u.Stage, Node: -1, Delay: dd})
+			o.OnEvent(Event{T: e.now, Kind: EvDelayRevised, Job: u.Job, Stage: u.Stage, Node: -1, Delay: d})
 		}
 		if st.readyValid {
-			at := st.tl.Ready + dd
+			at := st.tl.Ready + d
 			if at < e.now {
 				at = e.now
 			}
 			st.submitAt = at
-			e.pushTimer(at, tSubmitStage, st.key, u.Job)
+			e.pushTimer(at, tSubmitStage, si, u.Job)
 		}
 	}
 }

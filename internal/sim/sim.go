@@ -211,7 +211,8 @@ type OccupancySegment struct {
 
 // Result is everything a simulation run produces.
 type Result struct {
-	// Timelines holds one entry per (job, stage), in completion order.
+	// Timelines holds one entry per completed (job, stage), sorted by
+	// (job index, stage ID).
 	Timelines []StageTimeline
 	// JobEnd[i] is the absolute completion time of runs[i]; JobStart[i]
 	// its arrival. JCT = JobEnd - JobStart.
@@ -292,6 +293,7 @@ func Run(opt Options, runs []JobRun) (*Result, error) {
 		return nil, err
 	}
 	e := newEngine(opt, runs)
+	defer e.release()
 	return e.run()
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"delaystage/internal/dag"
@@ -98,27 +99,28 @@ func SnapshotAt(opt Options, runs []JobRun, stopBefore float64) (*Snapshot, erro
 // from-scratch run's, so bit-identity is not guaranteed in that case.
 func (s *Snapshot) Resume(updates []DelayUpdate) (*Result, error) {
 	e := s.eng.clone()
+	defer e.release()
 	e.haltSet, e.haltAt, e.halted = false, 0, false
 	for _, u := range updates {
-		st := e.states[skey{u.Job, u.Stage}]
-		if st == nil {
+		si := e.stateIdx(skey{u.Job, u.Stage})
+		if si < 0 {
 			return nil, fmt.Errorf("sim: resume: job %d has no stage %d", u.Job, u.Stage)
 		}
+		st := &e.states[si]
 		if st.submitted {
 			return nil, fmt.Errorf("sim: resume: job %d stage %d was already submitted at the checkpoint (t=%.6g)", u.Job, u.Stage, s.eng.now)
 		}
 		if u.Delay < 0 || math.IsNaN(u.Delay) || math.IsInf(u.Delay, 0) {
 			return nil, fmt.Errorf("sim: resume: job %d stage %d has invalid delay %v", u.Job, u.Stage, u.Delay)
 		}
-		dd := u.Delay
-		st.delayOverride = &dd
+		st.hasOverride, st.delayOverride = true, u.Delay
 		if st.readyValid {
-			at := st.tl.Ready + dd
+			at := st.tl.Ready + u.Delay
 			if at < e.now {
 				at = e.now
 			}
 			st.submitAt = at
-			e.pushTimer(at, tSubmitStage, st.key, u.Job)
+			e.pushTimer(at, tSubmitStage, si, u.Job)
 		}
 	}
 	if err := e.loop(); err != nil {
@@ -134,13 +136,20 @@ func Resume(s *Snapshot, updates []DelayUpdate) (*Result, error) {
 	return s.Resume(updates)
 }
 
-// clone deep-copies the engine's mutable state. Immutable inputs — the
-// cluster capacities, job graphs, per-stage children/availability wiring,
-// the fault injector — are shared; everything the event loop writes is
-// copied, so the original can be resumed again later. Scratch buffers are
-// not copied (they carry no state across events).
+// clone deep-copies the engine's mutable state into an engine from the
+// pool. Immutable inputs — the cluster capacities, job graphs and their
+// position lists, the fault injector — are shared; everything the event
+// loop writes is copied, so the original can be resumed again later.
+// Scratch buffers are not copied (they carry no state across events).
+//
+// The stage slab and the items copy in bulk: stage links are slab
+// indices and need no rewiring, an item's owning stage is a slab index
+// too, and the per-node buckets are rebuilt as the e.items subsequences
+// they are — so their order, which fixes the floating-point accumulation
+// order of the rates passes, carries over exactly. Only a live
+// speculation race needs an old→new item map to rewire its rival links.
 func (e *engine) clone() *engine {
-	c := newEngine(e.opt, e.runs)
+	c := resetEngine(e.opt, e.runs)
 	c.seq = e.seq
 	c.now = e.now
 	c.haltSet, c.haltAt, c.halted = e.haltSet, e.haltAt, e.halted
@@ -149,78 +158,60 @@ func (e *engine) clone() *engine {
 	c.netBytesInt = e.netBytesInt
 	c.diskBytesInt = e.diskBytesInt
 	c.jobsLeft = e.jobsLeft
-	c.stagesLeft = append([]int(nil), e.stagesLeft...)
+	c.stagesLeft = append(c.stagesLeft, e.stagesLeft...)
 	copy(c.failed, e.failed)
+	c.jobBase = append(c.jobBase, e.jobBase...)
+	c.availW = append(c.availW, e.availW...)
 
-	// Stage states, in deterministic stateList order; the old→new pointer
-	// map rewires item back-references below.
-	sm := make(map[*stageState]*stageState, len(e.stateList))
-	for _, st := range e.stateList {
-		ns := new(stageState)
-		*ns = *st
-		if len(st.pendingCompute) > 0 {
-			ns.pendingCompute = append([]int(nil), st.pendingCompute...)
-		}
-		if st.delayOverride != nil {
-			d := *st.delayOverride
-			ns.delayOverride = &d
+	// The slab copies whole; the few per-stage slices and maps the loop
+	// mutates in place get fresh backing.
+	c.states = append(c.states, e.states...)
+	for i := range c.states {
+		st := &c.states[i]
+		if st.pendingCompute != nil {
+			st.pendingCompute = append([]int(nil), st.pendingCompute...)
 		}
 		if st.compDurs != nil {
-			ns.compDurs = append([]float64(nil), st.compDurs...)
+			st.compDurs = append([]float64(nil), st.compDurs...)
 		}
 		if st.specDone != nil {
-			ns.specDone = make(map[int]bool, len(st.specDone))
-			for k, v := range st.specDone {
-				ns.specDone[k] = v
-			}
+			st.specDone = maps.Clone(st.specDone)
 		}
-		sm[st] = ns
-		c.states[ns.key] = ns
-		c.stateList = append(c.stateList, ns)
 	}
 
-	// Live items, preserving e.items order; buckets are rebuilt from the
-	// old buckets through the old→new item map so their subsequence order
-	// — which fixes the floating-point accumulation order of the rates
-	// passes — carries over exactly.
-	im := make(map[*item]*item, len(e.items))
+	rivals := false
 	for _, it := range e.items {
-		ni := new(item)
+		ni := c.newItem()
 		*ni = *it
-		ni.st = sm[it.st]
-		im[it] = ni
 		c.items = append(c.items, ni)
+		bk := c.bucketOf(ni)
+		*bk = append(*bk, ni)
+		rivals = rivals || it.rival != nil
 	}
-	// Second pass: rewire speculation rival links through the old→new map
-	// (both ends of a live race are always in e.items).
-	for _, it := range e.items {
-		if it.rival != nil {
-			im[it].rival = im[it.rival]
+	if rivals {
+		// Both ends of a live race are always in e.items.
+		im := make(map[*item]*item, len(e.items))
+		for i, it := range e.items {
+			im[it] = c.items[i]
 		}
-	}
-	for w := 0; w < e.nNodes; w++ {
-		for _, it := range e.computeBk[w] {
-			c.computeBk[w] = append(c.computeBk[w], im[it])
-		}
-		for _, it := range e.readBk[w] {
-			c.readBk[w] = append(c.readBk[w], im[it])
-		}
-		for _, it := range e.writeBk[w] {
-			c.writeBk[w] = append(c.writeBk[w], im[it])
+		for _, ni := range c.items {
+			if ni.rival != nil {
+				ni.rival = im[ni.rival]
+			}
 		}
 	}
 	copy(c.dirtyC, e.dirtyC)
 	copy(c.dirtyR, e.dirtyR)
 	copy(c.dirtyW, e.dirtyW)
 
-	c.timers = append(timerHeap(nil), e.timers...)
+	c.timers = append(c.timers, e.timers...)
 	c.res = e.res.clone()
 	for k, seg := range e.occOpen {
 		s := *seg
 		c.occOpen[k] = &s
 	}
 	for k, rs := range e.recomps {
-		c.recomps[k] = &recompState{held: append([]skey(nil), rs.held...)}
+		c.recomps[k] = &recompState{held: append([]int(nil), rs.held...)}
 	}
 	// Machine health: nodeSlow is immutable after setup (shared);
 	// fault counters are mutable (copied). newEngine does not run setup,
@@ -237,7 +228,7 @@ func (e *engine) clone() *engine {
 // clone deep-copies a result in progress (every slice gets fresh backing).
 func (r *Result) clone() *Result {
 	c := *r
-	c.Timelines = append([]StageTimeline(nil), r.Timelines...)
+	c.Timelines = append(make([]StageTimeline, 0, cap(r.Timelines)), r.Timelines...)
 	c.JobEnd = append([]float64(nil), r.JobEnd...)
 	c.JobStart = append([]float64(nil), r.JobStart...)
 	c.JobErrors = append([]error(nil), r.JobErrors...)

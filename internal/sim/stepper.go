@@ -24,10 +24,13 @@ import (
 // lives above it — disjoint steppers on disjoint worlds can be driven from
 // different goroutines because they share no state.
 type Stepper struct {
-	e         *engine
-	done      bool
-	err       error
-	finalized bool
+	e    *engine // nil once Result has retired it to the engine pool
+	done bool
+	err  error
+	// res and clock are the finished run's result and final clock, kept
+	// once Result retires the engine.
+	res   *Result
+	clock float64
 	// horizon is the earliest arrival Inject accepts: the latest
 	// AdvanceBefore bound, or +Inf once the stepper moved by any other
 	// means (those may step past a boundary an injected run would need).
@@ -67,10 +70,20 @@ func (s *Snapshot) Stepper() *Stepper {
 func (s *Stepper) HasPendingEvents() bool { return !s.done }
 
 // Clock returns the current simulated time.
-func (s *Stepper) Clock() float64 { return s.e.now }
+func (s *Stepper) Clock() float64 {
+	if s.e == nil {
+		return s.clock
+	}
+	return s.e.now
+}
 
 // Events returns the number of events processed so far.
-func (s *Stepper) Events() int { return s.e.res.Events }
+func (s *Stepper) Events() int {
+	if s.e == nil {
+		return s.res.Events
+	}
+	return s.e.res.Events
+}
 
 // PeekNextEventTime returns the simulated time the next StepNextEvent
 // would advance the clock to: the earliest due timer, or the next item
@@ -179,6 +192,8 @@ func (s *Stepper) Inject(run JobRun) error {
 // Result finalizes and returns the run's result. It is only valid once
 // HasPendingEvents is false; a run that ended in an error returns it here
 // too. Result may be called repeatedly (the finalize pass runs once).
+// Taking the result retires the stepper's engine to the pool; the Result
+// itself belongs to the caller.
 func (s *Stepper) Result() (*Result, error) {
 	if !s.done {
 		return nil, fmt.Errorf("sim: result requested with events still pending")
@@ -186,9 +201,11 @@ func (s *Stepper) Result() (*Result, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if !s.finalized {
+	if s.e != nil {
 		s.e.finalize()
-		s.finalized = true
+		s.res, s.clock = s.e.res, s.e.now
+		s.e.release()
+		s.e = nil
 	}
-	return s.e.res, nil
+	return s.res, nil
 }

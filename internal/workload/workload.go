@@ -72,7 +72,7 @@ func (j *Job) Validate() error {
 	if err := j.Graph.Validate(); err != nil {
 		return fmt.Errorf("workload %s: %w", j.Name, err)
 	}
-	for _, id := range j.Graph.Stages() {
+	for _, id := range j.Graph.StagesView() {
 		p, ok := j.Profiles[id]
 		if !ok {
 			return fmt.Errorf("workload %s: stage %d has no profile", j.Name, id)
