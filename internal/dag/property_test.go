@@ -229,3 +229,119 @@ func TestPropertyCriticalPathIsMax(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// shuffledDAG builds a random acyclic graph whose stage IDs and insertion
+// order are both unrelated to its topological order: stage k (in a hidden
+// topological numbering) gets a random ID, may depend on any lower k, and
+// is inserted at a random position — parents are often added after their
+// children.
+func shuffledDAG(rng *rand.Rand, n int) *Graph {
+	ids := rng.Perm(3 * n)[:n]
+	stages := make([]Stage, n)
+	for k := range stages {
+		var par []StageID
+		for j := 0; j < k; j++ {
+			if rng.Float64() < 0.25 {
+				par = append(par, StageID(ids[j]))
+			}
+		}
+		stages[k] = Stage{ID: StageID(ids[k]), Parents: par}
+	}
+	g := New()
+	for _, k := range rng.Perm(n) {
+		g.MustAdd(stages[k])
+	}
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// refTopoSort is Kahn's algorithm over stage IDs with a FIFO ready queue,
+// newly ready stages entering in insertion order: the order TopoSort's
+// contract fixes.
+func refTopoSort(g *Graph) []StageID {
+	pos := map[StageID]int{}
+	indeg := map[StageID]int{}
+	var ready []StageID
+	for i, id := range g.StagesView() {
+		pos[id] = i
+		indeg[id] = len(g.Stage(id).Parents)
+		if indeg[id] == 0 {
+			ready = append(ready, id)
+		}
+	}
+	var out []StageID
+	for len(ready) > 0 {
+		id := ready[0]
+		ready = ready[1:]
+		out = append(out, id)
+		var newly []StageID
+		for _, c := range g.ChildrenView(id) {
+			if indeg[c]--; indeg[c] == 0 {
+				newly = append(newly, c)
+			}
+		}
+		for i := 1; i < len(newly); i++ {
+			for j := i; j > 0 && pos[newly[j]] < pos[newly[j-1]]; j-- {
+				newly[j], newly[j-1] = newly[j-1], newly[j]
+			}
+		}
+		ready = append(ready, newly...)
+	}
+	return out
+}
+
+// TestPropertyPositionIndex: Pos, ParentPos and ChildPos mirror the ID
+// view exactly (insertion positions, Stage.Parents order, child-index
+// order), and TopoSort — on the stored index of a validated graph and on
+// the index an unvalidated clone derives — matches the reference order.
+func TestPropertyPositionIndex(t *testing.T) {
+	f := func(seed int64, sz uint8) bool {
+		n := int(sz%40) + 1
+		g := shuffledDAG(rand.New(rand.NewSource(seed)), n)
+		order := g.StagesView()
+		for i, id := range order {
+			if g.Pos(id) != i {
+				return false
+			}
+			pp := g.ParentPos(i)
+			if len(pp) != len(g.Stage(id).Parents) {
+				return false
+			}
+			for j, p := range g.Stage(id).Parents {
+				if order[pp[j]] != p {
+					return false
+				}
+			}
+			cp := g.ChildPos(i)
+			if len(cp) != len(g.ChildrenView(id)) {
+				return false
+			}
+			for j, c := range g.ChildrenView(id) {
+				if order[cp[j]] != c {
+					return false
+				}
+			}
+		}
+		if g.Pos(StageID(-1)) != -1 {
+			return false
+		}
+		want := refTopoSort(g)
+		for _, gr := range []*Graph{g, g.Clone()} {
+			got, err := gr.TopoSort()
+			if err != nil || len(got) != len(want) {
+				return false
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
