@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"delaystage/internal/cluster"
@@ -123,9 +124,16 @@ func BenchmarkWhatIfEval(b *testing.B) {
 }
 
 // raceEnabled reports a -race build, under which sync.Pool drops a
-// random share of Puts, so allocation budgets that rely on the engine pool
-// cannot hold.
+// random share of Puts, so an evaluation may or may not find a pooled
+// engine.
 var raceEnabled bool
+
+// emptyPools empties every sync.Pool (the engine pool included): pools
+// drop their contents over two garbage collections.
+func emptyPools() {
+	runtime.GC()
+	runtime.GC()
+}
 
 // TestWhatIfEvalAllocBudget: a what-if evaluation's allocations are a
 // per-run constant — the engine's buffers come back from the pool and
@@ -134,11 +142,16 @@ var raceEnabled bool
 // 20- and an 80-stage DAG; a layout that allocates per stage (a heap
 // state per stage, per-stage wiring slices, a per-fork pointer map)
 // blows through the budget on the larger one.
+//
+// An evaluation on a fresh engine pays for its buffers once: about 50
+// allocations on 20 stages and 70 on 80 (eight more under -race), growing
+// only with the item blocks and buffer doublings a larger job needs; its
+// budget is that with ~40% headroom, which a per-stage allocation on the
+// 80-stage DAG still exceeds. It is checked in every build; the pooled
+// budget is not checked under -race, where sync.Pool drops a random share
+// of engines, and CI runs this test without -race as well.
 func TestWhatIfEvalAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop a random share of engines")
-	}
-	const budget = 10
+	const budget, freshBudget = 10, 110
 	rng := rand.New(rand.NewSource(5))
 	tc := sim.Coarsen(cluster.NewTraceCluster(64, 4, rng))
 	for _, n := range []int{20, 80} {
@@ -146,11 +159,20 @@ func TestWhatIfEvalAllocBudget(t *testing.T) {
 		// Warm the pool so its first fills do not bill the measured runs.
 		f.full(t)
 		f.fork(t, 3)
-		full := testing.AllocsPerRun(20, func() { f.full(t) })
-		fork := testing.AllocsPerRun(20, func() { f.fork(t, 3) })
-		t.Logf("%d stages: full %.0f allocs/eval, fork %.0f allocs/eval", n, full, fork)
+		full := testing.AllocsPerRun(5, func() { emptyPools(); f.full(t) })
+		fork := testing.AllocsPerRun(5, func() { emptyPools(); f.fork(t, 3) })
+		t.Logf("%d stages, fresh engine: full %.0f allocs/eval, fork %.0f allocs/eval", n, full, fork)
+		if full > freshBudget || fork > freshBudget {
+			t.Errorf("%d stages, fresh engine: full %.0f, fork %.0f allocs/eval; budget %d", n, full, fork, freshBudget)
+		}
+		if raceEnabled {
+			continue
+		}
+		full = testing.AllocsPerRun(20, func() { f.full(t) })
+		fork = testing.AllocsPerRun(20, func() { f.fork(t, 3) })
+		t.Logf("%d stages, pooled engine: full %.0f allocs/eval, fork %.0f allocs/eval", n, full, fork)
 		if full > budget || fork > budget {
-			t.Errorf("%d stages: full %.0f, fork %.0f allocs/eval; budget %d per evaluation regardless of stage count",
+			t.Errorf("%d stages, pooled engine: full %.0f, fork %.0f allocs/eval; budget %d per evaluation regardless of stage count",
 				n, full, fork, budget)
 		}
 	}

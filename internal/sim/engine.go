@@ -199,50 +199,45 @@ func (t timer) before(o timer) bool {
 	return t.seq < o.seq
 }
 
-// push inserts a timer, sifting it up to its heap position. Both sifts
-// move a hole instead of swapping, one timer copy per level; the array
-// they leave is the one a swapping sift leaves.
+// push inserts a timer, sifting it up to its heap position.
 func (h *timerHeap) push(t timer) {
 	*h = append(*h, t)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !t.before(s[p]) {
+		if !s[i].before(s[p]) {
 			break
 		}
-		s[i] = s[p]
+		s[i], s[p] = s[p], s[i]
 		i = p
 	}
-	s[i] = t
 }
 
 // pop removes and returns the earliest timer.
 func (h *timerHeap) pop() timer {
 	s := *h
 	n := len(s) - 1
-	top, last := s[0], s[n]
+	top := s[0]
+	s[0] = s[n]
 	s = s[:n]
 	*h = s
-	if n == 0 {
-		return top
-	}
 	i := 0
 	for {
-		least := 2*i + 1
-		if least >= n {
-			break
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && s[l].before(s[least]) {
+			least = l
 		}
-		if r := least + 1; r < n && s[r].before(s[least]) {
+		if r < n && s[r].before(s[least]) {
 			least = r
 		}
-		if !s[least].before(last) {
+		if least == i {
 			break
 		}
-		s[i] = s[least]
+		s[i], s[least] = s[least], s[i]
 		i = least
 	}
-	s[i] = last
 	return top
 }
 
@@ -251,37 +246,15 @@ type engine struct {
 	runs []JobRun
 
 	nNodes                         int
-	netBW                          []float64
-	diskBW                         []float64
-	execs                          []float64
 	totalExec, totalNet, totalDisk float64
 
-	// states is the stage-state slab, one entry per (job, stage) in
-	// (job, insertion) order: job j's stage s sits at jobBase[j] +
-	// Graph.Pos(s). Iterating it is deterministic, so maybePrefetch
-	// submits prefetches — and thus appends items — in a fixed order.
-	states  []stageState
-	jobBase []int
-	// availW holds every stage's availability weights over its parents,
-	// proportional to parent shuffle-output size (AggShuffle only).
-	availW []float64
-	items  []*item
-	timers timerHeap
-	seq    int
-	now    float64
+	// engineBufs holds the slab, items, timers, buckets and scratch: every
+	// buffer a pooled engine reuses. All other fields are per-run state
+	// that starts at its zero value.
+	engineBufs
 
-	// Per-node, per-phase item buckets, maintained incrementally as items
-	// are added and removed so the rates pass does not rebuild them every
-	// event. Bucket order is the e.items subsequence order, preserving
-	// the exact accumulation order of the pre-dirty-tracking engine.
-	computeBk [][]*item
-	readBk    [][]*item
-	writeBk   [][]*item
-	// dirty[w] marks that node w's consumer set for the phase changed
-	// since its rates were last computed.
-	dirtyC []bool
-	dirtyR []bool
-	dirtyW []bool
+	seq int
+	now float64
 
 	res *Result
 
@@ -291,30 +264,21 @@ type engine struct {
 	netBytesInt  float64
 	diskBytesInt float64
 
-	occOpen map[skey]*OccupancySegment
-
 	// fault / recovery state
-	stagesLeft []int  // incomplete stages per job
-	jobsLeft   int    // jobs neither complete nor failed
-	failed     []bool // per-job abort flag
-	recomps    map[recompKey]*recompState
+	jobsLeft int // jobs neither complete nor failed
 
 	// Machine health. nodeSlow[w] > 1 divides every phase rate on node w
 	// (persistent slow machine); nil when every node is healthy, so the
 	// fault-free fast path stays untouched. faultCount / blacklisted /
-	// nBlacklisted exist only when BlacklistAfter > 0. medScratch is the
-	// speculation median scratch.
+	// nBlacklisted exist only when BlacklistAfter > 0.
 	nodeSlow     []float64
 	faultCount   []int
 	blacklisted  []bool
 	nBlacklisted int
-	medScratch   []float64
 
 	// shareObs is Options.Observer when it also implements ShareObserver
-	// (resolved once at construction); nil otherwise. shareScr is the
-	// reused sample scratch handed to OnShares.
+	// (resolved once at construction); nil otherwise.
 	shareObs ShareObserver
-	shareScr []ShareSample
 
 	// Checkpointing (SnapshotAt): with haltSet, the event loop stops at an
 	// event boundary before simulated time reaches haltAt — before firing
@@ -333,10 +297,56 @@ type engine struct {
 	haltAt     float64
 	halted     bool
 	haltInject bool
+}
+
+// engineBufs are the engine's reusable buffers. They keep their capacity
+// from run to run but no contents: reset empties them for a new run and
+// release empties them before the engine goes back to the pool.
+type engineBufs struct {
+	// Per-node capacities of the run's cluster.
+	netBW  []float64
+	diskBW []float64
+	execs  []float64
+
+	// states is the stage-state slab, one entry per (job, stage) in
+	// (job, insertion) order: job j's stage s sits at jobBase[j] +
+	// Graph.Pos(s). Iterating it is deterministic, so maybePrefetch
+	// submits prefetches — and thus appends items — in a fixed order.
+	states  []stageState
+	jobBase []int
+	// availW holds every stage's availability weights over its parents,
+	// proportional to parent shuffle-output size (AggShuffle only).
+	availW []float64
+	items  []*item
+	timers timerHeap
+
+	// Per-node, per-phase item buckets, maintained incrementally as items
+	// are added and removed so the rates pass does not rebuild them every
+	// event. Bucket order is the e.items subsequence order, preserving
+	// the exact accumulation order of the pre-dirty-tracking engine.
+	computeBk [][]*item
+	readBk    [][]*item
+	writeBk   [][]*item
+	// dirty[w] marks that node w's consumer set for the phase changed
+	// since its rates were last computed.
+	dirtyC []bool
+	dirtyR []bool
+	dirtyW []bool
+
+	occOpen map[skey]*OccupancySegment
+
+	// fault / recovery state
+	stagesLeft []int  // incomplete stages per job
+	failed     []bool // per-job abort flag
+	recomps    map[recompKey]*recompState
 
 	// Scratch buffers reused across events (the engine is single-threaded;
-	// each is live only within one helper call).
+	// each is live only within one helper call). medScratch is the
+	// speculation median scratch, shareScr the sample scratch handed to
+	// ShareObserver.OnShares.
 	itemPool      []*item
+	medScratch    []float64
+	shareScr      []ShareSample
 	shareScratch  []float64
 	demandScratch []float64
 	weightScratch []float64
@@ -389,53 +399,11 @@ func newEngine(opt Options, runs []JobRun) *engine {
 func resetEngine(opt Options, runs []JobRun) *engine {
 	e, _ := enginePool.Get().(*engine)
 	if e == nil {
-		e = &engine{
-			occOpen:       make(map[skey]*OccupancySegment),
-			recomps:       make(map[recompKey]*recompState),
-			perJobScratch: make(map[int]int),
-		}
+		e = new(engine)
 	}
-	nNodes := len(opt.Cluster.Nodes)
-	// Every field not carried over below starts at its zero value; the
-	// carried buffers keep their capacity and are emptied or overwritten.
-	*e = engine{
-		opt:           opt,
-		runs:          runs,
-		nNodes:        nNodes,
-		netBW:         slices.Grow(e.netBW[:0], nNodes),
-		diskBW:        slices.Grow(e.diskBW[:0], nNodes),
-		execs:         slices.Grow(e.execs[:0], nNodes),
-		states:        slices.Grow(e.states[:0], stageCount(runs)),
-		jobBase:       e.jobBase[:0],
-		availW:        e.availW[:0],
-		items:         e.items[:0],
-		timers:        e.timers[:0],
-		computeBk:     resizeBuckets(e.computeBk, nNodes),
-		readBk:        resizeBuckets(e.readBk, nNodes),
-		writeBk:       resizeBuckets(e.writeBk, nNodes),
-		dirtyC:        resizeBools(e.dirtyC, nNodes),
-		dirtyR:        resizeBools(e.dirtyR, nNodes),
-		dirtyW:        resizeBools(e.dirtyW, nNodes),
-		occOpen:       e.occOpen,
-		stagesLeft:    e.stagesLeft[:0],
-		failed:        resizeBools(e.failed, len(runs)),
-		recomps:       e.recomps,
-		medScratch:    e.medScratch,
-		shareScr:      e.shareScr,
-		itemPool:      e.itemPool,
-		shareScratch:  e.shareScratch,
-		demandScratch: e.demandScratch,
-		weightScratch: e.weightScratch,
-		wfAlloc:       e.wfAlloc,
-		wfActive:      e.wfActive,
-		busyScratch:   resizeF64(&e.busyScratch, nNodes),
-		doneScratch:   e.doneScratch[:0],
-		deadScratch:   e.deadScratch[:0],
-		perJobScratch: e.perJobScratch,
-		stageRates:    e.stageRates,
-	}
-	clear(e.occOpen)
-	clear(e.recomps)
+	// Only the buffers survive; every other field starts at its zero value.
+	*e = engine{engineBufs: e.engineBufs, opt: opt, runs: runs, nNodes: len(opt.Cluster.Nodes)}
+	e.reset(e.nNodes, len(runs), stageCount(runs))
 	for _, n := range opt.Cluster.Nodes {
 		e.netBW = append(e.netBW, n.NetBW)
 		e.diskBW = append(e.diskBW, n.DiskBW)
@@ -461,22 +429,58 @@ func stageCount(runs []JobRun) int {
 
 // release hands a finished engine's buffers back to the pool. The caller
 // must hold the only reference: nothing may touch the engine afterwards.
-// Live items rejoin the item pool; references into the caller's world
-// (options, runs, graphs, the Result) are dropped so a pooled engine pins
-// none of it.
+// References into the caller's world (options, runs, graphs, the Result)
+// are dropped so a pooled engine pins none of it.
 func (e *engine) release() {
-	e.itemPool = append(e.itemPool, e.items...)
-	clear(e.items)
-	clear(e.states)
-	clear(e.occOpen)
-	clear(e.recomps)
-	for w := range e.computeBk {
-		clear(e.computeBk[w])
-		clear(e.readBk[w])
-		clear(e.writeBk[w])
-	}
-	e.opt, e.runs, e.res, e.shareObs = Options{}, nil, nil, nil
+	e.empty()
+	*e = engine{engineBufs: e.engineBufs}
 	enginePool.Put(e)
+}
+
+// empty drops the buffers' contents, keeping their capacity. Live items
+// rejoin the item pool; the slab, buckets and maps are cleared so no
+// stale stage, item or graph reference outlives its run.
+func (b *engineBufs) empty() {
+	b.itemPool = append(b.itemPool, b.items...)
+	clear(b.items)
+	b.items = b.items[:0]
+	clear(b.states)
+	b.states = b.states[:0]
+	for w := range b.computeBk {
+		clear(b.computeBk[w])
+		clear(b.readBk[w])
+		clear(b.writeBk[w])
+	}
+	b.netBW, b.diskBW, b.execs = b.netBW[:0], b.diskBW[:0], b.execs[:0]
+	b.jobBase, b.availW, b.timers = b.jobBase[:0], b.availW[:0], b.timers[:0]
+	b.stagesLeft = b.stagesLeft[:0]
+	b.doneScratch, b.deadScratch = b.doneScratch[:0], b.deadScratch[:0]
+	clear(b.occOpen)
+	clear(b.recomps)
+	clear(b.perJobScratch)
+}
+
+// reset empties the buffers and sizes them for a run over nNodes nodes,
+// nJobs jobs and nStages (job, stage) pairs.
+func (b *engineBufs) reset(nNodes, nJobs, nStages int) {
+	b.empty()
+	if b.occOpen == nil {
+		b.occOpen = make(map[skey]*OccupancySegment)
+		b.recomps = make(map[recompKey]*recompState)
+		b.perJobScratch = make(map[int]int)
+	}
+	b.netBW = slices.Grow(b.netBW, nNodes)
+	b.diskBW = slices.Grow(b.diskBW, nNodes)
+	b.execs = slices.Grow(b.execs, nNodes)
+	b.states = slices.Grow(b.states, nStages)
+	b.computeBk = resizeBuckets(b.computeBk, nNodes)
+	b.readBk = resizeBuckets(b.readBk, nNodes)
+	b.writeBk = resizeBuckets(b.writeBk, nNodes)
+	b.dirtyC = resizeBools(b.dirtyC, nNodes)
+	b.dirtyR = resizeBools(b.dirtyR, nNodes)
+	b.dirtyW = resizeBools(b.dirtyW, nNodes)
+	b.failed = resizeBools(b.failed, nJobs)
+	resizeF64(&b.busyScratch, nNodes)
 }
 
 // resizeBuckets empties n per-node item buckets, keeping their backing
@@ -571,17 +575,31 @@ func (e *engine) bucketOf(it *item) *[]*item {
 // bucketRemove drops an item from its node's phase bucket (preserving
 // order) and marks the node dirty. The caller removes it from e.items.
 func (e *engine) bucketRemove(it *item) {
+	var bk []*item
 	switch it.ph {
 	case phCompute:
+		bk = e.computeBk[it.node]
 		e.dirtyC[it.node] = true
 	case phRead:
+		bk = e.readBk[it.node]
 		e.dirtyR[it.node] = true
 	case phWrite:
+		bk = e.writeBk[it.node]
 		e.dirtyW[it.node] = true
 	}
-	bk := e.bucketOf(it)
-	if i := slices.Index(*bk, it); i >= 0 {
-		*bk = slices.Delete(*bk, i, i+1)
+	for i, b := range bk {
+		if b == it {
+			bk = append(bk[:i], bk[i+1:]...)
+			break
+		}
+	}
+	switch it.ph {
+	case phCompute:
+		e.computeBk[it.node] = bk
+	case phRead:
+		e.readBk[it.node] = bk
+	case phWrite:
+		e.writeBk[it.node] = bk
 	}
 }
 
@@ -1505,9 +1523,9 @@ func itemOrder(a, b *item) bool {
 // removeDone drops completed and freshly-failed items and fires their
 // transitions.
 func (e *engine) removeDone() {
-	kept := 0
+	kept := e.items[:0]
 	done, dead := e.doneScratch[:0], e.deadScratch[:0]
-	for i, it := range e.items {
+	for _, it := range e.items {
 		switch {
 		case it.remaining <= eps:
 			done = append(done, it)
@@ -1516,13 +1534,10 @@ func (e *engine) removeDone() {
 			dead = append(dead, it)
 			e.bucketRemove(it)
 		default:
-			if kept != i { // most events keep most items in place
-				e.items[kept] = it
-			}
-			kept++
+			kept = append(kept, it)
 		}
 	}
-	e.items = e.items[:kept]
+	e.items = kept
 	e.doneScratch, e.deadScratch = done, dead
 	sortItems(done)
 	for _, it := range done {
