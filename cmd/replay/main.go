@@ -16,28 +16,26 @@
 // run per trace job, labelled run=<job index>); -json summarizes every
 // variant.
 //
-// -shards N replays each variant through N merging-clock engine shards
-// (internal/shardsim): shard s owns jobs {i : i%N == s} and advances a
-// bounded window of live simulations (-shard-window, default 64) in global
-// timestamp order, so memory stays flat even on the full 2.7M-job trace.
-// Per-shard JCT CDFs are k-way merged and the utilization integrals are
-// folded in job order, so the summary is byte-identical at any shard
-// count, including -shards 0 (the sequential path). The same holds for
-// -events and -chrometrace: an obs.ShardMux buffers each world's event
-// stream and drains finished worlds in index order, so the logs are
-// byte-identical to the sequential path at any shard count. For
-// full-scale traces combine -shards with -approx-plan (plan from the
-// analytic Eq. 1–3 model instead of what-if simulation) and -variants to
-// pick the strategies to replay.
+// Every variant replays through N merging-clock engine shards
+// (internal/shardsim; -shards N, 0 = one shard): shard s owns jobs
+// {i : i%N == s} and advances a bounded window of live simulations
+// (-shard-window, default 64) in global timestamp order, so memory stays
+// flat even on the full 2.7M-job trace. Jobs finish out of order; each
+// waits in its index slot until every earlier job has finished and is then
+// folded into the variant's progress in job order, so the summary is
+// byte-identical at any shard count. The same holds for -events and
+// -chrometrace: an obs.ShardMux buffers each world's event stream and
+// drains finished worlds in index order. For full-scale traces combine
+// -shards with -approx-plan (plan from the analytic Eq. 1–3 model instead
+// of what-if simulation) and -variants to pick the strategies to replay.
 //
-// -checkpoint-dir makes the replay crash-safe: after every job the
-// per-variant progress (bit-exact JCTs and utilization sums) is written
-// atomically to <dir>/replay.ckpt, and -resume continues from it — a
-// SIGKILLed replay resumed with the same flags produces a byte-identical
-// -json summary. A missing checkpoint starts fresh; a corrupt or
-// mismatched one (different trace or flags) is discarded with a warning.
-// The sharded path has no per-job progress prefix, so -shards is
-// incompatible with -checkpoint-dir.
+// -checkpoint-dir makes the replay crash-safe: whenever the folded prefix
+// of finished jobs grows, the per-variant progress (bit-exact JCTs and
+// utilization sums) is written atomically to <dir>/replay.ckpt, and
+// -resume continues from it at any shard count — a SIGKILLed replay
+// resumed with the same flags produces a byte-identical -json summary. A
+// missing checkpoint starts fresh; a corrupt or mismatched one (different
+// trace or flags) is discarded with a warning.
 //
 // Diagnostics go to stderr as JSON lines (log/slog); -log-level picks the
 // floor (debug, info, warn, error). Results stay on stdout.
@@ -57,6 +55,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -89,6 +88,61 @@ type progress struct {
 	jcts                    []float64
 	cpuInt, netInt, timeInt float64
 	failed                  int
+}
+
+// outcome is one finished replay job as the progress fold consumes it.
+type outcome struct {
+	jct, cpu, net float64
+	failed        bool
+}
+
+// fold appends the next job's outcome. A job that exhausted its retry
+// budget under fault injection is a data point of the variant, not a
+// replay error; it contributes no JCT.
+func (p *progress) fold(o outcome) {
+	if o.failed {
+		p.failed++
+	} else {
+		p.jcts = append(p.jcts, o.jct)
+		p.cpuInt += o.cpu * o.jct
+		p.netInt += o.net * o.jct
+		p.timeInt += o.jct
+	}
+	p.done++
+}
+
+// prefixFold folds finished jobs into a variant's progress in job-index
+// order. Under the merging clocks jobs finish out of order; each waits in
+// its slot until every earlier job has finished, so the progress always
+// equals a sequential replay's state after its first p.done jobs — the
+// floating-point sums are bit-identical at any shard count, and every
+// saved checkpoint is a prefix.
+type prefixFold struct {
+	mu    sync.Mutex
+	p     *progress
+	slots []outcome // by job index; valid where ready
+	ready []bool
+	save  func() error // when non-nil, called under mu each time the prefix grows
+}
+
+func newPrefixFold(p *progress, n int, save func() error) *prefixFold {
+	return &prefixFold{p: p, slots: make([]outcome, n), ready: make([]bool, n), save: save}
+}
+
+// add records job i's outcome and folds every finished job it unblocks.
+// Safe for concurrent calls on distinct indices.
+func (f *prefixFold) add(i int, o outcome) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.slots[i], f.ready[i] = o, true
+	start := f.p.done
+	for f.p.done < len(f.slots) && f.ready[f.p.done] {
+		f.p.fold(f.slots[f.p.done])
+	}
+	if f.p.done == start || f.save == nil {
+		return nil
+	}
+	return f.save()
 }
 
 const (
@@ -167,7 +221,7 @@ func main() {
 	stragFrac := flag.Float64("straggler-frac", 0, "fraction of partitions that straggle")
 	stragFactor := flag.Float64("straggler-factor", 1, "slowdown multiplier of straggling partitions")
 	nodeMTTF := flag.Float64("node-mttf", 0, "mean time to failure per slice machine in simulated seconds (0 = off)")
-	mttfHorizon := flag.Float64("mttf-horizon", 0, "only MTTF crash draws before this simulated time take effect (0 = unbounded)")
+	mttfHorizon := flag.Float64("mttf-horizon", 0, "only MTTF crash draws before this simulated time take effect (required with -node-mttf)")
 	slowNodeFrac := flag.Float64("slow-node-frac", 0, "fraction of slice machines that run persistently slow")
 	slowNodeFactor := flag.Float64("slow-node-factor", 1, "slowdown multiplier of persistently slow machines")
 	faultSeed := flag.Int64("fault-seed", 1, "base seed of the fault injector (each trace job draws from seed+index)")
@@ -181,7 +235,7 @@ func main() {
 	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the replay (for scraping short runs)")
 	ckptDir := flag.String("checkpoint-dir", "", "write per-job progress checkpoints into this directory (the replay becomes crash-safe)")
 	resume := flag.Bool("resume", false, "resume from the progress checkpoint in -checkpoint-dir (missing or stale checkpoints start fresh)")
-	shards := flag.Int("shards", 0, "replay through this many merging-clock engine shards (0 = sequential legacy path); the summary is byte-identical at any setting")
+	shards := flag.Int("shards", 0, "replay through this many merging-clock engine shards (0 = one shard); the summary is byte-identical at any setting")
 	shardWindow := flag.Int("shard-window", 0, "max live simulation worlds per shard (0 = default 64); bounds sharded replay memory at full trace scale")
 	variantsFlag := flag.String("variants", "", "comma-separated subset of variants to replay: fuxi,random,default,ascending (default: all)")
 	approxPlan := flag.Bool("approx-plan", false, "plan from the analytic model instead of what-if simulation (needed to replay full-scale traces in minutes)")
@@ -194,6 +248,21 @@ func main() {
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, level)
+	// The fault flags are validated once, before any trace work; each job's
+	// injector then only re-seeds the plan.
+	faultPlan := faults.FaultPlan{
+		TaskFailureProb: *faultRate,
+		StragglerFrac:   *stragFrac,
+		StragglerFactor: *stragFactor,
+		NodeMTTF:        *nodeMTTF,
+		MTTFHorizon:     *mttfHorizon,
+		SlowNodeFrac:    *slowNodeFrac,
+		SlowNodeFactor:  *slowNodeFactor,
+	}
+	if err := faultPlan.Validate(); err != nil {
+		logger.Error(err.Error())
+		os.Exit(2)
+	}
 	fail := func(err error) {
 		logger.Error(err.Error())
 		os.Exit(1)
@@ -203,16 +272,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	// SIGINT/SIGTERM cancel the context: the sequential loop stops after
-	// the job in flight (its progress checkpoint already flushed), the
-	// sharded runner drains its workers, and a -linger endpoint wakes up
-	// early — no more dying mid-write on Ctrl-C.
+	// SIGINT/SIGTERM cancel the context: the shard runner drains its
+	// workers (the folded prefix is already checkpointed), and a -linger
+	// endpoint wakes up early — no more dying mid-write on Ctrl-C.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	if *shards > 0 && *ckptDir != "" {
-		failf("-shards is incompatible with -checkpoint-dir: the sharded replay has no per-job progress prefix; run it to completion")
-	}
 
 	var r io.Reader = os.Stdin
 	if *file != "" {
@@ -241,25 +305,13 @@ func main() {
 		slices[i] = sim.Coarsen(cluster.NewTraceCluster(*sliceMachines, 4, rng))
 	}
 
-	faultsOn := *faultRate > 0 || *stragFrac > 0 || *nodeMTTF > 0 || *slowNodeFrac > 0
-	injector := func(jobIdx int) *faults.Injector {
-		if !faultsOn {
-			return nil
+	injector := func(jobIdx int) (*faults.Injector, error) {
+		if faultPlan.Zero() {
+			return nil, nil
 		}
-		inj, err := faults.NewInjector(faults.FaultPlan{
-			Seed:            *faultSeed + int64(jobIdx),
-			TaskFailureProb: *faultRate,
-			StragglerFrac:   *stragFrac,
-			StragglerFactor: *stragFactor,
-			NodeMTTF:        *nodeMTTF,
-			MTTFHorizon:     *mttfHorizon,
-			SlowNodeFrac:    *slowNodeFrac,
-			SlowNodeFactor:  *slowNodeFactor,
-		})
-		if err != nil {
-			fail(err)
-		}
-		return inj
+		p := faultPlan
+		p.Seed = *faultSeed + int64(jobIdx)
+		return faults.NewInjector(p)
 	}
 
 	var jsonl *obs.JSONL
@@ -394,15 +446,13 @@ func main() {
 			}
 		}
 	}
-	saveProgress := func() {
-		if ckptPath == "" {
-			return
-		}
-		if err := ckpt.WriteFile(ckptPath, ckpt.Envelope{
-			Kind: progressKind, Version: progressVersion,
-			Fingerprint: fingerprint, Payload: encodeProgress(state),
-		}); err != nil {
-			fail(err)
+	var saveProgress func() error
+	if ckptPath != "" {
+		saveProgress = func() error {
+			return ckpt.WriteFile(ckptPath, ckpt.Envelope{
+				Kind: progressKind, Version: progressVersion,
+				Fingerprint: fingerprint, Payload: encodeProgress(state),
+			})
 		}
 	}
 
@@ -419,7 +469,7 @@ func main() {
 		p := state[vi]
 		// buildWorld materializes job i's replay world: the planned delays
 		// (when the variant plans) plus the simulation options on the job's
-		// own cluster slice. It is a pure function of i, so the sharded path
+		// own cluster slice. It is a pure function of i, so the shard runner
 		// may call it lazily from worker goroutines.
 		buildWorld := func(i int) (shardsim.World, error) {
 			wl, err := tr.Jobs[i].Workload(slices[i], trace.DefaultSplit, nil)
@@ -441,157 +491,78 @@ func main() {
 				}
 				delays = sched.Delays
 			}
+			inj, err := injector(i)
+			if err != nil {
+				return shardsim.World{}, err
+			}
 			return shardsim.World{
 				Opt: sim.Options{Cluster: slices[i], TrackNode: -1,
-					Faults: injector(i), MaxAttempts: *maxRetries,
+					Faults: inj, MaxAttempts: *maxRetries,
 					Speculation: *speculate, BlacklistAfter: *blacklistAfter},
 				Runs: []sim.JobRun{{Job: wl, Delays: delays}},
 			}, nil
 		}
-		var mergedCDF *metrics.CDF
-		if *shards > 0 {
-			// Sharded replay: shard s owns jobs {i : i%shards == s}, worlds
-			// are built lazily as their shard's merging clock reaches them,
-			// and only shards×window engines are live at once. Results land
-			// in indexed slots and are folded in job order below, so the
-			// summary floats match the sequential path bit for bit.
-			//
-			// Event observation shards the same way: each observed world
-			// buffers its stream in the mux and the index-order reduce
-			// drains finished worlds into the exporters, reproducing the
-			// sequential emission order byte for byte.
-			build := buildWorld
-			var mux *obs.ShardMux
-			if observed {
-				if mux = obs.NewShardMux(len(tr.Jobs), jsonl, tracer); mux.Active() {
-					build = func(i int) (shardsim.World, error) {
-						w, err := buildWorld(i)
-						if err == nil {
-							w.Opt.Observer = mux.Observer(i)
-						}
-						return w, err
-					}
-				}
+		// Shard s owns the remaining jobs {start+k : k%shards == s}; worlds
+		// are built lazily as their shard's merging clock reaches them, so
+		// only shards×window engines are live at once. Event observation
+		// shards the same way: each observed world buffers its stream in the
+		// mux, and finished worlds drain into the exporters in index order.
+		// (-checkpoint-dir excludes the exporters, so start is 0 whenever
+		// the mux is active.)
+		start := p.done
+		var mux *obs.ShardMux
+		if observed {
+			if mux = obs.NewShardMux(len(tr.Jobs), jsonl, tracer); !mux.Active() {
+				mux = nil
 			}
-			type slot struct {
-				jct, cpu, net float64
-				failed        bool
+		}
+		build := func(k int) (shardsim.World, error) {
+			w, err := buildWorld(start + k)
+			if err == nil && mux != nil {
+				w.Opt.Observer = mux.Observer(start + k)
 			}
-			slots := make([]slot, len(tr.Jobs))
-			err := shardsim.Run(shardsim.Config{Shards: *shards, MaxLive: *shardWindow, Ctx: ctx},
-				len(tr.Jobs),
-				build,
-				func(i int, res *sim.Result) error {
-					if ferr := res.Failed(0); ferr != nil {
-						slots[i].failed = true
-					} else {
-						slots[i].jct = res.JCT(0)
-						slots[i].cpu, slots[i].net = res.AvgCPUUtil, res.AvgNetUtil
-						if jctHist != nil {
-							jctHist.Observe(slots[i].jct) // histogram is mutex-guarded
-						}
-					}
-					if mux != nil {
-						mux.Flush(i)
-					}
-					if runsDone != nil {
-						runsDone.Inc()
-					}
-					return nil
-				})
-			if err != nil {
-				if errors.Is(err, context.Canceled) {
-					logger.Warn("interrupted; sharded replay has no per-job progress, rerun from scratch")
-					os.Exit(130)
-				}
-				fail(err)
-			}
-			nsh := *shards
-			if nsh > len(slots) {
-				nsh = len(slots)
-			}
-			byShard := make([][]float64, nsh)
-			for i, s := range slots {
-				if s.failed {
-					p.failed++
-					continue
-				}
-				p.jcts = append(p.jcts, s.jct)
-				byShard[i%nsh] = append(byShard[i%nsh], s.jct)
-				p.cpuInt += s.cpu * s.jct
-				p.netInt += s.net * s.jct
-				p.timeInt += s.jct
-			}
-			// Per-shard sorted CDFs, k-way merged: the full-scale reduction.
-			// Merge reproduces NewCDF's sample order element for element.
-			cdfs := make([]*metrics.CDF, nsh)
-			for s := range cdfs {
-				cdfs[s] = metrics.NewCDF(byShard[s])
-			}
-			mergedCDF = cdfs[0].Merge(cdfs[1:]...)
-			p.done = len(tr.Jobs)
-		} else {
-			for i := p.done; i < len(tr.Jobs); i++ {
-				if ctx.Err() != nil {
-					// The previous job's progress is already checkpointed;
-					// stopping here loses nothing a -resume can't recover.
-					done := 0
-					for _, st := range state {
-						done += st.done
-					}
-					msg := fmt.Sprintf("interrupted after %d/%d runs", done, len(variants)*len(tr.Jobs))
-					if ckptPath != "" {
-						msg += fmt.Sprintf("; resume with -checkpoint-dir %s -resume", *ckptDir)
-					}
-					logger.Warn(msg)
-					os.Exit(130)
-				}
-				w, err := buildWorld(i)
-				if err != nil {
-					fail(err)
-				}
-				if observed {
-					if jsonl != nil {
-						jsonl.Run = i
-					}
-					if tracer != nil {
-						tracer.Run = i
-					}
-					w.Opt.Observer = obs.Multi(jsonl, tracer)
-				}
-				res, err := sim.Run(w.Opt, w.Runs)
-				if err != nil {
-					fail(err)
-				}
-				if ferr := res.Failed(0); ferr != nil {
-					// With fault injection on, a job can exhaust its retry
-					// budget; it is a data point of the variant, not a replay
-					// error, and it contributes no JCT.
-					p.failed++
-				} else {
-					jct := res.JCT(0)
-					p.jcts = append(p.jcts, jct)
+			return w, err
+		}
+		fold := newPrefixFold(p, len(tr.Jobs), saveProgress)
+		err := shardsim.Run(shardsim.Config{Shards: *shards, MaxLive: *shardWindow, Ctx: ctx},
+			len(tr.Jobs)-start,
+			build,
+			func(k int, res *sim.Result) error {
+				i := start + k
+				o := outcome{failed: res.Failed(0) != nil}
+				if !o.failed {
+					o.jct, o.cpu, o.net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
 					if jctHist != nil {
-						jctHist.Observe(jct)
+						jctHist.Observe(o.jct) // histogram is mutex-guarded
 					}
-					p.cpuInt += res.AvgCPUUtil * jct
-					p.netInt += res.AvgNetUtil * jct
-					p.timeInt += jct
+				}
+				if mux != nil {
+					mux.Flush(i)
 				}
 				if runsDone != nil {
 					runsDone.Inc()
 				}
-				p.done = i + 1
-				saveProgress()
+				return fold.add(i, o)
+			})
+		if err != nil {
+			if errors.Is(err, context.Canceled) {
+				done := 0
+				for _, st := range state {
+					done += st.done
+				}
+				msg := fmt.Sprintf("interrupted after %d/%d runs", done, len(variants)*len(tr.Jobs))
+				if ckptPath != "" {
+					msg += fmt.Sprintf("; resume with -checkpoint-dir %s -resume", *ckptDir)
+				}
+				logger.Warn(msg)
+				os.Exit(130)
 			}
+			fail(err)
 		}
 		if len(p.jcts) == 0 {
 			failf("%s: every job failed under the injected faults", v.name)
 		}
-		cdf := mergedCDF
-		if cdf == nil {
-			cdf = metrics.NewCDF(p.jcts)
-		}
+		cdf := metrics.NewCDF(p.jcts)
 		fmt.Printf("%-22s mean %8.0fs  P50 %8.0fs  P90 %8.0fs  P99 %8.0fs  CPU %5.1f%%  net %5.1f%%",
 			v.name, cdf.Mean(), cdf.Quantile(0.5), cdf.Quantile(0.9), cdf.Quantile(0.99),
 			p.cpuInt/p.timeInt*100, p.netInt/p.timeInt*100)

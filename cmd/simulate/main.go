@@ -15,7 +15,6 @@
 //	simulate -events run.jsonl -chrometrace trace.json -json summary.json
 //	simulate -report                      # append the attribution report
 //	simulate -checkpoint 40               # snapshot/fork round-trip check
-//	simulate -shards 1                    # run through the stepped shard runner
 //	simulate -serve 127.0.0.1:9090 -linger 30s   # live /metrics, /healthz, pprof
 package main
 
@@ -41,7 +40,6 @@ import (
 	"delaystage/internal/metrics"
 	"delaystage/internal/obs"
 	"delaystage/internal/scheduler"
-	"delaystage/internal/shardsim"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
@@ -82,7 +80,6 @@ func main() {
 	serveAddr := flag.String("serve", "", "serve live introspection (/metrics, /healthz, /debug/pprof) on this address while the run executes")
 	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the run finishes (for scraping short runs)")
 	checkpoint := flag.Float64("checkpoint", -1, "demonstrate checkpoint/fork: snapshot the run just before this simulated time, resume the copy, and verify it is bit-identical to the uninterrupted run (-1 = off)")
-	shardsN := flag.Int("shards", 0, "drive the run through the merging-clock shard runner instead of sim.Run (0 = off); a single workload is one world, so any N clamps to 1 — the flag exercises the exact stepped-engine path the sharded replay uses, with bit-identical results")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the context: a checkpointed run stops at the
@@ -223,9 +220,6 @@ func main() {
 		if opt.Observer != nil || opt.Watchdog != nil {
 			log.Fatal("-checkpoint-dir is incompatible with -events, -chrometrace, -report, -serve and -guarded")
 		}
-		if *shardsN > 0 {
-			log.Fatal("-checkpoint-dir is incompatible with -shards (the stepped runner keeps no on-disk progress)")
-		}
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
@@ -254,13 +248,7 @@ func main() {
 		if *resume {
 			log.Fatal("-resume requires -checkpoint-dir")
 		}
-		if *shardsN > 0 {
-			err = shardsim.Run(shardsim.Config{Shards: *shardsN}, 1,
-				func(int) (shardsim.World, error) { return shardsim.World{Opt: opt, Runs: runs}, nil },
-				func(_ int, r *sim.Result) error { res = r; return nil })
-		} else {
-			res, err = sim.Run(opt, runs)
-		}
+		res, err = sim.Run(opt, runs)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -46,14 +46,6 @@ type Config struct {
 	// setting: every stochastic draw happens sequentially up front and the
 	// parallel cells are pure functions reduced in index order.
 	Parallelism int
-	// Shards, when positive, runs the trace-replay grid (Fig. 14 /
-	// Table 4) through internal/shardsim instead of the flat cell pool:
-	// replay worlds are partitioned over Shards engine shards, each
-	// advanced in global timestamp order by a merging clock with a bounded
-	// live window, and the per-shard JCT CDFs are k-way merged afterwards.
-	// 0 keeps the legacy per-cell path. Output is byte-identical at any
-	// Shards/Parallelism setting.
-	Shards int
 	// W receives the rendered output (default io.Discard).
 	W io.Writer
 	// OnGrid, when non-nil, is called once before each batch of

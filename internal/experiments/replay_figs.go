@@ -8,7 +8,6 @@ import (
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
 	"delaystage/internal/metrics"
-	"delaystage/internal/shardsim"
 	"delaystage/internal/sim"
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
@@ -116,10 +115,7 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 			eval          EvalEfficiency
 		}
 		outcomes := make([]jobOutcome, len(prepared))
-		// plan runs Alg. 1 for cell i and materializes its replay world
-		// (the job on its own cluster slice — worlds share nothing, which
-		// is what makes the sharded path bit-identical to the flat one).
-		plan := func(i int) (shardsim.World, error) {
+		err := cfg.forEach(len(prepared), func(i int) error {
 			pj := prepared[i]
 			var delays map[dag.StageID]float64
 			if !strat.fuxi {
@@ -134,51 +130,19 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 					MaxCandidates: mc,
 				}, pj.wl)
 				if err != nil {
-					return shardsim.World{}, err
+					return err
 				}
 				delays = sched.Delays
 				outcomes[i].eval.add(sched)
 			}
-			return shardsim.World{
-				Opt:  sim.Options{Cluster: pj.slice, TrackNode: -1},
-				Runs: []sim.JobRun{{Job: pj.wl, Delays: delays}},
-			}, nil
-		}
-		record := func(i int, res *sim.Result) error {
+			res, err := sim.Run(sim.Options{Cluster: pj.slice, TrackNode: -1},
+				[]sim.JobRun{{Job: pj.wl, Delays: delays}})
+			if err != nil {
+				return err
+			}
 			outcomes[i].jct, outcomes[i].cpu, outcomes[i].net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
 			return nil
-		}
-		var err error
-		if cfg.Shards > 0 {
-			// Sharded path: worlds are planned lazily when their shard
-			// activates them and advanced by the merging clocks, so only
-			// Shards×window worlds hold engine state at once.
-			if cfg.OnGrid != nil {
-				cfg.OnGrid(len(prepared))
-			}
-			reduce := record
-			if cfg.OnCell != nil {
-				reduce = func(i int, res *sim.Result) error {
-					e := record(i, res)
-					cfg.OnCell()
-					return e
-				}
-			}
-			err = shardsim.Run(shardsim.Config{Shards: cfg.Shards, Workers: cfg.Parallelism},
-				len(prepared), plan, reduce)
-		} else {
-			err = cfg.forEach(len(prepared), func(i int) error {
-				w, err := plan(i)
-				if err != nil {
-					return err
-				}
-				res, err := sim.Run(w.Opt, w.Runs)
-				if err != nil {
-					return err
-				}
-				return record(i, res)
-			})
-		}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +160,7 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 		}
 		out.Rows = append(out.Rows, Fig14Row{
 			Strategy:   strat.name,
-			JCTs:       replayCDF(cfg, jcts),
+			JCTs:       metrics.NewCDF(jcts),
 			MeanJCT:    metrics.Mean(jcts),
 			AvgCPUUtil: cpuInt / timeInt,
 			AvgNetUtil: netInt / timeInt,
@@ -222,30 +186,6 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 	}
 	fprintf(cfg.W, "(paper: Fuxi 36.2/42.7; random 43.4/49.1; ascending 42.2/48.3; default 45.4/53.3)\n\n")
 	return out, nil
-}
-
-// replayCDF builds the JCT distribution for one replay row. The flat path
-// sorts the job-order samples directly; the sharded path reduces per-shard
-// sorted CDFs through the k-way merge — the same reduction the full-scale
-// replay uses — which reproduces NewCDF's sample sequence element for
-// element, so both paths summarize byte-identically.
-func replayCDF(cfg Config, jcts []float64) *metrics.CDF {
-	if cfg.Shards <= 0 {
-		return metrics.NewCDF(jcts)
-	}
-	nsh := cfg.Shards
-	if nsh > len(jcts) && len(jcts) > 0 {
-		nsh = len(jcts)
-	}
-	byShard := make([][]float64, nsh)
-	for i, v := range jcts {
-		byShard[i%nsh] = append(byShard[i%nsh], v)
-	}
-	cdfs := make([]*metrics.CDF, nsh)
-	for s := range cdfs {
-		cdfs[s] = metrics.NewCDF(byShard[s])
-	}
-	return cdfs[0].Merge(cdfs[1:]...)
 }
 
 // Table4 is an alias view over Fig14 (the paper derives both from the same

@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -135,81 +134,6 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // Mean returns the sample mean.
 func (c *CDF) Mean() float64 { return Mean(c.xs) }
-
-// cdfLess orders samples exactly as sort.Float64s does: NaN sorts before
-// every other value, otherwise plain <. Merge must reproduce that order
-// element for element so that sharded-and-merged distributions summarize
-// byte-identically to ones built whole.
-func cdfLess(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
-}
-
-// cdfMerge is the k-way merge frontier: a heap of source indices ordered
-// by each source's head sample (source index breaks ties, which keeps the
-// merge stable).
-type cdfMerge struct {
-	srcs [][]float64 // sorted inputs, consumed head-first
-	h    []int       // heap of indices into srcs
-}
-
-func (m *cdfMerge) Len() int { return len(m.h) }
-func (m *cdfMerge) Less(i, j int) bool {
-	a, b := m.srcs[m.h[i]][0], m.srcs[m.h[j]][0]
-	if cdfLess(a, b) {
-		return true
-	}
-	if cdfLess(b, a) {
-		return false
-	}
-	return m.h[i] < m.h[j]
-}
-func (m *cdfMerge) Swap(i, j int)      { m.h[i], m.h[j] = m.h[j], m.h[i] }
-func (m *cdfMerge) Push(x interface{}) { m.h = append(m.h, x.(int)) }
-func (m *cdfMerge) Pop() interface{} {
-	x := m.h[len(m.h)-1]
-	m.h = m.h[:len(m.h)-1]
-	return x
-}
-
-// Merge returns the distribution of the combined samples of c and others
-// as a k-way merge of the already-sorted inputs — O(N log k), no re-sort.
-// The merged sample slice is element-for-element identical to
-// NewCDF(concatenation of all raw samples), so quantiles, means and JSON
-// summaries do not depend on whether a sample set was built whole or
-// sharded and merged. Nil receivers and nil entries in others are treated
-// as empty; inputs are never mutated.
-func (c *CDF) Merge(others ...*CDF) *CDF {
-	m := &cdfMerge{}
-	add := func(o *CDF) {
-		if o != nil && len(o.xs) > 0 {
-			m.srcs = append(m.srcs, o.xs)
-		}
-	}
-	add(c)
-	for _, o := range others {
-		add(o)
-	}
-	total := 0
-	for _, s := range m.srcs {
-		total += len(s)
-	}
-	out := make([]float64, 0, total)
-	for i := range m.srcs {
-		m.h = append(m.h, i)
-	}
-	heap.Init(m)
-	for len(m.h) > 0 {
-		src := m.h[0]
-		out = append(out, m.srcs[src][0])
-		m.srcs[src] = m.srcs[src][1:]
-		if len(m.srcs[src]) == 0 {
-			heap.Pop(m)
-		} else {
-			heap.Fix(m, 0)
-		}
-	}
-	return &CDF{xs: out}
-}
 
 // MarshalJSON serializes the distribution as a compact summary
 // (n/mean/p50/p90/p99) rather than the raw samples, keeping JSON

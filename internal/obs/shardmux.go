@@ -16,17 +16,17 @@ type RunLabeled interface {
 }
 
 // ShardMux merges the event streams of n independently-stepped worlds
-// (internal/shardsim) back into the sequential emission order, so a
-// sharded replay produces event and Chrome-trace artifacts byte-identical
-// to the single-engine path at any shard/worker count.
+// (internal/shardsim) back into world-index order — the order running the
+// worlds one after another would emit — so a sharded replay produces event
+// and Chrome-trace artifacts byte-identical at any shard/worker count.
 //
 // Each world gets its own buffering observer from Observer(i); the worker
 // draining that world appends events lock-free (a world is stepped by one
 // goroutine at a time). When shardsim's deterministic index-order reduce
 // reaches world i, call Flush(i): the mux marks the world complete and
 // drains the in-order prefix of finished worlds into the sinks —
-// SetRun(i) then every buffered event, exactly as the sequential loop
-// would have. Worlds that finish out of order are held until their turn,
+// SetRun(i) then every buffered event, exactly as a one-world-at-a-time
+// loop would. Worlds that finish out of order are held until their turn,
 // so sink output never interleaves.
 //
 // Nil sinks (including typed nils) are dropped, mirroring Multi; with no

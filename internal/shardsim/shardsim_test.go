@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/faults"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
@@ -21,12 +22,18 @@ import (
 // draw happens here, sequentially, so build(i) is a pure function of i.
 // Half the worlds run fault-free on a coarse slice (the replay shape);
 // the other half run the chaos regime on a 4-machine slice (crashes,
-// stragglers, slow nodes, speculation, blacklisting).
+// stragglers, slow nodes, speculation, blacklisting). World 5 is a paper
+// workload instead: DelayStage-planned LDA on 8 m4.large nodes with task
+// failures and speculation, the single-job run cmd/simulate performs.
 func testWorlds(t testing.TB, n int) []World {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	worlds := make([]World, n)
 	for i := range worlds {
+		if i == 5 {
+			worlds[i] = ldaWorld(t)
+			continue
+		}
 		if i%2 == 0 {
 			slice := sim.Coarsen(cluster.NewTraceCluster(2, 4, rng))
 			job := workload.RandomJob(fmt.Sprintf("w%d", i), slice, 4+i%5, rng)
@@ -52,6 +59,27 @@ func testWorlds(t testing.TB, n int) []World {
 		}
 	}
 	return worlds
+}
+
+// ldaWorld is `simulate -workload LDA -nodes 8 -fault-rate 0.05
+// -speculate` as a world: the paper's LDA job, planned by Alg. 1, on 8
+// m4.large nodes with per-partition task failures and speculative clones.
+func ldaWorld(t testing.TB) World {
+	t.Helper()
+	c := cluster.NewM4LargeCluster(8)
+	job := workload.PaperWorkloads(c, 1)["LDA"]
+	sched, err := core.Compute(core.Options{Cluster: c}, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.NewInjector(faults.FaultPlan{Seed: 1, TaskFailureProb: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return World{
+		Opt:  sim.Options{Cluster: c, TrackNode: 0, Faults: inj, Speculation: true},
+		Runs: []sim.JobRun{{Job: job, Delays: sched.Delays}},
+	}
 }
 
 // outcome is the reduced per-world record the invariance tests compare.

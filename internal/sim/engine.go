@@ -1456,13 +1456,28 @@ func (e *engine) recordOccupancy(dt float64) {
 		}
 	}
 	occ := make(map[skey]float64, len(holders))
+	var ws []int
 	for k, nodes := range holders {
+		// Sum the shares in node order: float addition does not
+		// associate, so map order would vary the low bits run to run.
+		ws = ws[:0]
 		for w := range nodes {
+			ws = append(ws, w)
+		}
+		sort.Ints(ws)
+		for _, w := range ws {
 			occ[k] += e.execs[w] / float64(perNode[w])
 		}
 	}
-	// Close segments that changed, open new ones.
-	for k, seg := range e.occOpen {
+	// Close segments that changed, in key order (a mid-run snapshot
+	// encodes the closed segments in append order), then open new ones.
+	ks := make([]skey, 0, len(e.occOpen))
+	for k := range e.occOpen {
+		ks = append(ks, k)
+	}
+	sortSkeys(ks)
+	for _, k := range ks {
+		seg := e.occOpen[k]
 		if nv, ok := occ[k]; !ok || math.Abs(nv-seg.Executors) > 1e-9 {
 			seg.To = e.now
 			if seg.To > seg.From {

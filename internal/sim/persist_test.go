@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -358,4 +359,43 @@ func TestRunCheckpointedCtxCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "resume after cancellation", ref, got)
+}
+
+// TestTrackedSnapshotBytesDeterministic pins the encoding of a mid-run
+// checkpoint under TrackOccupancy: the occupancy segments closed so far
+// are encoded in append order, so the engine must close them (and sum
+// their executor shares) in a fixed order — two snapshots of the same
+// run must be byte-identical, not merely equal after the final sort.
+// Every gallery job runs at once, so many stages share nodes and a
+// single finish closes many segments together.
+func TestTrackedSnapshotBytesDeterministic(t *testing.T) {
+	c := cluster.NewM4LargeCluster(6)
+	opt := Options{Cluster: c, TrackNode: -1, TrackOccupancy: true}
+	var runs []JobRun
+	for _, job := range galleryJobs(c, 0.3) {
+		runs = append(runs, JobRun{Job: job})
+	}
+	ref, err := Run(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Occupancy) < 2*len(runs) {
+		t.Fatalf("%d occupancy segments; want a multi-stage trace", len(ref.Occupancy))
+	}
+	for _, frac := range []float64{0.3, 0.6, 0.9} {
+		at := ref.Makespan * frac
+		var want []byte
+		for rep := 0; rep < 8; rep++ {
+			snap, err := SnapshotAt(opt, runs, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := encodeEngine(snap.eng, snap.At)
+			if rep == 0 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("snapshot %d at t=%v encodes differently from the first", rep, at)
+			}
+		}
+	}
 }
