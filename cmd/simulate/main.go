@@ -14,7 +14,6 @@
 //	simulate -checkpoint-dir ckpt -checkpoint-every 30 -resume # continue after a kill
 //	simulate -events run.jsonl -chrometrace trace.json -json summary.json
 //	simulate -report                      # append the attribution report
-//	simulate -checkpoint 40               # snapshot/fork round-trip check
 //	simulate -serve 127.0.0.1:9090 -linger 30s   # live /metrics, /healthz, pprof
 package main
 
@@ -24,10 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"reflect"
 	"syscall"
 	"time"
 
@@ -79,7 +78,6 @@ func main() {
 	report := flag.Bool("report", false, "append the attribution report (time decomposition, contention matrix, critical path); cmd/analyze reproduces it byte-identically from a -events log")
 	serveAddr := flag.String("serve", "", "serve live introspection (/metrics, /healthz, /debug/pprof) on this address while the run executes")
 	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the run finishes (for scraping short runs)")
-	checkpoint := flag.Float64("checkpoint", -1, "demonstrate checkpoint/fork: snapshot the run just before this simulated time, resume the copy, and verify it is bit-identical to the uninterrupted run (-1 = off)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the context: a checkpointed run stops at the
@@ -214,8 +212,8 @@ func main() {
 		// re-run with -resume continues from the file and finishes with a
 		// bit-identical result. Observers and watchdogs hold external state
 		// that cannot be serialized, so the flags are mutually exclusive.
-		if *ckptEvery <= 0 {
-			log.Fatal("-checkpoint-dir requires -checkpoint-every > 0")
+		if *ckptEvery <= 0 || math.IsNaN(*ckptEvery) || math.IsInf(*ckptEvery, 0) {
+			log.Fatal("-checkpoint-dir requires a finite -checkpoint-every > 0")
 		}
 		if opt.Observer != nil || opt.Watchdog != nil {
 			log.Fatal("-checkpoint-dir is incompatible with -events, -chrometrace, -report, -serve and -guarded")
@@ -224,21 +222,26 @@ func main() {
 			log.Fatal(err)
 		}
 		path := filepath.Join(*ckptDir, "simulate.ckpt")
+		var st *sim.Stepper
 		if *resume {
-			res, err = sim.ResumeCheckpointedCtx(ctx, opt, runs, path, *ckptEvery)
+			st, err = sim.ReadStepperFile(path, opt, runs)
 			switch {
 			case err == nil:
 				fmt.Fprintf(os.Stderr, "resumed from %s\n", path)
 			case os.IsNotExist(err):
 				fmt.Fprintf(os.Stderr, "no checkpoint at %s; starting fresh\n", path)
-				res, err = sim.RunCheckpointedCtx(ctx, opt, runs, path, *ckptEvery)
 			case ckpt.IsFormat(err):
 				fmt.Fprintf(os.Stderr, "unusable checkpoint (%v); starting fresh\n", err)
-				res, err = sim.RunCheckpointedCtx(ctx, opt, runs, path, *ckptEvery)
+			default:
+				log.Fatal(err)
 			}
-		} else {
-			res, err = sim.RunCheckpointedCtx(ctx, opt, runs, path, *ckptEvery)
 		}
+		if st == nil {
+			if st, err = sim.NewStepper(opt, runs); err != nil {
+				log.Fatal(err)
+			}
+		}
+		res, err = runCheckpointed(ctx, st, path, *ckptEvery)
 		if err != nil && errors.Is(err, context.Canceled) {
 			// Interrupted between checkpoints: the last one is on disk.
 			fmt.Fprintf(os.Stderr, "interrupted (%v); re-run with -resume to continue\n", err)
@@ -252,32 +255,6 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *checkpoint >= 0 {
-		// Snapshots reject observers and watchdogs (their external state
-		// cannot be forked), so the round-trip check runs bare options; the
-		// reference is the main result when it too ran bare.
-		bare := opt
-		bare.Watchdog, bare.Observer = nil, nil
-		ref := res
-		if opt.Watchdog != nil || opt.Observer != nil {
-			if ref, err = sim.Run(bare, runs); err != nil {
-				log.Fatal(err)
-			}
-		}
-		snap, err := sim.SnapshotAt(bare, runs, *checkpoint)
-		if err != nil {
-			log.Fatal(err)
-		}
-		got, err := snap.Resume(nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !reflect.DeepEqual(ref, got) {
-			log.Fatalf("checkpoint at t=%.3gs: resumed run differs from the uninterrupted run", *checkpoint)
-		}
-		fmt.Printf("checkpoint at t=%.4gs (frozen at event boundary t=%.4gs): resumed run bit-identical over %d events\n",
-			*checkpoint, snap.Clock(), got.Events)
 	}
 	// Emit the artifacts before deciding success: a failed run's event log
 	// and trace are exactly what one wants for the post-mortem.
@@ -378,4 +355,34 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// runCheckpointed drives st to the end of its run, pausing it just before
+// every multiple of every simulated seconds to rewrite its checkpoint at
+// path. Pausing at an event boundary perturbs nothing, so the result is
+// bit-identical to an uninterrupted run, and a stepper read back from any
+// checkpoint continues on the same cadence to the same result. ctx is
+// checked only after a checkpoint is written: an interrupted run always
+// leaves a fresh file behind, and returns ctx's error wrapped.
+func runCheckpointed(ctx context.Context, st *sim.Stepper, path string, every float64) (*sim.Result, error) {
+	for stop := every * (math.Floor(st.Clock()/every) + 1); ; stop += every {
+		if err := st.AdvanceBefore(stop); err != nil {
+			return nil, err
+		}
+		if st.Idle() {
+			break
+		}
+		if err := st.WriteFile(path); err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("checkpointed run interrupted before t=%v (checkpoint flushed): %w", stop, err)
+		}
+	}
+	for st.HasPendingEvents() {
+		if err := st.StepNextEvent(); err != nil {
+			return nil, err
+		}
+	}
+	return st.Result()
 }

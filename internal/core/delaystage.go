@@ -91,7 +91,7 @@ type Options struct {
 	// the caller asked for no answer at all.
 	Ctx context.Context
 	// DisableEvalCache turns off the sim evaluator's what-if memo cache
-	// and snapshot forking: every candidate is answered by a from-scratch
+	// and prefix forking: every candidate is answered by a from-scratch
 	// simulation, as Alg. 1 is written. Schedules are identical either way
 	// (the cache is exact and forked runs are bit-identical); the switch
 	// exists for benchmarking the speedup and as a safety valve. Ignored
@@ -160,7 +160,7 @@ type Schedule struct {
 	Evaluations int
 	// CacheHits, ForkedEvals and FullEvals break Evaluations down by how
 	// the evaluator answered them: from the what-if memo cache, by
-	// forking a scan snapshot (prefix shared, only the suffix simulated),
+	// forking a paused scan prefix (only the suffix simulated),
 	// or by a from-scratch run. Under Approximate, CacheHits counts
 	// layout-memo hits and FullEvals full layouts (nothing forks).
 	CacheHits   int

@@ -75,7 +75,7 @@ type EvalStats struct {
 	// CacheHits counts configurations answered from the memo cache —
 	// refine passes and replans re-query many configurations verbatim.
 	CacheHits int
-	// ForkedRuns counts simulations resumed from a scan snapshot: the
+	// ForkedRuns counts simulations forked from a paused scan prefix: the
 	// prefix up to the scanned stage's ready time was shared, only the
 	// suffix ran.
 	ForkedRuns int
@@ -85,8 +85,8 @@ type EvalStats struct {
 
 // evalShared is the state one simEvaluator shares with all its clones: the
 // memo cache of evaluated configurations, the restricted-job cache, the
-// work counters (behind mu), and the armed scan snapshot (behind scanMu,
-// so a snapshot build never blocks concurrent memo hits).
+// work counters (behind mu), and the armed scan prefix (behind scanMu,
+// so a prefix build never blocks concurrent memo hits).
 type evalShared struct {
 	disable bool
 
@@ -103,13 +103,13 @@ type evalShared struct {
 // stage's delay being swept, everything else fixed: the scanned stage, its
 // ready time as measured by the scan's first full run (the stage's own
 // delay cannot move it: a delay is only read *at* readiness), and the
-// snapshot frozen just before that time, which later candidates fork.
+// world paused just before that time, which later candidates fork.
 type scanState struct {
-	on   bool
-	kid  dag.StageID
-	trOK bool
-	tr   float64
-	snap *sim.Snapshot
+	on     bool
+	kid    dag.StageID
+	trOK   bool
+	tr     float64
+	prefix *sim.Stepper
 }
 
 // delayPair is one (stage, exact delay bits) term of a fingerprint.
@@ -126,7 +126,7 @@ type delayPair struct {
 //
 // Three layers keep repeated questions cheap (see DESIGN.md, "What-if
 // evaluation"): an exact memo cache over (active set, delay vector)
-// fingerprints, snapshot forking during candidate scans (all candidates of
+// fingerprints, prefix forking during candidate scans (all candidates of
 // one stage share the simulation prefix up to that stage's ready time),
 // and a restricted-job cache per active set. The simulator is
 // deterministic, memo keys are collision-free, and forked runs are
@@ -220,7 +220,7 @@ func (e *simEvaluator) BeginScan(kid dag.StageID) {
 	e.shared.scanMu.Unlock()
 }
 
-// EndScan implements scanAware: drop the scan snapshot.
+// EndScan implements scanAware: drop the scan prefix.
 func (e *simEvaluator) EndScan() {
 	if e.shared.disable {
 		return
@@ -302,13 +302,13 @@ func (e *simEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error)
 }
 
 // simulate answers one what-if configuration, forking the armed scan
-// snapshot when one exists. The bool reports whether the answer came from
+// prefix when one exists. The bool reports whether the answer came from
 // a fork rather than a from-scratch run.
 //
 // Within a scan the first miss runs from scratch while holding scanMu (so
 // concurrent misses queue behind it instead of racing to duplicate the
 // work) and records the scanned stage's ready time; the second miss
-// freezes the shared prefix there; every later miss forks it. The counts
+// pauses the shared prefix there; every later miss forks it. The counts
 // are therefore deterministic at any Parallelism setting: one full run and
 // m−1 forks for a scan with m misses.
 func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, error) {
@@ -316,27 +316,29 @@ func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, 
 	if !sh.disable {
 		sh.scanMu.Lock()
 		if sh.scan.on {
-			if sh.scan.snap == nil && sh.scan.trOK {
-				// Second miss: snapshot just before the scanned stage's
-				// ready time with every delay but the scanned stage's
-				// baked in.
+			if sh.scan.prefix == nil && sh.scan.trOK {
+				// Second miss: pause just before the scanned stage's ready
+				// time with every delay but the scanned stage's baked in.
 				pre := make(map[dag.StageID]float64, len(delays))
 				for id, v := range delays {
 					if id != sh.scan.kid && e.cur.Graph.Stage(id) != nil {
 						pre[id] = v
 					}
 				}
-				snap, err := sim.SnapshotAt(sim.Options{Cluster: e.coarse, TrackNode: -1},
-					[]sim.JobRun{{Job: e.cur, Delays: pre}}, sh.scan.tr)
+				prefix, err := sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1},
+					[]sim.JobRun{{Job: e.cur, Delays: pre}})
+				if err == nil {
+					err = prefix.AdvanceBefore(sh.scan.tr)
+				}
 				if err != nil {
 					sh.scanMu.Unlock()
 					return 0, false, err
 				}
-				sh.scan.snap = snap
+				sh.scan.prefix = prefix
 			}
-			if snap, kid := sh.scan.snap, sh.scan.kid; snap != nil {
+			if prefix, kid := sh.scan.prefix, sh.scan.kid; prefix != nil {
 				sh.scanMu.Unlock()
-				res, err := snap.Resume([]sim.DelayUpdate{{Job: 0, Stage: kid, Delay: delays[kid]}})
+				res, err := runFork(prefix, []sim.DelayUpdate{{Job: 0, Stage: kid, Delay: delays[kid]}})
 				if err != nil {
 					return 0, false, err
 				}
@@ -362,6 +364,22 @@ func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, 
 		return 0, false, err
 	}
 	return jobEnd(res), false, nil
+}
+
+// runFork forks the paused scan prefix under the updates and steps the
+// fork to its end. The prefix is only read, so concurrent candidates fork
+// it at once.
+func runFork(prefix *sim.Stepper, updates []sim.DelayUpdate) (*sim.Result, error) {
+	f, err := prefix.Fork(updates)
+	if err != nil {
+		return nil, err
+	}
+	for f.HasPendingEvents() {
+		if err := f.StepNextEvent(); err != nil {
+			return nil, err
+		}
+	}
+	return f.Result()
 }
 
 // fullRun simulates the active sub-job from scratch. Delays for stages

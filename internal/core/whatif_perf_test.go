@@ -15,18 +15,18 @@ import (
 
 // whatIfFixture is one job as Alg. 1's sim evaluator sees it: the
 // evaluator on the job's coarse cluster, a delay vector, and the fork
-// point of a candidate scan over stage kid — the snapshot frozen just
+// point of a candidate scan over stage kid — the world paused just
 // before kid becomes ready, as simulate builds it.
 type whatIfFixture struct {
 	ev     *simEvaluator
 	delays map[dag.StageID]float64
 	kid    dag.StageID
-	snap   *sim.Snapshot
+	prefix *sim.Stepper
 }
 
 // newWhatIfFixture picks the scanned stage as the middle stage (in
 // insertion order) that has parents, delays every other such stage by a
-// few seconds, and freezes the scan snapshot.
+// few seconds, and pauses the scan prefix.
 func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *whatIfFixture {
 	tb.Helper()
 	f := &whatIfFixture{ev: newSimEvaluator(c, job, true), delays: map[dag.StageID]float64{}}
@@ -53,9 +53,12 @@ func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *wha
 	if tl == nil {
 		tb.Fatal("scanned stage missing from the timelines")
 	}
-	f.snap, err = sim.SnapshotAt(sim.Options{Cluster: f.ev.coarse, TrackNode: -1},
-		[]sim.JobRun{{Job: job, Delays: f.delays}}, tl.Ready)
+	f.prefix, err = sim.NewStepper(sim.Options{Cluster: f.ev.coarse, TrackNode: -1},
+		[]sim.JobRun{{Job: job, Delays: f.delays}})
 	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.prefix.AdvanceBefore(tl.Ready); err != nil {
 		tb.Fatal(err)
 	}
 	return f
@@ -70,10 +73,10 @@ func (f *whatIfFixture) full(tb testing.TB) float64 {
 	return jobEnd(res)
 }
 
-// fork runs one forked what-if evaluation: the scan snapshot resumed
-// under candidate delay x for the scanned stage.
+// fork runs one forked what-if evaluation: the scan prefix forked under
+// candidate delay x for the scanned stage.
 func (f *whatIfFixture) fork(tb testing.TB, x float64) float64 {
-	res, err := f.snap.Resume([]sim.DelayUpdate{{Job: 0, Stage: f.kid, Delay: x}})
+	res, err := runFork(f.prefix, []sim.DelayUpdate{{Job: 0, Stage: f.kid, Delay: x}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,8 +107,8 @@ func benchTraceJob(tb testing.TB) (*cluster.Cluster, *workload.Job) {
 var whatIfSink float64
 
 // BenchmarkWhatIfEval times one exact what-if evaluation of Alg. 1 on a
-// fixed trace DAG: full is a from-scratch simulation of the job, fork a
-// resume of a candidate-scan snapshot (the common case inside a scan).
+// fixed trace DAG: full is a from-scratch simulation of the job, fork one
+// forked from a paused candidate-scan prefix (the common case inside a scan).
 func BenchmarkWhatIfEval(b *testing.B) {
 	c, job := benchTraceJob(b)
 	f := newWhatIfFixture(b, c, job)

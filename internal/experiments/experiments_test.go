@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -360,20 +362,57 @@ func TestSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Gains must rise with the contention overhead α.
-	if r.AlphaGain[0.35][1] <= r.AlphaGain[0][1] {
+	if r.AlphaGain["0.35"][1] <= r.AlphaGain["0"][1] {
 		t.Errorf("gain at α=0.35 (%.1f%%) should exceed α=0 (%.1f%%)",
-			r.AlphaGain[0.35][1], r.AlphaGain[0][1])
+			r.AlphaGain["0.35"][1], r.AlphaGain["0"][1])
 	}
 	// AggShuffle must be useless on homogeneous parents and useful on
 	// skewed ones.
-	if r.SkewAggGain[0] > 1 {
-		t.Errorf("AggShuffle gained %.1f%% at skew 0", r.SkewAggGain[0])
+	if r.SkewAggGain["0"] > 1 {
+		t.Errorf("AggShuffle gained %.1f%% at skew 0", r.SkewAggGain["0"])
 	}
-	if r.SkewAggGain[0.8] < 1 {
-		t.Errorf("AggShuffle gained only %.1f%% at skew 0.8", r.SkewAggGain[0.8])
+	if r.SkewAggGain["0.8"] < 1 {
+		t.Errorf("AggShuffle gained only %.1f%% at skew 0.8", r.SkewAggGain["0.8"])
 	}
 	// Candidate budget: 32 candidates must not lose to 4.
 	if r.CandidateGain[32][0] < r.CandidateGain[4][0]-1 {
 		t.Errorf("more candidates lost quality: %v vs %v", r.CandidateGain[32], r.CandidateGain[4])
+	}
+}
+
+// TestSensitivityResultJSON: -json marshals every experiment's result, so
+// a populated SensitivityResult must survive an encoding/json round trip
+// with every sweep key intact.
+func TestSensitivityResultJSON(t *testing.T) {
+	want := &SensitivityResult{
+		SlotGain:      map[string]float64{},
+		CandidateGain: map[int][2]float64{4: {1.5, 20}, 64: {3.25, 310}},
+		AlphaGain:     map[string][2]float64{},
+		SkewAggGain:   map[string]float64{},
+	}
+	for i, v := range []float64{0.5, 1, 2, 5, 10} {
+		want.SlotGain[floatKey(v)] = float64(i) + 0.25
+	}
+	for i, v := range []float64{0, 0.12, 0.22, 0.35} {
+		want.AlphaGain[floatKey(v)] = [2]float64{100 + float64(i), float64(i) / 3}
+	}
+	for i, v := range []float64{0, 0.2, 0.5, 0.8} {
+		want.SkewAggGain[floatKey(v)] = -float64(i)
+	}
+	b, err := json.Marshal(want)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	for _, k := range []string{`"0.5"`, `"10"`, `"0.12"`, `"0.35"`, `"0.8"`} {
+		if !bytes.Contains(b, []byte(k)) {
+			t.Errorf("encoding lacks key %s: %s", k, b)
+		}
+	}
+	var got SensitivityResult
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if !reflect.DeepEqual(want, &got) {
+		t.Errorf("round trip changed the result:\nwant %+v\ngot  %+v", want, &got)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"time"
 
 	"delaystage/internal/core"
@@ -11,17 +12,24 @@ import (
 
 // SensitivityResult carries the parameter sweeps that justify the
 // reproduction's main free parameters (DESIGN.md "Key design decisions").
+//
+// The float-valued sweeps are keyed by the swept value's decimal form
+// (floatKey): encoding/json cannot marshal float map keys, and -json must.
 type SensitivityResult struct {
 	// Slot granularity sweep (CosineSimilarity): slot seconds → JCT gain %.
-	SlotGain map[float64]float64
+	SlotGain map[string]float64
 	// Candidate budget sweep: MaxCandidates → (gain %, Alg. 1 ms).
 	CandidateGain map[int][2]float64
 	// Contention overhead sweep: α → (stock JCT, gain %).
-	AlphaGain map[float64][2]float64
+	AlphaGain map[string][2]float64
 	// AggShuffle skew sweep: parent skew → AggShuffle gain % over Spark
 	// on a two-stage chain (generalizes the paper's LDA observation).
-	SkewAggGain map[float64]float64
+	SkewAggGain map[string]float64
 }
+
+// floatKey is the SensitivityResult map key of a swept value: its
+// shortest round-tripping decimal form ("0.5", "10").
+func floatKey(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Sensitivity sweeps the reproduction's free parameters. Not a paper
 // artifact; it documents how the headline results depend on the knobs the
@@ -30,10 +38,10 @@ func Sensitivity(cfg Config) (*SensitivityResult, error) {
 	cfg.defaults()
 	c := cfg.cluster()
 	out := &SensitivityResult{
-		SlotGain:      map[float64]float64{},
+		SlotGain:      map[string]float64{},
 		CandidateGain: map[int][2]float64{},
-		AlphaGain:     map[float64][2]float64{},
-		SkewAggGain:   map[float64]float64{},
+		AlphaGain:     map[string][2]float64{},
+		SkewAggGain:   map[string]float64{},
 	}
 
 	job := workload.CosineSimilarity(c, cfg.Scale)
@@ -60,7 +68,7 @@ func Sensitivity(cfg Config) (*SensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.SlotGain[slot] = g
+		out.SlotGain[floatKey(slot)] = g
 	}
 
 	// 2. Candidate budget.
@@ -98,7 +106,7 @@ func Sensitivity(cfg Config) (*SensitivityResult, error) {
 		if key < 0 {
 			key = 0
 		}
-		out.AlphaGain[key] = [2]float64{base.JCT(0), g}
+		out.AlphaGain[floatKey(key)] = [2]float64{base.JCT(0), g}
 	}
 
 	// 4. AggShuffle benefit vs parent skew on a two-stage chain.
@@ -122,13 +130,13 @@ func Sensitivity(cfg Config) (*SensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.SkewAggGain[skew] = 100 * (plain.JCT(0) - agg.JCT(0)) / plain.JCT(0)
+		out.SkewAggGain[floatKey(skew)] = 100 * (plain.JCT(0) - agg.JCT(0)) / plain.JCT(0)
 	}
 
 	fprintf(cfg.W, "== Sensitivity sweeps (reproduction parameters) ==\n")
 	fprintf(cfg.W, "slot seconds → DelayStage gain:")
 	for _, s := range []float64{0.5, 1, 2, 5, 10} {
-		fprintf(cfg.W, "  %.1fs:%.1f%%", s, out.SlotGain[s])
+		fprintf(cfg.W, "  %.1fs:%.1f%%", s, out.SlotGain[floatKey(s)])
 	}
 	fprintf(cfg.W, "\ncandidates   → gain (Alg.1 ms):")
 	for _, mc := range []int{4, 8, 16, 32, 64} {
@@ -137,12 +145,12 @@ func Sensitivity(cfg Config) (*SensitivityResult, error) {
 	}
 	fprintf(cfg.W, "\nα            → stock JCT, gain:")
 	for _, a := range []float64{0, 0.12, 0.22, 0.35} {
-		v := out.AlphaGain[a]
+		v := out.AlphaGain[floatKey(a)]
 		fprintf(cfg.W, "  %.2f:%.0fs,%.1f%%", a, v[0], v[1])
 	}
 	fprintf(cfg.W, "\nparent skew  → AggShuffle gain:")
 	for _, s := range []float64{0, 0.2, 0.5, 0.8} {
-		fprintf(cfg.W, "  %.1f:%.1f%%", s, out.SkewAggGain[s])
+		fprintf(cfg.W, "  %.1f:%.1f%%", s, out.SkewAggGain[floatKey(s)])
 	}
 	fprintf(cfg.W, "\n\n")
 	return out, nil

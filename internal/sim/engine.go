@@ -143,7 +143,7 @@ type stageState struct {
 	// submitAt).
 	submitAt float64
 	// delayOverride, when hasOverride is set, replaces the run's
-	// configured delay (a watchdog or Resume revision that arrived before
+	// configured delay (a watchdog or Fork revision that arrived before
 	// the stage became ready).
 	hasOverride   bool
 	delayOverride float64
@@ -280,23 +280,20 @@ type engine struct {
 	// (resolved once at construction); nil otherwise.
 	shareObs ShareObserver
 
-	// Checkpointing (SnapshotAt): with haltSet, the event loop stops at an
-	// event boundary before simulated time reaches haltAt — before firing
-	// any timer whose effective time is ≥ haltAt and before any advance
-	// that would land at or past it. A halted engine holds exactly the
-	// state a from-scratch run has at that boundary, so resuming replays
-	// the identical floating-point trajectory.
-	//
-	// haltInject (Stepper.AdvanceBefore) also stops where a timer at haltAt
-	// would already be due — within eps, before the prefetch pass — so the
-	// stepped prefix is exactly the one a world that also held a run
-	// arriving at haltAt would have stepped: the boundary Inject needs.
-	// (An advance never needs the extra care: if now+dt rounds below
-	// haltAt, haltAt−now ≥ dt, so such a timer would not shorten it.)
-	haltSet    bool
-	haltAt     float64
-	halted     bool
-	haltInject bool
+	// The halt (Stepper.AdvanceBefore): with haltSet, the event loop stops
+	// at the last event boundary before simulated time reaches haltAt —
+	// before firing any timer whose effective time is ≥ haltAt, before the
+	// prefetch pass once haltAt is within eps of the clock (where a timer
+	// at haltAt would already be due), and before any advance that would
+	// land at or past it. The stepped prefix is then exactly the one a
+	// world that also held a run arriving at haltAt would have stepped, and
+	// the halted engine holds the state a from-scratch run has at that
+	// boundary, so continuing — in place, in a fork or from a file —
+	// replays the identical floating-point trajectory. (An advance never
+	// needs the eps care: if now+dt rounds below haltAt, haltAt−now ≥ dt,
+	// so a timer at haltAt would not shorten it.)
+	haltSet bool
+	haltAt  float64
 }
 
 // engineBufs are the engine's reusable buffers. They keep their capacity
@@ -376,8 +373,8 @@ type recompState struct {
 // slab, item list and item pool, timer heap, per-node buckets and every
 // scratch slice. A what-if evaluation thus rebuilds no world — newEngine
 // resets a pooled engine in place. Only engines nothing else references go
-// back (release): a Run's, a Resume's fork, a Stepper's once its Result is
-// taken. The Result is never pooled; it always belongs to the caller.
+// back (release): a Run's, and a Stepper's (forks included) once its
+// Result is taken. The Result is never pooled; it always belongs to the caller.
 var enginePool sync.Pool
 
 // newEngine returns an engine for the given runs with a fresh Result. The
@@ -1714,33 +1711,24 @@ func (e *engine) specTarget(it *item) int {
 
 func (e *engine) run() (*Result, error) {
 	e.setup()
-	if err := e.loop(); err != nil {
-		return nil, err
+	for {
+		done, err := e.step()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			break
+		}
 	}
 	e.finalize()
 	return e.res, nil
 }
 
-// loop is the event loop proper (post-setup, pre-finalize). With haltSet it
-// returns early — halted=true — at the event boundary just before simulated
-// time reaches haltAt; re-entering loop on (a clone of) the halted engine
-// continues the run as if it had never stopped: the loop-top timer scan,
-// maybePrefetch and the rates pass are all idempotent at a boundary, so the
-// resumed trajectory is bit-identical to an uninterrupted one.
-func (e *engine) loop() error {
-	for {
-		done, err := e.step()
-		if err != nil || done {
-			return err
-		}
-	}
-}
-
 // step runs exactly one event-loop iteration: fire every timer due now,
 // then make one rates-pass-and-advance (or halt, or detect completion).
-// It is the loop body of loop(), extracted verbatim so external drivers —
-// the Stepper primitives and the shard runner built on them — interleave
-// engines at event granularity with zero behavior change: a run stepped to
+// It is the loop body of run, shared so external drivers — the Stepper
+// primitives and the shard runner built on them — interleave engines at
+// event granularity with zero behavior change: a run stepped to
 // completion is bit-identical to Run.
 //
 // step returns done=true when the run finished (or halted at the haltSet
@@ -1758,7 +1746,6 @@ func (e *engine) step() (done bool, err error) {
 				eff = e.now
 			}
 			if eff >= e.haltAt {
-				e.halted = true
 				return true, nil
 			}
 		}
@@ -1768,19 +1755,13 @@ func (e *engine) step() (done bool, err error) {
 		}
 		e.fireTimer(t)
 	}
-	if e.haltInject && e.haltAt <= e.now+eps {
+	if e.haltSet && e.haltAt <= e.now+eps {
 		// An arrival at haltAt is due: it would fire here, before the
 		// prefetch pass.
-		e.halted = true
 		return true, nil
 	}
 	e.maybePrefetch()
-	// Stop when nothing remains — or when every job has completed or
-	// failed (leftover crash/retry timers no longer matter).
-	if len(e.items) == 0 && len(e.timers) == 0 {
-		return true, nil
-	}
-	if e.jobsLeft == 0 {
+	if e.idle() {
 		return true, nil
 	}
 	e.computeRatesPass()
@@ -1800,7 +1781,6 @@ func (e *engine) step() (done bool, err error) {
 		// The same floating-point expression advance would store into
 		// e.now: halting here leaves the engine exactly one advance
 		// short of the halt time, at a clean pre-advance boundary.
-		e.halted = true
 		return true, nil
 	}
 	e.advance(dt)
@@ -1815,11 +1795,18 @@ func (e *engine) step() (done bool, err error) {
 	return false, nil
 }
 
+// idle reports whether the run has nothing left to do: every job has
+// completed or failed (leftover crash/retry timers no longer matter), or
+// no item is in flight and no timer is pending.
+func (e *engine) idle() bool {
+	return e.jobsLeft == 0 || (len(e.items) == 0 && len(e.timers) == 0)
+}
+
 // peekNextEventTime prices the next event without committing to it: the
 // simulated time step would advance the clock to if called now, +Inf when
 // the engine is drained. It only performs mutations that are idempotent at
-// an event boundary — the same maybePrefetch/computeRatesPass pair the
-// snapshot machinery relies on when re-entering loop — so peek-then-step
+// an event boundary — the same maybePrefetch/computeRatesPass pair step
+// re-runs after an AdvanceBefore halt — so peek-then-step
 // is bit-identical to step alone, and peeking adds no persistent engine
 // state (nothing for the clone or the persist codec to carry).
 //
@@ -1827,7 +1814,7 @@ func (e *engine) step() (done bool, err error) {
 // step() would report as deadlocked is priced at now, so a merging clock
 // drains the engine promptly and step() surfaces the error.
 func (e *engine) peekNextEventTime() float64 {
-	if e.jobsLeft == 0 || (len(e.items) == 0 && len(e.timers) == 0) {
+	if e.idle() {
 		// step() completes immediately from here (leftover crash/retry
 		// timers in the future are never waited for): price it at now.
 		return e.now

@@ -1,0 +1,396 @@
+package sim
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"delaystage/internal/cluster"
+	"delaystage/internal/dag"
+	"delaystage/internal/faults"
+	"delaystage/internal/workload"
+)
+
+// galleryJobs returns the workload gallery (the four paper jobs plus ALS)
+// on the given cluster, in deterministic name order.
+func galleryJobs(c *cluster.Cluster, scale float64) []*workload.Job {
+	m := workload.PaperWorkloads(c, scale)
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	jobs := make([]*workload.Job, 0, len(names)+1)
+	for _, n := range names {
+		jobs = append(jobs, m[n])
+	}
+	jobs = append(jobs, workload.ALS(c, scale))
+	return jobs
+}
+
+// randomDelays draws a sparse random delay vector for the job.
+func randomDelays(job *workload.Job, rng *rand.Rand) map[dag.StageID]float64 {
+	d := map[dag.StageID]float64{}
+	for _, id := range job.Graph.Stages() {
+		if rng.Float64() < 0.4 {
+			d[id] = rng.Float64() * 60
+		}
+	}
+	return d
+}
+
+// requireIdentical fails unless two results are deeply (bit-)identical.
+func requireIdentical(t *testing.T, ctx string, want, got *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: continued result differs from from-scratch run\nwant makespan=%v events=%d\ngot  makespan=%v events=%d",
+			ctx, want.Makespan, want.Events, got.Makespan, got.Events)
+	}
+}
+
+// pausedAt returns a stepper over runs advanced to just before at: the
+// pause point the fork and persistence tests start from.
+func pausedAt(t testing.TB, opt Options, runs []JobRun, at float64) *Stepper {
+	t.Helper()
+	s, err := NewStepper(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceBefore(at); err != nil {
+		t.Fatalf("advance before %v: %v", at, err)
+	}
+	return s
+}
+
+// forkOut forks s under the updates and steps the fork to its end.
+func forkOut(t testing.TB, s *Stepper, updates []DelayUpdate) *Result {
+	t.Helper()
+	f, err := s.Fork(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := stepOut(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSnapshotResumeRoundTrip checks the core pause-and-fork property
+// over the whole workload gallery: for any pause time, AdvanceBefore +
+// Fork(nil) reproduces the uninterrupted Run bit for bit — timelines,
+// usage series, integrals and the event count all included.
+func TestSnapshotResumeRoundTrip(t *testing.T) {
+	c := cluster.NewM4LargeCluster(6)
+	rng := rand.New(rand.NewSource(11))
+	crash, err := faults.NewInjector(faults.FaultPlan{
+		Seed: 3, TaskFailureProb: 0.03, StragglerFrac: 0.2, StragglerFactor: 2.5,
+		Crashes: []faults.NodeCrash{{Node: 1, At: 45}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []struct {
+		name string
+		opt  Options
+	}{
+		{"plain", Options{Cluster: c, TrackNode: -1}},
+		{"tracked", Options{Cluster: c, TrackNode: 0, TrackOccupancy: true, TrackCluster: true}},
+		{"aggshuffle", Options{Cluster: c, TrackNode: -1, AggShuffle: true}},
+		{"faults", Options{Cluster: c, TrackNode: -1, Faults: crash}},
+	}
+	for _, job := range galleryJobs(c, 0.3) {
+		for _, v := range variants {
+			runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}}
+			ref, err := Run(v.opt, runs)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", job.Name, v.name, err)
+			}
+			end := ref.JobEnd[0]
+			checkpoints := []float64{0, end * 0.1, end * 0.5, end * 0.9, end + 100}
+			for _, tl := range ref.Timelines {
+				checkpoints = append(checkpoints, tl.Ready, tl.ReadEnd)
+			}
+			for _, at := range checkpoints {
+				got := forkOut(t, pausedAt(t, v.opt, runs, at), nil)
+				requireIdentical(t, job.Name+"/"+v.name, ref, got)
+			}
+		}
+	}
+}
+
+// TestSnapshotForkDelayBitIdentical is the fork-correctness property the
+// what-if evaluator rests on: pause just before a stage's ready time, fork
+// with a revised delay for that stage, and the result must be
+// bit-identical to a from-scratch run that had the delay in its Delays map
+// all along. Covers every gallery workload, every stage, and random delay
+// candidates (plus 0 and the incumbent).
+func TestSnapshotForkDelayBitIdentical(t *testing.T) {
+	c := cluster.NewM4LargeCluster(4)
+	coarse := Coarsen(c)
+	rng := rand.New(rand.NewSource(23))
+	for _, job := range galleryJobs(c, 0.25) {
+		for _, cl := range []*cluster.Cluster{c, coarse} {
+			opt := Options{Cluster: cl, TrackNode: -1}
+			base := randomDelays(job, rng)
+			ref, err := Run(opt, []JobRun{{Job: job, Delays: base}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range job.Graph.Stages() {
+				tr := ref.Timeline(0, id).Ready
+				// The prefix bakes in every delay except the scanned
+				// stage's — exactly how the evaluator forks a scan.
+				pre := make(map[dag.StageID]float64, len(base))
+				for k, v := range base {
+					if k != id {
+						pre[k] = v
+					}
+				}
+				prefix := pausedAt(t, opt, []JobRun{{Job: job, Delays: pre}}, tr)
+				for _, x := range []float64{0, base[id], rng.Float64() * 40, math.Pi} {
+					full := make(map[dag.StageID]float64, len(pre)+1)
+					for k, v := range pre {
+						full[k] = v
+					}
+					if x != 0 {
+						full[id] = x
+					}
+					want, err := Run(opt, []JobRun{{Job: job, Delays: full}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := forkOut(t, prefix, []DelayUpdate{{Job: 0, Stage: id, Delay: x}})
+					requireIdentical(t, job.Name, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotMultiJob covers pauses between job arrivals, delay forks on
+// the later job, and forks that keep growing by Inject.
+func TestSnapshotMultiJob(t *testing.T) {
+	c := cluster.NewM4LargeCluster(5)
+	jobs := galleryJobs(c, 0.2)
+	opt := Options{Cluster: c, TrackNode: -1, FairByJob: true}
+	runs := []JobRun{
+		{Job: jobs[0], Arrival: 0},
+		{Job: jobs[1], Arrival: 30},
+		{Job: jobs[2], Arrival: 60, Delays: map[dag.StageID]float64{jobs[2].Graph.Stages()[1]: 12}},
+	}
+	ref, err := Run(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{0, 15, 30, 45, 60, 61, ref.Makespan * 0.8} {
+		requireIdentical(t, "multi-job", ref, forkOut(t, pausedAt(t, opt, runs, at), nil))
+	}
+	// Fork job 2's delayed stage before its arrival.
+	kid := jobs[2].Graph.Stages()[1]
+	prefix := pausedAt(t, opt, []JobRun{runs[0], runs[1], {Job: jobs[2], Arrival: 60}}, 55)
+	requireIdentical(t, "multi-job fork", ref, forkOut(t, prefix, []DelayUpdate{{Job: 2, Stage: kid, Delay: 12}}))
+
+	// A fork keeps its parent's Inject horizon: fork a one-job world
+	// before the second arrival and grow the fork into the full world.
+	parent := pausedAt(t, opt, runs[:1], runs[1].Arrival)
+	f, err := parent.Fork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range runs[1:] {
+		if err := f.AdvanceBefore(r.Arrival); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Inject(r); err != nil {
+			t.Fatalf("inject job %d into a fork: %v", k+1, err)
+		}
+	}
+	got, err := stepOut(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "multi-job fork grown by Inject", ref, got)
+}
+
+// TestSnapshotResumeErrors pins Fork's refusal cases.
+func TestSnapshotResumeErrors(t *testing.T) {
+	c := cluster.NewM4LargeCluster(3)
+	job := workload.TriangleCount(c, 0.2)
+	runs := []JobRun{{Job: job}}
+	opt := Options{Cluster: c, TrackNode: -1}
+	for _, o := range []Options{
+		{Cluster: c, TrackNode: -1, Observer: nopObserver{}},
+		{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}},
+	} {
+		if _, err := pausedAt(t, o, runs, 10).Fork(nil); err == nil {
+			t.Error("want error forking a world with an observer or watchdog")
+		}
+	}
+	ref, err := Run(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pausedAt(t, opt, runs, ref.Makespan*0.9)
+	roots := job.Graph.Roots()
+	last := job.Graph.Stages()[job.Graph.Len()-1]
+	for _, tc := range []struct {
+		what string
+		upd  DelayUpdate
+	}{
+		{"an already-submitted stage", DelayUpdate{Job: 0, Stage: roots[0], Delay: 5}},
+		{"an unknown stage", DelayUpdate{Job: 0, Stage: 9999, Delay: 5}},
+		{"an unknown job", DelayUpdate{Job: 5, Stage: roots[0], Delay: 5}},
+		{"a negative delay", DelayUpdate{Job: 0, Stage: last, Delay: -1}},
+		{"a NaN delay", DelayUpdate{Job: 0, Stage: last, Delay: math.NaN()}},
+		{"an infinite delay", DelayUpdate{Job: 0, Stage: last, Delay: math.Inf(1)}},
+	} {
+		if _, err := s.Fork([]DelayUpdate{tc.upd}); err == nil {
+			t.Errorf("want error revising %s", tc.what)
+		}
+	}
+	// A refused fork leaves the parent untouched, and a finished stepper
+	// cannot be forked.
+	got, err := stepOut(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "parent after refused forks", ref, got)
+	if _, err := s.Fork(nil); err == nil {
+		t.Error("want error forking a finished stepper")
+	}
+}
+
+type nopObserver struct{}
+
+func (nopObserver) OnEvent(Event) {}
+
+// TestForkLeavesParentIntact: a parent paused and forked many times — at
+// several boundaries, with and without delay revisions — still finishes
+// bit-identical to Run, and so does every unrevised fork.
+func TestForkLeavesParentIntact(t *testing.T) {
+	c := cluster.NewM4LargeCluster(6)
+	rng := rand.New(rand.NewSource(41))
+	for _, job := range galleryJobs(c, 0.25) {
+		opt := chaosOptions(c, chaosInjector(t))
+		runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}}
+		ref, err := Run(opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := job.Graph.Stages()[job.Graph.Len()-1]
+		s, err := NewStepper(opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frac := range []float64{0.1, 0.3, 0.5, 0.7} {
+			if err := s.AdvanceBefore(ref.Makespan * frac); err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, job.Name+"/unrevised fork", ref, forkOut(t, s, nil))
+			if f, err := s.Fork([]DelayUpdate{{Job: 0, Stage: last, Delay: 9}}); err == nil {
+				if _, err := stepOut(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got, err := stepOut(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, job.Name+"/parent after forks", ref, got)
+	}
+}
+
+// TestForkConcurrent forks one paused parent from 8 goroutines at once,
+// each pricing a different delay for the scanned stage; every fork must
+// match the from-scratch run with that delay. Run under -race it also
+// proves Fork only reads its parent.
+func TestForkConcurrent(t *testing.T) {
+	c := cluster.NewM4LargeCluster(4)
+	coarse := Coarsen(c)
+	opt := Options{Cluster: coarse, TrackNode: -1}
+	job := galleryJobs(c, 0.25)[0]
+	ids := job.Graph.Stages()
+	kid := ids[len(ids)/2]
+	ref, err := Run(opt, []JobRun{{Job: job}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := pausedAt(t, opt, []JobRun{{Job: job}}, ref.Timeline(0, kid).Ready)
+	const workers = 8
+	want := make([]*Result, workers)
+	for i := range want {
+		want[i], err = Run(opt, []JobRun{{Job: job, Delays: map[dag.StageID]float64{kid: float64(3 * i)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				f, err := parent.Fork([]DelayUpdate{{Job: 0, Stage: kid, Delay: float64(3 * i)}})
+				if err == nil {
+					got[i], err = stepOut(f)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("fork %d: %v", i, errs[i])
+		}
+		requireIdentical(t, "concurrent fork", want[i], got[i])
+	}
+}
+
+// FuzzStepperFork fuzzes the pause-and-fork round trip at arbitrary pause
+// times and delay vectors: a fork must reproduce the uninterrupted run
+// bit for bit, and so must the parent it was forked from.
+func FuzzStepperFork(f *testing.F) {
+	f.Add(uint8(0), int64(1), 0.5, false)
+	f.Add(uint8(1), int64(2), 0.0, true)
+	f.Add(uint8(2), int64(3), 1.5, false)
+	f.Add(uint8(3), int64(4), 0.99, true)
+	f.Add(uint8(4), int64(5), 0.01, false)
+	c := cluster.NewM4LargeCluster(4)
+	f.Fuzz(func(t *testing.T, jobIdx uint8, seed int64, frac float64, agg bool) {
+		if math.IsNaN(frac) || frac < 0 || frac > 3 {
+			t.Skip()
+		}
+		jobs := galleryJobs(c, 0.2)
+		job := jobs[int(jobIdx)%len(jobs)]
+		rng := rand.New(rand.NewSource(seed))
+		runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}}
+		opt := Options{Cluster: c, TrackNode: -1, AggShuffle: agg}
+		ref, err := Run(opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := frac * ref.Makespan
+		parent := pausedAt(t, opt, runs, at)
+		if got := forkOut(t, parent, nil); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("fork at %v differs from uninterrupted run", at)
+		}
+		got, err := stepOut(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("parent forked at %v differs from uninterrupted run", at)
+		}
+	})
+}

@@ -195,8 +195,8 @@ func TestBlacklistAfterRepeatedCrashes(t *testing.T) {
 	}
 }
 
-// Machine faults plus both mitigations stay deterministic and snapshot-
-// safe: a mid-run snapshot resumed must match the uninterrupted run bit
+// Machine faults plus both mitigations stay deterministic and fork-safe:
+// a fork of a world paused mid-run must match the uninterrupted run bit
 // for bit (this exercises cloning of rival links, fault counters and
 // speculation state).
 func TestMachineFaultSnapshotBitIdentical(t *testing.T) {
@@ -219,16 +219,9 @@ func TestMachineFaultSnapshotBitIdentical(t *testing.T) {
 	}
 	for _, frac := range []float64{0.25, 0.5, 0.75} {
 		at := full.JCT(0) * frac
-		snap, err := SnapshotAt(mk(), []JobRun{{Job: job}}, at)
-		if err != nil {
-			t.Fatalf("snapshot at %.2f: %v", at, err)
-		}
-		res, err := snap.Resume(nil)
-		if err != nil {
-			t.Fatalf("resume from %.2f: %v", at, err)
-		}
+		res := forkOut(t, pausedAt(t, mk(), []JobRun{{Job: job}}, at), nil)
 		if !reflect.DeepEqual(res, full) {
-			t.Fatalf("resume from %.2f diverged from the uninterrupted run", at)
+			t.Fatalf("fork at %.2f diverged from the uninterrupted run", at)
 		}
 	}
 }

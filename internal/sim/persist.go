@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -11,46 +10,42 @@ import (
 	"delaystage/internal/dag"
 )
 
-// Crash-safe persistence: a Snapshot — normally an in-memory fork point —
-// can be serialized to disk and resumed in a different process, and
-// RunCheckpointed drives a run that checkpoints itself on a simulated-time
-// cadence so a SIGKILLed process resumes from the last checkpoint and
-// finishes with a bit-identical result. Everything rides on the same
-// guarantee SnapshotAt already provides (halts happen only at idempotent
-// event boundaries); this file adds a byte encoding of the frozen engine.
+// Crash-safe persistence: a Stepper — paused between events — can be
+// written to disk and read back in a different process, where stepping on
+// finishes with a result bit-identical to the uninterrupted run. A driver
+// that checkpoints on a simulated-time cadence (cmd/simulate's
+// -checkpoint-every) alternates AdvanceBefore and WriteFile, so a
+// SIGKILLed process resumes from its last checkpoint. Everything rides on
+// the guarantee the stepper already provides (it only ever rests at
+// idempotent event boundaries); this file adds a byte encoding of the
+// paused engine.
 //
 // The encoding is exact: every float is stored as its IEEE-754 bit
 // pattern, every slice records whether it was nil or empty, and maps are
-// written in sorted key order. A resumed engine is field-for-field the
+// written in sorted key order. A read-back engine is field-for-field the
 // engine that was written, so the continued trajectory — including every
 // floating-point accumulation — matches the uninterrupted run.
 //
 // Identity is enforced in three layers by the ckpt envelope: a kind
 // string ("sim-snapshot"), an encoding version, and a fingerprint of the
 // full run configuration (cluster, options, fault plan, jobs, delays,
-// arrivals). Resuming under any other configuration is rejected — a
+// arrivals). Reading under any other configuration is rejected — a
 // checkpoint is only valid against the exact run that produced it.
 
 const (
-	snapshotKind    = "sim-snapshot"
-	snapshotVersion = 1
+	snapshotKind = "sim-snapshot"
+	// snapshotVersion numbers the payload layout. A file of any other
+	// version reads as a *ckpt.FormatError, which callers treat as "no
+	// checkpoint" and start fresh.
+	snapshotVersion = 2
 )
 
-// ConfigFingerprint hashes everything that determines a run's trajectory:
-// cluster capacities, simulation options (after defaulting), the fault
-// plan, and each job's graph, profiles, delays and arrival. Two
-// configurations with equal fingerprints produce bit-identical runs.
-func ConfigFingerprint(opt Options, runs []JobRun) (uint64, error) {
-	opt, err := prepare(opt, runs)
-	if err != nil {
-		return 0, err
-	}
-	return fingerprintPrepared(opt, runs), nil
-}
-
-// fingerprintPrepared hashes already-prepared options (Run, SnapshotAt and
-// RunCheckpointed all normalize through prepare, so engines hash the same
-// configuration the caller validated).
+// fingerprintPrepared hashes everything that determines a run's
+// trajectory: cluster capacities, simulation options, the fault plan, and
+// each job's graph, profiles, delays and arrival. Two configurations with
+// equal fingerprints produce bit-identical runs. The options must already
+// be prepared (NewStepper and ReadStepperFile both normalize through
+// prepare, so writer and reader hash the configuration they validated).
 func fingerprintPrepared(opt Options, runs []JobRun) uint64 {
 	var w wbuf
 	for _, n := range opt.Cluster.Nodes {
@@ -132,26 +127,38 @@ func fingerprintPrepared(opt Options, runs []JobRun) uint64 {
 	return h.Sum64()
 }
 
-// WriteFile serializes the snapshot to path (atomically: temp file plus
-// rename), framed in a ckpt envelope carrying the configuration
-// fingerprint. The snapshot stays usable afterwards.
-func (s *Snapshot) WriteFile(path string) error {
+// WriteFile serializes the paused world to path (atomically: temp file
+// plus rename), framed in a ckpt envelope carrying the configuration
+// fingerprint. The stepper is only read and stays usable afterwards. A
+// finished stepper, or one whose options carry an Observer or Watchdog,
+// cannot be written.
+func (s *Stepper) WriteFile(path string) error {
+	if s.done {
+		return fmt.Errorf("sim: write of a finished run")
+	}
+	if err := checkDetached(s.e.opt); err != nil {
+		return err
+	}
 	return ckpt.WriteFile(path, ckpt.Envelope{
 		Kind:        snapshotKind,
 		Version:     snapshotVersion,
-		Fingerprint: fingerprintPrepared(s.eng.opt, s.eng.runs),
-		Payload:     encodeEngine(s.eng, s.At),
+		Fingerprint: fingerprintPrepared(s.e.opt, s.e.runs),
+		Payload:     encodeEngine(s.e, s.horizon),
 	})
 }
 
-// ReadSnapshotFile loads a snapshot written by WriteFile. opt and runs
-// must describe the same configuration the snapshot was taken under —
-// they rebuild the immutable wiring (graphs, capacities, fault draws) the
-// encoding deliberately omits — and are verified against the stored
-// fingerprint; any mismatch, corruption or truncation is a *ckpt.FormatError.
-func ReadSnapshotFile(path string, opt Options, runs []JobRun) (*Snapshot, error) {
-	if opt.Observer != nil || opt.Watchdog != nil {
-		return nil, fmt.Errorf("sim: snapshots do not support Observer or Watchdog")
+// ReadStepperFile loads a stepper written by WriteFile, positioned where
+// the writer stood and with the writer's Inject horizon. opt and runs must
+// describe the same configuration the stepper ran under (injected runs
+// included, in order) — they rebuild the immutable wiring (graphs,
+// capacities, fault draws) the encoding deliberately omits — and are
+// verified against the stored fingerprint; any mismatch, corruption or
+// truncation is a *ckpt.FormatError. A missing file surfaces as the os
+// error, so callers that want resume-or-start semantics check
+// os.IsNotExist.
+func ReadStepperFile(path string, opt Options, runs []JobRun) (*Stepper, error) {
+	if err := checkDetached(opt); err != nil {
+		return nil, err
 	}
 	opt, err := prepare(opt, runs)
 	if err != nil {
@@ -167,101 +174,14 @@ func ReadSnapshotFile(path string, opt Options, runs []JobRun) (*Snapshot, error
 		}
 		return nil, err
 	}
-	e, at, err := decodeEngine(env.Payload, opt, runs)
+	e, horizon, err := decodeEngine(env.Payload, opt, runs)
 	if err != nil {
 		if fe, ok := err.(*ckpt.FormatError); ok {
 			fe.Path = path
 		}
 		return nil, err
 	}
-	return &Snapshot{eng: e, At: at}, nil
-}
-
-// RunCheckpointed simulates runs exactly like Run, but halts every
-// `every` simulated seconds and atomically rewrites path with a snapshot
-// of the engine. The checkpoint cadence is part of the trajectory
-// contract: ResumeCheckpointed with the same cadence continues the halts
-// at the same boundaries, so an interrupted-and-resumed run finishes bit-
-// identical to an uninterrupted one (and to a plain Run — halting at an
-// event boundary perturbs nothing). Observer and Watchdog are rejected:
-// their external state cannot be serialized.
-func RunCheckpointed(opt Options, runs []JobRun, path string, every float64) (*Result, error) {
-	return RunCheckpointedCtx(context.Background(), opt, runs, path, every)
-}
-
-// RunCheckpointedCtx is RunCheckpointed with cooperative cancellation: the
-// context is checked at every checkpoint boundary, *after* the snapshot
-// has been written, so an interrupted run always leaves a fresh checkpoint
-// on disk and ResumeCheckpointed(Ctx) continues bit-identically. A
-// cancelled run returns ctx.Err() (possibly wrapped); callers distinguish
-// it with errors.Is(err, context.Canceled).
-func RunCheckpointedCtx(ctx context.Context, opt Options, runs []JobRun, path string, every float64) (*Result, error) {
-	if opt.Observer != nil || opt.Watchdog != nil {
-		return nil, fmt.Errorf("sim: checkpointed runs do not support Observer or Watchdog")
-	}
-	if every <= 0 || math.IsNaN(every) || math.IsInf(every, 0) {
-		return nil, fmt.Errorf("sim: invalid checkpoint interval %v", every)
-	}
-	opt, err := prepare(opt, runs)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(opt, runs)
-	e.haltSet = true
-	e.haltAt = every
-	e.setup()
-	return checkpointLoop(ctx, e, path, every, every)
-}
-
-// ResumeCheckpointed continues a RunCheckpointed run from its checkpoint
-// file, under the same configuration and cadence, checkpointing onward to
-// the same path. A missing file surfaces as the os error (callers that
-// want resume-or-start semantics check os.IsNotExist); a corrupt or
-// mismatched file is a *ckpt.FormatError.
-func ResumeCheckpointed(opt Options, runs []JobRun, path string, every float64) (*Result, error) {
-	return ResumeCheckpointedCtx(context.Background(), opt, runs, path, every)
-}
-
-// ResumeCheckpointedCtx is ResumeCheckpointed with the same cooperative
-// cancellation contract as RunCheckpointedCtx.
-func ResumeCheckpointedCtx(ctx context.Context, opt Options, runs []JobRun, path string, every float64) (*Result, error) {
-	if every <= 0 || math.IsNaN(every) || math.IsInf(every, 0) {
-		return nil, fmt.Errorf("sim: invalid checkpoint interval %v", every)
-	}
-	snap, err := ReadSnapshotFile(path, opt, runs)
-	if err != nil {
-		return nil, err
-	}
-	e := snap.eng // decoded fresh for this call; no clone needed
-	stop := snap.At + every
-	e.haltSet, e.haltAt, e.halted = true, stop, false
-	return checkpointLoop(ctx, e, path, every, stop)
-}
-
-// checkpointLoop alternates loop() with snapshot writes until the run
-// completes. stop is the first halt time; the engine is already armed.
-// Cancellation is honored only at checkpoint boundaries, after the write:
-// the run on disk is always resumable from the moment it was interrupted.
-func checkpointLoop(ctx context.Context, e *engine, path string, every, stop float64) (*Result, error) {
-	for {
-		if err := e.loop(); err != nil {
-			return nil, err
-		}
-		if !e.halted {
-			break
-		}
-		if err := (&Snapshot{eng: e, At: stop}).WriteFile(path); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sim: checkpointed run interrupted at t=%v (checkpoint flushed): %w", stop, err)
-		}
-		stop += every
-		e.haltAt = stop
-		e.halted = false
-	}
-	e.finalize()
-	return e.res, nil
+	return &Stepper{e: e, horizon: horizon}, nil
 }
 
 // ---- engine encoding ----------------------------------------------------
@@ -270,14 +190,11 @@ func checkpointLoop(ctx context.Context, e *engine, path string, every, stop flo
 // capacities, graphs, profiles, availability wiring, fault draws (all
 // hash-based), node slowdowns — are reconstructed from the configuration
 // on decode and are covered by the fingerprint instead.
-func encodeEngine(e *engine, at float64) []byte {
+func encodeEngine(e *engine, horizon float64) []byte {
 	var w wbuf
-	w.f64(at)
+	w.f64(horizon)
 	w.int(e.seq)
 	w.f64(e.now)
-	w.bool(e.haltSet)
-	w.f64(e.haltAt)
-	w.bool(e.halted)
 	w.f64(e.lastTrack)
 	w.f64(e.cpuBusyInt)
 	w.f64(e.netBytesInt)
@@ -476,7 +393,7 @@ func encodeEngine(e *engine, at float64) []byte {
 // decodeEngine rebuilds an engine from an encoded payload: it constructs
 // a fresh engine (newEngine + setup, which re-derives all immutable
 // wiring), then overwrites every mutable field with the serialized state.
-// opt must already be prepared.
+// opt must already be prepared. It also returns the encoded Inject horizon.
 func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64, error) {
 	e := newEngine(opt, runs)
 	e.setup()
@@ -485,12 +402,9 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 	e.timers = e.timers[:0]
 
 	r := &rbuf{b: payload}
-	at := r.f64()
+	horizon := r.f64()
 	e.seq = r.int()
 	e.now = r.f64()
-	e.haltSet = r.bool()
-	e.haltAt = r.f64()
-	e.halted = r.bool()
 	e.lastTrack = r.f64()
 	e.cpuBusyInt = r.f64()
 	e.netBytesInt = r.f64()
@@ -707,7 +621,7 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 	if r.off != len(r.b) {
 		return nil, 0, &ckpt.FormatError{Reason: "trailing payload bytes"}
 	}
-	return e, at, nil
+	return e, horizon, nil
 }
 
 // maxDecodeLen bounds per-collection lengths while decoding (the CRC has

@@ -2,8 +2,7 @@ package sim
 
 import (
 	"bytes"
-	"context"
-	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -40,11 +39,10 @@ func chaosOptions(c *cluster.Cluster, inj *faults.Injector) Options {
 	}
 }
 
-// TestSnapshotFileRoundTrip is the on-disk half of the checkpoint
-// property: a snapshot written to disk, read back in a fresh engine, and
-// resumed must reproduce the uninterrupted run bit for bit — including
-// under the full chaos regime (crashes, stragglers, speculation,
-// blacklisting).
+// TestSnapshotFileRoundTrip is the on-disk half of the pause property: a
+// stepper written to disk, read back into a fresh engine, and stepped on
+// must reproduce the uninterrupted run bit for bit — including under the
+// full chaos regime (crashes, stragglers, speculation, blacklisting).
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	c := cluster.NewM4LargeCluster(6)
 	rng := rand.New(rand.NewSource(17))
@@ -66,24 +64,22 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 			}
 			end := ref.JobEnd[0]
 			for _, at := range []float64{0, end * 0.3, end * 0.7, end * 0.95} {
-				snap, err := SnapshotAt(v.opt, runs, at)
-				if err != nil {
-					t.Fatalf("%s/%s at %v: %v", job.Name, v.name, at, err)
-				}
+				s := pausedAt(t, v.opt, runs, at)
 				path := filepath.Join(dir, "snap.ckpt")
-				if err := snap.WriteFile(path); err != nil {
+				if err := s.WriteFile(path); err != nil {
 					t.Fatalf("%s/%s at %v: write: %v", job.Name, v.name, at, err)
 				}
-				loaded, err := ReadSnapshotFile(path, v.opt, runs)
+				loaded, err := ReadStepperFile(path, v.opt, runs)
 				if err != nil {
 					t.Fatalf("%s/%s at %v: read: %v", job.Name, v.name, at, err)
 				}
-				if loaded.At != snap.At {
-					t.Fatalf("%s/%s: At %v round-tripped to %v", job.Name, v.name, snap.At, loaded.At)
+				if loaded.horizon != s.horizon || loaded.Clock() != s.Clock() {
+					t.Fatalf("%s/%s: horizon %v, clock %v round-tripped to %v, %v",
+						job.Name, v.name, s.horizon, s.Clock(), loaded.horizon, loaded.Clock())
 				}
-				got, err := loaded.Resume(nil)
+				got, err := stepOut(loaded)
 				if err != nil {
-					t.Fatalf("%s/%s at %v: resume: %v", job.Name, v.name, at, err)
+					t.Fatalf("%s/%s at %v: step: %v", job.Name, v.name, at, err)
 				}
 				requireIdentical(t, job.Name+"/"+v.name, ref, got)
 			}
@@ -92,7 +88,9 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotFileMultiJob covers the serialized form of a multi-job
-// engine, checkpointed between arrivals.
+// engine, paused between arrivals, and of a stepper grown by Inject: the
+// reader names the injected runs too, and the written Inject horizon
+// lets the read-back stepper keep growing.
 func TestSnapshotFileMultiJob(t *testing.T) {
 	c := cluster.NewM4LargeCluster(5)
 	jobs := galleryJobs(c, 0.2)
@@ -107,24 +105,50 @@ func TestSnapshotFileMultiJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "multi.ckpt")
+	roundTrip := func(s *Stepper, runs []JobRun) *Stepper {
+		t.Helper()
+		if err := s.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadStepperFile(path, opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
 	for _, at := range []float64{0, 31, 59, ref.Makespan * 0.8} {
-		snap, err := SnapshotAt(opt, runs, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := snap.WriteFile(path); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := ReadSnapshotFile(path, opt, runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.Resume(nil)
+		got, err := stepOut(roundTrip(pausedAt(t, opt, runs, at), runs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireIdentical(t, "multi-job file", ref, got)
 	}
+
+	s := pausedAt(t, opt, runs[:1], runs[1].Arrival)
+	if err := s.Inject(runs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceBefore(runs[2].Arrival); err != nil {
+		t.Fatal(err)
+	}
+	loaded := roundTrip(s, runs[:2])
+	if err := loaded.Inject(runs[2]); err != nil {
+		t.Fatalf("inject after read-back: %v", err)
+	}
+	got, err := stepOut(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "injected multi-job file", ref, got)
+}
+
+// configFingerprint is the fingerprint a checkpoint of (opt, runs) carries.
+func configFingerprint(opt Options, runs []JobRun) (uint64, error) {
+	opt, err := prepare(opt, runs)
+	if err != nil {
+		return 0, err
+	}
+	return fingerprintPrepared(opt, runs), nil
 }
 
 // TestConfigFingerprint pins what the fingerprint is sensitive to: any
@@ -135,11 +159,11 @@ func TestConfigFingerprint(t *testing.T) {
 	job := galleryJobs(c, 0.3)[0]
 	opt := Options{Cluster: c, TrackNode: -1}
 	runs := []JobRun{{Job: job, Delays: map[dag.StageID]float64{job.Graph.Stages()[1]: 5}}}
-	base, err := ConfigFingerprint(opt, runs)
+	base, err := configFingerprint(opt, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := ConfigFingerprint(opt, runs)
+	again, err := configFingerprint(opt, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +188,7 @@ func TestConfigFingerprint(t *testing.T) {
 		{"job added", opt, []JobRun{runs[0], {Job: galleryJobs(c, 0.3)[1], Arrival: 10}}},
 	}
 	for _, m := range mutations {
-		fp, err := ConfigFingerprint(m.opt, m.runs)
+		fp, err := configFingerprint(m.opt, m.runs)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -175,31 +199,44 @@ func TestConfigFingerprint(t *testing.T) {
 }
 
 // TestReadSnapshotFileRejects pins the refusal cases: a checkpoint from a
-// different configuration, a corrupted file, and a missing file must all
-// be distinguishable and never half-resume.
+// different configuration, one in a stale encoding, a corrupted file, and
+// a missing file must all be distinguishable and never half-resume.
 func TestReadSnapshotFileRejects(t *testing.T) {
 	c := cluster.NewM4LargeCluster(4)
 	job := galleryJobs(c, 0.3)[0]
 	opt := Options{Cluster: c, TrackNode: -1}
 	runs := []JobRun{{Job: job}}
-	snap, err := SnapshotAt(opt, runs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := pausedAt(t, opt, runs, 10)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.ckpt")
-	if err := snap.WriteFile(path); err != nil {
+	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 
 	// Different configuration: same file, revised delays.
 	other := []JobRun{{Job: job, Delays: map[dag.StageID]float64{job.Graph.Stages()[0]: 3}}}
-	if _, err := ReadSnapshotFile(path, opt, other); !ckpt.IsFormat(err) {
+	if _, err := ReadStepperFile(path, opt, other); !ckpt.IsFormat(err) {
 		t.Errorf("different config: err = %v, want FormatError", err)
 	}
 	// Observer / Watchdog are rejected before touching the file.
-	if _, err := ReadSnapshotFile(path, Options{Cluster: c, TrackNode: -1, Observer: nopObserver{}}, runs); err == nil {
-		t.Error("observer accepted on resume")
+	if _, err := ReadStepperFile(path, Options{Cluster: c, TrackNode: -1, Observer: nopObserver{}}, runs); err == nil {
+		t.Error("observer accepted on read")
+	}
+	if _, err := ReadStepperFile(path, Options{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}}, runs); err == nil {
+		t.Error("watchdog accepted on read")
+	}
+	// A stale encoding version: the envelope check refuses it.
+	stale := filepath.Join(dir, "stale.ckpt")
+	fp, err := configFingerprint(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteFile(stale, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion - 1,
+		Fingerprint: fp, Payload: encodeEngine(s.e, s.horizon)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadStepperFile(stale, opt, runs); !ckpt.IsFormat(err) {
+		t.Errorf("stale version: err = %v, want FormatError", err)
 	}
 	// Corruption: flip one payload byte (CRC catches it).
 	b, err := os.ReadFile(path)
@@ -210,13 +247,39 @@ func TestReadSnapshotFileRejects(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshotFile(path, opt, runs); !ckpt.IsFormat(err) {
+	if _, err := ReadStepperFile(path, opt, runs); !ckpt.IsFormat(err) {
 		t.Errorf("corrupt file: err = %v, want FormatError", err)
 	}
 	// Missing file: the raw os error, so callers can start fresh.
-	if _, err := ReadSnapshotFile(filepath.Join(dir, "none.ckpt"), opt, runs); !os.IsNotExist(err) {
+	if _, err := ReadStepperFile(filepath.Join(dir, "none.ckpt"), opt, runs); !os.IsNotExist(err) {
 		t.Errorf("missing file: err = %v, want not-exist", err)
 	}
+}
+
+// checkpointed drives s to its end the way a crash-safe driver does: it
+// advances to each multiple of every, rewrites the checkpoint at path
+// there, and drains the world once it idles. It returns the result and
+// the number of checkpoints written.
+func checkpointed(t *testing.T, s *Stepper, path string, every float64) (*Result, int) {
+	t.Helper()
+	n := 0
+	for stop := every * (math.Floor(s.Clock()/every) + 1); ; stop += every {
+		if err := s.AdvanceBefore(stop); err != nil {
+			t.Fatal(err)
+		}
+		if s.Idle() {
+			break
+		}
+		if err := s.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	res, err := stepOut(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, n
 }
 
 // TestRunCheckpointedMatchesRun: periodically halting to write checkpoints
@@ -232,22 +295,27 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "run.ckpt")
-		got, err := RunCheckpointed(opt, runs, path, ref.Makespan/7)
+		s, err := NewStepper(opt, runs)
 		if err != nil {
-			t.Fatalf("%s: %v", job.Name, err)
+			t.Fatal(err)
 		}
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		got, n := checkpointed(t, s, path, ref.Makespan/7)
 		requireIdentical(t, job.Name+"/checkpointed", ref, got)
+		if n < 6 {
+			t.Errorf("%s: %d checkpoints written over 7 intervals", job.Name, n)
+		}
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("%s: no checkpoint left on disk: %v", job.Name, err)
 		}
 	}
 }
 
-// TestResumeCheckpointedBitIdentical emulates the SIGKILL story: the
-// process dies right after writing its k-th checkpoint, leaving only the
-// file; a fresh process resumes from it with the same configuration and
-// cadence and must finish with the exact result of the uninterrupted run.
+// TestResumeCheckpointedBitIdentical emulates the SIGKILL story at every
+// checkpoint index: the process dies right after writing its k-th
+// checkpoint, leaving only the file; a fresh process reads it back with
+// the same configuration, continues on the same cadence, and must finish
+// with the exact result of the uninterrupted run.
 func TestResumeCheckpointedBitIdentical(t *testing.T) {
 	c := cluster.NewM4LargeCluster(6)
 	rng := rand.New(rand.NewSource(31))
@@ -259,31 +327,35 @@ func TestResumeCheckpointedBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		every := ref.Makespan / 5
-		for k := 1; k <= 4; k++ {
-			// The state RunCheckpointed leaves on disk after its k-th
-			// checkpoint is exactly SnapshotAt(k·every): both halt the same
-			// engine at the same boundary.
-			snap, err := SnapshotAt(opt, runs, float64(k)*every)
-			if err != nil {
-				t.Fatal(err)
+		k := 1
+		for ; ; k++ {
+			// The state a cadence run leaves on disk after its k-th
+			// checkpoint: the world paused before k·every.
+			s := pausedAt(t, opt, runs, float64(k)*every)
+			if s.Idle() {
+				break
 			}
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			if err := snap.WriteFile(path); err != nil {
+			if err := s.WriteFile(path); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ResumeCheckpointed(opt, runs, path, every)
+			loaded, err := ReadStepperFile(path, opt, runs)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", job.Name, k, err)
 			}
+			got, _ := checkpointed(t, loaded, path, every)
 			requireIdentical(t, job.Name+"/resumed", ref, got)
+		}
+		if k < 5 {
+			t.Errorf("%s: only %d checkpoint indices before the run idled", job.Name, k-1)
 		}
 	}
 }
 
 // TestRunCheckpointedKillResume drives the full cycle through the real
-// checkpoint files: run with a cadence, grab an intermediate checkpoint
-// the moment it lands (as a killed process would leave it), then resume
-// from that copy and compare against the uninterrupted result.
+// checkpoint file: run on a cadence, then read back the final checkpoint
+// the run left (as a process killed before exiting would) and finish from
+// it on the same cadence.
 func TestRunCheckpointedKillResume(t *testing.T) {
 	c := cluster.NewM4LargeCluster(5)
 	opt := chaosOptions(c, chaosInjector(t))
@@ -293,78 +365,59 @@ func TestRunCheckpointedKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	live := filepath.Join(dir, "live.ckpt")
+	live := filepath.Join(t.TempDir(), "live.ckpt")
 	every := ref.Makespan / 6
-	full, err := RunCheckpointed(opt, runs, live, every)
+	s, err := NewStepper(opt, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, _ := checkpointed(t, s, live, every)
 	requireIdentical(t, "full checkpointed run", ref, full)
-	// The surviving file is the final checkpoint; resuming it replays the
-	// tail and lands on the same result again.
-	got, err := ResumeCheckpointed(opt, runs, live, every)
+	// The surviving file is the final checkpoint; reading it back replays
+	// the tail and lands on the same result again.
+	loaded, err := ReadStepperFile(live, opt, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, _ := checkpointed(t, loaded, live, every)
 	requireIdentical(t, "resume from final checkpoint", ref, got)
 }
 
-// TestCheckpointedRejects pins the API refusals.
+// TestCheckpointedRejects pins the persistence refusals: worlds with an
+// Observer or Watchdog and finished steppers cannot be written, and a
+// missing checkpoint reads as the os not-exist error.
 func TestCheckpointedRejects(t *testing.T) {
 	c := cluster.NewM4LargeCluster(3)
 	job := galleryJobs(c, 0.2)[0]
 	runs := []JobRun{{Job: job}}
 	path := filepath.Join(t.TempDir(), "x.ckpt")
-	if _, err := RunCheckpointed(Options{Cluster: c, TrackNode: -1, Observer: nopObserver{}}, runs, path, 10); err == nil {
-		t.Error("observer accepted")
+	for _, o := range []Options{
+		{Cluster: c, TrackNode: -1, Observer: nopObserver{}},
+		{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}},
+	} {
+		if err := pausedAt(t, o, runs, 10).WriteFile(path); err == nil {
+			t.Error("observer or watchdog world written")
+		}
 	}
-	if _, err := RunCheckpointed(Options{Cluster: c, TrackNode: -1}, runs, path, 0); err == nil {
-		t.Error("zero interval accepted")
+	s := pausedAt(t, Options{Cluster: c, TrackNode: -1}, runs, 10)
+	if _, err := stepOut(s); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunCheckpointed(Options{Cluster: c, TrackNode: -1}, runs, path, -5); err == nil {
-		t.Error("negative interval accepted")
+	if err := s.WriteFile(path); err == nil {
+		t.Error("finished stepper written")
 	}
-	if _, err := ResumeCheckpointed(Options{Cluster: c, TrackNode: -1}, runs, path, 10); !os.IsNotExist(err) {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a refused write left a file behind: %v", err)
+	}
+	if _, err := ReadStepperFile(path, Options{Cluster: c, TrackNode: -1}, runs); !os.IsNotExist(err) {
 		t.Errorf("missing checkpoint: err = %v, want not-exist", err)
 	}
-}
-
-// TestRunCheckpointedCtxCancel pins the cooperative-cancellation contract:
-// a cancelled run stops at a checkpoint boundary *after* flushing the
-// file, reports context.Canceled, and resuming from the flushed file
-// finishes bit-identical to the uninterrupted run — the signal-handling
-// story of cmd/simulate.
-func TestRunCheckpointedCtxCancel(t *testing.T) {
-	c := cluster.NewM4LargeCluster(5)
-	opt := chaosOptions(c, chaosInjector(t))
-	job := galleryJobs(c, 0.3)[1]
-	runs := []JobRun{{Job: job}}
-	ref, err := Run(opt, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cancel.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the run: the first boundary must stop it
-	_, err = RunCheckpointedCtx(ctx, opt, runs, path, ref.Makespan/6)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("interrupted run left no checkpoint: %v", err)
-	}
-	got, err := ResumeCheckpointed(opt, runs, path, ref.Makespan/6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "resume after cancellation", ref, got)
 }
 
 // TestTrackedSnapshotBytesDeterministic pins the encoding of a mid-run
 // checkpoint under TrackOccupancy: the occupancy segments closed so far
 // are encoded in append order, so the engine must close them (and sum
-// their executor shares) in a fixed order — two snapshots of the same
+// their executor shares) in a fixed order — two checkpoints of the same
 // run must be byte-identical, not merely equal after the final sort.
 // Every gallery job runs at once, so many stages share nodes and a
 // single finish closes many segments together.
@@ -386,15 +439,12 @@ func TestTrackedSnapshotBytesDeterministic(t *testing.T) {
 		at := ref.Makespan * frac
 		var want []byte
 		for rep := 0; rep < 8; rep++ {
-			snap, err := SnapshotAt(opt, runs, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := encodeEngine(snap.eng, snap.At)
+			s := pausedAt(t, opt, runs, at)
+			got := encodeEngine(s.e, s.horizon)
 			if rep == 0 {
 				want = got
 			} else if !bytes.Equal(got, want) {
-				t.Fatalf("snapshot %d at t=%v encodes differently from the first", rep, at)
+				t.Fatalf("checkpoint %d at t=%v encodes differently from the first", rep, at)
 			}
 		}
 	}

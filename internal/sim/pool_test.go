@@ -44,8 +44,8 @@ func stepOut(s *Stepper) (*Result, error) {
 // family that leaves different state in an engine (fault, speculation and
 // blacklist bookkeeping, prefetch weights, fairness scratch, tracked
 // series and occupancy segments), one- and multi-job worlds, coarse and
-// 30-node clusters, snapshot forks (Resume and Stepper), and steppers
-// grown by Inject.
+// 30-node clusters, forks of paused steppers, and steppers grown by
+// Inject.
 func poolTasks(t *testing.T) []poolTask {
 	c6 := cluster.NewM4LargeCluster(6)
 	c30 := cluster.NewM4LargeCluster(30)
@@ -76,29 +76,33 @@ func poolTasks(t *testing.T) []poolTask {
 		add(fmt.Sprintf("n30-%d", i), Options{Cluster: c30, TrackNode: -1},
 			[]JobRun{{Job: big[i], Delays: randomDelays(big[i], rng)}})
 
-		// A snapshot forked by Resume and by Stepper, built inside the
-		// task so it too draws from the pool.
+		// A paused stepper and forks of it — revised and unrevised — all
+		// built inside the task so they too draw from the pool.
 		opt := chaosOptions(c6, inj)
 		if i == 1 {
 			opt = Options{Cluster: c6, TrackNode: 0, TrackOccupancy: true}
 		}
 		fork := []JobRun{{Job: job(i + 3), Delays: randomDelays(job(i+3), rng)}}
 		upd := []DelayUpdate{{Job: 0, Stage: job(i + 3).Graph.StagesView()[job(i+3).Graph.Len()-1], Delay: 7}}
+		forkTask := func(upd []DelayUpdate) func() (*Result, error) {
+			return func() (*Result, error) {
+				s, err := NewStepper(opt, fork)
+				if err != nil {
+					return nil, err
+				}
+				if err := s.AdvanceBefore(25); err != nil {
+					return nil, err
+				}
+				f, err := s.Fork(upd)
+				if err != nil {
+					return nil, err
+				}
+				return stepOut(f)
+			}
+		}
 		tasks = append(tasks,
-			poolTask{fmt.Sprintf("resume-%d", i), func() (*Result, error) {
-				snap, err := SnapshotAt(opt, fork, 25)
-				if err != nil {
-					return nil, err
-				}
-				return snap.Resume(upd)
-			}},
-			poolTask{fmt.Sprintf("snapstepper-%d", i), func() (*Result, error) {
-				snap, err := SnapshotAt(opt, fork, 25)
-				if err != nil {
-					return nil, err
-				}
-				return stepOut(snap.Stepper())
-			}})
+			poolTask{fmt.Sprintf("fork-%d", i), forkTask(upd)},
+			poolTask{fmt.Sprintf("forkstepper-%d", i), forkTask(nil)})
 
 		// A stepper grown by Inject, one job at a time.
 		iopt := []Options{{Cluster: c6, TrackNode: -1, FairByJob: true}, chaosOptions(c6, inj),

@@ -279,7 +279,7 @@ func (e *engine) failJob(job int, err error) {
 	}
 }
 
-// applyDelayUpdates applies a watchdog's revisions: an unsubmitted stage's
+// applyDelayUpdates applies a watchdog's or a Fork's revisions: an unsubmitted stage's
 // delay-after-ready becomes the given value (already-submitted stages and
 // failed jobs ignore revisions; past-due times submit immediately).
 func (e *engine) applyDelayUpdates(us []DelayUpdate) {

@@ -298,9 +298,9 @@ func Run(opt Options, runs []JobRun) (*Result, error) {
 }
 
 // prepare validates a run configuration and applies the option defaults,
-// returning the normalized options. Shared by Run and SnapshotAt so a
-// snapshot's engine is constructed under exactly the defaults a direct Run
-// would use.
+// returning the normalized options. Shared by Run, NewStepper and
+// ReadStepperFile so every engine is constructed under exactly the
+// defaults a direct Run would use.
 func prepare(opt Options, runs []JobRun) (Options, error) {
 	if opt.Cluster == nil {
 		return opt, fmt.Errorf("sim: nil cluster")

@@ -2,27 +2,33 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 )
 
-// Stepper drives one simulation at event granularity. It exposes the three
-// step primitives of the shared-clock decomposition — HasPendingEvents,
-// PeekNextEventTime, StepNextEvent — so an external runner (the shard
-// merging clock in internal/shardsim, a test harness, a live debugger) can
-// interleave many engines in global timestamp order while each engine's
-// trajectory stays bit-identical to an uninterrupted Run: StepNextEvent is
-// exactly one iteration of the same event loop Run executes, and
-// PeekNextEventTime only performs the mutations that are idempotent at an
-// event boundary (the invariant SnapshotAt/Resume already rely on).
+// Stepper drives one simulation at event granularity, and it is the one
+// handle that pauses, forks and persists a simulated world. It exposes
+// the three step primitives of the shared-clock decomposition —
+// HasPendingEvents, PeekNextEventTime, StepNextEvent — so an external
+// runner (the shard merging clock in internal/shardsim, a test harness, a
+// live debugger) can interleave many engines in global timestamp order
+// while each engine's trajectory stays bit-identical to an uninterrupted
+// Run: StepNextEvent is exactly one iteration of the same event loop Run
+// executes, and PeekNextEventTime only performs the mutations that are
+// idempotent at an event boundary.
 //
 // A live world also grows: AdvanceBefore halts the stepper just before a
 // point in simulated time and Inject adds a run arriving there, with the
-// same result as a stepper built over every run from the start.
+// same result as a stepper built over every run from the start. Between
+// steps the world can be forked (Fork) — the what-if evaluator prices
+// every delay candidate of a stage from one shared prefix — or written to
+// disk (WriteFile, ReadStepperFile) for crash-safe runs.
 //
 // A Stepper is single-goroutine: nothing inside is locked. Concurrency
 // lives above it — disjoint steppers on disjoint worlds can be driven from
-// different goroutines because they share no state.
+// different goroutines because they share no state, and Fork only reads
+// its parent, so many goroutines may fork one parent nobody steps.
 type Stepper struct {
 	e    *engine // nil once Result has retired it to the engine pool
 	done bool
@@ -52,17 +58,6 @@ func NewStepper(opt Options, runs []JobRun) (*Stepper, error) {
 	e := newEngine(opt, runs)
 	e.setup()
 	return &Stepper{e: e}, nil
-}
-
-// Stepper forks the snapshot into a stepper that continues the frozen run
-// at event granularity. Like Resume, it deep-copies the engine, so the
-// snapshot stays reusable; unlike Resume, the caller controls the pace.
-// The fork accepts no Inject: the snapshot halt is not an injection
-// boundary.
-func (s *Snapshot) Stepper() *Stepper {
-	e := s.eng.clone()
-	e.haltSet, e.haltAt, e.halted = false, 0, false
-	return &Stepper{e: e, horizon: math.Inf(1)}
 }
 
 // HasPendingEvents reports whether StepNextEvent still has work to do.
@@ -120,13 +115,13 @@ func (s *Stepper) StepNextEvent() error {
 }
 
 // AdvanceBefore steps every event strictly before simulated time t and
-// halts at that boundary. It is the SnapshotAt halt — no timer fires at
-// an effective time ≥ t and no advance lands at or past t — tightened to
-// the exact boundary Inject needs: the prefix stepped is the one a world
-// that also held a run arriving at t would have stepped. A world whose
-// jobs have all finished idles rather than completing, so AdvanceBefore
-// never turns HasPendingEvents false; only a simulation error ends the
-// stepping. t = +Inf runs every job to its end.
+// halts at that boundary: no timer fires at an effective time ≥ t and no
+// advance lands at or past it, and the prefix stepped is the one a world
+// that also held a run arriving at t would have stepped (the boundary
+// Inject needs). A world whose jobs have all finished idles rather than
+// completing (see Idle), so AdvanceBefore never turns HasPendingEvents
+// false; only a simulation error ends the stepping. t = +Inf runs every
+// job to its end.
 func (s *Stepper) AdvanceBefore(t float64) error {
 	if math.IsNaN(t) {
 		return fmt.Errorf("sim: advance before NaN")
@@ -135,17 +130,83 @@ func (s *Stepper) AdvanceBefore(t float64) error {
 		return s.err
 	}
 	e := s.e
-	e.haltSet, e.haltAt, e.haltInject = true, t, true
+	e.haltSet, e.haltAt = true, t
 	var err error
 	for stop := false; !stop && err == nil; {
 		stop, err = e.step()
 	}
-	e.haltSet, e.haltAt, e.haltInject, e.halted = false, 0, false, false
+	e.haltSet, e.haltAt = false, 0
 	if err != nil {
 		s.done, s.err = true, err
 		return err
 	}
 	s.horizon = math.Max(s.horizon, t)
+	return nil
+}
+
+// Idle reports whether the world has run out of work: every job has
+// finished or failed, or nothing is in flight or scheduled. The next
+// StepNextEvent then completes the run, unless Inject adds a job first.
+// It is how a driver pacing the world with AdvanceBefore, which leaves a
+// finished world idling, knows to drain it. A finished stepper is idle.
+func (s *Stepper) Idle() bool { return s.done || s.e.idle() }
+
+// Fork returns an independent stepper that continues this world from
+// where it stands, after revising the submission delays of stages that
+// were not yet submitted. The parent is only read: it stays usable, and
+// any number of goroutines may fork it at once while nobody steps it.
+// The fork keeps the parent's Inject horizon.
+//
+// Updates may only name stages that were not yet submitted (submitted
+// work cannot be un-submitted) with a finite, non-negative delay; stages
+// of a job that already failed ignore them, as under a watchdog. A
+// revised stage that is not yet *ready* simply reads the new delay when
+// it becomes ready, which keeps the fork bit-identical to a from-scratch
+// Run with that delay in the run's Delays map — the delay value is only
+// ever read at readiness. A stage that is already ready (but still
+// waiting out its old delay) is moved like a watchdog revision: exact in
+// semantics, but the superseded submission timer makes the event
+// sequence differ from a from-scratch run's, so bit-identity is not
+// guaranteed in that case.
+//
+// Worlds with an Observer or Watchdog cannot be forked: both receive
+// events synchronously and accumulate external state the fork cannot
+// duplicate. Faults are fine — the injector's draws are pure functions
+// of (seed, task attempt), shared read-only across forks.
+func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
+	if s.done {
+		return nil, fmt.Errorf("sim: fork of a finished run")
+	}
+	p := s.e
+	if err := checkDetached(p.opt); err != nil {
+		return nil, err
+	}
+	for _, u := range updates {
+		si := p.stateIdx(skey{u.Job, u.Stage})
+		switch {
+		case si < 0:
+			return nil, fmt.Errorf("sim: fork: job %d has no stage %d", u.Job, u.Stage)
+		case p.states[si].submitted:
+			return nil, fmt.Errorf("sim: fork: job %d stage %d was already submitted at t=%.6g", u.Job, u.Stage, p.now)
+		case u.Delay < 0 || math.IsNaN(u.Delay) || math.IsInf(u.Delay, 0):
+			return nil, fmt.Errorf("sim: fork: job %d stage %d has invalid delay %v", u.Job, u.Stage, u.Delay)
+		}
+	}
+	e := p.clone()
+	e.applyDelayUpdates(updates)
+	return &Stepper{e: e, horizon: s.horizon}, nil
+}
+
+// checkDetached rejects the options of a world that cannot be forked or
+// persisted: an Observer or Watchdog holds external state that neither a
+// fork nor a file can carry.
+func checkDetached(opt Options) error {
+	if opt.Observer != nil {
+		return fmt.Errorf("sim: a world with an Observer cannot be forked or persisted (observer state cannot be copied)")
+	}
+	if opt.Watchdog != nil {
+		return fmt.Errorf("sim: a world with a Watchdog cannot be forked or persisted (watchdog state cannot be copied)")
+	}
 	return nil
 }
 
@@ -208,4 +269,113 @@ func (s *Stepper) Result() (*Result, error) {
 		s.e = nil
 	}
 	return s.res, nil
+}
+
+// clone deep-copies the engine's mutable state into an engine from the
+// pool. Immutable inputs — the cluster capacities, job graphs and their
+// position lists, the fault injector — are shared; everything the event
+// loop writes is copied, so the original can be forked again later.
+// Scratch buffers are not copied (they carry no state across events).
+//
+// The stage slab and the items copy in bulk: stage links are slab
+// indices and need no rewiring, an item's owning stage is a slab index
+// too, and the per-node buckets are rebuilt as the e.items subsequences
+// they are — so their order, which fixes the floating-point accumulation
+// order of the rates passes, carries over exactly. Only a live
+// speculation race needs an old→new item map to rewire its rival links.
+func (e *engine) clone() *engine {
+	c := resetEngine(e.opt, e.runs)
+	c.seq = e.seq
+	c.now = e.now
+	c.lastTrack = e.lastTrack
+	c.cpuBusyInt = e.cpuBusyInt
+	c.netBytesInt = e.netBytesInt
+	c.diskBytesInt = e.diskBytesInt
+	c.jobsLeft = e.jobsLeft
+	c.stagesLeft = append(c.stagesLeft, e.stagesLeft...)
+	copy(c.failed, e.failed)
+	c.jobBase = append(c.jobBase, e.jobBase...)
+	c.availW = append(c.availW, e.availW...)
+
+	// The slab copies whole; the few per-stage slices and maps the loop
+	// mutates in place get fresh backing.
+	c.states = append(c.states, e.states...)
+	for i := range c.states {
+		st := &c.states[i]
+		if st.pendingCompute != nil {
+			st.pendingCompute = append([]int(nil), st.pendingCompute...)
+		}
+		if st.compDurs != nil {
+			st.compDurs = append([]float64(nil), st.compDurs...)
+		}
+		if st.specDone != nil {
+			st.specDone = maps.Clone(st.specDone)
+		}
+	}
+
+	rivals := false
+	for _, it := range e.items {
+		ni := c.newItem()
+		*ni = *it
+		c.items = append(c.items, ni)
+		bk := c.bucketOf(ni)
+		*bk = append(*bk, ni)
+		rivals = rivals || it.rival != nil
+	}
+	if rivals {
+		// Both ends of a live race are always in e.items.
+		im := make(map[*item]*item, len(e.items))
+		for i, it := range e.items {
+			im[it] = c.items[i]
+		}
+		for _, ni := range c.items {
+			if ni.rival != nil {
+				ni.rival = im[ni.rival]
+			}
+		}
+	}
+	copy(c.dirtyC, e.dirtyC)
+	copy(c.dirtyR, e.dirtyR)
+	copy(c.dirtyW, e.dirtyW)
+
+	c.timers = append(c.timers, e.timers...)
+	c.res = e.res.clone()
+	for k, seg := range e.occOpen {
+		s := *seg
+		c.occOpen[k] = &s
+	}
+	for k, rs := range e.recomps {
+		c.recomps[k] = &recompState{held: append([]int(nil), rs.held...)}
+	}
+	// Machine health: nodeSlow is immutable after setup (shared);
+	// fault counters are mutable (copied). newEngine does not run setup,
+	// so the clone must take them explicitly.
+	c.nodeSlow = e.nodeSlow
+	if e.faultCount != nil {
+		c.faultCount = append([]int(nil), e.faultCount...)
+		c.blacklisted = append([]bool(nil), e.blacklisted...)
+	}
+	c.nBlacklisted = e.nBlacklisted
+	return c
+}
+
+// clone deep-copies a result in progress (every slice gets fresh backing).
+func (r *Result) clone() *Result {
+	c := *r
+	c.Timelines = append(make([]StageTimeline, 0, cap(r.Timelines)), r.Timelines...)
+	c.JobEnd = append([]float64(nil), r.JobEnd...)
+	c.JobStart = append([]float64(nil), r.JobStart...)
+	c.JobErrors = append([]error(nil), r.JobErrors...)
+	c.Node = r.Node.clone()
+	c.Cluster = r.Cluster.clone()
+	c.Occupancy = append([]OccupancySegment(nil), r.Occupancy...)
+	return &c
+}
+
+func (u NodeUsage) clone() NodeUsage {
+	return NodeUsage{
+		CPUBusy:  append(Series(nil), u.CPUBusy...),
+		NetRate:  append(Series(nil), u.NetRate...),
+		DiskRate: append(Series(nil), u.DiskRate...),
+	}
 }

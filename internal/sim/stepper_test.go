@@ -114,9 +114,10 @@ func TestSteppedMultiJobArrivals(t *testing.T) {
 	}
 }
 
-// TestSnapshotStepper checks composition with the checkpoint machinery: a
-// run snapshotted mid-flight and continued through Snapshot.Stepper must
-// reproduce the uninterrupted Run, and the snapshot stays reusable.
+// TestSnapshotStepper checks that forks compose with the step primitives:
+// a run paused mid-flight and continued through Fork must satisfy every
+// stepping invariant and reproduce the uninterrupted Run, and the parent
+// stays reusable.
 func TestSnapshotStepper(t *testing.T) {
 	c := cluster.NewM4LargeCluster(6)
 	rng := rand.New(rand.NewSource(11))
@@ -127,14 +128,14 @@ func TestSnapshotStepper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := SnapshotAt(opt, runs, ref.JobEnd[0]*0.6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for fork := 0; fork < 2; fork++ { // fork twice: the snapshot must not be consumed
-			got := stepToCompletion(t, snap.Stepper())
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s fork %d: snapshot-stepped result differs from Run", job.Name, fork)
+		parent := pausedAt(t, opt, runs, ref.JobEnd[0]*0.6)
+		for fork := 0; fork < 2; fork++ { // fork twice: the parent must not be consumed
+			f, err := parent.Fork(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stepToCompletion(t, f); !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s fork %d: forked result differs from Run", job.Name, fork)
 			}
 		}
 	}
