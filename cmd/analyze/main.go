@@ -22,79 +22,78 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"os"
 
 	"delaystage/internal/attr"
-	"delaystage/internal/cluster"
-	"delaystage/internal/jobspec"
+	"delaystage/internal/cli"
 	"delaystage/internal/obs"
 	"delaystage/internal/workload"
 )
 
-func main() {
-	eventsPath := flag.String("events", "", "JSONL event log to analyze (\"-\" = stdin); required")
-	name := flag.String("workload", "TriangleCount", "ALS | ConnectedComponents | CosineSimilarity | LDA | TriangleCount — must match the logged run")
-	nodes := flag.Int("nodes", 30, "cluster size of the logged run")
-	scale := flag.Float64("scale", 1.0, "workload duration scale of the logged run")
-	specPath := flag.String("spec", "", "JSON job spec (overrides -workload)")
-	run := flag.Int("run", -1, "run label to analyze in a multi-run log (-1 = unlabelled lines)")
-	alpha := flag.Float64("alpha", 0, "engine ContentionOverhead of the logged run (0 = the 0.22 default, negative = none)")
-	traceID := flag.String("trace", "", "print this job's lifecycle span tree from the log's trace lines instead of attributing")
-	chromePath := flag.String("chrometrace", "", "with -trace: also render the spans as a chrome://tracing JSON file")
-	flag.Parse()
-	if *eventsPath == "" {
-		fmt.Fprintln(os.Stderr, "analyze: -events is required")
-		flag.Usage()
-		os.Exit(2)
+// options is analyze's command line: the flag set and what it parses into.
+type options struct {
+	fs                              *cli.FlagSet
+	jobs                            *cli.Jobs
+	eventsPath, traceID, chromePath *string
+	run                             *int
+	alpha                           *float64
+}
+
+// flags builds analyze's flag set.
+func flags() *options {
+	fs := cli.NewFlagSet("analyze")
+	o := &options{fs: fs, jobs: cli.JobFlags(fs, "TriangleCount"),
+		// -events names the log analyze reads, not a sink it writes.
+		eventsPath: fs.String("events", "", "JSONL event log to analyze (\"-\" = stdin); required"),
+		run:        fs.Int("run", -1, "run label to analyze in a multi-run log (-1 = unlabelled lines)"),
+		alpha:      fs.Float64("alpha", 0, "engine ContentionOverhead of the logged run (0 = the 0.22 default, negative = none)"),
+		traceID:    fs.String("trace", "", "print this job's lifecycle span tree from the log's trace lines instead of attributing"),
+		chromePath: fs.String("chrometrace", "", "with -trace: also render the spans as a chrome://tracing JSON file"),
 	}
+	fs.Check(func() error {
+		if *o.eventsPath == "" {
+			return errors.New("-events is required")
+		}
+		return nil
+	})
+	return o
+}
+
+func main() {
+	o := flags()
+	o.fs.Parse(os.Args[1:])
 
 	var r io.Reader = os.Stdin
-	if *eventsPath != "-" {
-		f, err := os.Open(*eventsPath)
+	if *o.eventsPath != "-" {
+		f, err := os.Open(*o.eventsPath)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
 		r = f
 	}
-	if *traceID != "" {
-		replayTrace(r, *traceID, *chromePath)
+	if *o.traceID != "" {
+		replayTrace(r, *o.traceID, *o.chromePath)
 		return
 	}
 	logged, err := obs.ReadEvents(r)
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := obs.EventsOfRun(logged, *run)
+	events := obs.EventsOfRun(logged, *o.run)
 	if len(events) == 0 {
 		runs := obs.Runs(logged)
-		log.Fatalf("analyze: no events with run label %d (labels present: %v)", *run, runs)
+		log.Fatalf("analyze: no events with run label %d (labels present: %v)", *o.run, runs)
 	}
 
-	c := cluster.NewM4LargeCluster(*nodes)
-	var job *workload.Job
-	switch {
-	case *specPath != "":
-		spec, err := jobspec.Load(*specPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		j, err := spec.Job(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		job = j
-	case *name == "ALS":
-		job = workload.ALS(c, *scale)
-	default:
-		job = workload.PaperWorkloads(c, *scale)[*name]
-	}
-	if job == nil {
-		log.Fatalf("unknown workload %q", *name)
+	c := o.jobs.Cluster()
+	job, err := o.jobs.Job(c)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// The selected run may contain several job indices (multi-job sims);
@@ -110,7 +109,7 @@ func main() {
 		jobs[i] = job
 	}
 
-	rep, err := attr.Build(attr.Context{Cluster: c, Jobs: jobs, Alpha: *alpha}, events)
+	rep, err := attr.Build(attr.Context{Cluster: c, Jobs: jobs, Alpha: *o.alpha}, events)
 	if err != nil {
 		log.Fatal(err)
 	}

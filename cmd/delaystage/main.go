@@ -11,12 +11,12 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"os"
 	"sort"
 
+	"delaystage/internal/cli"
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
 	"delaystage/internal/dag"
@@ -27,73 +27,87 @@ import (
 	"delaystage/internal/workload"
 )
 
-func main() {
-	name := flag.String("workload", "LDA", "ALS | ConnectedComponents | CosineSimilarity | LDA | TriangleCount")
-	nodes := flag.Int("nodes", 30, "cluster size (m4.large-class nodes)")
-	scale := flag.Float64("scale", 1.0, "workload duration scale")
-	orderName := flag.String("order", "descending", "execution-path order: descending | ascending | random")
-	seed := flag.Int64("seed", 1, "seed for the random order / profiling noise")
-	profile := flag.Bool("profile", false, "plan on profiled (noisy) parameters, as the prototype does")
-	noCache := flag.Bool("no-eval-cache", false, "disable the what-if memo cache and snapshot forking (every candidate simulated from scratch; the schedule is identical either way)")
-	approx := flag.Bool("approx-plan", false, "plan from the analytic Eq. 1–3 model (no simulation per candidate; makespans are predictions)")
-	noPrune := flag.Bool("no-bound-prune", false, "disable the analytic pruning tier of the candidate scan (single-tier reference; the schedule is identical either way)")
-	specPath := flag.String("spec", "", "JSON job spec (overrides -workload)")
-	logPath := flag.String("eventlog", "", "Spark event log to derive the job from (overrides -workload)")
-	dotPath := flag.String("dot", "", "write the schedule-annotated DAG as Graphviz DOT to this file")
-	flag.Parse()
+// options is delaystage's command line: the flag set and what it parses
+// into.
+type options struct {
+	fs                                *cli.FlagSet
+	jobs                              *cli.Jobs
+	orderName, logPath, dotPath       *string
+	seed                              *int64
+	profile, noCache, approx, noPrune *bool
+}
 
-	c := cluster.NewM4LargeCluster(*nodes)
-	var job *workload.Job
-	switch {
-	case *specPath != "":
-		spec, err := jobspec.Load(*specPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		j, err := spec.Job(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		job = j
-	case *logPath != "":
-		f, err := os.Open(*logPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		l, err := eventlog.Parse(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		j, err := l.Job(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		job = j
-	case *name == "ALS":
-		job = workload.ALS(c, *scale)
-	default:
-		job = workload.PaperWorkloads(c, *scale)[*name]
+// flags builds delaystage's flag set.
+func flags() *options {
+	fs := cli.NewFlagSet("delaystage")
+	o := &options{fs: fs, jobs: cli.JobFlags(fs, "LDA"),
+		orderName: fs.String("order", "descending", "execution-path order: descending | ascending | random"),
+		seed:      fs.Int64("seed", 1, "seed for the random order / profiling noise"),
+		profile:   fs.Bool("profile", false, "plan on profiled (noisy) parameters, as the prototype does"),
+		noCache:   fs.Bool("no-eval-cache", false, "disable the what-if memo cache and snapshot forking (every candidate simulated from scratch; the schedule is identical either way)"),
+		approx:    fs.Bool("approx-plan", false, "plan from the analytic Eq. 1–3 model (no simulation per candidate; makespans are predictions)"),
+		noPrune:   fs.Bool("no-bound-prune", false, "disable the analytic pruning tier of the candidate scan (single-tier reference; the schedule is identical either way)"),
+		logPath:   fs.String("eventlog", "", "Spark event log to derive the job from (overrides -workload)"),
+		dotPath:   fs.String("dot", "", "write the schedule-annotated DAG as Graphviz DOT to this file"),
 	}
-	if job == nil {
-		log.Fatalf("unknown workload %q", *name)
-	}
+	fs.Check(func() error {
+		_, err := o.parseOrder()
+		return err
+	})
+	return o
+}
 
-	var order core.Order
-	switch *orderName {
+// parseOrder returns the -order execution-path order.
+func (o *options) parseOrder() (core.Order, error) {
+	switch *o.orderName {
 	case "descending":
-		order = core.Descending
+		return core.Descending, nil
 	case "ascending":
-		order = core.Ascending
+		return core.Ascending, nil
 	case "random":
-		order = core.Random
-	default:
-		log.Fatalf("unknown order %q", *orderName)
+		return core.Random, nil
+	}
+	return 0, fmt.Errorf("unknown order %q", *o.orderName)
+}
+
+// sparkJob derives the job from a Spark event log.
+func sparkJob(path string, c *cluster.Cluster) (*workload.Job, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	l, err := eventlog.Parse(f)
+	if err != nil {
+		return nil, err
+	}
+	return l.Job(c)
+}
+
+func main() {
+	o := flags()
+	o.fs.Parse(os.Args[1:])
+
+	c := o.jobs.Cluster()
+	var job *workload.Job
+	var err error
+	if *o.logPath != "" && o.jobs.Spec == "" { // -spec overrides -eventlog
+		job, err = sparkJob(*o.logPath, c)
+	} else {
+		job, err = o.jobs.Job(c)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	order, err := o.parseOrder()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	planJob := job
-	if *profile {
-		prof, err := profiler.ProfileJob(job, profiler.Options{Seed: *seed})
+	if *o.profile {
+		prof, err := profiler.ProfileJob(job, profiler.Options{Seed: *o.seed})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,13 +115,13 @@ func main() {
 		fmt.Printf("profiled on a 10%% sample in %.1f simulated seconds\n", prof.ProfilingTime)
 	}
 
-	sched, err := core.Compute(core.Options{Cluster: c, Order: order, Seed: *seed,
-		DisableEvalCache: *noCache, Approximate: *approx, DisableBoundPrune: *noPrune}, planJob)
+	sched, err := core.Compute(core.Options{Cluster: c, Order: order, Seed: *o.seed,
+		DisableEvalCache: *o.noCache, Approximate: *o.approx, DisableBoundPrune: *o.noPrune}, planJob)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("workload %s on %d nodes (order: %s)\n", job.Name, *nodes, order)
+	fmt.Printf("workload %s on %d nodes (order: %s)\n", job.Name, o.jobs.Nodes, order)
 	fmt.Printf("parallel stages K = %v\n", sched.K)
 	fmt.Printf("execution paths:\n")
 	for i, p := range sched.Paths {
@@ -146,15 +160,15 @@ func main() {
 	}
 	fmt.Printf("simulated JCT: stock %.1fs → DelayStage %.1fs (−%.1f%%)\n",
 		stock.JCT(0), delayed.JCT(0), 100*(stock.JCT(0)-delayed.JCT(0))/stock.JCT(0))
-	if *dotPath != "" {
+	if *o.dotPath != "" {
 		dot, err := jobspec.DOT(job, sched.Delays)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*dotPath, []byte(dot), 0o644); err != nil {
+		if err := os.WriteFile(*o.dotPath, []byte(dot), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("schedule DAG written to %s\n", *dotPath)
+		fmt.Printf("schedule DAG written to %s\n", *o.dotPath)
 	}
 	if delayed.JCT(0) > stock.JCT(0) {
 		fmt.Fprintln(os.Stderr, "warning: schedule regressed on the true job (profiling noise?)")

@@ -17,13 +17,14 @@ package main
 
 import (
 	"bytes"
-	"flag"
+	"context"
 	"fmt"
 	"os"
 	"strings"
 	"sync"
 	"time"
 
+	"delaystage/internal/cli"
 	"delaystage/internal/experiments"
 	"delaystage/internal/obs"
 )
@@ -82,29 +83,51 @@ func runGuarded(name string, run func(experiments.Config) (any, error), cfg expe
 	}
 }
 
-func main() {
-	scale := flag.Float64("scale", 1.0, "workload duration scale (1.0 = paper-sized)")
-	nodes := flag.Int("nodes", 30, "prototype cluster size")
-	traceJobs := flag.Int("trace-jobs", 600, "jobs in trace-driven experiments")
-	reps := flag.Int("reps", 5, "repetitions for error bars")
-	seed := flag.Int64("seed", 1, "random seed")
-	parallelism := flag.Int("parallelism", 1, "worker count for independent experiment cells (output is bit-identical at any setting)")
-	only := flag.String("only", "", "comma-separated subset (fig2..fig17, table3, table4, a2, overhead, geo, online, sensitivity, fault)")
-	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock guard (0 = none); an experiment past it is abandoned with a partial-results warning")
-	jsonPath := flag.String("json", "", "write a machine-readable summary of every experiment's results to this file (\"-\" = stdout)")
-	serveAddr := flag.String("serve", "", "serve live introspection (/metrics, /healthz, /debug/pprof) on this address while experiments run")
-	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the last experiment (for scraping short runs)")
-	flag.Parse()
+// options is experiments' command line: the flag set and what it parses
+// into. The numeric flags bind straight into the experiment configuration.
+type options struct {
+	fs             *cli.FlagSet
+	cfg            experiments.Config
+	intro          *cli.Introspection
+	only, jsonPath *string
+	timeout        *time.Duration
+}
 
-	cfg := experiments.Config{
-		Scale: *scale, Nodes: *nodes, TraceJobs: *traceJobs,
-		Reps: *reps, Seed: *seed, Parallelism: *parallelism, W: os.Stdout,
+// flags builds experiments' flag set.
+func flags() *options {
+	fs := cli.NewFlagSet("experiments")
+	o := &options{fs: fs, intro: cli.IntrospectionFlags(fs, "the experiment grid"),
+		only:     fs.String("only", "", "comma-separated subset (fig2..fig17, table3, table4, a2, overhead, geo, online, sensitivity, fault)"),
+		timeout:  fs.Duration("timeout", 0, "per-experiment wall-clock guard (0 = none); an experiment past it is abandoned with a partial-results warning"),
+		jsonPath: fs.String("json", "", "write a machine-readable summary of every experiment's results to this file (\"-\" = stdout)"),
 	}
-	var srv *obs.Server
+	c := &o.cfg
+	fs.Float64Var(&c.Scale, "scale", 1.0, "workload duration scale (1.0 = paper-sized)")
+	fs.IntVar(&c.Nodes, "nodes", 30, "prototype cluster size")
+	fs.IntVar(&c.TraceJobs, "trace-jobs", 600, "jobs in trace-driven experiments")
+	fs.IntVar(&c.Reps, "reps", 5, "repetitions for error bars")
+	fs.Int64Var(&c.Seed, "seed", 1, "random seed")
+	fs.IntVar(&c.Parallelism, "parallelism", 1, "worker count for independent experiment cells (output is bit-identical at any setting)")
+	return o
+}
+
+func main() {
+	o := flags()
+	o.fs.Parse(os.Args[1:])
+	cfg := o.cfg
+	cfg.W = os.Stdout
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(cli.ExitRuntime)
+	}
+
 	var expDone *obs.Counter
 	var expSeconds *obs.Histogram
-	if *serveAddr != "" {
-		reg := obs.NewRegistry()
+	reg, err := o.intro.Start(func(msg string) { fmt.Fprintln(os.Stderr, msg) })
+	if err != nil {
+		fail(err)
+	}
+	if reg != nil {
 		expDone = reg.Counter("experiments_completed_total", "", "experiments (figures/tables) completed")
 		expSeconds = reg.Histogram("experiments_experiment_seconds", "",
 			"wall-clock duration of each experiment", obs.ExpBuckets(0.1, 4, 8))
@@ -112,13 +135,6 @@ func main() {
 		cellsLeft := reg.Gauge("experiments_cells_remaining", "", "grid cells announced but not yet completed")
 		cfg.OnGrid = func(n int) { cellsLeft.Add(float64(n)) }
 		cfg.OnCell = func() { cellsDone.Inc(); cellsLeft.Add(-1) }
-		s, err := obs.Serve(*serveAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		srv = s
-		fmt.Fprintf(os.Stderr, "serving introspection on http://%s\n", srv.Addr)
 	}
 	runners := map[string]func(experiments.Config) (any, error){}
 	var order []string
@@ -128,27 +144,26 @@ func main() {
 			order = append(order, r.Name)
 		}
 	}
-	if *only != "" {
+	if *o.only != "" {
 		order = nil
-		for _, name := range strings.Split(*only, ",") {
+		for _, name := range strings.Split(*o.only, ",") {
 			name = strings.TrimSpace(strings.ToLower(name))
 			if _, ok := runners[name]; !ok {
 				fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", name)
-				os.Exit(2)
+				os.Exit(cli.ExitUsage)
 			}
 			order = append(order, name)
 		}
 	}
 	summary := obs.NewExperimentsSummary(map[string]any{
-		"scale": *scale, "nodes": *nodes, "trace_jobs": *traceJobs,
-		"reps": *reps, "seed": *seed,
+		"scale": cfg.Scale, "nodes": cfg.Nodes, "trace_jobs": cfg.TraceJobs,
+		"reps": cfg.Reps, "seed": cfg.Seed,
 	})
 	for _, name := range order {
 		started := time.Now()
-		res, err := runGuarded(name, runners[name], cfg, *timeout)
+		res, err := runGuarded(name, runners[name], cfg, *o.timeout)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
+			fail(fmt.Errorf("%s: %w", name, err))
 		}
 		if expDone != nil {
 			expDone.Inc()
@@ -158,20 +173,14 @@ func main() {
 			summary.Results[name] = res
 		}
 	}
-	if *jsonPath != "" {
-		if err := obs.WriteJSON(*jsonPath, summary); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+	if *o.jsonPath != "" {
+		if err := obs.WriteJSON(*o.jsonPath, summary); err != nil {
+			fail(err)
 		}
 	}
-	if srv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "lingering %v on http://%s\n", *linger, srv.Addr)
-			time.Sleep(*linger)
-		}
-		if err := srv.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
+	// No signal handler runs during the experiments, so a signal there
+	// ends the process at once; only the linger below waits for one.
+	if err := o.intro.Close(context.Background()); err != nil {
+		fail(err)
 	}
 }

@@ -8,7 +8,7 @@
 //	tracegen -jobs 300 | replay
 //	replay -f trace.csv [-slice-machines 2]
 //	replay -f trace.csv -events ev.jsonl -chrometrace tr.json -json sum.json
-//	replay -f trace.csv -fault-rate 0.05 -node-mttf 4000 -speculate -blacklist-after 2
+//	replay -f trace.csv -fault-rate 0.05 -node-mttf 4000 -mttf-horizon 1000 -speculate -blacklist-after 2
 //	replay -f trace.csv -checkpoint-dir ckpt -resume -json sum.json
 //	tracegen -scale full | replay -shards 8 -approx-plan -variants fuxi,default
 //
@@ -35,17 +35,17 @@
 // -resume continues from it at any shard count — a SIGKILLed replay
 // resumed with the same flags produces a byte-identical -json summary. A
 // missing checkpoint starts fresh; a corrupt or mismatched one (different
-// trace or flags) is discarded with a warning.
+// trace or flags) is discarded with a note.
 //
 // Diagnostics go to stderr as JSON lines (log/slog); -log-level picks the
-// floor (debug, info, warn, error). Results stay on stdout.
+// floor (debug, info, warn, error). Results stay on stdout. A usage error
+// is printed as plain text and exits 2 before any work starts.
 package main
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"flag"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -53,13 +53,12 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"delaystage/internal/ckpt"
+	"delaystage/internal/cli"
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
 	"delaystage/internal/dag"
@@ -213,63 +212,120 @@ func decodeProgress(b []byte, nVariants int) ([]*progress, error) {
 	return ps, nil
 }
 
-func main() {
-	file := flag.String("f", "", "trace file (default: stdin)")
-	sliceMachines := flag.Int("slice-machines", 2, "machines in each job's even cluster slice")
-	seed := flag.Int64("seed", 1, "seed for slice bandwidth draws and the random order")
-	faultRate := flag.Float64("fault-rate", 0, "per-partition task failure probability")
-	stragFrac := flag.Float64("straggler-frac", 0, "fraction of partitions that straggle")
-	stragFactor := flag.Float64("straggler-factor", 1, "slowdown multiplier of straggling partitions")
-	nodeMTTF := flag.Float64("node-mttf", 0, "mean time to failure per slice machine in simulated seconds (0 = off)")
-	mttfHorizon := flag.Float64("mttf-horizon", 0, "only MTTF crash draws before this simulated time take effect (required with -node-mttf)")
-	slowNodeFrac := flag.Float64("slow-node-frac", 0, "fraction of slice machines that run persistently slow")
-	slowNodeFactor := flag.Float64("slow-node-factor", 1, "slowdown multiplier of persistently slow machines")
-	faultSeed := flag.Int64("fault-seed", 1, "base seed of the fault injector (each trace job draws from seed+index)")
-	maxRetries := flag.Int("max-retries", 0, "attempts per partition before a job fails (0 = default 4)")
-	speculate := flag.Bool("speculate", false, "launch speculative clones of straggling partitions")
-	blacklistAfter := flag.Int("blacklist-after", 0, "blacklist a slice machine after this many faults on it (0 = off)")
-	eventsPath := flag.String("events", "", "write a JSONL event log of the default-DelayStage replays to this file (\"-\" = stdout)")
-	tracePath := flag.String("chrometrace", "", "write a Chrome trace of the default-DelayStage replays to this file")
-	jsonPath := flag.String("json", "", "write a machine-readable per-variant summary to this file (\"-\" = stdout)")
-	serveAddr := flag.String("serve", "", "serve live introspection (/metrics with per-variant JCT histograms, /healthz, /debug/pprof) on this address during the replay")
-	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the replay (for scraping short runs)")
-	ckptDir := flag.String("checkpoint-dir", "", "write per-job progress checkpoints into this directory (the replay becomes crash-safe)")
-	resume := flag.Bool("resume", false, "resume from the progress checkpoint in -checkpoint-dir (missing or stale checkpoints start fresh)")
-	shards := flag.Int("shards", 0, "replay through this many merging-clock engine shards (0 = one shard); the summary is byte-identical at any setting")
-	shardWindow := flag.Int("shard-window", 0, "max live simulation worlds per shard (0 = default 64); bounds sharded replay memory at full trace scale")
-	variantsFlag := flag.String("variants", "", "comma-separated subset of variants to replay: fuxi,random,default,ascending (default: all)")
-	approxPlan := flag.Bool("approx-plan", false, "plan from the analytic model instead of what-if simulation (needed to replay full-scale traces in minutes)")
-	logLevel := flag.String("log-level", "info", "stderr log floor: debug, info, warn or error")
-	flag.Parse()
+// variant is one strategy every trace job is replayed under; key is its
+// -variants name.
+type variant struct {
+	name, key string
+	order     core.Order
+	plain     bool
+}
 
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+var allVariants = []variant{
+	{name: "Fuxi", key: "fuxi", plain: true},
+	{name: "random DelayStage", key: "random", order: core.Random},
+	{name: "default DelayStage", key: "default", order: core.Descending},
+	{name: "ascending DelayStage", key: "ascending", order: core.Ascending},
+}
+
+// options is replay's command line: the flag set and what it parses into.
+type options struct {
+	fs       *cli.FlagSet
+	logLevel *cli.Log
+	fault    *cli.Faults
+	sinks    *cli.Sinks
+	intro    *cli.Introspection
+	ckpts    *cli.Checkpoint
+
+	file, jsonPath, variantList        *string
+	sliceMachines, shards, shardWindow *int
+	seed                               *int64
+	approxPlan                         *bool
+}
+
+// flags builds replay's flag set.
+func flags() *options {
+	fs := cli.NewFlagSet("replay")
+	o := &options{fs: fs, logLevel: cli.LogFlags(fs), fault: cli.FaultFlags(fs),
+		sinks: cli.SinkFlags(fs, "the default-DelayStage replays"), intro: cli.IntrospectionFlags(fs, "the replay"),
+		ckpts: cli.CheckpointFlags(fs),
+
+		file:          fs.String("f", "", "trace file (default: stdin)"),
+		sliceMachines: fs.Int("slice-machines", 2, "machines in each job's even cluster slice"),
+		seed:          fs.Int64("seed", 1, "seed for slice bandwidth draws and the random order"),
+		jsonPath:      fs.String("json", "", "write a machine-readable per-variant summary to this file (\"-\" = stdout)"),
+		shards:        fs.Int("shards", 0, "replay through this many merging-clock engine shards (0 = one shard); the summary is byte-identical at any setting"),
+		shardWindow:   fs.Int("shard-window", 0, "max live simulation worlds per shard (0 = default 64); bounds sharded replay memory at full trace scale"),
+		variantList:   fs.String("variants", "", "comma-separated subset of variants to replay: fuxi,random,default,ascending (default: all)"),
+		approxPlan:    fs.Bool("approx-plan", false, "plan from the analytic model instead of what-if simulation (needed to replay full-scale traces in minutes)"),
 	}
-	logger := obs.NewLogger(os.Stderr, level)
-	// The fault flags are validated once, before any trace work; each job's
-	// injector then only re-seeds the plan.
-	faultPlan := faults.FaultPlan{
-		TaskFailureProb: *faultRate,
-		StragglerFrac:   *stragFrac,
-		StragglerFactor: *stragFactor,
-		NodeMTTF:        *nodeMTTF,
-		MTTFHorizon:     *mttfHorizon,
-		SlowNodeFrac:    *slowNodeFrac,
-		SlowNodeFactor:  *slowNodeFactor,
+	fs.Check(func() error {
+		if o.ckpts.Dir != "" && o.sinks.Set() {
+			// A resumed replay skips completed jobs, so per-job event logs
+			// would silently come out partial.
+			return errors.New("-checkpoint-dir is incompatible with -events and -chrometrace")
+		}
+		_, err := o.selectVariants()
+		return err
+	})
+	return o
+}
+
+// selectVariants returns the -variants subset of allVariants, in
+// allVariants order.
+func (o *options) selectVariants() ([]variant, error) {
+	if *o.variantList == "" {
+		return allVariants, nil
 	}
-	if err := faultPlan.Validate(); err != nil {
-		logger.Error(err.Error())
-		os.Exit(2)
+	want := map[string]bool{}
+	for _, k := range strings.Split(*o.variantList, ",") {
+		k = strings.TrimSpace(strings.ToLower(k))
+		if k != "fuxi" && k != "random" && k != "default" && k != "ascending" {
+			return nil, fmt.Errorf("unknown variant %q (want fuxi, random, default or ascending)", k)
+		}
+		want[k] = true
 	}
+	var sel []variant
+	for _, v := range allVariants {
+		if want[v.key] {
+			sel = append(sel, v)
+		}
+	}
+	return sel, nil
+}
+
+// configKey is what the flags contribute to the progress-checkpoint
+// fingerprint: every value that shapes a replayed run, so a checkpoint
+// written under different flags is rejected. Its bytes must not change,
+// or every existing checkpoint stops resuming.
+func (o *options) configKey(variants []variant) []byte {
+	b := make([]byte, 0, 128)
+	for _, v := range []float64{float64(*o.sliceMachines), float64(*o.seed)} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	b = o.fault.AppendKey(b)
+	approx := byte(0)
+	if *o.approxPlan {
+		approx = 1
+	}
+	b = append(b, approx)
+	for _, v := range variants {
+		b = append(b, v.name...)
+	}
+	return b
+}
+
+func main() {
+	o := flags()
+	o.fs.Parse(os.Args[1:])
+	logger := o.logLevel.Logger()
+	say := func(msg string) { logger.Info(msg) }
 	fail := func(err error) {
 		logger.Error(err.Error())
-		os.Exit(1)
+		os.Exit(cli.ExitRuntime)
 	}
-	failf := func(format string, a ...any) {
-		logger.Error(fmt.Sprintf(format, a...))
-		os.Exit(1)
+	variants, err := o.selectVariants()
+	if err != nil {
+		fail(err)
 	}
 
 	// SIGINT/SIGTERM cancel the context: the shard runner drains its
@@ -279,8 +335,8 @@ func main() {
 	defer stopSignals()
 
 	var r io.Reader = os.Stdin
-	if *file != "" {
-		f, err := os.Open(*file)
+	if *o.file != "" {
+		f, err := os.Open(*o.file)
 		if err != nil {
 			fail(err)
 		}
@@ -296,166 +352,74 @@ func main() {
 		fail(err)
 	}
 	if len(tr.Jobs) == 0 {
-		failf("replay: empty trace")
+		fail(errors.New("replay: empty trace"))
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(*o.seed))
 
 	slices := make([]*cluster.Cluster, len(tr.Jobs))
 	for i := range tr.Jobs {
-		slices[i] = sim.Coarsen(cluster.NewTraceCluster(*sliceMachines, 4, rng))
+		slices[i] = sim.Coarsen(cluster.NewTraceCluster(*o.sliceMachines, 4, rng))
 	}
 
+	// The fault flags were validated once, at parse; each job's injector
+	// only re-seeds the plan.
 	injector := func(jobIdx int) (*faults.Injector, error) {
-		if faultPlan.Zero() {
+		if o.fault.Plan.Zero() {
 			return nil, nil
 		}
-		p := faultPlan
-		p.Seed = *faultSeed + int64(jobIdx)
+		p := o.fault.Plan
+		p.Seed += int64(jobIdx)
 		return faults.NewInjector(p)
 	}
 
-	var jsonl *obs.JSONL
-	var evFile *os.File
-	if *eventsPath != "" {
-		w := os.Stdout
-		if *eventsPath != "-" {
-			f, err := os.Create(*eventsPath)
-			if err != nil {
-				fail(err)
-			}
-			evFile = f
-			w = f
-		}
-		jsonl = obs.NewJSONL(w)
+	if err := o.sinks.Open(); err != nil {
+		fail(err)
 	}
-	var tracer *obs.ChromeTracer
-	if *tracePath != "" {
-		tracer = obs.NewChromeTracer()
+	reg, err := o.intro.Start(say)
+	if err != nil {
+		fail(err)
 	}
-	var reg *obs.Registry
-	var srv *obs.Server
 	var runsDone *obs.Counter
-	if *serveAddr != "" {
-		reg = obs.NewRegistry()
+	if reg != nil {
 		runsDone = reg.Counter("replay_runs_completed_total", "", "sim runs completed across all variants")
-		s, err := obs.Serve(*serveAddr, reg)
-		if err != nil {
-			fail(err)
-		}
-		srv = s
-		logger.Info(fmt.Sprintf("serving introspection on http://%s", srv.Addr), "addr", srv.Addr)
-	}
-
-	type variant struct {
-		name  string
-		order core.Order
-		plain bool
-	}
-	variants := []variant{
-		{name: "Fuxi", plain: true},
-		{name: "random DelayStage", order: core.Random},
-		{name: "default DelayStage", order: core.Descending},
-		{name: "ascending DelayStage", order: core.Ascending},
-	}
-	if *variantsFlag != "" {
-		keys := map[string]string{"fuxi": "Fuxi", "random": "random DelayStage",
-			"default": "default DelayStage", "ascending": "ascending DelayStage"}
-		want := map[string]bool{}
-		for _, k := range strings.Split(*variantsFlag, ",") {
-			name, ok := keys[strings.TrimSpace(strings.ToLower(k))]
-			if !ok {
-				failf("replay: unknown variant %q (want fuxi, random, default or ascending)", k)
-			}
-			want[name] = true
-		}
-		sel := variants[:0]
-		for _, v := range variants {
-			if want[v.name] {
-				sel = append(sel, v)
-			}
-		}
-		variants = sel
 	}
 
 	// Progress checkpointing. The fingerprint covers the trace bytes and
 	// every flag that shapes a replayed run, so a checkpoint written under
 	// different inputs is rejected and discarded.
-	var ckptPath string
 	state := make([]*progress, len(variants))
 	for i := range state {
 		state[i] = &progress{}
 	}
-	if *ckptDir != "" {
-		if jsonl != nil || tracer != nil {
-			// A resumed replay skips completed jobs, so per-job event logs
-			// would silently come out partial.
-			failf("-checkpoint-dir is incompatible with -events and -chrometrace")
+	traceHash.Write(o.configKey(variants))
+	fingerprint := traceHash.Sum64()
+	var saveProgress func() error
+	if o.ckpts.Dir != "" {
+		read := func(path string) error {
+			env, err := ckpt.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			if err := env.Expect(progressKind, progressVersion, fingerprint); err != nil {
+				return err
+			}
+			loaded, err := decodeProgress(env.Payload, len(variants))
+			if err == nil {
+				state = loaded
+			}
+			return err
 		}
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+		path, err := o.ckpts.Open("replay.ckpt", read, say)
+		if err != nil {
 			fail(err)
 		}
-		ckptPath = filepath.Join(*ckptDir, "replay.ckpt")
-	} else if *resume {
-		failf("-resume requires -checkpoint-dir")
-	}
-	h := traceHash
-	cfgBuf := make([]byte, 0, 128)
-	for _, v := range []float64{float64(*sliceMachines), float64(*seed), *faultRate,
-		*stragFrac, *stragFactor, *nodeMTTF, *mttfHorizon, *slowNodeFrac, *slowNodeFactor,
-		float64(*faultSeed), float64(*maxRetries), float64(*blacklistAfter)} {
-		cfgBuf = binary.LittleEndian.AppendUint64(cfgBuf, math.Float64bits(v))
-	}
-	for _, b := range []bool{*speculate, *approxPlan} {
-		if b {
-			cfgBuf = append(cfgBuf, 1)
-		} else {
-			cfgBuf = append(cfgBuf, 0)
-		}
-	}
-	for _, v := range variants {
-		cfgBuf = append(cfgBuf, v.name...)
-	}
-	h.Write(cfgBuf)
-	fingerprint := h.Sum64()
-	if *resume {
-		env, err := ckpt.ReadFile(ckptPath)
-		switch {
-		case os.IsNotExist(err):
-			logger.Info(fmt.Sprintf("no checkpoint at %s; starting fresh", ckptPath), "path", ckptPath)
-		case err != nil:
-			if !ckpt.IsFormat(err) {
-				fail(err)
-			}
-			logger.Warn(fmt.Sprintf("unusable checkpoint (%v); starting fresh", err))
-		default:
-			verr := env.Expect(progressKind, progressVersion, fingerprint)
-			var loaded []*progress
-			if verr == nil {
-				loaded, verr = decodeProgress(env.Payload, len(variants))
-			}
-			if verr != nil {
-				logger.Warn(fmt.Sprintf("unusable checkpoint (%v); starting fresh", verr))
-			} else {
-				state = loaded
-				done := 0
-				for _, p := range state {
-					done += p.done
-				}
-				logger.Info(fmt.Sprintf("resumed from %s: %d/%d runs already done",
-					ckptPath, done, len(variants)*len(tr.Jobs)), "path", ckptPath)
-			}
-		}
-	}
-	var saveProgress func() error
-	if ckptPath != "" {
 		saveProgress = func() error {
-			return ckpt.WriteFile(ckptPath, ckpt.Envelope{
+			return ckpt.WriteFile(path, ckpt.Envelope{
 				Kind: progressKind, Version: progressVersion,
 				Fingerprint: fingerprint, Payload: encodeProgress(state),
 			})
 		}
 	}
-
 	summary := map[string]*variantSummary{}
 	for vi, v := range variants {
 		// Observers tap the default-DelayStage variant — the paper's
@@ -483,8 +447,8 @@ func main() {
 					mc = 6
 				}
 				sched, err := core.Compute(core.Options{
-					Cluster: slices[i], Order: v.order, Seed: *seed + int64(i),
-					MaxCandidates: mc, Approximate: *approxPlan,
+					Cluster: slices[i], Order: v.order, Seed: *o.seed + int64(i),
+					MaxCandidates: mc, Approximate: *o.approxPlan,
 				}, wl)
 				if err != nil {
 					return shardsim.World{}, err
@@ -497,8 +461,8 @@ func main() {
 			}
 			return shardsim.World{
 				Opt: sim.Options{Cluster: slices[i], TrackNode: -1,
-					Faults: inj, MaxAttempts: *maxRetries,
-					Speculation: *speculate, BlacklistAfter: *blacklistAfter},
+					Faults: inj, MaxAttempts: o.fault.MaxAttempts,
+					Speculation: o.fault.Speculation, BlacklistAfter: o.fault.BlacklistAfter},
 				Runs: []sim.JobRun{{Job: wl, Delays: delays}},
 			}, nil
 		}
@@ -512,7 +476,7 @@ func main() {
 		start := p.done
 		var mux *obs.ShardMux
 		if observed {
-			if mux = obs.NewShardMux(len(tr.Jobs), jsonl, tracer); !mux.Active() {
+			if mux = obs.NewShardMux(len(tr.Jobs), o.sinks.JSONL, o.sinks.Chrome); !mux.Active() {
 				mux = nil
 			}
 		}
@@ -524,16 +488,16 @@ func main() {
 			return w, err
 		}
 		fold := newPrefixFold(p, len(tr.Jobs), saveProgress)
-		err := shardsim.Run(shardsim.Config{Shards: *shards, MaxLive: *shardWindow, Ctx: ctx},
+		err := shardsim.Run(shardsim.Config{Shards: *o.shards, MaxLive: *o.shardWindow, Ctx: ctx},
 			len(tr.Jobs)-start,
 			build,
 			func(k int, res *sim.Result) error {
 				i := start + k
-				o := outcome{failed: res.Failed(0) != nil}
-				if !o.failed {
-					o.jct, o.cpu, o.net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
+				oc := outcome{failed: res.Failed(0) != nil}
+				if !oc.failed {
+					oc.jct, oc.cpu, oc.net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
 					if jctHist != nil {
-						jctHist.Observe(o.jct) // histogram is mutex-guarded
+						jctHist.Observe(oc.jct) // histogram is mutex-guarded
 					}
 				}
 				if mux != nil {
@@ -542,7 +506,7 @@ func main() {
 				if runsDone != nil {
 					runsDone.Inc()
 				}
-				return fold.add(i, o)
+				return fold.add(i, oc)
 			})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -551,16 +515,16 @@ func main() {
 					done += st.done
 				}
 				msg := fmt.Sprintf("interrupted after %d/%d runs", done, len(variants)*len(tr.Jobs))
-				if ckptPath != "" {
-					msg += fmt.Sprintf("; resume with -checkpoint-dir %s -resume", *ckptDir)
+				if o.ckpts.Dir != "" {
+					msg += fmt.Sprintf("; resume with -checkpoint-dir %s -resume", o.ckpts.Dir)
 				}
 				logger.Warn(msg)
-				os.Exit(130)
+				os.Exit(cli.ExitInterrupted)
 			}
 			fail(err)
 		}
 		if len(p.jcts) == 0 {
-			failf("%s: every job failed under the injected faults", v.name)
+			fail(fmt.Errorf("%s: every job failed under the injected faults", v.name))
 		}
 		cdf := metrics.NewCDF(p.jcts)
 		fmt.Printf("%-22s mean %8.0fs  P50 %8.0fs  P90 %8.0fs  P99 %8.0fs  CPU %5.1f%%  net %5.1f%%",
@@ -574,53 +538,21 @@ func main() {
 			NetUtil: p.netInt / p.timeInt, Failed: p.failed}
 	}
 
-	if jsonl != nil {
-		if err := jsonl.Flush(); err != nil {
-			fail(err)
-		}
-		if evFile != nil {
-			if err := evFile.Close(); err != nil {
-				fail(err)
-			}
-		}
+	if err := o.sinks.Close(nil); err != nil {
+		fail(err)
 	}
-	if tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fail(err)
-		}
-		if err := tracer.Write(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-	if *jsonPath != "" {
+	if *o.jsonPath != "" {
 		out := obs.NewExperimentsSummary(map[string]any{
-			"trace_jobs": len(tr.Jobs), "slice_machines": *sliceMachines, "seed": *seed,
+			"trace_jobs": len(tr.Jobs), "slice_machines": *o.sliceMachines, "seed": *o.seed,
 		})
 		for name, vs := range summary {
 			out.Results[name] = vs
 		}
-		if err := obs.WriteJSON(*jsonPath, out); err != nil {
+		if err := obs.WriteJSON(*o.jsonPath, out); err != nil {
 			fail(err)
 		}
 	}
-	if srv != nil {
-		if *linger > 0 {
-			logger.Info(fmt.Sprintf("lingering %v on http://%s", *linger, srv.Addr))
-			// A signal cuts the linger short; the endpoint still closes
-			// cleanly below.
-			timer := time.NewTimer(*linger)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-			case <-timer.C:
-			}
-		}
-		if err := srv.Close(); err != nil {
-			fail(err)
-		}
+	if err := o.intro.Close(ctx); err != nil {
+		fail(err)
 	}
 }

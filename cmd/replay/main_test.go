@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/hex"
+	"flag"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -124,5 +127,48 @@ func TestPrefixFoldSavesPrefixes(t *testing.T) {
 		if !bytes.Equal(b, want) {
 			t.Fatalf("save %d: not the sequential state after %d jobs", si, got.done)
 		}
+	}
+}
+
+// TestFlagSurface pins replay's flag names and defaults: a flag group shared
+// with other commands must not add, drop or re-default any of them.
+func TestFlagSurface(t *testing.T) {
+	want := map[string]string{
+		"approx-plan": "false", "blacklist-after": "0", "checkpoint-dir": "", "chrometrace": "",
+		"events": "", "f": "", "fault-rate": "0", "fault-seed": "1", "json": "", "linger": "0s",
+		"log-level": "info", "max-retries": "0", "mttf-horizon": "0", "node-mttf": "0",
+		"resume": "false", "seed": "1", "serve": "", "shard-window": "0", "shards": "0",
+		"slice-machines": "2", "slow-node-factor": "1", "slow-node-frac": "0", "speculate": "false",
+		"straggler-factor": "1", "straggler-frac": "0", "variants": "",
+	}
+	got := map[string]string{}
+	flags().fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestConfigKeyPinned pins the flag part of the progress-checkpoint
+// fingerprint to its established bytes: slice machines and seed, the ten
+// fault numbers, -speculate, -approx-plan, then the variant names. Any
+// change to them would make every saved checkpoint unusable.
+func TestConfigKeyPinned(t *testing.T) {
+	o := flags()
+	if err := o.fs.Parse([]string{"-slice-machines", "3", "-seed", "7", "-fault-rate", "0.05",
+		"-straggler-frac", "0.2", "-straggler-factor", "3.5", "-node-mttf", "2000", "-mttf-horizon", "500",
+		"-slow-node-frac", "0.1", "-slow-node-factor", "2.5", "-fault-seed", "9", "-max-retries", "5",
+		"-blacklist-after", "2", "-speculate", "-variants", "fuxi,default"}); err != nil {
+		t.Fatal(err)
+	}
+	variants, err := o.selectVariants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "00000000000008400000000000001c409a9999999999a93f9a9999999999c93f" +
+		"0000000000000c400000000000409f400000000000407f409a9999999999b93f" +
+		"0000000000000440000000000000224000000000000014400000000000000040" +
+		"01004675786964656661756c742044656c61795374616765"
+	if got := hex.EncodeToString(o.configKey(variants)); got != want {
+		t.Errorf("config key changed:\n got %s\nwant %s", got, want)
 	}
 }

@@ -39,9 +39,8 @@ package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"math/rand"
@@ -50,6 +49,7 @@ import (
 	"sort"
 	"syscall"
 
+	"delaystage/internal/cli"
 	"delaystage/internal/cluster"
 	"delaystage/internal/obs"
 	"delaystage/internal/service"
@@ -57,39 +57,72 @@ import (
 	"delaystage/internal/workload"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "HTTP listen address (\":0\" picks a free port)")
-	nodes := flag.Int("nodes", 10, "m4.large nodes in the simulated cluster")
-	policy := flag.String("policy", "accept-all", "admission policy: accept-all, token-bucket, queue-cap")
-	rate := flag.Float64("rate", 1, "token-bucket refill rate in jobs per wall-clock second")
-	burst := flag.Float64("burst", 5, "token-bucket burst size per tenant")
-	queueCap := flag.Int("queue-cap", 8, "queue-cap policy: reject when this many jobs are live")
-	reviseDepth := flag.Int("revise-depth", 0, "dispatch submit-when-ready (skip Alg. 1) when the live-job count reaches this (0 = off)")
-	cacheSize := flag.Int("cache-size", 0, "plan-template cache capacity (0 = 512, negative disables)")
-	driftTol := flag.Float64("drift-tol", 0.15, "template validity: max relative per-stage drift on a cache hit")
-	maxCandidates := flag.Int("max-candidates", 16, "delay candidates per stage in the planning sweep")
-	slot := flag.Float64("slot", 1, "delay granularity in seconds")
-	fair := flag.Bool("fair", true, "share resources first equally among jobs (Sec. 5.3)")
-	approxPlan := flag.Bool("approx-plan", false, "answer planning decisions from the analytic Eq. 1–3 model (no simulation on the control-plane hot path)")
-	timescale := flag.Float64("timescale", 1, "simulated seconds per wall-clock second for submissions without an arrival")
-	replayPath := flag.String("replay", "", "open-loop driver: replay this batch_task CSV trace at its recorded arrivals")
-	poisson := flag.Int("poisson", 0, "open-loop driver: submit this many synthetic gallery jobs with Poisson arrivals")
-	arrivalRate := flag.Float64("arrival-rate", 0.01, "Poisson arrival rate λ in jobs per simulated second")
-	seed := flag.Int64("seed", 1, "seed for the Poisson driver's job shapes and gaps")
-	once := flag.Bool("once", false, "exit after the load driver finishes instead of serving until a signal")
-	events := flag.String("events", "", "append one JSONL trace line per finished job to this file (offline replay via analyze -trace)")
-	logLevel := flag.String("log-level", "info", "stderr diagnostic level: debug, info, warn or error")
-	flag.Parse()
+// options is schedd's command line: the flag set and what it parses into.
+// The planning and pacing flags bind straight into the service options.
+type options struct {
+	fs                               *cli.FlagSet
+	svc                              service.Options
+	logLevel                         *cli.Log
+	addr, policy, replayPath, events *string
+	nodes, queueCap, poisson         *int
+	rate, burst, arrivalRate         *float64
+	seed                             *int64
+	once                             *bool
+}
 
-	level, err := obs.ParseLogLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+// flags builds schedd's flag set.
+func flags() *options {
+	fs := cli.NewFlagSet("schedd")
+	o := &options{fs: fs, logLevel: cli.LogFlags(fs),
+		addr:        fs.String("addr", ":8080", "HTTP listen address (\":0\" picks a free port)"),
+		nodes:       fs.Int("nodes", 10, "m4.large nodes in the simulated cluster"),
+		policy:      fs.String("policy", "accept-all", "admission policy: accept-all, token-bucket, queue-cap"),
+		rate:        fs.Float64("rate", 1, "token-bucket refill rate in jobs per wall-clock second"),
+		burst:       fs.Float64("burst", 5, "token-bucket burst size per tenant"),
+		queueCap:    fs.Int("queue-cap", 8, "queue-cap policy: reject when this many jobs are live"),
+		replayPath:  fs.String("replay", "", "open-loop driver: replay this batch_task CSV trace at its recorded arrivals"),
+		poisson:     fs.Int("poisson", 0, "open-loop driver: submit this many synthetic gallery jobs with Poisson arrivals"),
+		arrivalRate: fs.Float64("arrival-rate", 0.01, "Poisson arrival rate λ in jobs per simulated second"),
+		seed:        fs.Int64("seed", 1, "seed for the Poisson driver's job shapes and gaps"),
+		once:        fs.Bool("once", false, "exit after the load driver finishes instead of serving until a signal"),
+		// -events is the service's trace log, not a simulator event sink.
+		events: fs.String("events", "", "append one JSONL trace line per finished job to this file (offline replay via analyze -trace)"),
 	}
-	logger := obs.NewLogger(os.Stderr, level)
+	so := &o.svc
+	fs.IntVar(&so.ReviseQueueDepth, "revise-depth", 0, "dispatch submit-when-ready (skip Alg. 1) when the live-job count reaches this (0 = off)")
+	fs.IntVar(&so.CacheCapacity, "cache-size", 0, "plan-template cache capacity (0 = 512, negative disables)")
+	fs.Float64Var(&so.DriftTolerance, "drift-tol", 0.15, "template validity: max relative per-stage drift on a cache hit")
+	fs.IntVar(&so.MaxCandidates, "max-candidates", 16, "delay candidates per stage in the planning sweep")
+	fs.Float64Var(&so.SlotSeconds, "slot", 1, "delay granularity in seconds")
+	fs.BoolVar(&so.FairByJob, "fair", true, "share resources first equally among jobs (Sec. 5.3)")
+	fs.BoolVar(&so.ApproximatePlanning, "approx-plan", false, "answer planning decisions from the analytic Eq. 1–3 model (no simulation on the control-plane hot path)")
+	fs.Float64Var(&so.TimeScale, "timescale", 1, "simulated seconds per wall-clock second for submissions without an arrival")
+	fs.Check(func() error {
+		switch *o.policy {
+		case "accept-all":
+			so.Admission = service.AcceptAll{}
+		case "token-bucket":
+			so.Admission = service.NewTokenBucket(*o.rate, *o.burst)
+		case "queue-cap":
+			so.Admission = service.QueueDepthCap{Max: *o.queueCap}
+		default:
+			return fmt.Errorf("unknown -policy %q (want accept-all, token-bucket or queue-cap)", *o.policy)
+		}
+		if *o.replayPath != "" && *o.poisson > 0 {
+			return errors.New("-replay and -poisson are mutually exclusive")
+		}
+		return nil
+	})
+	return o
+}
+
+func main() {
+	o := flags()
+	o.fs.Parse(os.Args[1:])
+	logger := o.logLevel.Logger()
 	fail := func(err error) {
 		logger.Error(err.Error())
-		os.Exit(1)
+		os.Exit(cli.ExitRuntime)
 	}
 
 	// SIGINT/SIGTERM cancel the context: the load driver stops between
@@ -98,65 +131,38 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	c := cluster.NewM4LargeCluster(*nodes)
-	var admit service.AdmissionPolicy
-	switch *policy {
-	case "accept-all":
-		admit = service.AcceptAll{}
-	case "token-bucket":
-		admit = service.NewTokenBucket(*rate, *burst)
-	case "queue-cap":
-		admit = service.QueueDepthCap{Max: *queueCap}
-	default:
-		fail(fmt.Errorf("unknown -policy %q (want accept-all, token-bucket or queue-cap)", *policy))
-	}
-	// traceLog stays the untyped nil interface when -events is unset: a
+	c := cluster.NewM4LargeCluster(*o.nodes)
+	o.svc.Cluster, o.svc.Logger = c, logger
+	// TraceLog stays the untyped nil interface when -events is unset: a
 	// typed-nil *os.File would pass the service's `!= nil` export guard
 	// and fail every write with EINVAL.
-	var traceLog io.Writer
-	if *events != "" {
-		f, err := os.Create(*events)
+	if *o.events != "" {
+		f, err := os.Create(*o.events)
 		if err != nil {
 			fail(err)
 		}
 		defer f.Close()
-		traceLog = f
+		o.svc.TraceLog = f
 	}
-	svc, err := service.New(service.Options{
-		Cluster:             c,
-		Admission:           admit,
-		DriftTolerance:      *driftTol,
-		ReviseQueueDepth:    *reviseDepth,
-		CacheCapacity:       *cacheSize,
-		MaxCandidates:       *maxCandidates,
-		SlotSeconds:         *slot,
-		FairByJob:           *fair,
-		ApproximatePlanning: *approxPlan,
-		TimeScale:           *timescale,
-		TraceLog:            traceLog,
-		Logger:              logger,
-	})
+	svc, err := service.New(o.svc)
 	if err != nil {
 		fail(err)
 	}
 
-	srv, err := obs.ServeHandler(*addr, svc.Handler())
+	srv, err := obs.ServeHandler(*o.addr, svc.Handler())
 	if err != nil {
 		fail(err)
 	}
 	logger.Info(fmt.Sprintf("serving on http://%s", srv.Addr),
-		"policy", admit.Name(), "nodes", *nodes)
+		"policy", o.svc.Admission.Name(), "nodes", *o.nodes)
 
-	if *replayPath != "" && *poisson > 0 {
-		fail(fmt.Errorf("-replay and -poisson are mutually exclusive"))
-	}
-	if *replayPath != "" || *poisson > 0 {
-		if err := drive(ctx, logger, svc, c, *replayPath, *poisson, *arrivalRate, *seed); err != nil {
+	if *o.replayPath != "" || *o.poisson > 0 {
+		if err := drive(ctx, logger, svc, c, *o.replayPath, *o.poisson, *o.arrivalRate, *o.seed); err != nil {
 			fail(err)
 		}
 	}
 
-	if !*once {
+	if !*o.once {
 		// Serve until a signal arrives or the endpoint dies under us.
 		select {
 		case <-ctx.Done():

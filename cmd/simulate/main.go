@@ -20,22 +20,18 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
-	"time"
 
 	"delaystage/internal/attr"
-	"delaystage/internal/ckpt"
+	"delaystage/internal/cli"
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
 	"delaystage/internal/faults"
-	"delaystage/internal/jobspec"
 	"delaystage/internal/metrics"
 	"delaystage/internal/obs"
 	"delaystage/internal/scheduler"
@@ -43,73 +39,75 @@ import (
 	"delaystage/internal/workload"
 )
 
-func main() {
-	name := flag.String("workload", "TriangleCount", "ALS | ConnectedComponents | CosineSimilarity | LDA | TriangleCount")
-	stratName := flag.String("strategy", "delaystage", "spark | aggshuffle | fuxi | delaystage | delaystage-ascending | delaystage-random")
-	nodes := flag.Int("nodes", 30, "cluster size")
-	scale := flag.Float64("scale", 1.0, "workload duration scale")
-	specPath := flag.String("spec", "", "JSON job spec (overrides -workload)")
-	faultRate := flag.Float64("fault-rate", 0, "per-partition task failure probability")
-	stragFrac := flag.Float64("straggler-frac", 0, "fraction of partitions that straggle")
-	stragFactor := flag.Float64("straggler-factor", 1, "slowdown multiplier of straggling partitions")
-	crashNode := flag.Int("crash-node", -1, "node to crash (-1 = none)")
-	crashAt := flag.Float64("crash-at", 0, "crash time in simulated seconds")
-	nodeMTTF := flag.Float64("node-mttf", 0, "mean time to failure per node in simulated seconds; every node draws a hash-based crash time (0 = off)")
-	mttfHorizon := flag.Float64("mttf-horizon", 0, "only MTTF crash draws before this simulated time take effect (0 = unbounded)")
-	slowNodeFrac := flag.Float64("slow-node-frac", 0, "fraction of nodes that run persistently slow")
-	slowNodeFactor := flag.Float64("slow-node-factor", 1, "slowdown multiplier of persistently slow nodes")
-	rackSize := flag.Int("rack-size", 0, "nodes per rack for -crash-rack (0 = no rack topology)")
-	crashRack := flag.Int("crash-rack", -1, "rack whose machines all crash at -crash-rack-at (-1 = none; requires -rack-size)")
-	crashRackAt := flag.Float64("crash-rack-at", 0, "rack crash time in simulated seconds")
-	faultSeed := flag.Int64("fault-seed", 1, "seed of the fault injector's deterministic draws")
-	maxRetries := flag.Int("max-retries", 0, "attempts per partition before the job fails (0 = default 4)")
-	speculate := flag.Bool("speculate", false, "launch speculative clones of straggling partitions on other nodes")
-	specThreshold := flag.Float64("spec-threshold", 0, "speculation slowness threshold vs the stage median (0 = default 1.5)")
-	blacklistAfter := flag.Int("blacklist-after", 0, "take a node out of placement after this many faults on it (0 = off)")
-	ckptDir := flag.String("checkpoint-dir", "", "write crash-safe run checkpoints into this directory (requires -checkpoint-every)")
-	ckptEvery := flag.Float64("checkpoint-every", 0, "checkpoint cadence in simulated seconds")
-	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir if one exists (missing or stale checkpoints start fresh)")
-	guarded := flag.Bool("guarded", false, "attach the runtime watchdog to a delaystage strategy (cancels stale delays)")
-	parallelism := flag.Int("parallelism", 1, "goroutines for the delaystage candidate scan (plan is bit-identical at any setting)")
-	approxPlan := flag.Bool("approx-plan", false, "plan delaystage variants from the analytic Eq. 1–3 model (no simulation per candidate)")
-	eventsPath := flag.String("events", "", "write a JSONL event log of the run to this file (\"-\" = stdout)")
-	tracePath := flag.String("chrometrace", "", "write a Chrome trace-event file (chrome://tracing, Perfetto) to this file")
-	jsonPath := flag.String("json", "", "write a machine-readable run summary to this file (\"-\" = stdout)")
-	report := flag.Bool("report", false, "append the attribution report (time decomposition, contention matrix, critical path); cmd/analyze reproduces it byte-identically from a -events log")
-	serveAddr := flag.String("serve", "", "serve live introspection (/metrics, /healthz, /debug/pprof) on this address while the run executes")
-	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the run finishes (for scraping short runs)")
-	flag.Parse()
+// options is simulate's command line: the flag set and what it parses into.
+type options struct {
+	fs    *cli.FlagSet
+	jobs  *cli.Jobs
+	fault *cli.Faults
+	sinks *cli.Sinks
+	intro *cli.Introspection
+	ckpts *cli.Checkpoint
 
-	// SIGINT/SIGTERM cancel the context: a checkpointed run stops at the
-	// next checkpoint boundary with the file freshly flushed (resumable
-	// with -resume), and a -linger endpoint wakes up early.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	stratName, jsonPath                            *string
+	crashNode, rackSize, crashRack, parallelism    *int
+	crashAt, crashRackAt, specThreshold, ckptEvery *float64
+	guarded, approxPlan, report                    *bool
+}
 
-	c := cluster.NewM4LargeCluster(*nodes)
-	var job *workload.Job
-	switch {
-	case *specPath != "":
-		spec, err := jobspec.Load(*specPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		j, err := spec.Job(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		job = j
-	case *name == "ALS":
-		job = workload.ALS(c, *scale)
-	default:
-		job = workload.PaperWorkloads(c, *scale)[*name]
+// flags builds simulate's flag set.
+func flags() *options {
+	fs := cli.NewFlagSet("simulate")
+	o := &options{fs: fs, jobs: cli.JobFlags(fs, "TriangleCount"), fault: cli.FaultFlags(fs),
+		sinks: cli.SinkFlags(fs, "the run"), intro: cli.IntrospectionFlags(fs, "the run"), ckpts: cli.CheckpointFlags(fs),
+
+		stratName:     fs.String("strategy", "delaystage", "spark | aggshuffle | fuxi | delaystage | delaystage-ascending | delaystage-random"),
+		crashNode:     fs.Int("crash-node", -1, "node to crash (-1 = none)"),
+		crashAt:       fs.Float64("crash-at", 0, "crash time in simulated seconds"),
+		rackSize:      fs.Int("rack-size", 0, "nodes per rack for -crash-rack (0 = no rack topology)"),
+		crashRack:     fs.Int("crash-rack", -1, "rack whose machines all crash at -crash-rack-at (-1 = none; requires -rack-size)"),
+		crashRackAt:   fs.Float64("crash-rack-at", 0, "rack crash time in simulated seconds"),
+		specThreshold: fs.Float64("spec-threshold", 0, "speculation slowness threshold vs the stage median (0 = default 1.5)"),
+		ckptEvery:     fs.Float64("checkpoint-every", 0, "checkpoint cadence in simulated seconds (requires -checkpoint-dir)"),
+		guarded:       fs.Bool("guarded", false, "attach the runtime watchdog to a delaystage strategy (cancels stale delays)"),
+		parallelism:   fs.Int("parallelism", 1, "goroutines for the delaystage candidate scan (plan is bit-identical at any setting)"),
+		approxPlan:    fs.Bool("approx-plan", false, "plan delaystage variants from the analytic Eq. 1–3 model (no simulation per candidate)"),
+		jsonPath:      fs.String("json", "", "write a machine-readable run summary to this file (\"-\" = stdout)"),
+		report:        fs.Bool("report", false, "append the attribution report (time decomposition, contention matrix, critical path); cmd/analyze reproduces it byte-identically from a -events log"),
 	}
-	if job == nil {
-		log.Fatalf("unknown workload %q", *name)
-	}
+	fs.Check(o.check)
+	return o
+}
 
+// check validates the flags that only make sense together.
+func (o *options) check() error {
+	if _, err := o.strategy(); err != nil {
+		return err
+	}
+	if err := o.faultPlan().Validate(); err != nil {
+		return err
+	}
+	if o.ckpts.Dir == "" {
+		if *o.ckptEvery != 0 {
+			return errors.New("-checkpoint-every requires -checkpoint-dir")
+		}
+		return nil
+	}
+	if *o.ckptEvery <= 0 || math.IsNaN(*o.ckptEvery) || math.IsInf(*o.ckptEvery, 0) {
+		return errors.New("-checkpoint-dir requires a finite -checkpoint-every > 0")
+	}
+	// Observers and watchdogs hold external state that cannot be
+	// serialized into a checkpoint.
+	if o.sinks.Set() || *o.report || o.intro.Set() || *o.guarded {
+		return errors.New("-checkpoint-dir is incompatible with -events, -chrometrace, -report, -serve and -guarded")
+	}
+	return nil
+}
+
+// strategy returns the -strategy scheduler.
+func (o *options) strategy() (scheduler.Strategy, error) {
+	ds := scheduler.DelayStage{Parallelism: *o.parallelism, Approximate: *o.approxPlan}
 	var strat scheduler.Strategy
-	switch *stratName {
+	switch *o.stratName {
 	case "spark":
 		strat = scheduler.Spark{}
 	case "aggshuffle":
@@ -117,176 +115,130 @@ func main() {
 	case "fuxi":
 		strat = scheduler.Fuxi{}
 	case "delaystage":
-		strat = scheduler.DelayStage{Parallelism: *parallelism, Approximate: *approxPlan}
+		strat = ds
 	case "delaystage-ascending":
-		strat = scheduler.DelayStage{Order: core.Ascending, Parallelism: *parallelism, Approximate: *approxPlan}
+		ds.Order = core.Ascending
+		strat = ds
 	case "delaystage-random":
-		strat = scheduler.DelayStage{Order: core.Random, Parallelism: *parallelism, Approximate: *approxPlan}
+		ds.Order = core.Random
+		strat = ds
 	default:
-		log.Fatalf("unknown strategy %q", *stratName)
+		return nil, fmt.Errorf("unknown strategy %q", *o.stratName)
 	}
-	if *approxPlan {
-		if _, ok := strat.(scheduler.DelayStage); !ok {
-			log.Fatalf("-approx-plan requires a delaystage strategy, got %q", *stratName)
-		}
+	if _, ok := strat.(scheduler.DelayStage); !ok && (*o.approxPlan || *o.guarded) {
+		return nil, fmt.Errorf("-approx-plan and -guarded require a delaystage strategy, got %q", *o.stratName)
 	}
-	if *guarded {
-		ds, ok := strat.(scheduler.DelayStage)
-		if !ok {
-			log.Fatalf("-guarded requires a delaystage strategy, got %q", *stratName)
-		}
+	if *o.guarded {
 		strat = scheduler.GuardedDelayStage{DelayStage: ds}
 	}
+	return strat, nil
+}
 
-	plan := faults.FaultPlan{
-		Seed:            *faultSeed,
-		TaskFailureProb: *faultRate,
-		StragglerFrac:   *stragFrac,
-		StragglerFactor: *stragFactor,
-		NodeMTTF:        *nodeMTTF,
-		MTTFHorizon:     *mttfHorizon,
-		SlowNodeFrac:    *slowNodeFrac,
-		SlowNodeFactor:  *slowNodeFactor,
-		RackSize:        *rackSize,
+// faultPlan is the shared fault plan plus simulate's scripted crashes.
+func (o *options) faultPlan() faults.FaultPlan {
+	plan := o.fault.Plan
+	plan.RackSize = *o.rackSize
+	if *o.crashNode >= 0 {
+		plan.Crashes = []faults.NodeCrash{{Node: *o.crashNode, At: *o.crashAt}}
 	}
-	if *crashNode >= 0 {
-		plan.Crashes = []faults.NodeCrash{{Node: *crashNode, At: *crashAt}}
+	if *o.crashRack >= 0 {
+		plan.RackCrashes = []faults.RackCrash{{Rack: *o.crashRack, At: *o.crashRackAt}}
 	}
-	if *crashRack >= 0 {
-		plan.RackCrashes = []faults.RackCrash{{Rack: *crashRack, At: *crashRackAt}}
-	}
-	inj, err := faults.NewInjector(plan)
+	return plan
+}
+
+func main() {
+	o := flags()
+	o.fs.Parse(os.Args[1:])
+	say := func(msg string) { fmt.Fprintln(os.Stderr, msg) }
+
+	// SIGINT/SIGTERM cancel the context: a checkpointed run stops at the
+	// next checkpoint boundary with the file freshly flushed (resumable
+	// with -resume), and a -linger endpoint wakes up early.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	c := o.jobs.Cluster()
+	job, err := o.jobs.Job(c)
 	if err != nil {
 		log.Fatal(err)
 	}
-
+	strat, err := o.strategy()
+	if err != nil {
+		log.Fatal(err)
+	}
+	inj, err := faults.NewInjector(o.faultPlan())
+	if err != nil {
+		log.Fatal(err)
+	}
 	p, err := strat.Plan(c, job)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var jsonl *obs.JSONL
-	var evFile *os.File
-	if *eventsPath != "" {
-		w := os.Stdout
-		if *eventsPath != "-" {
-			f, err := os.Create(*eventsPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			evFile = f
-			w = f
-		}
-		jsonl = obs.NewJSONL(w)
-	}
-	var tracer *obs.ChromeTracer
-	if *tracePath != "" {
-		tracer = obs.NewChromeTracer()
+	if err := o.sinks.Open(); err != nil {
+		log.Fatal(err)
 	}
 	var collector *attr.Collector
-	if *report {
+	if *o.report {
 		collector = &attr.Collector{}
 	}
+	reg, err := o.intro.Start(say)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var live *attr.Live
-	var reg *obs.Registry
-	var srv *obs.Server
-	if *serveAddr != "" {
-		reg = obs.NewRegistry()
+	if reg != nil {
 		live = attr.NewLive(reg, fmt.Sprintf("strategy=%q", strat.Name()))
-		s, err := obs.Serve(*serveAddr, reg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv = s
-		fmt.Fprintf(os.Stderr, "serving introspection on http://%s\n", srv.Addr)
 	}
 
-	opt := sim.Options{Cluster: c, TrackNode: 0, TrackCluster: tracer != nil,
-		AggShuffle: p.AggShuffle, Faults: inj, MaxAttempts: *maxRetries,
-		Speculation: *speculate, SpeculationThreshold: *specThreshold, BlacklistAfter: *blacklistAfter,
-		Watchdog: p.Watchdog, Observer: obs.Multi(jsonl, tracer, collector, live)}
+	opt := sim.Options{Cluster: c, TrackNode: 0, TrackCluster: o.sinks.Chrome != nil,
+		AggShuffle: p.AggShuffle, Faults: inj, MaxAttempts: o.fault.MaxAttempts,
+		Speculation: o.fault.Speculation, SpeculationThreshold: *o.specThreshold, BlacklistAfter: o.fault.BlacklistAfter,
+		Watchdog: p.Watchdog, Observer: obs.Multi(o.sinks.JSONL, o.sinks.Chrome, collector, live)}
 	runs := []sim.JobRun{{Job: job, Delays: p.Delays}}
 	var res *sim.Result
-	if *ckptDir != "" {
+	if o.ckpts.Dir == "" {
+		res, err = sim.Run(opt, runs)
+	} else {
 		// Crash-safe mode: the run halts every -checkpoint-every simulated
 		// seconds and atomically rewrites its checkpoint; a killed process
 		// re-run with -resume continues from the file and finishes with a
-		// bit-identical result. Observers and watchdogs hold external state
-		// that cannot be serialized, so the flags are mutually exclusive.
-		if *ckptEvery <= 0 || math.IsNaN(*ckptEvery) || math.IsInf(*ckptEvery, 0) {
-			log.Fatal("-checkpoint-dir requires a finite -checkpoint-every > 0")
-		}
-		if opt.Observer != nil || opt.Watchdog != nil {
-			log.Fatal("-checkpoint-dir is incompatible with -events, -chrometrace, -report, -serve and -guarded")
-		}
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		path := filepath.Join(*ckptDir, "simulate.ckpt")
+		// bit-identical result.
 		var st *sim.Stepper
-		if *resume {
+		read := func(path string) (err error) {
 			st, err = sim.ReadStepperFile(path, opt, runs)
-			switch {
-			case err == nil:
-				fmt.Fprintf(os.Stderr, "resumed from %s\n", path)
-			case os.IsNotExist(err):
-				fmt.Fprintf(os.Stderr, "no checkpoint at %s; starting fresh\n", path)
-			case ckpt.IsFormat(err):
-				fmt.Fprintf(os.Stderr, "unusable checkpoint (%v); starting fresh\n", err)
-			default:
-				log.Fatal(err)
-			}
+			return err
+		}
+		var path string
+		if path, err = o.ckpts.Open("simulate.ckpt", read, say); err != nil {
+			log.Fatal(err)
 		}
 		if st == nil {
 			if st, err = sim.NewStepper(opt, runs); err != nil {
 				log.Fatal(err)
 			}
 		}
-		res, err = runCheckpointed(ctx, st, path, *ckptEvery)
-		if err != nil && errors.Is(err, context.Canceled) {
+		res, err = runCheckpointed(ctx, st, path, *o.ckptEvery)
+		if errors.Is(err, context.Canceled) {
 			// Interrupted between checkpoints: the last one is on disk.
-			fmt.Fprintf(os.Stderr, "interrupted (%v); re-run with -resume to continue\n", err)
-			os.Exit(130)
+			say(fmt.Sprintf("interrupted (%v); re-run with -resume to continue", err))
+			os.Exit(cli.ExitInterrupted)
 		}
-	} else {
-		if *resume {
-			log.Fatal("-resume requires -checkpoint-dir")
-		}
-		res, err = sim.Run(opt, runs)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Emit the artifacts before deciding success: a failed run's event log
 	// and trace are exactly what one wants for the post-mortem.
-	if jsonl != nil {
-		if err := jsonl.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		if evFile != nil {
-			if err := evFile.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
+	if err := o.sinks.Close(res); err != nil {
+		log.Fatal(err)
 	}
-	if tracer != nil {
-		tracer.AddCounters(res)
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tracer.Write(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *jsonPath != "" {
+	if *o.jsonPath != "" {
 		sum := obs.NewRunSummary(res)
 		sum.Workload = job.Name
 		sum.Strategy = strat.Name()
-		sum.Nodes = *nodes
-		if err := obs.WriteJSON(*jsonPath, sum); err != nil {
+		sum.Nodes = o.jobs.Nodes
+		if err := obs.WriteJSON(*o.jsonPath, sum); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -294,7 +246,7 @@ func main() {
 		log.Fatalf("job failed after %d retries: %v", res.Retries, ferr)
 	}
 
-	fmt.Printf("%s under %s on %d nodes\n\n", job.Name, strat.Name(), *nodes)
+	fmt.Printf("%s under %s on %d nodes\n\n", job.Name, strat.Name(), o.jobs.Nodes)
 	var bars []metrics.GanttBar
 	for _, id := range job.Graph.Stages() {
 		tl := res.Timeline(0, id)
@@ -340,20 +292,9 @@ func main() {
 		reg.Histogram("attr_makespan_seconds", fmt.Sprintf("{strategy=%q}", strat.Name()),
 			"makespan distribution of completed runs",
 			obs.ExpBuckets(10, 2, 10)).Observe(res.Makespan)
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "lingering %v on http://%s\n", *linger, srv.Addr)
-			// A signal cuts the linger short; the endpoint still closes
-			// cleanly below.
-			timer := time.NewTimer(*linger)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-			case <-timer.C:
-			}
-		}
-		if err := srv.Close(); err != nil {
-			log.Fatal(err)
-		}
+	}
+	if err := o.intro.Close(ctx); err != nil {
+		log.Fatal(err)
 	}
 }
 

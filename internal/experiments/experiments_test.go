@@ -233,6 +233,41 @@ func TestFig14AndTable4(t *testing.T) {
 	}
 }
 
+// TestFig14EvalSumsEverySchedule: Fig. 14's evaluation counters are the
+// sum of every planned job's schedule counters, the two-tier scan ones
+// included.
+func TestFig14EvalSumsEverySchedule(t *testing.T) {
+	cfg := testCfg()
+	cfg.TraceJobs = 30
+	r, err := Fig14(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := prepareReplay(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want EvalEfficiency
+	for _, strat := range replayLineup {
+		if strat.fuxi {
+			continue
+		}
+		for i, pj := range jobs {
+			s, err := planReplayJob(pj, strat, cfg.Seed+int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.add(s)
+		}
+	}
+	if r.Eval.Bounded == 0 || r.Eval.Pruned == 0 {
+		t.Errorf("Fig. 14 reports no scan counters: %+v", r.Eval)
+	}
+	if r.Eval != want {
+		t.Errorf("Fig. 14 eval = %+v, want the per-job sum %+v", r.Eval, want)
+	}
+}
+
 func TestFig15(t *testing.T) {
 	r, err := Fig15(testCfg())
 	if err != nil {

@@ -84,25 +84,10 @@ type Fig14Result struct {
 // for very large jobs to bound the replay's wall-clock time.
 func Fig14(cfg Config) (*Fig14Result, error) {
 	cfg.defaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	tr := trace.Generate(trace.GenConfig{Jobs: cfg.TraceJobs, Seed: cfg.Seed})
-
-	// Per-job slices with per-job bandwidth draws, so the Sec. 5.3 NIC
-	// heterogeneity lands on jobs instead of averaging out.
-	type preparedJob struct {
-		slice *cluster.Cluster
-		wl    *workload.Job
+	prepared, err := prepareReplay(cfg)
+	if err != nil {
+		return nil, err
 	}
-	prepared := make([]preparedJob, 0, len(tr.Jobs))
-	for i := range tr.Jobs {
-		slice := sim.Coarsen(cluster.NewTraceCluster(2, 4, rng))
-		wl, err := tr.Jobs[i].Workload(slice, trace.DefaultSplit, nil)
-		if err != nil {
-			return nil, err
-		}
-		prepared = append(prepared, preparedJob{slice: slice, wl: wl})
-	}
-
 	out := &Fig14Result{}
 	for _, strat := range replayLineup {
 		// Every (strategy, job) cell is a pure function of the prepared
@@ -112,28 +97,19 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 		strat := strat
 		type jobOutcome struct {
 			jct, cpu, net float64
-			eval          EvalEfficiency
+			sched         *core.Schedule // nil under Fuxi
 		}
 		outcomes := make([]jobOutcome, len(prepared))
 		err := cfg.forEach(len(prepared), func(i int) error {
 			pj := prepared[i]
 			var delays map[dag.StageID]float64
 			if !strat.fuxi {
-				mc := 16
-				if pj.wl.Graph.Len() > 60 {
-					mc = 10
-				}
-				sched, err := core.Compute(core.Options{
-					Cluster:       pj.slice,
-					Order:         strat.order,
-					Seed:          cfg.Seed + int64(i),
-					MaxCandidates: mc,
-				}, pj.wl)
+				sched, err := planReplayJob(pj, strat, cfg.Seed+int64(i))
 				if err != nil {
 					return err
 				}
 				delays = sched.Delays
-				outcomes[i].eval.add(sched)
+				outcomes[i].sched = sched
 			}
 			res, err := sim.Run(sim.Options{Cluster: pj.slice, TrackNode: -1},
 				[]sim.JobRun{{Job: pj.wl, Delays: delays}})
@@ -153,10 +129,9 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 			cpuInt += o.cpu * o.jct
 			netInt += o.net * o.jct
 			timeInt += o.jct
-			out.Eval.Evaluations += o.eval.Evaluations
-			out.Eval.CacheHits += o.eval.CacheHits
-			out.Eval.ForkedEvals += o.eval.ForkedEvals
-			out.Eval.FullEvals += o.eval.FullEvals
+			if o.sched != nil {
+				out.Eval.add(o.sched)
+			}
 		}
 		out.Rows = append(out.Rows, Fig14Row{
 			Strategy:   strat.name,
@@ -186,6 +161,40 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 	}
 	fprintf(cfg.W, "(paper: Fuxi 36.2/42.7; random 43.4/49.1; ascending 42.2/48.3; default 45.4/53.3)\n\n")
 	return out, nil
+}
+
+// replayJob is one trace job of the Fig. 14 replay on its cluster slice.
+type replayJob struct {
+	slice *cluster.Cluster
+	wl    *workload.Job
+}
+
+// prepareReplay generates the Fig. 14 trace and gives each job its own
+// slice with its own bandwidth draws, so the Sec. 5.3 NIC heterogeneity
+// lands on jobs instead of averaging out.
+func prepareReplay(cfg Config) ([]replayJob, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	tr := trace.Generate(trace.GenConfig{Jobs: cfg.TraceJobs, Seed: cfg.Seed})
+	prepared := make([]replayJob, 0, len(tr.Jobs))
+	for i := range tr.Jobs {
+		slice := sim.Coarsen(cluster.NewTraceCluster(2, 4, rng))
+		wl, err := tr.Jobs[i].Workload(slice, trace.DefaultSplit, nil)
+		if err != nil {
+			return nil, err
+		}
+		prepared = append(prepared, replayJob{slice: slice, wl: wl})
+	}
+	return prepared, nil
+}
+
+// planReplayJob runs Alg. 1 for one replayed job under a DelayStage
+// variant, with fewer candidates for very large jobs.
+func planReplayJob(pj replayJob, strat replayStrategy, seed int64) (*core.Schedule, error) {
+	mc := 16
+	if pj.wl.Graph.Len() > 60 {
+		mc = 10
+	}
+	return core.Compute(core.Options{Cluster: pj.slice, Order: strat.order, Seed: seed, MaxCandidates: mc}, pj.wl)
 }
 
 // Table4 is an alias view over Fig14 (the paper derives both from the same
