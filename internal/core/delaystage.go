@@ -13,8 +13,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,10 +79,12 @@ type Options struct {
 	// all. Zero means unbounded.
 	Budget time.Duration
 	// Parallelism evaluates a stage's delay candidates on that many
-	// goroutines (each on its own Evaluator clone). The argmin reduce
+	// goroutines: the sim evaluator's held-world scan drains its forks
+	// there (taking them one at a time, in candidate order), any other
+	// evaluation runs one candidate per Evaluator clone. The argmin reduce
 	// replays the sequential comparison in candidate order, so the
-	// schedule is bit-identical to the sequential scan at any setting.
-	// Zero or one means sequential.
+	// schedule — and every evaluation counter — is bit-identical to the
+	// sequential scan at any setting. Zero or one means sequential.
 	Parallelism int
 	// Ctx cancels the computation: once it is done, Compute stops handing
 	// out work, joins every scan goroutine it started and returns
@@ -91,7 +95,7 @@ type Options struct {
 	// the caller asked for no answer at all.
 	Ctx context.Context
 	// DisableEvalCache turns off the sim evaluator's what-if memo cache
-	// and prefix forking: every candidate is answered by a from-scratch
+	// and held-world scans: every candidate is answered by a from-scratch
 	// simulation, as Alg. 1 is written. Schedules are identical either way
 	// (the cache is exact and forked runs are bit-identical); the switch
 	// exists for benchmarking the speedup and as a safety valve. Ignored
@@ -159,9 +163,11 @@ type Schedule struct {
 	// Evaluations counts candidate makespan evaluations performed.
 	Evaluations int
 	// CacheHits, ForkedEvals and FullEvals break Evaluations down by how
-	// the evaluator answered them: from the what-if memo cache, by
-	// forking a paused scan prefix (only the suffix simulated),
-	// or by a from-scratch run. Under Approximate, CacheHits counts
+	// the evaluator answered them: from the what-if memo cache, from a
+	// candidate scan's held world (a fork at the candidate's submission
+	// time, or the held world itself — only the rest simulated), or by a
+	// from-scratch run, which is how every evaluation outside a scan's
+	// candidates is answered. Under Approximate, CacheHits counts
 	// layout-memo hits and FullEvals full layouts (nothing forks).
 	CacheHits   int
 	ForkedEvals int
@@ -189,16 +195,6 @@ type Evaluator interface {
 	// calls on distinct clones are safe. Clones are scan-scoped: SetActive
 	// must not be called on the parent while clones are evaluating.
 	Clone() Evaluator
-}
-
-// scanAware is the optional fork protocol between e2scan and an evaluator:
-// between BeginScan(k) and EndScan, every Makespan call varies only stage
-// k's delay, so the evaluator may checkpoint the simulation just before
-// k's ready time once and fork it per candidate (clones share the scan
-// state through their parent).
-type scanAware interface {
-	BeginScan(kid dag.StageID)
-	EndScan()
 }
 
 // evalStatser is implemented by evaluators that count how their what-if
@@ -313,6 +309,9 @@ func Compute(opt Options, job *workload.Job) (*Schedule, error) {
 		return nil
 	}
 	sc := &scanCtx{ev: ev, sched: sched, solo: solo, opt: opt}
+	if sev, ok := ev.(*simEvaluator); ok && !opt.DisableEvalCache {
+		sc.held = sev
+	}
 	if !opt.DisableBoundPrune {
 		sc.bounds = bev
 	}
@@ -440,8 +439,16 @@ type scanCtx struct {
 	tmax   float64
 	opt    Options
 
+	// held, when set, answers a scan's candidates in one batch from a
+	// held world (simEvaluator.scanMakespans); otherwise each candidate is
+	// one Makespan call.
+	held *simEvaluator
+
 	deadline time.Time
 	skip     []bool // per-candidate prune mask, reused across scans
+	// xs and mks are the surviving candidates of a scan and their
+	// makespans, reused across scans.
+	xs, mks []float64
 }
 
 // countEval attributes n evaluator answers to the right PruneStats side.
@@ -467,17 +474,8 @@ func (sc *scanCtx) countEval(n int) {
 // sequential comparison below could never have accepted c.
 func (sc *scanCtx) scan(kid dag.StageID, globalBest *float64) error {
 	ev, sched, opt, deadline := sc.ev, sc.sched, sc.opt, sc.deadline
-	if err := opt.Ctx.Err(); err != nil {
+	if err := scanInterrupted(opt.Ctx, deadline); err != nil {
 		return err
-	}
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return errBudget
-	}
-	// Every evaluation until the scan ends varies only kid's delay: let a
-	// fork-capable evaluator share the simulation prefix across candidates.
-	if sa, ok := ev.(scanAware); ok {
-		sa.BeginScan(kid)
-		defer sa.EndScan()
 	}
 	incumbent, had := sched.Delays[kid]
 	if !had {
@@ -529,56 +527,31 @@ func (sc *scanCtx) scan(kid dag.StageID, globalBest *float64) error {
 	}
 	sc.skip = skip
 
-	// Tier 2: exact evaluation of the survivors, argmin replayed in
-	// candidate order either way.
-	if opt.Parallelism > 1 && len(cands) > 1 {
-		// Evaluate every candidate concurrently, then replay the argmin
-		// comparison sequentially in candidate order — the same floats
-		// compared in the same order as the sequential loop below, so the
-		// chosen delay (ties included) is bit-identical.
-		mks, evals, err := scanParallel(opt.Ctx, ev, sched.Delays, kid, incumbent, had, cands, skip, opt.Parallelism, deadline)
-		if err != nil {
-			return err
+	// Tier 2: exact evaluation of the survivors, then the argmin replayed
+	// in candidate order — the same floats compared in the same order
+	// however they were evaluated, so the chosen delay (ties included) is
+	// bit-identical at any Parallelism.
+	xs := sc.xs[:0]
+	for ci, x := range cands {
+		if x == incumbent && had {
+			continue // already measured as base
 		}
-		sc.countEval(evals)
-		for ci, x := range cands {
-			if x == incumbent && had {
-				continue // already measured as base
-			}
-			if len(skip) > 0 && skip[ci] {
-				continue // tier 1: provably cannot win
-			}
-			if mk := mks[ci]; mk < best-1e-9 {
-				best = mk
-				bestDelay = x
-			}
+		if len(skip) > 0 && skip[ci] {
+			continue // tier 1: provably cannot win
 		}
-	} else {
-		for ci, x := range cands {
-			if x == incumbent && had {
-				continue // already measured as base
-			}
-			if len(skip) > 0 && skip[ci] {
-				continue // tier 1: provably cannot win
-			}
-			if ci%8 == 0 {
-				if err := opt.Ctx.Err(); err != nil {
-					return err
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					return errBudget
-				}
-			}
-			sched.Delays[kid] = x
-			mk, err := ev.Makespan(sched.Delays)
-			if err != nil {
-				return err
-			}
-			sc.countEval(1)
-			if mk < best-1e-9 {
-				best = mk
-				bestDelay = x
-			}
+		xs = append(xs, x)
+	}
+	mks := slices.Grow(sc.mks[:0], len(xs))[:len(xs)]
+	sc.xs, sc.mks = xs, mks
+	n, err := sc.evaluate(kid, xs, mks)
+	sc.countEval(n)
+	if err != nil {
+		return err
+	}
+	for i, x := range xs {
+		if mks[i] < best-1e-9 {
+			best = mks[i]
+			bestDelay = x
 		}
 	}
 	if globalBest != nil && best < *globalBest {
@@ -592,22 +565,60 @@ func (sc *scanCtx) scan(kid dag.StageID, globalBest *float64) error {
 	return nil
 }
 
-// scanParallel fans a stage's candidate evaluations out over min(workers,
-// len(cands)) goroutines, each with its own Evaluator clone and private
-// copy of the delay map. Candidates marked in skip (the pruned tier; nil
-// or empty = none) are passed over exactly as the sequential loop does.
-// It returns the per-candidate makespans (indexed like cands) and how
-// many evaluations ran. Work is handed out by an atomic counter; any
-// worker error stops the scan, and a spent deadline surfaces as errBudget
-// exactly as in the sequential loop. A cancelled ctx stops every worker
-// before its next candidate and surfaces as ctx.Err(); the WaitGroup join
-// below means no goroutine outlives the call either way.
-func scanParallel(ctx context.Context, ev Evaluator, delays map[dag.StageID]float64, kid dag.StageID,
-	incumbent float64, had bool, cands []float64, skip []bool, workers int, deadline time.Time) ([]float64, int, error) {
-	if workers > len(cands) {
-		workers = len(cands)
+// evaluate sets mks[i] to the exact makespan with kid's delay xs[i]
+// (ascending), every other delay as in sched.Delays, and returns how many
+// candidates it answered. A held-world evaluator prices them in one
+// batch; otherwise they are evaluated one by one, concurrently under
+// Parallelism > 1.
+func (sc *scanCtx) evaluate(kid dag.StageID, xs, mks []float64) (int, error) {
+	opt, delays := sc.opt, sc.sched.Delays
+	switch {
+	case len(xs) == 0:
+		return 0, nil
+	case sc.held != nil:
+		return sc.held.scanMakespans(opt.Ctx, sc.deadline, delays, kid, xs, mks, opt.Parallelism)
+	case opt.Parallelism > 1 && len(xs) > 1:
+		return scanParallel(opt.Ctx, sc.ev, delays, kid, xs, mks, opt.Parallelism, sc.deadline)
 	}
-	mks := make([]float64, len(cands))
+	for i, x := range xs {
+		if i%8 == 0 {
+			if err := scanInterrupted(opt.Ctx, sc.deadline); err != nil {
+				return i, err
+			}
+		}
+		delays[kid] = x
+		mk, err := sc.ev.Makespan(delays)
+		if err != nil {
+			return i, err
+		}
+		mks[i] = mk
+	}
+	return len(xs), nil
+}
+
+// scanInterrupted returns ctx's error once it is cancelled, errBudget once
+// a non-zero deadline has passed, and nil otherwise.
+func scanInterrupted(ctx context.Context, deadline time.Time) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !deadline.IsZero() && time.Now().After(deadline) {
+		return errBudget
+	}
+	return nil
+}
+
+// scanParallel fans a stage's candidate evaluations out over min(workers,
+// len(xs)) goroutines, each with its own Evaluator clone and private copy
+// of the delay map, setting mks[i] to the makespan with kid's delay xs[i].
+// It returns how many evaluations ran. Work is handed out by an atomic
+// counter; any worker error stops the scan, and a spent deadline surfaces
+// as errBudget exactly as in the sequential loop. A cancelled ctx stops
+// every worker before its next candidate and surfaces as ctx.Err(); the
+// WaitGroup join below means no goroutine outlives the call either way.
+func scanParallel(ctx context.Context, ev Evaluator, delays map[dag.StageID]float64, kid dag.StageID,
+	xs, mks []float64, workers int, deadline time.Time) (int, error) {
+	workers = min(workers, len(xs))
 	errs := make([]error, workers)
 	var next atomic.Int64
 	var stop atomic.Bool
@@ -618,40 +629,25 @@ func scanParallel(ctx context.Context, ev Evaluator, delays map[dag.StageID]floa
 		go func(w int) {
 			defer wg.Done()
 			wev := ev.Clone()
-			d := make(map[dag.StageID]float64, len(delays)+1)
-			for id, v := range delays {
-				d[id] = v
-			}
+			d := maps.Clone(delays)
 			for !stop.Load() {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(cands) {
+				i := int(next.Add(1)) - 1
+				if i >= len(xs) {
 					return
 				}
-				x := cands[ci]
-				if x == incumbent && had {
-					continue // already measured as base
-				}
-				if len(skip) > 0 && skip[ci] {
-					continue // pruned by the analytic tier
-				}
-				if err := ctx.Err(); err != nil {
+				if err := scanInterrupted(ctx, deadline); err != nil {
 					errs[w] = err
 					stop.Store(true)
 					return
 				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					errs[w] = errBudget
-					stop.Store(true)
-					return
-				}
-				d[kid] = x
+				d[kid] = xs[i]
 				mk, err := wev.Makespan(d)
 				if err != nil {
 					errs[w] = err
 					stop.Store(true)
 					return
 				}
-				mks[ci] = mk
+				mks[i] = mk
 				evals.Add(1)
 			}
 		}(w)
@@ -663,10 +659,7 @@ func scanParallel(ctx context.Context, ev Evaluator, delays map[dag.StageID]floa
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		return nil, int(evals.Load()), firstErr
-	}
-	return mks, int(evals.Load()), nil
+	return int(evals.Load()), firstErr
 }
 
 // candidates returns the slotted delay candidates in [0, upper]. The slot

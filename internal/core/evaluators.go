@@ -1,11 +1,16 @@
 package core
 
 import (
+	"cmp"
+	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
@@ -75,18 +80,19 @@ type EvalStats struct {
 	// CacheHits counts configurations answered from the memo cache —
 	// refine passes and replans re-query many configurations verbatim.
 	CacheHits int
-	// ForkedRuns counts simulations forked from a paused scan prefix: the
-	// prefix up to the scanned stage's ready time was shared, only the
-	// suffix ran.
+	// ForkedRuns counts scan candidates answered from the scan's held
+	// world: the simulation up to the candidate's submission time was
+	// shared with the other candidates, only the rest ran.
 	ForkedRuns int
-	// FullRuns counts complete from-scratch simulations.
+	// FullRuns counts complete from-scratch simulations: the evaluations
+	// outside a candidate scan (a scan's base configuration, Tmax, the
+	// refinement passes' checks) and, with the cache disabled, every one.
 	FullRuns int
 }
 
 // evalShared is the state one simEvaluator shares with all its clones: the
-// memo cache of evaluated configurations, the restricted-job cache, the
-// work counters (behind mu), and the armed scan prefix (behind scanMu,
-// so a prefix build never blocks concurrent memo hits).
+// memo cache of evaluated configurations, the restricted-job cache and
+// the work counters, all behind mu.
 type evalShared struct {
 	disable bool
 
@@ -94,22 +100,6 @@ type evalShared struct {
 	memo    map[string]float64
 	subJobs map[string]*workload.Job
 	stats   EvalStats
-
-	scanMu sync.Mutex
-	scan   scanState
-}
-
-// scanState is the fork context of the current candidate scan — one
-// stage's delay being swept, everything else fixed: the scanned stage, its
-// ready time as measured by the scan's first full run (the stage's own
-// delay cannot move it: a delay is only read *at* readiness), and the
-// world paused just before that time, which later candidates fork.
-type scanState struct {
-	on     bool
-	kid    dag.StageID
-	trOK   bool
-	tr     float64
-	prefix *sim.Stepper
 }
 
 // delayPair is one (stage, exact delay bits) term of a fingerprint.
@@ -126,12 +116,13 @@ type delayPair struct {
 //
 // Three layers keep repeated questions cheap (see DESIGN.md, "What-if
 // evaluation"): an exact memo cache over (active set, delay vector)
-// fingerprints, prefix forking during candidate scans (all candidates of
-// one stage share the simulation prefix up to that stage's ready time),
-// and a restricted-job cache per active set. The simulator is
-// deterministic, memo keys are collision-free, and forked runs are
-// bit-identical to from-scratch runs, so schedules are byte-identical with
-// every layer on or off.
+// fingerprints, held-world candidate scans (scanMakespans: every
+// candidate of one stage shares the simulation with the stage held back,
+// up to the candidate's own submission time), and a restricted-job cache
+// per active set. The simulator is deterministic, memo keys are
+// collision-free, and forks of the held world are bit-identical to
+// from-scratch runs, so schedules are byte-identical with every layer on
+// or off.
 type simEvaluator struct {
 	coarse    *cluster.Cluster
 	job       *workload.Job
@@ -208,28 +199,6 @@ func (e *simEvaluator) SetActive(active map[dag.StageID]bool) error {
 	return nil
 }
 
-// BeginScan implements scanAware: arm the fork context for a candidate
-// scan of stage kid. Between BeginScan and EndScan every Makespan call
-// varies only kid's delay.
-func (e *simEvaluator) BeginScan(kid dag.StageID) {
-	if e.shared.disable {
-		return
-	}
-	e.shared.scanMu.Lock()
-	e.shared.scan = scanState{on: true, kid: kid}
-	e.shared.scanMu.Unlock()
-}
-
-// EndScan implements scanAware: drop the scan prefix.
-func (e *simEvaluator) EndScan() {
-	if e.shared.disable {
-		return
-	}
-	e.shared.scanMu.Lock()
-	e.shared.scan = scanState{}
-	e.shared.scanMu.Unlock()
-}
-
 // evalStats returns the shared work counters.
 func (e *simEvaluator) evalStats() EvalStats {
 	e.shared.mu.Lock()
@@ -255,7 +224,7 @@ func (f *fingerprinter) key(activeKey string, delays map[dag.StageID]float64, ap
 			pairs = append(pairs, delayPair{id: id, bits: math.Float64bits(v)})
 		}
 	}
-	slices.SortFunc(pairs, func(a, b delayPair) int { return int(a.id) - int(b.id) })
+	slices.SortFunc(pairs, func(a, b delayPair) int { return cmp.Compare(a.id, b.id) })
 	f.pairs = pairs
 	key := append(f.buf[:0], activeKey...)
 	for _, p := range pairs {
@@ -284,7 +253,7 @@ func (e *simEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error)
 		}
 		sh.mu.Unlock()
 	}
-	mk, forked, err := e.simulate(delays)
+	mk, err := e.fullRun(delays)
 	if err != nil {
 		return 0, err
 	}
@@ -292,102 +261,177 @@ func (e *simEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error)
 	if !sh.disable {
 		sh.memo[fp] = mk
 	}
-	if forked {
-		sh.stats.ForkedRuns++
-	} else {
-		sh.stats.FullRuns++
-	}
+	sh.stats.FullRuns++
 	sh.mu.Unlock()
 	return mk, nil
 }
 
-// simulate answers one what-if configuration, forking the armed scan
-// prefix when one exists. The bool reports whether the answer came from
-// a fork rather than a from-scratch run.
+// scanMakespans prices the surviving candidates xs (ascending) of one
+// scan of stage kid, every other delay fixed as in delays: mks[i] gets
+// the makespan with kid delayed by xs[i]. It returns how many candidates
+// it answered.
 //
-// Within a scan the first miss runs from scratch while holding scanMu (so
-// concurrent misses queue behind it instead of racing to duplicate the
-// work) and records the scanned stage's ready time; the second miss
-// pauses the shared prefix there; every later miss forks it. The counts
-// are therefore deterministic at any Parallelism setting: one full run and
-// m−1 forks for a scan with m misses.
-func (e *simEvaluator) simulate(delays map[dag.StageID]float64) (float64, bool, error) {
+// Memo hits are answered first. The misses share one held world: the
+// active sub-job with kid's delay set to the largest miss, stepped to
+// kid's ready time tr (a root is ready at arrival, tr = 0). Advancing it
+// along the misses in ascending x, each miss but the last is a fork at
+// the boundary just before tr + x, where Fork re-arms kid's pending
+// submission timer at tr + x, so the fork only simulates [tr + x, end] and
+// is bit-identical to a from-scratch run with delay x; the last miss is
+// the held world itself, drained. The forks are taken one at a time on
+// the calling goroutine; with workers > 1 their drains run on up to that
+// many goroutines, all joined before it returns. Which candidates hit,
+// fork or drain depends only on the memo, never on the interleaving, so
+// the counters are the same at any parallelism.
+func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, delays map[dag.StageID]float64,
+	kid dag.StageID, xs, mks []float64, workers int) (int, error) {
 	sh := e.shared
-	if !sh.disable {
-		sh.scanMu.Lock()
-		if sh.scan.on {
-			if sh.scan.prefix == nil && sh.scan.trOK {
-				// Second miss: pause just before the scanned stage's ready
-				// time with every delay but the scanned stage's baked in.
-				pre := make(map[dag.StageID]float64, len(delays))
-				for id, v := range delays {
-					if id != sh.scan.kid && e.cur.Graph.Stage(id) != nil {
-						pre[id] = v
+	// The held world reads this map as stages become ready, forks and
+	// their drains included, so it is private to the scan and fixed once
+	// the world is built.
+	held := make(map[dag.StageID]float64, len(delays)+1)
+	for id, v := range delays {
+		if e.inSub(id) {
+			held[id] = v
+		}
+	}
+	fps := make([]string, len(xs))
+	for i, x := range xs {
+		held[kid] = x
+		fps[i] = e.keys.key(e.activeKey, held, e.inSub)
+	}
+	var miss []int
+	sh.mu.Lock()
+	for i, fp := range fps {
+		if mk, ok := sh.memo[fp]; ok {
+			mks[i] = mk
+			sh.stats.CacheHits++
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	sh.mu.Unlock()
+	hits := len(xs) - len(miss)
+	if len(miss) == 0 {
+		return hits, nil
+	}
+
+	last := miss[len(miss)-1]
+	held[kid] = xs[last]
+	w, err := sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1}, []sim.JobRun{{Job: e.cur, Delays: held}})
+	if err != nil {
+		return hits, err
+	}
+	tr, err := stepToReady(w, e.cur, kid)
+	if err != nil {
+		return hits, err
+	}
+
+	answer := func(i int, s *sim.Stepper) (err error) {
+		mks[i], err = s.DrainJobEnd(0)
+		return err
+	}
+	type drain struct {
+		i int
+		s *sim.Stepper
+	}
+	var (
+		queue   chan drain
+		wg      sync.WaitGroup
+		failed  atomic.Bool
+		errMu   sync.Mutex
+		workErr error
+	)
+	if workers = min(workers, len(miss)); workers > 1 {
+		queue = make(chan drain)
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for d := range queue {
+					if err := answer(d.i, d.s); err != nil {
+						errMu.Lock()
+						workErr = cmp.Or(workErr, err)
+						errMu.Unlock()
+						failed.Store(true)
 					}
 				}
-				prefix, err := sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1},
-					[]sim.JobRun{{Job: e.cur, Delays: pre}})
-				if err == nil {
-					err = prefix.AdvanceBefore(sh.scan.tr)
-				}
-				if err != nil {
-					sh.scanMu.Unlock()
-					return 0, false, err
-				}
-				sh.scan.prefix = prefix
-			}
-			if prefix, kid := sh.scan.prefix, sh.scan.kid; prefix != nil {
-				sh.scanMu.Unlock()
-				res, err := runFork(prefix, []sim.DelayUpdate{{Job: 0, Stage: kid, Delay: delays[kid]}})
-				if err != nil {
-					return 0, false, err
-				}
-				return jobEnd(res), true, nil
-			}
-			// First miss of the scan.
-			res, err := e.fullRun(delays)
-			if err == nil {
-				if tl := res.Timeline(0, sh.scan.kid); tl != nil {
-					sh.scan.tr, sh.scan.trOK = tl.Ready, true
-				}
-			}
-			sh.scanMu.Unlock()
-			if err != nil {
-				return 0, false, err
-			}
-			return jobEnd(res), false, nil
-		}
-		sh.scanMu.Unlock()
-	}
-	res, err := e.fullRun(delays)
-	if err != nil {
-		return 0, false, err
-	}
-	return jobEnd(res), false, nil
-}
-
-// runFork forks the paused scan prefix under the updates and steps the
-// fork to its end. The prefix is only read, so concurrent candidates fork
-// it at once.
-func runFork(prefix *sim.Stepper, updates []sim.DelayUpdate) (*sim.Result, error) {
-	f, err := prefix.Fork(updates)
-	if err != nil {
-		return nil, err
-	}
-	for f.HasPendingEvents() {
-		if err := f.StepNextEvent(); err != nil {
-			return nil, err
+			}()
 		}
 	}
-	return f.Result()
+	for _, i := range miss {
+		if err = scanInterrupted(ctx, deadline); err != nil || failed.Load() {
+			break
+		}
+		s := w
+		if i != last {
+			if err = w.AdvanceBefore(tr + xs[i]); err != nil {
+				break
+			}
+			if s, err = w.Fork([]sim.DelayUpdate{{Job: 0, Stage: kid, Delay: xs[i]}}); err != nil {
+				break
+			}
+		}
+		if queue != nil {
+			queue <- drain{i, s}
+		} else if err = answer(i, s); err != nil {
+			break
+		}
+	}
+	if queue != nil {
+		close(queue)
+		wg.Wait()
+	}
+	if workErr != nil && (err == nil || err == errBudget) {
+		err = workErr
+	}
+	if err != nil {
+		return hits, err
+	}
+	sh.mu.Lock()
+	for _, i := range miss {
+		sh.memo[fps[i]] = mks[i]
+	}
+	sh.stats.ForkedRuns += len(miss)
+	sh.mu.Unlock()
+	return len(xs), nil
 }
 
-// fullRun simulates the active sub-job from scratch. Delays for stages
-// outside the sub-job are filtered out; when every entry applies — the
-// common case — the caller's live map is passed through as-is (sim.Run
-// neither retains nor mutates it), and the filtered copy otherwise lands
-// in a reused scratch map. Both avoid the per-call map the old code built.
-func (e *simEvaluator) fullRun(delays map[dag.StageID]float64) (*sim.Result, error) {
+// stepToReady steps a fresh world over job (arriving at 0) to the event
+// boundary where stage kid becomes ready and returns its ready time. A
+// root is ready at arrival: the world is left unstepped and the ready time
+// is 0, since stepping would already advance past it.
+func stepToReady(w *sim.Stepper, job *workload.Job, kid dag.StageID) (float64, error) {
+	if len(job.Graph.Stage(kid).Parents) == 0 {
+		return 0, nil
+	}
+	for {
+		if tr, ok := w.ReadyTime(0, kid); ok {
+			return tr, nil
+		}
+		if !w.HasPendingEvents() {
+			return 0, fmt.Errorf("core: stage %d never became ready", kid)
+		}
+		if err := w.StepNextEvent(); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// fullRun simulates the active sub-job from scratch and returns the job's
+// end time, measured from job start. Delays for stages outside the
+// sub-job are filtered out; when every entry applies — the common case —
+// the caller's live map is passed through as-is (the simulator neither
+// retains nor mutates it past the call), and the filtered copy otherwise
+// lands in a reused scratch map.
+//
+// Eq. (3) charges the delays x_k to the path times, so a window-width
+// objective would let delays shift every path later for free; and
+// minimizing only the last *parallel* stage can push the specific parents
+// of a sequential tail later while the K-maximum shrinks, hurting the JCT
+// the paper reports. The job end subsumes both: with zero-length tails it
+// equals the parallel-region completion.
+func (e *simEvaluator) fullRun(delays map[dag.StageID]float64) (float64, error) {
 	d := delays
 	if len(delays) > 0 {
 		for id := range delays {
@@ -407,25 +451,12 @@ func (e *simEvaluator) fullRun(delays map[dag.StageID]float64) (*sim.Result, err
 			}
 		}
 	}
-	return sim.Run(sim.Options{Cluster: e.coarse, TrackNode: -1},
+	s, err := sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1},
 		[]sim.JobRun{{Job: e.cur, Delays: d}})
-}
-
-// jobEnd is the completion time of the whole (active) job, measured from
-// job start. Eq. (3) charges the delays x_k to the path times, so a
-// window-width objective would let delays shift every path later for free;
-// and minimizing only the last *parallel* stage can push the specific
-// parents of a sequential tail later while the K-maximum shrinks, hurting
-// the JCT the paper reports. The job end subsumes both: with zero-length
-// tails it equals the parallel-region completion.
-func jobEnd(res *sim.Result) float64 {
-	end := 0.0
-	for _, tl := range res.Timelines {
-		if tl.End > end {
-			end = tl.End
-		}
+	if err != nil {
+		return 0, err
 	}
-	return end
+	return s.DrainJobEnd(0)
 }
 
 // approxEvaluator answers the same question from the analytic model's

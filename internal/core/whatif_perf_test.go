@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -14,19 +15,25 @@ import (
 )
 
 // whatIfFixture is one job as Alg. 1's sim evaluator sees it: the
-// evaluator on the job's coarse cluster, a delay vector, and the fork
-// point of a candidate scan over stage kid — the world paused just
-// before kid becomes ready, as simulate builds it.
+// evaluator on the job's coarse cluster, a delay vector, and two fork
+// points of a candidate scan over stage kid — the world paused just
+// before kid becomes ready, and the scan's held world (kid held back,
+// stepped to its readiness and advanced to just before tr + heldX, the
+// submission time of a candidate x = heldX), as scanMakespans builds it.
 type whatIfFixture struct {
 	ev     *simEvaluator
 	delays map[dag.StageID]float64
 	kid    dag.StageID
 	prefix *sim.Stepper
+	held   *sim.Stepper
 }
+
+// heldX is the fixture's held-world candidate delay.
+const heldX = 3
 
 // newWhatIfFixture picks the scanned stage as the middle stage (in
 // insertion order) that has parents, delays every other such stage by a
-// few seconds, and pauses the scan prefix.
+// few seconds, and pauses the scan prefix and the held world.
 func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *whatIfFixture {
 	tb.Helper()
 	f := &whatIfFixture{ev: newSimEvaluator(c, job, true), delays: map[dag.StageID]float64{}}
@@ -45,20 +52,24 @@ func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *wha
 			f.delays[id] = float64(1 + i%5)
 		}
 	}
-	res, err := f.ev.fullRun(f.delays)
+	opt := sim.Options{Cluster: f.ev.coarse, TrackNode: -1}
+	held := maps.Clone(f.delays)
+	held[f.kid] = 10 * heldX
+	var err error
+	if f.held, err = sim.NewStepper(opt, []sim.JobRun{{Job: job, Delays: held}}); err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := stepToReady(f.held, job, f.kid)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tl := res.Timeline(0, f.kid)
-	if tl == nil {
-		tb.Fatal("scanned stage missing from the timelines")
-	}
-	f.prefix, err = sim.NewStepper(sim.Options{Cluster: f.ev.coarse, TrackNode: -1},
-		[]sim.JobRun{{Job: job, Delays: f.delays}})
-	if err != nil {
+	if err := f.held.AdvanceBefore(tr + heldX); err != nil {
 		tb.Fatal(err)
 	}
-	if err := f.prefix.AdvanceBefore(tl.Ready); err != nil {
+	if f.prefix, err = sim.NewStepper(opt, []sim.JobRun{{Job: job, Delays: f.delays}}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.prefix.AdvanceBefore(tr); err != nil {
 		tb.Fatal(err)
 	}
 	return f
@@ -66,22 +77,36 @@ func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *wha
 
 // full runs one from-scratch what-if evaluation.
 func (f *whatIfFixture) full(tb testing.TB) float64 {
-	res, err := f.ev.fullRun(f.delays)
+	mk, err := f.ev.fullRun(f.delays)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return jobEnd(res)
+	return mk
 }
 
-// fork runs one forked what-if evaluation: the scan prefix forked under
-// candidate delay x for the scanned stage.
-func (f *whatIfFixture) fork(tb testing.TB, x float64) float64 {
-	res, err := runFork(f.prefix, []sim.DelayUpdate{{Job: 0, Stage: f.kid, Delay: x}})
+// drainFork forks s under candidate delay x for the scanned stage and
+// drains the fork to the job end.
+func (f *whatIfFixture) drainFork(tb testing.TB, s *sim.Stepper, x float64) float64 {
+	fk, err := s.Fork([]sim.DelayUpdate{{Job: 0, Stage: f.kid, Delay: x}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return jobEnd(res)
+	mk, err := fk.DrainJobEnd(0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mk
 }
+
+// fork runs one what-if evaluation forked from the world paused before
+// the scanned stage's readiness, under candidate delay x: the path a
+// root's zero-delay candidate takes.
+func (f *whatIfFixture) fork(tb testing.TB, x float64) float64 { return f.drainFork(tb, f.prefix, x) }
+
+// heldFork runs one what-if evaluation from the held world: a fork at the
+// candidate's submission time tr + heldX, drained to the job end — the
+// common case inside a scan.
+func (f *whatIfFixture) heldFork(tb testing.TB) float64 { return f.drainFork(tb, f.held, heldX) }
 
 // benchTraceJob returns a fixed trace DAG for the per-layer bench: the
 // first tracegen job (seed 3) with 30–60 stages, on its coarse slice.
@@ -108,7 +133,9 @@ var whatIfSink float64
 
 // BenchmarkWhatIfEval times one exact what-if evaluation of Alg. 1 on a
 // fixed trace DAG: full is a from-scratch simulation of the job, fork one
-// forked from a paused candidate-scan prefix (the common case inside a scan).
+// forked just before the scanned stage's readiness, and held one forked
+// from a scan's held world at the candidate's submission time (the common
+// case inside a scan).
 func BenchmarkWhatIfEval(b *testing.B) {
 	c, job := benchTraceJob(b)
 	f := newWhatIfFixture(b, c, job)
@@ -122,6 +149,12 @@ func BenchmarkWhatIfEval(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			whatIfSink = f.fork(b, float64(i%10))
+		}
+	})
+	b.Run("held", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			whatIfSink = f.heldFork(b)
 		}
 	})
 }
@@ -140,11 +173,12 @@ func emptyPools() {
 
 // TestWhatIfEvalAllocBudget: a what-if evaluation's allocations are a
 // per-run constant — the engine's buffers come back from the pool and
-// only the caller-owned Result is fresh — so they must not grow with the
-// job's stage count. A full and a forked evaluation are measured on a
-// 20- and an 80-stage DAG; a layout that allocates per stage (a heap
-// state per stage, per-stage wiring slices, a per-fork pointer map)
-// blows through the budget on the larger one.
+// only the run's Result and stepper are fresh — so they must not grow with the
+// job's stage count. A full evaluation, a fork before the scanned stage's
+// readiness and a fork from a scan's held world are measured on a 20- and
+// an 80-stage DAG; a layout that allocates per stage (a heap state per
+// stage, per-stage wiring slices, a per-fork pointer map) blows through
+// the budget on the larger one.
 //
 // An evaluation on a fresh engine pays for its buffers once: about 50
 // allocations on 20 stages and 70 on 80 (eight more under -race), growing
@@ -159,24 +193,33 @@ func TestWhatIfEvalAllocBudget(t *testing.T) {
 	tc := sim.Coarsen(cluster.NewTraceCluster(64, 4, rng))
 	for _, n := range []int{20, 80} {
 		f := newWhatIfFixture(t, tc, workload.RandomJob(fmt.Sprintf("alloc-%d", n), tc, n, rng))
+		evals := []struct {
+			name string
+			run  func()
+		}{
+			{"full", func() { f.full(t) }},
+			{"fork", func() { f.fork(t, 3) }},
+			{"held", func() { f.heldFork(t) }},
+		}
 		// Warm the pool so its first fills do not bill the measured runs.
-		f.full(t)
-		f.fork(t, 3)
-		full := testing.AllocsPerRun(5, func() { emptyPools(); f.full(t) })
-		fork := testing.AllocsPerRun(5, func() { emptyPools(); f.fork(t, 3) })
-		t.Logf("%d stages, fresh engine: full %.0f allocs/eval, fork %.0f allocs/eval", n, full, fork)
-		if full > freshBudget || fork > freshBudget {
-			t.Errorf("%d stages, fresh engine: full %.0f, fork %.0f allocs/eval; budget %d", n, full, fork, freshBudget)
+		for _, ev := range evals {
+			ev.run()
 		}
-		if raceEnabled {
-			continue
-		}
-		full = testing.AllocsPerRun(20, func() { f.full(t) })
-		fork = testing.AllocsPerRun(20, func() { f.fork(t, 3) })
-		t.Logf("%d stages, pooled engine: full %.0f allocs/eval, fork %.0f allocs/eval", n, full, fork)
-		if full > budget || fork > budget {
-			t.Errorf("%d stages, pooled engine: full %.0f, fork %.0f allocs/eval; budget %d per evaluation regardless of stage count",
-				n, full, fork, budget)
+		for _, ev := range evals {
+			fresh := testing.AllocsPerRun(5, func() { emptyPools(); ev.run() })
+			t.Logf("%d stages, fresh engine: %s %.0f allocs/eval", n, ev.name, fresh)
+			if fresh > freshBudget {
+				t.Errorf("%d stages, fresh engine: %s %.0f allocs/eval; budget %d", n, ev.name, fresh, freshBudget)
+			}
+			if raceEnabled {
+				continue
+			}
+			pooled := testing.AllocsPerRun(20, ev.run)
+			t.Logf("%d stages, pooled engine: %s %.0f allocs/eval", n, ev.name, pooled)
+			if pooled > budget {
+				t.Errorf("%d stages, pooled engine: %s %.0f allocs/eval; budget %d per evaluation regardless of stage count",
+					n, ev.name, pooled, budget)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/dag"
 	"delaystage/internal/workload"
 )
 
@@ -83,5 +84,24 @@ func TestEvalCacheSchedulesByteIdentical(t *testing.T) {
 					on.CacheHits, on.ForkedEvals, on.FullEvals)
 			}
 		}
+	}
+}
+
+// TestFingerprintKeyCanonical: a memo key must not depend on map
+// iteration order, even for stage IDs far enough apart that their
+// difference overflows an int. A non-canonical key would make memo hits,
+// and with them the hit/fork/full counters, vary from run to run.
+func TestFingerprintKeyCanonical(t *testing.T) {
+	delays := map[dag.StageID]float64{-5e18: 1, 0: 2, 5e18: 3, 7: 4}
+	all := func(dag.StageID) bool { return true }
+	var f fingerprinter
+	want := f.key("*", delays, all)
+	for i := 0; i < 200; i++ {
+		if got := f.key("*", delays, all); got != want {
+			t.Fatalf("call %d: key %q, want %q", i, got, want)
+		}
+	}
+	if want != "*|-5000000000000000000:3ff0000000000000|0:4000000000000000|7:4010000000000000|5000000000000000000:4008000000000000" {
+		t.Fatalf("key %q is not in ascending stage-ID order", want)
 	}
 }

@@ -9,6 +9,7 @@
 package dag
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -39,6 +40,9 @@ type Graph struct {
 	// the child index) and parents (in Stage.Parents order). Validate
 	// builds both over one backing array.
 	childPos, parentPos [][]int
+	// idPos lists the positions in ascending stage-ID order; Validate
+	// builds it.
+	idPos []int
 	// validated marks that the child index matches the current stage set,
 	// making repeated Validate calls read-only — and therefore safe from
 	// concurrent evaluators hammering the same job (sim.Run validates on
@@ -126,7 +130,8 @@ func (g *Graph) Children(id StageID) []StageID {
 func (g *Graph) ChildrenView(id StageID) []StageID { return g.children[id] }
 
 // Validate checks referential integrity and acyclicity and (re)builds the
-// child index and the position index (Pos, ChildPos, ParentPos). It must
+// child index and the position index (Pos, ChildPos, ParentPos,
+// IDOrderPos). It must
 // be called after the last AddStage and before any analysis method. Once
 // a graph has validated, further calls are read-only no-ops until the
 // next AddStage.
@@ -144,7 +149,12 @@ func (g *Graph) Validate() error {
 			children[p] = append(children[p], id)
 		}
 	}
-	g.children, g.childPos, g.parentPos = children, kids, parents
+	idPos := make([]int, len(g.order))
+	for i := range idPos {
+		idPos[i] = i
+	}
+	slices.SortFunc(idPos, func(a, b int) int { return cmp.Compare(g.order[a], g.order[b]) })
+	g.children, g.childPos, g.parentPos, g.idPos = children, kids, parents, idPos
 	if topoOrder(kids, parents) == nil {
 		return ErrCycle
 	}
@@ -265,6 +275,11 @@ func (g *Graph) ChildPos(i int) []int { return g.childPos[i] }
 // position i, in Stage.Parents order, WITHOUT copying. Same contract as
 // ChildPos.
 func (g *Graph) ParentPos(i int) []int { return g.parentPos[i] }
+
+// IDOrderPos returns every stage's position, ordered by ascending stage
+// ID, WITHOUT copying. Same contract as ChildPos. The simulator emits its
+// per-stage timelines in this order.
+func (g *Graph) IDOrderPos() []int { return g.idPos }
 
 // Roots returns stages with no parents, in insertion order.
 func (g *Graph) Roots() []StageID {

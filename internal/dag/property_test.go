@@ -294,7 +294,7 @@ func refTopoSort(g *Graph) []StageID {
 
 // TestPropertyPositionIndex: Pos, ParentPos and ChildPos mirror the ID
 // view exactly (insertion positions, Stage.Parents order, child-index
-// order), and TopoSort — on the stored index of a validated graph and on
+// order), IDOrderPos sorts the positions by stage ID, and TopoSort — on the stored index of a validated graph and on
 // the index an unvalidated clone derives — matches the reference order.
 func TestPropertyPositionIndex(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
@@ -326,6 +326,18 @@ func TestPropertyPositionIndex(t *testing.T) {
 		}
 		if g.Pos(StageID(-1)) != -1 {
 			return false
+		}
+		// IDOrderPos visits every position once, in ascending stage ID.
+		byID := g.IDOrderPos()
+		if len(byID) != len(order) {
+			return false
+		}
+		seen := make([]bool, len(order))
+		for k, p := range byID {
+			if seen[p] || (k > 0 && order[byID[k-1]] >= order[p]) {
+				return false
+			}
+			seen[p] = true
 		}
 		want := refTopoSort(g)
 		for _, gr := range []*Graph{g, g.Clone()} {

@@ -202,16 +202,7 @@ func (t timer) before(o timer) bool {
 // push inserts a timer, sifting it up to its heap position.
 func (h *timerHeap) push(t timer) {
 	*h = append(*h, t)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[i].before(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
+	h.up(len(*h) - 1)
 }
 
 // pop removes and returns the earliest timer.
@@ -220,25 +211,51 @@ func (h *timerHeap) pop() timer {
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
+	*h = s[:n]
+	h.down(0)
+	return top
+}
+
+// fix restores the heap order after the timer at index i changed its
+// time.
+func (h timerHeap) fix(i int) {
+	if h.up(i) == i {
+		h.down(i)
+	}
+}
+
+// up sifts the timer at index i toward the root and returns where it
+// settles.
+func (h timerHeap) up(i int) int {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return i
+}
+
+// down sifts the timer at index i toward the leaves.
+func (h timerHeap) down(i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		least := i
-		if l < n && s[l].before(s[least]) {
+		if l < n && h[l].before(h[least]) {
 			least = l
 		}
-		if r < n && s[r].before(s[least]) {
+		if r < n && h[r].before(h[least]) {
 			least = r
 		}
 		if least == i {
-			break
+			return
 		}
-		s[i], s[least] = s[least], s[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	return top
 }
 
 type engine struct {
@@ -1889,11 +1906,18 @@ func (e *engine) finalize() {
 		e.res.Node.NetRate = appendStep(e.res.Node.NetRate, e.now, 0)
 		e.res.Node.DiskRate = appendStep(e.res.Node.DiskRate, e.now, 0)
 	}
-	// (JobIndex, Stage) keys are unique, so any sort gives this order.
-	slices.SortFunc(e.res.Timelines, func(a, b StageTimeline) int {
-		if c := cmp.Compare(a.JobIndex, b.JobIndex); c != 0 {
-			return c
+	// Emit the timelines in (job, stage ID) order straight from the slab
+	// rather than sorting the completion-order list: a stage completes at
+	// most once and its timeline is final from then on, so the completed
+	// stages are exactly the list's entries.
+	tls := e.res.Timelines[:0]
+	for ji, run := range e.runs {
+		base := e.jobBase[ji]
+		for _, p := range run.Job.Graph.IDOrderPos() {
+			if st := &e.states[base+p]; st.complete {
+				tls = append(tls, st.tl)
+			}
 		}
-		return cmp.Compare(a.Stage, b.Stage)
-	})
+	}
+	e.res.Timelines = tls
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -123,11 +125,21 @@ func TestSnapshotResumeRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotForkDelayBitIdentical is the fork-correctness property the
-// what-if evaluator rests on: pause just before a stage's ready time, fork
-// with a revised delay for that stage, and the result must be
-// bit-identical to a from-scratch run that had the delay in its Delays map
-// all along. Covers every gallery workload, every stage, and random delay
-// candidates (plus 0 and the incumbent).
+// what-if evaluator rests on: fork a world with a revised delay for one
+// stage, and the result must be bit-identical to a from-scratch run that
+// had the delay in its Delays map all along. Covers every gallery
+// workload on a per-node and a coarse cluster, every stage (roots
+// included), and several candidates (0, the incumbent, random, π), forked
+// from two worlds:
+//
+//   - paused just before the stage's ready time, every other delay baked
+//     in, so the fork takes the before-readiness override path;
+//   - the held world, where the stage's delay exceeds every candidate:
+//     stepped to the stage's readiness (a root is ready at arrival, so its
+//     held world starts unstepped) and then advanced along ascending
+//     candidates, forked at readiness, halfway to each candidate's
+//     submission time and at it, where the fork re-arms the pending
+//     submission timer in place.
 func TestSnapshotForkDelayBitIdentical(t *testing.T) {
 	c := cluster.NewM4LargeCluster(4)
 	coarse := Coarsen(c)
@@ -142,31 +154,100 @@ func TestSnapshotForkDelayBitIdentical(t *testing.T) {
 			}
 			for _, id := range job.Graph.Stages() {
 				tr := ref.Timeline(0, id).Ready
-				// The prefix bakes in every delay except the scanned
-				// stage's — exactly how the evaluator forks a scan.
 				pre := make(map[dag.StageID]float64, len(base))
 				for k, v := range base {
 					if k != id {
 						pre[k] = v
 					}
 				}
-				prefix := pausedAt(t, opt, []JobRun{{Job: job, Delays: pre}}, tr)
-				for _, x := range []float64{0, base[id], rng.Float64() * 40, math.Pi} {
-					full := make(map[dag.StageID]float64, len(pre)+1)
-					for k, v := range pre {
-						full[k] = v
-					}
+				xs := []float64{0, base[id], rng.Float64() * 40, math.Pi}
+				sort.Float64s(xs)
+				want := make([]*Result, len(xs))
+				for i, x := range xs {
+					full := maps.Clone(pre)
 					if x != 0 {
 						full[id] = x
 					}
-					want, err := Run(opt, []JobRun{{Job: job, Delays: full}})
-					if err != nil {
+					if want[i], err = Run(opt, []JobRun{{Job: job, Delays: full}}); err != nil {
 						t.Fatal(err)
 					}
-					got := forkOut(t, prefix, []DelayUpdate{{Job: 0, Stage: id, Delay: x}})
-					requireIdentical(t, job.Name, want, got)
+				}
+				upd := func(x float64) []DelayUpdate { return []DelayUpdate{{Job: 0, Stage: id, Delay: x}} }
+				ctx := fmt.Sprintf("%s/%d-node/stage %d", job.Name, len(cl.Nodes), id)
+
+				prefix := pausedAt(t, opt, []JobRun{{Job: job, Delays: pre}}, tr)
+				for i, x := range xs {
+					requireIdentical(t, ctx+" before readiness", want[i], forkOut(t, prefix, upd(x)))
+				}
+
+				heldDelays := maps.Clone(pre)
+				heldDelays[id] = xs[len(xs)-1] + 7
+				held, err := NewStepper(opt, []JobRun{{Job: job, Delays: heldDelays}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(job.Graph.Stage(id).Parents) > 0 {
+					for {
+						if _, ok := held.ReadyTime(0, id); ok {
+							break
+						}
+						if err := held.StepNextEvent(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got, _ := held.ReadyTime(0, id); got != tr || held.Clock() != tr {
+						t.Fatalf("%s: held world ready at %v with clock %v, want %v", ctx, got, held.Clock(), tr)
+					}
+				}
+				for i, x := range xs {
+					requireIdentical(t, ctx+" at readiness", want[i], forkOut(t, held, upd(x)))
+				}
+				for i, x := range xs {
+					for _, b := range []float64{tr + x/2, tr + x} {
+						if err := held.AdvanceBefore(b); err != nil {
+							t.Fatal(err)
+						}
+						requireIdentical(t, fmt.Sprintf("%s held to %v, x=%v", ctx, b-tr, x), want[i], forkOut(t, held, upd(x)))
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestDrainJobEnd: a drained fork's job end is the from-scratch run's
+// JobEnd bit for bit, its clock and event count stay readable, and the
+// discarded result cannot be taken.
+func TestDrainJobEnd(t *testing.T) {
+	c := cluster.NewM4LargeCluster(4)
+	opt := Options{Cluster: Coarsen(c), TrackNode: -1}
+	rng := rand.New(rand.NewSource(5))
+	for _, job := range galleryJobs(c, 0.25) {
+		runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}}
+		ref, err := Run(opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := pausedAt(t, opt, runs, ref.Makespan/2).Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end, err := f.DrainJobEnd(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(end) != math.Float64bits(ref.JobEnd[0]) {
+			t.Errorf("%s: drained job end %v, want %v", job.Name, end, ref.JobEnd[0])
+		}
+		if f.HasPendingEvents() || f.Events() != ref.Events || f.Clock() != ref.JobEnd[0] {
+			t.Errorf("%s: drained stepper reports pending=%v events=%d clock=%v, want false/%d/%v",
+				job.Name, f.HasPendingEvents(), f.Events(), f.Clock(), ref.Events, ref.JobEnd[0])
+		}
+		if _, err := f.Result(); err == nil {
+			t.Errorf("%s: Result after DrainJobEnd did not error", job.Name)
+		}
+		if _, err := f.DrainJobEnd(0); err == nil {
+			t.Errorf("%s: second DrainJobEnd did not error", job.Name)
 		}
 	}
 }
@@ -359,16 +440,27 @@ func TestForkConcurrent(t *testing.T) {
 
 // FuzzStepperFork fuzzes the pause-and-fork round trip at arbitrary pause
 // times and delay vectors: a fork must reproduce the uninterrupted run
-// bit for bit, and so must the parent it was forked from.
+// bit for bit, and so must the parent it was forked from. It also forks a
+// delay revision for one stage from a world that holds the stage back,
+// paused at a boundary no later than the revised submission time — before
+// or after the stage's readiness — and requires the fork to match a
+// from-scratch run with the revised delay.
 func FuzzStepperFork(f *testing.F) {
-	f.Add(uint8(0), int64(1), 0.5, false)
-	f.Add(uint8(1), int64(2), 0.0, true)
-	f.Add(uint8(2), int64(3), 1.5, false)
-	f.Add(uint8(3), int64(4), 0.99, true)
-	f.Add(uint8(4), int64(5), 0.01, false)
+	f.Add(uint8(0), int64(1), 0.5, false, uint8(0), 0.0)
+	f.Add(uint8(1), int64(2), 0.0, true, uint8(1), 3.0)
+	f.Add(uint8(2), int64(3), 1.5, false, uint8(2), 12.5)
+	f.Add(uint8(3), int64(4), 0.99, true, uint8(3), 0.0)
+	f.Add(uint8(4), int64(5), 0.01, false, uint8(4), 40.0)
+	// Post-readiness seeds: the pause lands after the stage became ready,
+	// so the fork re-arms its pending submission timer.
+	f.Add(uint8(0), int64(6), 0.6, false, uint8(3), 0.0)
+	f.Add(uint8(1), int64(7), 0.4, false, uint8(2), 5.0)
+	f.Add(uint8(2), int64(8), 0.7, false, uint8(5), 1.0)
+	f.Add(uint8(3), int64(9), 0.5, false, uint8(6), 20.0)
+	f.Add(uint8(4), int64(10), 0.3, true, uint8(1), 2.5)
 	c := cluster.NewM4LargeCluster(4)
-	f.Fuzz(func(t *testing.T, jobIdx uint8, seed int64, frac float64, agg bool) {
-		if math.IsNaN(frac) || frac < 0 || frac > 3 {
+	f.Fuzz(func(t *testing.T, jobIdx uint8, seed int64, frac float64, agg bool, stage uint8, slack float64) {
+		if math.IsNaN(frac) || frac < 0 || frac > 3 || math.IsNaN(slack) || slack < 0 || slack > 100 {
 			t.Skip()
 		}
 		jobs := galleryJobs(c, 0.2)
@@ -391,6 +483,36 @@ func FuzzStepperFork(f *testing.F) {
 		}
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("parent forked at %v differs from uninterrupted run", at)
+		}
+
+		// The stage's ready time does not depend on its own delay, so the
+		// reference run gives it.
+		ids := job.Graph.Stages()
+		kid := ids[int(stage)%len(ids)]
+		tr := ref.Timeline(0, kid).Ready
+		x := math.Max(at-tr, 0) + slack
+		b := math.Min(at, tr+x)
+		revised := maps.Clone(runs[0].Delays)
+		revised[kid] = x
+		want, err := Run(opt, []JobRun{{Job: job, Delays: revised}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := maps.Clone(runs[0].Delays)
+		held[kid] = x + 10
+		fk, err := pausedAt(t, opt, []JobRun{{Job: job, Delays: held}}, b).Fork([]DelayUpdate{{Job: 0, Stage: kid, Delay: x}})
+		if err != nil {
+			if agg {
+				return // the stage was prefetched: submitted before it was ready
+			}
+			t.Fatal(err)
+		}
+		got, err = stepOut(fk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("stage %d (ready at %v) held back, forked at %v with delay %v: differs from a run with that delay", kid, tr, b, x)
 		}
 	})
 }

@@ -198,15 +198,15 @@ func TestShareObserverSnapshots(t *testing.T) {
 // them being stable.
 func TestEventKindStrings(t *testing.T) {
 	want := map[EventKind]string{
-		EvStageReady:     "stage_ready",
-		EvStageSubmitted: "stage_submitted",
-		EvReadDone:       "read_done",
-		EvComputeDone:    "compute_done",
-		EvWriteDone:      "write_done",
-		EvStageCompleted: "stage_completed",
-		EvTaskRetry:      "task_retry",
-		EvNodeCrash:      "node_crash",
-		EvDelayRevised:   "delay_revised",
+		EvStageReady:      "stage_ready",
+		EvStageSubmitted:  "stage_submitted",
+		EvReadDone:        "read_done",
+		EvComputeDone:     "compute_done",
+		EvWriteDone:       "write_done",
+		EvStageCompleted:  "stage_completed",
+		EvTaskRetry:       "task_retry",
+		EvNodeCrash:       "node_crash",
+		EvDelayRevised:    "delay_revised",
 		EvJobDone:         "job_done",
 		EvJobFailed:       "job_failed",
 		EvSpecLaunched:    "spec_launched",

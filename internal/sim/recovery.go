@@ -279,34 +279,70 @@ func (e *engine) failJob(job int, err error) {
 	}
 }
 
-// applyDelayUpdates applies a watchdog's or a Fork's revisions: an unsubmitted stage's
+// applyDelayUpdates applies a watchdog's revisions: an unsubmitted stage's
 // delay-after-ready becomes the given value (already-submitted stages and
-// failed jobs ignore revisions; past-due times submit immediately).
+// failed jobs ignore revisions; past-due times submit immediately). A
+// ready stage gets a fresh submission timer; the superseded one no-ops or
+// chases the new time when it fires.
 func (e *engine) applyDelayUpdates(us []DelayUpdate) {
 	for _, u := range us {
-		si := e.stateIdx(skey{u.Job, u.Stage})
-		if si < 0 {
-			continue
+		if si := e.reviseDelay(u); si >= 0 {
+			e.pushTimer(e.states[si].submitAt, tSubmitStage, si, u.Job)
 		}
-		st := &e.states[si]
-		if st.submitted || e.failed[u.Job] {
-			continue
+	}
+}
+
+// reviseDelays applies a Fork's revisions like applyDelayUpdates, except
+// that a ready stage's pending submission timer is re-armed in place —
+// same sequence number, new time — so the world holds exactly the timers
+// a run configured with the new delay from the start would hold.
+func (e *engine) reviseDelays(us []DelayUpdate) {
+	for _, u := range us {
+		if si := e.reviseDelay(u); si >= 0 {
+			e.rearmSubmit(si)
 		}
-		d := u.Delay
-		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-			d = 0
-		}
-		st.hasOverride, st.delayOverride = true, d
-		if o := e.opt.Observer; o != nil {
-			o.OnEvent(Event{T: e.now, Kind: EvDelayRevised, Job: u.Job, Stage: u.Stage, Node: -1, Delay: d})
-		}
-		if st.readyValid {
-			at := st.tl.Ready + d
-			if at < e.now {
-				at = e.now
-			}
-			st.submitAt = at
-			e.pushTimer(at, tSubmitStage, si, u.Job)
+	}
+}
+
+// reviseDelay records one revision as the stage's delay override and, for
+// a stage that is already ready, moves its submitAt to ready time + delay
+// (never before now). It returns the stage's slab index when the stage is
+// ready and so needs its submission timer set, -1 otherwise.
+func (e *engine) reviseDelay(u DelayUpdate) int {
+	si := e.stateIdx(skey{u.Job, u.Stage})
+	if si < 0 {
+		return -1
+	}
+	st := &e.states[si]
+	if st.submitted || e.failed[u.Job] {
+		return -1
+	}
+	d := u.Delay
+	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+		d = 0
+	}
+	st.hasOverride, st.delayOverride = true, d
+	if o := e.opt.Observer; o != nil {
+		o.OnEvent(Event{T: e.now, Kind: EvDelayRevised, Job: u.Job, Stage: u.Stage, Node: -1, Delay: d})
+	}
+	if !st.readyValid {
+		return -1
+	}
+	st.submitAt = max(st.tl.Ready+d, e.now)
+	return si
+}
+
+// rearmSubmit moves the pending submission timer of the ready stage at
+// slab index si to its submitAt, keeping the timer's sequence number. In a
+// world without a watchdog — the only kind Fork accepts — a ready,
+// unsubmitted stage of a live job has exactly one such timer: the one
+// readiness pushed.
+func (e *engine) rearmSubmit(si int) {
+	for i, t := range e.timers {
+		if t.kind == tSubmitStage && t.st == si {
+			e.timers[i].at = e.states[si].submitAt
+			e.timers.fix(i)
+			return
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"maps"
 	"math"
 	"slices"
+
+	"delaystage/internal/dag"
 )
 
 // Stepper drives one simulation at event granularity, and it is the one
@@ -22,8 +24,9 @@ import (
 // point in simulated time and Inject adds a run arriving there, with the
 // same result as a stepper built over every run from the start. Between
 // steps the world can be forked (Fork) — the what-if evaluator prices
-// every delay candidate of a stage from one shared prefix — or written to
-// disk (WriteFile, ReadStepperFile) for crash-safe runs.
+// every delay candidate of a stage from one world that holds the stage
+// back — or written to disk (WriteFile, ReadStepperFile) for crash-safe
+// runs.
 //
 // A Stepper is single-goroutine: nothing inside is locked. Concurrency
 // lives above it — disjoint steppers on disjoint worlds can be driven from
@@ -33,10 +36,12 @@ type Stepper struct {
 	e    *engine // nil once Result has retired it to the engine pool
 	done bool
 	err  error
-	// res and clock are the finished run's result and final clock, kept
-	// once Result retires the engine.
-	res   *Result
-	clock float64
+	// res, clock and events are the finished run's result (nil when
+	// DrainJobEnd discarded it), final clock and event count, kept once
+	// the engine is retired.
+	res    *Result
+	clock  float64
+	events int
 	// horizon is the earliest arrival Inject accepts: the latest
 	// AdvanceBefore bound, or +Inf once the stepper moved by any other
 	// means (those may step past a boundary an injected run would need).
@@ -75,9 +80,29 @@ func (s *Stepper) Clock() float64 {
 // Events returns the number of events processed so far.
 func (s *Stepper) Events() int {
 	if s.e == nil {
-		return s.res.Events
+		return s.events
 	}
 	return s.e.res.Events
+}
+
+// ReadyTime reports when the stage became ready — every parent complete,
+// or the job arrived for a root — and false while it is not ready yet.
+// The what-if evaluator steps a world to its scanned stage's readiness
+// with it.
+func (s *Stepper) ReadyTime(job int, stage dag.StageID) (float64, bool) {
+	if s.e == nil {
+		if s.res != nil {
+			if tl := s.res.Timeline(job, stage); tl != nil {
+				return tl.Ready, true
+			}
+		}
+		return 0, false
+	}
+	si := s.e.stateIdx(skey{job, stage})
+	if si < 0 || !s.e.states[si].readyValid {
+		return 0, false
+	}
+	return s.e.states[si].tl.Ready, true
 }
 
 // PeekNextEventTime returns the simulated time the next StepNextEvent
@@ -161,13 +186,16 @@ func (s *Stepper) Idle() bool { return s.done || s.e.idle() }
 // work cannot be un-submitted) with a finite, non-negative delay; stages
 // of a job that already failed ignore them, as under a watchdog. A
 // revised stage that is not yet *ready* simply reads the new delay when
-// it becomes ready, which keeps the fork bit-identical to a from-scratch
-// Run with that delay in the run's Delays map — the delay value is only
-// ever read at readiness. A stage that is already ready (but still
-// waiting out its old delay) is moved like a watchdog revision: exact in
-// semantics, but the superseded submission timer makes the event
-// sequence differ from a from-scratch run's, so bit-identity is not
-// guaranteed in that case.
+// it becomes ready — the delay value is only ever read at readiness. A
+// stage that is already ready (but still waiting out its old delay) has
+// its pending submission timer re-armed in place at ready time + delay
+// (never before the fork's clock), keeping the timer's sequence number:
+// the fork then holds the very timers a from-scratch run with the new
+// delay would. Either way, a fork taken at a boundary no later than the
+// stage's new submission time (ready time + delay) is bit-identical to a
+// from-scratch Run with that delay in the run's Delays map — which is
+// how the what-if evaluator prices every delay candidate of a stage from
+// one world that holds the stage back.
 //
 // Worlds with an Observer or Watchdog cannot be forked: both receive
 // events synchronously and accumulate external state the fork cannot
@@ -193,7 +221,7 @@ func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 		}
 	}
 	e := p.clone()
-	e.applyDelayUpdates(updates)
+	e.reviseDelays(updates)
 	return &Stepper{e: e, horizon: s.horizon}, nil
 }
 
@@ -250,6 +278,34 @@ func (s *Stepper) Inject(run JobRun) error {
 	return nil
 }
 
+// DrainJobEnd steps the world to its end and returns job's completion
+// time, bit-identical to Result().JobEnd[job], without finalizing a
+// Result: the engine retires to the pool straight away and the result is
+// discarded, so a later Result call errors. It is the answer path of a
+// what-if evaluation, which needs one number, not a Result.
+func (s *Stepper) DrainJobEnd(job int) (float64, error) {
+	for !s.done {
+		if err := s.StepNextEvent(); err != nil {
+			return 0, err
+		}
+	}
+	if s.err != nil {
+		return 0, s.err
+	}
+	e := s.e
+	if e == nil {
+		return 0, fmt.Errorf("sim: job end requested from a retired stepper")
+	}
+	if job < 0 || job >= len(e.res.JobEnd) {
+		return 0, fmt.Errorf("sim: job end requested for unknown job %d", job)
+	}
+	end := e.res.JobEnd[job]
+	s.clock, s.events = e.now, e.res.Events
+	e.release()
+	s.e = nil
+	return end, nil
+}
+
 // Result finalizes and returns the run's result. It is only valid once
 // HasPendingEvents is false; a run that ended in an error returns it here
 // too. Result may be called repeatedly (the finalize pass runs once).
@@ -264,9 +320,12 @@ func (s *Stepper) Result() (*Result, error) {
 	}
 	if s.e != nil {
 		s.e.finalize()
-		s.res, s.clock = s.e.res, s.e.now
+		s.res, s.clock, s.events = s.e.res, s.e.now, s.e.res.Events
 		s.e.release()
 		s.e = nil
+	}
+	if s.res == nil {
+		return nil, fmt.Errorf("sim: result requested after DrainJobEnd discarded it")
 	}
 	return s.res, nil
 }
