@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("TriangleCount across 3 DCs (WAN %v MB/s): %d bytes cross WAN\n",
 		*wanMBps, geo.WANBytes(topo, job))
 
-	stock, err := geo.Run(geo.Options{Topology: topo}, job, nil)
+	stock, err := geo.Run(topo, job, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,14 +41,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	delayed, err := geo.Run(geo.Options{Topology: topo}, job, sched.Delays)
+	delayed, err := geo.Run(topo, job, sched.Delays)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("submit-when-ready JCT: %7.1f s  (WAN util %.1f%%)\n", stock.JCT, stock.AvgWANUtil*100)
+	fmt.Printf("submit-when-ready JCT: %7.1f s  (WAN util %.1f%%)\n",
+		stock.JCT(0), geo.WANUtil(topo, job, stock.JCT(0))*100)
 	fmt.Printf("geo DelayStage JCT:    %7.1f s  (WAN util %.1f%%)  X=%v\n",
-		delayed.JCT, delayed.AvgWANUtil*100, sched.Delays)
+		delayed.JCT(0), geo.WANUtil(topo, job, delayed.JCT(0))*100, sched.Delays)
 	fmt.Printf("speedup: %.1f%%  (Alg. 1 in %v over %d evaluations)\n",
-		100*(stock.JCT-delayed.JCT)/stock.JCT, sched.ComputeTime, sched.Evaluations)
+		100*(stock.JCT(0)-delayed.JCT(0))/stock.JCT(0), sched.ComputeTime, sched.Evaluations)
 }

@@ -178,28 +178,28 @@ func TestIntegrationGeoPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stock, err := geo.Run(geo.Options{Topology: topo}, job, nil)
+	stock, err := geo.Run(topo, job, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delayed, err := geo.Run(geo.Options{Topology: topo}, job, sched.Delays)
+	delayed, err := geo.Run(topo, job, sched.Delays)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delayed.JCT > stock.JCT*1.001 {
-		t.Fatalf("geo schedule regressed: %.1f vs %.1f", delayed.JCT, stock.JCT)
+	if delayed.JCT(0) > stock.JCT(0)*1.001 {
+		t.Fatalf("geo schedule regressed: %.1f vs %.1f", delayed.JCT(0), stock.JCT(0))
 	}
 	// Every stage landed in a real DC and the timelines are causal.
 	for _, id := range wl.Graph.Stages() {
-		tl, ok := delayed.Timelines[id]
-		if !ok {
+		tl := delayed.Timeline(0, id)
+		if tl == nil {
 			t.Fatalf("stage %d missing timeline", id)
 		}
 		if tl.End < tl.Start || tl.ReadEnd < tl.Start {
 			t.Fatalf("stage %d acausal timeline %+v", id, tl)
 		}
 		for _, p := range wl.Graph.Parents(id) {
-			if tl.Start < delayed.Timelines[p].End-1e-6 {
+			if tl.Start < delayed.Timeline(0, p).End-1e-6 {
 				t.Fatalf("stage %d started before parent %d finished", id, p)
 			}
 		}

@@ -41,7 +41,7 @@ func GeoExtension(cfg Config) (*GeoResult, error) {
 	out := &GeoResult{}
 	for _, wan := range []float64{2000, 800, 400, 150} {
 		topo := geo.UniformWAN(3, dc, cluster.MBps(wan))
-		stock, err := geo.Run(geo.Options{Topology: topo}, job, nil)
+		stock, err := geo.Run(topo, job, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -49,16 +49,16 @@ func GeoExtension(cfg Config) (*GeoResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		delayed, err := geo.Run(geo.Options{Topology: topo}, job, sched.Delays)
+		delayed, err := geo.Run(topo, job, sched.Delays)
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, GeoRow{
 			WANMBps:    wan,
-			StockJCT:   stock.JCT,
-			DelayJCT:   delayed.JCT,
-			GainP:      100 * (stock.JCT - delayed.JCT) / stock.JCT,
-			WANUtilP:   delayed.AvgWANUtil * 100,
+			StockJCT:   stock.JCT(0),
+			DelayJCT:   delayed.JCT(0),
+			GainP:      100 * (stock.JCT(0) - delayed.JCT(0)) / stock.JCT(0),
+			WANUtilP:   geo.WANUtil(topo, job, delayed.JCT(0)) * 100,
 			DelayCount: len(sched.Delays),
 		})
 	}
@@ -81,7 +81,7 @@ func GeoExtension(cfg Config) (*GeoResult, error) {
 			return nil, err
 		}
 		gj := &geo.Job{Workload: wl, Placement: p}
-		plain, err := geo.Run(geo.Options{Topology: topo}, gj, nil)
+		plain, err := geo.Run(topo, gj, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -89,12 +89,12 @@ func GeoExtension(cfg Config) (*GeoResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		delayed, err := geo.Run(geo.Options{Topology: topo}, gj, sched.Delays)
+		delayed, err := geo.Run(topo, gj, sched.Delays)
 		if err != nil {
 			return nil, err
 		}
 		fprintf(cfg.W, "%-20s %11.1fs %11.1fs %14.1f\n",
-			name, plain.JCT, delayed.JCT, float64(geo.WANBytes(topo, gj))/(1<<30))
+			name, plain.JCT(0), delayed.JCT(0), float64(geo.WANBytes(topo, gj))/(1<<30))
 	}
 	fprintf(cfg.W, "\n")
 	return out, nil

@@ -29,15 +29,13 @@ type DelaySchedule struct {
 
 // ComputeDelays runs the DelayStage greedy (Alg. 1 semantics: longest
 // execution path first, slotted candidate scan, greedy makespan
-// minimization) against the geo simulator, producing submission delays
-// that interleave WAN transfers with remote computation.
+// minimization) against the placed simulation (Run), producing
+// submission delays that interleave WAN transfers with remote
+// computation.
 func ComputeDelays(opt DelayOptions, job *Job) (*DelaySchedule, error) {
 	start := time.Now()
 	if opt.Topology == nil {
 		return nil, fmt.Errorf("geo: nil topology")
-	}
-	if err := opt.Topology.Validate(); err != nil {
-		return nil, err
 	}
 	if err := job.Validate(opt.Topology); err != nil {
 		return nil, err
@@ -63,12 +61,12 @@ func ComputeDelays(opt DelayOptions, job *Job) (*DelaySchedule, error) {
 	sched.K = dag.ParallelStages(wl.Graph, reach)
 
 	eval := func(delays map[dag.StageID]float64) (float64, error) {
-		res, err := Run(Options{Topology: opt.Topology}, job, delays)
+		res, err := Run(opt.Topology, job, delays)
 		if err != nil {
 			return 0, err
 		}
 		sched.Evaluations++
-		return res.JCT, nil
+		return res.JCT(0), nil
 	}
 
 	stock, err := eval(nil)
@@ -84,22 +82,24 @@ func ComputeDelays(opt DelayOptions, job *Job) (*DelaySchedule, error) {
 
 	// Solo times for path weighting: each stage alone in the topology.
 	solo := make(map[dag.StageID]float64, wl.Graph.Len())
-	for _, id := range sortedStages(wl) {
+	for _, id := range wl.Graph.StagesView() {
 		p := wl.Profiles[id]
 		dc := job.Placement[id]
 		read := 0.0
 		in := float64(p.ShuffleIn)
-		for pid, frac := range InputWeights(wl, id) {
+		parents := wl.Graph.Stage(id).Parents
+		weights := wl.AppendInputWeights(nil, id)
+		for i, pid := range parents {
 			src := job.Placement[pid]
 			bw := opt.Topology.DCs[dc].NetBW
 			if src != dc {
 				bw = opt.Topology.WAN[src][dc]
 			}
-			if t := frac * in / bw; t > read {
+			if t := weights[i] * in / bw; t > read {
 				read = t // Eq. (1): slowest input link gates the read
 			}
 		}
-		if len(wl.Graph.Parents(id)) == 0 && in > 0 {
+		if len(parents) == 0 && in > 0 {
 			read = in / opt.Topology.DCs[dc].NetBW
 		}
 		compute := in / (float64(opt.Topology.DCs[dc].Executors) * p.ProcRate)

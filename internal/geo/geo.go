@@ -10,18 +10,18 @@
 // single-cluster simulator collapses into one NIC — is explicit here: a
 // stage's read finishes when its slowest WAN flow does.
 //
-// The fluid semantics (max-min sharing, saturating contention overhead,
-// delayed submission) match internal/sim, so schedules and comparisons
-// carry over.
+// The package holds the topology, the placements and the delay search;
+// the simulation is internal/sim's, with each DC a node of one cluster,
+// each WAN link a link between two nodes and each stage placed on its DC
+// (Run), so schedules and comparisons carry over.
 package geo
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
+	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
 
@@ -35,17 +35,14 @@ type Topology struct {
 	WAN [][]float64
 }
 
-// Validate checks the topology's shape and capacities.
+// Validate checks the topology's shape and capacities: the DCs must form
+// a valid cluster (distinct IDs, positive capacities) and every WAN link
+// between two of them must be positive.
 func (t *Topology) Validate() error {
+	if err := (&cluster.Cluster{Nodes: t.DCs}).Validate(); err != nil {
+		return fmt.Errorf("geo: %w", err)
+	}
 	n := len(t.DCs)
-	if n == 0 {
-		return fmt.Errorf("geo: no datacenters")
-	}
-	for i, dc := range t.DCs {
-		if dc.Executors <= 0 || dc.NetBW <= 0 || dc.DiskBW <= 0 {
-			return fmt.Errorf("geo: DC %d has non-positive capacity", i)
-		}
-	}
 	if len(t.WAN) != n {
 		return fmt.Errorf("geo: WAN matrix is %d×?, want %d×%d", len(t.WAN), n, n)
 	}
@@ -71,8 +68,12 @@ type Job struct {
 	Placement Placement
 }
 
-// Validate checks that every stage is placed in a valid DC.
+// Validate checks the topology and that every stage is placed in one of
+// its DCs.
 func (j *Job) Validate(t *Topology) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	if j.Workload == nil {
 		return fmt.Errorf("geo: nil workload")
 	}
@@ -123,54 +124,58 @@ func SpreadPlacement(j *workload.Job, nDC int) (Placement, error) {
 	return p, nil
 }
 
-// InputWeights returns, for a stage, the fraction of its shuffle input
-// produced by each parent (proportional to parent shuffle-output size;
-// equal when all outputs are zero). Root stages read everything locally.
-func InputWeights(j *workload.Job, id dag.StageID) map[dag.StageID]float64 {
-	parents := j.Graph.Parents(id)
-	out := make(map[dag.StageID]float64, len(parents))
-	if len(parents) == 0 {
-		return out
-	}
-	total := 0.0
-	for _, p := range parents {
-		total += float64(j.Profiles[p].ShuffleOut)
-	}
-	for _, p := range parents {
-		if total > 0 {
-			out[p] = float64(j.Profiles[p].ShuffleOut) / total
-		} else {
-			out[p] = 1 / float64(len(parents))
-		}
-	}
-	return out
-}
-
 // WANBytes returns the total bytes the job moves across WAN links under
 // the placement — the metric Iridium/Clarinet minimize. Useful to sanity-
 // check placements in tests and examples.
 func WANBytes(t *Topology, j *Job) int64 {
 	var total int64
-	for _, id := range j.Workload.Graph.Stages() {
+	for _, id := range j.Workload.Graph.StagesView() {
 		dst := j.Placement[id]
-		w := InputWeights(j.Workload, id)
-		in := j.Workload.Profiles[id].ShuffleIn
-		for p, frac := range w {
+		in := float64(j.Workload.Profiles[id].ShuffleIn)
+		w := j.Workload.AppendInputWeights(nil, id)
+		for i, p := range j.Workload.Graph.Stage(id).Parents {
 			if j.Placement[p] != dst {
-				total += int64(frac * float64(in))
+				total += int64(w[i] * in)
 			}
 		}
 	}
 	return total
 }
 
-// sortedStages returns the job's stages sorted by ID (deterministic
-// iteration helper).
-func sortedStages(j *workload.Job) []dag.StageID {
-	ids := j.Graph.Stages()
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
+// WANUtil is the mean utilization of the topology's WAN capacity over a
+// run of the job that took jct seconds: every WAN byte crosses exactly
+// one link, so it is WANBytes over the total WAN capacity times jct.
+func WANUtil(t *Topology, j *Job, jct float64) float64 {
+	total := 0.0
+	for i := range t.WAN {
+		for k, bw := range t.WAN[i] {
+			if i != k {
+				total += bw
+			}
+		}
+	}
+	if jct <= 0 || total <= 0 {
+		return 0
+	}
+	return float64(WANBytes(t, j)) / (total * jct)
 }
 
-// almostZero reports |v| below the fluid tolerance.
-func almostZero(v float64) bool { return math.Abs(v) < 1e-9 }
+// Run simulates the placed job under the given delays (x_k seconds after
+// a stage becomes ready) on internal/sim: the DCs form the cluster, the
+// WAN matrix its links, and every stage runs on its DC. The job is run 0
+// of the result, arriving at time 0.
+func Run(t *Topology, job *Job, delays map[dag.StageID]float64) (*sim.Result, error) {
+	if t == nil {
+		return nil, fmt.Errorf("geo: nil topology")
+	}
+	if err := job.Validate(t); err != nil {
+		return nil, err
+	}
+	return sim.Run(t.simOptions(), []sim.JobRun{{Job: job.Workload, Delays: delays, Placement: job.Placement}})
+}
+
+// simOptions lays the topology out for internal/sim: one node per DC, the
+// WAN matrix as its links, no usage tracking.
+func (t *Topology) simOptions() sim.Options {
+	return sim.Options{Cluster: &cluster.Cluster{Nodes: t.DCs}, Links: t.WAN, TrackNode: -1}
+}

@@ -6,6 +6,7 @@ import (
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
+	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
 
@@ -60,6 +61,11 @@ func TestTopologyValidate(t *testing.T) {
 	if err := tp.Validate(); err == nil {
 		t.Fatal("ragged WAN matrix must fail")
 	}
+	tp = topo3(100)
+	tp.DCs[1].ID = 0
+	if err := tp.Validate(); err == nil {
+		t.Fatal("duplicate DC IDs must fail")
+	}
 }
 
 func TestJobValidate(t *testing.T) {
@@ -83,41 +89,41 @@ func TestJobValidate(t *testing.T) {
 // doubles the child's read time.
 func TestWANGatesCrossDCRead(t *testing.T) {
 	j := chainJob(t)
-	fast, err := Run(Options{Topology: topo3(1000)}, j, nil)
+	fast, err := Run(topo3(1000), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Run(Options{Topology: topo3(500)}, j, nil)
+	slow, err := Run(topo3(500), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := fast.Timelines[2].ReadEnd - fast.Timelines[2].Start
-	sr := slow.Timelines[2].ReadEnd - slow.Timelines[2].Start
+	fr := fast.Timeline(0, 2).ReadEnd - fast.Timeline(0, 2).Start
+	sr := slow.Timeline(0, 2).ReadEnd - slow.Timeline(0, 2).Start
 	if math.Abs(sr/fr-2) > 0.1 {
 		t.Fatalf("halving WAN should double the read: %.2f vs %.2f", fr, sr)
 	}
-	if slow.WANBytes != int64(j.Workload.Profiles[2].ShuffleIn) {
-		t.Fatalf("WAN bytes %d, want the child's full input", slow.WANBytes)
+	if wb := WANBytes(topo3(500), j); wb != j.Workload.Profiles[2].ShuffleIn {
+		t.Fatalf("WAN bytes %d, want the child's full input", wb)
 	}
 }
 
 // Co-located placement avoids WAN entirely and is faster.
 func TestColocationAvoidsWAN(t *testing.T) {
 	j := chainJob(t)
-	remote, err := Run(Options{Topology: topo3(200)}, j, nil)
+	remote, err := Run(topo3(200), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Placement[2] = 0
-	local, err := Run(Options{Topology: topo3(200)}, j, nil)
+	local, err := Run(topo3(200), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if local.WANBytes != 0 {
-		t.Fatalf("co-located job moved %d WAN bytes", local.WANBytes)
+	if wb := WANBytes(topo3(200), j); wb != 0 {
+		t.Fatalf("co-located job moved %d WAN bytes", wb)
 	}
-	if local.JCT >= remote.JCT {
-		t.Fatalf("co-location must be faster: %.1f vs %.1f", local.JCT, remote.JCT)
+	if local.JCT(0) >= remote.JCT(0) {
+		t.Fatalf("co-location must be faster: %.1f vs %.1f", local.JCT(0), remote.JCT(0))
 	}
 }
 
@@ -138,11 +144,11 @@ func TestMaxOverLinks(t *testing.T) {
 	tp := topo3(800)
 	tp.WAN[1][2] = cluster.MBps(200)
 	j := &Job{Workload: wl, Placement: Placement{1: 0, 2: 1, 3: 2}}
-	res, err := Run(Options{Topology: tp}, j, nil)
+	res, err := Run(tp, j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := res.Timelines[3]
+	tl := res.Timeline(0, 3)
 	// Half the input crosses each link; the slow link needs
 	// 0.5·In / 200MBps seconds and must gate the read.
 	in := float64(wl.Profiles[3].ShuffleIn)
@@ -172,11 +178,11 @@ func TestSpreadPlacement(t *testing.T) {
 
 func TestDelaysHonoredGeo(t *testing.T) {
 	j := chainJob(t)
-	res, err := Run(Options{Topology: topo3(500)}, j, map[dag.StageID]float64{1: 25})
+	res, err := Run(topo3(500), j, map[dag.StageID]float64{1: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := res.Timelines[1]
+	tl := res.Timeline(0, 1)
 	if math.Abs(tl.Start-tl.Ready-25) > 1e-6 {
 		t.Fatalf("delay not honored: start %.2f ready %.2f", tl.Start, tl.Ready)
 	}
@@ -184,10 +190,10 @@ func TestDelaysHonoredGeo(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	j := chainJob(t)
-	if _, err := Run(Options{}, j, nil); err == nil {
+	if _, err := Run(nil, j, nil); err == nil {
 		t.Fatal("nil topology must error")
 	}
-	if _, err := Run(Options{Topology: topo3(100)}, j, map[dag.StageID]float64{1: -1}); err == nil {
+	if _, err := Run(topo3(100), j, map[dag.StageID]float64{1: -1}); err == nil {
 		t.Fatal("negative delay must error")
 	}
 }
@@ -208,20 +214,20 @@ func TestGeoDelayStageImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stock, err := Run(Options{Topology: tp}, j, nil)
+	stock, err := Run(tp, j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delayed, err := Run(Options{Topology: tp}, j, sched.Delays)
+	delayed, err := Run(tp, j, sched.Delays)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delayed.JCT > stock.JCT*1.001 {
-		t.Fatalf("geo DelayStage regressed: %.1f vs %.1f", delayed.JCT, stock.JCT)
+	if delayed.JCT(0) > stock.JCT(0)*1.001 {
+		t.Fatalf("geo DelayStage regressed: %.1f vs %.1f", delayed.JCT(0), stock.JCT(0))
 	}
-	gain := 100 * (stock.JCT - delayed.JCT) / stock.JCT
+	gain := 100 * (stock.JCT(0) - delayed.JCT(0)) / stock.JCT(0)
 	t.Logf("geo: stock %.1f → delayed %.1f (−%.1f%%), X=%v, WAN util %.1f%%→%.1f%%",
-		stock.JCT, delayed.JCT, gain, sched.Delays, stock.AvgWANUtil*100, delayed.AvgWANUtil*100)
+		stock.JCT(0), delayed.JCT(0), gain, sched.Delays, WANUtil(tp, j, stock.JCT(0))*100, WANUtil(tp, j, delayed.JCT(0))*100)
 	if gain < 3 {
 		t.Fatalf("expected a real improvement, got %.1f%%", gain)
 	}
@@ -238,30 +244,54 @@ func TestComputeDelaysSequentialJob(t *testing.T) {
 	}
 }
 
+// linkBytes integrates the bytes the simulation moves over links.
+type linkBytes struct{ total float64 }
+
+func (*linkBytes) OnEvent(sim.Event) {}
+
+func (l *linkBytes) OnShares(_, dt float64, samples []sim.ShareSample) {
+	for _, s := range samples {
+		if s.Link {
+			l.total += s.Rate * dt
+		}
+	}
+}
+
+// The static WANBytes matches the traffic the simulation moves over WAN
+// links, on a chain and on a spread fan-in job.
 func TestWANBytesAccounting(t *testing.T) {
-	j := chainJob(t)
 	tp := topo3(300)
-	viaFn := WANBytes(tp, j)
-	res, err := Run(Options{Topology: tp}, j, nil)
+	tc := workload.TriangleCount(refCluster(), 0.3)
+	spread, err := SpreadPlacement(tc, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaFn != res.WANBytes {
-		t.Fatalf("static WANBytes %d != simulated %d", viaFn, res.WANBytes)
+	for _, j := range []*Job{chainJob(t), {Workload: tc, Placement: spread}} {
+		viaFn := WANBytes(tp, j)
+		lb := &linkBytes{}
+		opt := tp.simOptions()
+		opt.Observer = lb
+		if _, err := sim.Run(opt, []sim.JobRun{{Job: j.Workload, Placement: j.Placement}}); err != nil {
+			t.Fatal(err)
+		}
+		// WANBytes truncates each parent's share to whole bytes.
+		if viaFn == 0 || math.Abs(lb.total-float64(viaFn)) > float64(j.Workload.Graph.Len()) {
+			t.Fatalf("%s: static WANBytes %d != simulated %.1f", j.Workload.Name, viaFn, lb.total)
+		}
 	}
 }
 
 func TestGeoDeterminism(t *testing.T) {
 	j := chainJob(t)
-	a, err := Run(Options{Topology: topo3(300)}, j, nil)
+	a, err := Run(topo3(300), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Options{Topology: topo3(300)}, j, nil)
+	b, err := Run(topo3(300), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.JCT != b.JCT || a.Events != b.Events {
+	if a.JCT(0) != b.JCT(0) || a.Events != b.Events {
 		t.Fatal("geo sim must be deterministic")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"delaystage/internal/dag"
 	"delaystage/internal/workload"
 )
 
@@ -29,21 +28,21 @@ func GreedyWANPlacement(t *Topology, j *workload.Job) (Placement, error) {
 	p := make(Placement, len(topo))
 	nextRoot := 0
 	for _, id := range topo {
-		parents := j.Graph.Parents(id)
+		parents := j.Graph.Stage(id).Parents
 		if len(parents) == 0 {
 			// Spread roots round-robin: their input is DC-local storage.
 			p[id] = nextRoot % len(t.DCs)
 			nextRoot++
 			continue
 		}
-		weights := InputWeights(j, id)
+		weights := j.AppendInputWeights(nil, id)
 		in := float64(j.Profiles[id].ShuffleIn)
 		bestDC, bestCost := 0, math.Inf(1)
 		for dc := 0; dc < len(t.DCs); dc++ {
 			cost := 0.0
-			for pid, frac := range weights {
+			for i, pid := range parents {
 				if p[pid] != dc {
-					cost += frac * in
+					cost += weights[i] * in
 				}
 			}
 			if cost < bestCost {
@@ -73,21 +72,22 @@ func BottleneckAwarePlacement(t *Topology, j *workload.Job, base Placement) (Pla
 		p[id] = dc
 	}
 	for _, id := range topo {
-		if len(j.Graph.Parents(id)) == 0 {
+		parents := j.Graph.Stage(id).Parents
+		if len(parents) == 0 {
 			continue // keep root placement: input is local storage
 		}
-		weights := InputWeights(j, id)
+		weights := j.AppendInputWeights(nil, id)
 		in := float64(j.Profiles[id].ShuffleIn)
 		bestDC, bestTime := p[id], math.Inf(1)
 		for dc := 0; dc < len(t.DCs); dc++ {
 			worst := 0.0
-			for pid, frac := range weights {
+			for i, pid := range parents {
 				src := p[pid]
 				bw := t.DCs[dc].NetBW
 				if src != dc {
 					bw = t.WAN[src][dc]
 				}
-				if tt := frac * in / bw; tt > worst {
+				if tt := weights[i] * in / bw; tt > worst {
 					worst = tt
 				}
 			}
@@ -98,18 +98,6 @@ func BottleneckAwarePlacement(t *Topology, j *workload.Job, base Placement) (Pla
 		p[id] = bestDC
 	}
 	return p, nil
-}
-
-// LoadBalance counts stages per DC — a quick skew check for tests and
-// reporting.
-func LoadBalance(t *Topology, p Placement) []int {
-	counts := make([]int, len(t.DCs))
-	for _, dc := range p {
-		if dc >= 0 && dc < len(counts) {
-			counts[dc]++
-		}
-	}
-	return counts
 }
 
 // PlacementNames labels the built-in strategies for experiment tables.
@@ -131,5 +119,3 @@ func BuildPlacement(name string, t *Topology, j *workload.Job) (Placement, error
 	}
 	return nil, fmt.Errorf("geo: unknown placement %q", name)
 }
-
-var _ = dag.StageID(0)

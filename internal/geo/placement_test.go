@@ -36,16 +36,16 @@ func TestGreedyPlacementSpeedsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := Run(Options{Topology: tp}, &Job{Workload: wl, Placement: spread}, nil)
+	sres, err := Run(tp, &Job{Workload: wl, Placement: spread}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, err := Run(Options{Topology: tp}, &Job{Workload: wl, Placement: greedy}, nil)
+	gres, err := Run(tp, &Job{Workload: wl, Placement: greedy}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gres.JCT > sres.JCT {
-		t.Fatalf("WAN-aware placement slower: %.1f vs %.1f", gres.JCT, sres.JCT)
+	if gres.JCT(0) > sres.JCT(0) {
+		t.Fatalf("WAN-aware placement slower: %.1f vs %.1f", gres.JCT(0), sres.JCT(0))
 	}
 }
 
@@ -65,16 +65,16 @@ func TestBottleneckAwareOnHeterogeneousWAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := Run(Options{Topology: tp}, &Job{Workload: wl, Placement: base}, nil)
+	bres, err := Run(tp, &Job{Workload: wl, Placement: base}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ires, err := Run(Options{Topology: tp}, &Job{Workload: wl, Placement: improved}, nil)
+	ires, err := Run(tp, &Job{Workload: wl, Placement: improved}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ires.JCT > bres.JCT*1.001 {
-		t.Fatalf("bottleneck-aware placement regressed: %.1f vs %.1f", ires.JCT, bres.JCT)
+	if ires.JCT(0) > bres.JCT(0)*1.001 {
+		t.Fatalf("bottleneck-aware placement regressed: %.1f vs %.1f", ires.JCT(0), bres.JCT(0))
 	}
 }
 
@@ -116,7 +116,7 @@ func TestPlacementDelayComposition(t *testing.T) {
 			t.Fatal(err)
 		}
 		j := &Job{Workload: wl, Placement: p}
-		plain, err := Run(Options{Topology: tp}, j, nil)
+		plain, err := Run(tp, j, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,15 +124,15 @@ func TestPlacementDelayComposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delayed, err := Run(Options{Topology: tp}, j, sched.Delays)
+		delayed, err := Run(tp, j, sched.Delays)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if delayed.JCT > plain.JCT*1.001 {
-			t.Errorf("%s: delays regressed (%.1f vs %.1f)", name, delayed.JCT, plain.JCT)
+		if delayed.JCT(0) > plain.JCT(0)*1.001 {
+			t.Errorf("%s: delays regressed (%.1f vs %.1f)", name, delayed.JCT(0), plain.JCT(0))
 		}
-		results = append(results, outcome{name, plain.JCT, delayed.JCT})
-		t.Logf("%-18s plain %8.1f  +delays %8.1f", name, plain.JCT, delayed.JCT)
+		results = append(results, outcome{name, plain.JCT(0), delayed.JCT(0)})
+		t.Logf("%-18s plain %8.1f  +delays %8.1f", name, plain.JCT(0), delayed.JCT(0))
 	}
 	// The best combined result must beat spread-without-delays.
 	best := results[0].delay

@@ -100,13 +100,16 @@ type stageState struct {
 	// idx is the stage's own slab index, base the slab index of its
 	// job's first stage. children and parents are the graph's shared,
 	// read-only position lists (dag.Graph.ChildPos/ParentPos): base+p is
-	// a relative's slab index. wOff is where the stage's availability
-	// weights over its parents start in engine.availW (AggShuffle only).
+	// a relative's slab index. wOff is where the stage's input weights
+	// over its parents start in engine.inW (AggShuffle and placed runs
+	// only). node is the stage's node when its run is placed, -1 when it
+	// runs a partition on every node.
 	idx      int
 	base     int
 	children []int
 	parents  []int
 	wOff     int
+	node     int
 
 	parentsLeft int
 
@@ -328,9 +331,10 @@ type engineBufs struct {
 	// submits prefetches — and thus appends items — in a fixed order.
 	states  []stageState
 	jobBase []int
-	// availW holds every stage's availability weights over its parents,
-	// proportional to parent shuffle-output size (AggShuffle only).
-	availW []float64
+	// inW holds every stage's input weights over its parents
+	// (workload.Job.AppendInputWeights): the availability weights of an
+	// AggShuffle run and the read shares of a placed one.
+	inW    []float64
 	items  []*item
 	timers timerHeap
 
@@ -338,6 +342,10 @@ type engineBufs struct {
 	// are added and removed so the rates pass does not rebuild them every
 	// event. Bucket order is the e.items subsequence order, preserving
 	// the exact accumulation order of the pre-dirty-tracking engine.
+	// With Options.Links, readBk (with netBW and dirtyR) also holds one
+	// bucket per ordered node pair past the nodes' own: linkBucket maps
+	// a link to it, and a read over it shares the link as a NIC read
+	// shares its NIC.
 	computeBk [][]*item
 	readBk    [][]*item
 	writeBk   [][]*item
@@ -417,7 +425,11 @@ func resetEngine(opt Options, runs []JobRun) *engine {
 	}
 	// Only the buffers survive; every other field starts at its zero value.
 	*e = engine{engineBufs: e.engineBufs, opt: opt, runs: runs, nNodes: len(opt.Cluster.Nodes)}
-	e.reset(e.nNodes, len(runs), stageCount(runs))
+	nRead := e.nNodes
+	if opt.Links != nil {
+		nRead += e.nNodes * e.nNodes
+	}
+	e.reset(e.nNodes, nRead, len(runs), stageCount(runs))
 	for _, n := range opt.Cluster.Nodes {
 		e.netBW = append(e.netBW, n.NetBW)
 		e.diskBW = append(e.diskBW, n.DiskBW)
@@ -426,6 +438,15 @@ func resetEngine(opt Options, runs []JobRun) *engine {
 	e.totalExec = float64(opt.Cluster.TotalExecutors())
 	e.totalNet = opt.Cluster.TotalNetBW()
 	e.totalDisk = opt.Cluster.TotalDiskBW()
+	for src, row := range opt.Links {
+		for dst, bw := range row {
+			if src == dst {
+				bw = 0 // a node reads from itself over its NIC
+			}
+			e.netBW = append(e.netBW, bw)
+			e.totalNet += bw
+		}
+	}
 	if so, ok := opt.Observer.(ShareObserver); ok {
 		e.shareObs = so
 	}
@@ -462,11 +483,13 @@ func (b *engineBufs) empty() {
 	b.states = b.states[:0]
 	for w := range b.computeBk {
 		clear(b.computeBk[w])
-		clear(b.readBk[w])
 		clear(b.writeBk[w])
 	}
+	for w := range b.readBk {
+		clear(b.readBk[w])
+	}
 	b.netBW, b.diskBW, b.execs = b.netBW[:0], b.diskBW[:0], b.execs[:0]
-	b.jobBase, b.availW, b.timers = b.jobBase[:0], b.availW[:0], b.timers[:0]
+	b.jobBase, b.inW, b.timers = b.jobBase[:0], b.inW[:0], b.timers[:0]
 	b.stagesLeft = b.stagesLeft[:0]
 	b.doneScratch, b.deadScratch = b.doneScratch[:0], b.deadScratch[:0]
 	clear(b.occOpen)
@@ -474,24 +497,24 @@ func (b *engineBufs) empty() {
 	clear(b.perJobScratch)
 }
 
-// reset empties the buffers and sizes them for a run over nNodes nodes,
-// nJobs jobs and nStages (job, stage) pairs.
-func (b *engineBufs) reset(nNodes, nJobs, nStages int) {
+// reset empties the buffers and sizes them for a run over nNodes nodes
+// with nRead read buckets, nJobs jobs and nStages (job, stage) pairs.
+func (b *engineBufs) reset(nNodes, nRead, nJobs, nStages int) {
 	b.empty()
 	if b.occOpen == nil {
 		b.occOpen = make(map[skey]*OccupancySegment)
 		b.recomps = make(map[recompKey]*recompState)
 		b.perJobScratch = make(map[int]int)
 	}
-	b.netBW = slices.Grow(b.netBW, nNodes)
+	b.netBW = slices.Grow(b.netBW, nRead)
 	b.diskBW = slices.Grow(b.diskBW, nNodes)
 	b.execs = slices.Grow(b.execs, nNodes)
 	b.states = slices.Grow(b.states, nStages)
 	b.computeBk = resizeBuckets(b.computeBk, nNodes)
-	b.readBk = resizeBuckets(b.readBk, nNodes)
+	b.readBk = resizeBuckets(b.readBk, nRead)
 	b.writeBk = resizeBuckets(b.writeBk, nNodes)
 	b.dirtyC = resizeBools(b.dirtyC, nNodes)
-	b.dirtyR = resizeBools(b.dirtyR, nNodes)
+	b.dirtyR = resizeBools(b.dirtyR, nRead)
 	b.dirtyW = resizeBools(b.dirtyW, nNodes)
 	b.failed = resizeBools(b.failed, nJobs)
 	resizeF64(&b.busyScratch, nNodes)
@@ -669,13 +692,22 @@ func (e *engine) setup() {
 // timer. The per-job result and abort slots are the caller's: newEngine
 // sizes them for the initial runs, Stepper.Inject grows them.
 func (e *engine) addRun(ji int, run JobRun) {
+	// n is the number of partitions per stage: one per node, or the
+	// single one of a placed stage.
 	n := float64(e.nNodes)
+	if run.Placement != nil {
+		n = 1
+	}
 	g := run.Job.Graph
 	base := len(e.states)
 	e.jobBase = append(e.jobBase, base)
 	for i, sid := range g.StagesView() {
 		p := run.Job.Profiles[sid]
 		parents := g.ParentPos(i)
+		node := -1
+		if run.Placement != nil {
+			node = run.Placement[sid]
+		}
 		e.states = append(e.states, stageState{
 			key: skey{ji, sid},
 			profile: profileView{
@@ -690,39 +722,19 @@ func (e *engine) addRun(ji int, run JobRun) {
 			children:    g.ChildPos(i),
 			parents:     parents,
 			parentsLeft: len(parents),
+			node:        node,
 			tl:          StageTimeline{JobIndex: ji, Stage: sid},
 		})
 		st := &e.states[base+i]
 		st.computeTot = st.profile.perNodeIn * n
-	}
-	if e.opt.AggShuffle {
-		e.addAvailWeights(run, base)
+		if e.opt.AggShuffle || run.Placement != nil {
+			// Only prefetching and placed reads read the weights.
+			st.wOff = len(e.inW)
+			e.inW = run.Job.AppendInputWeights(e.inW, sid)
+		}
 	}
 	e.stagesLeft = append(e.stagesLeft, g.Len())
 	e.timers.push(timer{at: run.Arrival, seq: arrivalSeq(ji), kind: tJobArrival, job: ji})
-}
-
-// addAvailWeights appends the availability weights of the run whose
-// stages start at slab index base: over each stage's parents,
-// proportional to parent shuffle-output size (fallback: equal). Only
-// prefetching reads them, so only AggShuffle runs build them.
-func (e *engine) addAvailWeights(run JobRun, base int) {
-	order := run.Job.Graph.StagesView()
-	for i := base; i < len(e.states); i++ {
-		st := &e.states[i]
-		st.wOff = len(e.availW)
-		tot := 0.0
-		for _, p := range st.parents {
-			tot += float64(run.Job.Profiles[order[p]].ShuffleOut)
-		}
-		for _, p := range st.parents {
-			if tot > 0 {
-				e.availW = append(e.availW, float64(run.Job.Profiles[order[p]].ShuffleOut)/tot)
-			} else {
-				e.availW = append(e.availW, 1/float64(len(st.parents)))
-			}
-		}
-	}
 }
 
 // stateIdx returns the slab index of (job, stage), or -1 when the world
@@ -805,7 +817,8 @@ func (e *engine) markReady(st *stageState) {
 	e.pushTimer(st.submitAt, tSubmitStage, st.idx, st.key.job)
 }
 
-// submit creates the stage's read items on every node.
+// submit creates the stage's read items on every node, or those of its
+// one partition when it is placed.
 func (e *engine) submit(st *stageState, prefetch bool) {
 	if st.submitted {
 		return
@@ -818,6 +831,10 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 	st.tl.Start = e.now
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvStageSubmitted, Job: st.key.job, Stage: st.key.stage, Node: -1, Prefetch: prefetch})
+	}
+	if st.node >= 0 {
+		e.submitPlaced(st)
+		return
 	}
 	st.readsLeft = e.nNodes
 	st.computeLeft = e.nNodes
@@ -839,6 +856,47 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 	}
 }
 
+// submitPlaced creates a placed stage's reads: for each parent on
+// another node, in parent order, its input share over that node's link
+// into the stage's node; then what no link carries — the whole input of
+// a root — as one flow over the stage's own NIC when a parent ran on its
+// node or it is a root, just as an unplaced partition reads. A stage
+// whose reads are all empty goes straight to compute.
+func (e *engine) submitPlaced(st *stageState) {
+	st.readsLeft, st.computeLeft, st.writesLeft = 0, 1, 1
+	in := st.profile.perNodeIn
+	local := len(st.parents) == 0
+	remote := 0.0
+	for i, p := range st.parents {
+		if w := e.states[st.base+p].node; w != st.node {
+			if vol := e.inW[st.wOff+i] * in; vol > eps {
+				e.addPlacedRead(st, e.linkBucket(w, st.node), vol)
+				remote += vol
+			}
+		} else {
+			local = true
+		}
+	}
+	if vol := in - remote; local && vol > eps {
+		e.addPlacedRead(st, st.node, vol)
+	}
+	if st.readsLeft == 0 {
+		st.readsLeft = 1
+		e.finishRead(st, st.node)
+	}
+}
+
+// addPlacedRead adds one read flow of a placed stage on read bucket bk.
+func (e *engine) addPlacedRead(st *stageState, bk int, vol float64) {
+	st.readsLeft++
+	it := e.newItem()
+	*it = item{key: st.key, st: st.idx, home: st.node, node: bk, ph: phRead, remaining: vol, volume: vol}
+	e.addItem(it)
+}
+
+// linkBucket is the read bucket of the link from node src to node dst.
+func (e *engine) linkBucket(src, dst int) int { return e.nNodes*(1+src) + dst }
+
 func (e *engine) finishRead(st *stageState, node int) {
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvReadDone, Job: st.key.job, Stage: st.key.stage, Node: node})
@@ -852,6 +910,9 @@ func (e *engine) finishRead(st *stageState, node int) {
 				Retries: st.retries, JobStart: e.runs[st.key.job].Arrival, Now: e.now,
 			}))
 		}
+	}
+	if st.node >= 0 && st.readsLeft > 0 {
+		return // a placed stage computes once every read is done
 	}
 	if st.parentsLeft == 0 && st.recomputeHolds == 0 {
 		e.startCompute(st, node)
@@ -1009,7 +1070,7 @@ func (e *engine) maybePrefetch() {
 // (nil when the caller needs no dA/dt).
 func (e *engine) availability(st *stageState, computeRates []float64) (a, da float64) {
 	for i, p := range st.parents {
-		w := e.availW[st.wOff+i]
+		w := e.inW[st.wOff+i]
 		pi := st.base + p
 		pst := &e.states[pi]
 		if pst.complete {
@@ -1067,7 +1128,7 @@ func (e *engine) computeRatesPass() {
 	//    capped item actually needs them — i.e. never in non-AggShuffle
 	//    runs.
 	var stageRates []float64
-	for w := 0; w < e.nNodes; w++ {
+	for w := range e.readBk {
 		if !e.dirtyR[w] {
 			for _, it := range e.readBk[w] {
 				if it.capped {
@@ -1085,7 +1146,7 @@ func (e *engine) computeRatesPass() {
 			}
 		}
 	}
-	for w := 0; w < e.nNodes; w++ {
+	for w := range e.readBk {
 		if e.dirtyR[w] {
 			e.readNodeRates(w, stageRates)
 			e.dirtyR[w] = false
@@ -1356,11 +1417,14 @@ func (e *engine) emitShares(dt float64) {
 		case phWrite:
 			res, iso = ResDisk, e.diskBW[it.node]
 		}
-		if s := e.nodeSlowdown(it.node); s > 1 {
+		node, link := it.node, false
+		if node >= e.nNodes {
+			node, link = it.home, true // a link read: report its receiving node
+		} else if s := e.nodeSlowdown(node); s > 1 {
 			iso /= s
 		}
 		s = append(s, ShareSample{Job: it.key.job, Stage: it.key.stage,
-			Node: it.node, Res: res, Rate: it.rate, IsoRate: iso})
+			Node: node, Link: link, Res: res, Rate: it.rate, IsoRate: iso})
 	}
 	e.shareScr = s
 	e.shareObs.OnShares(e.now, dt, s)
@@ -1464,9 +1528,13 @@ func (e *engine) recordOccupancy(dt float64) {
 			m = make(map[int]bool)
 			holders[it.key] = m
 		}
-		if !m[it.node] {
-			m[it.node] = true
-			perNode[it.node]++
+		w := it.node
+		if w >= e.nNodes {
+			w = it.home // a link read holds a slot on its receiving node
+		}
+		if !m[w] {
+			m[w] = true
+			perNode[w]++
 		}
 	}
 	occ := make(map[skey]float64, len(holders))
@@ -1512,7 +1580,9 @@ func (e *engine) recordOccupancy(dt float64) {
 // sort. The per-event done/dead sets are tiny, so sort.Slice's reflection
 // setup dominated the actual comparisons; insertion sort is stable, which
 // can only preserve MORE of the e.items order than the unstable sort did
-// (itemOrder is a total order on live items, so ties do not occur).
+// (itemOrder is a total order on live items, so ties do not occur —
+// except between a placed stage's reads from two parents on one node,
+// which share a link bucket and keep their parent order).
 func sortItems(its []*item) {
 	for i := 1; i < len(its); i++ {
 		it := its[i]

@@ -444,22 +444,28 @@ func TestForkConcurrent(t *testing.T) {
 // delay revision for one stage from a world that holds the stage back,
 // paused at a boundary no later than the revised submission time — before
 // or after the stage's readiness — and requires the fork to match a
-// from-scratch run with the revised delay.
+// from-scratch run with the revised delay. With placed set, the world is
+// the job spread at random over the nodes and joined by links (which
+// rules out AggShuffle).
 func FuzzStepperFork(f *testing.F) {
-	f.Add(uint8(0), int64(1), 0.5, false, uint8(0), 0.0)
-	f.Add(uint8(1), int64(2), 0.0, true, uint8(1), 3.0)
-	f.Add(uint8(2), int64(3), 1.5, false, uint8(2), 12.5)
-	f.Add(uint8(3), int64(4), 0.99, true, uint8(3), 0.0)
-	f.Add(uint8(4), int64(5), 0.01, false, uint8(4), 40.0)
+	f.Add(uint8(0), int64(1), 0.5, false, uint8(0), 0.0, false)
+	f.Add(uint8(1), int64(2), 0.0, true, uint8(1), 3.0, false)
+	f.Add(uint8(2), int64(3), 1.5, false, uint8(2), 12.5, false)
+	f.Add(uint8(3), int64(4), 0.99, true, uint8(3), 0.0, false)
+	f.Add(uint8(4), int64(5), 0.01, false, uint8(4), 40.0, false)
 	// Post-readiness seeds: the pause lands after the stage became ready,
 	// so the fork re-arms its pending submission timer.
-	f.Add(uint8(0), int64(6), 0.6, false, uint8(3), 0.0)
-	f.Add(uint8(1), int64(7), 0.4, false, uint8(2), 5.0)
-	f.Add(uint8(2), int64(8), 0.7, false, uint8(5), 1.0)
-	f.Add(uint8(3), int64(9), 0.5, false, uint8(6), 20.0)
-	f.Add(uint8(4), int64(10), 0.3, true, uint8(1), 2.5)
+	f.Add(uint8(0), int64(6), 0.6, false, uint8(3), 0.0, false)
+	f.Add(uint8(1), int64(7), 0.4, false, uint8(2), 5.0, false)
+	f.Add(uint8(2), int64(8), 0.7, false, uint8(5), 1.0, false)
+	f.Add(uint8(3), int64(9), 0.5, false, uint8(6), 20.0, false)
+	f.Add(uint8(4), int64(10), 0.3, true, uint8(1), 2.5, false)
+	// Placed worlds, paused before and after the stage's readiness.
+	f.Add(uint8(0), int64(11), 0.5, false, uint8(2), 4.0, true)
+	f.Add(uint8(2), int64(12), 0.7, false, uint8(4), 0.0, true)
+	f.Add(uint8(3), int64(13), 0.2, false, uint8(1), 15.0, true)
 	c := cluster.NewM4LargeCluster(4)
-	f.Fuzz(func(t *testing.T, jobIdx uint8, seed int64, frac float64, agg bool, stage uint8, slack float64) {
+	f.Fuzz(func(t *testing.T, jobIdx uint8, seed int64, frac float64, agg bool, stage uint8, slack float64, placed bool) {
 		if math.IsNaN(frac) || frac < 0 || frac > 3 || math.IsNaN(slack) || slack < 0 || slack > 100 {
 			t.Skip()
 		}
@@ -468,6 +474,15 @@ func FuzzStepperFork(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}}
 		opt := Options{Cluster: c, TrackNode: -1, AggShuffle: agg}
+		if placed {
+			opt, runs = placedWorld(c, job, rand.New(rand.NewSource(seed)))
+			agg = false
+		}
+		withDelays := func(d map[dag.StageID]float64) []JobRun {
+			r := runs[0]
+			r.Delays = d
+			return []JobRun{r}
+		}
 		ref, err := Run(opt, runs)
 		if err != nil {
 			t.Fatal(err)
@@ -494,13 +509,13 @@ func FuzzStepperFork(f *testing.F) {
 		b := math.Min(at, tr+x)
 		revised := maps.Clone(runs[0].Delays)
 		revised[kid] = x
-		want, err := Run(opt, []JobRun{{Job: job, Delays: revised}})
+		want, err := Run(opt, withDelays(revised))
 		if err != nil {
 			t.Fatal(err)
 		}
 		held := maps.Clone(runs[0].Delays)
 		held[kid] = x + 10
-		fk, err := pausedAt(t, opt, []JobRun{{Job: job, Delays: held}}, b).Fork([]DelayUpdate{{Job: 0, Stage: kid, Delay: x}})
+		fk, err := pausedAt(t, opt, withDelays(held), b).Fork([]DelayUpdate{{Job: 0, Stage: kid, Delay: x}})
 		if err != nil {
 			if agg {
 				return // the stage was prefetched: submitted before it was ready

@@ -164,9 +164,12 @@ func (r Resource) String() string {
 // read/write, capped executor share times processing rate for compute —
 // straggler slowdowns are intrinsic to the item and stay in IsoRate).
 type ShareSample struct {
-	Job     int
-	Stage   dag.StageID
-	Node    int
+	Job   int
+	Stage dag.StageID
+	Node  int
+	// Link marks a read over a link between two nodes (Options.Links);
+	// Node is then the receiving node and IsoRate the link's bandwidth.
+	Link    bool
 	Res     Resource
 	Rate    float64 // allocated bytes/s over this interval
 	IsoRate float64 // bytes/s the item would get alone on the resource

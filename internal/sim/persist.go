@@ -41,8 +41,10 @@ const (
 )
 
 // fingerprintPrepared hashes everything that determines a run's
-// trajectory: cluster capacities, simulation options, the fault plan, and
-// each job's graph, profiles, delays and arrival. Two configurations with
+// trajectory: cluster capacities, simulation options, the fault plan,
+// each job's graph, profiles, delays and arrival, and — only when set, so
+// a configuration without them hashes the bytes it always did — the links
+// and placements. Two configurations with
 // equal fingerprints produce bit-identical runs. The options must already
 // be prepared (NewStepper and ReadStepperFile both normalize through
 // prepare, so writer and reader hash the configuration they validated).
@@ -120,6 +122,25 @@ func fingerprintPrepared(opt Options, runs []JobRun) uint64 {
 		for _, id := range dids {
 			w.i64(int64(id))
 			w.f64(r.Delays[id])
+		}
+	}
+	placed := false
+	for _, r := range runs {
+		placed = placed || r.Placement != nil
+	}
+	if opt.Links != nil || placed {
+		w.str("links+placement")
+		w.bool(opt.Links != nil)
+		for _, row := range opt.Links {
+			w.f64s(row)
+		}
+		for _, r := range runs {
+			w.bool(r.Placement != nil)
+			if r.Placement != nil {
+				for _, id := range r.Job.Graph.StagesView() {
+					w.int(r.Placement[id])
+				}
+			}
 		}
 	}
 	h := fnv.New64a()
@@ -279,14 +300,21 @@ func encodeEngine(e *engine, horizon float64) []byte {
 	}
 
 	// Per-node phase buckets as e.items index lists (their subsequence
-	// order fixes the floating-point accumulation order), plus dirty flags.
-	for wk := 0; wk < e.nNodes; wk++ {
-		for _, bk := range [][]*item{e.computeBk[wk], e.readBk[wk], e.writeBk[wk]} {
-			w.int(len(bk))
-			for _, it := range bk {
-				w.int(idx[it])
-			}
+	// order fixes the floating-point accumulation order), then the link
+	// read buckets (none without links), plus dirty flags.
+	bucket := func(bk []*item) {
+		w.int(len(bk))
+		for _, it := range bk {
+			w.int(idx[it])
 		}
+	}
+	for wk := 0; wk < e.nNodes; wk++ {
+		bucket(e.computeBk[wk])
+		bucket(e.readBk[wk])
+		bucket(e.writeBk[wk])
+	}
+	for _, bk := range e.readBk[e.nNodes:] {
+		bucket(bk)
 	}
 	w.bools(e.dirtyC)
 	w.bools(e.dirtyR)
@@ -498,22 +526,33 @@ func decodeEngine(payload []byte, opt Options, runs []JobRun) (*engine, float64,
 		e.items[i].rival = e.items[ri]
 	}
 
-	for wk := 0; wk < e.nNodes && r.err == nil; wk++ {
-		for _, bk := range []*[][]*item{&e.computeBk, &e.readBk, &e.writeBk} {
-			n := r.int()
-			for j := 0; j < n && r.err == nil; j++ {
-				ii := r.int()
-				if ii < 0 || ii >= len(e.items) {
-					return nil, 0, &ckpt.FormatError{Reason: "bucket index out of range"}
-				}
-				(*bk)[wk] = append((*bk)[wk], e.items[ii])
+	bucket := func(bk *[]*item) error {
+		n := r.int()
+		for j := 0; j < n && r.err == nil; j++ {
+			ii := r.int()
+			if ii < 0 || ii >= len(e.items) {
+				return &ckpt.FormatError{Reason: "bucket index out of range"}
 			}
+			*bk = append(*bk, e.items[ii])
+		}
+		return nil
+	}
+	for wk := 0; wk < e.nNodes && r.err == nil; wk++ {
+		for _, bk := range []*[]*item{&e.computeBk[wk], &e.readBk[wk], &e.writeBk[wk]} {
+			if err := bucket(bk); err != nil {
+				return nil, 0, err
+			}
+		}
+	}
+	for wk := e.nNodes; wk < len(e.readBk) && r.err == nil; wk++ {
+		if err := bucket(&e.readBk[wk]); err != nil {
+			return nil, 0, err
 		}
 	}
 	e.dirtyC = r.bools()
 	e.dirtyR = r.bools()
 	e.dirtyW = r.bools()
-	if r.err == nil && (len(e.dirtyC) != e.nNodes || len(e.dirtyR) != e.nNodes || len(e.dirtyW) != e.nNodes) {
+	if r.err == nil && (len(e.dirtyC) != e.nNodes || len(e.dirtyR) != len(e.readBk) || len(e.dirtyW) != e.nNodes) {
 		return nil, 0, &ckpt.FormatError{Reason: "dirty flag length mismatch"}
 	}
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -172,6 +173,15 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 
 	inj := chaosInjector(t)
+	linked := Options{Cluster: c, TrackNode: -1, Links: uniformLinks(4, 1e8)}
+	place := map[dag.StageID]int{}
+	for _, id := range job.Graph.StagesView() {
+		place[id] = len(place) % 4
+	}
+	placed := []JobRun{{Job: job, Delays: runs[0].Delays, Placement: place}}
+	moved := placed[0]
+	moved.Placement = maps.Clone(place)
+	moved.Placement[job.Graph.Stages()[0]]++
 	mutations := []struct {
 		name string
 		opt  Options
@@ -186,6 +196,8 @@ func TestConfigFingerprint(t *testing.T) {
 		{"blacklist on", Options{Cluster: c, TrackNode: -1, BlacklistAfter: 2}, runs},
 		{"aggshuffle on", Options{Cluster: c, TrackNode: -1, AggShuffle: true}, runs},
 		{"job added", opt, []JobRun{runs[0], {Job: galleryJobs(c, 0.3)[1], Arrival: 10}}},
+		{"links added", linked, runs},
+		{"placement added", linked, placed},
 	}
 	for _, m := range mutations {
 		fp, err := configFingerprint(m.opt, m.runs)
@@ -194,6 +206,53 @@ func TestConfigFingerprint(t *testing.T) {
 		}
 		if fp == base {
 			t.Errorf("%s: fingerprint did not change", m.name)
+		}
+	}
+
+	// A placed world's fingerprint follows its links and placement too.
+	placedFP, err := configFingerprint(linked, placed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name string
+		opt  Options
+		runs []JobRun
+	}{
+		{"link changed", Options{Cluster: c, TrackNode: -1, Links: uniformLinks(4, 2e8)}, placed},
+		{"placement changed", linked, []JobRun{moved}},
+	} {
+		fp, err := configFingerprint(m.opt, m.runs)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if fp == placedFP {
+			t.Errorf("%s: fingerprint did not change", m.name)
+		}
+	}
+}
+
+// TestConfigFingerprintPinned pins the fingerprint of configurations
+// without links or placements to the values checkpoints already on disk
+// carry: adding a model input must not invalidate them.
+func TestConfigFingerprintPinned(t *testing.T) {
+	c := cluster.NewM4LargeCluster(4)
+	job := galleryJobs(c, 0.3)[0]
+	runs := []JobRun{{Job: job, Arrival: 3, Delays: map[dag.StageID]float64{job.Graph.Stages()[1]: 5}}}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want uint64
+	}{
+		{"plain", Options{Cluster: c, TrackNode: -1}, 0xfa5114ecc04f3661},
+		{"chaos", chaosOptions(c, chaosInjector(t)), 0xf67a6cb1c5e05598},
+	} {
+		got, err := configFingerprint(tc.opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
 }

@@ -4,6 +4,10 @@
 // walks shuffle-read (network) → compute (executors) → shuffle-write
 // (disk), and concurrent consumers of a resource share it max-min fairly,
 // matching the equal-share assumption of the paper's model (Sec. 3.1).
+// A job may instead place each stage on one node (JobRun.Placement): the
+// stage then runs a single partition there and reads its parents' output
+// over the links between nodes (Options.Links) — the geo-distributed
+// setting, where each node is a datacenter.
 //
 // The simulator supports the mechanisms all evaluated strategies need:
 //
@@ -30,6 +34,13 @@ import (
 // Options configures a simulation run.
 type Options struct {
 	Cluster *cluster.Cluster
+	// Links[i][j] is the bandwidth in bytes/s of the link from node i to
+	// node j (i ≠ j; the diagonal is ignored, a node reads from itself
+	// over its NIC). A placed stage reads the input of every parent on
+	// another node over that node's link into its own; zero means no
+	// link. Link reads share a link exactly as NIC reads share a NIC.
+	// Nil: no links, so every placed stage must share its parents' node.
+	Links [][]float64
 	// AggShuffle enables pipelined shuffle prefetching (the baseline of
 	// Liu et al., ICDCS'17).
 	AggShuffle bool
@@ -167,6 +178,15 @@ type JobRun struct {
 	// Delays is DelayStage's X: extra seconds to hold a stage after it
 	// becomes ready (all parents complete). Missing stages get 0.
 	Delays map[dag.StageID]float64
+	// Placement, when non-nil, names the node of every stage: the stage
+	// runs one partition there instead of one on every node. It reads
+	// each parent's share of its input (workload.Job.AppendInputWeights)
+	// over its own NIC when the parent ran on its node and over the
+	// parent node's link otherwise, one flow per link; computes on its
+	// node's executors; and writes to its node's disk. Placed jobs run
+	// without AggShuffle, Faults, Speculation and BlacklistAfter, whose
+	// per-node partition logic does not apply to a single partition.
+	Placement map[dag.StageID]int
 }
 
 // StageTimeline records when one stage of one job moved through its
@@ -311,8 +331,11 @@ func prepare(opt Options, runs []JobRun) (Options, error) {
 	if len(runs) == 0 {
 		return opt, fmt.Errorf("sim: no jobs")
 	}
+	if err := validateLinks(opt); err != nil {
+		return opt, err
+	}
 	for i, r := range runs {
-		if err := validateRun(i, r); err != nil {
+		if err := validateRun(opt, i, r); err != nil {
 			return opt, err
 		}
 	}
@@ -354,8 +377,66 @@ func prepare(opt Options, runs []JobRun) (Options, error) {
 	return opt, nil
 }
 
+// validateLinks vets the link matrix's shape and capacities.
+func validateLinks(opt Options) error {
+	if opt.Links == nil {
+		return nil
+	}
+	n := len(opt.Cluster.Nodes)
+	if len(opt.Links) != n {
+		return fmt.Errorf("sim: links matrix has %d rows for %d nodes", len(opt.Links), n)
+	}
+	for i, row := range opt.Links {
+		if len(row) != n {
+			return fmt.Errorf("sim: links row %d has %d entries for %d nodes", i, len(row), n)
+		}
+		for j, bw := range row {
+			if i != j && !(bw >= 0 && !math.IsInf(bw, 0)) {
+				return fmt.Errorf("sim: link %d→%d has invalid bandwidth %v", i, j, bw)
+			}
+		}
+	}
+	return nil
+}
+
+// validatePlacement vets the placement of job i: every stage on a node of
+// the cluster, a link with capacity under every cross-node read, and none
+// of the options whose per-node partition logic a placed stage lacks.
+func validatePlacement(opt Options, i int, r JobRun) error {
+	switch {
+	case opt.AggShuffle:
+		return fmt.Errorf("sim: job %d is placed: AggShuffle is not supported for placed stages", i)
+	case opt.Faults != nil:
+		return fmt.Errorf("sim: job %d is placed: Faults are not supported for placed stages", i)
+	case opt.Speculation:
+		return fmt.Errorf("sim: job %d is placed: Speculation is not supported for placed stages", i)
+	case opt.BlacklistAfter > 0:
+		return fmt.Errorf("sim: job %d is placed: BlacklistAfter is not supported for placed stages", i)
+	}
+	n := len(opt.Cluster.Nodes)
+	g := r.Job.Graph
+	for _, id := range g.StagesView() {
+		w, ok := r.Placement[id]
+		if !ok {
+			return fmt.Errorf("sim: job %d stage %d has no placement", i, id)
+		}
+		if w < 0 || w >= n {
+			return fmt.Errorf("sim: job %d stage %d is placed on node %d of a %d-node cluster", i, id, w, n)
+		}
+	}
+	for _, id := range g.StagesView() {
+		dst := r.Placement[id]
+		for _, p := range g.Stage(id).Parents {
+			if src := r.Placement[p]; src != dst && (opt.Links == nil || !(opt.Links[src][dst] > 0)) {
+				return fmt.Errorf("sim: job %d stage %d reads from node %d into node %d, which no link connects", i, id, src, dst)
+			}
+		}
+	}
+	return nil
+}
+
 // validateRun vets job i of a run list (prepare) or an injected run.
-func validateRun(i int, r JobRun) error {
+func validateRun(opt Options, i int, r JobRun) error {
 	if r.Job == nil {
 		return fmt.Errorf("sim: job %d is nil", i)
 	}
@@ -369,6 +450,9 @@ func validateRun(i int, r JobRun) error {
 		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 			return fmt.Errorf("sim: job %d stage %d has invalid delay %v", i, s, d)
 		}
+	}
+	if r.Placement != nil {
+		return validatePlacement(opt, i, r)
 	}
 	return nil
 }

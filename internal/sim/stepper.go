@@ -258,7 +258,7 @@ func (s *Stepper) Inject(run JobRun) error {
 		return fmt.Errorf("sim: inject with a Watchdog is not supported")
 	}
 	ji := len(e.runs)
-	if err := validateRun(ji, run); err != nil {
+	if err := validateRun(e.opt, ji, run); err != nil {
 		return err
 	}
 	if run.Arrival < s.horizon {
@@ -354,7 +354,7 @@ func (e *engine) clone() *engine {
 	c.stagesLeft = append(c.stagesLeft, e.stagesLeft...)
 	copy(c.failed, e.failed)
 	c.jobBase = append(c.jobBase, e.jobBase...)
-	c.availW = append(c.availW, e.availW...)
+	c.inW = append(c.inW, e.inW...)
 
 	// The slab copies whole; the few per-stage slices and maps the loop
 	// mutates in place get fresh backing.

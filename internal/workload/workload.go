@@ -89,6 +89,26 @@ func (j *Job) Validate() error {
 	return nil
 }
 
+// AppendInputWeights appends to dst, for each parent of stage id in
+// parent order, the share of the stage's shuffle input that parent
+// produced: proportional to the parents' ShuffleOut, or equal when every
+// parent output is zero. A root appends nothing.
+func (j *Job) AppendInputWeights(dst []float64, id dag.StageID) []float64 {
+	parents := j.Graph.Stage(id).Parents
+	tot := 0.0
+	for _, p := range parents {
+		tot += float64(j.Profiles[p].ShuffleOut)
+	}
+	for _, p := range parents {
+		if tot > 0 {
+			dst = append(dst, float64(j.Profiles[p].ShuffleOut)/tot)
+		} else {
+			dst = append(dst, 1/float64(len(parents)))
+		}
+	}
+	return dst
+}
+
 // Clone returns a deep copy (useful when a scheduler mutates profiles).
 func (j *Job) Clone() *Job {
 	nj := &Job{Name: j.Name, Graph: j.Graph.Clone(), Profiles: make(map[dag.StageID]StageProfile, len(j.Profiles))}
