@@ -230,13 +230,15 @@ func BenchmarkFig14TraceReplay(b *testing.B) {
 //     rate pass and the dt scan, so cost grows quadratically with the
 //     number of concurrently live jobs.
 //   - shards-8: the same jobs as disjoint per-slice worlds (the paper's
-//     "resources are evenly partitioned" assumption) on 8 engine shards
-//     advanced by merging clocks, Workers=1 — a purely architectural
-//     speedup: each engine scans only its own world's items.
+//     "resources are evenly partitioned" assumption) run one after another
+//     through shardsim on one worker — a purely architectural speedup:
+//     each engine scans only its own world's items. (The name predates the
+//     worker pool; it is kept so the committed BENCH_sim.json and
+//     cmd/benchgate still match it.)
 //
-// trace-slice-512 additionally measures sharded replay throughput with
-// lazily built worlds and a bounded live window — the full-scale
-// (tracegen -scale full) configuration in miniature.
+// trace-slice-512 additionally measures replay throughput with worlds
+// built inside the runner — the full-scale (tracegen -scale full)
+// configuration in miniature.
 func BenchmarkFig14ShardedReplay(b *testing.B) {
 	const jobs = 96
 	const stagger = 5.0 // arrival spacing (s): keeps most jobs concurrently live
@@ -279,7 +281,7 @@ func BenchmarkFig14ShardedReplay(b *testing.B) {
 		timed(b, func() {
 			for i := 0; i < b.N; i++ {
 				events := 0
-				err := shardsim.Run(shardsim.Config{Shards: 8, Workers: 1}, len(worlds),
+				err := shardsim.Run(shardsim.Config{Shards: 1}, len(worlds),
 					func(w int) (shardsim.World, error) { return worlds[w], nil },
 					func(_ int, res *sim.Result) error { events += res.Events; return nil })
 				if err != nil {
@@ -299,10 +301,10 @@ func BenchmarkFig14ShardedReplay(b *testing.B) {
 		}
 		timed(b, func() {
 			for i := 0; i < b.N; i++ {
-				// Worlds are built lazily inside build, as cmd/replay does:
+				// Worlds are built inside build, as cmd/replay does:
 				// workload materialization is part of the replay's work and
-				// only the MaxLive window holds engine state.
-				err := shardsim.Run(shardsim.Config{Shards: 8, Workers: 1, MaxLive: 64}, sliceJobs,
+				// only the running world holds engine state.
+				err := shardsim.Run(shardsim.Config{Shards: 1}, sliceJobs,
 					func(w int) (shardsim.World, error) {
 						wl, err := str.Jobs[w].Workload(slices[w], trace.DefaultSplit, nil)
 						if err != nil {

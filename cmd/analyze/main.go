@@ -67,15 +67,11 @@ func main() {
 	o := flags()
 	o.fs.Parse(os.Args[1:])
 
-	var r io.Reader = os.Stdin
-	if *o.eventsPath != "-" {
-		f, err := os.Open(*o.eventsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		r = f
+	r, err := cli.OpenInput(*o.eventsPath)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer r.Close()
 	if *o.traceID != "" {
 		replayTrace(r, *o.traceID, *o.chromePath)
 		return

@@ -16,26 +16,25 @@
 // run per trace job, labelled run=<job index>); -json summarizes every
 // variant.
 //
-// Every variant replays through N merging-clock engine shards
-// (internal/shardsim; -shards N, 0 = one shard): shard s owns jobs
-// {i : i%N == s} and advances a bounded window of live simulations
-// (-shard-window, default 64) in global timestamp order, so memory stays
-// flat even on the full 2.7M-job trace. Jobs finish out of order; each
-// waits in its index slot until every earlier job has finished and is then
-// folded into the variant's progress in job order, so the summary is
-// byte-identical at any shard count. The same holds for -events and
-// -chrometrace: an obs.ShardMux buffers each world's event stream and
-// drains finished worlds in index order. For full-scale traces combine
-// -shards with -approx-plan (plan from the analytic Eq. 1–3 model instead
-// of what-if simulation) and -variants to pick the strategies to replay.
+// Every variant replays through internal/shardsim on N worker goroutines
+// (-shards N, 0 = one): each worker takes the next job, builds its world
+// and runs it to completion, so only N simulations are live at once even on
+// the full 2.7M-job trace. Jobs finish out of order, but shardsim hands
+// them back in job order, and each is folded into the variant's progress as
+// it arrives, so the summary is byte-identical at any shard count. The same
+// holds for -events and -chrometrace: an obs.ShardMux buffers each world's
+// event stream and writes it out when the world is folded. For full-scale
+// traces combine -shards with -approx-plan (plan from the analytic Eq. 1–3
+// model instead of what-if simulation) and -variants to pick the strategies
+// to replay.
 //
-// -checkpoint-dir makes the replay crash-safe: whenever the folded prefix
-// of finished jobs grows, the per-variant progress (bit-exact JCTs and
-// utilization sums) is written atomically to <dir>/replay.ckpt, and
-// -resume continues from it at any shard count — a SIGKILLed replay
-// resumed with the same flags produces a byte-identical -json summary. A
-// missing checkpoint starts fresh; a corrupt or mismatched one (different
-// trace or flags) is discarded with a note.
+// -checkpoint-dir makes the replay crash-safe: after every folded job the
+// per-variant progress (bit-exact JCTs and utilization sums) is written
+// atomically to <dir>/replay.ckpt, and -resume continues from it at any
+// shard count — a SIGKILLed replay resumed with the same flags produces a
+// byte-identical -json summary. A missing checkpoint starts fresh; a
+// corrupt or mismatched one (different trace or flags) is discarded with a
+// note.
 //
 // Diagnostics go to stderr as JSON lines (log/slog); -log-level picks the
 // floor (debug, info, warn, error). Results stay on stdout. A usage error
@@ -54,7 +53,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 
 	"delaystage/internal/ckpt"
@@ -110,35 +108,35 @@ func (p *progress) fold(o outcome) {
 	p.done++
 }
 
-// prefixFold folds finished jobs into a variant's progress in job-index
-// order. Under the merging clocks jobs finish out of order; each waits in
-// its slot until every earlier job has finished, so the progress always
-// equals a sequential replay's state after its first p.done jobs — the
-// floating-point sums are bit-identical at any shard count, and every
-// saved checkpoint is a prefix.
-type prefixFold struct {
-	mu    sync.Mutex
-	p     *progress
-	slots []outcome // by job index; valid where ready
-	ready []bool
-	save  func() error // when non-nil, called under mu each time the prefix grows
+// jobFold is a variant's shardsim reduce. shardsim calls it serially in
+// job order, so p always equals a sequential replay's state after its
+// first p.done jobs — the floating-point sums are bit-identical at any
+// shard count, and every checkpoint save writes such a prefix.
+type jobFold struct {
+	p        *progress
+	start    int          // job index of world 0: the jobs a resumed run skips
+	save     func() error // when non-nil, checkpoints the progress after each job
+	mux      *obs.ShardMux
+	jctHist  *obs.Histogram
+	runsDone *obs.Counter
 }
 
-func newPrefixFold(p *progress, n int, save func() error) *prefixFold {
-	return &prefixFold{p: p, slots: make([]outcome, n), ready: make([]bool, n), save: save}
-}
-
-// add records job i's outcome and folds every finished job it unblocks.
-// Safe for concurrent calls on distinct indices.
-func (f *prefixFold) add(i int, o outcome) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.slots[i], f.ready[i] = o, true
-	start := f.p.done
-	for f.p.done < len(f.slots) && f.ready[f.p.done] {
-		f.p.fold(f.slots[f.p.done])
+func (f *jobFold) reduce(k int, res *sim.Result) error {
+	o := outcome{failed: res.Failed(0) != nil}
+	if !o.failed {
+		o.jct, o.cpu, o.net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
+		if f.jctHist != nil {
+			f.jctHist.Observe(o.jct)
+		}
 	}
-	if f.p.done == start || f.save == nil {
+	if f.mux != nil {
+		f.mux.Flush(f.start + k)
+	}
+	if f.runsDone != nil {
+		f.runsDone.Inc()
+	}
+	f.p.fold(o)
+	if f.save == nil {
 		return nil
 	}
 	return f.save()
@@ -236,10 +234,10 @@ type options struct {
 	intro    *cli.Introspection
 	ckpts    *cli.Checkpoint
 
-	file, jsonPath, variantList        *string
-	sliceMachines, shards, shardWindow *int
-	seed                               *int64
-	approxPlan                         *bool
+	file, jsonPath, variantList *string
+	sliceMachines, shards       *int
+	seed                        *int64
+	approxPlan                  *bool
 }
 
 // flags builds replay's flag set.
@@ -253,8 +251,7 @@ func flags() *options {
 		sliceMachines: fs.Int("slice-machines", 2, "machines in each job's even cluster slice"),
 		seed:          fs.Int64("seed", 1, "seed for slice bandwidth draws and the random order"),
 		jsonPath:      fs.String("json", "", "write a machine-readable per-variant summary to this file (\"-\" = stdout)"),
-		shards:        fs.Int("shards", 0, "replay through this many merging-clock engine shards (0 = one shard); the summary is byte-identical at any setting"),
-		shardWindow:   fs.Int("shard-window", 0, "max live simulation worlds per shard (0 = default 64); bounds sharded replay memory at full trace scale"),
+		shards:        fs.Int("shards", 0, "replay on this many worker goroutines, one live simulation each (0 = one); the summary is byte-identical at any setting"),
 		variantList:   fs.String("variants", "", "comma-separated subset of variants to replay: fuxi,random,default,ascending (default: all)"),
 		approxPlan:    fs.Bool("approx-plan", false, "plan from the analytic model instead of what-if simulation (needed to replay full-scale traces in minutes)"),
 	}
@@ -328,21 +325,17 @@ func main() {
 		fail(err)
 	}
 
-	// SIGINT/SIGTERM cancel the context: the shard runner drains its
+	// SIGINT/SIGTERM cancel the context: the shard runner stops its
 	// workers (the folded prefix is already checkpointed), and a -linger
 	// endpoint wakes up early — no more dying mid-write on Ctrl-C.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var r io.Reader = os.Stdin
-	if *o.file != "" {
-		f, err := os.Open(*o.file)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		r = f
+	r, err := cli.OpenInput(*o.file)
+	if err != nil {
+		fail(err)
 	}
+	defer r.Close()
 	// The trace bytes are hashed while they stream through the parser —
 	// never buffered whole — and feed the progress-checkpoint fingerprint:
 	// a checkpoint must only resume against the same trace.
@@ -434,7 +427,7 @@ func main() {
 		// buildWorld materializes job i's replay world: the planned delays
 		// (when the variant plans) plus the simulation options on the job's
 		// own cluster slice. It is a pure function of i, so the shard runner
-		// may call it lazily from worker goroutines.
+		// may call it from any worker goroutine.
 		buildWorld := func(i int) (shardsim.World, error) {
 			wl, err := tr.Jobs[i].Workload(slices[i], trace.DefaultSplit, nil)
 			if err != nil {
@@ -466,48 +459,23 @@ func main() {
 				Runs: []sim.JobRun{{Job: wl, Delays: delays}},
 			}, nil
 		}
-		// Shard s owns the remaining jobs {start+k : k%shards == s}; worlds
-		// are built lazily as their shard's merging clock reaches them, so
-		// only shards×window engines are live at once. Event observation
-		// shards the same way: each observed world buffers its stream in the
-		// mux, and finished worlds drain into the exporters in index order.
-		// (-checkpoint-dir excludes the exporters, so start is 0 whenever
-		// the mux is active.)
-		start := p.done
-		var mux *obs.ShardMux
+		// The shard runner replays the remaining jobs start+k; each observed
+		// world buffers its event stream in the mux until the fold writes it
+		// out.
+		fold := &jobFold{p: p, start: p.done, save: saveProgress, jctHist: jctHist, runsDone: runsDone}
 		if observed {
-			if mux = obs.NewShardMux(len(tr.Jobs), o.sinks.JSONL, o.sinks.Chrome); !mux.Active() {
-				mux = nil
+			if fold.mux = obs.NewShardMux(o.sinks.JSONL, o.sinks.Chrome); !fold.mux.Active() {
+				fold.mux = nil
 			}
 		}
 		build := func(k int) (shardsim.World, error) {
-			w, err := buildWorld(start + k)
-			if err == nil && mux != nil {
-				w.Opt.Observer = mux.Observer(start + k)
+			w, err := buildWorld(fold.start + k)
+			if err == nil && fold.mux != nil {
+				w.Opt.Observer = fold.mux.Observer(fold.start + k)
 			}
 			return w, err
 		}
-		fold := newPrefixFold(p, len(tr.Jobs), saveProgress)
-		err := shardsim.Run(shardsim.Config{Shards: *o.shards, MaxLive: *o.shardWindow, Ctx: ctx},
-			len(tr.Jobs)-start,
-			build,
-			func(k int, res *sim.Result) error {
-				i := start + k
-				oc := outcome{failed: res.Failed(0) != nil}
-				if !oc.failed {
-					oc.jct, oc.cpu, oc.net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
-					if jctHist != nil {
-						jctHist.Observe(oc.jct) // histogram is mutex-guarded
-					}
-				}
-				if mux != nil {
-					mux.Flush(i)
-				}
-				if runsDone != nil {
-					runsDone.Inc()
-				}
-				return fold.add(i, oc)
-			})
+		err := shardsim.Run(shardsim.Config{Shards: *o.shards, Ctx: ctx}, len(tr.Jobs)-fold.start, build, fold.reduce)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				done := 0

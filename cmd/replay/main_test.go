@@ -6,126 +6,142 @@ import (
 	"flag"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
+
+	"delaystage/internal/cluster"
+	"delaystage/internal/faults"
+	"delaystage/internal/shardsim"
+	"delaystage/internal/sim"
+	"delaystage/internal/trace"
+	"delaystage/internal/workload"
 )
 
-// testOutcomes draws n job outcomes whose magnitudes spread over several
-// orders, so any change in the summation order shows in the low bits.
-func testOutcomes(n int, rng *rand.Rand) []outcome {
-	out := make([]outcome, n)
-	for i := range out {
-		if rng.Float64() < 0.1 {
-			out[i].failed = true
-			continue
+// unevenWorlds mixes worlds that finish far out of index order: the
+// PageRank gallery job on 8 m4.large nodes at every fifth index, tiny
+// trace jobs on two-machine slices elsewhere, and at every third index a
+// fault plan that makes some jobs exhaust their single attempt, so the fold
+// sees failed jobs too.
+func unevenWorlds(t *testing.T, n int) []shardsim.World {
+	t.Helper()
+	tr := trace.Generate(trace.GenConfig{Jobs: n, Seed: 6, MaxStages: 6})
+	rng := rand.New(rand.NewSource(6))
+	worlds := make([]shardsim.World, n)
+	for i := range worlds {
+		c := sim.Coarsen(cluster.NewTraceCluster(2, 4, rng))
+		job, err := tr.Jobs[i].Workload(c, trace.DefaultSplit, nil)
+		if i%5 == 0 {
+			c = cluster.NewM4LargeCluster(8)
+			job = workload.PageRank(c, 1)
 		}
-		out[i] = outcome{
-			jct: rng.ExpFloat64() * 1000,
-			cpu: rng.Float64(),
-			net: rng.Float64() / 3,
-		}
-	}
-	return out
-}
-
-// sequential folds outcomes[:k] in job order: the reference state.
-func sequential(outcomes []outcome, k int) *progress {
-	p := &progress{}
-	for _, o := range outcomes[:k] {
-		p.fold(o)
-	}
-	return p
-}
-
-// TestPrefixFoldOrderInvariant: outcomes arriving in any index order —
-// shuffled, or concurrently from several goroutines as shard workers
-// deliver them — fold to the bit-identical progress (and checkpoint
-// bytes) of a sequential replay, also when resuming from a saved prefix.
-func TestPrefixFoldOrderInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 200
-	outcomes := testOutcomes(n, rng)
-	want := encodeProgress([]*progress{sequential(outcomes, n)})
-	for trial := 0; trial < 20; trial++ {
-		start := 0
-		if trial%2 == 1 {
-			start = rng.Intn(n)
-		}
-		p := sequential(outcomes, start)
-		f := newPrefixFold(p, n, nil)
-		order := rng.Perm(n - start)
-		if trial%4 == 3 {
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for j := w; j < len(order); j += 4 {
-						if err := f.add(start+order[j], outcomes[start+order[j]]); err != nil {
-							t.Error(err)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		} else {
-			for _, k := range order {
-				if err := f.add(start+k, outcomes[start+k]); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if p.done != n {
-			t.Fatalf("trial %d: folded %d/%d jobs", trial, p.done, n)
-		}
-		if got := encodeProgress([]*progress{p}); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d (start %d): progress differs from the in-order fold", trial, start)
-		}
-	}
-}
-
-// TestPrefixFoldSavesPrefixes: every checkpoint written while outcomes
-// arrive out of order decodes, and equals the sequential state after
-// exactly its done jobs — a kill at any moment leaves a resumable prefix.
-func TestPrefixFoldSavesPrefixes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const n = 120
-	outcomes := testOutcomes(n, rng)
-	other := &progress{done: 7, jcts: []float64{1, 2}, cpuInt: 0.5, failed: 5}
-	p := &progress{}
-	state := []*progress{other, p}
-	var saves [][]byte
-	f := newPrefixFold(p, n, func() error {
-		saves = append(saves, encodeProgress(state))
-		return nil
-	})
-	for _, i := range rng.Perm(n) {
-		before := len(saves)
-		done := p.done
-		if err := f.add(i, outcomes[i]); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
-		if advanced := p.done > done; advanced != (len(saves) > before) {
-			t.Fatalf("add(%d): prefix %d→%d but %d saves", i, done, p.done, len(saves)-before)
+		opt := sim.Options{Cluster: c, TrackNode: -1}
+		if i%3 == 0 {
+			if opt.Faults, err = faults.NewInjector(faults.FaultPlan{Seed: int64(i), TaskFailureProb: 0.2}); err != nil {
+				t.Fatal(err)
+			}
+			opt.MaxAttempts = 1
 		}
+		worlds[i] = shardsim.World{Opt: opt, Runs: []sim.JobRun{{Job: job}}}
 	}
-	if len(saves) == 0 || p.done != n {
-		t.Fatalf("%d saves, %d/%d jobs folded", len(saves), p.done, n)
-	}
-	last := -1
-	for si, b := range saves {
-		ps, err := decodeProgress(b, len(state))
+	return worlds
+}
+
+// sequentialPrefixes runs worlds one after another and folds them in job
+// order behind other's progress: element k is the checkpoint payload of a
+// sequential replay after its first k jobs.
+func sequentialPrefixes(t *testing.T, worlds []shardsim.World, other *progress) [][]byte {
+	t.Helper()
+	ref := &progress{}
+	seq := &jobFold{p: ref}
+	prefixes := [][]byte{encodeProgress([]*progress{other, ref})}
+	for i, w := range worlds {
+		res, err := sim.Run(w.Opt, w.Runs)
 		if err != nil {
-			t.Fatalf("save %d: %v", si, err)
+			t.Fatal(err)
 		}
-		got := ps[1]
-		if got.done <= last {
-			t.Fatalf("save %d: prefix %d does not grow past %d", si, got.done, last)
+		if err := seq.reduce(i, res); err != nil {
+			t.Fatal(err)
 		}
-		last = got.done
-		want := encodeProgress([]*progress{other, sequential(outcomes, got.done)})
-		if !bytes.Equal(b, want) {
-			t.Fatalf("save %d: not the sequential state after %d jobs", si, got.done)
+		prefixes = append(prefixes, encodeProgress([]*progress{other, ref}))
+	}
+	if ref.failed == 0 || len(ref.jcts) == 0 {
+		t.Fatalf("want both failed and finished jobs, got %d failed of %d", ref.failed, len(worlds))
+	}
+	return prefixes
+}
+
+// foldThroughShards resumes the variant from prefixes[start], drives
+// replay's reduce over worlds[start:] through shardsim, and returns the
+// final checkpoint payload; save, when non-nil, sees each payload written
+// on the way.
+func foldThroughShards(t *testing.T, shards int, worlds []shardsim.World, other *progress, prefixes [][]byte, start int, save func([]byte) error) []byte {
+	t.Helper()
+	ps, err := decodeProgress(prefixes[start], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := []*progress{other, ps[1]}
+	fold := &jobFold{p: state[1], start: start}
+	if save != nil {
+		fold.save = func() error { return save(encodeProgress(state)) }
+	}
+	err = shardsim.Run(shardsim.Config{Shards: shards}, len(worlds)-start,
+		func(k int) (shardsim.World, error) { return worlds[start+k], nil }, fold.reduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeProgress(state)
+}
+
+// TestPrefixFoldOrderInvariant: worlds that finish far out of index order,
+// run by any number of shardsim workers, fold through replay's reduce to
+// the bit-identical progress (and checkpoint bytes) of a sequential
+// replay, also when resuming from a saved prefix.
+func TestPrefixFoldOrderInvariant(t *testing.T) {
+	const n = 60
+	worlds := unevenWorlds(t, n)
+	other := &progress{done: 7, jcts: []float64{1, 2}, cpuInt: 0.5, failed: 5}
+	prefixes := sequentialPrefixes(t, worlds, other)
+	for _, shards := range []int{1, 2, 4, 8} {
+		for _, start := range []int{0, 23} {
+			if got := foldThroughShards(t, shards, worlds, other, prefixes, start, nil); !bytes.Equal(got, prefixes[n]) {
+				t.Errorf("shards %d, start %d: progress differs from the sequential fold", shards, start)
+			}
+		}
+	}
+}
+
+// TestPrefixFoldSavesPrefixes drives replay's reduce through shardsim at 4
+// shards over worlds that finish out of order, fresh and resumed
+// mid-trace. Every checkpoint saved on the way must decode to a sequential
+// replay's state after exactly its done jobs — a kill at any moment leaves
+// a resumable prefix — and the final progress must be the sequential fold,
+// bit for bit.
+func TestPrefixFoldSavesPrefixes(t *testing.T) {
+	const n = 60
+	worlds := unevenWorlds(t, n)
+	other := &progress{done: 7, jcts: []float64{1, 2}, cpuInt: 0.5, failed: 5}
+	prefixes := sequentialPrefixes(t, worlds, other)
+	for _, start := range []int{0, 17} {
+		saves := 0
+		got := foldThroughShards(t, 4, worlds, other, prefixes, start, func(b []byte) error {
+			ps, err := decodeProgress(b, 2)
+			if err != nil {
+				return err
+			}
+			saves++
+			if done := ps[1].done; done != start+saves || !bytes.Equal(b, prefixes[done]) {
+				t.Errorf("start %d, save %d: not the sequential state after %d jobs", start, saves, done)
+			}
+			return nil
+		})
+		if saves != n-start {
+			t.Errorf("start %d: %d saves, want %d", start, saves, n-start)
+		}
+		if !bytes.Equal(got, prefixes[n]) {
+			t.Errorf("start %d: final progress differs from the sequential fold", start)
 		}
 	}
 }
@@ -137,7 +153,7 @@ func TestFlagSurface(t *testing.T) {
 		"approx-plan": "false", "blacklist-after": "0", "checkpoint-dir": "", "chrometrace": "",
 		"events": "", "f": "", "fault-rate": "0", "fault-seed": "1", "json": "", "linger": "0s",
 		"log-level": "info", "max-retries": "0", "mttf-horizon": "0", "node-mttf": "0",
-		"resume": "false", "seed": "1", "serve": "", "shard-window": "0", "shards": "0",
+		"resume": "false", "seed": "1", "serve": "", "shards": "0",
 		"slice-machines": "2", "slow-node-factor": "1", "slow-node-frac": "0", "speculate": "false",
 		"straggler-factor": "1", "straggler-frac": "0", "variants": "",
 	}

@@ -12,10 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
+	"delaystage/internal/cli"
 	"delaystage/internal/cluster"
 	"delaystage/internal/eventlog"
 	"delaystage/internal/jobspec"
@@ -27,15 +27,11 @@ func main() {
 	dotOut := flag.String("dot", "", "write the DAG as Graphviz DOT here")
 	flag.Parse()
 
-	var r io.Reader = os.Stdin
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		r = f
+	r, err := cli.OpenInput(*file)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer r.Close()
 	l, err := eventlog.Parse(r)
 	if err != nil {
 		log.Fatal(err)

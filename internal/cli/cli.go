@@ -12,6 +12,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -55,4 +56,13 @@ func (fs *FlagSet) Parse(args []string) error {
 		}
 	}
 	return nil
+}
+
+// OpenInput opens the file a command reads its input from: path, or
+// standard input when path is "" or "-".
+func OpenInput(path string) (io.ReadCloser, error) {
+	if path == "" || path == "-" {
+		return io.NopCloser(os.Stdin), nil
+	}
+	return os.Open(path)
 }

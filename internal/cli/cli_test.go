@@ -208,3 +208,47 @@ func TestJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenInput: "" and "-" read standard input, and closing the reader
+// leaves it open; any other path opens that file, and a missing file is an
+// error.
+func TestOpenInput(t *testing.T) {
+	stdin := os.Stdin
+	defer func() { os.Stdin = stdin }()
+	for _, path := range []string{"", "-"} {
+		pr, pw, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdin = pr
+		pw.WriteString("from stdin")
+		pw.Close()
+		r, err := OpenInput(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := io.ReadAll(r); err != nil || string(b) != "from stdin" {
+			t.Errorf("OpenInput(%q) read %q, %v; want standard input", path, b, err)
+		}
+		r.Close()
+		if _, err := pr.Stat(); err != nil {
+			t.Errorf("closing OpenInput(%q) closed standard input: %v", path, err)
+		}
+		pr.Close()
+	}
+	path := filepath.Join(t.TempDir(), "in.csv")
+	if err := os.WriteFile(path, []byte("a,b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenInput(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if b, err := io.ReadAll(r); err != nil || string(b) != "a,b\n" {
+		t.Errorf("read %q, %v; want the file's bytes", b, err)
+	}
+	if _, err := OpenInput(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: got %v, want fs.ErrNotExist", err)
+	}
+}

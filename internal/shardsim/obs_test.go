@@ -8,11 +8,10 @@ import (
 	"delaystage/internal/sim"
 )
 
-// exportWorlds runs n fresh testWorlds through the given shard config
+// exportWorlds runs n fresh testWorlds through the given shard count
 // with an obs.ShardMux fanning into a JSONL exporter and a Chrome tracer,
 // and returns both artifacts. shards == 0 means the sequential reference
-// path (plain sim.Run per world, run labels stamped in index order) —
-// exactly what cmd/replay's unsharded loop does.
+// path: plain sim.Run per world, run labels stamped in index order.
 func exportWorlds(t *testing.T, n, shards int) (events, chrome []byte) {
 	t.Helper()
 	worlds := testWorlds(t, n)
@@ -30,8 +29,8 @@ func exportWorlds(t *testing.T, n, shards int) (events, chrome []byte) {
 			}
 		}
 	} else {
-		mux := obs.NewShardMux(n, jsonl, tracer)
-		err := Run(Config{Shards: shards, Workers: 4, MaxLive: 2}, n,
+		mux := obs.NewShardMux(jsonl, tracer)
+		err := Run(Config{Shards: shards}, n,
 			func(i int) (World, error) {
 				w := worlds[i]
 				w.Opt.Observer = mux.Observer(i)
@@ -55,11 +54,11 @@ func exportWorlds(t *testing.T, n, shards int) (events, chrome []byte) {
 	return evBuf.Bytes(), chBuf.Bytes()
 }
 
-// TestShardedEventExportByteIdentical is the lifted PR 8 restriction: a
-// sharded run with the merging per-shard observer emits JSONL event logs
-// and Chrome traces byte-identical to the sequential single-engine path,
-// at any shard count, chaos regime included. Run under -race in CI this
-// also exercises the mux's cross-goroutine handoff.
+// TestShardedEventExportByteIdentical: a sharded run with per-world mux
+// observers emits JSONL event logs and Chrome traces byte-identical to the
+// sequential single-engine path, at any shard count, chaos regime
+// included. Run under -race in CI this also exercises the mux's
+// cross-goroutine handoff.
 func TestShardedEventExportByteIdentical(t *testing.T) {
 	const n = 9
 	refEv, refCh := exportWorlds(t, n, 0)
@@ -82,7 +81,7 @@ func TestShardedEventExportByteIdentical(t *testing.T) {
 func TestShardMuxNilSinks(t *testing.T) {
 	var jsonl *obs.JSONL
 	var tracer *obs.ChromeTracer
-	mux := obs.NewShardMux(3, jsonl, tracer, nil)
+	mux := obs.NewShardMux(jsonl, tracer, nil)
 	if mux.Active() {
 		t.Error("mux with only nil sinks reports Active")
 	}
@@ -92,12 +91,14 @@ func TestShardMuxNilSinks(t *testing.T) {
 	mux.Flush(0) // must not panic
 }
 
-// TestShardMuxOutOfOrderFlush: worlds finishing out of index order are
-// held and drained only when the frontier reaches them.
+// TestShardMuxOutOfOrderFlush: the mux holds nothing back. Whatever order
+// events arrive in across worlds, Flush(i) writes world i's buffer straight
+// to the sinks under run label i and releases it; flush order is the
+// caller's, and shardsim's in-order reduce makes it index order.
 func TestShardMuxOutOfOrderFlush(t *testing.T) {
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONL(&buf)
-	mux := obs.NewShardMux(3, jsonl)
+	mux := obs.NewShardMux(jsonl)
 	obs0, obs1, obs2 := mux.Observer(0), mux.Observer(1), mux.Observer(2)
 	ev := func(t float64, job int) sim.Event {
 		return sim.Event{T: t, Kind: sim.EvJobDone, Job: job, Stage: -1, Node: -1}
@@ -105,22 +106,17 @@ func TestShardMuxOutOfOrderFlush(t *testing.T) {
 	obs2.OnEvent(ev(30, 2))
 	obs0.OnEvent(ev(10, 0))
 	obs1.OnEvent(ev(20, 1))
-	mux.Flush(2) // frontier still at 0: nothing drains
 	mux.Flush(1)
+	mux.Flush(0)
+	mux.Flush(2)
+	mux.Flush(1) // released: writes nothing
 	if err := jsonl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("premature drain before world 0 finished:\n%s", buf.Bytes())
-	}
-	mux.Flush(0) // unblocks all three, in index order
-	if err := jsonl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"t":10,"kind":"job_done","run":0,"job":0}` + "\n" +
-		`{"t":20,"kind":"job_done","run":1,"job":1}` + "\n" +
+	want := `{"t":20,"kind":"job_done","run":1,"job":1}` + "\n" +
+		`{"t":10,"kind":"job_done","run":0,"job":0}` + "\n" +
 		`{"t":30,"kind":"job_done","run":2,"job":2}` + "\n"
 	if buf.String() != want {
-		t.Errorf("drained log:\n%s\nwant:\n%s", buf.String(), want)
+		t.Errorf("flushed log:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }

@@ -1,36 +1,25 @@
-// Package shardsim runs many independent simulation worlds as N engine
-// shards advanced by merging clocks — the shared-clock decomposition that
-// takes the trace replay to full Alibaba scale (2.7M jobs) with bounded
-// memory.
+// Package shardsim runs many independent simulation worlds on a pool of
+// worker goroutines and hands their results back in world-index order —
+// the runner that takes the trace replay to full Alibaba scale (2.7M
+// jobs) with bounded memory.
 //
 // A world is one self-contained simulation: its own cluster (a disjoint
-// machine partition — per-job slices in the replay, a cluster partition in
-// the co-scheduled mode) and its own job subset. Worlds never share
-// resources, so no stepping interleaving can change any world's
-// trajectory; per-world results are bit-identical to running each world
-// through sim.Run alone, at any shard count and any worker count. The
-// merging clocks are therefore not a correctness device but a *resource*
-// device: inside a shard, a k-way heap over sim.Stepper.PeekNextEventTime
-// advances the live window of worlds in global timestamp order, which (a)
-// bounds live engine state to MaxLive worlds per shard regardless of how
-// many worlds the shard owns, and (b) keeps the live worlds' clocks packed
-// together, so a progress observer sees the replay move through trace time
-// monotonically instead of world-by-world.
+// machine partition — per-job slices in the replay) and its own job
+// subset, starting at t = 0. Worlds never share resources or a clock, so
+// each one runs to completion through sim.Run on whichever worker takes
+// it, and its result is bit-identical to running it alone, at any shard
+// count.
 //
 // Determinism contract (same discipline as experiments.Config.Parallelism):
-// world i always lands on shard i%Shards, shards own disjoint index sets,
 // build(i) must be a pure function of i, and reduce(i, res) is called
-// exactly once per world with results that do not depend on scheduling.
-// Callers reduce into indexed slots and fold them in index order, so the
-// final output is byte-identical for any Shards/Workers/MaxLive setting.
+// exactly once per world, serially and in increasing i, whatever order
+// the workers finish in. A caller folds straight into its output inside
+// reduce, so the result is byte-identical for any Shards setting.
 package shardsim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -46,345 +35,105 @@ type World struct {
 
 // Config shapes a sharded run.
 type Config struct {
-	// Shards is the number of engine shards. World i belongs to shard
-	// i%Shards. Zero or negative means 1.
+	// Shards is the number of worker goroutines, each running one world
+	// at a time. Zero or negative means 1.
 	Shards int
-	// Workers is the number of goroutines driving shards (each shard is
-	// driven by exactly one worker at a time, so Workers beyond Shards is
-	// clamped). Zero or negative means min(Shards, GOMAXPROCS).
-	Workers int
-	// MaxLive caps the live (activated, not yet drained) worlds per shard
-	// — the memory bound: engine state exists only for live worlds. Zero
-	// or negative means 64. Within the window the merging clock advances
-	// worlds in global timestamp order; a drained world's slot is refilled
-	// with the next world index of the shard.
-	MaxLive int
-	// Ctx, when non-nil, cancels the run early: workers observe the
-	// cancellation between events and return promptly (no goroutine
-	// outlives Run). Run then reports ctx.Err() unless a world already
-	// failed (the lowest-index world error wins, deterministically).
+	// Ctx, when non-nil, cancels the run early: workers take no new world
+	// once it is done, reduce is not called again, and Run returns
+	// ctx.Err() after every worker has exited.
 	Ctx context.Context
 }
 
-func (c *Config) defaults() {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.MaxLive <= 0 {
-		c.MaxLive = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers > c.Shards {
-		c.Workers = c.Shards
-	}
+// finished is one world's outcome on its way from a worker to reduce.
+type finished struct {
+	idx int
+	res *sim.Result
+	err error
 }
 
-// liveWorld is one activated world in a shard's merging-clock heap.
-type liveWorld struct {
-	peek float64
-	idx  int // world index (global)
-	st   *sim.Stepper
-}
-
-// worldHeap orders live worlds by (peek time, world index) — the index
-// tie-break keeps the stepping order deterministic when clocks collide.
-type worldHeap []liveWorld
-
-func (h worldHeap) Len() int { return len(h) }
-func (h worldHeap) Less(i, j int) bool {
-	if h[i].peek != h[j].peek {
-		return h[i].peek < h[j].peek
-	}
-	return h[i].idx < h[j].idx
-}
-func (h worldHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *worldHeap) Push(x interface{}) { *h = append(*h, x.(liveWorld)) }
-func (h *worldHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// shard owns the worlds {i : i%Shards == s} and advances a MaxLive-bounded
-// window of them in global timestamp order.
-type shard struct {
-	n, shards, id int // world count, shard count, this shard's id
-	maxLive       int
-	next          int // next unactivated world: id + next*shards
-	activated     int
-	live          worldHeap
-	build         func(int) (World, error)
-	reduce        func(int, *sim.Result) error
-	err           error
-	errIdx        int
-}
-
-func newShard(cfg Config, id, n int, build func(int) (World, error), reduce func(int, *sim.Result) error) *shard {
-	return &shard{n: n, shards: cfg.Shards, id: id, maxLive: cfg.MaxLive,
-		build: build, reduce: reduce, errIdx: n}
-}
-
-// fail records the shard's terminal error under the world index it
-// belongs to (the lowest index wins when Run folds shards together).
-func (s *shard) fail(idx int, err error) {
-	s.err, s.errIdx = err, idx
-}
-
-// fill activates worlds until the window is full or the shard's index
-// space is exhausted.
-func (s *shard) fill() {
-	for s.err == nil && len(s.live) < s.maxLive {
-		idx := s.id + s.next*s.shards
-		if idx >= s.n {
-			return
-		}
-		s.next++
-		w, err := s.build(idx)
-		if err != nil {
-			s.fail(idx, err)
-			return
-		}
-		st, err := sim.NewStepper(w.Opt, w.Runs)
-		if err != nil {
-			s.fail(idx, fmt.Errorf("world %d: %w", idx, err))
-			return
-		}
-		s.activated++
-		heap.Push(&s.live, liveWorld{peek: st.PeekNextEventTime(), idx: idx, st: st})
-	}
-}
-
-// hasPendingEvents reports whether the shard still has work.
-func (s *shard) hasPendingEvents() bool {
-	if s.err != nil {
-		return false
-	}
-	return len(s.live) > 0 || s.id+s.next*s.shards < s.n
-}
-
-// peekNextEventTime returns the earliest next-event time across the
-// shard's live window (+Inf when drained). It fills the window first, so
-// freshly activated worlds compete immediately.
-func (s *shard) peekNextEventTime() float64 {
-	s.fill()
-	if s.err != nil || len(s.live) == 0 {
-		return math.Inf(1)
-	}
-	return s.live[0].peek
-}
-
-// stepNextEvent advances the globally-earliest live world by one event,
-// reducing and releasing it if that drained it.
-func (s *shard) stepNextEvent() error {
-	s.fill()
-	if s.err != nil {
-		return s.err
-	}
-	if len(s.live) == 0 {
-		return fmt.Errorf("shardsim: step on a drained shard %d", s.id)
-	}
-	w := &s.live[0]
-	if err := w.st.StepNextEvent(); err != nil {
-		s.fail(w.idx, fmt.Errorf("world %d: %w", w.idx, err))
-		return s.err
-	}
-	if !w.st.HasPendingEvents() {
-		res, err := w.st.Result()
-		if err != nil {
-			s.fail(w.idx, fmt.Errorf("world %d: %w", w.idx, err))
-			return s.err
-		}
-		idx := w.idx
-		heap.Pop(&s.live) // release the engine before reducing
-		if err := s.reduce(idx, res); err != nil {
-			s.fail(idx, err)
-			return s.err
-		}
-		return nil
-	}
-	w.peek = w.st.PeekNextEventTime()
-	heap.Fix(&s.live, 0)
-	return nil
-}
-
-// drain runs the shard to completion (or first error), checking ctx
-// between events.
-func (s *shard) drain(ctx context.Context) error {
-	done := ctx.Done()
-	for s.hasPendingEvents() {
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-		if err := s.stepNextEvent(); err != nil {
-			return err
-		}
-	}
-	return s.err
-}
-
-// Run simulates n worlds across cfg.Shards shards on cfg.Workers worker
-// goroutines. build(i) materializes world i when its shard activates it
-// (lazily — at most Shards×MaxLive worlds hold engine state at once);
-// reduce(i, res) receives world i's finished result exactly once. build
-// and reduce run on worker goroutines: build must be a pure function of i,
-// reduce must be safe for concurrent calls on distinct indices (write to
-// indexed slots; fold in index order afterwards).
+// Run simulates n worlds on cfg.Shards workers. Workers take world
+// indices in increasing order; build(i) materializes world i on the
+// worker that takes it, so at most Shards worlds hold engine state at
+// once. reduce(i, res) runs on the calling goroutine, serially and in
+// index order: a world that finishes early is parked until every earlier
+// world has been reduced.
 //
-// The first error — by world index, not by wall-clock — aborts the run
-// deterministically. A cancelled cfg.Ctx aborts with ctx.Err(); Run never
-// returns before every worker has exited, so cancellation leaks nothing.
+// The first error in index order — from build, the simulation or reduce —
+// ends the run and is returned, so failures are deterministic too. Run
+// never returns before every worker has exited, so cancellation leaks
+// nothing.
 func Run(cfg Config, n int, build func(int) (World, error), reduce func(int, *sim.Result) error) error {
-	cfg.defaults()
 	if n <= 0 {
 		return nil
 	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	parent := cfg.Ctx
+	if parent == nil {
+		parent = context.Background()
 	}
-	if cfg.Shards > n {
-		cfg.Shards = n
-	}
-	if cfg.Workers > cfg.Shards {
-		cfg.Workers = cfg.Shards
-	}
-	shards := make([]*shard, cfg.Shards)
-	for s := range shards {
-		shards[s] = newShard(cfg, s, n, build, reduce)
-	}
-	if cfg.Workers <= 1 {
-		for _, s := range shards {
-			if err := s.drain(ctx); err != nil {
-				break
-			}
-		}
-	} else {
-		var nextShard atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(nextShard.Add(1)) - 1
-					if s >= len(shards) {
-						return
-					}
-					if shards[s].drain(ctx) != nil {
-						return
-					}
+	ctx, stop := context.WithCancel(parent)
+	workers := min(max(cfg.Shards, 1), n)
+	// One slot per worker: a worker hands its result off and takes the
+	// next world without waiting for reduce to catch up.
+	out := make(chan finished, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-	}
-	// Deterministic error: the lowest world index that failed, regardless
-	// of which shard hit it first in wall-clock terms.
-	var err error
-	errIdx := n
-	for _, s := range shards {
-		if s.err != nil && s.errIdx < errIdx {
-			err, errIdx = s.err, s.errIdx
-		}
-	}
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// Runner drives a sharded run single-steppedly: a top-level merging clock
-// (a k-way heap collapsed to a linear scan over at most Shards entries)
-// picks the shard whose next event is globally earliest, and StepNextEvent
-// advances exactly that shard by one event. It exposes the same three
-// primitives as sim.Stepper, one level up — useful when a caller wants the
-// whole multi-shard replay to progress through trace time as one ordered
-// event stream (live observation, the single-threaded architecture bench).
-type Runner struct {
-	shards []*shard
-	n      int
-}
-
-// NewRunner builds the sharded run without starting it. Workers is
-// ignored: a Runner is driven by its caller, one event at a time.
-func NewRunner(cfg Config, n int, build func(int) (World, error), reduce func(int, *sim.Result) error) *Runner {
-	cfg.defaults()
-	if cfg.Shards > n && n > 0 {
-		cfg.Shards = n
-	}
-	r := &Runner{n: n}
-	for s := 0; s < cfg.Shards; s++ {
-		r.shards = append(r.shards, newShard(cfg, s, n, build, reduce))
-	}
-	return r
-}
-
-// HasPendingEvents reports whether any shard still has work.
-func (r *Runner) HasPendingEvents() bool {
-	for _, s := range r.shards {
-		if s.hasPendingEvents() {
-			return true
-		}
-	}
-	return false
-}
-
-// PeekNextEventTime returns the globally earliest next-event time across
-// all shards (+Inf when everything is drained).
-func (r *Runner) PeekNextEventTime() float64 {
-	min := math.Inf(1)
-	for _, s := range r.shards {
-		if !s.hasPendingEvents() {
-			continue
-		}
-		if p := s.peekNextEventTime(); p < min {
-			min = p
-		}
-	}
-	return min
-}
-
-// StepNextEvent advances the shard owning the globally earliest event by
-// exactly one event. Shard index breaks timestamp ties, deterministically.
-func (r *Runner) StepNextEvent() error {
-	best, bestPeek := -1, math.Inf(1)
-	for i, s := range r.shards {
-		if !s.hasPendingEvents() {
-			if s.err != nil {
-				return s.err
+				f := finished{idx: i}
+				f.res, f.err = runWorld(i, build)
+				select {
+				case out <- f:
+				case <-ctx.Done():
+				}
 			}
-			continue
-		}
-		if p := s.peekNextEventTime(); p < bestPeek {
-			best, bestPeek = i, p
-		}
+		}()
 	}
-	if best < 0 {
-		return fmt.Errorf("shardsim: step on a drained runner")
-	}
-	return r.shards[best].stepNextEvent()
-}
 
-// Run drains the runner. Like the parallel Run, the reported error is the
-// failure with the lowest world index.
-func (r *Runner) Run() error {
-	for r.HasPendingEvents() {
-		if err := r.StepNextEvent(); err != nil {
+	var err error
+	parked := map[int]finished{}
+	for i := 0; i < n && err == nil; {
+		if err = parent.Err(); err != nil {
 			break
 		}
-	}
-	var err error
-	errIdx := r.n
-	for _, s := range r.shards {
-		if s.err != nil && s.errIdx < errIdx {
-			err, errIdx = s.err, s.errIdx
+		f, ok := parked[i]
+		if !ok {
+			select {
+			case f = <-out:
+			case <-parent.Done():
+				continue
+			}
+			if f.idx != i {
+				parked[f.idx] = f
+				continue
+			}
 		}
+		delete(parked, i)
+		if err = f.err; err == nil {
+			err = reduce(i, f.res)
+		}
+		i++
 	}
+	stop()
+	wg.Wait()
 	return err
+}
+
+// runWorld builds world i and runs it to completion.
+func runWorld(i int, build func(int) (World, error)) (*sim.Result, error) {
+	w, err := build(i)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(w.Opt, w.Runs)
+	if err != nil {
+		return nil, fmt.Errorf("world %d: %w", i, err)
+	}
+	return res, nil
 }

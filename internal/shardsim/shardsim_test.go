@@ -15,6 +15,7 @@ import (
 	"delaystage/internal/core"
 	"delaystage/internal/faults"
 	"delaystage/internal/sim"
+	"delaystage/internal/trace"
 	"delaystage/internal/workload"
 )
 
@@ -111,58 +112,75 @@ func runWorlds(t testing.TB, cfg Config, worlds []World) []byte {
 }
 
 // TestShardCountInvariance is the tentpole acceptance property: the same
-// worlds reduced through 1, 4 and 8 shards — sequentially, on a worker
-// pool, with a tiny live window, and through the single-stepped Runner —
-// produce byte-identical JSON. Run under -race in CI, this doubles as the
-// race check on the worker pool.
+// worlds reduced through 1, 3, 4 and 8 shards produce byte-identical JSON.
+// Run under -race in CI, this doubles as the race check on the worker
+// pool.
 func TestShardCountInvariance(t *testing.T) {
 	worlds := testWorlds(t, 30)
 	ref := runWorlds(t, Config{Shards: 1}, worlds)
-	configs := []Config{
-		{Shards: 4},
-		{Shards: 8},
-		{Shards: 4, Workers: 4},
-		{Shards: 8, Workers: 3, MaxLive: 2},
-		{Shards: 3, MaxLive: 1},
-	}
-	for _, cfg := range configs {
-		if got := runWorlds(t, cfg, worlds); string(got) != string(ref) {
-			t.Errorf("shards=%d workers=%d maxlive=%d: output differs from shards=1",
-				cfg.Shards, cfg.Workers, cfg.MaxLive)
+	for _, shards := range []int{3, 4, 8} {
+		if got := runWorlds(t, Config{Shards: shards}, worlds); string(got) != string(ref) {
+			t.Errorf("shards=%d: output differs from shards=1", shards)
 		}
 	}
+}
 
-	// The stepped Runner — global timestamp order across shards — must
-	// reduce to the same bytes too. With the window wide enough to hold
-	// every world (MaxLive ≥ worlds per shard) the merged event stream is
-	// globally ordered; a tighter window only bands the order (a freshly
-	// activated world enters at its own arrival time), so the monotonicity
-	// assertion below needs the full window.
-	slots := make([]outcome, len(worlds))
-	r := NewRunner(Config{Shards: 4, MaxLive: len(worlds)}, len(worlds),
-		func(i int) (World, error) { return worlds[i], nil },
-		func(i int, res *sim.Result) error {
-			slots[i] = outcome{JCT: res.JCT(0), Events: res.Events,
-				CPU: res.AvgCPUUtil, Failed: res.Failed(0) != nil}
-			return nil
-		})
-	last := 0.0
-	for r.HasPendingEvents() {
-		p := r.PeekNextEventTime()
-		if p < last {
-			t.Fatalf("merging clock ran backwards: %v after %v", p, last)
+// unevenWorlds mixes worlds of very uneven length: the PageRank gallery
+// job on 8 m4.large nodes at every fifth index, tiny trace jobs on
+// two-machine slices everywhere else. Later tiny worlds finish long before
+// an earlier PageRank world does.
+func unevenWorlds(t testing.TB, n int) []World {
+	t.Helper()
+	tr := trace.Generate(trace.GenConfig{Jobs: n, Seed: 4, MaxStages: 6})
+	rng := rand.New(rand.NewSource(4))
+	worlds := make([]World, n)
+	for i := range worlds {
+		if i%5 == 0 {
+			c := cluster.NewM4LargeCluster(8)
+			worlds[i] = World{Opt: sim.Options{Cluster: c, TrackNode: -1},
+				Runs: []sim.JobRun{{Job: workload.PageRank(c, 1)}}}
+			continue
 		}
-		last = p
-		if err := r.StepNextEvent(); err != nil {
+		slice := sim.Coarsen(cluster.NewTraceCluster(2, 4, rng))
+		job, err := tr.Jobs[i].Workload(slice, trace.DefaultSplit, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		worlds[i] = World{Opt: sim.Options{Cluster: slice, TrackNode: -1},
+			Runs: []sim.JobRun{{Job: job}}}
 	}
-	buf, err := json.Marshal(slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != string(ref) {
-		t.Error("stepped Runner output differs from shards=1")
+	return worlds
+}
+
+// TestShardReduceInIndexOrder: however unevenly the worlds run, reduce
+// sees 0…n−1 exactly once each, in order, and never two calls at a time.
+// The counters are plain ints on purpose: under -race, two overlapping
+// reduce calls are a reported data race.
+func TestShardReduceInIndexOrder(t *testing.T) {
+	worlds := unevenWorlds(t, 40)
+	for _, shards := range []int{1, 4, 8} {
+		next, active := 0, 0
+		err := Run(Config{Shards: shards}, len(worlds),
+			func(i int) (World, error) { return worlds[i], nil },
+			func(i int, res *sim.Result) error {
+				active++
+				if active != 1 {
+					t.Errorf("shards=%d: %d reduce calls at once", shards, active)
+				}
+				if i != next {
+					t.Errorf("shards=%d: reduce(%d), want reduce(%d)", shards, i, next)
+				}
+				next = i + 1
+				runtime.Gosched()
+				active--
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != len(worlds) {
+			t.Errorf("shards=%d: reduced through %d, want %d", shards, next, len(worlds))
+		}
 	}
 }
 
@@ -171,7 +189,7 @@ func TestShardCountInvariance(t *testing.T) {
 func TestShardMatchesDirectRun(t *testing.T) {
 	worlds := testWorlds(t, 12)
 	got := make([]*sim.Result, len(worlds))
-	err := Run(Config{Shards: 4, MaxLive: 2}, len(worlds),
+	err := Run(Config{Shards: 4}, len(worlds),
 		func(i int) (World, error) { return worlds[i], nil },
 		func(i int, res *sim.Result) error { got[i] = res; return nil })
 	if err != nil {
@@ -189,7 +207,7 @@ func TestShardMatchesDirectRun(t *testing.T) {
 }
 
 // TestShardErrorDeterministic: the reported failure is the lowest failing
-// world index at every shard/worker setting.
+// world index at every shard count.
 func TestShardErrorDeterministic(t *testing.T) {
 	worlds := testWorlds(t, 10)
 	build := func(i int) (World, error) {
@@ -198,7 +216,7 @@ func TestShardErrorDeterministic(t *testing.T) {
 		}
 		return worlds[i], nil
 	}
-	for _, cfg := range []Config{{Shards: 1}, {Shards: 4}, {Shards: 8, Workers: 4}} {
+	for _, cfg := range []Config{{Shards: 1}, {Shards: 4}, {Shards: 8}} {
 		err := Run(cfg, len(worlds), build, func(int, *sim.Result) error { return nil })
 		if err == nil || err.Error() != "boom 3" {
 			t.Errorf("shards=%d: got error %v, want boom 3", cfg.Shards, err)
@@ -207,10 +225,10 @@ func TestShardErrorDeterministic(t *testing.T) {
 }
 
 // TestShardAllocBudget guards the runner's per-world overhead: reducing W
-// worlds through the merging clock must not allocate appreciably more than
-// running the same worlds through plain sim.Run back to back. The window
-// bookkeeping (heap entries, stepper wrappers) is O(1) per world; peeks
-// and steps reuse the engine's scratch buffers and allocate nothing.
+// worlds through the worker pool must not allocate appreciably more than
+// running the same worlds through plain sim.Run back to back. The pool
+// itself (goroutines, the result channel, parked early finishers) is O(1)
+// per world.
 func TestShardAllocBudget(t *testing.T) {
 	worlds := testWorlds(t, 8)
 	plain := testing.AllocsPerRun(3, func() {
@@ -221,7 +239,7 @@ func TestShardAllocBudget(t *testing.T) {
 		}
 	})
 	sharded := testing.AllocsPerRun(3, func() {
-		err := Run(Config{Shards: 4, MaxLive: 2, Workers: 1}, len(worlds),
+		err := Run(Config{Shards: 4}, len(worlds),
 			func(i int) (World, error) { return worlds[i], nil },
 			func(int, *sim.Result) error { return nil })
 		if err != nil {
@@ -242,7 +260,7 @@ func TestShardCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var reduced atomic.Int64
-	err := Run(Config{Shards: 8, Workers: 4, MaxLive: 2, Ctx: ctx}, len(worlds),
+	err := Run(Config{Shards: 8, Ctx: ctx}, len(worlds),
 		func(i int) (World, error) { return worlds[i], nil },
 		func(i int, res *sim.Result) error {
 			if reduced.Add(1) == 3 {
@@ -273,7 +291,7 @@ func TestShardDegenerateInputs(t *testing.T) {
 	}
 	worlds := testWorlds(t, 2)
 	var calls atomic.Int64
-	err := Run(Config{Shards: 16, Workers: 8}, len(worlds),
+	err := Run(Config{Shards: 16}, len(worlds),
 		func(i int) (World, error) { return worlds[i], nil },
 		func(int, *sim.Result) error { calls.Add(1); return nil })
 	if err != nil {

@@ -1898,8 +1898,9 @@ func (e *engine) idle() bool {
 // state (nothing for the clone or the persist codec to carry).
 //
 // A due timer is priced at max(now, timer) without being fired; a state
-// step() would report as deadlocked is priced at now, so a merging clock
-// drains the engine promptly and step() surfaces the error.
+// step() would report as deadlocked is priced at now, so a caller that
+// steps by peek time reaches the next step promptly and step() surfaces
+// the error.
 func (e *engine) peekNextEventTime() float64 {
 	if e.idle() {
 		// step() completes immediately from here (leftover crash/retry

@@ -10,15 +10,15 @@ import (
 )
 
 // Stepper drives one simulation at event granularity, and it is the one
-// handle that pauses, forks and persists a simulated world. It exposes
-// the three step primitives of the shared-clock decomposition —
-// HasPendingEvents, PeekNextEventTime, StepNextEvent — so an external
-// runner (the shard merging clock in internal/shardsim, a test harness, a
-// live debugger) can interleave many engines in global timestamp order
-// while each engine's trajectory stays bit-identical to an uninterrupted
-// Run: StepNextEvent is exactly one iteration of the same event loop Run
-// executes, and PeekNextEventTime only performs the mutations that are
-// idempotent at an event boundary.
+// handle that pauses, forks and persists a simulated world. Its three
+// step primitives — HasPendingEvents, PeekNextEventTime, StepNextEvent —
+// let a caller stop a world between events: cmd/simulate checkpoints on a
+// simulated-time cadence, the what-if evaluator runs a world up to a
+// stage's ready time, and a caller that must not step past the next
+// arrival peeks first. Each world's trajectory stays bit-identical to an
+// uninterrupted Run: StepNextEvent is exactly one iteration of the same
+// event loop Run executes, and PeekNextEventTime only performs the
+// mutations that are idempotent at an event boundary.
 //
 // A live world also grows: AdvanceBefore halts the stepper just before a
 // point in simulated time and Inject adds a run arriving there, with the
