@@ -336,11 +336,16 @@ func main() {
 		fail(err)
 	}
 	defer r.Close()
-	// The trace bytes are hashed while they stream through the parser —
-	// never buffered whole — and feed the progress-checkpoint fingerprint:
-	// a checkpoint must only resume against the same trace.
+	// With -checkpoint-dir the trace bytes are hashed while they stream
+	// through the parser — never buffered whole — and feed the
+	// progress-checkpoint fingerprint: a checkpoint must only resume
+	// against the same trace. Without it nothing reads the hash.
 	traceHash := fnv.New64a()
-	tr, err := trace.Parse(io.TeeReader(r, traceHash))
+	in := io.Reader(r)
+	if o.ckpts.Dir != "" {
+		in = io.TeeReader(r, traceHash)
+	}
+	tr, err := trace.Parse(in)
 	if err != nil {
 		fail(err)
 	}
@@ -384,10 +389,10 @@ func main() {
 	for i := range state {
 		state[i] = &progress{}
 	}
-	traceHash.Write(o.configKey(variants))
-	fingerprint := traceHash.Sum64()
 	var saveProgress func() error
 	if o.ckpts.Dir != "" {
+		traceHash.Write(o.configKey(variants))
+		fingerprint := traceHash.Sum64()
 		read := func(path string) error {
 			env, err := ckpt.ReadFile(path)
 			if err != nil {

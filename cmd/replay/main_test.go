@@ -5,7 +5,11 @@ import (
 	"encoding/hex"
 	"flag"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
@@ -15,6 +19,74 @@ import (
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
 )
+
+// TestMain runs the command itself when replayMainEnv is set, so a test
+// can drive replay end to end as a child process of the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv(replayMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const replayMainEnv = "DELAYSTAGE_REPLAY_MAIN"
+
+// runReplay runs replay with args in a child process and returns its
+// standard error.
+func runReplay(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), replayMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("replay %v: %v\n%s", args, err, stderr.String())
+	}
+	return stderr.String()
+}
+
+// TestCheckpointRejectsOtherTrace: the progress checkpoint's fingerprint
+// covers the trace bytes, so a checkpoint resumes against the trace it
+// was written for and is discarded, with the run started fresh, against
+// any other.
+func TestCheckpointRejectsOtherTrace(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, seed int64) string {
+		var buf bytes.Buffer
+		if err := trace.Generate(trace.GenConfig{Jobs: 4, Seed: seed, MaxStages: 6}).WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a, b := write("a.csv", 1), write("b.csv", 2)
+	ck, out := filepath.Join(dir, "ck"), filepath.Join(dir, "out.json")
+	fresh := filepath.Join(dir, "fresh.json")
+	runReplay(t, "-f", a, "-checkpoint-dir", ck)
+	if msg := runReplay(t, "-f", a, "-checkpoint-dir", ck, "-resume"); !strings.Contains(msg, "resumed from") {
+		t.Fatalf("the same trace did not resume:\n%s", msg)
+	}
+	msg := runReplay(t, "-f", b, "-checkpoint-dir", ck, "-resume", "-json", out)
+	if !strings.Contains(msg, "unusable checkpoint") || !strings.Contains(msg, "fingerprint") {
+		t.Fatalf("a checkpoint of another trace was not rejected:\n%s", msg)
+	}
+	runReplay(t, "-f", b, "-json", fresh)
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("after rejecting the checkpoint the run differs from a fresh one:\n got %s\nwant %s", got, want)
+	}
+}
 
 // unevenWorlds mixes worlds that finish far out of index order: the
 // PageRank gallery job on 8 m4.large nodes at every fifth index, tiny

@@ -48,13 +48,27 @@ type Graph struct {
 	// concurrent evaluators hammering the same job (sim.Run validates on
 	// every what-if evaluation).
 	validated bool
+	// stageSlab and parentSlab are NewSized's preallocated storage:
+	// AddStage places stages and their parent lists there while capacity
+	// lasts, and allocates them one by one after that.
+	stageSlab  []Stage
+	parentSlab []StageID
 }
 
 // New returns an empty graph.
-func New() *Graph {
+func New() *Graph { return NewSized(0, 0) }
+
+// NewSized returns an empty graph presized for the given number of stages
+// and parent edges: the first stages AddStage calls share one stage array,
+// and their first edges parent IDs one backing array, instead of
+// allocating per stage. Builders that know the job's shape up front use
+// it.
+func NewSized(stages, edges int) *Graph {
 	return &Graph{
-		stages:   make(map[StageID]*Stage),
-		children: make(map[StageID][]StageID),
+		stages:     make(map[StageID]*Stage, stages),
+		order:      make([]StageID, 0, stages),
+		stageSlab:  make([]Stage, 0, stages),
+		parentSlab: make([]StageID, 0, edges),
 	}
 }
 
@@ -75,10 +89,22 @@ func (g *Graph) AddStage(s Stage) error {
 	if _, ok := g.stages[s.ID]; ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateStage, s.ID)
 	}
-	cp := s
-	cp.Parents = append([]StageID(nil), s.Parents...)
+	var cp *Stage
+	if n := len(g.stageSlab); n < cap(g.stageSlab) {
+		g.stageSlab = g.stageSlab[:n+1]
+		cp = &g.stageSlab[n]
+	} else {
+		cp = new(Stage)
+	}
+	*cp = s
+	if k, n := len(s.Parents), len(g.parentSlab); k > 0 && n+k <= cap(g.parentSlab) {
+		g.parentSlab = append(g.parentSlab, s.Parents...)
+		cp.Parents = g.parentSlab[n : n+k : n+k]
+	} else {
+		cp.Parents = append([]StageID(nil), s.Parents...)
+	}
 	cp.pos = len(g.order)
-	g.stages[s.ID] = &cp
+	g.stages[s.ID] = cp
 	g.order = append(g.order, s.ID)
 	g.validated = false
 	return nil
@@ -143,11 +169,24 @@ func (g *Graph) Validate() error {
 	if err != nil {
 		return err
 	}
+	edges := 0
+	for _, ks := range kids {
+		edges += len(ks)
+	}
+	// The child index lists each stage's children in insertion order, all
+	// slices of one backing array; stages without children get no entry.
 	children := make(map[StageID][]StageID, len(g.stages))
-	for _, id := range g.order {
-		for _, p := range g.stages[id].Parents {
-			children[p] = append(children[p], id)
+	back := make([]StageID, edges)
+	for i, ks := range kids {
+		if len(ks) == 0 {
+			continue
 		}
+		cs := back[:len(ks):len(ks)]
+		back = back[len(ks):]
+		for j, k := range ks {
+			cs[j] = g.order[k]
+		}
+		children[g.order[i]] = cs
 	}
 	idPos := make([]int, len(g.order))
 	for i := range idPos {
@@ -173,7 +212,6 @@ func (g *Graph) buildIndex() (kids, parents [][]int, err error) {
 		edges += len(g.stages[id].Parents)
 	}
 	back := make([]int, 2*edges)
-	nKids := make([]int, n)
 	parents = make([][]int, n)
 	off := 0
 	for i, id := range g.order {
@@ -185,12 +223,25 @@ func (g *Graph) buildIndex() (kids, parents [][]int, err error) {
 				return nil, nil, fmt.Errorf("%w: stage %d references parent %d", ErrUnknownStage, id, p)
 			}
 			pp[j] = par.pos
-			nKids[par.pos]++
 		}
 		parents[i] = pp
 		off += len(ps)
 	}
-	kids = make([][]int, n)
+	return childIndex(parents, back[off:]), parents, nil
+}
+
+// childIndex inverts a parent-position index: entry i lists the positions
+// of stage i's children in ascending order, a child once per edge, all
+// slices of back, which must hold one slot per edge.
+func childIndex(parents [][]int, back []int) [][]int {
+	nKids := make([]int, len(parents))
+	for _, pp := range parents {
+		for _, p := range pp {
+			nKids[p]++
+		}
+	}
+	kids := make([][]int, len(parents))
+	off := 0
 	for i, k := range nKids {
 		kids[i] = back[off : off : off+k]
 		off += k
@@ -200,7 +251,20 @@ func (g *Graph) buildIndex() (kids, parents [][]int, err error) {
 			kids[p] = append(kids[p], i)
 		}
 	}
-	return kids, parents, nil
+	return kids
+}
+
+// Acyclic reports whether the graph given by a parent-position index has
+// no dependency cycle: entry i lists the positions, each in
+// [0, len(parents)), of stage i's parents. It is Validate's Kahn pass for
+// callers that hold stages in their own form and need only the verdict,
+// so they need not build a Graph to learn it.
+func Acyclic(parents [][]int) bool {
+	edges := 0
+	for _, pp := range parents {
+		edges += len(pp)
+	}
+	return topoOrder(childIndex(parents, make([]int, edges)), parents) != nil
 }
 
 // topoOrder is Kahn's algorithm over the position index: the ready queue
@@ -309,6 +373,7 @@ func (g *Graph) Clone() *Graph {
 	for _, id := range g.order {
 		ng.MustAdd(*g.stages[id])
 	}
+	ng.children = make(map[StageID][]StageID, len(g.children))
 	for id, cs := range g.children {
 		ng.children[id] = append([]StageID(nil), cs...)
 	}

@@ -1,7 +1,9 @@
 package dag
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -352,6 +354,69 @@ func TestPropertyPositionIndex(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyNewSizedAndAcyclic: a graph built through NewSized — with
+// room for every stage and edge, or too little so AddStage falls back to
+// allocating — equals the one New builds, and Acyclic on its parent
+// position index agrees with Validate, before and after one edge is
+// reversed into a cycle.
+func TestPropertyNewSizedAndAcyclic(t *testing.T) {
+	f := func(seed int64, sz uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(sz%40) + 1
+		g := shuffledDAG(rng, n)
+		order := g.StagesView()
+		edges := 0
+		for _, id := range order {
+			edges += len(g.Stage(id).Parents)
+		}
+		for _, gr := range []*Graph{NewSized(n, edges), NewSized(n/2, edges/2)} {
+			for _, id := range order {
+				gr.MustAdd(*g.Stage(id))
+			}
+			if err := gr.Validate(); err != nil {
+				return false
+			}
+			for i, id := range order {
+				if gr.StagesView()[i] != id ||
+					!slices.Equal(gr.Parents(id), g.Parents(id)) ||
+					!slices.Equal(gr.ChildrenView(id), g.ChildrenView(id)) ||
+					!slices.Equal(gr.ChildPos(i), g.ChildPos(i)) {
+					return false
+				}
+			}
+		}
+		parents := make([][]int, n)
+		var edgeList [][2]int // (child, parent) positions
+		for i := range order {
+			parents[i] = slices.Clone(g.ParentPos(i))
+			for _, p := range parents[i] {
+				edgeList = append(edgeList, [2]int{i, p})
+			}
+		}
+		if !Acyclic(parents) {
+			return false
+		}
+		if len(edgeList) == 0 {
+			return true
+		}
+		e := edgeList[rng.Intn(len(edgeList))]
+		child, parent := e[0], e[1]
+		parents[parent] = append(parents[parent], child)
+		cyc := New()
+		for i, id := range order {
+			s := *g.Stage(id)
+			if i == parent {
+				s.Parents = append(slices.Clone(s.Parents), order[child])
+			}
+			cyc.MustAdd(s)
+		}
+		return !Acyclic(parents) && errors.Is(cyc.Validate(), ErrCycle)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -46,15 +46,19 @@ type Trace struct {
 }
 
 // Graph reconstructs the job's stage DAG. Dangling parent references
-// (present in the real trace) are dropped.
+// (present in the real trace) are dropped. Each call builds a fresh graph:
+// parsed jobs keep no graph resident.
 func (j *Job) Graph() (*dag.Graph, error) {
-	g := dag.New()
 	known := make(map[int]bool, len(j.Stages))
+	edges := 0
 	for _, s := range j.Stages {
 		known[s.ID] = true
+		edges += len(s.Parents)
 	}
+	g := dag.NewSized(len(j.Stages), edges)
+	var parents []dag.StageID // reused: AddStage copies the list
 	for _, s := range j.Stages {
-		var parents []dag.StageID
+		parents = parents[:0]
 		for _, p := range s.Parents {
 			if known[p] && p != s.ID {
 				parents = append(parents, dag.StageID(p))
@@ -76,28 +80,9 @@ func (j *Job) Graph() (*dag.Graph, error) {
 // depends on stages 1 and 2). Names without that structure ("task_...",
 // "MergeTask", ...) return ok=false and are treated as independent stages.
 func ParseTaskName(name string) (id int, parents []int, ok bool) {
-	i := 0
-	for i < len(name) && (name[i] < '0' || name[i] > '9') {
-		i++
-	}
-	if i == 0 || i >= len(name) {
+	id, parents, class := scanTaskName(name, nil)
+	if class != NameStructured {
 		return 0, nil, false
-	}
-	// Reject the "task_1234" style: prefix containing '_' is unstructured.
-	if strings.Contains(name[:i], "_") {
-		return 0, nil, false
-	}
-	parts := strings.Split(name[i:], "_")
-	id, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, nil, false
-	}
-	for _, p := range parts[1:] {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return 0, nil, false
-		}
-		parents = append(parents, v)
 	}
 	return id, parents, true
 }
@@ -134,23 +119,38 @@ func (c NameClass) String() string {
 // must distinguish a benign unstructured name from a corrupted structured
 // one (dependency information silently lost) need the three-way answer.
 func ClassifyTaskName(name string) NameClass {
+	_, _, class := scanTaskName(name, nil)
+	return class
+}
+
+// scanTaskName is the one decoder of the dependency grammar behind
+// ParseTaskName and ClassifyTaskName. It appends a structured name's
+// parent numbers to dst and returns the extended slice; for any other
+// class it returns id 0 and dst as it came.
+func scanTaskName(name string, dst []int) (id int, _ []int, class NameClass) {
 	i := 0
 	for i < len(name) && (name[i] < '0' || name[i] > '9') {
 		i++
 	}
-	if i == 0 || i >= len(name) || strings.Contains(name[:i], "_") {
-		return NameUnstructured
+	// Reject the "task_1234" style: prefix containing '_' is unstructured.
+	if i == 0 || i >= len(name) || strings.IndexByte(name[:i], '_') >= 0 {
+		return 0, dst, NameUnstructured
 	}
-	parts := strings.Split(name[i:], "_")
-	if _, err := strconv.Atoi(parts[0]); err != nil {
-		return NameUnstructured
+	tok, rest, more := strings.Cut(name[i:], "_")
+	id, err := strconv.Atoi(tok)
+	if err != nil {
+		return 0, dst, NameUnstructured
 	}
-	for _, p := range parts[1:] {
-		if _, err := strconv.Atoi(p); err != nil {
-			return NameMalformed
+	n := len(dst)
+	for more {
+		tok, rest, more = strings.Cut(rest, "_")
+		v, err := strconv.Atoi(tok)
+		if err != nil {
+			return 0, dst[:n], NameMalformed
 		}
+		dst = append(dst, v)
 	}
-	return NameStructured
+	return id, dst, NameStructured
 }
 
 // ParseStats counts everything the lenient parser had to tolerate. The
@@ -180,7 +180,7 @@ type ParseStats struct {
 // non-numeric timestamp aborts with a row-numbered error. ParseWithStats
 // is the lenient variant for real-world files.
 func Parse(r io.Reader) (*Trace, error) {
-	tr, _, err := parse(r, true)
+	tr, _, err := parse(r, true, nil)
 	return tr, err
 }
 
@@ -189,19 +189,29 @@ func Parse(r io.Reader) (*Trace, error) {
 // and counted instead of aborting the whole file, and every other anomaly
 // the parser absorbs is tallied in the returned stats.
 func ParseWithStats(r io.Reader) (*Trace, *ParseStats, error) {
-	return parse(r, false)
+	return parse(r, false, nil)
 }
 
-func parse(r io.Reader, strict bool) (*Trace, *ParseStats, error) {
+// parentChunk is the length of the shared arrays that hold the parsed
+// parent lists, so a row's list costs no allocation of its own.
+const parentChunk = 4096
+
+// parse reads and assembles the trace in one pass per job: each row's
+// name is scanned once into the job's own stage list, which is then
+// renumbered and deduplicated in place, and each job's DAG is checked by
+// one Kahn pass over those stages without building a dag.Graph. dropped,
+// if non-nil, sees every job removed as cyclic.
+func parse(r io.Reader, strict bool, dropped func(*Job)) (*Trace, *ParseStats, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
 	stats := &ParseStats{}
-	type rawStage struct {
-		Stage
-		structured bool
-	}
-	jobs := map[string][]rawStage{}
-	var order []string
+	// Jobs in order of first appearance, their rows as read. A row whose
+	// name is not NameStructured holds ID -1 (structured IDs are never
+	// negative) until assembly gives it a synthetic one.
+	var jobs []Job
+	index := map[string]int{}
+	var arena []int
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -235,68 +245,104 @@ func parse(r io.Reader, strict bool) (*Trace, *ParseStats, error) {
 			stats.SkippedRows++
 			continue
 		}
-		if _, seen := jobs[jobName]; !seen {
-			order = append(order, jobName)
+		k, seen := index[jobName]
+		if !seen {
+			k = len(jobs)
+			index[jobName] = k
+			jobs = append(jobs, Job{Name: jobName})
 		}
-		if ClassifyTaskName(name) == NameMalformed {
+		// A name of n bytes lists fewer than n/2+1 parents; start a new
+		// chunk when the current one might not hold them, so the append
+		// below never moves earlier rows' lists.
+		if need := len(name)/2 + 1; cap(arena)-len(arena) < need {
+			arena = make([]int, 0, max(parentChunk, need))
+		}
+		n := len(arena)
+		var id int
+		var class NameClass
+		id, arena, class = scanTaskName(name, arena)
+		st := Stage{ID: id, Start: start, End: end}
+		switch {
+		case class == NameMalformed:
 			// The dependency list is corrupt; the work is real. Keep the
 			// stage, drop the untrustworthy edges.
 			stats.MalformedNames++
-		}
-		id, parents, ok := ParseTaskName(name)
-		if ok {
-			kept := parents[:0]
-			for _, p := range parents {
+			st.ID = -1
+		case class == NameUnstructured:
+			st.ID = -1
+		case len(arena) > n:
+			kept := arena[n:n]
+			for _, p := range arena[n:] {
 				if p == id {
 					stats.SelfDependencies++
 					continue
 				}
 				kept = append(kept, p)
 			}
-			parents = kept
+			arena = arena[:n+len(kept)]
+			st.Parents = arena[n:len(arena):len(arena)]
 		}
-		jobs[jobName] = append(jobs[jobName], rawStage{
-			Stage:      Stage{ID: id, Parents: parents, Start: start, End: end},
-			structured: ok,
-		})
+		jobs[k].Stages = append(jobs[k].Stages, st)
 	}
 	tr := &Trace{}
-	for _, jn := range order {
-		raw := jobs[jn]
+	// Scratch reused across jobs: stage ID → position, and the parent
+	// position index the cycle check reads.
+	pos := map[int]int{}
+	var back, ends []int
+	var parents [][]int
+	for k := range jobs {
+		job := &jobs[k]
+		// Unstructured tasks get synthetic IDs after the max structured
+		// one.
 		maxID := 0
-		for _, s := range raw {
-			if s.structured && s.ID > maxID {
-				maxID = s.ID
-			}
+		for _, s := range job.Stages {
+			maxID = max(maxID, s.ID)
 		}
-		job := Job{Name: jn}
-		seen := map[int]bool{}
-		arrival := 0.0
-		first := true
-		for _, s := range raw {
-			st := s.Stage
-			if !s.structured {
+		clear(pos)
+		kept := job.Stages[:0]
+		for _, st := range job.Stages {
+			if st.ID < 0 {
 				maxID++
 				st.ID = maxID
-				st.Parents = nil
 			}
-			if seen[st.ID] {
+			if _, seen := pos[st.ID]; seen {
 				stats.DuplicateRows++
 				continue // duplicate task rows exist in the real trace
 			}
-			seen[st.ID] = true
-			job.Stages = append(job.Stages, st)
-			if first || st.Start < arrival {
-				arrival = st.Start
-				first = false
+			pos[st.ID] = len(kept)
+			if len(kept) == 0 || st.Start < job.Arrival {
+				job.Arrival = st.Start
 			}
+			kept = append(kept, st)
 		}
-		job.Arrival = arrival
-		if _, err := job.Graph(); err != nil {
+		job.Stages = kept
+		// The edges Job.Graph would keep, dangling parents dropped. Rows
+		// already lost their self parents and duplicates are collapsed
+		// above, so a cycle is the only way the job's graph can fail to
+		// build.
+		back, ends = back[:0], ends[:0]
+		for _, s := range job.Stages {
+			for _, p := range s.Parents {
+				if q, ok := pos[p]; ok {
+					back = append(back, q)
+				}
+			}
+			ends = append(ends, len(back))
+		}
+		parents = parents[:0]
+		lo := 0
+		for _, hi := range ends {
+			parents = append(parents, back[lo:hi:hi])
+			lo = hi
+		}
+		if !dag.Acyclic(parents) {
 			stats.DroppedJobs++
-			continue // drop cyclic/corrupt jobs, as the paper excludes incomplete ones
+			if dropped != nil {
+				dropped(job)
+			}
+			continue // drop cyclic jobs, as the paper excludes incomplete ones
 		}
-		tr.Jobs = append(tr.Jobs, job)
+		tr.Jobs = append(tr.Jobs, *job)
 	}
 	return tr, stats, nil
 }

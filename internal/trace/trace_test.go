@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -133,6 +134,12 @@ func TestRoundTrip(t *testing.T) {
 	for i := range tr.Jobs {
 		if len(back.Jobs[i].Stages) != len(tr.Jobs[i].Stages) {
 			t.Fatalf("job %d: %d stages, want %d", i, len(back.Jobs[i].Stages), len(tr.Jobs[i].Stages))
+		}
+		for k, s := range tr.Jobs[i].Stages {
+			got := back.Jobs[i].Stages[k]
+			if got.ID != s.ID || !reflect.DeepEqual(got.Parents, s.Parents) {
+				t.Fatalf("job %d stage %d: got %d %v, want %d %v", i, k, got.ID, got.Parents, s.ID, s.Parents)
+			}
 		}
 	}
 }
@@ -386,5 +393,40 @@ func TestGenerateInjectedRng(t *testing.T) {
 		if a.Jobs[i].Arrival != b.Jobs[i].Arrival || len(a.Jobs[i].Stages) != len(b.Jobs[i].Stages) {
 			t.Fatal("injected rng must match the equivalent seed")
 		}
+	}
+}
+
+// TestParseDropsCyclicJob: jobs whose dependency lists form a cycle — here
+// a 2-cycle and a 3-cycle, each between two good jobs — are dropped and
+// counted, and the good jobs keep their order and stages.
+func TestParseDropsCyclicJob(t *testing.T) {
+	src := "M1,1,good_a,b,T,0,10,1,1\nR2_1,1,good_a,b,T,10,20,1,1\n" +
+		"R1_2,1,two,b,T,0,10,1,1\nR2_1,1,two,b,T,0,10,1,1\n" +
+		"M1,1,good_b,b,T,5,8,1,1\n" +
+		"R1_3,1,three,b,T,0,10,1,1\nR2_1,1,three,b,T,0,10,1,1\nR3_2,1,three,b,T,0,10,1,1\n" +
+		"M1,1,good_c,b,T,7,9,1,1\nM2,1,good_c,b,T,7,9,1,1\nR3_1_2,1,good_c,b,T,9,12,1,1\n"
+	tr, stats, err := ParseWithStats(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.DroppedJobs != 2 {
+		t.Errorf("DroppedJobs = %d, want 2", stats.DroppedJobs)
+	}
+	var names []string
+	for _, j := range tr.Jobs {
+		names = append(names, j.Name)
+	}
+	if want := []string{"good_a", "good_b", "good_c"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("kept jobs %v, want %v", names, want)
+	}
+	if got := tr.Jobs[2].Stages[2].Parents; !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Errorf("good_c stage 3 parents = %v, want [1 2]", got)
+	}
+	strict, err := Parse(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(strict, tr) {
+		t.Errorf("Parse and ParseWithStats disagree on a clean file with cycles")
 	}
 }
