@@ -129,6 +129,28 @@ func benchTraceJob(tb testing.TB) (*cluster.Cluster, *workload.Job) {
 	return nil, nil
 }
 
+// bigTraceJob returns a fixed trace DAG of at least 100 stages (136): the
+// first such job of a seeded tracegen trace, on its own coarsened
+// two-machine slice.
+func bigTraceJob(tb testing.TB) (*cluster.Cluster, *workload.Job) {
+	tb.Helper()
+	tr := trace.Generate(trace.GenConfig{Jobs: 3000, Seed: 3})
+	rng := rand.New(rand.NewSource(3))
+	for i := range tr.Jobs {
+		slice := sim.Coarsen(cluster.NewTraceCluster(2, 4, rng))
+		if len(tr.Jobs[i].Stages) < 100 {
+			continue
+		}
+		wl, err := tr.Jobs[i].Workload(slice, trace.DefaultSplit, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return slice, wl
+	}
+	tb.Fatal("no trace job with 100 or more stages")
+	return nil, nil
+}
+
 var whatIfSink float64
 
 // BenchmarkWhatIfEval times one exact what-if evaluation of Alg. 1 on a
@@ -178,19 +200,23 @@ func emptyPools() {
 // readiness and a fork from a scan's held world are measured on a 20- and
 // an 80-stage DAG; a layout that allocates per stage (a heap state per
 // stage, per-stage wiring slices, a per-fork pointer map) blows through
-// the budget on the larger one.
+// the budget on the larger one. Their bytes must not grow either: a pooled
+// evaluation on 80 stages may allocate at most 1.5 times the bytes of one
+// on 20, so a buffer sized by the stage count (a presized timeline list,
+// copied again by every fork) fails the check even as one allocation.
 //
 // An evaluation on a fresh engine pays for its buffers once: about 50
 // allocations on 20 stages and 70 on 80 (eight more under -race), growing
 // only with the item blocks and buffer doublings a larger job needs; its
 // budget is that with ~40% headroom, which a per-stage allocation on the
 // 80-stage DAG still exceeds. It is checked in every build; the pooled
-// budget is not checked under -race, where sync.Pool drops a random share
+// budgets are not checked under -race, where sync.Pool drops a random share
 // of engines, and CI runs this test without -race as well.
 func TestWhatIfEvalAllocBudget(t *testing.T) {
-	const budget, freshBudget = 10, 110
+	const budget, freshBudget, bytesGrowth = 10, 110, 1.5
 	rng := rand.New(rand.NewSource(5))
 	tc := sim.Coarsen(cluster.NewTraceCluster(64, 4, rng))
+	smallBytes := map[string]float64{} // pooled bytes per evaluation on 20 stages
 	for _, n := range []int{20, 80} {
 		f := newWhatIfFixture(t, tc, workload.RandomJob(fmt.Sprintf("alloc-%d", n), tc, n, rng))
 		evals := []struct {
@@ -215,11 +241,56 @@ func TestWhatIfEvalAllocBudget(t *testing.T) {
 				continue
 			}
 			pooled := testing.AllocsPerRun(20, ev.run)
-			t.Logf("%d stages, pooled engine: %s %.0f allocs/eval", n, ev.name, pooled)
+			bytes := bytesPerRun(20, ev.run)
+			t.Logf("%d stages, pooled engine: %s %.0f allocs/eval, %.0f B/eval", n, ev.name, pooled, bytes)
 			if pooled > budget {
 				t.Errorf("%d stages, pooled engine: %s %.0f allocs/eval; budget %d per evaluation regardless of stage count",
 					n, ev.name, pooled, budget)
 			}
+			if small, ok := smallBytes[ev.name]; !ok {
+				smallBytes[ev.name] = bytes
+			} else if bytes > bytesGrowth*small {
+				t.Errorf("%d stages, pooled engine: %s %.0f B/eval, %.1fx the %.0f B on 20 stages; budget %.1fx",
+					n, ev.name, bytes, bytes/small, small, bytesGrowth)
+			}
 		}
+	}
+}
+
+// bytesPerRun returns the mean heap bytes one call of f allocates over
+// runs calls.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestComputeAllocBudget bounds the allocations of one whole Alg. 1 run,
+// planned as cmd/replay plans a DAG of more than 60 stages (Descending,
+// MaxCandidates 6), on a 136-stage trace DAG: about 9,900 allocations for
+// some 830 evaluations. The budget is that with ~30% headroom. It catches
+// allocations that scale with the job inside the planner's inner loops,
+// such as a parent slice per stage of every restricted sub-job. It is not
+// checked under -race, where sync.Pool drops a random share of the pooled
+// engines.
+func TestComputeAllocBudget(t *testing.T) {
+	const budget = 12800
+	if raceEnabled {
+		t.Skip("sync.Pool drops engines under -race")
+	}
+	c, job := bigTraceJob(t)
+	opt := Options{Cluster: c, Order: Descending, Seed: 3, MaxCandidates: 6}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Compute(opt, job); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d stages: %.0f allocations per Compute", job.Graph.Len(), allocs)
+	if allocs > budget {
+		t.Errorf("%d stages: %.0f allocations per Compute; budget %d", job.Graph.Len(), allocs, budget)
 	}
 }

@@ -95,9 +95,9 @@ func TestFingerprintKeyCanonical(t *testing.T) {
 	delays := map[dag.StageID]float64{-5e18: 1, 0: 2, 5e18: 3, 7: 4}
 	all := func(dag.StageID) bool { return true }
 	var f fingerprinter
-	want := f.key("*", delays, all)
+	want := string(f.key("*", delays, all))
 	for i := 0; i < 200; i++ {
-		if got := f.key("*", delays, all); got != want {
+		if got := string(f.key("*", delays, all)); got != want {
 			t.Fatalf("call %d: key %q, want %q", i, got, want)
 		}
 	}

@@ -508,3 +508,124 @@ func TestTrackedSnapshotBytesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// timerWidthWorld is a gallery job paused with timers pending, and its
+// encoded engine.
+func timerWidthWorld(tb testing.TB) (Options, []JobRun, *Stepper, []byte) {
+	tb.Helper()
+	c := cluster.NewM4LargeCluster(4)
+	job := galleryJobs(c, 0.3)[0]
+	opt := Options{Cluster: c, TrackNode: -1}
+	runs := []JobRun{{Job: job, Delays: map[dag.StageID]float64{job.Graph.Stages()[1]: 40}}}
+	s := pausedAt(tb, opt, runs, 10)
+	if len(s.e.timers) == 0 {
+		tb.Fatal("paused world has no pending timer")
+	}
+	return opt, runs, s, encodeEngine(s.e, s.horizon)
+}
+
+// widenTimerField returns copies of payload with one int32 timer field of
+// the world's first pending timer — job, node, partition or attempt — set
+// to v.
+func widenTimerField(tb testing.TB, s *Stepper, payload []byte, v int64) [][]byte {
+	tb.Helper()
+	// A timer record is at, seq, kind, stage key (job, stage), job, node,
+	// home, phase, attempt, recompute; (at, seq, kind) locates it.
+	t := s.e.timers[0]
+	var head wbuf
+	head.f64(t.at)
+	head.int(t.seq)
+	head.int(int(t.kind))
+	at := bytes.Index(payload, head.b)
+	if at < 0 || bytes.LastIndex(payload, head.b) != at {
+		tb.Fatal("cannot locate the first timer's record in the payload")
+	}
+	var field wbuf
+	field.i64(v)
+	var out [][]byte
+	for _, off := range []int{40, 48, 56, 72} {
+		p := bytes.Clone(payload)
+		copy(p[at+off:], field.b)
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestReadStepperFileRejectsWideTimerField: the engine keeps a timer's
+// job, node, partition and attempt as int32. A checkpoint holding a value
+// outside that range in any of them is a *ckpt.FormatError, never a
+// silently truncated timer; the range's edges still read.
+func TestReadStepperFileRejectsWideTimerField(t *testing.T) {
+	opt, runs, s, payload := timerWidthWorld(t)
+	fp, err := configFingerprint(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.ckpt")
+	read := func(p []byte) error {
+		if err := ckpt.WriteFile(path, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion,
+			Fingerprint: fp, Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadStepperFile(path, opt, runs)
+		return err
+	}
+	if err := read(payload); err != nil {
+		t.Fatalf("unmodified payload: %v", err)
+	}
+	for _, v := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 40} {
+		for i, p := range widenTimerField(t, s, payload, v) {
+			if err := read(p); !ckpt.IsFormat(err) {
+				t.Errorf("timer field %d = %d: err = %v, want FormatError", i, v, err)
+			}
+		}
+	}
+	for _, v := range []int64{math.MaxInt32, math.MinInt32} {
+		for i, p := range widenTimerField(t, s, payload, v) {
+			if err := read(p); err != nil {
+				t.Errorf("timer field %d = %d: %v", i, v, err)
+			}
+		}
+	}
+}
+
+// FuzzReadStepperFile: any payload in a valid envelope either reads as a
+// *ckpt.FormatError or yields a stepper whose encoding reads back and
+// re-encodes to the same bytes. Reading never panics. The seeds are a
+// paused world's payload and copies with a timer field past int32.
+func FuzzReadStepperFile(f *testing.F) {
+	opt, runs, s, payload := timerWidthWorld(f)
+	f.Add(payload)
+	for _, p := range widenTimerField(f, s, payload, math.MaxInt32+1) {
+		f.Add(p)
+	}
+	fp, err := configFingerprint(opt, runs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		path := filepath.Join(t.TempDir(), "snap.ckpt")
+		read := func(p []byte) (*Stepper, error) {
+			if err := ckpt.WriteFile(path, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion,
+				Fingerprint: fp, Payload: p}); err != nil {
+				t.Fatal(err)
+			}
+			return ReadStepperFile(path, opt, runs)
+		}
+		s, err := read(p)
+		if err != nil {
+			if !ckpt.IsFormat(err) {
+				t.Fatalf("err = %v, want FormatError", err)
+			}
+			return
+		}
+		again := encodeEngine(s.e, s.horizon)
+		s2, err := read(again)
+		if err != nil {
+			t.Fatalf("re-encoded payload does not read: %v", err)
+		}
+		if !bytes.Equal(encodeEngine(s2.e, s2.horizon), again) {
+			t.Fatal("re-encoded payload is not a fixed point")
+		}
+	})
+}

@@ -48,8 +48,9 @@ func (e *engine) taskFailed(it *item) {
 	}
 	backoff := e.opt.RetryBackoff * math.Pow(2, float64(it.attempt-1))
 	e.seq++
-	e.timers.push(timer{at: e.now + backoff, seq: e.seq, kind: tRetry, st: it.st,
-		job: it.key.job, node: it.node, home: it.home, ph: it.ph, attempt: it.attempt + 1, recomp: it.recompute})
+	e.timers.push(timer{at: e.now + backoff, seq: e.seq, kind: tRetry, st: int32(it.st),
+		job: int32(it.key.job), node: int32(it.node), home: int32(it.home), ph: it.ph,
+		attempt: int32(it.attempt + 1), recomp: it.recompute})
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvTaskRetry, Job: it.key.job, Stage: it.key.stage,
 			Node: it.node, Attempt: it.attempt, Delay: backoff})
@@ -83,8 +84,9 @@ func (e *engine) retryTask(t timer) {
 	// Re-place from the partition's home: if the machine that killed the
 	// previous attempts got blacklisted meanwhile, the retry lands on a
 	// healthy node instead of dying in the same place again.
-	*it = item{key: st.key, st: t.st, home: t.home, node: e.placeNode(t.home), ph: t.ph,
-		remaining: vol, volume: vol, attempt: t.attempt, recompute: t.recomp}
+	home := int(t.home)
+	*it = item{key: st.key, st: int(t.st), home: home, node: e.placeNode(home), ph: t.ph,
+		remaining: vol, volume: vol, attempt: int(t.attempt), recompute: t.recomp}
 	if t.ph == phRead && st.prefetched && st.parentsLeft > 0 && !t.recomp {
 		it.capped = true
 	}
@@ -339,7 +341,7 @@ func (e *engine) reviseDelay(u DelayUpdate) int {
 // readiness pushed.
 func (e *engine) rearmSubmit(si int) {
 	for i, t := range e.timers {
-		if t.kind == tSubmitStage && t.st == si {
+		if t.kind == tSubmitStage && int(t.st) == si {
 			e.timers[i].at = e.states[si].submitAt
 			e.timers.fix(i)
 			return
