@@ -12,6 +12,7 @@
 //	simulate -crash-rack 1 -rack-size 4 -crash-rack-at 90 -speculate -blacklist-after 2
 //	simulate -checkpoint-dir ckpt -checkpoint-every 30        # crash-safe run
 //	simulate -checkpoint-dir ckpt -checkpoint-every 30 -resume # continue after a kill
+//	simulate -checkpoint-dir ckpt -checkpoint-every 30 -resume -events run.jsonl -report
 //	simulate -events run.jsonl -chrometrace trace.json -json summary.json
 //	simulate -report                      # append the attribution report
 //	simulate -serve 127.0.0.1:9090 -linger 30s   # live /metrics, /healthz, pprof
@@ -95,10 +96,14 @@ func (o *options) check() error {
 	if *o.ckptEvery <= 0 || math.IsNaN(*o.ckptEvery) || math.IsInf(*o.ckptEvery, 0) {
 		return errors.New("-checkpoint-dir requires a finite -checkpoint-every > 0")
 	}
-	// Observers and watchdogs hold external state that cannot be
-	// serialized into a checkpoint.
-	if o.sinks.Set() || *o.report || o.intro.Set() || *o.guarded {
-		return errors.New("-checkpoint-dir is incompatible with -events, -chrometrace, -report, -serve and -guarded")
+	// A resumed run replays its prefix through the -events, -chrometrace
+	// and -report observers, so their output matches an uninterrupted
+	// run's. -serve stays out: its live counters describe the progress a
+	// process makes, and a resumed one would report the replayed prefix
+	// as progress made now. So does -guarded: its watchdog replans on a
+	// wall-clock budget, so replay would not rebuild its world.
+	if o.intro.Set() || *o.guarded {
+		return errors.New("-checkpoint-dir is incompatible with -serve and -guarded")
 	}
 	return nil
 }
@@ -202,8 +207,9 @@ func main() {
 	} else {
 		// Crash-safe mode: the run halts every -checkpoint-every simulated
 		// seconds and atomically rewrites its checkpoint; a killed process
-		// re-run with -resume continues from the file and finishes with a
-		// bit-identical result.
+		// re-run with -resume replays to the file's position and finishes
+		// with a bit-identical result and, as the sinks were truncated by
+		// Open and see the replayed prefix, identical sink output.
 		var st *sim.Stepper
 		read := func(path string) (err error) {
 			st, err = sim.ReadStepperFile(path, opt, runs)

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/faults"
+	"delaystage/internal/obs"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
@@ -133,6 +136,75 @@ func TestRunCheckpointedCtxCancel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref, got) {
 		t.Error("resume after cancellation differs from the uninterrupted run")
+	}
+}
+
+// TestRunCheckpointedKillEventLog is the -events half of a resume: a
+// process killed after any checkpoint writes a partial log, and the
+// resumed process, whose fresh log sees the replayed prefix, writes the
+// uninterrupted run's log byte for byte.
+func TestRunCheckpointedKillEventLog(t *testing.T) {
+	opt, runs := chaosRun(t)
+	logged := func(buf *bytes.Buffer) (sim.Options, *obs.JSONL) {
+		l := obs.NewJSONL(buf)
+		o := opt
+		o.Observer = l
+		return o, l
+	}
+	var want bytes.Buffer
+	o, l := logged(&want)
+	ref, err := sim.Run(o, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	every := ref.Makespan / 6
+	for k := 1; k <= 5; k++ {
+		path := filepath.Join(t.TempDir(), "kill.ckpt")
+		o, _ := logged(&bytes.Buffer{})
+		if _, err := runCheckpointed(&countdownCtx{context.Background(), k}, stepper(t, o, runs), path, every); !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
+		}
+		var got bytes.Buffer
+		o, l := logged(&got)
+		st, err := sim.ReadStepperFile(path, o, runs)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if _, err := runCheckpointed(context.Background(), st, path, every); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("killed after checkpoint %d: resumed event log differs from the uninterrupted one", k)
+		}
+	}
+}
+
+// TestCheckpointFlagCombos: -checkpoint-dir takes the observer flags,
+// whose output a resumed run rewrites identically, and refuses -serve and
+// -guarded.
+func TestCheckpointFlagCombos(t *testing.T) {
+	ck := []string{"-checkpoint-dir", "d", "-checkpoint-every", "30"}
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-events", "e.jsonl", "-chrometrace", "t.json", "-report"}, true},
+		{[]string{"-resume", "-events", "e.jsonl", "-report"}, true},
+		{[]string{"-serve", "127.0.0.1:0"}, false},
+		{[]string{"-guarded"}, false},
+	} {
+		o := flags()
+		o.fs.Init("simulate", flag.ContinueOnError)
+		o.fs.SetOutput(io.Discard)
+		if err := o.fs.Parse(append(ck, tc.args...)); (err == nil) != tc.ok {
+			t.Errorf("%v: err = %v", tc.args, err)
+		}
 	}
 }
 

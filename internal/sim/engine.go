@@ -1554,15 +1554,9 @@ func (e *engine) recordOccupancy() {
 			occ[k] += e.execs[w] / float64(perNode[w])
 		}
 	}
-	// Close segments that changed, in key order (a mid-run snapshot
-	// encodes the closed segments in append order), then open new ones.
-	ks := make([]skey, 0, len(e.occOpen))
-	for k := range e.occOpen {
-		ks = append(ks, k)
-	}
-	sortSkeys(ks)
-	for _, k := range ks {
-		seg := e.occOpen[k]
+	// Close segments that changed, then open new ones. Map order is
+	// fine: finalize sorts the closed segments into a total order.
+	for k, seg := range e.occOpen {
 		if nv, ok := occ[k]; !ok || math.Abs(nv-seg.Executors) > 1e-9 {
 			seg.To = e.now
 			if seg.To > seg.From {
@@ -1883,7 +1877,7 @@ func (e *engine) idle() bool {
 // an event boundary — the same maybePrefetch/computeRatesPass pair step
 // re-runs after an AdvanceBefore halt — so peek-then-step
 // is bit-identical to step alone, and peeking adds no persistent engine
-// state (nothing for the clone or the persist codec to carry).
+// state (nothing for the clone to carry).
 //
 // A due timer is priced at max(now, timer) without being fired; a state
 // step() would report as deadlocked is priced at now, so a caller that

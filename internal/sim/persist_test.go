@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"delaystage/internal/ckpt"
@@ -277,25 +278,38 @@ func TestReadSnapshotFileRejects(t *testing.T) {
 	if _, err := ReadStepperFile(path, opt, other); !ckpt.IsFormat(err) {
 		t.Errorf("different config: err = %v, want FormatError", err)
 	}
-	// Observer / Watchdog are rejected before touching the file.
-	if _, err := ReadStepperFile(path, Options{Cluster: c, TrackNode: -1, Observer: nopObserver{}}, runs); err == nil {
-		t.Error("observer accepted on read")
-	}
+	// A Watchdog is rejected before touching the file.
 	if _, err := ReadStepperFile(path, Options{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}}, runs); err == nil {
 		t.Error("watchdog accepted on read")
 	}
-	// A stale encoding version: the envelope check refuses it.
-	stale := filepath.Join(dir, "stale.ckpt")
+	// A stale payload version: the envelope check refuses it.
 	fp, err := configFingerprint(opt, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stale := filepath.Join(dir, "stale.ckpt")
 	if err := ckpt.WriteFile(stale, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion - 1,
-		Fingerprint: fp, Payload: encodeEngine(s.e, s.horizon)}); err != nil {
+		Fingerprint: fp, Payload: []byte("an engine encoded field by field")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadStepperFile(stale, opt, runs); !ckpt.IsFormat(err) {
 		t.Errorf("stale version: err = %v, want FormatError", err)
+	}
+	// The right fingerprint, but a position the replay does not reach:
+	// one event off, or the clock one ulp off.
+	for _, p := range [][]byte{
+		position(s.horizon, s.Events()+1, s.Clock()),
+		position(s.horizon, s.Events()-1, s.Clock()),
+		position(s.horizon, s.Events(), math.Nextafter(s.Clock(), math.Inf(1))),
+	} {
+		off := filepath.Join(dir, "off.ckpt")
+		if err := ckpt.WriteFile(off, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion,
+			Fingerprint: fp, Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadStepperFile(off, opt, runs); !ckpt.IsFormat(err) {
+			t.Errorf("replay missing the stored position: err = %v, want FormatError", err)
+		}
 	}
 	// Corruption: flip one payload byte (CRC catches it).
 	b, err := os.ReadFile(path)
@@ -442,23 +456,54 @@ func TestRunCheckpointedKillResume(t *testing.T) {
 	requireIdentical(t, "resume from final checkpoint", ref, got)
 }
 
-// TestCheckpointedRejects pins the persistence refusals: worlds with an
-// Observer or Watchdog and finished steppers cannot be written, and a
-// missing checkpoint reads as the os not-exist error.
+// TestCheckpointedRejects pins the persistence refusals: a finished
+// stepper cannot be written, nor can any world replay could not rebuild
+// from its configuration — one under a Watchdog, one moved off an
+// AdvanceBefore boundary, one whose delays a Fork revised — and a missing
+// checkpoint reads as the os not-exist error.
 func TestCheckpointedRejects(t *testing.T) {
 	c := cluster.NewM4LargeCluster(3)
 	job := galleryJobs(c, 0.2)[0]
-	runs := []JobRun{{Job: job}}
+	runs := []JobRun{{Job: job, Delays: map[dag.StageID]float64{job.Graph.Stages()[1]: 40}}}
+	opt := Options{Cluster: c, TrackNode: -1}
 	path := filepath.Join(t.TempDir(), "x.ckpt")
-	for _, o := range []Options{
-		{Cluster: c, TrackNode: -1, Observer: nopObserver{}},
-		{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}},
-	} {
-		if err := pausedAt(t, o, runs, 10).WriteFile(path); err == nil {
-			t.Error("observer or watchdog world written")
+	refused := map[string]*Stepper{"watchdog": pausedAt(t, Options{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}}, runs, 10)}
+
+	stepped := pausedAt(t, opt, runs, 10)
+	if err := stepped.StepNextEvent(); err != nil {
+		t.Fatal(err)
+	}
+	refused["StepNextEvent-moved"] = stepped
+	peeked := pausedAt(t, opt, runs, 10)
+	peeked.PeekNextEventTime()
+	refused["PeekNextEventTime-moved"] = peeked
+	refused["advanced to +Inf"] = pausedAt(t, opt, runs, math.Inf(1))
+
+	held := pausedAt(t, opt, runs, 1)
+	revised, err := held.Fork([]DelayUpdate{{Job: 0, Stage: job.Graph.Stages()[1], Delay: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused["Fork-revised"] = revised
+	if err := revised.AdvanceBefore(10); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range refused {
+		if err := s.WriteFile(path); err == nil {
+			t.Errorf("%s world written", name)
 		}
 	}
-	s := pausedAt(t, Options{Cluster: c, TrackNode: -1}, runs, 10)
+	// An unrevised fork is the parent's world and replays as it.
+	if f, err := held.Fork(nil); err != nil {
+		t.Fatal(err)
+	} else if err := f.WriteFile(path); err != nil {
+		t.Errorf("unrevised fork: %v", err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+
+	s := pausedAt(t, opt, runs, 10)
 	if _, err := stepOut(s); err != nil {
 		t.Fatal(err)
 	}
@@ -473,159 +518,102 @@ func TestCheckpointedRejects(t *testing.T) {
 	}
 }
 
-// TestTrackedSnapshotBytesDeterministic pins the encoding of a mid-run
-// checkpoint under TrackOccupancy: the occupancy segments closed so far
-// are encoded in append order, so the engine must close them (and sum
-// their executor shares) in a fixed order — two checkpoints of the same
-// run must be byte-identical, not merely equal after the final sort.
-// Every gallery job runs at once, so many stages share nodes and a
-// single finish closes many segments together.
-func TestTrackedSnapshotBytesDeterministic(t *testing.T) {
+// TestResumedObserverSeesUninterruptedEvents: an Observer on a stepper
+// read back from a checkpoint receives the replayed prefix and then the
+// rest, so its event and share streams equal those of an observer on the
+// uninterrupted run — the property that lets a resumed cmd/simulate
+// rewrite its -events log, Chrome trace and report byte-identically. A
+// checkpoint that does not replay emits nothing.
+func TestResumedObserverSeesUninterruptedEvents(t *testing.T) {
 	c := cluster.NewM4LargeCluster(6)
-	opt := Options{Cluster: c, TrackNode: -1, TrackOccupancy: true}
-	var runs []JobRun
-	for _, job := range galleryJobs(c, 0.3) {
-		runs = append(runs, JobRun{Job: job})
+	job := galleryJobs(c, 0.25)[3]
+	runs := []JobRun{{Job: job}}
+	observed := func(rec *shareRecorder) Options {
+		opt := chaosOptions(c, chaosInjector(t))
+		opt.TrackNode, opt.TrackCluster, opt.Observer = 0, true, rec
+		return opt
 	}
-	ref, err := Run(opt, runs)
+	want := &shareRecorder{}
+	ref, err := Run(observed(want), runs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.Occupancy) < 2*len(runs) {
-		t.Fatalf("%d occupancy segments; want a multi-stage trace", len(ref.Occupancy))
-	}
-	for _, frac := range []float64{0.3, 0.6, 0.9} {
-		at := ref.Makespan * frac
-		var want []byte
-		for rep := 0; rep < 8; rep++ {
-			s := pausedAt(t, opt, runs, at)
-			got := encodeEngine(s.e, s.horizon)
-			if rep == 0 {
-				want = got
-			} else if !bytes.Equal(got, want) {
-				t.Fatalf("checkpoint %d at t=%v encodes differently from the first", rep, at)
-			}
-		}
-	}
-}
-
-// timerWidthWorld is a gallery job paused with timers pending, and its
-// encoded engine.
-func timerWidthWorld(tb testing.TB) (Options, []JobRun, *Stepper, []byte) {
-	tb.Helper()
-	c := cluster.NewM4LargeCluster(4)
-	job := galleryJobs(c, 0.3)[0]
-	opt := Options{Cluster: c, TrackNode: -1}
-	runs := []JobRun{{Job: job, Delays: map[dag.StageID]float64{job.Graph.Stages()[1]: 40}}}
-	s := pausedAt(tb, opt, runs, 10)
-	if len(s.e.timers) == 0 {
-		tb.Fatal("paused world has no pending timer")
-	}
-	return opt, runs, s, encodeEngine(s.e, s.horizon)
-}
-
-// widenTimerField returns copies of payload with one int32 timer field of
-// the world's first pending timer — job, node, partition or attempt — set
-// to v.
-func widenTimerField(tb testing.TB, s *Stepper, payload []byte, v int64) [][]byte {
-	tb.Helper()
-	// A timer record is at, seq, kind, stage key (job, stage), job, node,
-	// home, phase, attempt, recompute; (at, seq, kind) locates it.
-	t := s.e.timers[0]
-	var head wbuf
-	head.f64(t.at)
-	head.int(t.seq)
-	head.int(int(t.kind))
-	at := bytes.Index(payload, head.b)
-	if at < 0 || bytes.LastIndex(payload, head.b) != at {
-		tb.Fatal("cannot locate the first timer's record in the payload")
-	}
-	var field wbuf
-	field.i64(v)
-	var out [][]byte
-	for _, off := range []int{40, 48, 56, 72} {
-		p := bytes.Clone(payload)
-		copy(p[at+off:], field.b)
-		out = append(out, p)
-	}
-	return out
-}
-
-// TestReadStepperFileRejectsWideTimerField: the engine keeps a timer's
-// job, node, partition and attempt as int32. A checkpoint holding a value
-// outside that range in any of them is a *ckpt.FormatError, never a
-// silently truncated timer; the range's edges still read.
-func TestReadStepperFileRejectsWideTimerField(t *testing.T) {
-	opt, runs, s, payload := timerWidthWorld(t)
-	fp, err := configFingerprint(opt, runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snap.ckpt")
-	read := func(p []byte) error {
-		if err := ckpt.WriteFile(path, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion,
-			Fingerprint: fp, Payload: p}); err != nil {
+	path := filepath.Join(t.TempDir(), "obs.ckpt")
+	for _, frac := range []float64{0, 0.2, 0.5, 0.9} {
+		// The writer's observer dies with its process; only the file lives on.
+		if err := pausedAt(t, observed(&shareRecorder{}), runs, ref.Makespan*frac).WriteFile(path); err != nil {
 			t.Fatal(err)
 		}
-		_, err := ReadStepperFile(path, opt, runs)
-		return err
-	}
-	if err := read(payload); err != nil {
-		t.Fatalf("unmodified payload: %v", err)
-	}
-	for _, v := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 40} {
-		for i, p := range widenTimerField(t, s, payload, v) {
-			if err := read(p); !ckpt.IsFormat(err) {
-				t.Errorf("timer field %d = %d: err = %v, want FormatError", i, v, err)
-			}
+		got := &shareRecorder{}
+		s, err := ReadStepperFile(path, observed(got), runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := stepOut(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, "observed resume", ref, res)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("resumed at %v of the run: observer saw %d events, %d share intervals; uninterrupted %d, %d",
+				frac, len(got.events), got.intervals, len(want.events), want.intervals)
 		}
 	}
-	for _, v := range []int64{math.MaxInt32, math.MinInt32} {
-		for i, p := range widenTimerField(t, s, payload, v) {
-			if err := read(p); err != nil {
-				t.Errorf("timer field %d = %d: %v", i, v, err)
-			}
-		}
+
+	env, err := ckpt.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pausedAt(t, observed(&shareRecorder{}), runs, ref.Makespan*0.9)
+	env.Payload = position(s.horizon, s.Events()+1, s.Clock())
+	if err := ckpt.WriteFile(path, env); err != nil {
+		t.Fatal(err)
+	}
+	got := &shareRecorder{}
+	if _, err := ReadStepperFile(path, observed(got), runs); !ckpt.IsFormat(err) {
+		t.Fatalf("err = %v, want FormatError", err)
+	}
+	if len(got.events) != 0 || got.intervals != 0 {
+		t.Errorf("a checkpoint that does not replay sent %d events, %d share intervals to the observer",
+			len(got.events), got.intervals)
 	}
 }
 
 // FuzzReadStepperFile: any payload in a valid envelope either reads as a
-// *ckpt.FormatError or yields a stepper whose encoding reads back and
-// re-encodes to the same bytes. Reading never panics. The seeds are a
-// paused world's payload and copies with a timer field past int32.
+// *ckpt.FormatError or yields a stepper standing at the payload's event
+// count and clock. Reading never panics. The seeds are a paused world's
+// position, the same position one event off, and payloads of the wrong
+// size.
 func FuzzReadStepperFile(f *testing.F) {
-	opt, runs, s, payload := timerWidthWorld(f)
-	f.Add(payload)
-	for _, p := range widenTimerField(f, s, payload, math.MaxInt32+1) {
-		f.Add(p)
-	}
+	c := cluster.NewM4LargeCluster(4)
+	job := galleryJobs(c, 0.3)[0]
+	opt := Options{Cluster: c, TrackNode: -1}
+	runs := []JobRun{{Job: job, Delays: map[dag.StageID]float64{job.Graph.Stages()[1]: 40}}}
+	s := pausedAt(f, opt, runs, 10)
+	f.Add(position(s.horizon, s.Events(), s.Clock()))
+	f.Add(position(s.horizon, s.Events()+1, s.Clock()))
+	f.Add(position(math.Inf(1), s.Events(), s.Clock()))
+	f.Add([]byte{})
+	f.Add(make([]byte, payloadLen+1))
 	fp, err := configFingerprint(opt, runs)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		path := filepath.Join(t.TempDir(), "snap.ckpt")
-		read := func(p []byte) (*Stepper, error) {
-			if err := ckpt.WriteFile(path, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion,
-				Fingerprint: fp, Payload: p}); err != nil {
-				t.Fatal(err)
-			}
-			return ReadStepperFile(path, opt, runs)
+		if err := ckpt.WriteFile(path, ckpt.Envelope{Kind: snapshotKind, Version: snapshotVersion,
+			Fingerprint: fp, Payload: p}); err != nil {
+			t.Fatal(err)
 		}
-		s, err := read(p)
+		s, err := ReadStepperFile(path, opt, runs)
 		if err != nil {
 			if !ckpt.IsFormat(err) {
 				t.Fatalf("err = %v, want FormatError", err)
 			}
 			return
 		}
-		again := encodeEngine(s.e, s.horizon)
-		s2, err := read(again)
-		if err != nil {
-			t.Fatalf("re-encoded payload does not read: %v", err)
-		}
-		if !bytes.Equal(encodeEngine(s2.e, s2.horizon), again) {
-			t.Fatal("re-encoded payload is not a fixed point")
+		if !bytes.Equal(position(s.horizon, s.Events(), s.Clock())[8:], p[8:]) {
+			t.Fatalf("read a stepper at event %d, t=%v from payload %x", s.Events(), s.Clock(), p)
 		}
 	})
 }

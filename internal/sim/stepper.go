@@ -25,8 +25,10 @@ import (
 // same result as a stepper built over every run from the start. Between
 // steps the world can be forked (Fork) — the what-if evaluator prices
 // every delay candidate of a stage from one world that holds the stage
-// back — or written to disk (WriteFile, ReadStepperFile) for crash-safe
-// runs.
+// back — or checkpointed to disk (WriteFile, ReadStepperFile) for
+// crash-safe runs: a checkpoint records only the AdvanceBefore horizon,
+// event count and clock, and the reader rebuilds the world by replaying
+// the same configuration to that horizon.
 //
 // A Stepper is single-goroutine: nothing inside is locked. Concurrency
 // lives above it — disjoint steppers on disjoint worlds can be driven from
@@ -195,7 +197,8 @@ func (s *Stepper) Idle() bool { return s.done || s.e.idle() }
 // stage's new submission time (ready time + delay) is bit-identical to a
 // from-scratch Run with that delay in the run's Delays map — which is
 // how the what-if evaluator prices every delay candidate of a stage from
-// one world that holds the stage back.
+// one world that holds the stage back. Its configuration does not record
+// the revision, so WriteFile refuses a fork that revised a delay.
 //
 // Worlds with an Observer or Watchdog cannot be forked: both receive
 // events synchronously and accumulate external state the fork cannot
@@ -225,15 +228,14 @@ func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 	return &Stepper{e: e, horizon: s.horizon}, nil
 }
 
-// checkDetached rejects the options of a world that cannot be forked or
-// persisted: an Observer or Watchdog holds external state that neither a
-// fork nor a file can carry.
+// checkDetached rejects the options of a world that cannot be forked: an
+// Observer or Watchdog holds external state a fork cannot copy.
 func checkDetached(opt Options) error {
 	if opt.Observer != nil {
-		return fmt.Errorf("sim: a world with an Observer cannot be forked or persisted (observer state cannot be copied)")
+		return fmt.Errorf("sim: a world with an Observer cannot be forked (observer state cannot be copied)")
 	}
 	if opt.Watchdog != nil {
-		return fmt.Errorf("sim: a world with a Watchdog cannot be forked or persisted (watchdog state cannot be copied)")
+		return fmt.Errorf("sim: a world with a Watchdog cannot be forked (watchdog state cannot be copied)")
 	}
 	return nil
 }
