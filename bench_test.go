@@ -453,16 +453,16 @@ func BenchmarkAlg1Orders(b *testing.B) {
 }
 
 // BenchmarkRefinePasses ablates the refinement extension (design decision
-// in core.Options.RefinePasses): 0 passes is the paper-verbatim sweep.
+// in core.Options.DisableRefine): verbatim is the paper's single sweep,
+// refine1 adds the one refinement pass.
 func BenchmarkRefinePasses(b *testing.B) {
 	c := cluster.NewM4LargeCluster(15)
 	job := workload.CosineSimilarity(c, 0.2)
-	for _, passes := range []int{-1, 1, 2} {
-		name := map[int]string{-1: "verbatim", 1: "refine1", 2: "refine2"}[passes]
+	for _, name := range []string{"verbatim", "refine1"} {
 		b.Run(name, func(b *testing.B) {
 			var gain float64
 			for i := 0; i < b.N; i++ {
-				s, err := core.Compute(core.Options{Cluster: c, RefinePasses: passes}, job)
+				s, err := core.Compute(core.Options{Cluster: c, DisableRefine: name == "verbatim"}, job)
 				if err != nil {
 					b.Fatal(err)
 				}

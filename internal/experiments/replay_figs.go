@@ -227,7 +227,7 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 	for _, n := range []int{10, 20, 40, 80, 120, 160, 186} {
 		job := workload.RandomJob("fig15", c, n, rng)
 		t0 := time.Now()
-		ms, err := core.Compute(core.Options{Cluster: c, Approximate: true, MaxCandidates: 12, RefinePasses: -1, Parallelism: cfg.Parallelism}, job)
+		ms, err := core.Compute(core.Options{Cluster: c, Approximate: true, MaxCandidates: 12, DisableRefine: true, Parallelism: cfg.Parallelism}, job)
 		if err != nil {
 			return nil, err
 		}
