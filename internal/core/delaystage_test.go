@@ -163,17 +163,30 @@ func TestRandomOrderDeterministicPerSeed(t *testing.T) {
 }
 
 func TestCandidates(t *testing.T) {
-	cs := candidates(10, 1, 64)
+	cs := candidates(10, 1, 64, false)
 	if len(cs) != 11 || cs[0] != 0 || cs[10] != 10 {
 		t.Fatalf("candidates(10,1) = %v", cs)
 	}
-	cs = candidates(0, 1, 64)
+	cs = candidates(0, 1, 64, false)
 	if len(cs) != 1 || cs[0] != 0 {
 		t.Fatalf("candidates(0,1) = %v", cs)
 	}
-	cs = candidates(1000, 1, 5)
+	cs = candidates(1000, 1, 5, false)
 	if len(cs) != 5 || cs[4] != 1000 {
 		t.Fatalf("adaptive candidates = %v", cs)
+	}
+	// The spread grid keeps the slot count but reaches upper: 10.5 s at
+	// 1 s slots is 11 candidates 1.05 s apart; capped, it matches the
+	// adaptive grid; under one slot it is {0}.
+	cs = candidates(10.5, 1, 64, true)
+	if len(cs) != 11 || cs[1] != 10.5/10 || cs[10] != 10.5 {
+		t.Fatalf("spread candidates = %v", cs)
+	}
+	if cs := candidates(1000, 1, 5, true); len(cs) != 5 || cs[4] != 1000 {
+		t.Fatalf("capped spread candidates = %v", cs)
+	}
+	if cs := candidates(0.5, 1, 64, true); len(cs) != 1 || cs[0] != 0 {
+		t.Fatalf("spread candidates under one slot = %v", cs)
 	}
 	// Edge contract (see the function comment): each case must yield the
 	// defined single-candidate slice, not a loop accident.
@@ -190,7 +203,7 @@ func TestCandidates(t *testing.T) {
 		{"NaN slot", 10, math.NaN(), 64},
 		{"maxN==0", 10, 1, 0},
 	} {
-		cs := candidates(tc.upper, tc.slot, tc.maxN)
+		cs := candidates(tc.upper, tc.slot, tc.maxN, false)
 		switch tc.name {
 		case "slot==0", "NaN slot":
 			if len(cs) != 11 || cs[0] != 0 || cs[10] != 10 {

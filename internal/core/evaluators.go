@@ -107,9 +107,9 @@ type EvalStats struct {
 	FullRuns int
 }
 
-// evalShared is the state one simEvaluator shares with all its clones: the
-// memo cache of evaluated configurations, the restricted-job cache and
-// the work counters, all behind mu.
+// evalShared is the state an evaluator shares with all its clones: the
+// memo cache of evaluated configurations, the sim evaluator's
+// restricted-job cache and the work counters, all behind mu.
 type evalShared struct {
 	disable bool
 
@@ -129,7 +129,10 @@ type delayPair struct {
 // question by running the coarse fluid simulator on the active sub-job —
 // the faithful interpretation of lines 12–14 (stage time under the
 // resulting parallelism, completion-time updates of subsequent and
-// interfering stages).
+// interfering stages). The sub-job arrives into the evaluator's world
+// (Arrival): every answer is Σ JCT over the world's jobs and the sub-job,
+// which for Compute's empty world and arrival at 0 is the sub-job's end
+// time, bit for bit.
 //
 // Three layers keep repeated questions cheap (see DESIGN.md, "What-if
 // evaluation"): an exact memo cache over (active set, delay vector)
@@ -146,15 +149,21 @@ type simEvaluator struct {
 	cur       *workload.Job // restricted to the active set
 	shared    *evalShared
 	activeKey string // canonical key of the active set ("*" = all)
+	arrival   Arrival
+	ji        int // the sub-job's index in its world
 
 	// Per-clone scratch, reset by Clone.
 	keys          fingerprinter
 	filterScratch map[dag.StageID]float64
 }
 
-func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool) *simEvaluator {
+func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool, a Arrival) *simEvaluator {
+	ji := 0
+	if a.World != nil {
+		ji = a.World.Jobs()
+	}
 	return &simEvaluator{
-		coarse: coarseFor(c), job: job, cur: job, activeKey: "*",
+		coarse: coarseFor(c), job: job, cur: job, activeKey: "*", arrival: a, ji: ji,
 		shared: &evalShared{
 			disable: disableCache,
 			memo:    map[string]float64{},
@@ -216,11 +225,11 @@ func (e *simEvaluator) SetActive(active map[dag.StageID]bool) error {
 	return nil
 }
 
-// evalStats returns the shared work counters.
-func (e *simEvaluator) evalStats() EvalStats {
-	e.shared.mu.Lock()
-	defer e.shared.mu.Unlock()
-	return e.shared.stats
+// counters returns the shared work counters.
+func (sh *evalShared) counters() EvalStats {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.stats
 }
 
 // fingerprinter builds exact memo keys for (active set, effective delay
@@ -238,6 +247,8 @@ type fingerprinter struct {
 	// key i ends.
 	batch []byte
 	ends  []int
+	// miss holds the indices of a batch's memo misses.
+	miss []int
 }
 
 // key returns the configuration's memo key in the scratch buffer, valid
@@ -306,8 +317,8 @@ func (e *simEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error)
 // it answered.
 //
 // Memo hits are answered first. The misses share one held world: the
-// active sub-job with kid's delay set to the largest miss, stepped to
-// kid's ready time tr (a root is ready at arrival, tr = 0). Advancing it
+// active sub-job arriving with kid's delay set to the largest miss,
+// stepped to kid's ready time tr (a root is ready at arrival). Advancing it
 // along the misses in ascending x, each miss but the last is a fork at
 // the boundary just before tr + x, where Fork re-arms kid's pending
 // submission timer at tr + x, so the fork only simulates [tr + x, end] and
@@ -336,7 +347,7 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 		keys.batch = append(keys.batch, keys.key(e.activeKey, held, e.inSub)...)
 		keys.ends = append(keys.ends, len(keys.batch))
 	}
-	var miss []int
+	miss := keys.miss[:0]
 	sh.mu.Lock()
 	for i := range xs {
 		if mk, ok := sh.memo[string(keys.batchKey(i))]; ok {
@@ -347,6 +358,7 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 		}
 	}
 	sh.mu.Unlock()
+	keys.miss = miss
 	hits := len(xs) - len(miss)
 	if len(miss) == 0 {
 		return hits, nil
@@ -354,49 +366,21 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 
 	last := miss[len(miss)-1]
 	held[kid] = xs[last]
-	w, err := sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1}, []sim.JobRun{{Job: e.cur, Delays: held}})
+	w, err := e.arrive(held)
 	if err != nil {
 		return hits, err
 	}
-	tr, err := stepToReady(w, e.cur, kid)
+	tr, err := e.stepToReady(w, kid)
 	if err != nil {
 		return hits, err
 	}
 
-	answer := func(i int, s *sim.Stepper) (err error) {
-		mks[i], err = s.DrainJobEnd(0)
-		return err
-	}
-	type drain struct {
-		i int
-		s *sim.Stepper
-	}
-	var (
-		queue   chan drain
-		wg      sync.WaitGroup
-		failed  atomic.Bool
-		errMu   sync.Mutex
-		workErr error
-	)
+	var pool *drainPool
 	if workers = min(workers, len(miss)); workers > 1 {
-		queue = make(chan drain)
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for d := range queue {
-					if err := answer(d.i, d.s); err != nil {
-						errMu.Lock()
-						workErr = cmp.Or(workErr, err)
-						errMu.Unlock()
-						failed.Store(true)
-					}
-				}
-			}()
-		}
+		pool = startDrains(workers, mks)
 	}
 	for _, i := range miss {
-		if err = scanInterrupted(ctx, deadline); err != nil || failed.Load() {
+		if err = scanInterrupted(ctx, deadline); err != nil || (pool != nil && pool.failed.Load()) {
 			break
 		}
 		s := w
@@ -404,22 +388,20 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 			if err = w.AdvanceBefore(tr + xs[i]); err != nil {
 				break
 			}
-			if s, err = w.Fork([]sim.DelayUpdate{{Job: 0, Stage: kid, Delay: xs[i]}}); err != nil {
+			if s, err = w.Fork([]sim.DelayUpdate{{Job: e.ji, Stage: kid, Delay: xs[i]}}); err != nil {
 				break
 			}
 		}
-		if queue != nil {
-			queue <- drain{i, s}
-		} else if err = answer(i, s); err != nil {
+		if pool != nil {
+			pool.queue <- drainJob{i, s}
+		} else if mks[i], err = s.DrainJCTSum(); err != nil {
 			break
 		}
 	}
-	if queue != nil {
-		close(queue)
-		wg.Wait()
-	}
-	if workErr != nil && (err == nil || err == errBudget) {
-		err = workErr
+	if pool != nil {
+		if werr := pool.wait(); werr != nil && (err == nil || err == errBudget) {
+			err = werr
+		}
 	}
 	if err != nil {
 		return hits, err
@@ -433,16 +415,76 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 	return len(xs), nil
 }
 
-// stepToReady steps a fresh world over job (arriving at 0) to the event
-// boundary where stage kid becomes ready and returns its ready time. A
-// root is ready at arrival: the world is left unstepped and the ready time
-// is 0, since stepping would already advance past it.
-func stepToReady(w *sim.Stepper, job *workload.Job, kid dag.StageID) (float64, error) {
-	if len(job.Graph.Stage(kid).Parents) == 0 {
-		return 0, nil
+// drainPool drains a scan's forks on worker goroutines into mks; the
+// first error stops the scan (failed).
+type drainPool struct {
+	queue  chan drainJob
+	wg     sync.WaitGroup
+	failed atomic.Bool
+	mu     sync.Mutex
+	err    error
+}
+
+type drainJob struct {
+	i int
+	s *sim.Stepper
+}
+
+func startDrains(workers int, mks []float64) *drainPool {
+	p := &drainPool{queue: make(chan drainJob)}
+	p.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer p.wg.Done()
+			for d := range p.queue {
+				var err error
+				if mks[d.i], err = d.s.DrainJCTSum(); err != nil {
+					p.mu.Lock()
+					p.err = cmp.Or(p.err, err)
+					p.mu.Unlock()
+					p.failed.Store(true)
+				}
+			}
+		}()
+	}
+	return p
+}
+
+// wait closes the queue, joins every worker and returns the first error.
+func (p *drainPool) wait() error {
+	close(p.queue)
+	p.wg.Wait()
+	return p.err
+}
+
+// arrive returns a world in which the active sub-job, with the given
+// delays, arrives into the evaluator's world, positioned at the arrival:
+// a fork of the committed world with the sub-job injected, or a fresh
+// simulation of the sub-job alone when the world is empty.
+func (e *simEvaluator) arrive(delays map[dag.StageID]float64) (*sim.Stepper, error) {
+	a := e.arrival
+	run := sim.JobRun{Job: e.cur, Arrival: a.At, Delays: delays}
+	if a.World == nil {
+		return sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1, FairByJob: a.FairByJob}, []sim.JobRun{run})
+	}
+	w, err := a.World.Fork(nil)
+	if err != nil {
+		return nil, err
+	}
+	return w, w.Inject(run)
+}
+
+// stepToReady steps a world from arrive to the event boundary where stage
+// kid becomes ready and returns its ready time. A root is ready at
+// arrival: the world is left unstepped (stepping would advance past it)
+// and the ready time is the arrival, which the root's recorded ready time
+// can only exceed, by the engine's clock tolerance.
+func (e *simEvaluator) stepToReady(w *sim.Stepper, kid dag.StageID) (float64, error) {
+	if len(e.cur.Graph.Stage(kid).Parents) == 0 {
+		return e.arrival.At, nil
 	}
 	for {
-		if tr, ok := w.ReadyTime(0, kid); ok {
+		if tr, ok := w.ReadyTime(e.ji, kid); ok {
 			return tr, nil
 		}
 		if !w.HasPendingEvents() {
@@ -454,8 +496,9 @@ func stepToReady(w *sim.Stepper, job *workload.Job, kid dag.StageID) (float64, e
 	}
 }
 
-// fullRun simulates the active sub-job from scratch and returns the job's
-// end time, measured from job start. Delays for stages outside the
+// fullRun simulates the active sub-job's arrival from scratch (from the
+// committed world's pause) and returns Σ JCT over the world: the
+// sub-job's end time in Compute's. Delays for stages outside the
 // sub-job are filtered out; when every entry applies — the common case —
 // the caller's live map is passed through as-is (the simulator neither
 // retains nor mutates it past the call), and the filtered copy otherwise
@@ -487,12 +530,11 @@ func (e *simEvaluator) fullRun(delays map[dag.StageID]float64) (float64, error) 
 			}
 		}
 	}
-	s, err := sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1},
-		[]sim.JobRun{{Job: e.cur, Delays: d}})
+	s, err := e.arrive(d)
 	if err != nil {
 		return 0, err
 	}
-	return s.DrainJobEnd(0)
+	return s.DrainJCTSum()
 }
 
 // approxEvaluator answers the same question from the analytic model's
@@ -509,22 +551,15 @@ func (e *simEvaluator) fullRun(delays map[dag.StageID]float64) (float64, error) 
 // float a recomputation would.
 type approxEvaluator struct {
 	b         *perfmodel.BoundEvaluator
-	shared    *approxShared
+	committed float64 // Arrival.Committed, added to every prediction
+	shared    *evalShared
 	activeKey string
 	keys      fingerprinter // per-clone scratch, reset by Clone
 }
 
-// approxShared is the memo state one approxEvaluator shares with its
-// clones.
-type approxShared struct {
-	mu    sync.Mutex
-	memo  map[string]float64
-	stats EvalStats
-}
-
-func newApproxEvaluator(b *perfmodel.BoundEvaluator) *approxEvaluator {
-	return &approxEvaluator{b: b, activeKey: "*",
-		shared: &approxShared{memo: map[string]float64{}}}
+func newApproxEvaluator(b *perfmodel.BoundEvaluator, committed float64) *approxEvaluator {
+	return &approxEvaluator{b: b, committed: committed, activeKey: "*",
+		shared: &evalShared{memo: map[string]float64{}}}
 }
 
 func (e *approxEvaluator) SetActive(active map[dag.StageID]bool) error {
@@ -542,14 +577,6 @@ func (e *approxEvaluator) Clone() Evaluator {
 	return &c
 }
 
-// evalStats returns the shared memo counters (ForkedRuns stays zero: the
-// analytic model has nothing to fork).
-func (e *approxEvaluator) evalStats() EvalStats {
-	e.shared.mu.Lock()
-	defer e.shared.mu.Unlock()
-	return e.shared.stats
-}
-
 func (e *approxEvaluator) Makespan(delays map[dag.StageID]float64) (float64, error) {
 	fp := e.keys.key(e.activeKey, delays, e.b.Active)
 	sh := e.shared
@@ -560,7 +587,7 @@ func (e *approxEvaluator) Makespan(delays map[dag.StageID]float64) (float64, err
 		return mk, nil
 	}
 	sh.mu.Unlock()
-	mk := e.b.Predict(delays)
+	mk := e.committed + e.b.Predict(delays)
 	sh.mu.Lock()
 	sh.memo[string(fp)] = mk
 	sh.stats.FullRuns++

@@ -51,7 +51,7 @@ func TestRestrictJobDropsCrossEdges(t *testing.T) {
 func TestSimEvaluatorMatchesDirectSim(t *testing.T) {
 	c := c30()
 	j := workload.LDA(c, 0.2)
-	ev := newSimEvaluator(c, j, false)
+	ev := newSimEvaluator(c, j, false, Arrival{})
 	got, err := ev.Makespan(nil)
 	if err != nil {
 		t.Fatal(err)

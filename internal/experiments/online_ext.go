@@ -82,9 +82,13 @@ func OnlineExtension(cfg Config) (*OnlineResult, error) {
 	record("per-job DelayStage", iso)
 
 	// (c) online multi-job DelayStage.
-	online, err := scheduler.RunOnline(scheduler.OnlineOptions{
+	onlineRuns, err := scheduler.PlanOnline(scheduler.OnlineOptions{
 		Cluster: c, FairByJob: true, MaxCandidates: 12,
-	}, jobs, arrivals, sim.Options{TrackNode: -1})
+	}, jobs, arrivals)
+	if err != nil {
+		return nil, err
+	}
+	online, err := sim.Run(sim.Options{Cluster: c, TrackNode: -1, FairByJob: true}, onlineRuns)
 	if err != nil {
 		return nil, err
 	}

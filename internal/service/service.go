@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"delaystage/internal/cluster"
-	"delaystage/internal/core"
 	"delaystage/internal/dag"
 	"delaystage/internal/obs"
 	"delaystage/internal/perfmodel"
@@ -47,9 +46,8 @@ type Options struct {
 	Admission AdmissionPolicy
 	// Registry receives the service metrics (nil = a private registry).
 	Registry *obs.Registry
-	// Order / SlotSeconds / MaxCandidates / FairByJob mirror
+	// SlotSeconds / MaxCandidates / FairByJob mirror
 	// scheduler.OnlineOptions.
-	Order         core.Order
 	SlotSeconds   float64
 	MaxCandidates int
 	FairByJob     bool
@@ -240,7 +238,6 @@ func New(opt Options) (*Service, error) {
 	}
 	planner, err := scheduler.NewOnlinePlanner(scheduler.OnlineOptions{
 		Cluster:       opt.Cluster,
-		Order:         opt.Order,
 		SlotSeconds:   opt.SlotSeconds,
 		MaxCandidates: opt.MaxCandidates,
 		FairByJob:     opt.FairByJob,

@@ -278,7 +278,9 @@ type engine struct {
 	seq int
 	now float64
 
-	res *Result
+	// res is the run's result in progress. Its per-job slots live in the
+	// pooled jobStart/jobEnd/jobErrs buffers until result copies them out.
+	res Result
 
 	// usage integration
 	cpuBusyInt   float64 // executor-seconds busy, cluster-wide
@@ -358,6 +360,11 @@ type engineBufs struct {
 
 	occOpen map[skey]*OccupancySegment
 
+	// Per-job result slots: arrival, end (completion or abort) and abort
+	// error, sized for the initial runs and grown by Stepper.Inject.
+	jobStart, jobEnd []float64
+	jobErrs          []error
+
 	// fault / recovery state
 	stagesLeft []int  // incomplete stages per job
 	failed     []bool // per-job abort flag
@@ -403,23 +410,11 @@ type recompState struct {
 // Result is taken. The Result is never pooled; it always belongs to the caller.
 var enginePool sync.Pool
 
-// newEngine returns an engine for the given runs with a fresh Result. The
-// per-job result and abort slots are sized for the initial runs;
-// Stepper.Inject grows them. The Result has no timelines until finalize
-// builds them from the stage slab.
+// newEngine returns an engine for the given runs, reset from a pooled one
+// when the pool has one. Its per-job result slots are sized for the
+// initial runs; Stepper.Inject grows them. The Result has no timelines
+// until finalize builds them from the stage slab.
 func newEngine(opt Options, runs []JobRun) *engine {
-	e := resetEngine(opt, runs)
-	e.res = &Result{
-		JobEnd:    make([]float64, len(runs)),
-		JobStart:  make([]float64, len(runs)),
-		JobErrors: make([]error, len(runs)),
-	}
-	return e
-}
-
-// resetEngine returns an engine for the given runs, reset from a pooled
-// one when the pool has one, without a Result.
-func resetEngine(opt Options, runs []JobRun) *engine {
 	e, _ := enginePool.Get().(*engine)
 	if e == nil {
 		e = new(engine)
@@ -487,6 +482,7 @@ func (b *engineBufs) empty() {
 	b.netBW, b.diskBW, b.execs = b.netBW[:0], b.diskBW[:0], b.execs[:0]
 	b.jobBase, b.inW, b.timers = b.jobBase[:0], b.inW[:0], b.timers[:0]
 	b.stagesLeft = b.stagesLeft[:0]
+	clear(b.jobErrs)
 	b.doneScratch, b.deadScratch = b.doneScratch[:0], b.deadScratch[:0]
 	clear(b.occOpen)
 	clear(b.recomps)
@@ -513,6 +509,9 @@ func (b *engineBufs) reset(nNodes, nRead, nJobs, nStages int) {
 	b.dirtyR = resizeBools(b.dirtyR, nRead)
 	b.dirtyW = resizeBools(b.dirtyW, nNodes)
 	b.failed = resizeBools(b.failed, nJobs)
+	b.jobStart = append(b.jobStart[:0], make([]float64, nJobs)...)
+	b.jobEnd = append(b.jobEnd[:0], make([]float64, nJobs)...)
+	b.jobErrs = append(b.jobErrs[:0], make([]error, nJobs)...)
 	resizeF64(&b.busyScratch, nNodes)
 }
 
@@ -657,7 +656,7 @@ func arrivalSeq(ji int) int { return math.MinInt64/2 + ji }
 
 func (e *engine) setup() {
 	for ji, run := range e.runs {
-		e.res.JobStart[ji] = run.Arrival
+		e.jobStart[ji] = run.Arrival
 		e.addRun(ji, run)
 	}
 	e.jobsLeft = len(e.runs)
@@ -970,8 +969,8 @@ func (e *engine) finishWrite(st *stageState, node int) {
 	st.computeDone = st.computeTot
 	st.tl.End = e.now
 	st.tl.Retries = st.retries
-	if e.now > e.res.JobEnd[st.key.job] {
-		e.res.JobEnd[st.key.job] = e.now
+	if e.now > e.jobEnd[st.key.job] {
+		e.jobEnd[st.key.job] = e.now
 	}
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvStageCompleted, Job: st.key.job, Stage: st.key.stage, Node: -1})
@@ -1790,7 +1789,15 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 	e.finalize()
-	return e.res, nil
+	return e.result(), nil
+}
+
+// result returns the finalized Result for the caller to own: a copy of
+// the engine's with the per-job slots copied out of the pooled buffers.
+func (e *engine) result() *Result {
+	r := e.res
+	r.JobStart, r.JobEnd, r.JobErrors = slices.Clone(e.jobStart), slices.Clone(e.jobEnd), slices.Clone(e.jobErrs)
+	return &r
 }
 
 // step runs exactly one event-loop iteration: fire every timer due now,
@@ -1941,7 +1948,7 @@ func (e *engine) finalize() {
 		}
 	}
 	end := 0.0
-	for _, t := range e.res.JobEnd {
+	for _, t := range e.jobEnd {
 		if t > end {
 			end = t
 		}

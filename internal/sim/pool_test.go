@@ -140,7 +140,8 @@ func TestEnginePoolHygiene(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", task.name, err)
 		}
-		seq[i], copies[i] = res, res.clone()
+		cp := res.clone()
+		seq[i], copies[i] = res, &cp
 	}
 	for i := range tasks {
 		if !reflect.DeepEqual(seq[i], copies[i]) {

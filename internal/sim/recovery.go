@@ -256,8 +256,8 @@ func (e *engine) failJob(job int, err error) {
 		return
 	}
 	e.failed[job] = true
-	e.res.JobErrors[job] = err
-	e.res.JobEnd[job] = e.now
+	e.jobErrs[job] = err
+	e.jobEnd[job] = e.now
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvJobFailed, Job: job, Stage: -1, Node: -1, Detail: err.Error()})
 	}

@@ -38,12 +38,13 @@ type Stepper struct {
 	e    *engine // nil once Result has retired it to the engine pool
 	done bool
 	err  error
-	// res, clock and events are the finished run's result (nil when
-	// DrainJobEnd discarded it), final clock and event count, kept once
-	// the engine is retired.
+	// res, clock, events and jobs are the finished run's result (nil
+	// when DrainJCTSum discarded it), final clock, event count and job
+	// count, kept once the engine is retired.
 	res    *Result
 	clock  float64
 	events int
+	jobs   int
 	// horizon is the earliest arrival Inject accepts: the latest
 	// AdvanceBefore bound, or +Inf once the stepper moved by any other
 	// means (those may step past a boundary an injected run would need).
@@ -105,6 +106,15 @@ func (s *Stepper) ReadyTime(job int, stage dag.StageID) (float64, bool) {
 		return 0, false
 	}
 	return s.e.states[si].tl.Ready, true
+}
+
+// Jobs returns how many runs the world holds, injected ones included:
+// the job index the next Inject assigns.
+func (s *Stepper) Jobs() int {
+	if s.e == nil {
+		return s.jobs
+	}
+	return len(s.e.runs)
 }
 
 // PeekNextEventTime returns the simulated time the next StepNextEvent
@@ -271,21 +281,21 @@ func (s *Stepper) Inject(run JobRun) error {
 		s.ownRuns = true
 	}
 	e.runs = append(e.runs, run)
-	e.res.JobStart = append(e.res.JobStart, run.Arrival)
-	e.res.JobEnd = append(e.res.JobEnd, 0)
-	e.res.JobErrors = append(e.res.JobErrors, nil)
+	e.jobStart = append(e.jobStart, run.Arrival)
+	e.jobEnd = append(e.jobEnd, 0)
+	e.jobErrs = append(e.jobErrs, nil)
 	e.failed = append(e.failed, false)
 	e.addRun(ji, run)
 	e.jobsLeft++
 	return nil
 }
 
-// DrainJobEnd steps the world to its end and returns job's completion
-// time, bit-identical to Result().JobEnd[job], without finalizing a
-// Result: the engine retires to the pool straight away and the result is
-// discarded, so a later Result call errors. It is the answer path of a
-// what-if evaluation, which needs one number, not a Result.
-func (s *Stepper) DrainJobEnd(job int) (float64, error) {
+// DrainJCTSum steps the world to its end and returns Σ JCT over its jobs
+// in job order, bit-identical to summing Result().JCT(i) from zero (for
+// one job arriving at 0, its end time), without finalizing a Result: the
+// engine retires to the pool and a later Result call errors. It is the
+// answer path of a what-if evaluation, which needs one number.
+func (s *Stepper) DrainJCTSum() (float64, error) {
 	for !s.done {
 		if err := s.StepNextEvent(); err != nil {
 			return 0, err
@@ -296,16 +306,16 @@ func (s *Stepper) DrainJobEnd(job int) (float64, error) {
 	}
 	e := s.e
 	if e == nil {
-		return 0, fmt.Errorf("sim: job end requested from a retired stepper")
+		return 0, fmt.Errorf("sim: JCT sum requested from a retired stepper")
 	}
-	if job < 0 || job >= len(e.res.JobEnd) {
-		return 0, fmt.Errorf("sim: job end requested for unknown job %d", job)
+	total := 0.0
+	for i, end := range e.jobEnd {
+		total += end - e.jobStart[i]
 	}
-	end := e.res.JobEnd[job]
-	s.clock, s.events = e.now, e.res.Events
+	s.clock, s.events, s.jobs = e.now, e.res.Events, len(e.runs)
 	e.release()
 	s.e = nil
-	return end, nil
+	return total, nil
 }
 
 // Result finalizes and returns the run's result. It is only valid once
@@ -322,12 +332,12 @@ func (s *Stepper) Result() (*Result, error) {
 	}
 	if s.e != nil {
 		s.e.finalize()
-		s.res, s.clock, s.events = s.e.res, s.e.now, s.e.res.Events
+		s.res, s.clock, s.events, s.jobs = s.e.result(), s.e.now, s.e.res.Events, len(s.e.runs)
 		s.e.release()
 		s.e = nil
 	}
 	if s.res == nil {
-		return nil, fmt.Errorf("sim: result requested after DrainJobEnd discarded it")
+		return nil, fmt.Errorf("sim: result requested after DrainJCTSum discarded it")
 	}
 	return s.res, nil
 }
@@ -345,7 +355,7 @@ func (s *Stepper) Result() (*Result, error) {
 // order of the rates passes, carries over exactly. Only a live
 // speculation race needs an old→new item map to rewire its rival links.
 func (e *engine) clone() *engine {
-	c := resetEngine(e.opt, e.runs)
+	c := newEngine(e.opt, e.runs)
 	c.seq = e.seq
 	c.now = e.now
 	c.cpuBusyInt = e.cpuBusyInt
@@ -354,6 +364,9 @@ func (e *engine) clone() *engine {
 	c.jobsLeft = e.jobsLeft
 	c.stagesLeft = append(c.stagesLeft, e.stagesLeft...)
 	copy(c.failed, e.failed)
+	copy(c.jobStart, e.jobStart)
+	copy(c.jobEnd, e.jobEnd)
+	copy(c.jobErrs, e.jobErrs)
 	c.jobBase = append(c.jobBase, e.jobBase...)
 	c.inW = append(c.inW, e.inW...)
 
@@ -419,8 +432,9 @@ func (e *engine) clone() *engine {
 	return c
 }
 
-// clone deep-copies a result in progress (every slice gets fresh backing).
-func (r *Result) clone() *Result {
+// clone deep-copies a result (every slice gets fresh backing). A result
+// in progress holds no per-job slots: they live in the engine's buffers.
+func (r *Result) clone() Result {
 	c := *r
 	c.Timelines = slices.Clone(r.Timelines)
 	c.JobEnd = append([]float64(nil), r.JobEnd...)
@@ -429,7 +443,7 @@ func (r *Result) clone() *Result {
 	c.Node = r.Node.clone()
 	c.Cluster = r.Cluster.clone()
 	c.Occupancy = append([]OccupancySegment(nil), r.Occupancy...)
-	return &c
+	return c
 }
 
 func (u NodeUsage) clone() NodeUsage {
