@@ -622,6 +622,9 @@ func BenchmarkOnlineExtension(b *testing.B) {
 //     template cache — each submission pays only the fingerprint lookup
 //     and the drift-check simulation.
 //
+// The two run different numbers of rounds, so ns/op does not compare
+// across them; each also reports ns/submission, its timed wall-clock over
+// the submissions it timed (cache-warm's includes its final drain).
 // benchgate gates both, so planner latency (not just sim throughput) is
 // guarded against regression.
 func BenchmarkPlanOnlineLatency(b *testing.B) {
@@ -663,6 +666,7 @@ func BenchmarkPlanOnlineLatency(b *testing.B) {
 				}
 			}
 		})
+		reportPerSubmission(b, coldRounds*len(jobs))
 	})
 	b.Run("cache-warm", func(b *testing.B) {
 		// A fresh service per iteration keeps simulated time inside the
@@ -686,7 +690,15 @@ func BenchmarkPlanOnlineLatency(b *testing.B) {
 				}
 			}
 		})
+		reportPerSubmission(b, warmRounds*len(jobs))
 	})
+}
+
+// reportPerSubmission reports the timed wall-clock per submission, given
+// the submissions one iteration times.
+func reportPerSubmission(b *testing.B, perOp int) {
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/submission")
 }
 
 // BenchmarkServiceSubmit measures one admission into a data plane that

@@ -152,9 +152,11 @@ type simEvaluator struct {
 	arrival   Arrival
 	ji        int // the sub-job's index in its world
 
-	// Per-clone scratch, reset by Clone.
+	// Per-clone scratch, reset by Clone. held is a scan's delay map (see
+	// scanMakespans).
 	keys          fingerprinter
 	filterScratch map[dag.StageID]float64
+	held          map[dag.StageID]float64
 }
 
 func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool, a Arrival) *simEvaluator {
@@ -176,7 +178,7 @@ func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool, a
 // cache state are carried over, the per-clone scratch buffers are not.
 func (e *simEvaluator) Clone() Evaluator {
 	c := *e
-	c.keys, c.filterScratch = fingerprinter{}, nil
+	c.keys, c.filterScratch, c.held = fingerprinter{}, nil, nil
 	return &c
 }
 
@@ -332,9 +334,15 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 	kid dag.StageID, xs, mks []float64, workers int) (int, error) {
 	sh := e.shared
 	// The held world reads this map as stages become ready, forks and
-	// their drains included, so it is private to the scan and fixed once
-	// the world is built.
-	held := make(map[dag.StageID]float64, len(delays)+1)
+	// their drains included, so it is fixed once the world is built. Every
+	// such world is drained or dropped before the scan returns (the drain
+	// pool joins its workers), so the next scan of this clone may clear
+	// and refill it.
+	if e.held == nil {
+		e.held = make(map[dag.StageID]float64, len(delays)+1)
+	}
+	held := e.held
+	clear(held)
 	for id, v := range delays {
 		if e.inSub(id) {
 			held[id] = v

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"delaystage/internal/cluster"
@@ -84,9 +85,10 @@ func (f *whatIfFixture) full(tb testing.TB) float64 {
 	return mk
 }
 
-// drainFork forks s under candidate delay x for the scanned stage and
-// drains the fork to the job end.
-func (f *whatIfFixture) drainFork(tb testing.TB, s *sim.Stepper, x float64) float64 {
+// drainFork forks s under candidate delay x for the scanned stage, drains
+// the fork to the job end and returns the answer and the events the fork
+// stepped past its parent's.
+func (f *whatIfFixture) drainFork(tb testing.TB, s *sim.Stepper, x float64) (float64, int) {
 	fk, err := s.Fork([]sim.DelayUpdate{{Job: 0, Stage: f.kid, Delay: x}})
 	if err != nil {
 		tb.Fatal(err)
@@ -95,18 +97,37 @@ func (f *whatIfFixture) drainFork(tb testing.TB, s *sim.Stepper, x float64) floa
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return mk
+	return mk, fk.Events() - s.Events()
+}
+
+// fullEvents is the number of events one full evaluation steps: the
+// world fullRun drains, as arrive builds it.
+func (f *whatIfFixture) fullEvents(tb testing.TB) int {
+	s, err := f.ev.arrive(f.delays)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.DrainJCTSum(); err != nil {
+		tb.Fatal(err)
+	}
+	return s.Events()
 }
 
 // fork runs one what-if evaluation forked from the world paused before
 // the scanned stage's readiness, under candidate delay x: the path a
 // root's zero-delay candidate takes.
-func (f *whatIfFixture) fork(tb testing.TB, x float64) float64 { return f.drainFork(tb, f.prefix, x) }
+func (f *whatIfFixture) fork(tb testing.TB, x float64) float64 {
+	mk, _ := f.drainFork(tb, f.prefix, x)
+	return mk
+}
 
 // heldFork runs one what-if evaluation from the held world: a fork at the
 // candidate's submission time tr + heldX, drained to the job end — the
 // common case inside a scan.
-func (f *whatIfFixture) heldFork(tb testing.TB) float64 { return f.drainFork(tb, f.held, heldX) }
+func (f *whatIfFixture) heldFork(tb testing.TB) float64 {
+	mk, _ := f.drainFork(tb, f.held, heldX)
+	return mk
+}
 
 // benchTraceJob returns a fixed trace DAG for the per-layer bench: the
 // first tracegen job (seed 3) with 30–60 stages, on its coarse slice.
@@ -157,7 +178,9 @@ var whatIfSink float64
 // fixed trace DAG: full is a from-scratch simulation of the job, fork one
 // forked just before the scanned stage's readiness, and held one forked
 // from a scan's held world at the candidate's submission time (the common
-// case inside a scan).
+// case inside a scan). Each reports the engine events one evaluation
+// steps (events/op) and the time per event (ns/event), the engine step's
+// own cost.
 func BenchmarkWhatIfEval(b *testing.B) {
 	c, job := benchTraceJob(b)
 	f := newWhatIfFixture(b, c, job)
@@ -166,19 +189,36 @@ func BenchmarkWhatIfEval(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			whatIfSink = f.full(b)
 		}
+		b.StopTimer()
+		reportPerEvent(b, float64(f.fullEvents(b)))
 	})
 	b.Run("fork", func(b *testing.B) {
 		b.ReportAllocs()
+		events := 0
 		for i := 0; i < b.N; i++ {
-			whatIfSink = f.fork(b, float64(i%10))
+			var n int
+			whatIfSink, n = f.drainFork(b, f.prefix, float64(i%10))
+			events += n
 		}
+		b.StopTimer()
+		reportPerEvent(b, float64(events)/float64(b.N))
 	})
 	b.Run("held", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			whatIfSink = f.heldFork(b)
 		}
+		b.StopTimer()
+		_, n := f.drainFork(b, f.held, heldX)
+		reportPerEvent(b, float64(n))
 	})
+}
+
+// reportPerEvent reports events/op and the time per event; the caller
+// has stopped the timer.
+func reportPerEvent(b *testing.B, eventsPerOp float64) {
+	b.ReportMetric(eventsPerOp, "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(eventsPerOp*float64(b.N)), "ns/event")
 }
 
 // raceEnabled reports a -race build, under which sync.Pool drops a
@@ -271,26 +311,39 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestComputeAllocBudget bounds the allocations of one whole Alg. 1 run,
 // planned as cmd/replay plans a DAG of more than 60 stages (Descending,
-// MaxCandidates 6), on a 136-stage trace DAG: about 6,950 allocations for
-// some 830 evaluations. The budget is that with ~30% headroom. It catches
-// allocations that scale with the job inside the planner's inner loops,
-// such as a parent slice per stage of every restricted sub-job. It is not
-// checked under -race, where sync.Pool drops a random share of the pooled
-// engines.
+// MaxCandidates 6), on a 136-stage trace DAG: about 6,070 allocations for
+// some 830 evaluations. The budget is the former 6,950 with ~30%
+// headroom. It catches allocations that scale with the job inside the
+// planner's inner loops, such as a parent slice per stage of every
+// restricted sub-job. The bytes, about 3.28 MB per Compute (Go 1.24), are
+// bounded with ~3.5% headroom: a fresh delay map per candidate scan
+// (3.41 MB) fails it. It is not checked under -race, where sync.Pool
+// drops a random share of the pooled engines.
 func TestComputeAllocBudget(t *testing.T) {
-	const budget = 9000
+	const budget, bytesBudget = 9000, 3_400_000
 	if raceEnabled {
 		t.Skip("sync.Pool drops engines under -race")
 	}
 	c, job := bigTraceJob(t)
 	opt := Options{Cluster: c, Order: Descending, Seed: 3, MaxCandidates: 6}
-	allocs := testing.AllocsPerRun(3, func() {
+	compute := func() {
 		if _, err := Compute(opt, job); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("%d stages: %.0f allocations per Compute", job.Graph.Len(), allocs)
+	}
+	allocs := testing.AllocsPerRun(3, compute)
+	// On one P with the collector off, sync.Pool hands every engine back,
+	// so the bytes depend neither on when collections run nor on which P
+	// the goroutine lands on (as testing.AllocsPerRun pins one P).
+	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+	bytes := bytesPerRun(3, compute)
+	runtime.GOMAXPROCS(procs)
+	debug.SetGCPercent(gc)
+	t.Logf("%d stages: %.0f allocations, %.0f B per Compute", job.Graph.Len(), allocs, bytes)
 	if allocs > budget {
 		t.Errorf("%d stages: %.0f allocations per Compute; budget %d", job.Graph.Len(), allocs, budget)
+	}
+	if bytes > bytesBudget {
+		t.Errorf("%d stages: %.0f B per Compute; budget %d", job.Graph.Len(), bytes, bytesBudget)
 	}
 }

@@ -286,6 +286,10 @@ type engine struct {
 	cpuBusyInt   float64 // executor-seconds busy, cluster-wide
 	netBytesInt  float64
 	diskBytesInt float64
+	// answerOnly marks an engine Stepper.DrainJCTSum is draining: it
+	// retires without finalize, so advance skips the usage integrals and
+	// the tracked series, which only finalize reads.
+	answerOnly bool
 
 	// fault / recovery state
 	jobsLeft int // jobs neither complete nor failed
@@ -1117,25 +1121,22 @@ func (e *engine) computeRatesPass() {
 		}
 	}
 	// 2. Read-phase rates: max-min (water-filling) over each node's NIC,
-	//    demands limited by prefetch availability. Per-stage total compute
-	//    rates (for availability derivatives) are only assembled when a
-	//    capped item actually needs them — i.e. never in non-AggShuffle
-	//    runs.
+	//    demands limited by prefetch availability. Only an AggShuffle run
+	//    has capped items, so only it looks for them. Per-stage total
+	//    compute rates (for availability derivatives) are only assembled
+	//    when a capped item actually needs them.
 	var stageRates []float64
-	for w := range e.readBk {
-		if !e.dirtyR[w] {
-			for _, it := range e.readBk[w] {
-				if it.capped {
-					e.dirtyR[w] = true
-					break
-				}
+	if e.opt.AggShuffle {
+		for w := range e.readBk {
+			if !e.dirtyR[w] && anyCapped(e.readBk[w]) {
+				e.dirtyR[w] = true
 			}
-		}
-		if e.dirtyR[w] && stageRates == nil {
-			for _, it := range e.readBk[w] {
-				if it.capped && e.states[it.st].parentsLeft > 0 {
-					stageRates = e.stageComputeRates()
-					break
+			if e.dirtyR[w] && stageRates == nil {
+				for _, it := range e.readBk[w] {
+					if it.capped && e.states[it.st].parentsLeft > 0 {
+						stageRates = e.stageComputeRates()
+						break
+					}
 				}
 			}
 		}
@@ -1219,10 +1220,34 @@ func (e *engine) stageComputeRates() []float64 {
 	return r
 }
 
-// readNodeRates water-fills one node's NIC among its read items.
+// anyCapped reports whether a read bucket holds an availability-capped
+// item.
+func anyCapped(its []*item) bool {
+	for _, it := range its {
+		if it.capped {
+			return true
+		}
+	}
+	return false
+}
+
+// readNodeRates water-fills one node's NIC among its read items. A bucket
+// without job weights or capped items has every demand elastic; there the
+// water-fill's answer is the equal split, computed directly.
 func (e *engine) readNodeRates(w int, stageRates []float64) {
 	its := e.readBk[w]
 	if len(its) == 0 {
+		return
+	}
+	capBW := e.netBW[w]
+	if s := e.nodeSlowdown(w); s > 1 {
+		capBW /= s
+	}
+	if !e.opt.FairByJob && !(e.opt.AggShuffle && anyCapped(its)) {
+		share := equalShare(e.contended(capBW, len(its)), len(its))
+		for _, it := range its {
+			it.rate = share
+		}
 		return
 	}
 	demands := resizeF64(&e.demandScratch, len(its))
@@ -1256,10 +1281,6 @@ func (e *engine) readNodeRates(w int, stageRates []float64) {
 		if d > 1 {
 			nEff++
 		}
-	}
-	capBW := e.netBW[w]
-	if s := e.nodeSlowdown(w); s > 1 {
-		capBW /= s
 	}
 	alloc := resizeF64(&e.wfAlloc, len(its))
 	e.wfActive = waterFillInto(alloc, e.wfActive[:0], e.contended(capBW, nEff), demands, weights)
@@ -1352,7 +1373,7 @@ func (e *engine) jobWeights(its []*item) []float64 {
 // nextDT returns the time to the next item event (completion or
 // availability catch-up), or +Inf.
 func (e *engine) nextDT() float64 {
-	dt := math.Inf(1)
+	dt, agg := math.Inf(1), e.opt.AggShuffle
 	for _, it := range e.items {
 		if it.rate > eps {
 			if d := it.remaining / it.rate; d < dt {
@@ -1365,7 +1386,7 @@ func (e *engine) nextDT() float64 {
 				}
 			}
 		}
-		if it.capped && it.ph == phRead {
+		if agg && it.capped && it.ph == phRead {
 			st := &e.states[it.st]
 			if st.parentsLeft > 0 {
 				a, _ := e.availability(st, nil) // da not needed here
@@ -1430,7 +1451,9 @@ func (e *engine) emitShares(dt float64) {
 // done/dead scratch, which fireDone then drains. Each integral and each
 // node's busy executors accumulate in item order, as separate passes
 // would. Occupancy and the tracked series are sampled at the pre-advance
-// clock.
+// clock. An answer-only engine integrates no usage and samples no series;
+// only an AggShuffle run tracks the capped items' and stages' compute
+// progress, which availability alone reads.
 func (e *engine) advance(dt float64) {
 	if e.shareObs != nil {
 		e.emitShares(dt)
@@ -1438,35 +1461,42 @@ func (e *engine) advance(dt float64) {
 	if e.opt.TrackOccupancy {
 		e.recordOccupancy()
 	}
+	usage, agg := !e.answerOnly, e.opt.AggShuffle
 	var trackNet, trackDisk, totNet, totDisk float64
 	busyExecs := e.busyScratch
-	clear(busyExecs)
+	if usage {
+		clear(busyExecs)
+	}
 	kept := e.items[:0]
 	done, dead := e.doneScratch[:0], e.deadScratch[:0]
 	for _, it := range e.items {
-		switch it.ph {
-		case phRead:
-			e.netBytesInt += it.rate * dt
-			totNet += it.rate
-			if it.node == e.opt.TrackNode {
-				trackNet += it.rate
+		if usage {
+			switch it.ph {
+			case phRead:
+				e.netBytesInt += it.rate * dt
+				totNet += it.rate
+				if it.node == e.opt.TrackNode {
+					trackNet += it.rate
+				}
+			case phWrite:
+				e.diskBytesInt += it.rate * dt
+				totDisk += it.rate
+				if it.node == e.opt.TrackNode {
+					trackDisk += it.rate
+				}
+			case phCompute:
+				busyExecs[it.node] += it.execUsed
 			}
-		case phWrite:
-			e.diskBytesInt += it.rate * dt
-			totDisk += it.rate
-			if it.node == e.opt.TrackNode {
-				trackDisk += it.rate
-			}
-		case phCompute:
-			busyExecs[it.node] += it.execUsed
 		}
 		p := it.rate * dt
 		it.remaining -= p
-		if it.capped {
-			it.done += p
-		}
-		if it.ph == phCompute && !it.recompute {
-			e.states[it.st].computeDone += p
+		if agg {
+			if it.capped {
+				it.done += p
+			}
+			if it.ph == phCompute && !it.recompute {
+				e.states[it.st].computeDone += p
+			}
 		}
 		switch {
 		case it.remaining <= eps:
@@ -1481,6 +1511,10 @@ func (e *engine) advance(dt float64) {
 	}
 	e.items = kept
 	e.doneScratch, e.deadScratch = done, dead
+	if !usage {
+		e.now += dt
+		return
+	}
 
 	var trackCPUBusy, totBusyExec float64
 	for w, busy := range busyExecs {

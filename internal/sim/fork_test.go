@@ -478,35 +478,49 @@ func TestForkConcurrent(t *testing.T) {
 // from-scratch run with the revised delay. With placed set, the world is
 // the job spread at random over the nodes and joined by links (which
 // rules out AggShuffle). A non-zero prefix switches to the multi-job
-// world the online planner prices candidates on (fuzzMultiJobFork).
+// world the online planner prices candidates on (fuzzMultiJobFork). fair
+// shares by job; bit 0 of extras adds faults (task deaths, stragglers, a
+// node crash) with speculation, bit 1 tracks a node, the cluster and
+// occupancy. Every fork is also drained a second time with DrainJCTSum,
+// whose answer-only engine must give the reference run's Σ JCT bit for
+// bit.
 func FuzzStepperFork(f *testing.F) {
-	f.Add(uint8(0), int64(1), 0.5, false, uint8(0), 0.0, false, uint8(0), false)
-	f.Add(uint8(1), int64(2), 0.0, true, uint8(1), 3.0, false, uint8(0), false)
-	f.Add(uint8(2), int64(3), 1.5, false, uint8(2), 12.5, false, uint8(0), false)
-	f.Add(uint8(3), int64(4), 0.99, true, uint8(3), 0.0, false, uint8(0), false)
-	f.Add(uint8(4), int64(5), 0.01, false, uint8(4), 40.0, false, uint8(0), false)
+	f.Add(uint8(0), int64(1), 0.5, false, uint8(0), 0.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(1), int64(2), 0.0, true, uint8(1), 3.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(2), int64(3), 1.5, false, uint8(2), 12.5, false, uint8(0), false, uint8(0))
+	f.Add(uint8(3), int64(4), 0.99, true, uint8(3), 0.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(4), int64(5), 0.01, false, uint8(4), 40.0, false, uint8(0), false, uint8(0))
 	// Post-readiness seeds: the pause lands after the stage became ready,
 	// so the fork re-arms its pending submission timer.
-	f.Add(uint8(0), int64(6), 0.6, false, uint8(3), 0.0, false, uint8(0), false)
-	f.Add(uint8(1), int64(7), 0.4, false, uint8(2), 5.0, false, uint8(0), false)
-	f.Add(uint8(2), int64(8), 0.7, false, uint8(5), 1.0, false, uint8(0), false)
-	f.Add(uint8(3), int64(9), 0.5, false, uint8(6), 20.0, false, uint8(0), false)
-	f.Add(uint8(4), int64(10), 0.3, true, uint8(1), 2.5, false, uint8(0), false)
+	f.Add(uint8(0), int64(6), 0.6, false, uint8(3), 0.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(1), int64(7), 0.4, false, uint8(2), 5.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(2), int64(8), 0.7, false, uint8(5), 1.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(3), int64(9), 0.5, false, uint8(6), 20.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(4), int64(10), 0.3, true, uint8(1), 2.5, false, uint8(0), false, uint8(0))
 	// Placed worlds, paused before and after the stage's readiness.
-	f.Add(uint8(0), int64(11), 0.5, false, uint8(2), 4.0, true, uint8(0), false)
-	f.Add(uint8(2), int64(12), 0.7, false, uint8(4), 0.0, true, uint8(0), false)
-	f.Add(uint8(3), int64(13), 0.2, false, uint8(1), 15.0, true, uint8(0), false)
+	f.Add(uint8(0), int64(11), 0.5, false, uint8(2), 4.0, true, uint8(0), false, uint8(0))
+	f.Add(uint8(2), int64(12), 0.7, false, uint8(4), 0.0, true, uint8(0), false, uint8(0))
+	f.Add(uint8(3), int64(13), 0.2, false, uint8(1), 15.0, true, uint8(0), false, uint8(0))
 	// Multi-job worlds: a committed prefix of one to three jobs, the
 	// newcomer arriving mid-flight with a root (stage index 0) or a
 	// non-root stage held back, under either fairness.
-	f.Add(uint8(0), int64(14), 0.5, false, uint8(0), 0.0, false, uint8(1), false)
-	f.Add(uint8(1), int64(15), 0.3, false, uint8(0), 7.5, false, uint8(2), true)
-	f.Add(uint8(2), int64(16), 0.8, false, uint8(3), 3.5, false, uint8(3), true)
-	f.Add(uint8(3), int64(17), 0.1, false, uint8(2), 27.25, false, uint8(1), false)
-	f.Add(uint8(4), int64(18), 0.6, true, uint8(5), 10.0, false, uint8(2), false)
-	f.Add(uint8(0), int64(19), 1.2, false, uint8(4), 60.0, false, uint8(3), true)
+	f.Add(uint8(0), int64(14), 0.5, false, uint8(0), 0.0, false, uint8(1), false, uint8(0))
+	f.Add(uint8(1), int64(15), 0.3, false, uint8(0), 7.5, false, uint8(2), true, uint8(0))
+	f.Add(uint8(2), int64(16), 0.8, false, uint8(3), 3.5, false, uint8(3), true, uint8(0))
+	f.Add(uint8(3), int64(17), 0.1, false, uint8(2), 27.25, false, uint8(1), false, uint8(0))
+	f.Add(uint8(4), int64(18), 0.6, true, uint8(5), 10.0, false, uint8(2), false, uint8(0))
+	f.Add(uint8(0), int64(19), 1.2, false, uint8(4), 60.0, false, uint8(3), true, uint8(0))
+	// One world per engine gate the drains skip or take: plain equal
+	// sharing, AggShuffle, job-fair sharing, faults with speculation,
+	// placed stages over links, and a tracked world.
+	f.Add(uint8(1), int64(20), 0.4, false, uint8(3), 2.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(2), int64(21), 0.5, true, uint8(4), 6.0, false, uint8(0), false, uint8(0))
+	f.Add(uint8(3), int64(22), 0.3, false, uint8(2), 1.5, false, uint8(0), true, uint8(0))
+	f.Add(uint8(4), int64(23), 0.6, false, uint8(5), 4.0, false, uint8(0), false, uint8(1))
+	f.Add(uint8(1), int64(24), 0.5, false, uint8(3), 8.0, true, uint8(0), false, uint8(0))
+	f.Add(uint8(0), int64(25), 0.7, true, uint8(1), 3.0, false, uint8(0), true, uint8(3))
 	c := cluster.NewM4LargeCluster(4)
-	f.Fuzz(func(t *testing.T, jobIdx uint8, seed int64, frac float64, agg bool, stage uint8, slack float64, placed bool, prefix uint8, fair bool) {
+	f.Fuzz(func(t *testing.T, jobIdx uint8, seed int64, frac float64, agg bool, stage uint8, slack float64, placed bool, prefix uint8, fair bool, extras uint8) {
 		if math.IsNaN(frac) || frac < 0 || frac > 3 || math.IsNaN(slack) || slack < 0 || slack > 100 {
 			t.Skip()
 		}
@@ -518,10 +532,23 @@ func FuzzStepperFork(f *testing.F) {
 			return
 		}
 		runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}}
-		opt := Options{Cluster: c, TrackNode: -1, AggShuffle: agg}
+		opt := Options{Cluster: c, TrackNode: -1, AggShuffle: agg, FairByJob: fair}
 		if placed {
 			opt, runs = placedWorld(c, job, rand.New(rand.NewSource(seed)))
 			agg = false
+		}
+		if extras&1 != 0 {
+			inj, err := faults.NewInjector(faults.FaultPlan{
+				Seed: seed, TaskFailureProb: 0.03, StragglerFrac: 0.2, StragglerFactor: 4,
+				Crashes: []faults.NodeCrash{{Node: 1, At: 20}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Faults, opt.MaxAttempts, opt.Speculation = inj, 8, true
+		}
+		if extras&2 != 0 {
+			opt.TrackNode, opt.TrackCluster, opt.TrackOccupancy = 0, true, true
 		}
 		withDelays := func(d map[dag.StageID]float64) []JobRun {
 			r := runs[0]
@@ -537,6 +564,7 @@ func FuzzStepperFork(f *testing.F) {
 		if got := forkOut(t, parent, nil); !reflect.DeepEqual(ref, got) {
 			t.Fatalf("fork at %v differs from uninterrupted run", at)
 		}
+		requireDrainSum(t, fmt.Sprintf("fork at %v", at), parent, nil, ref)
 		got, err := stepOut(parent)
 		if err != nil {
 			t.Fatal(err)
@@ -560,7 +588,9 @@ func FuzzStepperFork(f *testing.F) {
 		}
 		held := maps.Clone(runs[0].Delays)
 		held[kid] = x + 10
-		fk, err := pausedAt(t, opt, withDelays(held), b).Fork([]DelayUpdate{{Job: 0, Stage: kid, Delay: x}})
+		hw := pausedAt(t, opt, withDelays(held), b)
+		revise := []DelayUpdate{{Job: 0, Stage: kid, Delay: x}}
+		fk, err := hw.Fork(revise)
 		if err != nil {
 			if agg {
 				return // the stage was prefetched: submitted before it was ready
@@ -574,7 +604,29 @@ func FuzzStepperFork(f *testing.F) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("stage %d (ready at %v) held back, forked at %v with delay %v: differs from a run with that delay", kid, tr, b, x)
 		}
+		requireDrainSum(t, fmt.Sprintf("stage %d held back, forked at %v", kid, b), hw, revise, want)
 	})
+}
+
+// requireDrainSum forks s under the updates, drains the fork with
+// DrainJCTSum and fails unless the answer is want's Σ JCT, bit for bit.
+func requireDrainSum(t *testing.T, ctx string, s *Stepper, updates []DelayUpdate, want *Result) {
+	t.Helper()
+	f, err := s.Fork(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.DrainJCTSum()
+	if err != nil {
+		t.Fatalf("%s: drain: %v", ctx, err)
+	}
+	sum := 0.0
+	for i := range want.JobEnd {
+		sum += want.JCT(i)
+	}
+	if math.Float64bits(got) != math.Float64bits(sum) {
+		t.Fatalf("%s: drained Σ JCT %v, the full run's %v", ctx, got, sum)
+	}
 }
 
 // fuzzMultiJobFork is FuzzStepperFork's multi-job mode. A committed
@@ -654,9 +706,11 @@ func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, jo
 	if err := w.AdvanceBefore(tr + x); err != nil {
 		t.Fatal(err)
 	}
-	got := forkOut(t, w, []DelayUpdate{{Job: ji, Stage: kid, Delay: x}})
+	revise := []DelayUpdate{{Job: ji, Stage: kid, Delay: x}}
+	got := forkOut(t, w, revise)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("%d committed jobs, stage %d (ready at %v) of the newcomer at %v held back, forked with delay %v: differs from a run with that delay",
 			n, kid, tr, arrival, x)
 	}
+	requireDrainSum(t, fmt.Sprintf("%d committed jobs, newcomer at %v", n, arrival), w, revise, want)
 }

@@ -294,8 +294,14 @@ func (s *Stepper) Inject(run JobRun) error {
 // in job order, bit-identical to summing Result().JCT(i) from zero (for
 // one job arriving at 0, its end time), without finalizing a Result: the
 // engine retires to the pool and a later Result call errors. It is the
-// answer path of a what-if evaluation, which needs one number.
+// answer path of a what-if evaluation, which needs one number, so the
+// engine steps answer-only: it keeps no usage integrals or tracked
+// series, which only a finalized Result reports. Observers see every
+// event as in a full run.
 func (s *Stepper) DrainJCTSum() (float64, error) {
+	if s.e != nil {
+		s.e.answerOnly = true
+	}
 	for !s.done {
 		if err := s.StepNextEvent(); err != nil {
 			return 0, err

@@ -85,3 +85,14 @@ func weightOf(weights []float64, i int) float64 {
 	}
 	return weights[i]
 }
+
+// equalShare is waterFillInto's allocation to each of n ≥ 1 consumers of
+// capacity c when every demand is elastic (+Inf) and weights are equal:
+// the all-elastic split remaining·1/n, with n summed exactly, or 0 when
+// no more than the fill loop's 1e-15 floor is left (or c is NaN).
+func equalShare(c float64, n int) float64 {
+	if !(c > 1e-15) {
+		return 0
+	}
+	return c / float64(n)
+}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"delaystage/internal/cluster"
 )
 
 func TestWaterFillElastic(t *testing.T) {
@@ -150,5 +152,57 @@ func TestWaterFillMaxMin(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEqualSplitReadShares: a read bucket with neither job weights nor a
+// capped item takes the equal-split path, which must give every item the
+// rate the water-fill gives it with all demands elastic, bit for bit —
+// for 1 to 64 readers, at zero, sub-floor and ordinary capacities, with
+// and without the contention loss, on a healthy and a slowed node.
+func TestEqualSplitReadShares(t *testing.T) {
+	inf := math.Inf(1)
+	c := cluster.NewM4LargeCluster(2)
+	for _, alpha := range []float64{0, 0.15} {
+		e := newEngine(Options{Cluster: c, ContentionOverhead: alpha}, nil)
+		e.nodeSlow = []float64{1, 2.5}
+		for _, capacity := range []float64{0, 1e-16, 1e-15, 3e-15, 1, 7, 125e6, 1.1e9 / 3} {
+			for w := range 2 {
+				e.netBW[w] = capacity
+				for n := 1; n <= 64; n++ {
+					for i := range n {
+						it := e.newItem()
+						*it = item{key: skey{job: 0, stage: 1}, home: w, node: w, ph: phRead, remaining: 1, volume: 1}
+						it.rate = float64(i) // stale
+						e.addItem(it)
+					}
+					e.readNodeRates(w, nil)
+					demands := make([]float64, n)
+					for i := range demands {
+						demands[i] = inf
+					}
+					want := make([]float64, n)
+					waterFillInto(want, nil, e.contended(capacity/e.nodeSlow[w], n), demands, nil)
+					for i, it := range e.readBk[w] {
+						if math.Float64bits(it.rate) != math.Float64bits(want[i]) {
+							t.Fatalf("α=%v capacity=%v node %d, %d readers: item %d rate %v, water-fill %v",
+								alpha, capacity, w, n, i, it.rate, want[i])
+						}
+					}
+					for _, it := range e.readBk[w] {
+						e.freeItem(it)
+					}
+					e.items, e.readBk[w] = e.items[:0], e.readBk[w][:0]
+				}
+			}
+		}
+		e.release()
+	}
+	for _, capacity := range []float64{math.NaN(), inf, -1} {
+		want := make([]float64, 3)
+		waterFillInto(want, nil, capacity, []float64{inf, inf, inf}, nil)
+		if got := equalShare(capacity, 3); math.Float64bits(got) != math.Float64bits(want[0]) {
+			t.Errorf("capacity %v: equal share %v, water-fill %v", capacity, got, want[0])
+		}
 	}
 }
