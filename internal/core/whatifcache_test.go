@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -87,21 +91,93 @@ func TestEvalCacheSchedulesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFingerprintKeyCanonical: a memo key must not depend on map
-// iteration order, even for stage IDs far enough apart that their
-// difference overflows an int. A non-canonical key would make memo hits,
-// and with them the hit/fork/full counters, vary from run to run.
-func TestFingerprintKeyCanonical(t *testing.T) {
-	delays := map[dag.StageID]float64{-5e18: 1, 0: 2, 5e18: 3, 7: 4}
-	all := func(dag.StageID) bool { return true }
-	var f fingerprinter
-	want := string(f.key("*", delays, all))
-	for i := 0; i < 200; i++ {
-		if got := string(f.key("*", delays, all)); got != want {
-			t.Fatalf("call %d: key %q, want %q", i, got, want)
-		}
+// TestFingerprintKeyProperties pins the memo key's contract on a job
+// whose stage IDs lie far apart (±5e18): a key does not depend on the
+// order in which delays were written; zero entries and delays of inactive
+// stages drop out; and distinct (active set, effective delay vector)
+// configurations never share a key. The unrestricted set (nil) and a
+// mask naming every stage are distinct configurations to the memo.
+func TestFingerprintKeyProperties(t *testing.T) {
+	c := cluster.NewM4LargeCluster(2)
+	ids := []dag.StageID{-5e18, 0, 5e18, 7, -3, 12, 9, 1 << 40, -(1 << 40)}
+	g := dag.New()
+	profiles := map[dag.StageID]workload.StageProfile{}
+	for _, id := range ids {
+		g.MustAdd(dag.Stage{ID: id})
+		profiles[id] = workload.FromPhases(c, workload.PhaseSpec{ReadSec: 1, ComputeSec: 1})
 	}
-	if want != "*|-5000000000000000000:3ff0000000000000|0:4000000000000000|7:4010000000000000|5000000000000000000:4008000000000000" {
-		t.Fatalf("key %q is not in ascending stage-ID order", want)
+	job := &workload.Job{Name: "far", Graph: g, Profiles: profiles}
+	if err := job.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := len(ids)
+	rng := rand.New(rand.NewSource(7))
+	var f fingerprinter
+	// canon is a configuration's identity: the tag, the mask and the
+	// delays of active stages, zeros dropped.
+	canon := func(mask []bool, delays []float64) string {
+		a := newActiveSet(mask, n)
+		s := fmt.Sprint(mask == nil, mask)
+		for p, v := range delays {
+			if v != 0 && a.on(p) {
+				s += fmt.Sprintf(" %d:%x", p, math.Float64bits(v))
+			}
+		}
+		return s
+	}
+	seen := map[string]string{}
+	values := []float64{0, math.Copysign(0, -1), 1, 2, 0.5, 1e-300, 3e8, math.Nextafter(1, 2)}
+	for trial := 0; trial < 4000; trial++ {
+		var mask []bool
+		if rng.Intn(4) > 0 {
+			mask = make([]bool, n)
+			for i := range mask {
+				mask[i] = rng.Intn(3) > 0
+			}
+		}
+		a := newActiveSet(mask, n)
+		delays := make([]float64, n)
+		for i := range delays {
+			if rng.Intn(2) == 0 {
+				delays[i] = values[rng.Intn(len(values))]
+			}
+		}
+		key := string(f.key(&a, delays))
+		// Insertion order: the same delays written in a shuffled order.
+		again := make([]float64, n)
+		for _, p := range rng.Perm(n) {
+			again[p] = delays[p]
+		}
+		if got := string(f.key(&a, again)); got != key {
+			t.Fatalf("trial %d: key depends on insertion order", trial)
+		}
+		// Zero entries and inactive stages drop out.
+		noisy := slices.Clone(delays)
+		for p := range noisy {
+			if !a.on(p) {
+				noisy[p] = values[rng.Intn(len(values))]
+			} else if noisy[p] == 0 {
+				noisy[p] = math.Copysign(0, -1)
+			}
+		}
+		if got := string(f.key(&a, noisy)); got != key {
+			t.Fatalf("trial %d: zero or inactive entries changed the key", trial)
+		}
+		id := canon(mask, delays)
+		if id == canon(mask, nil) && string(f.key(&a, nil)) != key {
+			t.Fatalf("trial %d: no effective delay and nil delays keyed apart", trial)
+		}
+		if prev, ok := seen[key]; ok && prev != id {
+			t.Fatalf("trial %d: configurations %q and %q share a key", trial, prev, id)
+		}
+		seen[key] = id
+	}
+	all := make([]bool, n)
+	for i := range all {
+		all[i] = true
+	}
+	unrestricted, full := newActiveSet(nil, n), newActiveSet(all, n)
+	if k := string(f.key(&unrestricted, nil)); k == string(f.key(&full, nil)) {
+		t.Fatal("the unrestricted set and a full mask share a key")
 	}
 }

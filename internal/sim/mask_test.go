@@ -1,0 +1,117 @@
+package sim
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"delaystage/internal/dag"
+	"delaystage/internal/workload"
+)
+
+// TestMaskedRunValidation: a masked run (JobRun.Active) is refused with a
+// mask of the wrong length and together with Placement or AggShuffle, at
+// construction and at Inject; a masked world cannot be written to or read
+// from a checkpoint; and its inactive stages are unknown to Fork and
+// ReadyTime. (internal/core's TestMaskedRunMatchesRestrictedJob checks
+// the semantics against the restricted sub-job.)
+func TestMaskedRunValidation(t *testing.T) {
+	c := ref(2)
+	job := workload.LDA(c, 0.2)
+	n := job.Graph.Len()
+	mask := make([]bool, n)
+	mask[0] = true
+	cases := []struct {
+		name    string
+		opt     Options
+		run     JobRun
+		wantErr string
+	}{
+		{"short mask", Options{Cluster: c}, JobRun{Job: job, Active: make([]bool, n-1)}, "active mask of"},
+		{"long mask", Options{Cluster: c}, JobRun{Job: job, Active: make([]bool, n+1)}, "active mask of"},
+		{"placed", Options{Cluster: c}, JobRun{Job: job, Active: mask, Placement: map[dag.StageID]int{}}, "Placement is not supported"},
+		{"AggShuffle", Options{Cluster: c, AggShuffle: true}, JobRun{Job: job, Active: mask}, "AggShuffle is not supported"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opt.TrackNode = -1
+			if _, err := Run(tc.opt, []JobRun{tc.run}); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Run = %v, want an error containing %q", err, tc.wantErr)
+			}
+			s, err := NewStepper(tc.opt, []JobRun{{Job: job}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.run.Arrival = 10
+			if err := s.Inject(tc.run); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Inject = %v, want an error containing %q", err, tc.wantErr)
+			}
+		})
+	}
+
+	opt := Options{Cluster: c, TrackNode: -1}
+	runs := []JobRun{{Job: job, Active: mask}}
+	s, err := NewStepper(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceBefore(1); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "masked.ckpt")
+	if err := s.WriteFile(path); err == nil || !strings.Contains(err.Error(), "masked") {
+		t.Fatalf("WriteFile of a masked world = %v, want a refusal", err)
+	}
+	if _, err := ReadStepperFile(path, opt, runs); err == nil || !strings.Contains(err.Error(), "masked") {
+		t.Fatalf("ReadStepperFile with a masked run = %v, want a refusal", err)
+	}
+	off := job.Graph.StagesView()[1]
+	if _, err := s.Fork([]DelayUpdate{{Job: 0, Stage: off, Delay: 1}}); err == nil || !strings.Contains(err.Error(), "has no stage") {
+		t.Fatalf("Fork revising an inactive stage = %v, want an unknown-stage error", err)
+	}
+	if _, ok := s.ReadyTime(0, off); ok {
+		t.Fatal("an inactive stage reports a ready time")
+	}
+}
+
+// TestStepperClose: a closed stepper reports a finished run and refuses
+// every further use, while a fork taken before the close drains exactly
+// as an unclosed parent's fork does.
+func TestStepperClose(t *testing.T) {
+	opt := Options{Cluster: ref(3), TrackNode: -1}
+	runs := []JobRun{{Job: workload.LDA(ref(3), 0.2)}}
+	want, err := Run(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStepper(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fk, err := s.Fork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s.Close() // a second close does nothing
+	if s.HasPendingEvents() || !s.Idle() {
+		t.Fatal("a closed stepper still has pending events")
+	}
+	if err := s.StepNextEvent(); err == nil {
+		t.Fatal("StepNextEvent on a closed stepper succeeded")
+	}
+	if _, err := s.Fork(nil); err == nil {
+		t.Fatal("Fork of a closed stepper succeeded")
+	}
+	if _, err := s.Result(); err == nil {
+		t.Fatal("Result of a closed stepper succeeded")
+	}
+	if _, err := s.DrainJCTSum(); err == nil {
+		t.Fatal("DrainJCTSum of a closed stepper succeeded")
+	}
+	got, err := stepOut(fk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "fork of a closed parent", want, got)
+}

@@ -35,7 +35,8 @@ import (
 // fingerprint cannot see what the configuration does not hold, so
 // WriteFile refuses the worlds replay cannot rebuild: one moved past a
 // boundary by StepNextEvent or PeekNextEventTime, one whose delays a
-// Fork revised, and one under a Watchdog.
+// Fork revised, one under a Watchdog, and one holding a masked run
+// (JobRun.Active: a planner's what-if world, never checkpointed).
 
 const (
 	snapshotKind = "sim-snapshot"
@@ -159,8 +160,8 @@ func fingerprintPrepared(opt Options, runs []JobRun) uint64 {
 // afterwards. It refuses a finished stepper and every world replay cannot
 // rebuild from the configuration alone: one not standing at a finite
 // AdvanceBefore boundary (it moved by StepNextEvent or PeekNextEventTime,
-// or advanced to +Inf), one with a stage whose delay a Fork revised, and
-// one under a Watchdog.
+// or advanced to +Inf), one with a stage whose delay a Fork revised, one
+// under a Watchdog and one holding a masked run.
 func (s *Stepper) WriteFile(path string) error {
 	if s.done {
 		return fmt.Errorf("sim: write of a finished run")
@@ -168,6 +169,9 @@ func (s *Stepper) WriteFile(path string) error {
 	e := s.e
 	if e.opt.Watchdog != nil {
 		return errWatchdogPersist
+	}
+	if err := checkUnmasked(e.runs); err != nil {
+		return err
 	}
 	if math.IsInf(s.horizon, 1) {
 		return fmt.Errorf("sim: write of a world that is not standing at a finite AdvanceBefore boundary")
@@ -198,6 +202,17 @@ func position(horizon float64, events int, clock float64) []byte {
 
 const payloadLen = 24
 
+// checkUnmasked refuses a run list holding a masked run: the checkpoint
+// fingerprint does not hash masks, and no masked world is ever written.
+func checkUnmasked(runs []JobRun) error {
+	for i, r := range runs {
+		if r.Active != nil {
+			return fmt.Errorf("sim: job %d is masked: a masked run cannot be persisted", i)
+		}
+	}
+	return nil
+}
+
 var errWatchdogPersist = errors.New("sim: a world with a Watchdog cannot be persisted (watchdog state cannot be replayed)")
 
 // ReadStepperFile rebuilds a stepper written by WriteFile, positioned
@@ -215,6 +230,9 @@ var errWatchdogPersist = errors.New("sim: a world with a Watchdog cannot be pers
 func ReadStepperFile(path string, opt Options, runs []JobRun) (*Stepper, error) {
 	if opt.Watchdog != nil {
 		return nil, errWatchdogPersist
+	}
+	if err := checkUnmasked(runs); err != nil {
+		return nil, err
 	}
 	opt, err := prepare(opt, runs)
 	if err != nil {

@@ -143,7 +143,7 @@ func (e *engine) crashNode(w int) {
 			continue
 		}
 		for _, c := range st.children {
-			if !e.states[st.base+c].complete {
+			if cst := &e.states[st.base+c]; !cst.complete && !cst.off {
 				lost = append(lost, i)
 				break
 			}

@@ -187,6 +187,16 @@ type JobRun struct {
 	// without AggShuffle, Faults, Speculation and BlacklistAfter, whose
 	// per-node partition logic does not apply to a single partition.
 	Placement map[dag.StageID]int
+	// Active, when non-nil, masks the job by stage position (one entry
+	// per stage, in Graph.StagesView order): the run is the sub-job the
+	// active stages induce. Inactive stages are absent — they never
+	// become ready, and Fork updates and ReadyTime do not know them — and
+	// edges to them are dropped, so a stage whose parents are all
+	// inactive is a root. This is how Alg. 1's what-if evaluator sees a
+	// job while its paths are still being scheduled, without building the
+	// sub-job. A masked run takes neither Placement nor AggShuffle, and a
+	// world holding one cannot be written to a checkpoint.
+	Active []bool
 }
 
 // StageTimeline records when one stage of one job moved through its
@@ -449,6 +459,16 @@ func validateRun(opt Options, i int, r JobRun) error {
 	for s, d := range r.Delays {
 		if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 			return fmt.Errorf("sim: job %d stage %d has invalid delay %v", i, s, d)
+		}
+	}
+	if r.Active != nil {
+		switch {
+		case len(r.Active) != r.Job.Graph.Len():
+			return fmt.Errorf("sim: job %d has an active mask of %d entries for %d stages", i, len(r.Active), r.Job.Graph.Len())
+		case r.Placement != nil:
+			return fmt.Errorf("sim: job %d is masked: Placement is not supported for masked runs", i)
+		case opt.AggShuffle:
+			return fmt.Errorf("sim: job %d is masked: AggShuffle is not supported for masked runs", i)
 		}
 	}
 	if r.Placement != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -323,6 +324,26 @@ func (s *Stepper) DrainJCTSum() (float64, error) {
 	s.e = nil
 	return total, nil
 }
+
+// Close retires an unfinished stepper's engine to the pool without
+// stepping on; afterwards the stepper reports a finished run and every
+// step, fork, inject or result call returns an error. Forks taken before
+// are independent and stay usable. A caller that keeps an unstepped
+// world only to fork it — the what-if evaluator's prepared world — closes
+// it when done, so its buffers serve the next world. Closing a finished
+// stepper does nothing.
+func (s *Stepper) Close() {
+	if s.done {
+		return
+	}
+	e := s.e
+	s.done, s.err = true, errClosed
+	s.clock, s.events, s.jobs = e.now, e.res.Events, len(e.runs)
+	e.release()
+	s.e = nil
+}
+
+var errClosed = errors.New("sim: stepper closed")
 
 // Result finalizes and returns the run's result. It is only valid once
 // HasPendingEvents is false; a run that ended in an error returns it here
