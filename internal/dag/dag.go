@@ -45,8 +45,8 @@ type Graph struct {
 	idPos []int
 	// validated marks that the child index matches the current stage set,
 	// making repeated Validate calls read-only — and therefore safe from
-	// concurrent evaluators hammering the same job (sim.Run validates on
-	// every what-if evaluation).
+	// concurrent evaluators hammering the same job (every sim.Run and
+	// NewStepper validates its jobs).
 	validated bool
 	// stageSlab and parentSlab are NewSized's preallocated storage:
 	// AddStage places stages and their parent lists there while capacity

@@ -118,7 +118,7 @@ func TestScanLowerInactiveKid(t *testing.T) {
 	ref := oneNode()
 	j := twoParallel(ref)
 	b := boundEval(t, ref, j, BoundConfig{})
-	b.SetActive(map[dag.StageID]bool{1: true})
+	b.SetActive([]bool{true, false, false})
 	if _, _, ok := b.ScanLower(2, nil); ok {
 		t.Fatal("ScanLower on an inactive stage must report !ok")
 	}
@@ -180,7 +180,7 @@ func TestSetActiveRestricts(t *testing.T) {
 		Profiles: map[dag.StageID]workload.StageProfile{1: p, 2: p, 3: p}}
 	b := boundEval(t, ref, j, BoundConfig{})
 	full := b.Bounds(nil)
-	b.SetActive(map[dag.StageID]bool{1: true, 3: true})
+	b.SetActive([]bool{true, false, true})
 	cut := b.Bounds(nil)
 	if !(cut.Lower < full.Lower) {
 		t.Fatalf("dropping the middle stage must shorten the chain: full=%v cut=%v", full.Lower, cut.Lower)
