@@ -16,17 +16,12 @@
 // run per trace job, labelled run=<job index>); -json summarizes every
 // variant.
 //
-// Every variant replays through internal/shardsim on N worker goroutines
-// (-shards N, 0 = one): each worker takes the next job, builds its world
-// and runs it to completion, so only N simulations are live at once even on
-// the full 2.7M-job trace. Jobs finish out of order, but shardsim hands
-// them back in job order, and each is folded into the variant's progress as
-// it arrives, so the summary is byte-identical at any shard count. The same
-// holds for -events and -chrometrace: an obs.ShardMux buffers each world's
-// event stream and writes it out when the world is folded. For full-scale
-// traces combine -shards with -approx-plan (plan from the analytic Eq. 1–3
-// model instead of what-if simulation) and -variants to pick the strategies
-// to replay.
+// Every variant replays through internal/replay on N worker goroutines
+// (-shards N, 0 = one), with only N simulations live at once even on the
+// full 2.7M-job trace; the summary, -events and -chrometrace are
+// byte-identical at any shard count. For full-scale traces combine -shards
+// with -approx-plan (plan from the analytic Eq. 1–3 model instead of
+// what-if simulation) and -variants to pick the strategies to replay.
 //
 // -checkpoint-dir makes the replay crash-safe: after every folded job the
 // per-variant progress (bit-exact JCTs and utilization sums) is written
@@ -49,21 +44,16 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"math/rand"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"delaystage/internal/ckpt"
 	"delaystage/internal/cli"
-	"delaystage/internal/cluster"
 	"delaystage/internal/core"
-	"delaystage/internal/dag"
-	"delaystage/internal/faults"
 	"delaystage/internal/metrics"
 	"delaystage/internal/obs"
-	"delaystage/internal/shardsim"
+	"delaystage/internal/replay"
 	"delaystage/internal/sim"
 	"delaystage/internal/trace"
 )
@@ -76,153 +66,6 @@ type variantSummary struct {
 	CPUUtil float64      `json:"avg_cpu_util"`
 	NetUtil float64      `json:"avg_net_util"`
 	Failed  int          `json:"failed_jobs,omitempty"`
-}
-
-// progress is the resumable per-variant state: everything the final
-// summary derives from, with JCTs kept bit-exact.
-type progress struct {
-	done                    int // jobs fully replayed under this variant
-	jcts                    []float64
-	cpuInt, netInt, timeInt float64
-	failed                  int
-}
-
-// outcome is one finished replay job as the progress fold consumes it.
-type outcome struct {
-	jct, cpu, net float64
-	failed        bool
-}
-
-// fold appends the next job's outcome. A job that exhausted its retry
-// budget under fault injection is a data point of the variant, not a
-// replay error; it contributes no JCT.
-func (p *progress) fold(o outcome) {
-	if o.failed {
-		p.failed++
-	} else {
-		p.jcts = append(p.jcts, o.jct)
-		p.cpuInt += o.cpu * o.jct
-		p.netInt += o.net * o.jct
-		p.timeInt += o.jct
-	}
-	p.done++
-}
-
-// jobFold is a variant's shardsim reduce. shardsim calls it serially in
-// job order, so p always equals a sequential replay's state after its
-// first p.done jobs — the floating-point sums are bit-identical at any
-// shard count, and every checkpoint save writes such a prefix.
-type jobFold struct {
-	p        *progress
-	start    int          // job index of world 0: the jobs a resumed run skips
-	save     func() error // when non-nil, checkpoints the progress after each job
-	mux      *obs.ShardMux
-	jctHist  *obs.Histogram
-	runsDone *obs.Counter
-}
-
-func (f *jobFold) reduce(k int, res *sim.Result) error {
-	o := outcome{failed: res.Failed(0) != nil}
-	if !o.failed {
-		o.jct, o.cpu, o.net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
-		if f.jctHist != nil {
-			f.jctHist.Observe(o.jct)
-		}
-	}
-	if f.mux != nil {
-		f.mux.Flush(f.start + k)
-	}
-	if f.runsDone != nil {
-		f.runsDone.Inc()
-	}
-	f.p.fold(o)
-	if f.save == nil {
-		return nil
-	}
-	return f.save()
-}
-
-const (
-	progressKind    = "replay-progress"
-	progressVersion = 1
-)
-
-// encodeProgress serializes per-variant progress in variant order; floats
-// as IEEE-754 bits, so a resumed replay sums the identical values.
-func encodeProgress(ps []*progress) []byte {
-	var b []byte
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u64(uint64(len(ps)))
-	for _, p := range ps {
-		u64(uint64(p.done))
-		u64(uint64(p.failed))
-		f64(p.cpuInt)
-		f64(p.netInt)
-		f64(p.timeInt)
-		u64(uint64(len(p.jcts)))
-		for _, j := range p.jcts {
-			f64(j)
-		}
-	}
-	return b
-}
-
-func decodeProgress(b []byte, nVariants int) ([]*progress, error) {
-	bad := func(reason string) ([]*progress, error) {
-		return nil, &ckpt.FormatError{Reason: reason}
-	}
-	off := 0
-	u64 := func() uint64 {
-		if off+8 > len(b) {
-			off = len(b) + 1 // poison: every later read fails too
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		return v
-	}
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	if n := u64(); n != uint64(nVariants) {
-		return bad("variant count mismatch")
-	}
-	ps := make([]*progress, nVariants)
-	for i := range ps {
-		p := &progress{}
-		p.done = int(u64())
-		p.failed = int(u64())
-		p.cpuInt = f64()
-		p.netInt = f64()
-		p.timeInt = f64()
-		nj := u64()
-		if off > len(b) || nj > uint64(len(b)) {
-			return bad("truncated progress payload")
-		}
-		p.jcts = make([]float64, 0, nj)
-		for j := uint64(0); j < nj; j++ {
-			p.jcts = append(p.jcts, f64())
-		}
-		ps[i] = p
-	}
-	if off != len(b) {
-		return bad("progress payload length mismatch")
-	}
-	return ps, nil
-}
-
-// variant is one strategy every trace job is replayed under; key is its
-// -variants name.
-type variant struct {
-	name, key string
-	order     core.Order
-	plain     bool
-}
-
-var allVariants = []variant{
-	{name: "Fuxi", key: "fuxi", plain: true},
-	{name: "random DelayStage", key: "random", order: core.Random},
-	{name: "default DelayStage", key: "default", order: core.Descending},
-	{name: "ascending DelayStage", key: "ascending", order: core.Ascending},
 }
 
 // options is replay's command line: the flag set and what it parses into.
@@ -256,6 +99,9 @@ func flags() *options {
 		approxPlan:    fs.Bool("approx-plan", false, "plan from the analytic model instead of what-if simulation (needed to replay full-scale traces in minutes)"),
 	}
 	fs.Check(func() error {
+		if *o.sliceMachines < 1 {
+			return errors.New("-slice-machines must be at least 1")
+		}
 		if o.ckpts.Dir != "" && o.sinks.Set() {
 			// A resumed replay skips completed jobs, so per-job event logs
 			// would silently come out partial.
@@ -267,34 +113,16 @@ func flags() *options {
 	return o
 }
 
-// selectVariants returns the -variants subset of allVariants, in
-// allVariants order.
-func (o *options) selectVariants() ([]variant, error) {
-	if *o.variantList == "" {
-		return allVariants, nil
-	}
-	want := map[string]bool{}
-	for _, k := range strings.Split(*o.variantList, ",") {
-		k = strings.TrimSpace(strings.ToLower(k))
-		if k != "fuxi" && k != "random" && k != "default" && k != "ascending" {
-			return nil, fmt.Errorf("unknown variant %q (want fuxi, random, default or ascending)", k)
-		}
-		want[k] = true
-	}
-	var sel []variant
-	for _, v := range allVariants {
-		if want[v.key] {
-			sel = append(sel, v)
-		}
-	}
-	return sel, nil
+// selectVariants returns the -variants subset of replay.Variants.
+func (o *options) selectVariants() ([]replay.Variant, error) {
+	return replay.SelectVariants(*o.variantList)
 }
 
 // configKey is what the flags contribute to the progress-checkpoint
 // fingerprint: every value that shapes a replayed run, so a checkpoint
 // written under different flags is rejected. Its bytes must not change,
 // or every existing checkpoint stops resuming.
-func (o *options) configKey(variants []variant) []byte {
+func (o *options) configKey(variants []replay.Variant) []byte {
 	b := make([]byte, 0, 128)
 	for _, v := range []float64{float64(*o.sliceMachines), float64(*o.seed)} {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
@@ -306,7 +134,7 @@ func (o *options) configKey(variants []variant) []byte {
 	}
 	b = append(b, approx)
 	for _, v := range variants {
-		b = append(b, v.name...)
+		b = append(b, v.Name...)
 	}
 	return b
 }
@@ -352,23 +180,10 @@ func main() {
 	if len(tr.Jobs) == 0 {
 		fail(errors.New("replay: empty trace"))
 	}
-	rng := rand.New(rand.NewSource(*o.seed))
-
-	slices := make([]*cluster.Cluster, len(tr.Jobs))
-	for i := range tr.Jobs {
-		slices[i] = sim.Coarsen(cluster.NewTraceCluster(*o.sliceMachines, 4, rng))
-	}
-
-	// The fault flags were validated once, at parse; each job's injector
-	// only re-seeds the plan.
-	injector := func(jobIdx int) (*faults.Injector, error) {
-		if o.fault.Plan.Zero() {
-			return nil, nil
-		}
-		p := o.fault.Plan
-		p.Seed += int64(jobIdx)
-		return faults.NewInjector(p)
-	}
+	rp := replay.New(replay.Config{
+		MaxCandidates: [2]int{10, 6}, Approximate: *o.approxPlan,
+		Faults: *o.fault, Shards: *o.shards, Ctx: ctx,
+	}, tr.Jobs, *o.sliceMachines, *o.seed)
 
 	if err := o.sinks.Open(); err != nil {
 		fail(err)
@@ -385,11 +200,11 @@ func main() {
 	// Progress checkpointing. The fingerprint covers the trace bytes and
 	// every flag that shapes a replayed run, so a checkpoint written under
 	// different inputs is rejected and discarded.
-	state := make([]*progress, len(variants))
+	state := make([]*replay.Progress, len(variants))
 	for i := range state {
-		state[i] = &progress{}
+		state[i] = &replay.Progress{}
 	}
-	var saveProgress func() error
+	saveProgress := func() error { return nil }
 	if o.ckpts.Dir != "" {
 		traceHash.Write(o.configKey(variants))
 		fingerprint := traceHash.Sum64()
@@ -398,10 +213,10 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := env.Expect(progressKind, progressVersion, fingerprint); err != nil {
+			if err := env.Expect(replay.ProgressKind, replay.ProgressVersion, fingerprint); err != nil {
 				return err
 			}
-			loaded, err := decodeProgress(env.Payload, len(variants))
+			loaded, err := replay.DecodeProgress(env.Payload, len(variants))
 			if err == nil {
 				state = loaded
 			}
@@ -413,79 +228,45 @@ func main() {
 		}
 		saveProgress = func() error {
 			return ckpt.WriteFile(path, ckpt.Envelope{
-				Kind: progressKind, Version: progressVersion,
-				Fingerprint: fingerprint, Payload: encodeProgress(state),
+				Kind: replay.ProgressKind, Version: replay.ProgressVersion,
+				Fingerprint: fingerprint, Payload: replay.EncodeProgress(state),
 			})
 		}
 	}
 	summary := map[string]*variantSummary{}
 	for vi, v := range variants {
-		// Observers tap the default-DelayStage variant — the paper's
-		// headline configuration — with one "run" per trace job.
-		observed := v.order == core.Descending && !v.plain
 		var jctHist *obs.Histogram
 		if reg != nil {
-			jctHist = reg.Histogram("replay_jct_seconds", fmt.Sprintf("{variant=%q}", v.name),
+			jctHist = reg.Histogram("replay_jct_seconds", fmt.Sprintf("{variant=%q}", v.Name),
 				"per-job completion time by scheduling variant", obs.ExpBuckets(10, 2, 12))
 		}
+		// Observers tap the default-DelayStage variant — the paper's
+		// headline configuration — with one "run" per trace job: each world
+		// buffers its event stream in the mux until its job is folded.
+		var mux *obs.ShardMux
+		var observer func(int) sim.Observer
+		if v.Order == core.Descending && !v.Plain {
+			mux = obs.NewShardMux(o.sinks.JSONL, o.sinks.Chrome)
+			observer = mux.Observer
+		}
 		p := state[vi]
-		// buildWorld materializes job i's replay world: the planned delays
-		// (when the variant plans) plus the simulation options on the job's
-		// own cluster slice. It is a pure function of i, so the shard runner
-		// may call it from any worker goroutine.
-		buildWorld := func(i int) (shardsim.World, error) {
-			wl, err := tr.Jobs[i].Workload(slices[i], trace.DefaultSplit, nil)
-			if err != nil {
-				return shardsim.World{}, fmt.Errorf("job %s: %w", tr.Jobs[i].Name, err)
+		err := rp.Run(v, p, observer, func(i int, res *sim.Result, _ *core.Schedule) error {
+			if jctHist != nil && res.Failed(0) == nil {
+				jctHist.Observe(res.JCT(0))
 			}
-			var delays map[dag.StageID]float64
-			if !v.plain {
-				mc := 10
-				if wl.Graph.Len() > 60 {
-					mc = 6
-				}
-				sched, err := core.Compute(core.Options{
-					Cluster: slices[i], Order: v.order, Seed: *o.seed + int64(i),
-					MaxCandidates: mc, Approximate: *o.approxPlan,
-				}, wl)
-				if err != nil {
-					return shardsim.World{}, err
-				}
-				delays = sched.Delays
+			if mux != nil {
+				mux.Flush(i)
 			}
-			inj, err := injector(i)
-			if err != nil {
-				return shardsim.World{}, err
+			if runsDone != nil {
+				runsDone.Inc()
 			}
-			return shardsim.World{
-				Opt: sim.Options{Cluster: slices[i], TrackNode: -1,
-					Faults: inj, MaxAttempts: o.fault.MaxAttempts,
-					Speculation: o.fault.Speculation, BlacklistAfter: o.fault.BlacklistAfter},
-				Runs: []sim.JobRun{{Job: wl, Delays: delays}},
-			}, nil
-		}
-		// The shard runner replays the remaining jobs start+k; each observed
-		// world buffers its event stream in the mux until the fold writes it
-		// out.
-		fold := &jobFold{p: p, start: p.done, save: saveProgress, jctHist: jctHist, runsDone: runsDone}
-		if observed {
-			if fold.mux = obs.NewShardMux(o.sinks.JSONL, o.sinks.Chrome); !fold.mux.Active() {
-				fold.mux = nil
-			}
-		}
-		build := func(k int) (shardsim.World, error) {
-			w, err := buildWorld(fold.start + k)
-			if err == nil && fold.mux != nil {
-				w.Opt.Observer = fold.mux.Observer(fold.start + k)
-			}
-			return w, err
-		}
-		err := shardsim.Run(shardsim.Config{Shards: *o.shards, Ctx: ctx}, len(tr.Jobs)-fold.start, build, fold.reduce)
+			return saveProgress()
+		})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				done := 0
 				for _, st := range state {
-					done += st.done
+					done += st.Done
 				}
 				msg := fmt.Sprintf("interrupted after %d/%d runs", done, len(variants)*len(tr.Jobs))
 				if o.ckpts.Dir != "" {
@@ -496,19 +277,19 @@ func main() {
 			}
 			fail(err)
 		}
-		if len(p.jcts) == 0 {
-			fail(fmt.Errorf("%s: every job failed under the injected faults", v.name))
+		if len(p.JCTs) == 0 {
+			fail(fmt.Errorf("%s: every job failed under the injected faults", v.Name))
 		}
-		cdf := metrics.NewCDF(p.jcts)
+		cdf := metrics.NewCDF(p.JCTs)
 		fmt.Printf("%-22s mean %8.0fs  P50 %8.0fs  P90 %8.0fs  P99 %8.0fs  CPU %5.1f%%  net %5.1f%%",
-			v.name, cdf.Mean(), cdf.Quantile(0.5), cdf.Quantile(0.9), cdf.Quantile(0.99),
-			p.cpuInt/p.timeInt*100, p.netInt/p.timeInt*100)
-		if p.failed > 0 {
-			fmt.Printf("  failed %d", p.failed)
+			v.Name, cdf.Mean(), cdf.Quantile(0.5), cdf.Quantile(0.9), cdf.Quantile(0.99),
+			p.CPUInt/p.TimeInt*100, p.NetInt/p.TimeInt*100)
+		if p.Failed > 0 {
+			fmt.Printf("  failed %d", p.Failed)
 		}
 		fmt.Println()
-		summary[v.name] = &variantSummary{JCT: cdf, CPUUtil: p.cpuInt / p.timeInt,
-			NetUtil: p.netInt / p.timeInt, Failed: p.failed}
+		summary[v.Name] = &variantSummary{JCT: cdf, CPUUtil: p.CPUInt / p.TimeInt,
+			NetUtil: p.NetInt / p.TimeInt, Failed: p.Failed}
 	}
 
 	if err := o.sinks.Close(nil); err != nil {

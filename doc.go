@@ -11,6 +11,8 @@
 //   - internal/workload, internal/trace — the paper's workloads and the
 //     Alibaba-trace substrate
 //   - internal/experiments — one runner per table/figure of the paper
+//   - internal/replay — the Sec. 5.3 trace replay (Fig. 14 / Table 4),
+//     shared by cmd/replay and internal/experiments
 //
 // The root-level bench_test.go regenerates every experiment as a Go
 // benchmark; `cmd/experiments` prints them in paper order. See README.md,

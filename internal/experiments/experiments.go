@@ -113,17 +113,15 @@ func jitterCluster(base *cluster.Cluster, rng *rand.Rand, frac float64) *cluster
 	return out
 }
 
-// forEach runs fn(i) for i in [0, n) on up to `parallelism` goroutines.
+// forEach runs fn(i) for i in [0, n) on up to c.Parallelism goroutines,
+// reporting the batch size and each finished cell through the
+// OnGrid/OnCell hooks, so every grid is visible to live introspection.
 // fn must be a pure function of i writing only slots it owns (indexed
 // result slices); callers reduce those slots in index order afterwards, so
-// output is independent of scheduling. With parallelism ≤ 1 it is a plain
+// output is independent of scheduling. With one worker it is a plain
 // sequential loop that stops at the first error; in parallel mode every
 // claimed cell still runs and the lowest-index error is returned, keeping
 // the reported failure deterministic.
-// forEach runs fn over n independent cells on the Config's worker count,
-// reporting batch size and per-cell completion through the OnGrid/OnCell
-// hooks. Experiments call this method (not the free function) so every
-// grid is visible to live introspection.
 func (c *Config) forEach(n int, fn func(i int) error) error {
 	if c.OnGrid != nil {
 		c.OnGrid(n)
@@ -136,11 +134,8 @@ func (c *Config) forEach(n int, fn func(i int) error) error {
 			return err
 		}
 	}
-	return forEach(c.Parallelism, n, fn)
-}
-
-func forEach(parallelism, n int, fn func(i int) error) error {
-	if parallelism <= 1 || n <= 1 {
+	workers := min(c.Parallelism, n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -148,13 +143,10 @@ func forEach(parallelism, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	if parallelism > n {
-		parallelism = n
-	}
 	var next atomic.Int64
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

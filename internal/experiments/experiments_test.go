@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"delaystage/internal/replay"
 )
 
 // testCfg keeps experiment tests fast: small scale, few jobs, 2 reps.
@@ -243,17 +245,14 @@ func TestFig14EvalSumsEverySchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := prepareReplay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := newFig14Replay(cfg)
 	var want EvalEfficiency
-	for _, strat := range replayLineup {
-		if strat.fuxi {
+	for _, v := range replay.Variants {
+		if v.Plain {
 			continue
 		}
-		for i, pj := range jobs {
-			s, err := planReplayJob(pj, strat, cfg.Seed+int64(i))
+		for i := 0; i < rp.Jobs(); i++ {
+			_, s, err := rp.Plan(v, i)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,31 +1,17 @@
 package experiments
 
 import (
-	"delaystage/internal/dag"
 	"math/rand"
 	"time"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
 	"delaystage/internal/metrics"
+	"delaystage/internal/replay"
 	"delaystage/internal/sim"
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
 )
-
-// replayStrategies is the Fig. 14 / Table 4 lineup.
-type replayStrategy struct {
-	name  string
-	order core.Order
-	fuxi  bool
-}
-
-var replayLineup = []replayStrategy{
-	{name: "Fuxi", fuxi: true},
-	{name: "random DelayStage", order: core.Random},
-	{name: "default DelayStage", order: core.Descending},
-	{name: "ascending DelayStage", order: core.Ascending},
-}
 
 // Fig14Row is one strategy's replay outcome.
 type Fig14Row struct {
@@ -81,64 +67,35 @@ type Fig14Result struct {
 // disks, executor count = cores), and jobs are simulated independently.
 // Alg. 1 runs per job with the what-if sim evaluator (the analytic model
 // transfers poorly on wide trace DAGs); candidate counts shrink
-// for very large jobs to bound the replay's wall-clock time.
+// for very large jobs to bound the replay's wall-clock time. The replay
+// is internal/replay's pipeline, the one cmd/replay runs on trace files.
 func Fig14(cfg Config) (*Fig14Result, error) {
 	cfg.defaults()
-	prepared, err := prepareReplay(cfg)
-	if err != nil {
-		return nil, err
-	}
+	rp := newFig14Replay(cfg)
 	out := &Fig14Result{}
-	for _, strat := range replayLineup {
-		// Every (strategy, job) cell is a pure function of the prepared
-		// slice/workload and a per-job planner seed, so the job loop fans
-		// out; the utilization integrals are accumulated afterwards in job
-		// order to keep the floating-point sums bit-identical.
-		strat := strat
-		type jobOutcome struct {
-			jct, cpu, net float64
-			sched         *core.Schedule // nil under Fuxi
+	for _, v := range replay.Variants {
+		if cfg.OnGrid != nil {
+			cfg.OnGrid(rp.Jobs())
 		}
-		outcomes := make([]jobOutcome, len(prepared))
-		err := cfg.forEach(len(prepared), func(i int) error {
-			pj := prepared[i]
-			var delays map[dag.StageID]float64
-			if !strat.fuxi {
-				sched, err := planReplayJob(pj, strat, cfg.Seed+int64(i))
-				if err != nil {
-					return err
-				}
-				delays = sched.Delays
-				outcomes[i].sched = sched
+		p := &replay.Progress{}
+		err := rp.Run(v, p, nil, func(_ int, _ *sim.Result, sched *core.Schedule) error {
+			if cfg.OnCell != nil {
+				cfg.OnCell()
 			}
-			res, err := sim.Run(sim.Options{Cluster: pj.slice, TrackNode: -1},
-				[]sim.JobRun{{Job: pj.wl, Delays: delays}})
-			if err != nil {
-				return err
+			if sched != nil {
+				out.Eval.add(sched)
 			}
-			outcomes[i].jct, outcomes[i].cpu, outcomes[i].net = res.JCT(0), res.AvgCPUUtil, res.AvgNetUtil
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		jcts := make([]float64, 0, len(prepared))
-		var cpuInt, netInt, timeInt float64
-		for _, o := range outcomes {
-			jcts = append(jcts, o.jct)
-			cpuInt += o.cpu * o.jct
-			netInt += o.net * o.jct
-			timeInt += o.jct
-			if o.sched != nil {
-				out.Eval.add(o.sched)
-			}
-		}
 		out.Rows = append(out.Rows, Fig14Row{
-			Strategy:   strat.name,
-			JCTs:       metrics.NewCDF(jcts),
-			MeanJCT:    metrics.Mean(jcts),
-			AvgCPUUtil: cpuInt / timeInt,
-			AvgNetUtil: netInt / timeInt,
+			Strategy:   v.Name,
+			JCTs:       metrics.NewCDF(p.JCTs),
+			MeanJCT:    metrics.Mean(p.JCTs),
+			AvgCPUUtil: p.CPUInt / p.TimeInt,
+			AvgNetUtil: p.NetInt / p.TimeInt,
 		})
 	}
 
@@ -163,38 +120,12 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 	return out, nil
 }
 
-// replayJob is one trace job of the Fig. 14 replay on its cluster slice.
-type replayJob struct {
-	slice *cluster.Cluster
-	wl    *workload.Job
-}
-
-// prepareReplay generates the Fig. 14 trace and gives each job its own
-// slice with its own bandwidth draws, so the Sec. 5.3 NIC heterogeneity
-// lands on jobs instead of averaging out.
-func prepareReplay(cfg Config) ([]replayJob, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// newFig14Replay is the Fig. 14 replay: a generated trace, each job on a
+// two-machine slice drawn from cfg.Seed, and up to 16 candidates per path
+// (10 above 60 stages).
+func newFig14Replay(cfg Config) *replay.Replay {
 	tr := trace.Generate(trace.GenConfig{Jobs: cfg.TraceJobs, Seed: cfg.Seed})
-	prepared := make([]replayJob, 0, len(tr.Jobs))
-	for i := range tr.Jobs {
-		slice := sim.Coarsen(cluster.NewTraceCluster(2, 4, rng))
-		wl, err := tr.Jobs[i].Workload(slice, trace.DefaultSplit, nil)
-		if err != nil {
-			return nil, err
-		}
-		prepared = append(prepared, replayJob{slice: slice, wl: wl})
-	}
-	return prepared, nil
-}
-
-// planReplayJob runs Alg. 1 for one replayed job under a DelayStage
-// variant, with fewer candidates for very large jobs.
-func planReplayJob(pj replayJob, strat replayStrategy, seed int64) (*core.Schedule, error) {
-	mc := 16
-	if pj.wl.Graph.Len() > 60 {
-		mc = 10
-	}
-	return core.Compute(core.Options{Cluster: pj.slice, Order: strat.order, Seed: seed, MaxCandidates: mc}, pj.wl)
+	return replay.New(replay.Config{MaxCandidates: [2]int{16, 10}, Shards: cfg.Parallelism}, tr.Jobs, 2, cfg.Seed)
 }
 
 // Table4 is an alias view over Fig14 (the paper derives both from the same

@@ -56,10 +56,6 @@ func NewShardMux(sinks ...RunLabeled) *ShardMux {
 	return m
 }
 
-// Active reports whether any live sink is attached — callers can skip
-// mux wiring entirely when not.
-func (m *ShardMux) Active() bool { return len(m.sinks) > 0 }
-
 // Observer returns world run's buffering observer (nil when no sinks are
 // attached). Call it from the world builder, on the goroutine that will
 // run the world.
