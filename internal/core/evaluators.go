@@ -207,7 +207,10 @@ func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool, a
 
 // prepare makes mask the active set and builds its world: a fresh
 // simulation of the masked job alone when the arrival's world is empty,
-// otherwise a fork of that world with the masked job injected.
+// otherwise a fork of that world with the masked job injected. The world
+// is answer-only (sim.Stepper.AnswerOnly), and so is every fork of it:
+// an evaluation reads one Σ JCT, never a Result, so no world it steps
+// keeps usage integrals or tracked series.
 func (e *simEvaluator) prepare(mask []bool) error {
 	a := e.arrival
 	act := newActiveSet(mask, len(e.ids))
@@ -224,6 +227,7 @@ func (e *simEvaluator) prepare(mask []bool) error {
 	if err != nil {
 		return err
 	}
+	w.AnswerOnly()
 	if e.world != nil {
 		e.world.Close()
 	}
@@ -444,13 +448,12 @@ func (e *simEvaluator) stepToReady(w *sim.Stepper, k int) (float64, error) {
 	if root {
 		return e.arrival.At, nil
 	}
-	kid := e.ids[k]
 	for {
-		if tr, ok := w.ReadyTime(e.ji, kid); ok {
+		if tr, ok := w.ReadyTime(e.ji, k); ok {
 			return tr, nil
 		}
 		if !w.HasPendingEvents() {
-			return 0, fmt.Errorf("core: stage %d never became ready", kid)
+			return 0, fmt.Errorf("core: stage %d never became ready", e.ids[k])
 		}
 		if err := w.StepNextEvent(); err != nil {
 			return 0, err

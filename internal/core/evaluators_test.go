@@ -362,3 +362,63 @@ func TestNeverWorseGuardOnRandomJobs(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedWorldsAnswerOnly: the sim evaluator's prepared worlds — the
+// whole job and a masked active set, alone and arriving into a committed
+// world — and their forks are answer-only (no Result; a drain gives the
+// evaluator's answer), while the committed world they fork stays a full
+// world.
+func TestPreparedWorldsAnswerOnly(t *testing.T) {
+	c := cluster.NewM4LargeCluster(4)
+	job := workload.LDA(c, 0.3)
+	mask := make([]bool, job.Graph.Len())
+	for p := range mask {
+		mask[p] = p%2 == 0
+	}
+	committed, err := sim.NewStepper(sim.Options{Cluster: coarseFor(c), TrackNode: -1}, []sim.JobRun{{Job: workload.ALS(c, 0.3)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := committed.AdvanceBefore(40); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Arrival{{}, {World: committed, At: 40}} {
+		ev, err := newSimEvaluator(c, job, true, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range [][]bool{nil, mask} {
+			if err := ev.SetActive(m); err != nil {
+				t.Fatal(err)
+			}
+			want, err := ev.Makespan(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fk, err := ev.world.Fork(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fk.HasPendingEvents() {
+				if err := fk.StepNextEvent(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := fk.Result(); err == nil {
+				t.Errorf("world=%v mask=%v: a fork of the prepared world has a Result", a.World != nil, m != nil)
+			}
+			if got, err := fk.DrainJCTSum(); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("world=%v mask=%v: drained fork %v (%v), the evaluator's answer %v", a.World != nil, m != nil, got, err, want)
+			}
+		}
+		ev.Close()
+	}
+	for committed.HasPendingEvents() {
+		if err := committed.StepNextEvent(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := committed.Result(); err != nil {
+		t.Errorf("the committed world lost its Result: %v", err)
+	}
+}

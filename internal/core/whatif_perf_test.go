@@ -254,15 +254,15 @@ func emptyPools() {
 // on 20, so a buffer sized by the stage count (a presized timeline list,
 // copied again by every fork) fails the check even as one allocation.
 //
-// An evaluation on a fresh engine pays for its buffers once: about 50
-// allocations on 20 stages and 70 on 80 (eight more under -race), growing
+// An evaluation on a fresh engine pays for its buffers once: about 40
+// allocations on 20 stages and 50 on 80 (eleven more under -race), growing
 // only with the item blocks and buffer doublings a larger job needs; its
 // budget is that with ~40% headroom, which a per-stage allocation on the
 // 80-stage DAG still exceeds. It is checked in every build; the pooled
 // budgets are not checked under -race, where sync.Pool drops a random share
 // of engines, and CI runs this test without -race as well.
 func TestWhatIfEvalAllocBudget(t *testing.T) {
-	const budget, freshBudget, bytesGrowth = 10, 110, 1.5
+	const budget, freshBudget, bytesGrowth = 10, 88, 1.5
 	rng := rand.New(rand.NewSource(5))
 	tc := sim.Coarsen(cluster.NewTraceCluster(64, 4, rng))
 	smallBytes := map[string]float64{} // pooled bytes per evaluation on 20 stages

@@ -291,9 +291,11 @@ type engine struct {
 	cpuBusyInt   float64 // executor-seconds busy, cluster-wide
 	netBytesInt  float64
 	diskBytesInt float64
-	// answerOnly marks an engine Stepper.DrainJCTSum is draining: it
-	// retires without finalize, so advance skips the usage integrals and
-	// the tracked series, which only finalize reads.
+	// answerOnly marks the engine of an answer-only world
+	// (Stepper.AnswerOnly): a what-if world, or one DrainJCTSum is
+	// draining. It retires without finalize, so advance skips the usage
+	// integrals and the tracked series, which only finalize reads. clone
+	// carries it to forks; newEngine and release clear it.
 	answerOnly bool
 
 	// fault / recovery state
@@ -562,9 +564,26 @@ func resizeBools(s []bool, n int) []bool {
 // fresh engine pays a few block allocations instead of one per item.
 const itemBlock = 32
 
-// newItem returns an item from the pool. Its contents are stale: every
-// caller overwrites the whole item.
-func (e *engine) newItem() *item {
+// newItem returns a pooled item set up as a fresh attempt of one phase of
+// the stage's partition home on node (a machine, or a read bucket), with
+// vol bytes to go. It writes every field in place, one by one — a
+// whole-struct literal would build the item on the stack and copy all of
+// it over — so the fields no caller sets (attempt, capped, recompute,
+// spec and the rest) start at zero, whatever the pooled item held.
+func (e *engine) newItem(st *stageState, home, node int, ph phase, vol float64) *item {
+	it := e.popItem()
+	it.key, it.st, it.home, it.node, it.ph = st.key, st.idx, home, node, ph
+	it.remaining, it.rate = vol, 0
+	it.capped, it.done, it.volume, it.capRate = false, 0, vol, 0
+	it.execUsed = 0
+	it.attempt, it.failAt, it.slow, it.recompute = 0, 0, 0, false
+	it.spec, it.rival, it.cancelled, it.startAt = false, nil, false, 0
+	return it
+}
+
+// popItem returns an item from the pool. Its contents are stale: newItem
+// rewrites every field, clone copies a whole item over it.
+func (e *engine) popItem() *item {
 	if len(e.itemPool) == 0 {
 		block := make([]item, itemBlock)
 		e.itemPool = slices.Grow(e.itemPool, itemBlock)
@@ -707,43 +726,38 @@ func (e *engine) addRun(ji int, run JobRun) {
 	e.jobBase = append(e.jobBase, base)
 	stages := g.Len()
 	for i, sid := range g.StagesView() {
+		// Append a zero state and fill it in place: a literal would be
+		// built on the stack and copied over whole.
+		e.states = append(e.states, stageState{})
+		st := &e.states[base+i]
+		st.key, st.idx, st.base = skey{ji, sid}, base+i, base
 		if run.Active != nil && !run.Active[i] {
-			e.states = append(e.states, stageState{key: skey{ji, sid}, idx: base + i, base: base, off: true})
+			st.off = true
 			stages--
 			continue
 		}
 		p := run.Job.Profiles[sid]
-		parents := g.ParentPos(i)
-		parentsLeft := len(parents)
+		st.parents, st.children = g.ParentPos(i), g.ChildPos(i)
+		st.parentsLeft = len(st.parents)
 		if run.Active != nil {
-			for _, pp := range parents {
+			for _, pp := range st.parents {
 				if !run.Active[pp] {
-					parentsLeft--
+					st.parentsLeft--
 				}
 			}
 		}
-		node := -1
+		st.node = -1
 		if run.Placement != nil {
-			node = run.Placement[sid]
+			st.node = run.Placement[sid]
 		}
-		e.states = append(e.states, stageState{
-			key: skey{ji, sid},
-			profile: profileView{
-				perNodeIn:    float64(p.ShuffleIn) / n,
-				perNodeOut:   float64(p.ShuffleOut) / n,
-				procRate:     p.ProcRate,
-				skew:         p.Skew,
-				tasksPerNode: float64(p.Tasks) / n,
-			},
-			idx:         base + i,
-			base:        base,
-			children:    g.ChildPos(i),
-			parents:     parents,
-			parentsLeft: parentsLeft,
-			node:        node,
-			tl:          StageTimeline{JobIndex: ji, Stage: sid},
-		})
-		st := &e.states[base+i]
+		st.profile = profileView{
+			perNodeIn:    float64(p.ShuffleIn) / n,
+			perNodeOut:   float64(p.ShuffleOut) / n,
+			procRate:     p.ProcRate,
+			skew:         p.Skew,
+			tasksPerNode: float64(p.Tasks) / n,
+		}
+		st.tl.JobIndex, st.tl.Stage = ji, sid
 		st.computeTot = st.profile.perNodeIn * n
 		if e.opt.AggShuffle || run.Placement != nil {
 			// Only prefetching and placed reads read the weights.
@@ -761,11 +775,20 @@ func (e *engine) stateIdx(k skey) int {
 	if k.job < 0 || k.job >= len(e.jobBase) {
 		return -1
 	}
-	p := e.runs[k.job].Job.Graph.Pos(k.stage)
-	if p < 0 || e.states[e.jobBase[k.job]+p].off {
+	return e.posIdx(k.job, e.runs[k.job].Job.Graph.Pos(k.stage))
+}
+
+// posIdx returns the slab index of the job's stage at position pos, or -1
+// when the world has no such job or position (or the run's mask leaves
+// the stage out).
+func (e *engine) posIdx(job, pos int) int {
+	if job < 0 || job >= len(e.jobBase) || pos < 0 || pos >= e.runs[job].Job.Graph.Len() {
 		return -1
 	}
-	return e.jobBase[k.job] + p
+	if si := e.jobBase[job] + pos; !e.states[si].off {
+		return si
+	}
+	return -1
 }
 
 // placeNode maps a partition's home node to the machine that will run
@@ -864,8 +887,8 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 			e.finishRead(st, w)
 			continue
 		}
-		it := e.newItem()
-		*it = item{key: st.key, st: st.idx, home: w, node: e.placeNode(w), ph: phRead, remaining: vol, volume: vol, capped: prefetch}
+		it := e.newItem(st, w, e.placeNode(w), phRead, vol)
+		it.capped = prefetch
 		e.addItem(it)
 	}
 	if st.readsLeft == 0 {
@@ -907,9 +930,7 @@ func (e *engine) submitPlaced(st *stageState) {
 // addPlacedRead adds one read flow of a placed stage on read bucket bk.
 func (e *engine) addPlacedRead(st *stageState, bk int, vol float64) {
 	st.readsLeft++
-	it := e.newItem()
-	*it = item{key: st.key, st: st.idx, home: st.node, node: bk, ph: phRead, remaining: vol, volume: vol}
-	e.addItem(it)
+	e.addItem(e.newItem(st, st.node, bk, phRead, vol))
 }
 
 // linkBucket is the read bucket of the link from node src to node dst.
@@ -955,8 +976,8 @@ func (e *engine) startCompute(st *stageState, node int) {
 		e.finishCompute(st, node)
 		return
 	}
-	it := e.newItem()
-	*it = item{key: st.key, st: st.idx, home: node, node: e.placeNode(node), ph: phCompute, remaining: vol, volume: vol, attempt: 1}
+	it := e.newItem(st, node, e.placeNode(node), phCompute, vol)
+	it.attempt = 1
 	e.armCompute(it)
 	e.addItem(it)
 }
@@ -974,9 +995,7 @@ func (e *engine) finishCompute(st *stageState, node int) {
 		e.finishWrite(st, node)
 		return
 	}
-	it := e.newItem()
-	*it = item{key: st.key, st: st.idx, home: node, node: e.placeNode(node), ph: phWrite, remaining: vol, volume: vol}
-	e.addItem(it)
+	e.addItem(e.newItem(st, node, e.placeNode(node), phWrite, vol))
 }
 
 func (e *engine) finishWrite(st *stageState, node int) {
@@ -1177,9 +1196,16 @@ func (e *engine) computeRatesPass() {
 				if s := e.nodeSlowdown(w); s > 1 {
 					capBW /= s
 				}
-				shares := e.fairShares(its, capBW)
-				for i, it := range its {
-					it.rate = shares[i]
+				capBW = e.contended(capBW, len(its))
+				if e.opt.FairByJob {
+					for i, s := range e.jobShares(its, capBW) {
+						its[i].rate = s
+					}
+				} else {
+					s := capBW / float64(len(its))
+					for _, it := range its {
+						it.rate = s
+					}
 				}
 			}
 			e.dirtyW[w] = false
@@ -1196,13 +1222,21 @@ func (e *engine) computeNodeRates(w int) {
 	}
 	// Nominal executor shares (no contention loss), then the cap: a
 	// stage cannot occupy more executors than it has tasks. The
-	// contention factor degrades throughput, not occupancy.
-	shares := e.fairSharesNominal(its, e.execs[w])
+	// contention factor degrades throughput, not occupancy. An equal
+	// split needs no per-item shares.
+	var shares []float64
+	equal := e.execs[w] / float64(len(its))
+	if e.opt.FairByJob {
+		shares = e.jobShares(its, e.execs[w])
+	}
 	cf := e.contended(1, len(its))
 	nodeCF := e.nodeSlowdown(w)
 	for i, it := range its {
 		st := &e.states[it.st]
-		share := shares[i]
+		share := equal
+		if shares != nil {
+			share = shares[i]
+		}
 		if tpn := st.profile.tasksPerNode; tpn > 0 && share > tpn {
 			share = tpn
 		}
@@ -1345,24 +1379,13 @@ func (e *engine) contended(capacity float64, n int) float64 {
 // consumers in the sharing-overhead model.
 const contentionSaturation = 4
 
-// fairShares splits capacity among items with the contention loss applied:
-// equally, or per-job first when FairByJob is set.
-func (e *engine) fairShares(its []*item, capacity float64) []float64 {
-	return e.fairSharesNominal(its, e.contended(capacity, len(its)))
-}
-
-// fairSharesNominal splits capacity without the contention loss. The
-// returned slice is the engine's share scratch — valid until the next
-// fairShares/fairSharesNominal call.
-func (e *engine) fairSharesNominal(its []*item, capacity float64) []float64 {
+// jobShares splits capacity among items job-first (FairByJob): equally
+// among the jobs, then equally among each job's items. Without FairByJob
+// every item's share is capacity/float64(len(its)), which callers compute
+// directly. The returned slice is the engine's share scratch — valid
+// until the next jobShares call.
+func (e *engine) jobShares(its []*item, capacity float64) []float64 {
 	out := resizeF64(&e.shareScratch, len(its))
-	if !e.opt.FairByJob {
-		s := capacity / float64(len(its))
-		for i := range out {
-			out[i] = s
-		}
-		return out
-	}
 	perJob := e.perJobScratch
 	clear(perJob)
 	for _, it := range its {
@@ -1472,9 +1495,10 @@ func (e *engine) emitShares(dt float64) {
 // done/dead scratch, which fireDone then drains. Each integral and each
 // node's busy executors accumulate in item order, as separate passes
 // would. Occupancy and the tracked series are sampled at the pre-advance
-// clock. An answer-only engine integrates no usage and samples no series;
-// only an AggShuffle run tracks the capped items' and stages' compute
-// progress, which availability alone reads.
+// clock. An answer-only engine (a what-if world, or a drain) integrates no
+// usage and samples no series, so its pass only moves the items; only an
+// AggShuffle run tracks the capped items' and stages' compute progress,
+// which availability alone reads.
 func (e *engine) advance(dt float64) {
 	if e.shareObs != nil {
 		e.emitShares(dt)
@@ -1800,9 +1824,8 @@ func (e *engine) launchSpec(it *item) {
 	if tgt < 0 {
 		return
 	}
-	cl := e.newItem()
-	*cl = item{key: it.key, st: it.st, home: it.home, node: tgt, ph: phCompute,
-		remaining: it.volume, volume: it.volume, attempt: it.attempt, spec: true}
+	cl := e.newItem(st, it.home, tgt, phCompute, it.volume)
+	cl.attempt, cl.spec = it.attempt, true
 	e.armCompute(cl)
 	cl.rival = it
 	it.rival = cl

@@ -189,14 +189,14 @@ func TestSnapshotForkDelayBitIdentical(t *testing.T) {
 				}
 				if len(job.Graph.Stage(id).Parents) > 0 {
 					for {
-						if _, ok := held.ReadyTime(0, id); ok {
+						if _, ok := held.ReadyTime(0, job.Graph.Pos(id)); ok {
 							break
 						}
 						if err := held.StepNextEvent(); err != nil {
 							t.Fatal(err)
 						}
 					}
-					if got, _ := held.ReadyTime(0, id); got != tr || held.Clock() != tr {
+					if got, _ := held.ReadyTime(0, job.Graph.Pos(id)); got != tr || held.Clock() != tr {
 						t.Fatalf("%s: held world ready at %v with clock %v, want %v", ctx, got, held.Clock(), tr)
 					}
 				}
@@ -477,13 +477,15 @@ func TestForkConcurrent(t *testing.T) {
 // or after the stage's readiness — and requires the fork to match a
 // from-scratch run with the revised delay. With placed set, the world is
 // the job spread at random over the nodes and joined by links (which
-// rules out AggShuffle). A non-zero prefix switches to the multi-job
+// rules out AggShuffle and faults). A non-zero prefix switches to the multi-job
 // world the online planner prices candidates on (fuzzMultiJobFork). fair
 // shares by job; bit 0 of extras adds faults (task deaths, stragglers, a
 // node crash) with speculation, bit 1 tracks a node, the cluster and
 // occupancy. Every fork is also drained a second time with DrainJCTSum,
 // whose answer-only engine must give the reference run's Σ JCT bit for
-// bit.
+// bit, and so is a fork of the same world stepped answer-only from the
+// start (Stepper.AnswerOnly), as the what-if evaluator steps its worlds:
+// its Σ JCT must be the tracking fork's, bit for bit.
 func FuzzStepperFork(f *testing.F) {
 	f.Add(uint8(0), int64(1), 0.5, false, uint8(0), 0.0, false, uint8(0), false, uint8(0))
 	f.Add(uint8(1), int64(2), 0.0, true, uint8(1), 3.0, false, uint8(0), false, uint8(0))
@@ -537,7 +539,7 @@ func FuzzStepperFork(f *testing.F) {
 			opt, runs = placedWorld(c, job, rand.New(rand.NewSource(seed)))
 			agg = false
 		}
-		if extras&1 != 0 {
+		if extras&1 != 0 && !placed {
 			inj, err := faults.NewInjector(faults.FaultPlan{
 				Seed: seed, TaskFailureProb: 0.03, StragglerFrac: 0.2, StragglerFactor: 4,
 				Crashes: []faults.NodeCrash{{Node: 1, At: 20}},
@@ -561,11 +563,13 @@ func FuzzStepperFork(f *testing.F) {
 		}
 		at := frac * ref.Makespan
 		parent := pausedAt(t, opt, runs, at)
-		if got := forkOut(t, parent, nil); !reflect.DeepEqual(ref, got) {
+		got := forkOut(t, parent, nil)
+		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("fork at %v differs from uninterrupted run", at)
 		}
 		requireDrainSum(t, fmt.Sprintf("fork at %v", at), parent, nil, ref)
-		got, err := stepOut(parent)
+		requireAnswerOnlySum(t, fmt.Sprintf("answer-only fork at %v", at), answerOnlyAt(t, opt, runs, at), nil, got)
+		got, err = stepOut(parent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,7 +609,51 @@ func FuzzStepperFork(f *testing.F) {
 			t.Fatalf("stage %d (ready at %v) held back, forked at %v with delay %v: differs from a run with that delay", kid, tr, b, x)
 		}
 		requireDrainSum(t, fmt.Sprintf("stage %d held back, forked at %v", kid, b), hw, revise, want)
+		requireAnswerOnlySum(t, fmt.Sprintf("stage %d held back answer-only, forked at %v", kid, b),
+			answerOnlyAt(t, opt, withDelays(held), b), revise, got)
 	})
+}
+
+// answerOnlyAt is pausedAt for an answer-only world: it steps to the
+// pause without usage integrals or tracked series.
+func answerOnlyAt(t testing.TB, opt Options, runs []JobRun, at float64) *Stepper {
+	t.Helper()
+	s, err := NewStepper(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AnswerOnly()
+	if err := s.AdvanceBefore(at); err != nil {
+		t.Fatalf("advance before %v: %v", at, err)
+	}
+	return s
+}
+
+// requireAnswerOnlySum forks the answer-only world s under the updates,
+// drains the fork and fails unless its Σ JCT is, bit for bit, the Σ of
+// JCT(i) of got, the Result of the same fork taken of a world that
+// tracks usage; the answer-only fork itself must have no Result.
+func requireAnswerOnlySum(t *testing.T, ctx string, s *Stepper, updates []DelayUpdate, got *Result) {
+	t.Helper()
+	f, err := s.Fork(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f.HasPendingEvents() {
+		if err := f.StepNextEvent(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+	}
+	if _, err := f.Result(); err == nil {
+		t.Fatalf("%s: an answer-only fork has a Result", ctx)
+	}
+	sum, err := f.DrainJCTSum()
+	if err != nil {
+		t.Fatalf("%s: drain: %v", ctx, err)
+	}
+	if want := jctSum(got); math.Float64bits(sum) != math.Float64bits(want) {
+		t.Fatalf("%s: answer-only Σ JCT %v, the tracking fork's %v", ctx, sum, want)
+	}
 }
 
 // requireDrainSum forks s under the updates, drains the fork with
@@ -620,11 +668,7 @@ func requireDrainSum(t *testing.T, ctx string, s *Stepper, updates []DelayUpdate
 	if err != nil {
 		t.Fatalf("%s: drain: %v", ctx, err)
 	}
-	sum := 0.0
-	for i := range want.JobEnd {
-		sum += want.JCT(i)
-	}
-	if math.Float64bits(got) != math.Float64bits(sum) {
+	if sum := jctSum(want); math.Float64bits(got) != math.Float64bits(sum) {
 		t.Fatalf("%s: drained Σ JCT %v, the full run's %v", ctx, got, sum)
 	}
 }
@@ -681,36 +725,48 @@ func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, jo
 
 	held := maps.Clone(delays)
 	held[kid] = x + 10
-	w, err := committed.Fork(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Inject(JobRun{Job: job, Arrival: arrival, Delays: held}); err != nil {
-		t.Fatal(err)
-	}
+	// heldWorld forks the committed world, injects the newcomer with the
+	// stage held back and steps it to just before tr + x: answer-only
+	// from the fork on, as the what-if evaluator's worlds are, or not.
 	tr := arrival
-	if len(job.Graph.Stage(kid).Parents) > 0 {
-		for {
-			if r, ok := w.ReadyTime(ji, kid); ok {
-				tr = r
-				break
+	heldWorld := func(answerOnly bool) *Stepper {
+		w, err := committed.Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answerOnly {
+			w.AnswerOnly()
+		}
+		if err := w.Inject(JobRun{Job: job, Arrival: arrival, Delays: held}); err != nil {
+			t.Fatal(err)
+		}
+		if len(job.Graph.Stage(kid).Parents) > 0 {
+			for {
+				if r, ok := w.ReadyTime(ji, job.Graph.Pos(kid)); ok {
+					tr = r
+					break
+				}
+				if err := w.StepNextEvent(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := w.StepNextEvent(); err != nil {
-				t.Fatal(err)
+			if wantTr := want.Timeline(ji, kid).Ready; tr != wantTr {
+				t.Fatalf("stage %d ready at %v in the held world, %v in the reference", kid, tr, wantTr)
 			}
 		}
-		if wantTr := want.Timeline(ji, kid).Ready; tr != wantTr {
-			t.Fatalf("stage %d ready at %v in the held world, %v in the reference", kid, tr, wantTr)
+		if err := w.AdvanceBefore(tr + x); err != nil {
+			t.Fatal(err)
 		}
+		return w
 	}
-	if err := w.AdvanceBefore(tr + x); err != nil {
-		t.Fatal(err)
-	}
+	w := heldWorld(false)
 	revise := []DelayUpdate{{Job: ji, Stage: kid, Delay: x}}
 	got := forkOut(t, w, revise)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("%d committed jobs, stage %d (ready at %v) of the newcomer at %v held back, forked with delay %v: differs from a run with that delay",
 			n, kid, tr, arrival, x)
 	}
-	requireDrainSum(t, fmt.Sprintf("%d committed jobs, newcomer at %v", n, arrival), w, revise, want)
+	ctx := fmt.Sprintf("%d committed jobs, newcomer at %v", n, arrival)
+	requireDrainSum(t, ctx, w, revise, want)
+	requireAnswerOnlySum(t, ctx+", answer-only", heldWorld(true), revise, got)
 }

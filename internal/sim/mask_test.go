@@ -69,7 +69,7 @@ func TestMaskedRunValidation(t *testing.T) {
 	if _, err := s.Fork([]DelayUpdate{{Job: 0, Stage: off, Delay: 1}}); err == nil || !strings.Contains(err.Error(), "has no stage") {
 		t.Fatalf("Fork revising an inactive stage = %v, want an unknown-stage error", err)
 	}
-	if _, ok := s.ReadyTime(0, off); ok {
+	if _, ok := s.ReadyTime(0, 1); ok {
 		t.Fatal("an inactive stage reports a ready time")
 	}
 }

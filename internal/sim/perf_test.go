@@ -25,7 +25,7 @@ func drainEnginePool() {
 // allocates is its caller-owned Result (the struct, its timelines and
 // per-job slices) and the run's own bookkeeping — a constant that does not
 // grow with stages, nodes or events. LDA on 30 nodes (150 items)
-// measures 9 allocations per pooled run and 60 (68 under -race) on a
+// measures 9 allocations per pooled run and 57 (68 under -race) on a
 // fresh engine, which pays for its buffers once; the budgets below are
 // those with ~40% headroom. A regression that allocates per stage, per
 // item, per event or per rate pass — heap stage states, boxing timers

@@ -40,12 +40,47 @@ func stepOut(s *Stepper) (*Result, error) {
 	return res, nil
 }
 
+// answerOnlyDrains is a what-if evaluation's use of the pool: an
+// answer-only world over runs, advanced to just before at, forked with
+// and without the update and itself drained, each with DrainJCTSum. The
+// answers come back as a Result's JobEnd (a fork's Σ JCT, then the
+// world's) and Events (their event counts, summed), so the hygiene checks
+// compare them like any other result.
+func answerOnlyDrains(opt Options, runs []JobRun, at float64, upd []DelayUpdate) (*Result, error) {
+	s, err := NewStepper(opt, runs)
+	if err != nil {
+		return nil, err
+	}
+	s.AnswerOnly()
+	if err := s.AdvanceBefore(at); err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	for _, u := range [][]DelayUpdate{upd, nil} {
+		f, err := s.Fork(u)
+		if err != nil {
+			return nil, err
+		}
+		sum, err := f.DrainJCTSum()
+		if err != nil {
+			return nil, err
+		}
+		res.JobEnd, res.Events = append(res.JobEnd, sum), res.Events+f.Events()
+	}
+	sum, err := s.DrainJCTSum()
+	if err != nil {
+		return nil, err
+	}
+	res.JobEnd, res.Events = append(res.JobEnd, sum), res.Events+s.Events()
+	return res, nil
+}
+
 // poolTasks is the mixed sequence of the pool hygiene test: every option
 // family that leaves different state in an engine (fault, speculation and
 // blacklist bookkeeping, prefetch weights, fairness scratch, tracked
 // series and occupancy segments), one- and multi-job worlds, coarse and
-// 30-node clusters, forks of paused steppers, and steppers grown by
-// Inject.
+// 30-node clusters, forks of paused steppers, steppers grown by Inject,
+// and answer-only what-if drains between the full runs.
 func poolTasks(t *testing.T) []poolTask {
 	c6 := cluster.NewM4LargeCluster(6)
 	c30 := cluster.NewM4LargeCluster(30)
@@ -67,10 +102,22 @@ func poolTasks(t *testing.T) []poolTask {
 			{Job: job(i + 1), Arrival: 15 + 10*float64(i), Delays: randomDelays(job(i+1), rng)},
 			{Job: job(i + 2), Arrival: 40, Delays: randomDelays(job(i+2), rng)},
 		}
+		// An answer-only world's drains, after each full run of the same
+		// world: a stale answerOnly flag would drop the next full run's
+		// usage, a stale fault or speculation field of an item would
+		// change a drained answer.
+		answer := func(name string, opt Options) {
+			last := multi[2].Job
+			upd := []DelayUpdate{{Job: 2, Stage: last.Graph.StagesView()[last.Graph.Len()-1], Delay: 5}}
+			tasks = append(tasks, poolTask{name, func() (*Result, error) { return answerOnlyDrains(opt, multi, 30, upd) }})
+		}
 		add(fmt.Sprintf("plain-%d", i), Options{Cluster: c6, TrackNode: -1}, one)
 		add(fmt.Sprintf("chaos-%d", i), chaosOptions(c6, inj), multi)
+		answer(fmt.Sprintf("answer-chaos-%d", i), chaosOptions(c6, inj))
 		add(fmt.Sprintf("aggshuffle-%d", i), Options{Cluster: c6, TrackNode: -1, AggShuffle: true}, multi)
+		answer(fmt.Sprintf("answer-aggshuffle-%d", i), Options{Cluster: c6, TrackNode: -1, AggShuffle: true})
 		add(fmt.Sprintf("fair-%d", i), Options{Cluster: c6, TrackNode: -1, FairByJob: true}, multi)
+		answer(fmt.Sprintf("answer-fair-%d", i), Options{Cluster: c6, TrackNode: 1, TrackCluster: true, FairByJob: true})
 		add(fmt.Sprintf("tracked-%d", i), Options{Cluster: c6, TrackNode: 1, TrackCluster: true, TrackOccupancy: true}, one)
 		add(fmt.Sprintf("coarse-%d", i), Options{Cluster: coarse, TrackNode: -1, FairByJob: true}, multi)
 		add(fmt.Sprintf("n30-%d", i), Options{Cluster: c30, TrackNode: -1},
@@ -129,8 +176,9 @@ func poolTasks(t *testing.T) []poolTask {
 // TestEnginePoolHygiene: recycled engines must not carry state between
 // runs, and a returned Result must never alias pooled buffers. The mixed
 // sequence runs once in order — each Result deep-copied the moment it is
-// returned and compared again after every later run — and once shuffled
-// across 4 goroutines sharing the pool; every Result must be identical.
+// returned and compared again after every later run — once more task by
+// task from an emptied pool, and once shuffled across 4 goroutines
+// sharing the pool; every Result must be identical.
 func TestEnginePoolHygiene(t *testing.T) {
 	tasks := poolTasks(t)
 	seq := make([]*Result, len(tasks))
@@ -146,6 +194,17 @@ func TestEnginePoolHygiene(t *testing.T) {
 	for i := range tasks {
 		if !reflect.DeepEqual(seq[i], copies[i]) {
 			t.Errorf("%s: result changed after later runs (aliases an engine buffer)", tasks[i].name)
+		}
+	}
+	for i, task := range tasks {
+		drainEnginePool()
+		res, err := task.run()
+		if err != nil {
+			t.Fatalf("%s (fresh pool): %v", task.name, err)
+		}
+		if !reflect.DeepEqual(seq[i], res) {
+			t.Errorf("%s: run from an emptied pool differs from the in-order run (events %d vs %d)",
+				task.name, res.Events, seq[i].Events)
 		}
 	}
 
@@ -178,5 +237,47 @@ func TestEnginePoolHygiene(t *testing.T) {
 			t.Errorf("%s: shuffled concurrent run differs from the in-order run (events %d vs %d, makespan %v vs %v)",
 				task.name, par[i].Events, seq[i].Events, par[i].Makespan, seq[i].Makespan)
 		}
+	}
+}
+
+// TestNewItemResetsPooledItem: newItem hands out a pooled item whose
+// every field is either one it was given or zero, whatever the item held
+// when it was freed. Every field of the freed item is set to a non-zero
+// value by reflection, so a field added to item that newItem forgets to
+// reset fails here.
+func TestNewItemResetsPooledItem(t *testing.T) {
+	e := newEngine(Options{Cluster: cluster.NewM4LargeCluster(2), TrackNode: -1}, nil)
+	defer e.release()
+	stale := e.popItem()
+	v := reflect.ValueOf(stale).Elem()
+	for i := range v.NumField() {
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), f.Addr().UnsafePointer()).Elem() // unexported
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Uint8:
+			f.SetUint(2)
+		case reflect.Float64:
+			f.SetFloat(3.5)
+		case reflect.Pointer:
+			f.Set(reflect.ValueOf(&item{}))
+		case reflect.Struct:
+			f.Set(reflect.ValueOf(skey{job: 9, stage: 9}))
+		default:
+			t.Fatalf("item field %s has kind %v the test cannot set", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	e.freeItem(stale)
+	st := &stageState{key: skey{job: 1, stage: 4}, idx: 6}
+	it := e.newItem(st, 2, 3, phWrite, 40)
+	if it != stale {
+		t.Fatal("newItem did not reuse the freed item")
+	}
+	want := item{key: st.key, st: 6, home: 2, node: 3, ph: phWrite, remaining: 40, volume: 40}
+	if *it != want {
+		t.Errorf("newItem over a stale pooled item = %+v, want %+v", *it, want)
 	}
 }

@@ -80,16 +80,13 @@ func (e *engine) retryTask(t timer) {
 	if vol <= eps {
 		vol = eps * 2 // degenerate volume: completes on the next event
 	}
-	it := e.newItem()
 	// Re-place from the partition's home: if the machine that killed the
 	// previous attempts got blacklisted meanwhile, the retry lands on a
 	// healthy node instead of dying in the same place again.
 	home := int(t.home)
-	*it = item{key: st.key, st: int(t.st), home: home, node: e.placeNode(home), ph: t.ph,
-		remaining: vol, volume: vol, attempt: int(t.attempt), recompute: t.recomp}
-	if t.ph == phRead && st.prefetched && st.parentsLeft > 0 && !t.recomp {
-		it.capped = true
-	}
+	it := e.newItem(st, home, e.placeNode(home), t.ph, vol)
+	it.attempt, it.recompute = int(t.attempt), t.recomp
+	it.capped = t.ph == phRead && st.prefetched && st.parentsLeft > 0 && !t.recomp
 	if t.ph == phCompute {
 		e.armCompute(it)
 	}
@@ -201,9 +198,8 @@ func (e *engine) recompPhase(st *stageState, w int, ph phase, attempt int) {
 			vol = st.profile.perNodeOut
 		}
 		if vol > eps {
-			it := e.newItem()
-			*it = item{key: st.key, st: st.idx, home: w, node: e.placeNode(w), ph: ph,
-				remaining: vol, volume: vol, attempt: attempt, recompute: true}
+			it := e.newItem(st, w, e.placeNode(w), ph, vol)
+			it.attempt, it.recompute = attempt, true
 			if ph == phCompute {
 				e.armCompute(it)
 			}

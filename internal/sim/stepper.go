@@ -6,8 +6,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-
-	"delaystage/internal/dag"
 )
 
 // Stepper drives one simulation at event granularity, and it is the one
@@ -89,20 +87,18 @@ func (s *Stepper) Events() int {
 	return s.e.res.Events
 }
 
-// ReadyTime reports when the stage became ready — every parent complete,
-// or the job arrived for a root — and false while it is not ready yet.
+// ReadyTime reports when the job's stage at position pos (in
+// Graph.StagesView order) became ready — every parent complete, or the
+// job arrived for a root — and false while it is not ready yet, and for a
+// position the job does not have or its run's mask leaves out. A retired
+// stepper reports false: a finished run's ready times are in its Result.
 // The what-if evaluator steps a world to its scanned stage's readiness
-// with it.
-func (s *Stepper) ReadyTime(job int, stage dag.StageID) (float64, bool) {
+// with it; a position, unlike a stage ID, needs no map lookup per step.
+func (s *Stepper) ReadyTime(job, pos int) (float64, bool) {
 	if s.e == nil {
-		if s.res != nil {
-			if tl := s.res.Timeline(job, stage); tl != nil {
-				return tl.Ready, true
-			}
-		}
 		return 0, false
 	}
-	si := s.e.stateIdx(skey{job, stage})
+	si := s.e.posIdx(job, pos)
 	if si < 0 || !s.e.states[si].readyValid {
 		return 0, false
 	}
@@ -291,18 +287,29 @@ func (s *Stepper) Inject(run JobRun) error {
 	return nil
 }
 
+// AnswerOnly makes the world answer-only: from here on it, and every fork
+// taken of it afterwards, steps without the usage integrals and tracked
+// series that only a finalized Result reports. Its trajectory — clock,
+// events, stage timelines, job ends — is unchanged, DrainJCTSum is its
+// only answer, and Result errors. The what-if evaluator makes its
+// prepared worlds answer-only, so the worlds its candidate scans step
+// and fork keep nothing nobody reads. It does nothing on a retired
+// stepper.
+func (s *Stepper) AnswerOnly() {
+	if s.e != nil {
+		s.e.answerOnly = true
+	}
+}
+
 // DrainJCTSum steps the world to its end and returns Σ JCT over its jobs
 // in job order, bit-identical to summing Result().JCT(i) from zero (for
 // one job arriving at 0, its end time), without finalizing a Result: the
 // engine retires to the pool and a later Result call errors. It is the
 // answer path of a what-if evaluation, which needs one number, so the
-// engine steps answer-only: it keeps no usage integrals or tracked
-// series, which only a finalized Result reports. Observers see every
-// event as in a full run.
+// world steps answer-only (see AnswerOnly). Observers see every event as
+// in a full run.
 func (s *Stepper) DrainJCTSum() (float64, error) {
-	if s.e != nil {
-		s.e.answerOnly = true
-	}
+	s.AnswerOnly()
 	for !s.done {
 		if err := s.StepNextEvent(); err != nil {
 			return 0, err
@@ -349,13 +356,16 @@ var errClosed = errors.New("sim: stepper closed")
 // HasPendingEvents is false; a run that ended in an error returns it here
 // too. Result may be called repeatedly (the finalize pass runs once).
 // Taking the result retires the stepper's engine to the pool; the Result
-// itself belongs to the caller.
+// itself belongs to the caller. An answer-only world has no Result.
 func (s *Stepper) Result() (*Result, error) {
 	if !s.done {
 		return nil, fmt.Errorf("sim: result requested with events still pending")
 	}
 	if s.err != nil {
 		return nil, s.err
+	}
+	if s.e != nil && s.e.answerOnly {
+		return nil, fmt.Errorf("sim: result requested from an answer-only world (it keeps no usage; drain it with DrainJCTSum)")
 	}
 	if s.e != nil {
 		s.e.finalize()
@@ -383,6 +393,7 @@ func (s *Stepper) Result() (*Result, error) {
 // speculation race needs an old→new item map to rewire its rival links.
 func (e *engine) clone() *engine {
 	c := newEngine(e.opt, e.runs)
+	c.answerOnly = e.answerOnly
 	c.seq = e.seq
 	c.now = e.now
 	c.cpuBusyInt = e.cpuBusyInt
@@ -415,7 +426,7 @@ func (e *engine) clone() *engine {
 
 	rivals := false
 	for _, it := range e.items {
-		ni := c.newItem()
+		ni := c.popItem()
 		*ni = *it
 		c.items = append(c.items, ni)
 		bk := c.bucketOf(ni)

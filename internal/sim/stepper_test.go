@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
@@ -157,5 +159,156 @@ func TestStepperValidation(t *testing.T) {
 	}
 	if _, err := s.Result(); err == nil {
 		t.Fatal("result with pending events did not error")
+	}
+}
+
+// jctSum is Σ JCT(i) over a result's jobs, in job order: the answer
+// DrainJCTSum gives for the same world.
+func jctSum(r *Result) float64 {
+	sum := 0.0
+	for i := range r.JobEnd {
+		sum += r.JCT(i)
+	}
+	return sum
+}
+
+// TestAnswerOnlyWorld: an answer-only world and every fork of it step the
+// run's trajectory unchanged, give the full run's Σ JCT bit for bit, and
+// have no Result; the world it was forked from keeps its own.
+func TestAnswerOnlyWorld(t *testing.T) {
+	c := cluster.NewM4LargeCluster(4)
+	rng := rand.New(rand.NewSource(29))
+	jobs := galleryJobs(c, 0.25)
+	for _, opt := range []Options{
+		{Cluster: c, TrackNode: 0, TrackCluster: true},
+		chaosOptions(c, chaosInjector(t)),
+	} {
+		for i, job := range jobs {
+			other := jobs[(i+1)%len(jobs)]
+			runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}, {Job: other, Arrival: 20, Delays: randomDelays(other, rng)}}
+			ref, err := Run(opt, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := jctSum(ref)
+			full := pausedAt(t, opt, runs, ref.Makespan/3)
+			w, err := full.Fork(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.AnswerOnly()
+			if err := w.AdvanceBefore(ref.Makespan / 2); err != nil {
+				t.Fatal(err)
+			}
+			fork, err := w.Fork(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grand, err := fork.Fork(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]*Stepper{"world": w, "fork": fork, "fork of a fork": grand} {
+				for s.HasPendingEvents() {
+					if err := s.StepNextEvent(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := s.Result(); err == nil || !strings.Contains(err.Error(), "answer-only") {
+					t.Errorf("%s/%s: Result of an answer-only %s = %v, want an answer-only error", job.Name, other.Name, name, err)
+				}
+				if s.Events() != ref.Events || s.Clock() != slices.Max(ref.JobEnd) {
+					t.Errorf("%s/%s: answer-only %s ends at event %d, t=%v; the full run at %d, %v",
+						job.Name, other.Name, name, s.Events(), s.Clock(), ref.Events, ref.JobEnd)
+				}
+				got, err := s.DrainJCTSum()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s/%s: answer-only %s drains Σ JCT %v, the full run %v", job.Name, other.Name, name, got, want)
+				}
+			}
+			if got := stepToCompletion(t, full); !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s/%s: the world an answer-only fork came from lost its result", job.Name, other.Name)
+			}
+		}
+	}
+}
+
+// TestReadyTimeByPosition steps a world holding an unmasked job and a
+// masked one arriving later. At every step ReadyTime(job, pos) reports
+// false until the stage is ready and then, from that step on, the ready
+// time the full run's timeline records; it reports false, without
+// panicking, for masked-off stages, for positions and jobs out of range,
+// and once the stepper is retired.
+func TestReadyTimeByPosition(t *testing.T) {
+	c := cluster.NewM4LargeCluster(3)
+	jobs := galleryJobs(c, 0.25)
+	masked := jobs[2]
+	mask := make([]bool, masked.Graph.Len())
+	for p := range mask {
+		mask[p] = p%3 != 1
+	}
+	opt := Options{Cluster: c, TrackNode: -1}
+	runs := []JobRun{{Job: jobs[0]}, {Job: masked, Arrival: 15, Active: mask}}
+	ref, err := Run(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStepper(opt, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready := [][]bool{make([]bool, jobs[0].Graph.Len()), make([]bool, masked.Graph.Len())}
+	check := func(step int) {
+		for _, job := range []int{-1, 2, 1 << 20} {
+			if _, ok := s.ReadyTime(job, 0); ok {
+				t.Fatalf("step %d: job %d out of range reports a ready time", step, job)
+			}
+		}
+		for j, run := range runs {
+			ids := run.Job.Graph.StagesView()
+			for p := -2; p < len(ids)+2; p++ {
+				tr, ok := s.ReadyTime(j, p)
+				switch {
+				case p < 0 || p >= len(ids):
+					if ok {
+						t.Fatalf("step %d: job %d position %d out of range reports ready at %v", step, j, p, tr)
+					}
+				case run.Active != nil && !run.Active[p]:
+					if ok {
+						t.Fatalf("step %d: job %d masked-off position %d reports ready at %v", step, j, p, tr)
+					}
+				case ok:
+					if tl := ref.Timeline(j, ids[p]); tl == nil || tl.Ready != tr {
+						t.Fatalf("step %d: job %d position %d ready at %v, the run's timeline %+v", step, j, p, tr, tl)
+					}
+					ready[j][p] = true
+				case ready[j][p]:
+					t.Fatalf("step %d: job %d position %d no longer reports its ready time", step, j, p)
+				}
+			}
+		}
+	}
+	for step := 0; s.HasPendingEvents(); step++ {
+		check(step)
+		if err := s.StepNextEvent(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(-1)
+	for j, run := range runs {
+		for p, id := range run.Job.Graph.StagesView() {
+			if (run.Active == nil || run.Active[p]) && !ready[j][p] {
+				t.Errorf("job %d stage %d (position %d) never reported ready", j, id, p)
+			}
+		}
+	}
+	if _, err := s.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.ReadyTime(0, 0); ok {
+		t.Error("a retired stepper reports a ready time")
 	}
 }
