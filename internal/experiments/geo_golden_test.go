@@ -1,0 +1,42 @@
+package experiments
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"testing"
+)
+
+const geoGoldenPath = "testdata/geo.golden"
+
+// TestGeoGolden pins the geo extension at `experiments -only geo`'s
+// configuration: the rendered tables and every GeoResult row, floats as
+// their IEEE bits. Run with -update to regenerate after an intended
+// change.
+func TestGeoGolden(t *testing.T) {
+	var w bytes.Buffer
+	r, err := GeoExtension(Config{Seed: 1, W: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range r.Rows {
+		fmt.Fprintf(&w, "wan=%016x stock=%016x delay=%016x gain=%016x util=%016x delays=%d\n",
+			math.Float64bits(row.WANMBps), math.Float64bits(row.StockJCT), math.Float64bits(row.DelayJCT),
+			math.Float64bits(row.GainP), math.Float64bits(row.WANUtilP), row.DelayCount)
+	}
+	got := w.Bytes()
+	if *update {
+		if err := os.WriteFile(geoGoldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(geoGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("geo output differs from %s:\n got %s\nwant %s", geoGoldenPath, got, want)
+	}
+}
