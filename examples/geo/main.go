@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/geo"
 	"delaystage/internal/workload"
 )
@@ -37,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched, err := geo.ComputeDelays(geo.DelayOptions{Topology: topo}, job)
+	sched, err := geo.Plan(core.Options{}, topo, job)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func TestIntegrationGeoPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := &geo.Job{Workload: wl, Placement: place}
-	sched, err := geo.ComputeDelays(geo.DelayOptions{Topology: topo, MaxCandidates: 12}, job)
+	sched, err := geo.Plan(core.Options{MaxCandidates: 12}, topo, job)
 	if err != nil {
 		t.Fatal(err)
 	}

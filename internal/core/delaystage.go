@@ -116,6 +116,14 @@ type Options struct {
 	// replays trace-scale jobs in minutes. Makespan/StockMakespan are
 	// predictions, not simulations; Evaluations land in PruneStats.Approx.
 	Approximate bool
+	// Placement and Links mirror sim.JobRun.Placement and
+	// sim.Options.Links: with a Placement, every stage runs on its node
+	// of Cluster, which the what-if simulations use as it is (not
+	// coarsened), reading across nodes over Links. The analytic model
+	// knows no links, so a placed job is planned without the analytic
+	// tier and Approximate is an error. Links need a Placement.
+	Placement map[dag.StageID]int
+	Links     [][]float64
 }
 
 // PruneStats breaks the two-tier candidate scan down: how many candidates
@@ -329,6 +337,12 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
+	switch {
+	case opt.Placement != nil && opt.Approximate:
+		return nil, fmt.Errorf("core: Approximate cannot plan a placed job: the analytic model knows no links")
+	case opt.Placement == nil && opt.Links != nil:
+		return nil, fmt.Errorf("core: Links need a Placement")
+	}
 	if opt.SlotSeconds <= 0 {
 		opt.SlotSeconds = 1
 	}
@@ -395,12 +409,13 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 	// analytic tier. The aggregate work/capacity term is only sound
 	// against the simulator (the prediction's truncated stretch fixed
 	// point does not conserve capacity), so one evaluator without it
-	// serves both of the analytic tier's roles.
+	// serves both of the analytic tier's roles. A placed job has no
+	// analytic tier: the model knows no links.
 	var bev *perfmodel.BoundEvaluator
 	switch {
 	case opt.Approximate:
 		bev, err = perfmodel.NewBoundEvaluator(opt.Cluster, job, perfmodel.BoundConfig{})
-	case !opt.DisableBoundPrune:
+	case !opt.DisableBoundPrune && opt.Placement == nil:
 		bev, err = perfmodel.NewBoundEvaluator(coarseFor(opt.Cluster), job, perfmodel.BoundConfig{IncludeWorkBound: true})
 	}
 	if err != nil {
@@ -410,7 +425,7 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 		aev := newApproxEvaluator(bev, len(ids), a.Committed)
 		sc.ev, sc.shared = aev, aev.shared
 	} else {
-		sev, err := newSimEvaluator(opt.Cluster, job, opt.DisableEvalCache, a)
+		sev, err := newSimEvaluator(opt, job, a)
 		if err != nil {
 			return nil, err
 		}

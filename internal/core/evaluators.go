@@ -152,10 +152,11 @@ func (f *fingerprinter) batchKey(i int) []byte {
 }
 
 // simEvaluator answers Alg. 1's "what happens if stage k is delayed by x̂"
-// question by running the coarse fluid simulator on the active sub-job —
-// the faithful interpretation of lines 12–14 (stage time under the
-// resulting parallelism, completion-time updates of subsequent and
-// interfering stages). The sub-job arrives into the evaluator's world
+// question by running the coarse fluid simulator (for a placed job, the
+// cluster as it is, over its links) on the active sub-job — the faithful
+// interpretation of lines 12–14 (stage time under the resulting
+// parallelism, completion-time updates of subsequent and interfering
+// stages). The sub-job arrives into the evaluator's world
 // (Arrival): every answer is Σ JCT over the world's jobs and the sub-job,
 // which for Compute's empty world and arrival at 0 is the sub-job's end
 // time, bit for bit.
@@ -172,13 +173,16 @@ func (f *fingerprinter) batchKey(i int) []byte {
 // bit-identical to from-scratch runs, so schedules are byte-identical
 // with every layer on or off.
 type simEvaluator struct {
-	coarse  *cluster.Cluster
-	job     *workload.Job
-	ids     []dag.StageID // the job's stages by position
-	shared  *evalShared
-	arrival Arrival
-	ji      int // the sub-job's index in its world
-	active  activeSet
+	// simOpt runs the worlds of an empty arrival: the coarse cluster, or
+	// with a placement the cluster as it is and its links.
+	simOpt    sim.Options
+	placement map[dag.StageID]int
+	job       *workload.Job
+	ids       []dag.StageID // the job's stages by position
+	shared    *evalShared
+	arrival   Arrival
+	ji        int // the sub-job's index in its world
+	active    activeSet
 	// world is the active set's prepared world, only ever forked; clones
 	// share it.
 	world *sim.Stepper
@@ -190,14 +194,18 @@ type simEvaluator struct {
 	held    []float64
 }
 
-func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool, a Arrival) (*simEvaluator, error) {
+func newSimEvaluator(opt Options, job *workload.Job, a Arrival) (*simEvaluator, error) {
 	ji := 0
 	if a.World != nil {
 		ji = a.World.Jobs()
 	}
+	so := sim.Options{Cluster: coarseFor(opt.Cluster), TrackNode: -1, FairByJob: a.FairByJob}
+	if opt.Placement != nil {
+		so.Cluster, so.Links = opt.Cluster, opt.Links
+	}
 	e := &simEvaluator{
-		coarse: coarseFor(c), job: job, ids: job.Graph.StagesView(), arrival: a, ji: ji,
-		shared: &evalShared{disable: disableCache, memo: map[string]float64{}},
+		simOpt: so, placement: opt.Placement, job: job, ids: job.Graph.StagesView(), arrival: a, ji: ji,
+		shared: &evalShared{disable: opt.DisableEvalCache, memo: map[string]float64{}},
 	}
 	if err := e.prepare(nil); err != nil {
 		return nil, err
@@ -214,11 +222,11 @@ func newSimEvaluator(c *cluster.Cluster, job *workload.Job, disableCache bool, a
 func (e *simEvaluator) prepare(mask []bool) error {
 	a := e.arrival
 	act := newActiveSet(mask, len(e.ids))
-	run := sim.JobRun{Job: e.job, Arrival: a.At, Active: act.mask}
+	run := sim.JobRun{Job: e.job, Arrival: a.At, Active: act.mask, Placement: e.placement}
 	var w *sim.Stepper
 	var err error
 	if a.World == nil {
-		w, err = sim.NewStepper(sim.Options{Cluster: e.coarse, TrackNode: -1, FairByJob: a.FairByJob}, []sim.JobRun{run})
+		w, err = sim.NewStepper(e.simOpt, []sim.JobRun{run})
 	} else if w, err = a.World.Fork(nil); err == nil {
 		if err = w.Inject(run); err != nil {
 			w.Close()

@@ -117,8 +117,8 @@ type maskCase struct {
 // sub-job's run bit for bit, alone and arriving at t = 40 into a world
 // that already runs a committed job: the Result of a run and of a fork of
 // the unstepped masked world that carries every delay as a DelayUpdate,
-// and the DrainJCTSum of both.
-func checkMaskedRun(t *testing.T, opt sim.Options, mc maskCase, committed *workload.Job) {
+// and the DrainJCTSum of both. A non-nil placement places both runs.
+func checkMaskedRun(t *testing.T, opt sim.Options, mc maskCase, committed *workload.Job, placement map[dag.StageID]int) {
 	t.Helper()
 	active := map[dag.StageID]bool{}
 	for p, id := range mc.job.Graph.StagesView() {
@@ -144,7 +144,7 @@ func checkMaskedRun(t *testing.T, opt sim.Options, mc maskCase, committed *workl
 		for i := range ups {
 			ups[i].Job = ji
 		}
-		ref, err := sim.Run(opt, append(slices.Clone(world), sim.JobRun{Job: sub, Arrival: at, Delays: mc.delays}))
+		ref, err := sim.Run(opt, append(slices.Clone(world), sim.JobRun{Job: sub, Arrival: at, Delays: mc.delays, Placement: placement}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func checkMaskedRun(t *testing.T, opt sim.Options, mc maskCase, committed *workl
 		for i := range ref.JobEnd {
 			refSum += ref.JCT(i)
 		}
-		run := sim.JobRun{Job: mc.job, Arrival: at, Active: mc.mask}
+		run := sim.JobRun{Job: mc.job, Arrival: at, Active: mc.mask, Placement: placement}
 		delayed := run
 		delayed.Delays = mc.delays
 		got, err := sim.Run(opt, append(slices.Clone(world), delayed))
@@ -238,11 +238,30 @@ func maskCases(job *workload.Job, rng *rand.Rand) []maskCase {
 	return out
 }
 
+// randomPlacement puts every stage of the job on one of n nodes at
+// random.
+func randomPlacement(job *workload.Job, n int, rng *rand.Rand) map[dag.StageID]int {
+	p := map[dag.StageID]int{}
+	for _, id := range job.Graph.StagesView() {
+		p[id] = rng.Intn(n)
+	}
+	return p
+}
+
+// placedOptions is a 3-node cluster joined by links of unequal
+// bandwidth, for placed runs.
+func placedOptions() sim.Options {
+	bw := cluster.Mbps(290)
+	return sim.Options{Cluster: cluster.NewM4LargeCluster(3), TrackNode: -1,
+		Links: [][]float64{{0, bw / 3, bw / 5}, {bw / 4, 0, bw / 2}, {bw / 6, bw / 3, 0}}}
+}
+
 // TestMaskedRunMatchesRestrictedJob: a masked run is the restricted
 // sub-job, bit for bit — on gallery and paper jobs, random DAGs and a DAG
 // whose children precede their parents in position order, on the coarse
-// planner cluster, on a tracked multi-node one and under faults — and so
-// is a fork of the unstepped masked world that revises every delay.
+// planner cluster, on a tracked multi-node one, under faults and placed
+// at random on a linked one — and so is a fork of the unstepped masked
+// world that revises every delay.
 func TestMaskedRunMatchesRestrictedJob(t *testing.T) {
 	c := cluster.NewM4LargeCluster(4)
 	rng := rand.New(rand.NewSource(11))
@@ -277,11 +296,19 @@ func TestMaskedRunMatchesRestrictedJob(t *testing.T) {
 		{Cluster: sim.Coarsen(c), TrackNode: -1},
 		{Cluster: c, TrackNode: 1, TrackCluster: true, TrackOccupancy: true, FairByJob: true},
 		{Cluster: c, TrackNode: -1, Faults: inj, MaxAttempts: 8, Speculation: true, BlacklistAfter: 3},
+		placedOptions(),
 	}
+	// Placements draw from their own source, so the other cases' draws
+	// stay as they were.
+	prng := rand.New(rand.NewSource(13))
 	for _, job := range jobs {
 		for _, mc := range maskCases(job, rng) {
 			for _, opt := range opts {
-				checkMaskedRun(t, opt, mc, committed)
+				var place map[dag.StageID]int
+				if opt.Links != nil {
+					place = randomPlacement(job, len(opt.Cluster.Nodes), prng)
+				}
+				checkMaskedRun(t, opt, mc, committed, place)
 			}
 		}
 	}
@@ -289,14 +316,17 @@ func TestMaskedRunMatchesRestrictedJob(t *testing.T) {
 
 // FuzzMaskedRun hunts for a DAG, mask and delay vector on which a masked
 // run (or a fork of the unstepped masked world) departs from the
-// restricted sub-job's run.
+// restricted sub-job's run; with placed set, both runs are placed at
+// random on a linked 3-node cluster.
 func FuzzMaskedRun(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint64(0b101101), false)
-	f.Add(int64(2), uint8(12), uint64(0), true)
-	f.Add(int64(3), uint8(9), ^uint64(0), false)
+	f.Add(int64(1), uint8(6), uint64(0b101101), false, false)
+	f.Add(int64(2), uint8(12), uint64(0), true, false)
+	f.Add(int64(3), uint8(9), ^uint64(0), false, false)
+	f.Add(int64(4), uint8(10), uint64(0b110110), false, true)
+	f.Add(int64(5), uint8(14), ^uint64(0), true, true)
 	c := cluster.NewM4LargeCluster(3)
 	opt := sim.Options{Cluster: sim.Coarsen(c), TrackNode: -1}
-	f.Fuzz(func(t *testing.T, seed int64, stages uint8, bits uint64, reverse bool) {
+	f.Fuzz(func(t *testing.T, seed int64, stages uint8, bits uint64, reverse, placed bool) {
 		rng := rand.New(rand.NewSource(seed))
 		job := workload.RandomJob("fuzz", c, 1+int(stages%24), rng)
 		if reverse {
@@ -309,14 +339,20 @@ func FuzzMaskedRun(f *testing.F) {
 				mc.delays[id] = rng.Float64() * 90
 			}
 		}
-		checkMaskedRun(t, opt, mc, workload.RandomJob("committed", c, 4, rng))
+		committed := workload.RandomJob("committed", c, 4, rng)
+		if placed {
+			popt := placedOptions()
+			checkMaskedRun(t, popt, mc, committed, randomPlacement(job, len(popt.Cluster.Nodes), rng))
+			return
+		}
+		checkMaskedRun(t, opt, mc, committed, nil)
 	})
 }
 
 func TestSimEvaluatorMatchesDirectSim(t *testing.T) {
 	c := c30()
 	j := workload.LDA(c, 0.2)
-	ev, err := newSimEvaluator(c, j, false, Arrival{})
+	ev, err := newSimEvaluator(Options{Cluster: c}, j, Arrival{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +419,7 @@ func TestPreparedWorldsAnswerOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range []Arrival{{}, {World: committed, At: 40}} {
-		ev, err := newSimEvaluator(c, job, true, a)
+		ev, err := newSimEvaluator(Options{Cluster: c, DisableEvalCache: true}, job, a)
 		if err != nil {
 			t.Fatal(err)
 		}

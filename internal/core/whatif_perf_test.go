@@ -39,7 +39,7 @@ const heldX = 3
 // few seconds, and pauses the scan prefix and the held world.
 func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *whatIfFixture {
 	tb.Helper()
-	ev, err := newSimEvaluator(c, job, true, Arrival{})
+	ev, err := newSimEvaluator(Options{Cluster: c, DisableEvalCache: true}, job, Arrival{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *wha
 			delays[job.Graph.StagesView()[p]] = f.delays[p]
 		}
 	}
-	opt := sim.Options{Cluster: f.ev.coarse, TrackNode: -1}
+	opt := f.ev.simOpt
 	held := maps.Clone(delays)
 	held[f.kid] = 10 * heldX
 	if f.held, err = sim.NewStepper(opt, []sim.JobRun{{Job: job, Delays: held}}); err != nil {

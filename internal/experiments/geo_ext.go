@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/geo"
 	"delaystage/internal/workload"
 )
@@ -45,7 +46,7 @@ func GeoExtension(cfg Config) (*GeoResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched, err := geo.ComputeDelays(geo.DelayOptions{Topology: topo, MaxCandidates: 16}, job)
+		sched, err := geo.Plan(core.Options{MaxCandidates: 16}, topo, job)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +86,7 @@ func GeoExtension(cfg Config) (*GeoResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched, err := geo.ComputeDelays(geo.DelayOptions{Topology: topo, MaxCandidates: 16}, gj)
+		sched, err := geo.Plan(core.Options{MaxCandidates: 16}, topo, gj)
 		if err != nil {
 			return nil, err
 		}

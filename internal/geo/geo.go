@@ -10,16 +10,18 @@
 // single-cluster simulator collapses into one NIC — is explicit here: a
 // stage's read finishes when its slowest WAN flow does.
 //
-// The package holds the topology, the placements and the delay search;
-// the simulation is internal/sim's, with each DC a node of one cluster,
-// each WAN link a link between two nodes and each stage placed on its DC
-// (Run), so schedules and comparisons carry over.
+// The package holds the topology and the placements. The simulation is
+// internal/sim's, with each DC a node of one cluster, each WAN link a link
+// between two nodes and each stage placed on its DC (Run), and the delay
+// search is internal/core's Alg. 1 on that layout (Plan), so schedules
+// and comparisons carry over.
 package geo
 
 import (
 	"fmt"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/dag"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
@@ -132,7 +134,7 @@ func WANBytes(t *Topology, j *Job) int64 {
 	for _, id := range j.Workload.Graph.StagesView() {
 		dst := j.Placement[id]
 		in := float64(j.Workload.Profiles[id].ShuffleIn)
-		w := j.Workload.AppendInputWeights(nil, id)
+		w := j.Workload.AppendInputWeights(nil, id, nil)
 		for i, p := range j.Workload.Graph.Stage(id).Parents {
 			if j.Placement[p] != dst {
 				total += int64(w[i] * in)
@@ -172,6 +174,23 @@ func Run(t *Topology, job *Job, delays map[dag.StageID]float64) (*sim.Result, er
 		return nil, err
 	}
 	return sim.Run(t.simOptions(), []sim.JobRun{{Job: job.Workload, Delays: delays, Placement: job.Placement}})
+}
+
+// Plan runs Alg. 1 (core.Compute) on the placed job: opt's Cluster,
+// Links and Placement become the layout Run simulates — the DCs as the
+// cluster's nodes, the WAN matrix as its links, each stage on its DC — so
+// every candidate delay is priced by the simulation Run performs, and
+// the schedule's Makespan is the job's Run JCT under its Delays.
+func Plan(opt core.Options, t *Topology, job *Job) (*core.Schedule, error) {
+	if t == nil {
+		return nil, fmt.Errorf("geo: nil topology")
+	}
+	if err := job.Validate(t); err != nil {
+		return nil, err
+	}
+	so := t.simOptions()
+	opt.Cluster, opt.Links, opt.Placement = so.Cluster, so.Links, job.Placement
+	return core.Compute(opt, job.Workload)
 }
 
 // simOptions lays the topology out for internal/sim: one node per DC, the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/dag"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
@@ -210,7 +211,7 @@ func TestGeoDelayStageImproves(t *testing.T) {
 	}
 	j := &Job{Workload: wl, Placement: place}
 	tp := topo3(400) // WAN 25× scarcer than intra-DC
-	sched, err := ComputeDelays(DelayOptions{Topology: tp, MaxCandidates: 16}, j)
+	sched, err := Plan(core.Options{MaxCandidates: 16}, tp, j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +226,11 @@ func TestGeoDelayStageImproves(t *testing.T) {
 	if delayed.JCT(0) > stock.JCT(0)*1.001 {
 		t.Fatalf("geo DelayStage regressed: %.1f vs %.1f", delayed.JCT(0), stock.JCT(0))
 	}
+	// The plan prices candidates with Run's own simulation.
+	if sched.Makespan != delayed.JCT(0) || sched.StockMakespan != stock.JCT(0) {
+		t.Fatalf("plan predicts %v (stock %v), Run gives %v (stock %v)",
+			sched.Makespan, sched.StockMakespan, delayed.JCT(0), stock.JCT(0))
+	}
 	gain := 100 * (stock.JCT(0) - delayed.JCT(0)) / stock.JCT(0)
 	t.Logf("geo: stock %.1f → delayed %.1f (−%.1f%%), X=%v, WAN util %.1f%%→%.1f%%",
 		stock.JCT(0), delayed.JCT(0), gain, sched.Delays, WANUtil(tp, j, stock.JCT(0))*100, WANUtil(tp, j, delayed.JCT(0))*100)
@@ -233,9 +239,9 @@ func TestGeoDelayStageImproves(t *testing.T) {
 	}
 }
 
-func TestComputeDelaysSequentialJob(t *testing.T) {
+func TestPlanSequentialJob(t *testing.T) {
 	j := chainJob(t) // pure chain: no parallel stages
-	sched, err := ComputeDelays(DelayOptions{Topology: topo3(300)}, j)
+	sched, err := Plan(core.Options{}, topo3(300), j)
 	if err != nil {
 		t.Fatal(err)
 	}

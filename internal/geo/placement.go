@@ -35,7 +35,7 @@ func GreedyWANPlacement(t *Topology, j *workload.Job) (Placement, error) {
 			nextRoot++
 			continue
 		}
-		weights := j.AppendInputWeights(nil, id)
+		weights := j.AppendInputWeights(nil, id, nil)
 		in := float64(j.Profiles[id].ShuffleIn)
 		bestDC, bestCost := 0, math.Inf(1)
 		for dc := 0; dc < len(t.DCs); dc++ {
@@ -76,7 +76,7 @@ func BottleneckAwarePlacement(t *Topology, j *workload.Job, base Placement) (Pla
 		if len(parents) == 0 {
 			continue // keep root placement: input is local storage
 		}
-		weights := j.AppendInputWeights(nil, id)
+		weights := j.AppendInputWeights(nil, id, nil)
 		in := float64(j.Profiles[id].ShuffleIn)
 		bestDC, bestTime := p[id], math.Inf(1)
 		for dc := 0; dc < len(t.DCs); dc++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/workload"
 )
 
@@ -120,7 +121,7 @@ func TestPlacementDelayComposition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, err := ComputeDelays(DelayOptions{Topology: tp, MaxCandidates: 12}, j)
+		sched, err := Plan(core.Options{MaxCandidates: 12}, tp, j)
 		if err != nil {
 			t.Fatal(err)
 		}

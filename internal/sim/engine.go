@@ -762,7 +762,7 @@ func (e *engine) addRun(ji int, run JobRun) {
 		if e.opt.AggShuffle || run.Placement != nil {
 			// Only prefetching and placed reads read the weights.
 			st.wOff = len(e.inW)
-			e.inW = run.Job.AppendInputWeights(e.inW, sid)
+			e.inW = run.Job.AppendInputWeights(e.inW, sid, run.Active)
 		}
 	}
 	e.stagesLeft = append(e.stagesLeft, stages)
@@ -902,14 +902,21 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 // into the stage's node; then what no link carries — the whole input of
 // a root — as one flow over the stage's own NIC when a parent ran on its
 // node or it is a root, just as an unplaced partition reads. A stage
-// whose reads are all empty goes straight to compute.
+// whose reads are all empty goes straight to compute. Parents a masked
+// run leaves out are skipped, so a stage without an active parent reads
+// as a root.
 func (e *engine) submitPlaced(st *stageState) {
 	st.readsLeft, st.computeLeft, st.writesLeft = 0, 1, 1
 	in := st.profile.perNodeIn
-	local := len(st.parents) == 0
+	root, local := true, false
 	remote := 0.0
 	for i, p := range st.parents {
-		if w := e.states[st.base+p].node; w != st.node {
+		ps := &e.states[st.base+p]
+		if ps.off {
+			continue
+		}
+		root = false
+		if w := ps.node; w != st.node {
 			if vol := e.inW[st.wOff+i] * in; vol > eps {
 				e.addPlacedRead(st, e.linkBucket(w, st.node), vol)
 				remote += vol
@@ -918,7 +925,7 @@ func (e *engine) submitPlaced(st *stageState) {
 			local = true
 		}
 	}
-	if vol := in - remote; local && vol > eps {
+	if vol := in - remote; (root || local) && vol > eps {
 		e.addPlacedRead(st, st.node, vol)
 	}
 	if st.readsLeft == 0 {

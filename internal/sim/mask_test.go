@@ -10,43 +10,60 @@ import (
 )
 
 // TestMaskedRunValidation: a masked run (JobRun.Active) is refused with a
-// mask of the wrong length and together with Placement or AggShuffle, at
-// construction and at Inject; a masked world cannot be written to or read
-// from a checkpoint; and its inactive stages are unknown to Fork and
-// ReadyTime. (internal/core's TestMaskedRunMatchesRestrictedJob checks
-// the semantics against the restricted sub-job.)
+// mask of the wrong length and together with AggShuffle, at construction
+// and at Inject, while a masked placed run needs links only between its
+// active stages, as its sub-job does; a masked world cannot be written
+// to or read from a checkpoint; and its inactive stages are unknown to
+// Fork and ReadyTime. (internal/core's TestMaskedRunMatchesRestrictedJob
+// checks the semantics against the restricted sub-job.)
 func TestMaskedRunValidation(t *testing.T) {
 	c := ref(2)
 	job := workload.LDA(c, 0.2)
 	n := job.Graph.Len()
 	mask := make([]bool, n)
 	mask[0] = true
+	// The first stage on node 0 and the rest on node 1, with no link
+	// between them: every cross-node edge touches an inactive stage.
+	split := map[dag.StageID]int{}
+	for p, id := range job.Graph.StagesView() {
+		split[id] = min(p, 1)
+	}
 	cases := []struct {
 		name    string
 		opt     Options
 		run     JobRun
-		wantErr string
+		wantErr string // "" = accepted
 	}{
 		{"short mask", Options{Cluster: c}, JobRun{Job: job, Active: make([]bool, n-1)}, "active mask of"},
 		{"long mask", Options{Cluster: c}, JobRun{Job: job, Active: make([]bool, n+1)}, "active mask of"},
-		{"placed", Options{Cluster: c}, JobRun{Job: job, Active: mask, Placement: map[dag.StageID]int{}}, "Placement is not supported"},
+		{"placed", Options{Cluster: c}, JobRun{Job: job, Active: mask, Placement: split}, ""},
 		{"AggShuffle", Options{Cluster: c, AggShuffle: true}, JobRun{Job: job, Active: mask}, "AggShuffle is not supported"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opt.TrackNode = -1
-			if _, err := Run(tc.opt, []JobRun{tc.run}); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Run = %v, want an error containing %q", err, tc.wantErr)
+			check := func(what string, err error) {
+				t.Helper()
+				if tc.wantErr == "" && err != nil {
+					t.Fatalf("%s = %v, want it accepted", what, err)
+				}
+				if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+					t.Fatalf("%s = %v, want an error containing %q", what, err, tc.wantErr)
+				}
 			}
+			_, err := Run(tc.opt, []JobRun{tc.run})
+			check("Run", err)
 			s, err := NewStepper(tc.opt, []JobRun{{Job: job}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.run.Arrival = 10
-			if err := s.Inject(tc.run); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Inject = %v, want an error containing %q", err, tc.wantErr)
-			}
+			check("Inject", s.Inject(tc.run))
 		})
+	}
+	// Unmasked, the same placement reads over a missing link.
+	if _, err := Run(Options{Cluster: c, TrackNode: -1}, []JobRun{{Job: job, Placement: split}}); err == nil || !strings.Contains(err.Error(), "no link connects") {
+		t.Fatalf("unmasked split placement = %v, want a missing-link error", err)
 	}
 
 	opt := Options{Cluster: c, TrackNode: -1}

@@ -194,8 +194,11 @@ type JobRun struct {
 	// edges to them are dropped, so a stage whose parents are all
 	// inactive is a root. This is how Alg. 1's what-if evaluator sees a
 	// job while its paths are still being scheduled, without building the
-	// sub-job. A masked run takes neither Placement nor AggShuffle, and a
-	// world holding one cannot be written to a checkpoint.
+	// sub-job. A masked placed run reads each active parent's share of
+	// the sub-job's input and needs a placement and links only for its
+	// active stages and the edges between them. A masked run takes no
+	// AggShuffle, and a world holding one cannot be written to a
+	// checkpoint.
 	Active []bool
 }
 
@@ -411,7 +414,8 @@ func validateLinks(opt Options) error {
 
 // validatePlacement vets the placement of job i: every stage on a node of
 // the cluster, a link with capacity under every cross-node read, and none
-// of the options whose per-node partition logic a placed stage lacks.
+// of the options whose per-node partition logic a placed stage lacks. Of
+// a masked run, only the active stages and the edges between them count.
 func validatePlacement(opt Options, i int, r JobRun) error {
 	switch {
 	case opt.AggShuffle:
@@ -424,8 +428,12 @@ func validatePlacement(opt Options, i int, r JobRun) error {
 		return fmt.Errorf("sim: job %d is placed: BlacklistAfter is not supported for placed stages", i)
 	}
 	n := len(opt.Cluster.Nodes)
-	g := r.Job.Graph
-	for _, id := range g.StagesView() {
+	g, ids := r.Job.Graph, r.Job.Graph.StagesView()
+	on := func(pos int) bool { return r.Active == nil || r.Active[pos] }
+	for pos, id := range ids {
+		if !on(pos) {
+			continue
+		}
 		w, ok := r.Placement[id]
 		if !ok {
 			return fmt.Errorf("sim: job %d stage %d has no placement", i, id)
@@ -434,10 +442,13 @@ func validatePlacement(opt Options, i int, r JobRun) error {
 			return fmt.Errorf("sim: job %d stage %d is placed on node %d of a %d-node cluster", i, id, w, n)
 		}
 	}
-	for _, id := range g.StagesView() {
+	for pos, id := range ids {
+		if !on(pos) {
+			continue
+		}
 		dst := r.Placement[id]
-		for _, p := range g.Stage(id).Parents {
-			if src := r.Placement[p]; src != dst && (opt.Links == nil || !(opt.Links[src][dst] > 0)) {
+		for _, pp := range g.ParentPos(pos) {
+			if src := r.Placement[ids[pp]]; on(pp) && src != dst && (opt.Links == nil || !(opt.Links[src][dst] > 0)) {
 				return fmt.Errorf("sim: job %d stage %d reads from node %d into node %d, which no link connects", i, id, src, dst)
 			}
 		}
@@ -465,8 +476,6 @@ func validateRun(opt Options, i int, r JobRun) error {
 		switch {
 		case len(r.Active) != r.Job.Graph.Len():
 			return fmt.Errorf("sim: job %d has an active mask of %d entries for %d stages", i, len(r.Active), r.Job.Graph.Len())
-		case r.Placement != nil:
-			return fmt.Errorf("sim: job %d is masked: Placement is not supported for masked runs", i)
 		case opt.AggShuffle:
 			return fmt.Errorf("sim: job %d is masked: AggShuffle is not supported for masked runs", i)
 		}

@@ -92,18 +92,28 @@ func (j *Job) Validate() error {
 // AppendInputWeights appends to dst, for each parent of stage id in
 // parent order, the share of the stage's shuffle input that parent
 // produced: proportional to the parents' ShuffleOut, or equal when every
-// parent output is zero. A root appends nothing.
-func (j *Job) AppendInputWeights(dst []float64, id dag.StageID) []float64 {
+// parent output is zero. A root appends nothing. A non-nil active mask
+// (by stage position, as sim.JobRun.Active) gives the weights of the
+// sub-job it induces: an inactive parent gets 0 and the active ones
+// share the input as the sub-job's own weights would, bit for bit.
+func (j *Job) AppendInputWeights(dst []float64, id dag.StageID, active []bool) []float64 {
 	parents := j.Graph.Stage(id).Parents
-	tot := 0.0
+	on := func(p dag.StageID) bool { return active == nil || active[j.Graph.Pos(p)] }
+	tot, n := 0.0, 0
 	for _, p := range parents {
-		tot += float64(j.Profiles[p].ShuffleOut)
+		if on(p) {
+			tot += float64(j.Profiles[p].ShuffleOut)
+			n++
+		}
 	}
 	for _, p := range parents {
-		if tot > 0 {
+		switch {
+		case !on(p):
+			dst = append(dst, 0)
+		case tot > 0:
 			dst = append(dst, float64(j.Profiles[p].ShuffleOut)/tot)
-		} else {
-			dst = append(dst, 1/float64(len(parents)))
+		default:
+			dst = append(dst, 1/float64(n))
 		}
 	}
 	return dst
