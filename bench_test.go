@@ -13,9 +13,12 @@ package delaystage
 // reproduction table.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -25,6 +28,7 @@ import (
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
 	"delaystage/internal/experiments"
+	"delaystage/internal/jobspec"
 	"delaystage/internal/scheduler"
 	"delaystage/internal/service"
 	"delaystage/internal/shardsim"
@@ -748,6 +752,79 @@ func BenchmarkServiceSubmit(b *testing.B) {
 			benchTimings[b.Name()] += admitted.Seconds()
 		})
 	}
+}
+
+// BenchmarkServiceSubmitHTTP measures one POST /v1/jobs on the
+// template-cache path, in process through Handler(): the body is decoded,
+// the job admitted, planned from a warm template and put into the data
+// plane, and the status encoded. The bodies cycle through the eight
+// recurring shapes the schedd-* workloads send (the gallery, the paper's
+// four workloads and ALS at 2% of paper scale, as jobspec JSON for a
+// 10-node cluster), 66 s apart: load ≈ 0.3 at their ~20 s mean solo JCT,
+// so busy periods stay short and every plan is a cache hit. Each block of
+// submissions gets a fresh service under cmd/schedd's defaults, warmed
+// with one solo submission per shape while the timer is stopped; the
+// blocks keep simulated time far inside the engine's horizon at any b.N.
+// ns/submission, B/op and allocs/op are per POST.
+func BenchmarkServiceSubmitHTTP(b *testing.B) {
+	const (
+		block   = 800    // submissions per service
+		gap     = 66.0   // simulated seconds between submissions
+		warmGap = 1000.0 // between warm-ups, so each is planned solo
+	)
+	c := cluster.NewM4LargeCluster(10)
+	pool := workload.Gallery(c, 0.02)
+	for name, job := range workload.PaperWorkloads(c, 0.02) {
+		pool[name] = job
+	}
+	pool["ALS"] = workload.ALS(c, 0.02)
+	names := make([]string, 0, len(pool))
+	for name := range pool {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	body := func(job *workload.Job, at float64) []byte {
+		raw, err := json.Marshal(map[string]any{"tenant": "bench", "arrival": at, "job": jobspec.FromJob(job)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return raw
+	}
+	warmups := make([][]byte, len(names))
+	for k, name := range names {
+		warmups[k] = body(pool[name], float64(k)*warmGap)
+	}
+	posts := make([][]byte, block)
+	for k := range posts {
+		posts[k] = body(pool[names[k%len(names)]], float64(len(names))*warmGap+float64(k)*gap)
+	}
+	var h http.Handler
+	post := func(raw []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(raw)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /v1/jobs: %d %s", rec.Code, rec.Body)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%block == 0 {
+			b.StopTimer()
+			svc, err := service.New(service.Options{Cluster: c, DriftTolerance: 0.15, MaxCandidates: 16,
+				SlotSeconds: 1, FairByJob: true, TimeScale: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h = svc.Handler()
+			for _, raw := range warmups {
+				post(raw)
+			}
+			b.StartTimer()
+		}
+		post(posts[i%block])
+	}
+	reportPerSubmission(b, 1)
 }
 
 // BenchmarkSensitivity runs the parameter sweeps.

@@ -107,9 +107,14 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// Job materializes the spec into a workload.Job against the reference
-// cluster (used to convert phase durations into byte quantities).
+// Job validates the spec and materializes it into a workload.Job against
+// the reference cluster (used to convert phase durations into byte
+// quantities). A Spec decoded without Parse, for example as a field of a
+// larger request, gets the same checks and error messages here.
 func (s *Spec) Job(ref *cluster.Cluster) (*workload.Job, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	g := dag.New()
 	profiles := make(map[dag.StageID]workload.StageProfile, len(s.Stages))
 	for _, st := range s.Stages {

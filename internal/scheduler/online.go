@@ -131,13 +131,17 @@ type OnlinePlanner struct {
 	// enforce non-decreasing submission order. It survives Reset so a new
 	// busy-period epoch cannot rewind time.
 	last float64
-	// lbSum is Σ analytic JCT lower bounds over the committed runs — the
-	// constant the pruning tier charges for the already-committed jobs
-	// regardless of how a newcomer's delays interleave with them (a job
-	// can never beat its own solo critical path or aggregate work, and
-	// contention only slows it). Maintained incrementally on Add/Commit,
-	// cleared by Reset.
-	lbSum float64
+	// lbSum is Σ analytic JCT lower bounds over committed[:lbSynced] —
+	// the constant the pruning tier charges for the already-committed
+	// jobs regardless of how a newcomer's delays interleave with them (a
+	// job can never beat its own solo critical path or aggregate work,
+	// and contention only slows it). Only Add reads it, so Add folds the
+	// runs committed since its last call in lazily, in commit order (the
+	// same additions in the same order as folding at commit time); a busy
+	// period that ends before its next Add never builds their bounds.
+	// Reset clears it.
+	lbSum    float64
+	lbSynced int
 	// world is the committed runs' simulation, which exact-mode Add forks
 	// to price its candidates; committed[:synced] are in it. Only Add
 	// builds it or catches it up, lazily (worldBefore), so Commit never
@@ -179,7 +183,7 @@ func (p *OnlinePlanner) LastAudit() PlanAudit { return p.audit }
 // busy-period length instead of the daemon's lifetime.
 func (p *OnlinePlanner) Reset() {
 	p.committed = p.committed[:0]
-	p.lbSum = 0
+	p.lbSum, p.lbSynced = 0, 0
 	p.world, p.synced = nil, 0
 }
 
@@ -193,17 +197,27 @@ func (p *OnlinePlanner) Commit(job *workload.Job, arrival float64, delays map[da
 	return p.commit(sim.JobRun{Job: job, Arrival: arrival, Delays: delays}), nil
 }
 
-// commit appends a vetted run and accumulates its analytic JCT lower
-// bound into lbSum. Validation already passed in admit, so the bound's
-// construction cannot fail; a zero contribution on the impossible path
-// keeps lbSum sound (it may only ever under-charge).
+// commit appends a vetted run; its lower bound joins lbSum at the next
+// Add (committedBound).
 func (p *OnlinePlanner) commit(run sim.JobRun) sim.JobRun {
 	p.committed = append(p.committed, run)
-	if b, err := perfmodel.NewBoundEvaluator(p.coarse, run.Job, perfmodel.BoundConfig{IncludeWorkBound: true}); err == nil {
-		p.lbSum += b.Lower(run.Delays)
-	}
 	p.last = run.Arrival
 	return run
+}
+
+// committedBound folds the analytic JCT lower bound of every run
+// committed since the last call into lbSum, in commit order, and returns
+// the sum. Validation already passed in admit, so a bound's construction
+// cannot fail; a zero contribution on the impossible path keeps lbSum
+// sound (it may only ever under-charge).
+func (p *OnlinePlanner) committedBound() float64 {
+	for ; p.lbSynced < len(p.committed); p.lbSynced++ {
+		run := p.committed[p.lbSynced]
+		if b, err := perfmodel.NewBoundEvaluator(p.coarse, run.Job, perfmodel.BoundConfig{IncludeWorkBound: true}); err == nil {
+			p.lbSum += b.Lower(run.Delays)
+		}
+	}
+	return p.lbSum
 }
 
 // admit vets one (job, arrival) pair against the planner's invariants.
@@ -261,7 +275,7 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 	if err := p.admit(job, arrival); err != nil {
 		return sim.JobRun{}, err
 	}
-	a := core.Arrival{At: arrival, FairByJob: p.opt.FairByJob, Committed: p.lbSum}
+	a := core.Arrival{At: arrival, FairByJob: p.opt.FairByJob, Committed: p.committedBound()}
 	if !p.opt.Approximate {
 		w, err := p.worldBefore(arrival)
 		if err != nil {

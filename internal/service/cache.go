@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -29,7 +31,12 @@ import (
 //     under the instantiated delays, per-stage end times compared against
 //     the template's stored prediction. Profiles that quantize equal but
 //     behave differently (or a fingerprint collision) fail the check and
-//     fall back to a cold plan.
+//     fall back to a cold plan. The one exception is a hit by the very
+//     job the template was planned from: its exact key (sourceKey) is
+//     byte-equal to the template's, the check would re-run the
+//     simulation that produced the stored prediction and find deviation
+//     0, so it is skipped. The keys are compared byte for byte, not by
+//     hash, so a collision cannot skip a check.
 //
 // Because a template stores the delays exactly as OnlinePlanner.Add chose
 // them for the first (miss) job — the same code path a cold PlanOnline
@@ -44,7 +51,10 @@ type template struct {
 	// predEnd maps stage rank → absolute end time of a fault-free solo
 	// run at arrival 0 under delays: the drift reference.
 	predEnd map[int]float64
-	hits    int
+	// source is the sourceKey of the job the template was planned from
+	// (nil for a template built by hand: every hit on it is checked).
+	source []byte
+	hits   int
 }
 
 // templateCache is a bounded fingerprint → template map with FIFO
@@ -53,6 +63,7 @@ type templateCache struct {
 	capacity int
 	entries  map[uint64]*template
 	order    []uint64 // insertion order, oldest first
+	key      []byte   // fromSource's reused key buffer
 }
 
 func newTemplateCache(capacity int) *templateCache {
@@ -89,6 +100,41 @@ func (c *templateCache) drop(fp uint64) {
 }
 
 func (c *templateCache) len() int { return len(c.entries) }
+
+// fromSource reports whether j is exactly the job t was planned from, so
+// its drift check would find deviation 0.
+func (c *templateCache) fromSource(t *template, j *workload.Job) bool {
+	if t.source == nil {
+		return false
+	}
+	c.key = sourceKey(c.key[:0], j)
+	return bytes.Equal(c.key, t.source)
+}
+
+// sourceKey appends j's exact, full-precision identity to buf: the stage
+// count, then per stage in graph order its ID, its parents in order and
+// every profile field as raw bits. Two jobs with equal keys simulate
+// identically under equal delays; names are left out, as the simulator
+// never reads them.
+func sourceKey(buf []byte, j *workload.Job) []byte {
+	ids := j.Graph.StagesView()
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ids)))
+	for _, id := range ids {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+		parents := j.Graph.Stage(id).Parents
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(parents)))
+		for _, p := range parents {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
+		}
+		prof := j.Profiles[id]
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(prof.ShuffleIn))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(prof.ShuffleOut))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(prof.ProcRate))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(prof.Skew))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(prof.Tasks))
+	}
+	return buf
+}
 
 // rankedIDs returns the job's stage IDs in sorted order; index in the
 // returned slice is the stage's rank.

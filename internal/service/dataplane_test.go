@@ -205,26 +205,28 @@ func TestSubmitCounterConservation(t *testing.T) {
 	defer srv.Close()
 	job := workload.LDA(c, 0.1)
 	nan, inf := math.NaN(), math.Inf(1)
-	cases := []struct {
+	type submitCase struct {
 		name      string
 		body      string         // POST /v1/jobs body, or
 		req       *SubmitRequest // an in-process submission
 		code      int            // HTTP status (in process: 200 = no error)
 		submitted int            // counter delta
-	}{
+	}
+	cases := []submitCase{
 		{"accepted", string(submitBodyFor(t, job, "a", 0)), nil, http.StatusOK, 1},
 		{"accepted 2", string(submitBodyFor(t, job, "a", 1)), nil, http.StatusOK, 1},
 		{"bounced", string(submitBodyFor(t, job, "a", 2)), nil, http.StatusTooManyRequests, 1},
-		{"bad json", `{"job":`, nil, http.StatusBadRequest, 0},
-		{"missing job", `{"tenant":"a"}`, nil, http.StatusBadRequest, 0},
-		{"empty stages", `{"job":{"name":"x","stages":[]}}`, nil, http.StatusBadRequest, 0},
-		{"too many stages", wideJobBody(maxSubmitStages + 1), nil, http.StatusBadRequest, 0},
-		{"nil job", "", &SubmitRequest{}, http.StatusBadRequest, 0},
-		{"invalid job", "", &SubmitRequest{Job: &workload.Job{Name: "nograph"}}, http.StatusBadRequest, 0},
-		{"NaN arrival", "", &SubmitRequest{Job: job, Arrival: &nan}, http.StatusBadRequest, 0},
-		{"Inf arrival", "", &SubmitRequest{Job: job, Arrival: &inf}, http.StatusBadRequest, 0},
-		{"after the queue drains", string(submitBodyFor(t, job, "a", 1e5)), nil, http.StatusOK, 1},
 	}
+	for _, m := range malformedSubmits() {
+		cases = append(cases, submitCase{m.name, m.body, nil, http.StatusBadRequest, 0})
+	}
+	cases = append(cases,
+		submitCase{"nil job", "", &SubmitRequest{}, http.StatusBadRequest, 0},
+		submitCase{"invalid job", "", &SubmitRequest{Job: &workload.Job{Name: "nograph"}}, http.StatusBadRequest, 0},
+		submitCase{"NaN arrival", "", &SubmitRequest{Job: job, Arrival: &nan}, http.StatusBadRequest, 0},
+		submitCase{"Inf arrival", "", &SubmitRequest{Job: job, Arrival: &inf}, http.StatusBadRequest, 0},
+		submitCase{"after the queue drains", string(submitBodyFor(t, job, "a", 1e5)), nil, http.StatusOK, 1},
+	)
 	prev := 0
 	for _, tc := range cases {
 		code := http.StatusOK
@@ -252,7 +254,7 @@ func TestSubmitCounterConservation(t *testing.T) {
 			t.Fatalf("%s: submitted moved by %d, want %d", tc.name, cs.Submitted-prev, tc.submitted)
 		}
 		prev = cs.Submitted
-		if cs.Submitted != cs.Admitted+cs.Rejected || cs.Live != cs.Admitted-cs.Done-cs.Failed {
+		if !conserved(cs) {
 			t.Fatalf("%s: counters not conserved: %+v", tc.name, cs)
 		}
 	}
@@ -260,6 +262,26 @@ func TestSubmitCounterConservation(t *testing.T) {
 	if !bytes.Contains(metrics, []byte("schedd_jobs_submitted_total 4\n")) {
 		t.Fatalf("metrics disagree with the counted submissions:\n%s", metrics)
 	}
+}
+
+// malformedSubmits are POST /v1/jobs bodies that must answer 400 and be
+// counted nowhere.
+func malformedSubmits() []struct{ name, body string } {
+	return []struct{ name, body string }{
+		{"bad json", `{"job":`},
+		{"missing job", `{"tenant":"a"}`},
+		{"null job", `{"tenant":"a","job":null}`},
+		{"empty stages", `{"job":{"name":"x","stages":[]}}`},
+		{"unknown field in job", `{"job":{"name":"x","stages":[{"id":0,"phases":{"read_sec":1,"compute_sec":1,"write_sec":1}}],"owner":"x"}}`},
+		{"too many stages", wideJobBody(maxSubmitStages + 1)},
+	}
+}
+
+// conserved reports whether the service counters conserve: every
+// counted submission is admitted or rejected, and every admitted job is
+// live, done or failed.
+func conserved(cs ClusterState) bool {
+	return cs.Submitted == cs.Admitted+cs.Rejected && cs.Live == cs.Admitted-cs.Done-cs.Failed
 }
 
 // wideJobBody is a POST /v1/jobs body whose DAG has n independent stages.
@@ -297,5 +319,22 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 	if cs := s.ClusterState(); cs.Submitted != 0 {
 		t.Fatalf("oversized body counted: %+v", cs)
+	}
+}
+
+// TestSubmitUnplannableJob: a job that is admitted but cannot be planned,
+// because its run cannot finish inside the engine's horizon, answers 422
+// (not a 5xx) and is counted as admitted and failed.
+func TestSubmitUnplannableJob(t *testing.T) {
+	s := newTestService(t, Options{})
+	body := `{"job":{"stages":[{"id":0,"resources":{"shuffle_in_bytes":1000000000000000,"proc_rate_bps":1}},` +
+		`{"id":1,"resources":{"proc_rate_bps":1}}]}}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "MaxTime") {
+		t.Fatalf("unplannable job: %d %s", rec.Code, rec.Body)
+	}
+	if cs := s.ClusterState(); cs.Submitted != 1 || cs.Admitted != 1 || cs.Failed != 1 || !conserved(cs) {
+		t.Fatalf("unplannable job miscounted: %+v", cs)
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,7 +25,10 @@ import (
 // Submit returns 200 on acceptance, 429 on an admission bounce (body
 // carries the policy's reason), 400 on malformed input — including the
 // NaN/Inf arrival vetting shared with the planner and DAGs over
-// maxSubmitStages — and 413 on a body over maxSubmitBytes.
+// maxSubmitStages — and 413 on a body over maxSubmitBytes. A job that was
+// admitted but could not be planned or dispatched (for example, one that
+// cannot finish inside the simulator's horizon) answers 422; unlike a
+// 400, it is counted, as admitted and failed.
 
 // maxSubmitBytes bounds a POST /v1/jobs body; a 186-stage DAG's jobspec
 // encodes to about 29 KB.
@@ -37,12 +39,13 @@ const maxSubmitBytes = 8 << 20
 // stages.
 const maxSubmitStages = 1024
 
-// submitBody is the POST /v1/jobs request payload. Job is kept raw so
-// jobspec.Parse applies its own validation and error messages.
+// submitBody is the POST /v1/jobs request payload. The body is decoded
+// once: Job is decoded in the same pass as the envelope, under the same
+// unknown-field check, and Spec.Job then runs jobspec's validation.
 type submitBody struct {
-	Tenant  string          `json:"tenant"`
-	Arrival *float64        `json:"arrival"`
-	Job     json.RawMessage `json:"job"`
+	Tenant  string        `json:"tenant"`
+	Arrival *float64      `json:"arrival"`
+	Job     *jobspec.Spec `json:"job"`
 }
 
 // errorBody is every non-2xx response payload.
@@ -113,20 +116,15 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	if len(body.Job) == 0 {
+	if body.Job == nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing \"job\""))
 		return
 	}
-	spec, err := jobspec.Parse(bytes.NewReader(body.Job))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if n := len(spec.Stages); n > maxSubmitStages {
+	if n := len(body.Job.Stages); n > maxSubmitStages {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("job has %d stages, over the limit of %d", n, maxSubmitStages))
 		return
 	}
-	job, err := spec.Job(s.opt.Cluster)
+	job, err := body.Job.Job(s.opt.Cluster)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -135,8 +133,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		code := http.StatusInternalServerError
 		var ae *scheduler.InvalidArrivalError
-		if errors.As(err, &ae) {
+		var jf *jobFailedError
+		switch {
+		case errors.As(err, &ae):
 			code = http.StatusBadRequest
+		case errors.As(err, &jf):
+			code = http.StatusUnprocessableEntity
 		}
 		writeError(w, code, err)
 		return

@@ -218,7 +218,7 @@ type Service struct {
 	simClock  float64
 	counts    struct{ submitted, admitted, rejected, done, failed int }
 
-	timeline []TimelineEvent // bounded milestone ring (GET /v1/timeline)
+	timeline []TimelineEvent // bounded milestone ring (GET /v1/timeline), seq n at n % tlCap
 	tlSeq    int             // next sequence number; also total ever added
 	tlCap    int
 
@@ -524,7 +524,7 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		s.timelineAdd(arrival, "failed", rec.id, err.Error())
 		s.logger.Error("planning failed", "trace_id", rec.id, "err", err.Error())
 		s.freezeTrace(rec)
-		return JobStatus{}, err
+		return JobStatus{}, &jobFailedError{err}
 	}
 	planDetail := rec.planSource
 	if rec.audit != nil && rec.audit.Source == "planner" {
@@ -542,6 +542,15 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		"queue_depth", depth)
 	return s.snapshot(rec), nil
 }
+
+// jobFailedError is Submit's error for a job that was admitted and then
+// failed to plan or dispatch, for example because its run cannot finish
+// inside the simulator's horizon. The job is recorded and counted as
+// failed; its message is the cause's.
+type jobFailedError struct{ err error }
+
+func (e *jobFailedError) Error() string { return e.err.Error() }
+func (e *jobFailedError) Unwrap() error { return e.err }
 
 // plan chooses the job's delay vector — queue revision, template cache, or
 // a cold Alg. 1 sweep — commits it to the planner and records the decision
@@ -570,7 +579,7 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, arrival float64, depth
 	if s.cache != nil {
 		if t := s.cache.get(rec.fp); t != nil {
 			delays := t.instantiate(job)
-			if s.driftValid(job, t, delays) {
+			if s.cache.fromSource(t, job) || s.driftValid(job, t, delays) {
 				rec.planSource = "template-cache"
 				rec.cacheHit = true
 				t.hits++
@@ -669,7 +678,9 @@ func (s *Service) planEnds(job *workload.Job, delays map[dag.StageID]float64) (m
 
 // driftValid replays the guarded watchdog's drift test for a cache hit:
 // each stage's predicted end under the instantiated delays compared
-// against the template's stored prediction.
+// against the template's stored prediction. plan skips it for a hit by
+// the template's own source job (templateCache.fromSource), whose
+// prediction it would reproduce exactly.
 func (s *Service) driftValid(job *workload.Job, t *template, delays map[dag.StageID]float64) bool {
 	ends, err := s.planEnds(job, delays)
 	if err != nil || len(ends) != len(t.predEnd) {
@@ -712,7 +723,7 @@ func (s *Service) storeTemplate(fp uint64, job *workload.Job, run sim.JobRun) {
 	for id, d := range run.Delays {
 		delays[rank[id]] = d
 	}
-	s.cache.put(&template{fp: fp, delays: delays, predEnd: pred})
+	s.cache.put(&template{fp: fp, delays: delays, predEnd: pred, source: sourceKey(nil, job)})
 	s.gCacheSize.Set(float64(s.cache.len()))
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func fixedClock() func() time.Time {
 	return func() time.Time { return t0 }
 }
 
-func newTestService(t *testing.T, opt Options) *Service {
+func newTestService(t testing.TB, opt Options) *Service {
 	t.Helper()
 	if opt.Cluster == nil {
 		opt.Cluster = cluster.NewM4LargeCluster(10)
@@ -41,7 +42,7 @@ func newTestService(t *testing.T, opt Options) *Service {
 	return s
 }
 
-func submitBodyFor(t *testing.T, job *workload.Job, tenant string, arrival float64) []byte {
+func submitBodyFor(t testing.TB, job *workload.Job, tenant string, arrival float64) []byte {
 	t.Helper()
 	spec := jobspec.FromJob(job)
 	raw, err := json.Marshal(spec)
@@ -309,6 +310,102 @@ func TestTemplateDriftInvalidation(t *testing.T) {
 	if got := s.cache.get(fp); got == nil {
 		t.Fatal("replacement template not stored after cold plan")
 	}
+}
+
+// TestDriftMemoMatchesDriftCheck: plan skips the drift check only for a
+// hit by the template's source job, and only where the check would pass.
+// For each of the eight recurring shapes, the source job, a copy with
+// every stage ID renamed and a copy with one profile field one ulp off
+// get the same verdict from the memoized check as from driftValid alone,
+// at a tiny and at the default tolerance, with exact and with analytic
+// planning; only the source job is recognised as the source.
+func TestDriftMemoMatchesDriftCheck(t *testing.T) {
+	c := cluster.NewM4LargeCluster(10)
+	shapes := workload.Gallery(c, 0.02)
+	for name, job := range workload.PaperWorkloads(c, 0.02) {
+		shapes[name] = job
+	}
+	shapes["ALS"] = workload.ALS(c, 0.02)
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, approx := range []bool{false, true} {
+		for _, tol := range []float64{1e-12, 0} { // 0 = the default, 0.15
+			s := newTestService(t, Options{Cluster: c, FairByJob: true, DriftTolerance: tol, ApproximatePlanning: approx})
+			for i, name := range names {
+				job := shapes[name]
+				// Far apart, so each is planned solo and stored.
+				if _, err := s.Submit(SubmitRequest{Job: job, Arrival: ptr(float64(i) * 1e4)}); err != nil {
+					t.Fatal(err)
+				}
+				tmpl := s.cache.get(Fingerprint(job))
+				if tmpl == nil || tmpl.source == nil {
+					t.Fatalf("%s: no template with a source key stored", name)
+				}
+				variants := []struct {
+					name   string
+					job    *workload.Job
+					source bool
+				}{
+					{"source", job, true},
+					{"renamed", renamedCopy(t, job), false},
+					{"one ulp", ulpCopy(t, job), false},
+				}
+				for _, v := range variants {
+					delays := tmpl.instantiate(v.job)
+					want := s.driftValid(v.job, tmpl, delays)
+					isSource := s.cache.fromSource(tmpl, v.job)
+					if isSource != v.source || (isSource || want) != want {
+						t.Fatalf("approx=%v tol=%g %s/%s: source %v (want %v), memoized verdict %v, drift check %v",
+							approx, tol, name, v.name, isSource, v.source, isSource || want, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// renamedCopy returns job with every stage ID shifted by 1000, stages in
+// the same order.
+func renamedCopy(t *testing.T, job *workload.Job) *workload.Job {
+	t.Helper()
+	g := dag.New()
+	profiles := map[dag.StageID]workload.StageProfile{}
+	for _, id := range job.Graph.StagesView() {
+		st := job.Graph.Stage(id)
+		parents := make([]dag.StageID, len(st.Parents))
+		for i, p := range st.Parents {
+			parents[i] = p + 1000
+		}
+		g.MustAdd(dag.Stage{ID: id + 1000, Name: st.Name, Parents: parents})
+		profiles[id+1000] = job.Profiles[id]
+	}
+	out := &workload.Job{Name: job.Name, Graph: g, Profiles: profiles}
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// ulpCopy returns job with its first stage's processing rate one ulp
+// higher.
+func ulpCopy(t *testing.T, job *workload.Job) *workload.Job {
+	t.Helper()
+	profiles := make(map[dag.StageID]workload.StageProfile, len(job.Profiles))
+	for id, p := range job.Profiles {
+		profiles[id] = p
+	}
+	first := job.Graph.StagesView()[0]
+	p := profiles[first]
+	p.ProcRate = math.Nextafter(p.ProcRate, math.Inf(1))
+	profiles[first] = p
+	out := &workload.Job{Name: job.Name, Graph: job.Graph, Profiles: profiles}
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // Queue-length-aware revision: past the configured depth, jobs dispatch

@@ -275,15 +275,17 @@ func (s *Service) freezeTrace(rec *jobRecord) {
 	}
 }
 
-// timelineAdd appends one milestone to the bounded ring.
+// timelineAdd records one milestone in the bounded ring. The event with
+// sequence number n lives at index n % tlCap, so once the ring is full
+// each add overwrites the oldest entry in place.
 func (s *Service) timelineAdd(t float64, kind, job, detail string) {
 	ev := TimelineEvent{Seq: s.tlSeq, T: t, Kind: kind, Job: job, Detail: detail}
-	s.tlSeq++
-	if len(s.timeline) >= s.tlCap {
-		n := copy(s.timeline, s.timeline[len(s.timeline)-s.tlCap+1:])
-		s.timeline = s.timeline[:n]
+	if len(s.timeline) < s.tlCap {
+		s.timeline = append(s.timeline, ev)
+	} else {
+		s.timeline[s.tlSeq%s.tlCap] = ev
 	}
-	s.timeline = append(s.timeline, ev)
+	s.tlSeq++
 }
 
 // Trace returns a job's lifecycle span tree: the frozen tree for terminal
@@ -305,16 +307,19 @@ func (s *Service) Trace(id string) (obs.Trace, bool) {
 func (s *Service) Timeline() TimelineStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := len(s.timeline)
 	out := TimelineStatus{
 		Schema:   TimelineSchema,
 		Epoch:    s.epoch,
 		SimClock: s.simClock,
-		Events:   append([]TimelineEvent(nil), s.timeline...),
+		Dropped:  s.tlSeq - n,
 	}
-	if len(s.timeline) > 0 {
-		out.Dropped = s.timeline[0].Seq
-	} else {
-		out.Dropped = s.tlSeq
+	if n > 0 {
+		// The oldest entry sits at the next write index: tlSeq % n is 0
+		// while the ring is filling (tlSeq == n) and tlSeq % tlCap once
+		// it is full (n == tlCap).
+		oldest := s.tlSeq % n
+		out.Events = append(append(make([]TimelineEvent, 0, n), s.timeline[oldest:]...), s.timeline[:oldest]...)
 	}
 	return out
 }

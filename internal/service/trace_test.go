@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -326,5 +329,36 @@ func TestTimelineRingBound(t *testing.T) {
 	}
 	if last := tl.Events[len(tl.Events)-1]; last.Seq+1 != tl.Dropped+len(tl.Events) {
 		t.Fatalf("seq accounting: last=%d dropped=%d len=%d", last.Seq, tl.Dropped, len(tl.Events))
+	}
+}
+
+// TestTimelineRingMatchesShiftModel: for every capacity and every add
+// count up to three times around the ring, Timeline() returns the same
+// events in the same order, and the same dropped count, as a naive model
+// that shifts the whole slice left on every add once it is full.
+func TestTimelineRingMatchesShiftModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5} {
+		for adds := 0; adds <= 3*capacity; adds++ {
+			s := newTestService(t, Options{TimelineCapacity: capacity})
+			var model []TimelineEvent
+			for i := 0; i < adds; i++ {
+				ev := TimelineEvent{Seq: i, T: float64(i) / 2, Kind: "k", Job: fmt.Sprintf("j-%d", i), Detail: strconv.Itoa(i)}
+				s.timelineAdd(ev.T, ev.Kind, ev.Job, ev.Detail)
+				if len(model) >= capacity {
+					n := copy(model, model[len(model)-capacity+1:])
+					model = model[:n]
+				}
+				model = append(model, ev)
+			}
+			dropped := adds
+			if len(model) > 0 {
+				dropped = model[0].Seq
+			}
+			tl := s.Timeline()
+			if !reflect.DeepEqual(tl.Events, model) || tl.Dropped != dropped {
+				t.Fatalf("cap %d, %d adds: ring %+v dropped %d, model %+v dropped %d",
+					capacity, adds, tl.Events, tl.Dropped, model, dropped)
+			}
+		}
 	}
 }
