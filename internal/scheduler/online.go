@@ -25,14 +25,15 @@ import (
 //
 // Each arrival is planned by core.PlanArrival — Alg. 1's two-tier scan
 // with the execution paths in Descending order — against the committed
-// jobs' world.
+// jobs' world, which the caller owns and passes to Add.
 type OnlineOptions struct {
 	Cluster *cluster.Cluster
 	// SlotSeconds / MaxCandidates mirror core.Options (0 = 1 s / 16).
 	SlotSeconds   float64
 	MaxCandidates int
-	// FairByJob is the committed world's sharing policy: job-first
-	// fairness in every candidate's simulation.
+	// FairByJob is the sharing policy of every candidate's simulation:
+	// job-first fairness. The caller's committed world must share the
+	// same way.
 	FairByJob bool
 	// DisableBoundPrune turns off the analytic candidate-pruning tier so
 	// every candidate is answered by a multi-job simulation — the
@@ -118,6 +119,8 @@ type PlanAudit struct {
 // the runs already committed — the incremental core of PlanOnline,
 // exposed so a long-running scheduler daemon (internal/service) can admit
 // and plan jobs as they arrive instead of replanning the whole batch.
+// It holds no simulation: the caller runs the committed world and hands
+// it to Add, which only forks it.
 //
 // Not safe for concurrent use; callers serialize (the service's planning
 // stage holds its own lock).
@@ -142,12 +145,6 @@ type OnlinePlanner struct {
 	// Reset clears it.
 	lbSum    float64
 	lbSynced int
-	// world is the committed runs' simulation, which exact-mode Add forks
-	// to price its candidates; committed[:synced] are in it. Only Add
-	// builds it or catches it up, lazily (worldBefore), so Commit never
-	// simulates and approximate mode never builds it. Reset drops it.
-	world  *sim.Stepper
-	synced int
 }
 
 // NewOnlinePlanner validates the configuration and returns an empty
@@ -169,9 +166,6 @@ func NewOnlinePlanner(opt OnlineOptions) (*OnlinePlanner, error) {
 // simulate. The slice is a view: it grows on the next Add/Commit.
 func (p *OnlinePlanner) Committed() []sim.JobRun { return p.committed }
 
-// LastArrival returns the highest arrival committed so far.
-func (p *OnlinePlanner) LastArrival() float64 { return p.last }
-
 // LastAudit returns the decision audit of the most recent successful Add.
 func (p *OnlinePlanner) LastAudit() PlanAudit { return p.audit }
 
@@ -184,12 +178,12 @@ func (p *OnlinePlanner) LastAudit() PlanAudit { return p.audit }
 func (p *OnlinePlanner) Reset() {
 	p.committed = p.committed[:0]
 	p.lbSum, p.lbSynced = 0, 0
-	p.world, p.synced = nil, 0
 }
 
 // Commit appends an externally planned run — a plan-template cache hit or
 // a queue-revision decision — without running the delay sweep, so later
-// arrivals are planned against it.
+// arrivals are planned against it. Like a run Add returns, the caller
+// puts it into the committed world it passes to later Adds.
 func (p *OnlinePlanner) Commit(job *workload.Job, arrival float64, delays map[dag.StageID]float64) (sim.JobRun, error) {
 	if err := p.admit(job, arrival); err != nil {
 		return sim.JobRun{}, err
@@ -237,59 +231,24 @@ func (p *OnlinePlanner) admit(job *workload.Job, arrival float64) error {
 	return nil
 }
 
-// worldBefore catches the committed world up and returns it paused just
-// before arrival: each run committed since the last catch-up is injected
-// at its own arrival (AdvanceBefore + Inject), then the world advances to
-// the boundary before arrival. Nil means nothing is committed. A failed
-// step drops the world, so the next call rebuilds it from the runs.
-func (p *OnlinePlanner) worldBefore(arrival float64) (*sim.Stepper, error) {
-	if len(p.committed) == 0 {
-		return nil, nil
-	}
-	var err error
-	for ; err == nil && p.synced < len(p.committed); p.synced++ {
-		run := p.committed[p.synced]
-		if p.world == nil {
-			p.world, err = sim.NewStepper(sim.Options{Cluster: p.coarse, TrackNode: -1, FairByJob: p.opt.FairByJob}, []sim.JobRun{run})
-		} else if err = p.world.AdvanceBefore(run.Arrival); err == nil {
-			err = p.world.Inject(run)
-		}
-	}
-	if err == nil {
-		err = p.world.AdvanceBefore(arrival)
-	}
-	if err != nil {
-		p.world, p.synced = nil, 0
-		return nil, err
-	}
-	return p.world, nil
-}
-
 // Add plans one job against the committed runs, commits it and returns
-// the planned run. The delay sweep (core.PlanArrival) minimizes the sum
-// of completion times over every committed job plus the newcomer, pricing
-// each candidate exactly on forks of the committed world or, in
+// the planned run. world is the committed runs' simulation, on the
+// planner's coarse cluster view (sim.Coarsen) and sharing as FairByJob
+// says, paused (AdvanceBefore) just before arrival; nil when nothing is
+// committed. It is only forked. The delay sweep (core.PlanArrival)
+// minimizes the sum of completion times over every committed job plus
+// the newcomer, pricing each candidate exactly on forks of world or, in
 // approximate mode, as Σ committed lower bounds + the newcomer's
-// predicted JCT.
-func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, error) {
+// predicted JCT (world is then not read).
+func (p *OnlinePlanner) Add(job *workload.Job, arrival float64, world *sim.Stepper) (sim.JobRun, error) {
 	if err := p.admit(job, arrival); err != nil {
 		return sim.JobRun{}, err
 	}
-	a := core.Arrival{At: arrival, FairByJob: p.opt.FairByJob, Committed: p.committedBound()}
-	if !p.opt.Approximate {
-		w, err := p.worldBefore(arrival)
-		if err != nil {
-			return sim.JobRun{}, err
-		}
-		a.World = w
-	}
 	sched, err := core.PlanArrival(core.Options{Cluster: p.coarse, SlotSeconds: p.opt.SlotSeconds,
 		MaxCandidates: p.opt.MaxCandidates, DisableBoundPrune: p.opt.DisableBoundPrune,
-		Approximate: p.opt.Approximate}, job, a)
+		Approximate: p.opt.Approximate}, job,
+		core.Arrival{World: world, At: arrival, FairByJob: p.opt.FairByJob, Committed: p.committedBound()})
 	if err != nil {
-		// The world stands at this arrival, past where a later Commit at
-		// an earlier time would have to be injected: rebuild it next time.
-		p.world, p.synced = nil, 0
 		return sim.JobRun{}, err
 	}
 	p.audit = PlanAudit{Evaluations: sched.Evaluations, ParallelStages: len(sched.K), Paths: len(sched.Paths),
@@ -310,7 +269,9 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64) (sim.JobRun, err
 // PlanOnline plans every job in arrival order and returns the runs ready
 // to simulate. len(jobs) must equal len(arrivals); arrivals must be
 // finite, non-negative (*InvalidArrivalError otherwise) and non-decreasing
-// (sort first if needed).
+// (sort first if needed). Outside approximate mode it grows the committed
+// world Add forks as the runs commit: the first run starts it, each later
+// one joins it at its arrival (AdvanceBefore + Inject).
 func PlanOnline(opt OnlineOptions, jobs []*workload.Job, arrivals []float64) ([]sim.JobRun, error) {
 	if len(jobs) != len(arrivals) {
 		return nil, fmt.Errorf("scheduler: %d jobs but %d arrivals", len(jobs), len(arrivals))
@@ -319,8 +280,31 @@ func PlanOnline(opt OnlineOptions, jobs []*workload.Job, arrivals []float64) ([]
 	if err != nil {
 		return nil, err
 	}
+	var world *sim.Stepper
+	defer func() {
+		if world != nil {
+			world.Close()
+		}
+	}()
 	for i, job := range jobs {
-		if _, err := p.Add(job, arrivals[i]); err != nil {
+		if world != nil {
+			// Vet the arrival before the world moves to it.
+			if err := checkArrival(i, arrivals[i]); err != nil {
+				return nil, err
+			}
+			if err := world.AdvanceBefore(arrivals[i]); err != nil {
+				return nil, err
+			}
+		}
+		run, err := p.Add(job, arrivals[i], world)
+		if err == nil && !opt.Approximate {
+			if world == nil {
+				world, err = sim.NewStepper(sim.Options{Cluster: p.coarse, TrackNode: -1, FairByJob: opt.FairByJob}, []sim.JobRun{run})
+			} else {
+				err = world.Inject(run)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -138,12 +138,9 @@ func onlineGoldenLines(t *testing.T) []string {
 		for _, m := range onlineGoldenModes {
 			opt := OnlineOptions{Cluster: s.cluster, FairByJob: s.fairByJob, MaxCandidates: 10}
 			m.set(&opt)
-			p, err := NewOnlinePlanner(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newPlannerWorld(t, opt)
 			for i, job := range s.jobs {
-				run, err := p.Add(job, s.arrivals[i])
+				run, err := p.add(job, s.arrivals[i])
 				if err != nil {
 					t.Fatalf("%s/%s job %d: %v", s.name, m.name, i, err)
 				}

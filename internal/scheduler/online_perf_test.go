@@ -13,11 +13,13 @@ var raceEnabled bool
 
 // TestOnlineAddAllocBudget gates the planner's work on one exact Add into
 // a 3-job busy period: a fresh planner, three committed runs (template
-// cache hits, planned elsewhere) and the newcomer's delay sweep priced on
-// forks of the committed world. It measured about 675 allocations and
-// 84 KB per Add; the budgets leave ~10% and ~50% headroom. Re-simulating
-// the committed runs from t = 0 for every candidate took about 1,020
-// allocations and 380 KB.
+// cache hits, planned elsewhere) stepped in the caller's committed world
+// up to the newcomer's arrival, and the newcomer's delay sweep priced on
+// forks of that world. It measured about 590 allocations and 72 KB per
+// Add on a 2-vCPU Xeon with Go 1.24, the same as when the planner stepped
+// a committed world of its own; the budgets leave ~25% and ~75%
+// headroom. Re-simulating the committed runs from t = 0 for every
+// candidate took about 1,020 allocations and 380 KB.
 func TestOnlineAddAllocBudget(t *testing.T) {
 	const budget, bytesBudget = 750, 128 << 10
 	if raceEnabled {
@@ -27,16 +29,13 @@ func TestOnlineAddAllocBudget(t *testing.T) {
 	jobs, arrivals := onlineFixture(c, 4, 11)
 	opt := OnlineOptions{Cluster: c, FairByJob: true, MaxCandidates: 10}
 	add := func() {
-		p, err := NewOnlinePlanner(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newPlannerWorld(t, opt)
 		for i := 0; i < 3; i++ {
-			if _, err := p.Commit(jobs[i], arrivals[i], nil); err != nil {
+			if _, err := p.commit(jobs[i], arrivals[i], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := p.Add(jobs[3], arrivals[3]); err != nil {
+		if _, err := p.add(jobs[3], arrivals[3]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/sim"
@@ -173,24 +174,55 @@ func TestLiveMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestSyncDoesNotPerturb: with a frozen wall clock, reading the service
-// (Sync, Jobs, ClusterState) between every submission must leave every
-// JCT bit-identical to the same submissions without reads. A read only
-// advances the world to the present; it must not move the clock a later
-// arrival is clamped to.
+// TestSyncDoesNotPerturb: reading the service (Sync, Jobs, ClusterState)
+// between submissions must leave every JCT, every delay and every
+// audit's objective totals bit-identical to the same submissions without
+// reads — with a frozen wall clock, and with one that has moved halfway
+// to the next arrival, so each read halts the live world between two
+// arrivals. A read only advances the world to the present; it must not
+// move the clock a later arrival is clamped to, nor change the world a
+// cold plan forks.
 func TestSyncDoesNotPerturb(t *testing.T) {
 	c := cluster.NewM4LargeCluster(10)
 	load := poissonLoad(c, 150, 0.05, 0.9/50, 1)
-	plain := liveJCTs(runLoad(t, c, load, func(*Service) {}))
-	synced := liveJCTs(runLoad(t, c, load, readsBetween))
-	differ := 0
-	for id, v := range plain {
-		if synced[id] != v {
-			differ++
+	plain := runLoad(t, c, load, func(*Service) {})
+	submitted := 0
+	midway := func(s *Service) {
+		if submitted++; submitted == len(load) {
+			readsBetween(s)
+			return
+		}
+		mid := (load[submitted-1].at + load[submitted].at) / 2
+		s.clock = func() time.Time { return s.start.Add(time.Duration(mid * float64(time.Second))) }
+		readsBetween(s)
+		if s.simClock < mid-1e-6 {
+			t.Fatalf("a read at %v left the clock at %v", mid, s.simClock)
 		}
 	}
-	if differ > 0 || len(plain) != len(synced) {
-		t.Fatalf("reads between submissions changed %d of %d JCTs", differ, len(plain))
+	for name, between := range map[string]func(*Service){"frozen": readsBetween, "midway": midway} {
+		synced := runLoad(t, c, load, between)
+		want, got := liveJCTs(plain), liveJCTs(synced)
+		differ := 0
+		for id, v := range want {
+			if got[id] != v {
+				differ++
+			}
+		}
+		if differ > 0 || len(want) != len(got) {
+			t.Fatalf("%s: reads between submissions changed %d of %d JCTs", name, differ, len(want))
+		}
+		cold := 0
+		for i, rec := range plain.history {
+			if want, got := busyPlanLine(rec), busyPlanLine(synced.history[i]); got != want {
+				t.Fatalf("%s: reads between submissions changed %s's plan:\n got %s\nwant %s", name, rec.id, got, want)
+			}
+			if rec.planSource == "planner" && rec.queueDepth > 0 {
+				cold++
+			}
+		}
+		if cold == 0 {
+			t.Fatalf("%s: vacuous: no cold plan landed in a busy world", name)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@
 // (AdvanceBefore), runs admission and planning against that state, and
 // injects the admitted run (Inject). The queue depth a policy sees, and
 // the queue-length delay revision at dispatch, read the world exactly as
-// of the arrival instant, and the live world evolves exactly as sim.Run
-// over the epoch's committed runs.
+// of the arrival instant, and a cold plan prices candidates on its forks.
+// It evolves exactly as sim.Run over the epoch's committed runs.
 //
 // State is bounded by busy-period epochs: when the stepper drains (every
 // admitted job finished), completed runs are constants of the objective
@@ -156,8 +156,8 @@ type SubmitRequest struct {
 	Job    *workload.Job
 	// Arrival is the simulated arrival time; nil means "now" (wall time
 	// since service start, scaled by TimeScale). Arrivals are clamped
-	// forward to the already-simulated clock and the planner watermark —
-	// a job cannot arrive in the observed past.
+	// forward to the already-simulated clock, which is never behind a
+	// committed arrival — a job cannot arrive in the observed past.
 	Arrival *float64
 }
 
@@ -431,11 +431,11 @@ func (s *Service) advanceBefore(t float64) error {
 }
 
 // virtualNow derives the current simulated instant: wall time since start
-// scaled by TimeScale, never behind what has already been simulated or
-// committed.
+// scaled by TimeScale, never behind what has been simulated, and so never
+// behind a committed arrival (advanceBefore reached each before its commit).
 func (s *Service) virtualNow(now time.Time) float64 {
 	vn := now.Sub(s.start).Seconds() * s.opt.TimeScale
-	return math.Max(vn, math.Max(s.simClock, s.planner.LastArrival()))
+	return math.Max(vn, s.simClock)
 }
 
 // Submit runs one job through admission and planning and installs it in
@@ -460,7 +460,7 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		}
 		requested = *req.Arrival
 	}
-	arrival := math.Max(requested, math.Max(s.simClock, s.planner.LastArrival()))
+	arrival := math.Max(requested, s.simClock)
 	if err := s.advanceBefore(arrival); err != nil {
 		return JobStatus{}, err
 	}
@@ -598,7 +598,7 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, arrival float64, depth
 	}
 	solo := len(s.planner.Committed()) == 0
 	tPlan := time.Now()
-	run, err := s.planner.Add(job, arrival)
+	run, err := s.planner.Add(job, arrival, s.stepper)
 	s.mPlanSec.Observe(time.Since(tPlan).Seconds())
 	if err != nil {
 		return sim.JobRun{}, err

@@ -334,13 +334,8 @@ func TestSnapshotResumeErrors(t *testing.T) {
 	job := workload.TriangleCount(c, 0.2)
 	runs := []JobRun{{Job: job}}
 	opt := Options{Cluster: c, TrackNode: -1}
-	for _, o := range []Options{
-		{Cluster: c, TrackNode: -1, Observer: nopObserver{}},
-		{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}},
-	} {
-		if _, err := pausedAt(t, o, runs, 10).Fork(nil); err == nil {
-			t.Error("want error forking a world with an observer or watchdog")
-		}
+	if _, err := pausedAt(t, Options{Cluster: c, TrackNode: -1, Watchdog: nopWatchdog{}}, runs, 10).Fork(nil); err == nil {
+		t.Error("want error forking a world with a watchdog")
 	}
 	ref, err := Run(opt, runs)
 	if err != nil {
@@ -376,9 +371,90 @@ func TestSnapshotResumeErrors(t *testing.T) {
 	}
 }
 
-type nopObserver struct{}
+// TestForkObservedWorld: the fork of a world with an Observer is
+// detached. Whether it continues the world or takes an injected
+// newcomer, it steps bit-identically to Run; none of its events or share
+// samples reaches the parent's observer; and the parent's own stream is
+// the one an unforked observed Run produces.
+func TestForkObservedWorld(t *testing.T) {
+	c := cluster.NewM4LargeCluster(6)
+	rng := rand.New(rand.NewSource(43))
+	jobs := galleryJobs(c, 0.25)
+	opt := Options{Cluster: c, TrackNode: -1}
+	for i, job := range jobs {
+		solo, err := Run(opt, []JobRun{{Job: job}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := jobs[(i+1)%len(jobs)]
+		runs := []JobRun{
+			{Job: job, Delays: randomDelays(job, rng)},
+			{Job: next, Arrival: solo.Makespan * 0.3, Delays: randomDelays(next, rng)},
+		}
+		ref, err := Run(opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := &shareRecorder{}
+		popt := opt
+		popt.Observer = seen
+		parent := pausedAt(t, popt, runs[:1], runs[1].Arrival)
+		quiet := func(ctx string, fork func()) {
+			t.Helper()
+			events, intervals := len(seen.events), seen.intervals
+			fork()
+			if len(seen.events) != events || seen.intervals != intervals {
+				t.Fatalf("%s/%s: the parent's observer saw %d events and %d share intervals of the fork",
+					job.Name, ctx, len(seen.events)-events, seen.intervals-intervals)
+			}
+		}
+		// The planner's use: fork the live world and inject the newcomer.
+		quiet("newcomer injected into a fork", func() {
+			f, err := parent.Fork(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Inject(runs[1]); err != nil {
+				t.Fatal(err)
+			}
+			got, err := stepOut(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, job.Name+"/newcomer injected into a fork", ref, got)
+		})
+		if err := parent.Inject(runs[1]); err != nil {
+			t.Fatal(err)
+		}
+		for _, frac := range []float64{0.5, 0.8} {
+			if err := parent.AdvanceBefore(ref.Makespan * frac); err != nil {
+				t.Fatal(err)
+			}
+			quiet("continued fork", func() { requireIdentical(t, job.Name+"/continued fork", ref, forkOut(t, parent, nil)) })
+		}
+		got, err := stepOut(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, job.Name+"/observed parent", ref, got)
+		requireObservedRun(t, job.Name, opt, runs, seen)
+	}
+}
 
-func (nopObserver) OnEvent(Event) {}
+// requireObservedRun fails unless seen holds exactly the events and
+// share samples an observer attached to Run(opt, runs) receives.
+func requireObservedRun(t *testing.T, ctx string, opt Options, runs []JobRun, seen *shareRecorder) {
+	t.Helper()
+	want := &shareRecorder{}
+	opt.Observer = want
+	if _, err := Run(opt, runs); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, seen) {
+		t.Fatalf("%s: observed stream differs from an unforked run's (%d events, %d intervals; want %d, %d)",
+			ctx, len(seen.events), seen.intervals, len(want.events), want.intervals)
+	}
+}
 
 // TestForkLeavesParentIntact: a parent paused and forked many times — at
 // several boundaries, with and without delay revisions — still finishes
@@ -485,7 +561,10 @@ func TestForkConcurrent(t *testing.T) {
 // whose answer-only engine must give the reference run's Σ JCT bit for
 // bit, and so is a fork of the same world stepped answer-only from the
 // start (Stepper.AnswerOnly), as the what-if evaluator steps its worlds:
-// its Σ JCT must be the tracking fork's, bit for bit.
+// its Σ JCT must be the tracking fork's, bit for bit. An even seed
+// attaches an Observer to the world every fork is taken from: the forks
+// are detached, so that world's event stream must still be the one an
+// unforked observed Run produces.
 func FuzzStepperFork(f *testing.F) {
 	f.Add(uint8(0), int64(1), 0.5, false, uint8(0), 0.0, false, uint8(0), false, uint8(0))
 	f.Add(uint8(1), int64(2), 0.0, true, uint8(1), 3.0, false, uint8(0), false, uint8(0))
@@ -529,8 +608,12 @@ func FuzzStepperFork(f *testing.F) {
 		jobs := galleryJobs(c, 0.2)
 		job := jobs[int(jobIdx)%len(jobs)]
 		rng := rand.New(rand.NewSource(seed))
+		var seen *shareRecorder
+		if seed%2 == 0 {
+			seen = &shareRecorder{}
+		}
 		if prefix > 0 {
-			fuzzMultiJobFork(t, c, jobs, job, rng, frac, stage, slack, 1+int(prefix-1)%3, fair)
+			fuzzMultiJobFork(t, c, jobs, job, rng, frac, stage, slack, 1+int(prefix-1)%3, fair, seen)
 			return
 		}
 		runs := []JobRun{{Job: job, Delays: randomDelays(job, rng)}}
@@ -562,7 +645,11 @@ func FuzzStepperFork(f *testing.F) {
 			t.Fatal(err)
 		}
 		at := frac * ref.Makespan
-		parent := pausedAt(t, opt, runs, at)
+		popt := opt
+		if seen != nil {
+			popt.Observer = seen
+		}
+		parent := pausedAt(t, popt, runs, at)
 		got := forkOut(t, parent, nil)
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("fork at %v differs from uninterrupted run", at)
@@ -575,6 +662,9 @@ func FuzzStepperFork(f *testing.F) {
 		}
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("parent forked at %v differs from uninterrupted run", at)
+		}
+		if seen != nil {
+			requireObservedRun(t, fmt.Sprintf("parent forked at %v", at), opt, runs, seen)
 		}
 
 		// The stage's ready time does not depend on its own delay, so the
@@ -684,9 +774,11 @@ func requireDrainSum(t *testing.T, ctx string, s *Stepper, updates []DelayUpdate
 // match a from-scratch Run over every job with that delay, bit for bit.
 // The world never aggregates shuffles, as the planner's worlds do not: an
 // aggregated stage may prefetch before it is ready, so its ready time can
-// depend on its own delay.
+// depend on its own delay. A non-nil seen observes the committed world,
+// as the scheduling service's data plane does: once drained, its stream
+// must be an unforked observed Run's.
 func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, job *workload.Job, rng *rand.Rand,
-	frac float64, stage uint8, x float64, n int, fair bool) {
+	frac float64, stage uint8, x float64, n int, fair bool, seen *shareRecorder) {
 	opt := Options{Cluster: c, TrackNode: -1, FairByJob: fair}
 	var runs []JobRun
 	at := 0.0
@@ -695,7 +787,11 @@ func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, jo
 		runs = append(runs, JobRun{Job: pj, Arrival: at, Delays: randomDelays(pj, rng)})
 		at += rng.Float64() * 20
 	}
-	committed, err := NewStepper(opt, runs[:1])
+	copt := opt
+	if seen != nil {
+		copt.Observer = seen
+	}
+	committed, err := NewStepper(copt, runs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -769,4 +865,10 @@ func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, jo
 	ctx := fmt.Sprintf("%d committed jobs, newcomer at %v", n, arrival)
 	requireDrainSum(t, ctx, w, revise, want)
 	requireAnswerOnlySum(t, ctx+", answer-only", heldWorld(true), revise, got)
+	if seen != nil {
+		if _, err := stepOut(committed); err != nil {
+			t.Fatal(err)
+		}
+		requireObservedRun(t, ctx+", observed committed world", opt, runs, seen)
+	}
 }

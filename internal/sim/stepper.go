@@ -207,17 +207,19 @@ func (s *Stepper) Idle() bool { return s.done || s.e.idle() }
 // one world that holds the stage back. Its configuration does not record
 // the revision, so WriteFile refuses a fork that revised a delay.
 //
-// Worlds with an Observer or Watchdog cannot be forked: both receive
-// events synchronously and accumulate external state the fork cannot
-// duplicate. Faults are fine — the injector's draws are pure functions
-// of (seed, task attempt), shared read-only across forks.
+// The fork of a world with an Observer is detached: it has none, so the
+// parent's observer sees nothing the fork steps. Observers only read, so
+// dropping one leaves the trajectory unchanged. A world with a Watchdog
+// cannot be forked: the watchdog acts on the world and holds state the
+// fork cannot duplicate. Faults are fine — the injector's draws are pure
+// functions of (seed, task attempt), shared read-only across forks.
 func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 	if s.done {
 		return nil, fmt.Errorf("sim: fork of a finished run")
 	}
 	p := s.e
-	if err := checkDetached(p.opt); err != nil {
-		return nil, err
+	if p.opt.Watchdog != nil {
+		return nil, fmt.Errorf("sim: a world with a Watchdog cannot be forked (watchdog state cannot be copied)")
 	}
 	for _, u := range updates {
 		si := p.stateIdx(skey{u.Job, u.Stage})
@@ -233,18 +235,6 @@ func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 	e := p.clone()
 	e.reviseDelays(updates)
 	return &Stepper{e: e, horizon: s.horizon}, nil
-}
-
-// checkDetached rejects the options of a world that cannot be forked: an
-// Observer or Watchdog holds external state a fork cannot copy.
-func checkDetached(opt Options) error {
-	if opt.Observer != nil {
-		return fmt.Errorf("sim: a world with an Observer cannot be forked (observer state cannot be copied)")
-	}
-	if opt.Watchdog != nil {
-		return fmt.Errorf("sim: a world with a Watchdog cannot be forked (watchdog state cannot be copied)")
-	}
-	return nil
 }
 
 // Inject adds a run to the live world. Stepping on from here reproduces,
@@ -391,8 +381,11 @@ func (s *Stepper) Result() (*Result, error) {
 // they are — so their order, which fixes the floating-point accumulation
 // order of the rates passes, carries over exactly. Only a live
 // speculation race needs an old→new item map to rewire its rival links.
+// The clone has no Observer.
 func (e *engine) clone() *engine {
-	c := newEngine(e.opt, e.runs)
+	opt := e.opt
+	opt.Observer = nil
+	c := newEngine(opt, e.runs)
 	c.answerOnly = e.answerOnly
 	c.seq = e.seq
 	c.now = e.now
