@@ -537,7 +537,12 @@ func BenchmarkStrategies(b *testing.B) {
 	for _, s := range []scheduler.Strategy{scheduler.Spark{}, scheduler.AggShuffle{}, scheduler.Fuxi{}, scheduler.DelayStage{}} {
 		b.Run(s.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := scheduler.RunJob(c, job, s, sim.Options{TrackNode: -1}); err != nil {
+				plan, err := s.Plan(c, job)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sim.Run(sim.Options{Cluster: c, TrackNode: -1, AggShuffle: plan.AggShuffle},
+					[]sim.JobRun{{Job: job, Delays: plan.Delays}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -100,8 +100,8 @@ func (o *options) check() error {
 	// and -report observers, so their output matches an uninterrupted
 	// run's. -serve stays out: its live counters describe the progress a
 	// process makes, and a resumed one would report the replayed prefix
-	// as progress made now. So does -guarded: its watchdog replans on a
-	// wall-clock budget, so replay would not rebuild its world.
+	// as progress made now. So does -guarded: sim refuses to persist a
+	// world with a Watchdog, whose state a checkpoint cannot hold.
 	if o.intro.Set() || *o.guarded {
 		return errors.New("-checkpoint-dir is incompatible with -serve and -guarded")
 	}

@@ -271,11 +271,11 @@ func TestOfflineMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	logged := make([]obs.LoggedEvent, len(events))
-	for i, ev := range events {
-		logged[i] = obs.LoggedEvent{Run: -1, Event: ev}
+	l := obs.NewJSONL(&buf)
+	for _, ev := range events {
+		l.OnEvent(ev)
 	}
-	if err := obs.WriteEvents(&buf, logged); err != nil {
+	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := obs.ReadEvents(&buf)

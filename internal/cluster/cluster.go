@@ -104,15 +104,6 @@ func NewM4LargeCluster(n int) *Cluster {
 	return c
 }
 
-// NewUniformCluster builds n identical nodes with the given capacities.
-func NewUniformCluster(n, executors int, netBW, diskBW float64) *Cluster {
-	c := &Cluster{Nodes: make([]Node, n)}
-	for i := range c.Nodes {
-		c.Nodes[i] = Node{ID: i, Executors: executors, NetBW: netBW, DiskBW: diskBW}
-	}
-	return c
-}
-
 // NewTraceCluster reproduces the simulation setup of Sec. 5.3: n machines,
 // executor count = CPU cores per machine, network bandwidth heterogeneous
 // in [100 Mbit/s, 2 Gbit/s], disk statically 80 MB/s. The rng makes the

@@ -48,7 +48,8 @@ func TestValidateBadCapacity(t *testing.T) {
 }
 
 func TestTotals(t *testing.T) {
-	c := NewUniformCluster(4, 2, MBps(10), MBps(5))
+	n := Node{Executors: 2, NetBW: MBps(10), DiskBW: MBps(5)}
+	c := &Cluster{Nodes: []Node{n, n, n, n}}
 	if got := c.TotalExecutors(); got != 8 {
 		t.Errorf("TotalExecutors = %d, want 8", got)
 	}

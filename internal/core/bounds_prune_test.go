@@ -35,7 +35,11 @@ func checkSandwich(t *testing.T, c *cluster.Cluster, j *workload.Job,
 	if err != nil {
 		t.Fatalf("%s: NewBoundEvaluator: %v", label, err)
 	}
-	pbd, pred := pb.Bounds(delays), pb.Predict(delays)
+	pos := make([]float64, j.Graph.Len())
+	for id, x := range delays {
+		pos[j.Graph.Pos(id)] = x
+	}
+	pbd, pred := pb.Bounds(delays), pb.PredictAt(pos)
 	if pbd.Lower > pred || pred > pbd.Upper {
 		t.Errorf("%s: prediction %.9f outside the analytic sandwich [%.9f, %.9f]",
 			label, pred, pbd.Lower, pbd.Upper)

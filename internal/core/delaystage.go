@@ -11,7 +11,7 @@
 package core
 
 import (
-	"context"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -73,12 +73,6 @@ type Options struct {
 	// disabling it runs Alg. 1 verbatim. A second pass never changes the
 	// schedule: the pass ends on the makespan it started each scan from.
 	DisableRefine bool
-	// Budget bounds the wall-clock time Alg. 1 may spend. When it runs
-	// out mid-scan the result degrades to the always-feasible all-zero
-	// schedule (stock submit-when-ready) with BudgetExceeded set — a
-	// guarded scheduler replanning at runtime must answer fast or not at
-	// all. Zero means unbounded.
-	Budget time.Duration
 	// Parallelism evaluates a stage's delay candidates on that many
 	// goroutines: the sim evaluator's held-world scan drains its forks
 	// there (taking them one at a time, in candidate order), any other
@@ -87,14 +81,6 @@ type Options struct {
 	// schedule — and every evaluation counter — is bit-identical to the
 	// sequential scan at any setting. Zero or one means sequential.
 	Parallelism int
-	// Ctx cancels the computation: once it is done, Compute stops handing
-	// out work, joins every scan goroutine it started and returns
-	// Ctx.Err(). In-flight candidate evaluations run to completion (the
-	// evaluators are not interruptible), so cancellation is prompt but not
-	// instant — and nothing leaks. Nil means never cancelled. Unlike a
-	// spent Budget, cancellation is an error, not a degraded schedule:
-	// the caller asked for no answer at all.
-	Ctx context.Context
 	// DisableEvalCache turns off the sim evaluator's what-if memo cache
 	// and held-world scans: every candidate is answered by a full
 	// simulation from the job's arrival, as Alg. 1 is written. Schedules are identical either way
@@ -112,7 +98,7 @@ type Options struct {
 	// Approximate switches the candidate evaluation from the what-if
 	// fluid simulation (default; faithful to Alg. 1 lines 12–14) to the
 	// analytic model's Eq. 1–3 per-phase prediction (perfmodel
-	// BoundEvaluator.Predict) — no simulation at all, which is what
+	// BoundEvaluator.PredictAt) — no simulation at all, which is what
 	// replays trace-scale jobs in minutes. Makespan/StockMakespan are
 	// predictions, not simulations; Evaluations land in PruneStats.Approx.
 	Approximate bool
@@ -184,9 +170,6 @@ type Schedule struct {
 	// Prune breaks the two-tier scan down: bounded / pruned candidates and
 	// the exact-vs-approximate split of Evaluations.
 	Prune PruneStats
-	// BudgetExceeded reports that Options.Budget ran out and Delays is
-	// the all-zero fallback.
-	BudgetExceeded bool
 }
 
 // Evaluator predicts the completion time of the parallel region under a
@@ -349,9 +332,6 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 	if opt.MaxCandidates <= 0 {
 		opt.MaxCandidates = 64
 	}
-	if opt.Ctx == nil {
-		opt.Ctx = context.Background()
-	}
 
 	reach, err := dag.NewReachability(job.Graph)
 	if err != nil {
@@ -437,11 +417,6 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 	if !opt.DisableBoundPrune {
 		sc.bounds = bev
 	}
-	// Budget deadline: past it, every further scan aborts and the
-	// schedule degrades to all-zeros (x = 0 is always feasible).
-	if opt.Budget > 0 {
-		sc.deadline = start.Add(opt.Budget)
-	}
 
 	stock, err := sc.makespan(nil)
 	if err != nil {
@@ -452,15 +427,12 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 	return sc, nil
 }
 
-// errBudget aborts a scan when Options.Budget is spent.
-var errBudget = fmt.Errorf("core: compute budget exceeded")
-
 // scanCtx carries one planning call's scan machinery: the evaluator, the
 // optional analytic pruning tier, the schedule being built and the scan
-// invariants (solo times, candidate span and grid, committed lower
-// bound, budget deadline). Inside the scan a stage is its position
-// (Graph.StagesView order): delays, solo times and the paths are indexed
-// by it, and result converts the delays to the Schedule's map.
+// invariants (solo times, candidate span and grid, committed lower bound).
+// Inside the scan a stage is its position (Graph.StagesView order):
+// delays, solo times and the paths are indexed by it, and result converts
+// the delays to the Schedule's map.
 type scanCtx struct {
 	ev     Evaluator
 	bounds *perfmodel.BoundEvaluator // nil = single-tier (no pruning)
@@ -485,8 +457,7 @@ type scanCtx struct {
 	// one Makespan call.
 	held *simEvaluator
 
-	deadline time.Time
-	skip     []bool // per-candidate prune mask, reused across scans
+	skip []bool // per-candidate prune mask, reused across scans
 	// xs and mks are the surviving candidates of a scan and their
 	// makespans, reused across scans.
 	xs, mks []float64
@@ -511,26 +482,19 @@ func (sc *scanCtx) makespan(delays []float64) (float64, error) {
 	return sc.ev.Makespan(delays)
 }
 
-// result finishes a planning call. errBudget degrades the schedule to the
-// always-feasible all-zero delays with BudgetExceeded set; any other
-// error is returned.
+// result finishes a planning call, or returns its error.
 func (sc *scanCtx) result(err error) (*Schedule, error) {
 	sched := sc.sched
 	if sc.ev != nil {
 		sc.ev.Close()
 	}
-	switch err {
-	case nil:
-		for p, x := range sc.delays {
-			if x != 0 {
-				sched.Delays[sc.ids[p]] = x
-			}
-		}
-	case errBudget:
-		sched.Makespan = sched.StockMakespan
-		sched.BudgetExceeded = true
-	default:
+	if err != nil {
 		return nil, err
+	}
+	for p, x := range sc.delays {
+		if x != 0 {
+			sched.Delays[sc.ids[p]] = x
+		}
 	}
 	if sc.shared != nil {
 		st := sc.shared.counters()
@@ -571,8 +535,7 @@ func (sc *scanCtx) countEval(n int) {
 // scan runs the two-tier candidate scan of the stage at position k and
 // stores the argmin in sc.delays. When globalBest is nil the comparison baseline
 // is the active-set makespan with the stage's incumbent delay (first
-// sweep); otherwise globalBest is used and updated (refinement). A
-// non-zero deadline makes the scan abort with errBudget once passed.
+// sweep); otherwise globalBest is used and updated (refinement).
 //
 // Tier 1 prunes against the *scan-start* best — not the running best —
 // so the surviving set, and with it every counter, is independent of
@@ -580,10 +543,7 @@ func (sc *scanCtx) countEval(n int) {
 // exact(c) ≥ lower(c) ≥ best₀ − tol ≥ runningBest − tol means the
 // sequential comparison below could never have accepted c.
 func (sc *scanCtx) scan(k int, globalBest *float64) error {
-	sched, opt, deadline := sc.sched, sc.opt, sc.deadline
-	if err := scanInterrupted(opt.Ctx, deadline); err != nil {
-		return err
-	}
+	sched, opt := sc.sched, sc.opt
 	// A zero delay is no delay: the stage has an incumbent to re-use only
 	// when it is delayed.
 	incumbent := sc.delays[k]
@@ -679,16 +639,11 @@ func (sc *scanCtx) evaluate(k int, xs, mks []float64) (int, error) {
 	case len(xs) == 0:
 		return 0, nil
 	case sc.held != nil:
-		return sc.held.scanMakespans(opt.Ctx, sc.deadline, delays, k, xs, mks, opt.Parallelism)
+		return sc.held.scanMakespans(delays, k, xs, mks, opt.Parallelism)
 	case opt.Parallelism > 1 && len(xs) > 1:
-		return scanParallel(opt.Ctx, sc.ev, delays, k, xs, mks, opt.Parallelism, sc.deadline)
+		return scanParallel(sc.ev, delays, k, xs, mks, opt.Parallelism)
 	}
 	for i, x := range xs {
-		if i%8 == 0 {
-			if err := scanInterrupted(opt.Ctx, sc.deadline); err != nil {
-				return i, err
-			}
-		}
 		delays[k] = x
 		mk, err := sc.ev.Makespan(delays)
 		if err != nil {
@@ -699,29 +654,14 @@ func (sc *scanCtx) evaluate(k int, xs, mks []float64) (int, error) {
 	return len(xs), nil
 }
 
-// scanInterrupted returns ctx's error once it is cancelled, errBudget once
-// a non-zero deadline has passed, and nil otherwise.
-func scanInterrupted(ctx context.Context, deadline time.Time) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return errBudget
-	}
-	return nil
-}
-
 // scanParallel fans a stage's candidate evaluations out over min(workers,
 // len(xs)) goroutines, each with its own Evaluator clone and private copy
 // of the delays, setting mks[i] to the makespan with stage k's delay
 // xs[i].
 // It returns how many evaluations ran. Work is handed out by an atomic
-// counter; any worker error stops the scan, and a spent deadline surfaces
-// as errBudget exactly as in the sequential loop. A cancelled ctx stops
-// every worker before its next candidate and surfaces as ctx.Err(); the
-// WaitGroup join below means no goroutine outlives the call either way.
-func scanParallel(ctx context.Context, ev Evaluator, delays []float64, k int,
-	xs, mks []float64, workers int, deadline time.Time) (int, error) {
+// counter; any worker error stops the scan, and the WaitGroup join below
+// means no goroutine outlives the call.
+func scanParallel(ev Evaluator, delays []float64, k int, xs, mks []float64, workers int) (int, error) {
 	workers = min(workers, len(xs))
 	errs := make([]error, workers)
 	var next atomic.Int64
@@ -739,11 +679,6 @@ func scanParallel(ctx context.Context, ev Evaluator, delays []float64, k int,
 				if i >= len(xs) {
 					return
 				}
-				if err := scanInterrupted(ctx, deadline); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
 				d[k] = xs[i]
 				mk, err := wev.Makespan(d)
 				if err != nil {
@@ -757,13 +692,7 @@ func scanParallel(ctx context.Context, ev Evaluator, delays []float64, k int,
 		}(w)
 	}
 	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil && (firstErr == nil || firstErr == errBudget) {
-			firstErr = err
-		}
-	}
-	return int(evals.Load()), firstErr
+	return int(evals.Load()), cmp.Or(errs...)
 }
 
 // candidates returns the slotted delay candidates in [0, upper]. The slot

@@ -2,14 +2,12 @@ package core
 
 import (
 	"cmp"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
@@ -18,8 +16,8 @@ import (
 	"delaystage/internal/workload"
 )
 
-// coarseFor memoizes sim.Coarsen per cluster: replan loops and experiment
-// sweeps build many evaluators against the same (immutable) cluster, and
+// coarseFor memoizes sim.Coarsen per cluster: online planners and
+// experiment sweeps build many evaluators against the same (immutable) cluster, and
 // the coarse view never changes. Bounded so a long-lived process creating
 // clusters forever does not leak — coarsening is cheap to redo.
 var (
@@ -45,7 +43,7 @@ func coarseFor(c *cluster.Cluster) *cluster.Cluster {
 // they were answered.
 type EvalStats struct {
 	// CacheHits counts configurations answered from the memo cache —
-	// refine passes and replans re-query many configurations verbatim.
+	// refine passes re-query many configurations verbatim.
 	CacheHits int
 	// ForkedRuns counts scan candidates answered from the scan's held
 	// world: the simulation up to the candidate's submission time was
@@ -300,8 +298,7 @@ func (e *simEvaluator) Makespan(delays []float64) (float64, error) {
 // run on up to that many goroutines, all joined before it returns. Which
 // candidates hit, fork or drain depends only on the memo, never on the
 // interleaving, so the counters are the same at any parallelism.
-func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, delays []float64,
-	k int, xs, mks []float64, workers int) (int, error) {
+func (e *simEvaluator) scanMakespans(delays []float64, k int, xs, mks []float64, workers int) (int, error) {
 	sh := e.shared
 	// The held world takes its delays as Fork revisions, so this vector
 	// is free again once it is built.
@@ -348,7 +345,7 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 	}
 	kid := e.ids[k]
 	for _, i := range miss {
-		if err = scanInterrupted(ctx, deadline); err != nil || (pool != nil && pool.failed.Load()) {
+		if pool != nil && pool.failed.Load() {
 			break
 		}
 		s := w
@@ -367,7 +364,7 @@ func (e *simEvaluator) scanMakespans(ctx context.Context, deadline time.Time, de
 		}
 	}
 	if pool != nil {
-		if werr := pool.wait(); werr != nil && (err == nil || err == errBudget) {
+		if werr := pool.wait(); err == nil {
 			err = werr
 		}
 	}

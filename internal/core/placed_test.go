@@ -30,7 +30,10 @@ type placedCase struct {
 // bandwidths.
 func placedCases() []placedCase {
 	dc := cluster.Node{Executors: 32, NetBW: cluster.MBps(10000), DiskBW: cluster.MBps(2000)}
-	c := cluster.NewUniformCluster(3, dc.Executors, dc.NetBW, dc.DiskBW)
+	c := &cluster.Cluster{Nodes: []cluster.Node{dc, dc, dc}}
+	for i := range c.Nodes {
+		c.Nodes[i].ID = i
+	}
 	ref := &cluster.Cluster{Nodes: []cluster.Node{dc}}
 	named := workload.Gallery(ref, 0.2)
 	named["TriangleCount"] = workload.TriangleCount(ref, 0.2)

@@ -24,9 +24,10 @@ import (
 // ε is the guard's irreducible exposure: delays spent before the first
 // observable signal (a read end or stage completion) cannot be revoked,
 // and on these small DAGs that window is worth up to ~10% of the JCT
-// (tightening DriftTolerance does not shrink it — measured identical
-// worst case at 0.15, 0.08, 0.04 and 0.02). The property that holds, and
-// that open-loop DelayStage demonstrably lacks, is the capped tail.
+// (tightening the guard's 15% drift tolerance does not shrink it —
+// measured identical worst case at 0.15, 0.08, 0.04 and 0.02). The
+// property that holds, and that open-loop DelayStage demonstrably lacks,
+// is the capped tail.
 func TestNeverWorseGuardUnderProfileNoise(t *testing.T) {
 	const (
 		trials = 30

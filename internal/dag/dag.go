@@ -144,12 +144,6 @@ func (g *Graph) Parents(id StageID) []StageID {
 	return append([]StageID(nil), s.Parents...)
 }
 
-// Children returns the IDs of stages that list id as a parent. Validate
-// must have been called for the child index to be populated.
-func (g *Graph) Children(id StageID) []StageID {
-	return append([]StageID(nil), g.children[id]...)
-}
-
 // ChildrenView returns id's child index slice WITHOUT copying. Callers
 // must treat it as read-only; Validate must have run for the index to be
 // populated. Same hot-path rationale as StagesView.
@@ -350,17 +344,6 @@ func (g *Graph) Roots() []StageID {
 	var out []StageID
 	for _, id := range g.order {
 		if len(g.stages[id].Parents) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Leaves returns stages with no children, in insertion order.
-func (g *Graph) Leaves() []StageID {
-	var out []StageID
-	for _, id := range g.order {
-		if len(g.children[id]) == 0 {
 			out = append(out, id)
 		}
 	}

@@ -109,13 +109,42 @@ func TestTopoSortDeterministic(t *testing.T) {
 	}
 }
 
+// leaves returns the stages with no children, in insertion order.
+func leaves(g *Graph) []StageID {
+	var out []StageID
+	for _, id := range g.StagesView() {
+		if len(g.ChildrenView(id)) == 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// concurrent reports whether a and b may execute in parallel: a != b and
+// neither reaches the other.
+func concurrent(r *Reachability, a, b StageID) bool {
+	return a != b && !r.Reaches(a, b) && !r.Reaches(b, a)
+}
+
+// members returns the stages in id's row of sets (r.anc or r.desc), in
+// topological order.
+func members(r *Reachability, sets []bitset, id StageID) []StageID {
+	var out []StageID
+	for j := range r.ids {
+		if sets[r.idx[id]].get(j) {
+			out = append(out, r.ids[j])
+		}
+	}
+	return out
+}
+
 func TestRootsLeaves(t *testing.T) {
 	g := fig7(t)
 	roots := g.Roots()
 	if len(roots) != 3 {
 		t.Fatalf("want 3 roots (1,2,4), got %v", roots)
 	}
-	leaves := g.Leaves()
+	leaves := leaves(g)
 	if len(leaves) != 1 || leaves[0] != 5 {
 		t.Fatalf("want leaf [5], got %v", leaves)
 	}
@@ -123,11 +152,11 @@ func TestRootsLeaves(t *testing.T) {
 
 func TestChildrenIndex(t *testing.T) {
 	g := fig7(t)
-	cs := g.Children(1)
+	cs := g.ChildrenView(1)
 	if len(cs) != 1 || cs[0] != 3 {
 		t.Fatalf("children(1) = %v, want [3]", cs)
 	}
-	if got := g.Children(5); len(got) != 0 {
+	if got := g.ChildrenView(5); len(got) != 0 {
 		t.Fatalf("children(5) = %v, want empty", got)
 	}
 }
@@ -152,10 +181,10 @@ func TestReachability(t *testing.T) {
 func TestConcurrent(t *testing.T) {
 	g := fig7(t)
 	r := reach(t, g)
-	if !r.Concurrent(1, 2) || !r.Concurrent(3, 4) || !r.Concurrent(1, 4) {
+	if !concurrent(r, 1, 2) || !concurrent(r, 3, 4) || !concurrent(r, 1, 4) {
 		t.Error("expected 1∥2, 3∥4, 1∥4")
 	}
-	if r.Concurrent(1, 3) || r.Concurrent(5, 1) || r.Concurrent(2, 2) {
+	if concurrent(r, 1, 3) || concurrent(r, 5, 1) || concurrent(r, 2, 2) {
 		t.Error("1-3, 5-1, 2-2 must not be concurrent")
 	}
 }
@@ -163,11 +192,11 @@ func TestConcurrent(t *testing.T) {
 func TestAncestorsDescendants(t *testing.T) {
 	g := fig7(t)
 	r := reach(t, g)
-	anc := r.Ancestors(5)
+	anc := members(r, r.anc, 5)
 	if len(anc) != 4 {
 		t.Fatalf("ancestors(5) = %v, want 4 stages", anc)
 	}
-	desc := r.Descendants(1)
+	desc := members(r, r.desc, 1)
 	if len(desc) != 2 { // 3 and 5
 		t.Fatalf("descendants(1) = %v, want [3 5]", desc)
 	}

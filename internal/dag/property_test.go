@@ -87,7 +87,7 @@ func TestPropertyReachabilityMatchesDFS(t *testing.T) {
 				return false
 			}
 			seen[from] = true
-			for _, c := range g.Children(from) {
+			for _, c := range g.ChildrenView(from) {
 				if c == to || dfs(c, to, seen) {
 					return true
 				}
@@ -117,11 +117,11 @@ func TestPropertyConcurrentSymmetric(t *testing.T) {
 		g := randomDAG(rand.New(rand.NewSource(seed)), n)
 		r, _ := NewReachability(g)
 		for _, a := range g.Stages() {
-			if r.Concurrent(a, a) {
+			if concurrent(r, a, a) {
 				return false
 			}
 			for _, b := range g.Stages() {
-				if r.Concurrent(a, b) != r.Concurrent(b, a) {
+				if concurrent(r, a, b) != concurrent(r, b, a) {
 					return false
 				}
 			}
@@ -181,7 +181,7 @@ func TestPropertyConcurrencyDegree(t *testing.T) {
 		for _, a := range g.Stages() {
 			cnt := 0
 			for _, b := range g.Stages() {
-				if r.Concurrent(a, b) {
+				if concurrent(r, a, b) {
 					cnt++
 				}
 			}
@@ -214,7 +214,7 @@ func TestPropertyCriticalPathIsMax(t *testing.T) {
 			cur := roots[rng.Intn(len(roots))]
 			total := wf(cur)
 			for {
-				cs := g.Children(cur)
+				cs := g.ChildrenView(cur)
 				if len(cs) == 0 {
 					break
 				}

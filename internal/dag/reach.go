@@ -85,45 +85,6 @@ func (r *Reachability) Reaches(a, b StageID) bool {
 	return r.desc[ai].get(bi)
 }
 
-// Concurrent reports whether a and b may execute in parallel: a != b and
-// neither reaches the other.
-func (r *Reachability) Concurrent(a, b StageID) bool {
-	if a == b {
-		return false
-	}
-	return !r.Reaches(a, b) && !r.Reaches(b, a)
-}
-
-// Ancestors returns the ancestor set of id in topological order.
-func (r *Reachability) Ancestors(id StageID) []StageID {
-	i, ok := r.idx[id]
-	if !ok {
-		return nil
-	}
-	var out []StageID
-	for j := range r.ids {
-		if r.anc[i].get(j) {
-			out = append(out, r.ids[j])
-		}
-	}
-	return out
-}
-
-// Descendants returns the descendant set of id in topological order.
-func (r *Reachability) Descendants(id StageID) []StageID {
-	i, ok := r.idx[id]
-	if !ok {
-		return nil
-	}
-	var out []StageID
-	for j := range r.ids {
-		if r.desc[i].get(j) {
-			out = append(out, r.ids[j])
-		}
-	}
-	return out
-}
-
 // ConcurrencyDegree returns, for each stage, how many other stages it can
 // run in parallel with. A stage belongs to the parallel-stage set K iff its
 // degree is ≥ 1 (Sec. 2.1 of the paper).

@@ -1,9 +1,8 @@
 package experiments
 
 // Runner couples an experiment's registry name (the cmd/experiments -only
-// key) with its entry point. Keeping the list here means All, the CLI
-// subset flag, and the per-experiment timeout guard all agree on what
-// exists. Run returns the experiment's typed result struct (for the
+// key) with its entry point. Keeping the list here means the CLI subset
+// flag and the per-experiment timeout guard agree on what exists. Run returns the experiment's typed result struct (for the
 // machine-readable -json summary) alongside rendering text to cfg.W.
 type Runner struct {
 	Name string
@@ -11,8 +10,8 @@ type Runner struct {
 }
 
 // Runners lists every experiment in paper order, followed by the
-// extensions. Fig14 also renders Table 4, so All skips the standalone
-// "table4" entry (it exists for -only).
+// extensions. Fig14 also renders Table 4, so a full run skips the
+// standalone "table4" entry (it exists for -only).
 func Runners() []Runner {
 	return []Runner{
 		{"fig2", func(cfg Config) (any, error) { return Fig2(cfg) }},
@@ -37,19 +36,4 @@ func Runners() []Runner {
 		{"sensitivity", func(cfg Config) (any, error) { return Sensitivity(cfg) }},
 		{"fault", func(cfg Config) (any, error) { return FaultSweep(cfg) }},
 	}
-}
-
-// All runs every experiment in paper order, rendering to cfg.W. It returns
-// the first error encountered.
-func All(cfg Config) error {
-	cfg.defaults()
-	for _, r := range Runners() {
-		if r.Name == "table4" { // rendered by fig14
-			continue
-		}
-		if _, err := r.Run(cfg); err != nil {
-			return err
-		}
-	}
-	return nil
 }

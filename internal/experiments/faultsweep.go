@@ -96,9 +96,8 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 	type planned struct {
 		believed *workload.Job // the noisy job the planner saw
 		ds       scheduler.Plan
-		// primer shares the plan's predicted timelines and the replan
-		// cache across the grid cells' per-run watchdogs (nil when the
-		// plan delays nothing).
+		// primer shares the plan's predicted timelines across the grid
+		// cells' per-run watchdogs (nil when the plan delays nothing).
 		primer *scheduler.GuardPrimer
 	}
 	plans := map[string]planned{}
@@ -163,8 +162,7 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 			case "guarded":
 				run.Delays = pl.ds.Delays
 				// Guards are stateful: a fresh one per run, drawn from the
-				// shared primer (predictions computed once per workload,
-				// replans memoized across cells).
+				// shared primer (predictions computed once per workload).
 				if pl.primer != nil {
 					opt.Watchdog = pl.primer.Watchdog()
 				}

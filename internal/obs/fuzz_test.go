@@ -41,7 +41,7 @@ func FuzzReadEvents(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		var once bytes.Buffer
-		if err := WriteEvents(&once, evs); err != nil {
+		if err := writeEvents(&once, evs); err != nil {
 			t.Fatalf("re-encode of accepted input failed: %v", err)
 		}
 		evs2, err := ReadEvents(bytes.NewReader(once.Bytes()))
@@ -49,7 +49,7 @@ func FuzzReadEvents(f *testing.F) {
 			t.Fatalf("encoder output did not decode: %v\n%s", err, once.Bytes())
 		}
 		var twice bytes.Buffer
-		if err := WriteEvents(&twice, evs2); err != nil {
+		if err := writeEvents(&twice, evs2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {

@@ -102,7 +102,7 @@ func (l *JSONL) OnEvent(ev sim.Event) {
 // here is strict JSON: quote, backslash and control characters are
 // escaped, valid UTF-8 passes through verbatim, and invalid bytes become
 // U+FFFD — so every emitted line parses with encoding/json and
-// ReadEvents→WriteEvents round-trips encoder output byte-for-byte.
+// decoding and re-encoding round-trips encoder output byte-for-byte.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for _, r := range s {

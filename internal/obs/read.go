@@ -53,8 +53,8 @@ type jsonlLine struct {
 // DecodeEvents streams the event lines of a JSONL log, invoking fn for
 // every decoded line in file order. It is the inverse of the JSONL
 // exporter: a log the exporter wrote decodes without loss, and
-// re-encoding the decoded events with WriteEvents reproduces the log
-// byte-for-byte. Job-trace lines interleaved in the same log are skipped;
+// re-encoding the decoded events with the exporter, each under its run
+// label, reproduces the log byte-for-byte. Job-trace lines interleaved in the same log are skipped;
 // use DecodeLog to receive both streams.
 func DecodeEvents(r io.Reader, fn func(LoggedEvent) error) error {
 	return DecodeLog(r, fn, nil)
@@ -163,18 +163,6 @@ func ReadEvents(r io.Reader) ([]LoggedEvent, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// WriteEvents re-encodes decoded events with the JSONL exporter,
-// honouring each event's run label. ReadEvents∘WriteEvents is the
-// identity on encoder output, byte-for-byte.
-func WriteEvents(w io.Writer, evs []LoggedEvent) error {
-	l := NewJSONL(w)
-	for _, le := range evs {
-		l.Run = le.Run
-		l.OnEvent(le.Event)
-	}
-	return l.Flush()
 }
 
 // EventsOfRun filters a decoded log to one run label (use -1 for logs

@@ -2,12 +2,24 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
 	"testing"
 
 	"delaystage/internal/sim"
 )
+
+// writeEvents re-encodes decoded events with the JSONL exporter,
+// honouring each event's run label.
+func writeEvents(w io.Writer, evs []LoggedEvent) error {
+	l := NewJSONL(w)
+	for _, le := range evs {
+		l.Run = le.Run
+		l.OnEvent(le.Event)
+	}
+	return l.Flush()
+}
 
 // TestReadEventsGoldenRoundTrip: decoding the golden event log and
 // re-encoding it must reproduce the file byte-for-byte — the decoder is
@@ -25,7 +37,7 @@ func TestReadEventsGoldenRoundTrip(t *testing.T) {
 		t.Fatal("golden log decoded to zero events")
 	}
 	var out bytes.Buffer
-	if err := WriteEvents(&out, evs); err != nil {
+	if err := writeEvents(&out, evs); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, out.Bytes()) {
@@ -62,7 +74,7 @@ func TestReadEventsLiveRoundTrip(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := WriteEvents(&out, evs); err != nil {
+	if err := writeEvents(&out, evs); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), out.Bytes()) {
@@ -106,7 +118,7 @@ func TestReadEventsRunLabels(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := WriteEvents(&out, evs); err != nil {
+	if err := writeEvents(&out, evs); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), out.Bytes()) {
@@ -143,7 +155,7 @@ func TestReadEventsDetailEscaping(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := WriteEvents(&out, evs); err != nil {
+	if err := writeEvents(&out, evs); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), out.Bytes()) {

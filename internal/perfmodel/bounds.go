@@ -114,7 +114,7 @@ type BoundEvaluator struct {
 	// delays by position.
 	up, up2, down, ends, dd []float64
 
-	// Prediction scratch, allocated on the first Predict so the
+	// Prediction scratch, allocated on the first layout so the
 	// pruning-only callers never pay for it.
 	lay      [][nPhases + 1]float64 // phase boundaries per stage
 	stretch  [][nPhases]float64
@@ -531,13 +531,9 @@ type Span struct {
 	Start, End float64
 }
 
-// Predict returns the Prediction: the completion time, from job start, of
-// the last active stage of the Eq. 1–3 per-phase layout under the delays.
-func (b *BoundEvaluator) Predict(delays map[dag.StageID]float64) float64 {
-	return b.PredictAt(b.dense(delays))
-}
-
-// PredictAt is Predict for delays by position (nil = all zero).
+// PredictAt returns the Prediction: the completion time, from job start,
+// of the last active stage of the Eq. 1–3 per-phase layout under the
+// delays, by position (nil = all zero).
 func (b *BoundEvaluator) PredictAt(delays []float64) float64 {
 	lay := b.layout(delays)
 	hi := 0.0

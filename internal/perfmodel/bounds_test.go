@@ -61,14 +61,14 @@ func TestBoundsOrderingGallery(t *testing.T) {
 				t.Fatalf("%s: degenerate bounds %+v", name, bd)
 			}
 			// Without the work term the bounds sandwich the prediction.
-			pbd, pred := pb.Bounds(delays), pb.Predict(delays)
+			pbd, pred := pb.Bounds(delays), predict(pb, delays)
 			if math.IsNaN(pred) || pbd.Lower > pred || pred > pbd.Upper {
 				t.Fatalf("%s: want Lower ≤ Predict ≤ Upper, got %v outside %+v", name, pred, pbd)
 			}
-			if cp := pb.Clone().Predict(delays); cp != pred {
+			if cp := predict(pb.Clone(), delays); cp != pred {
 				t.Fatalf("%s: clone prediction %v != %v", name, cp, pred)
 			}
-			if again := pb.Predict(delays); again != pred {
+			if again := predict(pb, delays); again != pred {
 				t.Fatalf("%s: prediction not deterministic: %v then %v", name, pred, again)
 			}
 			if got := b.Lower(delays); got != bd.Lower {
@@ -157,9 +157,9 @@ func TestEstimateDiscriminatesDelays(t *testing.T) {
 	ref := oneNode()
 	j := twoParallel(ref)
 	b := boundEval(t, ref, j, BoundConfig{})
-	overlapped := b.Predict(nil)
-	separated := b.Predict(map[dag.StageID]float64{2: 100})
-	interleaved := b.Predict(map[dag.StageID]float64{2: 40})
+	overlapped := predict(b, nil)
+	separated := predict(b, map[dag.StageID]float64{2: 100})
+	interleaved := predict(b, map[dag.StageID]float64{2: 40})
 	if !(separated < overlapped) || !(interleaved < overlapped) {
 		t.Fatalf("prediction must drop when overlap is delayed away: overlapped=%v separated=%v interleaved=%v",
 			overlapped, separated, interleaved)

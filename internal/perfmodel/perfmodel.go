@@ -1,8 +1,10 @@
 // Package perfmodel implements the paper's analytical performance model
-// (Sec. 3.1, Eq. 1–3): closed-form task, stage and execution-path times
-// under given resource shares. DelayStage uses it to seed Alg. 1 with the
-// uncontended stage times t̂_k; the Appendix A.2 experiment compares its
-// predictions against the fluid simulator.
+// (Sec. 3.1, Eq. 1–3): closed-form uncontended stage times (Model) and the
+// per-phase layout of a job's execution paths under contention
+// (BoundEvaluator). DelayStage uses it to seed Alg. 1 with the uncontended
+// stage times t̂_k and to bound and approximate candidate makespans; the
+// Appendix A.2 experiment compares its predictions against the fluid
+// simulator.
 package perfmodel
 
 import (
@@ -14,28 +16,8 @@ import (
 	"delaystage/internal/workload"
 )
 
-// Shares expresses the fraction of each resource available to a stage
-// (1 / f in the paper, where f parallel stages share the resource).
-type Shares struct {
-	Net  float64 // share of every NIC's bandwidth (B_k / B)
-	Exec float64 // share of every node's executors (ε_k / ε)
-	Disk float64 // share of every disk's bandwidth (D_k / D)
-}
-
-// Full is the uncontended share set (stage running alone).
-var Full = Shares{Net: 1, Exec: 1, Disk: 1}
-
-// EqualShares returns the share set when f stages split every resource
-// equally, the paper's simplifying assumption.
-func EqualShares(f int) Shares {
-	if f < 1 {
-		f = 1
-	}
-	s := 1 / float64(f)
-	return Shares{Net: s, Exec: s, Disk: s}
-}
-
-// Model evaluates Eq. (1)–(3) on a concrete cluster.
+// Model evaluates a stage's uncontended time, Eq. (1)–(2), on a concrete
+// cluster.
 type Model struct {
 	Cluster *cluster.Cluster
 }
@@ -51,72 +33,6 @@ func New(c *cluster.Cluster) (*Model, error) {
 	return &Model{Cluster: c}, nil
 }
 
-// TaskTime is Eq. (1): the execution time of stage k's partition on worker
-// w — shuffle-read transfer (bounded by the slowest input link), data
-// processing on the stage's executor share, and shuffle write.
-// Stage input/output is split evenly across the cluster's nodes, matching
-// the simulator and the paper's symmetric-partition assumption.
-func (m *Model) TaskTime(p workload.StageProfile, w cluster.Node, sh Shares) float64 {
-	n := float64(len(m.Cluster.Nodes))
-	in := float64(p.ShuffleIn) / n
-	out := float64(p.ShuffleOut) / n
-
-	read := 0.0
-	if in > 0 {
-		read = in / (w.NetBW * sh.Net)
-	}
-	compute := 0.0
-	if in > 0 {
-		compute = in / (float64(w.Executors) * sh.Exec * p.ProcRate)
-	}
-	write := 0.0
-	if out > 0 {
-		write = out / (w.DiskBW * sh.Disk)
-	}
-	return read + compute + write
-}
-
-// StageTime is Eq. (2): the stage finishes when its slowest worker does.
-func (m *Model) StageTime(p workload.StageProfile, sh Shares) float64 {
-	t := 0.0
-	for _, w := range m.Cluster.Nodes {
-		if tw := m.TaskTime(p, w, sh); tw > t {
-			t = tw
-		}
-	}
-	return t
-}
-
-// SoloStageTime is the uncontended stage time t̂_k (Alg. 1, line 2).
-func (m *Model) SoloStageTime(p workload.StageProfile) float64 {
-	return m.StageTime(p, Full)
-}
-
-// PathTime is Eq. (3): T_m = Σ_{k∈P_m} (x_k + t_k), where x_k is the
-// delayed submission time of stage k and t_k its execution time. delays
-// and times are keyed by stage; missing delays count as zero.
-func (m *Model) PathTime(path dag.Path, times map[dag.StageID]float64, delays map[dag.StageID]float64) float64 {
-	t := 0.0
-	for _, k := range path.Stages {
-		t += times[k]
-		if delays != nil {
-			t += delays[k]
-		}
-	}
-	return t
-}
-
-// Makespan returns max_m T_m over the given paths (objective (4)).
-func (m *Model) Makespan(paths []dag.Path, times, delays map[dag.StageID]float64) float64 {
-	best := 0.0
-	for _, p := range paths {
-		if t := m.PathTime(p, times, delays); t > best {
-			best = t
-		}
-	}
-	return best
-}
-
 // SoloTimes computes t̂_k for every stage of a job.
 func (m *Model) SoloTimes(j *workload.Job) map[dag.StageID]float64 {
 	out := make(map[dag.StageID]float64, len(j.Profiles))
@@ -126,8 +42,18 @@ func (m *Model) SoloTimes(j *workload.Job) map[dag.StageID]float64 {
 	return out
 }
 
+// SoloStageTime is the uncontended stage time t̂_k (Alg. 1, line 2): Eq. 2's
+// slowest worker, each worker's partition time being Eq. 1's read, compute
+// and write.
+func (m *Model) SoloStageTime(p workload.StageProfile) float64 {
+	r, c, w := m.PhaseBreakdown(p)
+	return r + c + w
+}
+
 // PhaseBreakdown returns the solo read/compute/write components of a stage
 // on the slowest worker (useful for Gantt rendering and the A.2 table).
+// Stage input/output is split evenly across the cluster's nodes, matching
+// the simulator and the paper's symmetric-partition assumption.
 func (m *Model) PhaseBreakdown(p workload.StageProfile) (read, compute, write float64) {
 	n := float64(len(m.Cluster.Nodes))
 	in := float64(p.ShuffleIn) / n

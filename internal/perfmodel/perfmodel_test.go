@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"delaystage/internal/cluster"
-	"delaystage/internal/dag"
 	"delaystage/internal/workload"
 )
 
@@ -40,19 +39,6 @@ func TestSoloStageTimeMatchesPhaseSpec(t *testing.T) {
 	}
 }
 
-func TestEqualSharesScaling(t *testing.T) {
-	m := model(t, 10)
-	p := workload.FromPhases(m.Cluster, workload.PhaseSpec{ReadSec: 50, ComputeSec: 50, WriteSec: 10})
-	solo := m.StageTime(p, Full)
-	half := m.StageTime(p, EqualShares(2))
-	if math.Abs(half-2*solo) > 1 {
-		t.Fatalf("half shares %v, want 2× solo %v", half, 2*solo)
-	}
-	if EqualShares(0) != Full {
-		t.Error("EqualShares(0) must clamp to Full")
-	}
-}
-
 func TestStageTimeSlowestWorkerDominates(t *testing.T) {
 	// Heterogeneous cluster: one slow-NIC node sets the stage time (Eq. 2).
 	c := &cluster.Cluster{Nodes: []cluster.Node{
@@ -64,35 +50,10 @@ func TestStageTimeSlowestWorkerDominates(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := workload.StageProfile{ShuffleIn: 2 * 100 * cluster.MB, ProcRate: cluster.MBps(1000)}
-	got := m.StageTime(p, Full)
+	got := m.SoloStageTime(p)
 	// Per-node input = 100 MB; slow node reads at 10 MB/s → 10 s dominates.
 	if math.Abs(got-10-0.1) > 0.2 {
 		t.Fatalf("stage time %v, want ≈10.1 (slow worker)", got)
-	}
-}
-
-func TestPathTimeWithDelays(t *testing.T) {
-	m := model(t, 5)
-	path := dag.Path{Stages: []dag.StageID{1, 2}}
-	times := map[dag.StageID]float64{1: 10, 2: 20}
-	delays := map[dag.StageID]float64{2: 5}
-	if got := m.PathTime(path, times, delays); got != 35 {
-		t.Fatalf("path time %v, want 35", got)
-	}
-	if got := m.PathTime(path, times, nil); got != 30 {
-		t.Fatalf("path time without delays %v, want 30", got)
-	}
-}
-
-func TestMakespanIsMaxPath(t *testing.T) {
-	m := model(t, 5)
-	paths := []dag.Path{
-		{Stages: []dag.StageID{1}},
-		{Stages: []dag.StageID{2, 3}},
-	}
-	times := map[dag.StageID]float64{1: 50, 2: 20, 3: 40}
-	if got := m.Makespan(paths, times, nil); got != 60 {
-		t.Fatalf("makespan %v, want 60", got)
 	}
 }
 

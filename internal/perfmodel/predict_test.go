@@ -9,6 +9,11 @@ import (
 	"delaystage/internal/workload"
 )
 
+// predict is the Prediction under delays keyed by stage.
+func predict(b *BoundEvaluator, delays map[dag.StageID]float64) float64 {
+	return b.PredictAt(b.dense(delays))
+}
+
 func TestPredictMonotoneInDelay(t *testing.T) {
 	// Delaying one of two independent stages by a huge amount moves the
 	// predicted job end past the delay.
@@ -19,8 +24,8 @@ func TestPredictMonotoneInDelay(t *testing.T) {
 	p := workload.FromPhases(c, workload.PhaseSpec{ReadSec: 10, ComputeSec: 10, WriteSec: 1})
 	j := &workload.Job{Name: "m", Graph: g, Profiles: map[dag.StageID]workload.StageProfile{1: p, 2: p}}
 	b := boundEval(t, c, j, BoundConfig{})
-	base := b.Predict(nil)
-	big := b.Predict(map[dag.StageID]float64{1: 1000})
+	base := predict(b, nil)
+	big := predict(b, map[dag.StageID]float64{1: 1000})
 	if big < base+900 {
 		t.Fatalf("huge delay must dominate: base %.1f, delayed %.1f", base, big)
 	}
@@ -42,7 +47,7 @@ func TestPredictCloneIsolated(t *testing.T) {
 	want := make([]float64, len(delays))
 	for i := range delays {
 		delays[i] = map[dag.StageID]float64{k[i%len(k)]: float64(10 * (i + 1))}
-		want[i] = b.Predict(delays[i])
+		want[i] = predict(b, delays[i])
 	}
 	var wg sync.WaitGroup
 	got := make([]float64, len(delays))
@@ -50,7 +55,7 @@ func TestPredictCloneIsolated(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = b.Clone().Predict(delays[i])
+			got[i] = predict(b.Clone(), delays[i])
 		}(i)
 	}
 	wg.Wait()

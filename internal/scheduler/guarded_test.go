@@ -3,9 +3,9 @@ package scheduler
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/faults"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
@@ -15,8 +15,8 @@ func TestGuardedNames(t *testing.T) {
 	if got := (GuardedDelayStage{}).Name(); got != "GuardedDelayStage" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := (GuardedDelayStage{Mode: GuardReplan}).Name(); got != "GuardedDelayStage-replan" {
-		t.Errorf("replan Name = %q", got)
+	if got := (GuardedDelayStage{DelayStage{Order: core.Ascending}}).Name(); got != "GuardedDelayStage-ascending" {
+		t.Errorf("ascending Name = %q", got)
 	}
 }
 
@@ -24,20 +24,17 @@ func TestGuardedNames(t *testing.T) {
 // plain DelayStage produce the exact same run.
 func TestGuardedFaultFreeMatchesDelayStage(t *testing.T) {
 	c := cluster.NewM4LargeCluster(10)
-	for _, mode := range []GuardMode{GuardCancel, GuardReplan} {
-		for name, job := range workload.PaperWorkloads(c, 0.3) {
-			plain, err := RunJob(c, job, DelayStage{}, sim.Options{TrackNode: -1})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			guarded, err := RunJob(c, job, GuardedDelayStage{Mode: mode}, sim.Options{TrackNode: -1})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if plain.JCT(0) != guarded.JCT(0) {
-				t.Errorf("%s mode %d: guarded JCT %.4f != plain %.4f",
-					name, mode, guarded.JCT(0), plain.JCT(0))
-			}
+	for name, job := range workload.PaperWorkloads(c, 0.3) {
+		plain, err := runJob(c, job, DelayStage{}, sim.Options{TrackNode: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		guarded, err := runJob(c, job, GuardedDelayStage{}, sim.Options{TrackNode: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if plain.JCT(0) != guarded.JCT(0) {
+			t.Errorf("%s: guarded JCT %.4f != plain %.4f", name, guarded.JCT(0), plain.JCT(0))
 		}
 	}
 }
@@ -56,50 +53,22 @@ func TestGuardedDegradesUnderFailures(t *testing.T) {
 		}
 		return in
 	}
-	spark, err := RunJob(c, job, Spark{}, sim.Options{TrackNode: -1, Faults: mk()})
+	spark, err := runJob(c, job, Spark{}, sim.Options{TrackNode: -1, Faults: mk()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spark.Failed(0) != nil {
 		t.Fatalf("spark run failed: %v", spark.Failed(0))
 	}
-	for _, mode := range []GuardMode{GuardCancel, GuardReplan} {
-		g, err := RunJob(c, job, GuardedDelayStage{Mode: mode}, sim.Options{TrackNode: -1, Faults: mk()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Failed(0) != nil {
-			t.Fatalf("guarded mode %d failed: %v", mode, g.Failed(0))
-		}
-		if g.JCT(0) > spark.JCT(0)*1.05 {
-			t.Errorf("guarded mode %d JCT %.1f much worse than spark %.1f",
-				mode, g.JCT(0), spark.JCT(0))
-		}
-	}
-}
-
-// The mux watchdog must route multi-job events to the right per-job
-// guard: with non-overlapping arrivals there is no cross-job contention,
-// no prediction drift, and the guarded replay matches plain DelayStage
-// exactly. (Overlapping jobs legitimately trip the guard — the solo-run
-// prediction is stale under contention.)
-func TestGuardedRunJobs(t *testing.T) {
-	c := cluster.NewM4LargeCluster(8)
-	w := workload.PaperWorkloads(c, 0.3)
-	jobs := []*workload.Job{w["LDA"], w["CosineSimilarity"]}
-	arr := []float64{0, 2000}
-	plain, err := RunJobs(c, jobs, arr, DelayStage{}, sim.Options{TrackNode: -1})
+	g, err := runJob(c, job, GuardedDelayStage{}, sim.Options{TrackNode: -1, Faults: mk()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := RunJobs(c, jobs, arr, GuardedDelayStage{}, sim.Options{TrackNode: -1})
-	if err != nil {
-		t.Fatal(err)
+	if g.Failed(0) != nil {
+		t.Fatalf("guarded run failed: %v", g.Failed(0))
 	}
-	for i := range jobs {
-		if plain.JCT(i) != guarded.JCT(i) {
-			t.Errorf("job %d: guarded JCT %.4f != plain %.4f", i, guarded.JCT(i), plain.JCT(i))
-		}
+	if g.JCT(0) > spark.JCT(0)*1.05 {
+		t.Errorf("guarded JCT %.1f much worse than spark %.1f", g.JCT(0), spark.JCT(0))
 	}
 }
 
@@ -108,13 +77,13 @@ func TestGuardedRunJobs(t *testing.T) {
 // crashes, persistent slow nodes, a rack outage, crash-plus-straggler mix —
 // and stays within 5% of stock Spark under the identical fault plan and
 // mitigations, the always-feasible floor of the paper's never-worse
-// argument. Regime cells of one mode share a single GuardPrimer and run in
-// parallel, so `go test -race` additionally checks the replan caches the
-// guards share.
+// argument. Regime cells share a single GuardPrimer and run in parallel,
+// so `go test -race` additionally checks that the guards share only
+// immutable state.
 func TestGuardedNeverWorseUnderMachineFaults(t *testing.T) {
 	c := cluster.NewM4LargeCluster(8)
 	job := workload.PaperWorkloads(c, 0.3)["LDA"]
-	clean, err := RunJob(c, job, Spark{}, sim.Options{TrackNode: -1})
+	clean, err := runJob(c, job, Spark{}, sim.Options{TrackNode: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,78 +105,53 @@ func TestGuardedNeverWorseUnderMachineFaults(t *testing.T) {
 		{Seed: 11, SlowNodeFrac: 0.2, SlowNodeFactor: 6,
 			Crashes: []faults.NodeCrash{{Node: 1, At: jct * 0.05}}},
 	}
-	for _, mode := range []GuardMode{GuardCancel, GuardReplan} {
-		plan, err := (DelayStage{}).Plan(c, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		primer, err := GuardedDelayStage{Mode: mode}.Primer(c, job, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if primer == nil {
-			t.Fatal("plan delays nothing to guard")
-		}
-		for i, fp := range regimes {
-			fp, plan, primer := fp, plan, primer
-			t.Run(fmt.Sprintf("mode%d_regime%d", mode, i), func(t *testing.T) {
-				t.Parallel()
-				mk := func() *faults.Injector {
-					in, err := faults.NewInjector(fp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return in
-				}
-				base := sim.Options{Cluster: c, TrackNode: -1, MaxAttempts: 10,
-					Speculation: true, BlacklistAfter: 2}
-				sparkOpt := base
-				sparkOpt.Faults = mk()
-				spark, err := sim.Run(sparkOpt, []sim.JobRun{{Job: job}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if spark.Failed(0) != nil {
-					t.Fatalf("spark run failed: %v", spark.Failed(0))
-				}
-				guardOpt := base
-				guardOpt.Faults = mk()
-				guardOpt.Watchdog = primer.Watchdog()
-				guarded, err := sim.Run(guardOpt, []sim.JobRun{{Job: job, Delays: plan.Delays}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if guarded.Failed(0) != nil {
-					t.Fatalf("guarded run failed: %v", guarded.Failed(0))
-				}
-				if guarded.JCT(0) > spark.JCT(0)*1.05 {
-					t.Errorf("guarded JCT %.1f worse than spark %.1f",
-						guarded.JCT(0), spark.JCT(0))
-				}
-			})
-		}
-	}
-}
-
-// A replan with an exhausted budget must fall back to cancel — never
-// hang or emit garbage.
-func TestGuardReplanBudgetFallsBack(t *testing.T) {
-	c := cluster.NewM4LargeCluster(8)
-	job := workload.PaperWorkloads(c, 0.3)["TriangleCount"]
-	in, _ := faults.NewInjector(faults.FaultPlan{Seed: 21, StragglerFrac: 0.4, StragglerFactor: 5})
-	g, err := RunJob(c, job, GuardedDelayStage{Mode: GuardReplan, ReplanBudget: time.Nanosecond},
-		sim.Options{TrackNode: -1, Faults: in})
+	plan, err := (DelayStage{}).Plan(c, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Failed(0) != nil {
-		t.Fatalf("run failed: %v", g.Failed(0))
-	}
-	spark, err := RunJob(c, job, Spark{}, sim.Options{TrackNode: -1, Faults: in})
+	primer, err := GuardedDelayStage{}.Primer(c, job, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.JCT(0) > spark.JCT(0)*1.05 {
-		t.Errorf("budget-exhausted replan JCT %.1f much worse than spark %.1f", g.JCT(0), spark.JCT(0))
+	if primer == nil {
+		t.Fatal("plan delays nothing to guard")
+	}
+	for i, fp := range regimes {
+		fp, plan, primer := fp, plan, primer
+		t.Run(fmt.Sprintf("regime%d", i), func(t *testing.T) {
+			t.Parallel()
+			mk := func() *faults.Injector {
+				in, err := faults.NewInjector(fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return in
+			}
+			base := sim.Options{Cluster: c, TrackNode: -1, MaxAttempts: 10,
+				Speculation: true, BlacklistAfter: 2}
+			sparkOpt := base
+			sparkOpt.Faults = mk()
+			spark, err := sim.Run(sparkOpt, []sim.JobRun{{Job: job}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spark.Failed(0) != nil {
+				t.Fatalf("spark run failed: %v", spark.Failed(0))
+			}
+			guardOpt := base
+			guardOpt.Faults = mk()
+			guardOpt.Watchdog = primer.Watchdog()
+			guarded, err := sim.Run(guardOpt, []sim.JobRun{{Job: job, Delays: plan.Delays}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if guarded.Failed(0) != nil {
+				t.Fatalf("guarded run failed: %v", guarded.Failed(0))
+			}
+			if guarded.JCT(0) > spark.JCT(0)*1.05 {
+				t.Errorf("guarded JCT %.1f worse than spark %.1f",
+					guarded.JCT(0), spark.JCT(0))
+			}
+		})
 	}
 }

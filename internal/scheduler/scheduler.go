@@ -6,9 +6,6 @@
 package scheduler
 
 import (
-	"fmt"
-	"sort"
-
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
 	"delaystage/internal/dag"
@@ -25,8 +22,7 @@ type Plan struct {
 	// is a DelayStage variant (nil otherwise).
 	Schedule *core.Schedule
 	// Watchdog is the runtime plan monitor a guarded strategy attaches
-	// (nil for open-loop strategies). RunJob / RunJobs hand it to the
-	// simulator.
+	// (nil for open-loop strategies), for sim.Options.Watchdog.
 	Watchdog sim.Watchdog
 }
 
@@ -121,110 +117,4 @@ func (d DelayStage) Plan(c *cluster.Cluster, job *workload.Job) (Plan, error) {
 		return Plan{}, err
 	}
 	return Plan{Delays: s.Delays, Schedule: s}, nil
-}
-
-// RunJob plans and simulates one job under a strategy.
-func RunJob(c *cluster.Cluster, job *workload.Job, s Strategy, opt sim.Options) (*sim.Result, error) {
-	plan, err := s.Plan(c, job)
-	if err != nil {
-		return nil, fmt.Errorf("scheduler %s: %w", s.Name(), err)
-	}
-	opt.Cluster = c
-	opt.AggShuffle = plan.AggShuffle
-	if plan.Watchdog != nil {
-		opt.Watchdog = plan.Watchdog
-	}
-	return sim.Run(opt, []sim.JobRun{{Job: job, Delays: plan.Delays}})
-}
-
-// RunJobs plans each job independently and simulates them together with
-// the given arrival times — the multi-job replay mode of Sec. 5.3.
-func RunJobs(c *cluster.Cluster, jobs []*workload.Job, arrivals []float64, s Strategy, opt sim.Options) (*sim.Result, error) {
-	if len(jobs) != len(arrivals) {
-		return nil, fmt.Errorf("scheduler: %d jobs but %d arrivals", len(jobs), len(arrivals))
-	}
-	runs := make([]sim.JobRun, len(jobs))
-	guards := map[int]sim.Watchdog{}
-	for i, j := range jobs {
-		plan, err := s.Plan(c, j)
-		if err != nil {
-			return nil, fmt.Errorf("scheduler %s job %d: %w", s.Name(), i, err)
-		}
-		if plan.AggShuffle {
-			opt.AggShuffle = true
-		}
-		if plan.Watchdog != nil {
-			if b, ok := plan.Watchdog.(jobBinder); ok {
-				b.bindJob(i)
-			}
-			guards[i] = plan.Watchdog
-		}
-		runs[i] = sim.JobRun{Job: j, Arrival: arrivals[i], Delays: plan.Delays}
-	}
-	if len(guards) > 0 {
-		opt.Watchdog = muxWatchdog(guards)
-	}
-	opt.Cluster = c
-	return sim.Run(opt, runs)
-}
-
-// muxWatchdog fans simulator events out to per-job watchdogs (each
-// strategy Plan call produced one for its own job).
-type muxWatchdog map[int]sim.Watchdog
-
-// StageReadCompleted implements sim.Watchdog.
-func (m muxWatchdog) StageReadCompleted(ev sim.WatchEvent) []sim.DelayUpdate {
-	if w := m[ev.Job]; w != nil {
-		return w.StageReadCompleted(ev)
-	}
-	return nil
-}
-
-// StageCompleted implements sim.Watchdog.
-func (m muxWatchdog) StageCompleted(ev sim.WatchEvent) []sim.DelayUpdate {
-	if w := m[ev.Job]; w != nil {
-		return w.StageCompleted(ev)
-	}
-	return nil
-}
-
-// TaskRetried implements sim.Watchdog.
-func (m muxWatchdog) TaskRetried(job int, stage dag.StageID, node, attempt int, now float64) []sim.DelayUpdate {
-	if w := m[job]; w != nil {
-		return w.TaskRetried(job, stage, node, attempt, now)
-	}
-	return nil
-}
-
-// NodeCrashed implements sim.CrashWatcher: a machine loss is cluster-wide,
-// so it fans out to every per-job guard that watches for crashes, in job
-// order for deterministic update emission.
-func (m muxWatchdog) NodeCrashed(node int, now float64) []sim.DelayUpdate {
-	jobs := make([]int, 0, len(m))
-	for j := range m {
-		jobs = append(jobs, j)
-	}
-	sort.Ints(jobs)
-	var out []sim.DelayUpdate
-	for _, j := range jobs {
-		if cw, ok := m[j].(sim.CrashWatcher); ok {
-			out = append(out, cw.NodeCrashed(node, now)...)
-		}
-	}
-	return out
-}
-
-// jobBinder lets multi-job runners tell a per-job watchdog which run index
-// it watches — needed for cluster-level events that carry no job.
-type jobBinder interface{ bindJob(job int) }
-
-// sortedStageIDs returns a delay map's keys in ascending order, for
-// deterministic update emission.
-func sortedStageIDs(m map[dag.StageID]float64) []dag.StageID {
-	ids := make([]dag.StageID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

@@ -9,6 +9,17 @@ import (
 	"delaystage/internal/workload"
 )
 
+// runJob plans one job under a strategy and simulates it alone, the
+// plan's watchdog attached.
+func runJob(c *cluster.Cluster, job *workload.Job, s Strategy, opt sim.Options) (*sim.Result, error) {
+	plan, err := s.Plan(c, job)
+	if err != nil {
+		return nil, err
+	}
+	opt.Cluster, opt.AggShuffle, opt.Watchdog = c, plan.AggShuffle, plan.Watchdog
+	return sim.Run(opt, []sim.JobRun{{Job: job, Delays: plan.Delays}})
+}
+
 func TestStrategyNames(t *testing.T) {
 	cases := []struct {
 		s    Strategy
@@ -62,7 +73,7 @@ func TestRunJobAllStrategies(t *testing.T) {
 	j := workload.CosineSimilarity(c, 0.1)
 	var jcts []float64
 	for _, s := range []Strategy{Spark{}, AggShuffle{}, DelayStage{}, Fuxi{}} {
-		res, err := RunJob(c, j, s, sim.Options{TrackNode: -1})
+		res, err := runJob(c, j, s, sim.Options{TrackNode: -1})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -77,29 +88,5 @@ func TestRunJobAllStrategies(t *testing.T) {
 	}
 	if jcts[3] != spark {
 		t.Errorf("Fuxi %.1f must equal Spark %.1f in the symmetric model", jcts[3], spark)
-	}
-}
-
-func TestRunJobsArrivalMismatch(t *testing.T) {
-	c := cluster.NewM4LargeCluster(3)
-	j := workload.LDA(c, 0.1)
-	if _, err := RunJobs(c, []*workload.Job{j}, nil, Spark{}, sim.Options{TrackNode: -1}); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-}
-
-func TestRunJobsMultiJob(t *testing.T) {
-	c := cluster.NewM4LargeCluster(10)
-	j1 := workload.LDA(c, 0.1)
-	j2 := workload.CosineSimilarity(c, 0.1)
-	res, err := RunJobs(c, []*workload.Job{j1, j2}, []float64{0, 30}, DelayStage{Approximate: true}, sim.Options{TrackNode: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.JobEnd) != 2 {
-		t.Fatalf("expected 2 job results")
-	}
-	if res.JCT(0) <= 0 || res.JCT(1) <= 0 {
-		t.Fatal("JCTs must be positive")
 	}
 }

@@ -150,9 +150,9 @@ type Watchdog interface {
 
 // CrashWatcher is an optional Watchdog extension (type-asserted like
 // ShareObserver): NodeCrashed fires when a machine-level crash executes,
-// after the lost work is re-queued, so a guarded scheduler can replan the
-// remaining delays for the degraded capacity. A Watchdog that does not
-// implement it costs nothing.
+// after the lost work is re-queued, so a guarded scheduler can revise the
+// remaining delays once the cluster has lost capacity. A Watchdog that
+// does not implement it costs nothing.
 type CrashWatcher interface {
 	NodeCrashed(node int, now float64) []DelayUpdate
 }

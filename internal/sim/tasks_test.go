@@ -8,10 +8,19 @@ import (
 	"delaystage/internal/workload"
 )
 
+// uniformCluster builds n identical nodes with the given capacities.
+func uniformCluster(n, executors int, netBW, diskBW float64) *cluster.Cluster {
+	c := &cluster.Cluster{Nodes: make([]cluster.Node, n)}
+	for i := range c.Nodes {
+		c.Nodes[i] = cluster.Node{ID: i, Executors: executors, NetBW: netBW, DiskBW: diskBW}
+	}
+	return c
+}
+
 // A stage with one task per node can use only one executor per node: its
 // compute takes ε× longer than an uncapped stage on ε-executor nodes.
 func TestTaskCapSlowsCompute(t *testing.T) {
-	c := cluster.NewUniformCluster(4, 4, cluster.MBps(100), cluster.MBps(80))
+	c := uniformCluster(4, 4, cluster.MBps(100), cluster.MBps(80))
 	mk := func(tasks int) *workload.Job {
 		g := dag.New()
 		g.MustAdd(dag.Stage{ID: 1})
@@ -36,7 +45,7 @@ func TestTaskCapSlowsCompute(t *testing.T) {
 // CPU utilization accounting must reflect the cap: a task-starved stage
 // leaves executors idle even while computing.
 func TestTaskCapLowersUtilization(t *testing.T) {
-	c := cluster.NewUniformCluster(4, 4, cluster.MBps(100), cluster.MBps(80))
+	c := uniformCluster(4, 4, cluster.MBps(100), cluster.MBps(80))
 	g := dag.New()
 	g.MustAdd(dag.Stage{ID: 1})
 	p := workload.FromPhases(c, workload.PhaseSpec{ReadSec: 1, ComputeSec: 100, WriteSec: 0})
@@ -55,7 +64,7 @@ func TestTaskCapLowersUtilization(t *testing.T) {
 
 // Tasks ≥ executors behaves exactly like the uncapped default.
 func TestTaskCapNoEffectWhenAmple(t *testing.T) {
-	c := cluster.NewUniformCluster(4, 2, cluster.MBps(100), cluster.MBps(80))
+	c := uniformCluster(4, 2, cluster.MBps(100), cluster.MBps(80))
 	mk := func(tasks int) *workload.Job {
 		g := dag.New()
 		g.MustAdd(dag.Stage{ID: 1})

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,33 +9,33 @@ import (
 
 // splitTaskName is the strings.Split decoder the task-name scanner
 // replaced, kept as FuzzParseTaskName's differential oracle.
-func splitTaskName(name string) (id int, parents []int, class NameClass) {
+func splitTaskName(name string) (id int, parents []int, ok bool) {
 	i := 0
 	for i < len(name) && (name[i] < '0' || name[i] > '9') {
 		i++
 	}
 	if i == 0 || i >= len(name) || strings.Contains(name[:i], "_") {
-		return 0, nil, NameUnstructured
+		return 0, nil, false
 	}
 	parts := strings.Split(name[i:], "_")
 	id, err := strconv.Atoi(parts[0])
 	if err != nil {
-		return 0, nil, NameUnstructured
+		return 0, nil, false
 	}
 	for _, p := range parts[1:] {
 		v, err := strconv.Atoi(p)
 		if err != nil {
-			return 0, nil, NameMalformed
+			return 0, nil, false
 		}
 		parents = append(parents, v)
 	}
-	return id, parents, NameStructured
+	return id, parents, true
 }
 
 // FuzzParseTaskName: the dependency-grammar decoder must never panic, must
-// keep its invariants (ok agrees with ClassifyTaskName; a not-ok result is
-// zero), and must agree with the Split-based oracle on the id, the parents
-// and the class of every name.
+// leave dst untouched and return id 0 for a name it rejects, and must
+// agree with the Split-based oracle on the verdict, the id and the parents
+// of every name.
 func FuzzParseTaskName(f *testing.F) {
 	for _, seed := range []string{"M1", "R3_1_2", "task_123", "", "M", "J10_4",
 		"MergeTask", "M1_x", "M999999999999999999999", "_1", "M1_", "a1_2_3_4_5",
@@ -43,33 +43,25 @@ func FuzzParseTaskName(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
-		id, parents, ok := ParseTaskName(name)
-		class := ClassifyTaskName(name)
-		if ok != (class == NameStructured) {
-			t.Fatalf("%q: ParseTaskName ok=%v disagrees with ClassifyTaskName %v", name, ok, class)
+		dst := []int{7}
+		id, got, ok := scanTaskName(name, dst)
+		if !ok && (id != 0 || !slices.Equal(got, dst)) {
+			t.Fatalf("%q: rejected name must return 0 and dst as it came: %d %v", name, id, got)
 		}
-		if !ok && (id != 0 || parents != nil) {
-			t.Fatalf("not-ok result must be zero: %d %v", id, parents)
+		wantID, wantParents, wantOK := splitTaskName(name)
+		if ok != wantOK {
+			t.Fatalf("%q: ok %v, oracle %v", name, ok, wantOK)
 		}
-		wantID, wantParents, wantClass := splitTaskName(name)
-		if class != wantClass {
-			t.Fatalf("%q: class %v, oracle %v", name, class, wantClass)
-		}
-		if !ok {
-			wantParents = nil
-		}
-		if id != wantID || !reflect.DeepEqual(parents, wantParents) {
-			t.Fatalf("%q: decoded %d %v, oracle %d %v", name, id, parents, wantID, wantParents)
+		if ok && (id != wantID || !slices.Equal(got[1:], wantParents)) {
+			t.Fatalf("%q: decoded %d %v, oracle %d %v", name, id, got[1:], wantID, wantParents)
 		}
 	})
 }
 
 // FuzzParse: arbitrary CSV input must either parse into a well-formed
-// trace or return an error — never panic, never emit a cyclic job. The
-// lenient parser must additionally keep its books straight: skipped rows
-// decompose exactly into the three skip reasons and never exceed the rows
-// read, and a job is dropped only if its graph, as assembled, fails to
-// build.
+// trace or return an error — never panic, never emit a cyclic job or a
+// self-dependency — and a job is dropped only if its graph, as assembled,
+// fails to build.
 func FuzzParse(f *testing.F) {
 	f.Add("M1,1,j,b,T,0,10,1,1\n")
 	f.Add(sampleCSV)
@@ -82,41 +74,22 @@ func FuzzParse(f *testing.F) {
 	f.Add("R1_2,1,c,b,T,0,1,1,1\nR2_1,1,c,b,T,0,1,1,1\nM1,1,g,b,T,0,1,1,1\n" +
 		"R1_3,1,d,b,T,0,1,1,1\nR2_1,1,d,b,T,0,1,1,1\nR3_2,1,d,b,T,0,1,1,1\n") // cyclic jobs
 	f.Fuzz(func(t *testing.T, src string) {
-		tr, err := Parse(strings.NewReader(src))
-		if err == nil {
-			for i := range tr.Jobs {
-				if _, err := tr.Jobs[i].Graph(); err != nil {
-					t.Fatalf("Parse emitted an invalid job %q: %v", tr.Jobs[i].Name, err)
-				}
-			}
-		}
-		drops := 0
-		ltr, stats, err := parse(strings.NewReader(src), false, func(j *Job) {
-			drops++
+		tr, err := parse(strings.NewReader(src), func(j *Job) {
 			if _, err := j.Graph(); err == nil {
 				t.Fatalf("job %q dropped although its graph builds", j.Name)
 			}
 		})
 		if err != nil {
-			return // only CSV-level read errors abort the lenient parser
+			return
 		}
-		if drops != stats.DroppedJobs {
-			t.Fatalf("%d jobs dropped, DroppedJobs = %d", drops, stats.DroppedJobs)
-		}
-		if stats.SkippedRows != stats.ShortRows+stats.EmptyFields+stats.MalformedTimes {
-			t.Fatalf("skip accounting broken: %+v", stats)
-		}
-		if stats.SkippedRows > stats.Rows {
-			t.Fatalf("skipped %d of %d rows", stats.SkippedRows, stats.Rows)
-		}
-		for i := range ltr.Jobs {
-			if _, err := ltr.Jobs[i].Graph(); err != nil {
-				t.Fatalf("ParseWithStats emitted an invalid job %q: %v", ltr.Jobs[i].Name, err)
+		for i := range tr.Jobs {
+			if _, err := tr.Jobs[i].Graph(); err != nil {
+				t.Fatalf("Parse emitted an invalid job %q: %v", tr.Jobs[i].Name, err)
 			}
-			for _, s := range ltr.Jobs[i].Stages {
+			for _, s := range tr.Jobs[i].Stages {
 				for _, p := range s.Parents {
 					if p == s.ID {
-						t.Fatalf("job %q stage %d kept a self-dependency", ltr.Jobs[i].Name, s.ID)
+						t.Fatalf("job %q stage %d kept a self-dependency", tr.Jobs[i].Name, s.ID)
 					}
 				}
 			}

@@ -74,123 +74,50 @@ func (j *Job) Graph() (*dag.Graph, error) {
 	return g, nil
 }
 
-// ParseTaskName decodes the Alibaba task-name dependency grammar:
-// a letter prefix, the stage's own number, then underscore-separated
-// parent numbers — e.g. "M1" (stage 1, no parents), "R3_1_2" (stage 3
-// depends on stages 1 and 2). Names without that structure ("task_...",
-// "MergeTask", ...) return ok=false and are treated as independent stages.
-func ParseTaskName(name string) (id int, parents []int, ok bool) {
-	id, parents, class := scanTaskName(name, nil)
-	if class != NameStructured {
-		return 0, nil, false
-	}
-	return id, parents, true
-}
-
-// NameClass is ClassifyTaskName's three-way verdict on a task name.
-type NameClass int
-
-const (
-	// NameStructured names decode fully under the dependency grammar:
-	// "M1", "R3_1_2".
-	NameStructured NameClass = iota
-	// NameUnstructured names carry no dependency grammar at all:
-	// "task_1234", "MergeTask", "".
-	NameUnstructured
-	// NameMalformed names start the grammar but break it mid-way —
-	// "M3_1_x", "M1_" — so a dependency list exists but cannot be trusted.
-	NameMalformed
-)
-
-// String implements fmt.Stringer.
-func (c NameClass) String() string {
-	switch c {
-	case NameStructured:
-		return "structured"
-	case NameUnstructured:
-		return "unstructured"
-	default:
-		return "malformed"
-	}
-}
-
-// ClassifyTaskName reports how a task name relates to the dependency
-// grammar. ParseTaskName answers ok only for NameStructured; callers that
-// must distinguish a benign unstructured name from a corrupted structured
-// one (dependency information silently lost) need the three-way answer.
-func ClassifyTaskName(name string) NameClass {
-	_, _, class := scanTaskName(name, nil)
-	return class
-}
-
-// scanTaskName is the one decoder of the dependency grammar behind
-// ParseTaskName and ClassifyTaskName. It appends a structured name's
-// parent numbers to dst and returns the extended slice; for any other
-// class it returns id 0 and dst as it came.
-func scanTaskName(name string, dst []int) (id int, _ []int, class NameClass) {
+// scanTaskName decodes the Alibaba task-name dependency grammar: a letter
+// prefix, the stage's own number, then underscore-separated parent
+// numbers — e.g. "M1" (stage 1, no parents), "R3_1_2" (stage 3 depends on
+// stages 1 and 2). It appends a structured name's parent numbers to dst
+// and returns the extended slice with ok set. Any other name — one without
+// that structure ("task_...", "MergeTask", ...) or one that breaks it
+// mid-way ("M3_1_x", "M1_") — returns id 0, dst as it came and ok false,
+// and its task is treated as an independent stage.
+func scanTaskName(name string, dst []int) (id int, _ []int, ok bool) {
 	i := 0
 	for i < len(name) && (name[i] < '0' || name[i] > '9') {
 		i++
 	}
 	// Reject the "task_1234" style: prefix containing '_' is unstructured.
 	if i == 0 || i >= len(name) || strings.IndexByte(name[:i], '_') >= 0 {
-		return 0, dst, NameUnstructured
+		return 0, dst, false
 	}
 	tok, rest, more := strings.Cut(name[i:], "_")
 	id, err := strconv.Atoi(tok)
 	if err != nil {
-		return 0, dst, NameUnstructured
+		return 0, dst, false
 	}
 	n := len(dst)
 	for more {
 		tok, rest, more = strings.Cut(rest, "_")
 		v, err := strconv.Atoi(tok)
 		if err != nil {
-			return 0, dst[:n], NameMalformed
+			return 0, dst[:n], false
 		}
 		dst = append(dst, v)
 	}
-	return id, dst, NameStructured
-}
-
-// ParseStats counts everything the lenient parser had to tolerate. The
-// real trace contains all of it: truncated rows, empty names, non-numeric
-// timestamps, dependency tokens like "M3_1_x", stages that list themselves
-// as a parent, and duplicated task rows.
-type ParseStats struct {
-	Rows        int // data rows read
-	SkippedRows int // rows excluded from the trace (sum of the three below)
-
-	ShortRows      int // fewer than 7 fields
-	EmptyFields    int // missing task or job name
-	MalformedTimes int // non-numeric start/end
-
-	MalformedNames   int // NameMalformed rows, kept as independent stages
-	SelfDependencies int // self-edges dropped from structured names
-	DuplicateRows    int // repeated (job, stage) rows collapsed
-	DroppedJobs      int // assembled jobs removed as cyclic/corrupt
+	return id, dst, true
 }
 
 // Parse reads a batch_task.csv stream (columns: task_name, instance_num,
 // job_name, task_type, status, start_time, end_time, plan_cpu, plan_mem)
-// and assembles jobs. Tasks with unstructured names get synthetic stage
-// IDs (they continue after the max structured ID). Jobs with zero or
-// negative stage durations keep them (the analyses clamp); jobs whose DAG
-// turns out cyclic are dropped. Parse is strict: a truncated row or a
-// non-numeric timestamp aborts with a row-numbered error. ParseWithStats
-// is the lenient variant for real-world files.
-func Parse(r io.Reader) (*Trace, error) {
-	tr, _, err := parse(r, true, nil)
-	return tr, err
-}
-
-// ParseWithStats is Parse for files that cannot be trusted: rows with too
-// few fields, empty task/job names, or unparseable timestamps are skipped
-// and counted instead of aborting the whole file, and every other anomaly
-// the parser absorbs is tallied in the returned stats.
-func ParseWithStats(r io.Reader) (*Trace, *ParseStats, error) {
-	return parse(r, false, nil)
-}
+// and assembles jobs. Tasks whose names do not decode under the
+// dependency grammar get synthetic stage IDs (they continue after the max
+// structured ID). A stage listing itself as a parent loses that edge, and
+// a repeated (job, stage) row is collapsed into the first. Jobs with zero
+// or negative stage durations keep them (the analyses clamp); jobs whose
+// DAG turns out cyclic are dropped. A truncated row or a non-numeric
+// timestamp aborts with a row-numbered error.
+func Parse(r io.Reader) (*Trace, error) { return parse(r, nil) }
 
 // parentChunk is the length of the shared arrays that hold the parsed
 // parent lists, so a row's list costs no allocation of its own.
@@ -201,49 +128,32 @@ const parentChunk = 4096
 // renumbered and deduplicated in place, and each job's DAG is checked by
 // one Kahn pass over those stages without building a dag.Graph. dropped,
 // if non-nil, sees every job removed as cyclic.
-func parse(r io.Reader, strict bool, dropped func(*Job)) (*Trace, *ParseStats, error) {
+func parse(r io.Reader, dropped func(*Job)) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
-	stats := &ParseStats{}
 	// Jobs in order of first appearance, their rows as read. A row whose
-	// name is not NameStructured holds ID -1 (structured IDs are never
-	// negative) until assembly gives it a synthetic one.
+	// name does not decode holds ID -1 (structured IDs are never negative)
+	// until assembly gives it a synthetic one.
 	var jobs []Job
 	index := map[string]int{}
 	var arena []int
-	for {
+	for row := 1; ; row++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, stats, fmt.Errorf("trace: %w", err)
+			return nil, fmt.Errorf("trace: %w", err)
 		}
-		stats.Rows++
 		if len(rec) < 7 {
-			if strict {
-				return nil, stats, fmt.Errorf("trace: row %d: record has %d fields, want ≥7", stats.Rows, len(rec))
-			}
-			stats.ShortRows++
-			stats.SkippedRows++
-			continue
+			return nil, fmt.Errorf("trace: row %d: record has %d fields, want ≥7", row, len(rec))
 		}
 		name, jobName := rec[0], rec[2]
-		if !strict && (name == "" || jobName == "") {
-			stats.EmptyFields++
-			stats.SkippedRows++
-			continue
-		}
 		start, err1 := strconv.ParseFloat(rec[5], 64)
 		end, err2 := strconv.ParseFloat(rec[6], 64)
 		if err1 != nil || err2 != nil {
-			if strict {
-				return nil, stats, fmt.Errorf("trace: row %d: bad times %q/%q in job %s", stats.Rows, rec[5], rec[6], jobName)
-			}
-			stats.MalformedTimes++
-			stats.SkippedRows++
-			continue
+			return nil, fmt.Errorf("trace: row %d: bad times %q/%q in job %s", row, rec[5], rec[6], jobName)
 		}
 		k, seen := index[jobName]
 		if !seen {
@@ -259,25 +169,20 @@ func parse(r io.Reader, strict bool, dropped func(*Job)) (*Trace, *ParseStats, e
 		}
 		n := len(arena)
 		var id int
-		var class NameClass
-		id, arena, class = scanTaskName(name, arena)
+		var ok bool
+		id, arena, ok = scanTaskName(name, arena)
 		st := Stage{ID: id, Start: start, End: end}
 		switch {
-		case class == NameMalformed:
-			// The dependency list is corrupt; the work is real. Keep the
-			// stage, drop the untrustworthy edges.
-			stats.MalformedNames++
-			st.ID = -1
-		case class == NameUnstructured:
+		case !ok:
+			// No dependency list, or a corrupt one; the work is real.
+			// Keep the stage without the untrustworthy edges.
 			st.ID = -1
 		case len(arena) > n:
 			kept := arena[n:n]
 			for _, p := range arena[n:] {
-				if p == id {
-					stats.SelfDependencies++
-					continue
+				if p != id {
+					kept = append(kept, p)
 				}
-				kept = append(kept, p)
 			}
 			arena = arena[:n+len(kept)]
 			st.Parents = arena[n:len(arena):len(arena)]
@@ -306,7 +211,6 @@ func parse(r io.Reader, strict bool, dropped func(*Job)) (*Trace, *ParseStats, e
 				st.ID = maxID
 			}
 			if _, seen := pos[st.ID]; seen {
-				stats.DuplicateRows++
 				continue // duplicate task rows exist in the real trace
 			}
 			pos[st.ID] = len(kept)
@@ -336,7 +240,6 @@ func parse(r io.Reader, strict bool, dropped func(*Job)) (*Trace, *ParseStats, e
 			lo = hi
 		}
 		if !dag.Acyclic(parents) {
-			stats.DroppedJobs++
 			if dropped != nil {
 				dropped(job)
 			}
@@ -344,7 +247,7 @@ func parse(r io.Reader, strict bool, dropped func(*Job)) (*Trace, *ParseStats, e
 		}
 		tr.Jobs = append(tr.Jobs, *job)
 	}
-	return tr, stats, nil
+	return tr, nil
 }
 
 // WriteCSV emits the trace in the batch_task.csv format Parse understands,

@@ -57,7 +57,7 @@ func TestALSParallelSetMatchesFig1(t *testing.T) {
 	}
 	// Fig. 1: Stage 3 is parallel with 1, 2 and 4.
 	for _, other := range []dag.StageID{1, 2, 4} {
-		if !r.Concurrent(3, other) {
+		if r.Reaches(3, other) || r.Reaches(other, 3) {
 			t.Errorf("stage 3 must be concurrent with %d", other)
 		}
 	}
