@@ -15,8 +15,8 @@ import (
 const TraceSchema = "delaystage/trace/v1"
 
 // Trace is the complete lifecycle of one job through the scheduling
-// service: a small span tree from submission to terminal state, frozen
-// exactly once when the job reaches done/failed/rejected. The encoding is
+// service: a small span tree from submission to terminal state, final
+// once the job reaches done/failed/rejected. The encoding is
 // deterministic — a given job record renders byte-identically whether
 // served live from /v1/trace/{id} or reconstructed offline by cmd/analyze
 // from the exported JSONL line.
@@ -34,7 +34,7 @@ type Trace struct {
 // Trace.Spans (span i has ID i); Parent is the ID of the enclosing span,
 // -1 for the root. Start/End are simulation seconds. A span still running
 // when the trace was built carries Open=true and a provisional End (the
-// data-plane clock at build time); frozen traces have no open spans.
+// data-plane clock at build time); terminal traces have no open spans.
 type Span struct {
 	ID     int            `json:"id"`
 	Parent int            `json:"parent"`
@@ -150,8 +150,7 @@ func ReadTraces(r io.Reader) ([]Trace, error) {
 }
 
 // FindTrace returns the trace with the given ID, or false. Later lines
-// win, matching "last write freezes the record" service semantics (in
-// practice each job is exported exactly once).
+// win (in practice the service exports each job exactly once).
 func FindTrace(traces []Trace, id string) (Trace, bool) {
 	for i := len(traces) - 1; i >= 0; i-- {
 		if traces[i].TraceID == id {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"delaystage/internal/jobspec"
 	"delaystage/internal/obs"
@@ -68,14 +69,30 @@ func (s *Service) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
-// instrument wraps the mux with a per-request counter by status code.
+// instrument wraps the mux with a per-request counter by method and status
+// code. Each (method, code) series is resolved in the registry once and
+// reused, so a request neither formats its label nor looks it up.
 func (s *Service) instrument(next http.Handler) http.Handler {
+	type series struct {
+		method string
+		code   int
+	}
+	var mu sync.Mutex
+	counters := map[series]*obs.Counter{}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(cw, r)
-		s.reg.Counter("schedd_http_requests_total",
-			fmt.Sprintf("{method=%q,code=\"%d\"}", r.Method, cw.code),
-			"HTTP requests by method and status code.").Inc()
+		k := series{r.Method, cw.code}
+		mu.Lock()
+		c := counters[k]
+		if c == nil {
+			c = s.reg.Counter("schedd_http_requests_total",
+				fmt.Sprintf("{method=%q,code=\"%d\"}", k.method, k.code),
+				"HTTP requests by method and status code.")
+			counters[k] = c
+		}
+		mu.Unlock()
+		c.Inc()
 	})
 }
 

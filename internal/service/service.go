@@ -184,13 +184,12 @@ type jobRecord struct {
 	// Tracing state. queueDepth is the live-job count admission saw;
 	// stageParents renders the DAG edges for stage-span attrs; audit is
 	// the planning decision; spans collects the data plane's per-stage
-	// observations from dispatch until the trace freezes; trace is the
-	// span tree frozen at terminal time.
+	// observations from dispatch on. Once the record is terminal none of
+	// it changes again, so its span tree is rebuilt on demand.
 	queueDepth   int
 	stageParents map[dag.StageID]string
 	audit        *obs.DecisionAudit
 	spans        *jobSpanData
-	trace        *obs.Trace
 }
 
 // Service is the scheduler daemon's engine. All methods are safe for
@@ -334,16 +333,17 @@ func (o *epochObserver) OnEvent(ev sim.Event) {
 	switch ev.Kind {
 	case sim.EvJobDone, sim.EvJobFailed:
 		// The engine emits every stage event of a job before its terminal
-		// event, so the span data is complete when the freeze fires.
+		// event, so the span data is complete when markTerminal exports it.
 		o.s.markTerminal(rec, ev.T, ev.Kind == sim.EvJobFailed, ev.Detail)
 	default:
 		rec.spans.observeStage(ev)
 	}
 }
 
-// markTerminal transitions a dispatched record to done/failed, freezes its
-// trace and releases its span data. The live world steps each event once,
-// so each record gets here once.
+// markTerminal transitions a dispatched record to done/failed and exports
+// its trace. The record keeps its span data, which no later event touches,
+// so /v1/trace rebuilds the same tree from it. The live world steps each
+// event once, so each record gets here once.
 func (s *Service) markTerminal(rec *jobRecord, t float64, failed bool, detail string) {
 	rec.end = t
 	rec.jct = t - rec.arrival
@@ -364,8 +364,7 @@ func (s *Service) markTerminal(rec *jobRecord, t float64, failed bool, detail st
 		s.timelineAdd(t, "done", rec.id, fmt.Sprintf("jct=%.3fs", rec.jct))
 		s.logger.Info("job done", "trace_id", rec.id, "t", t, "jct", rec.jct)
 	}
-	s.freezeTrace(rec)
-	rec.spans = nil
+	s.exportTrace(rec)
 }
 
 // liveCount is the number of admitted jobs not yet terminal.
@@ -413,6 +412,9 @@ func (s *Service) advanceBefore(t float64) error {
 			// Busy period drained: every admitted job finished. Completed
 			// runs are constants of the objective — reset the epoch so
 			// planning cost tracks the busy period, not daemon uptime.
+			// Closing the world returns its engine to sim's pool, so the
+			// next epoch's NewStepper reuses its buffers.
+			s.stepper.Close()
 			s.stepper = nil
 			s.epochRecs = s.epochRecs[:0]
 			s.planner.Reset()
@@ -503,7 +505,7 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		s.timelineAdd(arrival, "rejected", rec.id, dec.Reason)
 		s.logger.Info("job rejected", "trace_id", rec.id, "tenant", rec.tenant,
 			"policy", s.admission.Name(), "reason", dec.Reason)
-		s.freezeTrace(rec)
+		s.exportTrace(rec)
 		return s.snapshot(rec), nil
 	}
 	s.mAdmitted.Inc()
@@ -523,7 +525,7 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		s.counts.failed++
 		s.timelineAdd(arrival, "failed", rec.id, err.Error())
 		s.logger.Error("planning failed", "trace_id", rec.id, "err", err.Error())
-		s.freezeTrace(rec)
+		s.exportTrace(rec)
 		return JobStatus{}, &jobFailedError{err}
 	}
 	planDetail := rec.planSource

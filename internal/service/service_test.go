@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -602,5 +603,44 @@ func TestApproximatePlanningService(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p1.Delays, p2.Delays) {
 		t.Fatalf("cached plan drifted: %v vs %v", p1.Delays, p2.Delays)
+	}
+}
+
+// TestRequestCounterConcurrent: requests served at once from several
+// goroutines are each counted once, under the series for their method and
+// status code, with the label text the counter has always exported.
+func TestRequestCounterConcurrent(t *testing.T) {
+	const workers, each = 4, 25
+	s := newTestService(t, Options{})
+	h := s.Handler()
+	reqs := []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/cluster", ""},
+		{http.MethodGet, "/v1/jobs/nope", ""},
+		{http.MethodPost, "/v1/jobs", "{"},
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				for _, r := range reqs {
+					h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(r.method, r.path, strings.NewReader(r.body)))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	n := workers * each
+	for _, want := range []string{
+		fmt.Sprintf(`schedd_http_requests_total{method="GET",code="200"} %d`, n),
+		fmt.Sprintf(`schedd_http_requests_total{method="GET",code="404"} %d`, n),
+		fmt.Sprintf(`schedd_http_requests_total{method="POST",code="400"} %d`, n),
+	} {
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("/metrics missing %q:\n%s", want, rec.Body)
+		}
 	}
 }

@@ -20,14 +20,16 @@ import (
 // Collection follows the live data plane. Admitted runs are injected into
 // one stepper per epoch and every engine event is stepped exactly once, so
 // each record's per-stage observations (jobRecord.spans) accumulate from
-// dispatch on and never need replaying. A job's trace is frozen exactly
-// once, inside markTerminal, while its span data is complete; from then on
-// the frozen tree is what /v1/trace serves and what the trace log exported
-// (live and offline renderings are byte-identical).
+// dispatch on and never need replaying. Span trees are built on demand:
+// once a record is terminal nothing it holds changes, and buildTrace reads
+// only the record for a terminal job, so every /v1/trace request rebuilds
+// the same bytes. The trace log gets its one line when the job turns
+// terminal (exportTrace), and decoding that line reproduces the live
+// response byte for byte.
 //
-// Memory bounds: span data lives from dispatch until the trace freezes;
-// the timeline is a fixed-capacity ring; frozen traces are O(stages) per
-// job and follow the job map's lifetime.
+// Memory bounds: a record keeps its span data (O(stages)) for the job
+// map's lifetime, no span tree is retained, and the timeline is a
+// fixed-capacity ring.
 
 // TimelineSchema identifies the GET /v1/timeline response format.
 const TimelineSchema = "delaystage/timeline/v1"
@@ -130,10 +132,10 @@ func stageParents(g *dag.Graph) map[dag.StageID]string {
 	return out
 }
 
-// buildTrace assembles rec's span tree from the record and its span data.
-// Called under the service mutex: at freeze time for terminal records
-// (span data complete), or on demand for live ones (open spans carry End
-// = the data-plane clock and Open = true).
+// buildTrace assembles rec's span tree from the record and its span data,
+// under the service mutex. A terminal record's tree depends on the record
+// alone; a live one's open spans carry End = the data-plane clock and
+// Open = true.
 func (s *Service) buildTrace(rec *jobRecord) *obs.Trace {
 	terminal := rec.state == StateDone || rec.state == StateFailed || rec.state == StateRejected
 	st := rec.state
@@ -260,18 +262,15 @@ func (s *Service) buildTrace(rec *jobRecord) *obs.Trace {
 	return tr
 }
 
-// freezeTrace pins rec's final span tree and exports it to the trace
-// log. Must run while the record's span data is still present
-// (markTerminal, or Submit for jobs that never reach the data plane).
-func (s *Service) freezeTrace(rec *jobRecord) {
-	if rec.trace != nil {
+// exportTrace writes a just-terminal record's span tree to the trace log,
+// if there is one; it runs once per job (markTerminal, or Submit for jobs
+// that never reach the data plane).
+func (s *Service) exportTrace(rec *jobRecord) {
+	if s.traceLog == nil {
 		return
 	}
-	rec.trace = s.buildTrace(rec)
-	if s.traceLog != nil {
-		if err := obs.WriteTraceLine(s.traceLog, *rec.trace); err != nil {
-			s.logger.Error("trace export failed", "trace_id", rec.id, "err", err.Error())
-		}
+	if err := obs.WriteTraceLine(s.traceLog, *s.buildTrace(rec)); err != nil {
+		s.logger.Error("trace export failed", "trace_id", rec.id, "err", err.Error())
 	}
 }
 
@@ -288,17 +287,15 @@ func (s *Service) timelineAdd(t float64, kind, job, detail string) {
 	s.tlSeq++
 }
 
-// Trace returns a job's lifecycle span tree: the frozen tree for terminal
-// jobs, a live partial tree (open spans) otherwise.
+// Trace builds a job's lifecycle span tree: the final tree for terminal
+// jobs, the same on every call and identical to the exported one, and a
+// live partial tree (open spans) otherwise.
 func (s *Service) Trace(id string) (obs.Trace, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec, ok := s.jobs[id]
 	if !ok {
 		return obs.Trace{}, false
-	}
-	if rec.trace != nil {
-		return *rec.trace, true
 	}
 	return *s.buildTrace(rec), true
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/obs"
@@ -259,7 +260,7 @@ func TestTraceAuditVariants(t *testing.T) {
 		if adm.Attrs["accepted"] != false || adm.Attrs["reason"] == nil {
 			t.Fatalf("admission span attrs: %+v", adm.Attrs)
 		}
-		// Rejection freezes and exports immediately, before any drain.
+		// Rejection exports immediately, before any drain.
 		traces, err := obs.ReadTraces(bytes.NewReader(traceBuf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
@@ -360,5 +361,121 @@ func TestTimelineRingMatchesShiftModel(t *testing.T) {
 					capacity, adds, tl.Events, tl.Dropped, model, dropped)
 			}
 		}
+	}
+}
+
+// TestTerminalTraceStable drives several epochs through Handler() on an
+// injected clock and a trace log. Every terminal job's GET /v1/trace body
+// must be the bytes its trace-log line renders to under the HTTP encoder,
+// both at the first read after the job ends and again after later epochs
+// have moved the clock on. The session covers done, rejected and
+// planning-failed jobs; later epochs run on recycled engines and serve
+// template-cache hits.
+func TestTerminalTraceStable(t *testing.T) {
+	const epochs, gap, step = 4, 2000.0, 5.0
+	c := cluster.NewM4LargeCluster(10)
+	t0 := time.Unix(1700000000, 0)
+	now := t0
+	var traceBuf bytes.Buffer
+	s := newTestService(t, Options{
+		Cluster:   c,
+		Admission: QueueDepthCap{Max: 2},
+		TraceLog:  &traceBuf,
+		Clock:     func() time.Time { return now },
+	})
+	h := s.Handler()
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	// exported renders every trace-log line the way GET /v1/trace encodes
+	// a response body.
+	exported := func() map[string][]byte {
+		traces, err := obs.ReadTraces(bytes.NewReader(traceBuf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte, len(traces))
+		for _, tr := range traces {
+			if _, dup := out[tr.TraceID]; dup {
+				t.Fatalf("trace %s exported twice", tr.TraceID)
+			}
+			rec := httptest.NewRecorder()
+			writeJSON(rec, http.StatusOK, tr)
+			out[tr.TraceID] = rec.Body.Bytes()
+		}
+		return out
+	}
+	requireLive := func(id string, want []byte) {
+		t.Helper()
+		rec := serve(http.MethodGet, "/v1/trace/"+id, nil)
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("GET /v1/trace/%s (%d) differs from its trace-log line:\n--- live ---\n%s\n--- log ---\n%s",
+				id, rec.Code, rec.Body, want)
+		}
+	}
+	// checked holds the IDs already compared at their first terminal read.
+	checked := map[string]bool{}
+	checkNew := func() {
+		t.Helper()
+		for id, want := range exported() {
+			if !checked[id] {
+				requireLive(id, want)
+				checked[id] = true
+			}
+		}
+	}
+
+	job := workload.CosineSimilarity(c, 0.15)
+	unplannable := []byte(`{"job":{"stages":[{"id":0,"resources":{"shuffle_in_bytes":1000000000000000,"proc_rate_bps":1}},` +
+		`{"id":1,"resources":{"proc_rate_bps":1}}]}}`)
+	states := map[JobState]int{}
+	for e := 0; e < epochs; e++ {
+		base := float64(e) * gap
+		now = t0.Add(time.Duration(base * float64(time.Second)))
+		if e%2 == 0 {
+			if rec := serve(http.MethodPost, "/v1/jobs", unplannable); rec.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("epoch %d: unplannable job answered %d %s", e, rec.Code, rec.Body)
+			}
+			checkNew()
+		}
+		// Two admitted jobs, then one bounced at the queue-depth cap.
+		for k, want := range []int{http.StatusOK, http.StatusOK, http.StatusTooManyRequests} {
+			if rec := serve(http.MethodPost, "/v1/jobs", submitBodyFor(t, job, "t", base+float64(k))); rec.Code != want {
+				t.Fatalf("epoch %d, submit %d: %d %s", e, k, rec.Code, rec.Body)
+			}
+			checkNew()
+		}
+		// Move the clock in small steps, so each job is compared at the
+		// first read after it ends, until the busy period drains.
+		for at := base; s.ClusterState().Live > 0; at += step {
+			if at > base+gap/2 {
+				t.Fatalf("epoch %d did not drain by %v", e, at)
+			}
+			now = t0.Add(time.Duration(at * float64(time.Second)))
+			if rec := serve(http.MethodGet, "/v1/cluster", nil); rec.Code != http.StatusOK {
+				t.Fatalf("GET /v1/cluster: %d", rec.Code)
+			}
+			checkNew()
+		}
+		if cs := s.ClusterState(); cs.Epoch != e+1 {
+			t.Fatalf("after epoch %d the service is in epoch %d", e, cs.Epoch)
+		}
+	}
+	for _, st := range s.Jobs() {
+		states[st.State]++
+	}
+	want := map[JobState]int{StateDone: 2 * epochs, StateRejected: epochs, StateFailed: (epochs + 1) / 2}
+	if !reflect.DeepEqual(states, want) {
+		t.Fatalf("job states %v, want %v", states, want)
+	}
+	// Long after they ended, every terminal trace still renders the same.
+	logged := exported()
+	if len(logged) != len(checked) || len(logged) != len(s.Jobs()) {
+		t.Fatalf("%d traces exported, %d checked, %d jobs", len(logged), len(checked), len(s.Jobs()))
+	}
+	for id, want := range logged {
+		requireLive(id, want)
 	}
 }
