@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	delaystage [-workload LDA] [-nodes 30] [-scale 1.0] [-order descending|ascending|random] [-profile] [-no-eval-cache]
+//	delaystage [-workload LDA] [-nodes 30] [-scale 1.0] [-order descending|ascending|random] [-profile]
 //	delaystage -spec job.json [-dot schedule.dot]
 //	delaystage -eventlog app.log
 package main
@@ -30,11 +30,11 @@ import (
 // options is delaystage's command line: the flag set and what it parses
 // into.
 type options struct {
-	fs                                *cli.FlagSet
-	jobs                              *cli.Jobs
-	orderName, logPath, dotPath       *string
-	seed                              *int64
-	profile, noCache, approx, noPrune *bool
+	fs                          *cli.FlagSet
+	jobs                        *cli.Jobs
+	orderName, logPath, dotPath *string
+	seed                        *int64
+	profile, approx, noPrune    *bool
 }
 
 // flags builds delaystage's flag set.
@@ -44,7 +44,6 @@ func flags() *options {
 		orderName: fs.String("order", "descending", "execution-path order: descending | ascending | random"),
 		seed:      fs.Int64("seed", 1, "seed for the random order / profiling noise"),
 		profile:   fs.Bool("profile", false, "plan on profiled (noisy) parameters, as the prototype does"),
-		noCache:   fs.Bool("no-eval-cache", false, "disable the what-if memo cache and snapshot forking (every candidate simulated from scratch; the schedule is identical either way)"),
 		approx:    fs.Bool("approx-plan", false, "plan from the analytic Eq. 1–3 model (no simulation per candidate; makespans are predictions)"),
 		noPrune:   fs.Bool("no-bound-prune", false, "disable the analytic pruning tier of the candidate scan (single-tier reference; the schedule is identical either way)"),
 		logPath:   fs.String("eventlog", "", "Spark event log to derive the job from (overrides -workload)"),
@@ -116,7 +115,7 @@ func main() {
 	}
 
 	sched, err := core.Compute(core.Options{Cluster: c, Order: order, Seed: *o.seed,
-		DisableEvalCache: *o.noCache, Approximate: *o.approx, DisableBoundPrune: *o.noPrune}, planJob)
+		Approximate: *o.approx, DisableBoundPrune: *o.noPrune}, planJob)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"approx-plan": "false", "dot": "", "eventlog": "", "no-bound-prune": "false",
-		"no-eval-cache": "false", "nodes": "30", "order": "descending", "profile": "false", "scale": "1",
+		"nodes": "30", "order": "descending", "profile": "false", "scale": "1",
 		"seed": "1", "spec": "", "workload": "LDA",
 	}
 	got := map[string]string{}

@@ -115,6 +115,13 @@ func TestBoundSandwichRandomJobs(t *testing.T) {
 		j, delays := randomSandwichCase(c, seed, n)
 		checkSandwich(t, c, j, delays, fmt.Sprintf("seed%d-n%d", seed, n))
 	}
+	// Two-stage chains whose simulated makespan passes the exact fluid
+	// layout by one or two of the engine's 1e-6 s event-step floors:
+	// Upper must leave room for them.
+	for _, seed := range []int64{67, 119, 144} {
+		j, delays := randomSandwichCase(c, seed, 2)
+		checkSandwich(t, c, j, delays, fmt.Sprintf("seed%d-n2", seed))
+	}
 }
 
 // FuzzBoundSandwich lets `go test -fuzz` hunt for DAG shapes that break
@@ -123,6 +130,7 @@ func FuzzBoundSandwich(f *testing.F) {
 	f.Add(int64(7), 9)
 	f.Add(int64(42), 25)
 	f.Add(int64(1337), 50)
+	f.Add(int64(67), 2)
 	c := coarseFor(c30())
 	f.Fuzz(func(t *testing.T, seed int64, n int) {
 		if n < 2 {

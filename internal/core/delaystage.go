@@ -11,13 +11,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"delaystage/internal/cluster"
@@ -73,21 +70,14 @@ type Options struct {
 	// disabling it runs Alg. 1 verbatim. A second pass never changes the
 	// schedule: the pass ends on the makespan it started each scan from.
 	DisableRefine bool
-	// Parallelism evaluates a stage's delay candidates on that many
-	// goroutines: the sim evaluator's held-world scan drains its forks
-	// there (taking them one at a time, in candidate order), any other
-	// evaluation runs one candidate per Evaluator clone. The argmin reduce
-	// replays the sequential comparison in candidate order, so the
-	// schedule — and every evaluation counter — is bit-identical to the
-	// sequential scan at any setting. Zero or one means sequential.
+	// Parallelism drains the forks of the sim evaluator's held-world
+	// candidate scan on that many goroutines (the forks themselves are
+	// taken one at a time, in candidate order, on the calling goroutine).
+	// The argmin reduce replays the sequential comparison in candidate
+	// order, so the schedule — and every evaluation counter — is
+	// bit-identical to the sequential scan at any setting. Zero or one
+	// means sequential; Approximate scans are always sequential.
 	Parallelism int
-	// DisableEvalCache turns off the sim evaluator's what-if memo cache
-	// and held-world scans: every candidate is answered by a full
-	// simulation from the job's arrival, as Alg. 1 is written. Schedules are identical either way
-	// (the cache is exact and forked runs are bit-identical); the switch
-	// exists for benchmarking the speedup and as a safety valve. Ignored
-	// under Approximate.
-	DisableEvalCache bool
 	// DisableBoundPrune turns off the two-tier scan's analytic tier so
 	// every candidate is answered by the exact evaluator — the single-tier
 	// reference the invariance tests and benchmarks compare against.
@@ -186,11 +176,12 @@ type Evaluator interface {
 	SetActive(active []bool) error
 	// Makespan evaluates the delays (nil = all zero).
 	Makespan(delays []float64) (float64, error)
-	// Clone returns an evaluator sharing this one's immutable inputs and
-	// active set but owning any mutable scratch, so concurrent Makespan
-	// calls on distinct clones are safe. Clones are scan-scoped: SetActive
-	// must not be called on the parent while clones are evaluating.
-	Clone() Evaluator
+	// Scan evaluates one candidate scan of the stage at position k: it
+	// sets mks[i] to the makespan with the stage's delay xs[i]
+	// (ascending), every other delay as in delays, on up to workers
+	// goroutines, and returns how many candidates it answered. delays is
+	// unchanged on return.
+	Scan(delays []float64, k int, xs, mks []float64, workers int) (int, error)
 	// Close releases what the evaluator holds once planning is done.
 	Close()
 }
@@ -403,16 +394,13 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 	}
 	if opt.Approximate {
 		aev := newApproxEvaluator(bev, len(ids), a.Committed)
-		sc.ev, sc.shared = aev, aev.shared
+		sc.ev, sc.stats = aev, &aev.stats
 	} else {
 		sev, err := newSimEvaluator(opt, job, a)
 		if err != nil {
 			return nil, err
 		}
-		sc.ev, sc.shared = sev, sev.shared
-		if !opt.DisableEvalCache {
-			sc.held = sev
-		}
+		sc.ev, sc.stats = sev, &sev.stats
 	}
 	if !opt.DisableBoundPrune {
 		sc.bounds = bev
@@ -443,7 +431,7 @@ type scanCtx struct {
 	paths  [][]int // sched.Paths by position
 	opt    Options
 	start  time.Time
-	shared *evalShared // the evaluator's memo and work counters
+	stats  *EvalStats // the evaluator's work counters
 
 	// A stage's candidates are candidates(span − solo(k), slot,
 	// MaxCandidates, spread); committed is added to every candidate's
@@ -451,11 +439,6 @@ type scanCtx struct {
 	span      float64
 	spread    bool
 	committed float64
-
-	// held, when set, answers a scan's candidates in one batch from a
-	// held world (simEvaluator.scanMakespans); otherwise each candidate is
-	// one Makespan call.
-	held *simEvaluator
 
 	skip []bool // per-candidate prune mask, reused across scans
 	// xs and mks are the surviving candidates of a scan and their
@@ -496,8 +479,8 @@ func (sc *scanCtx) result(err error) (*Schedule, error) {
 			sched.Delays[sc.ids[p]] = x
 		}
 	}
-	if sc.shared != nil {
-		st := sc.shared.counters()
+	if sc.stats != nil {
+		st := *sc.stats
 		sched.CacheHits, sched.ForkedEvals, sched.FullEvals = st.CacheHits, st.ForkedRuns, st.FullRuns
 	}
 	sched.ComputeTime = time.Since(sc.start)
@@ -610,7 +593,7 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	}
 	mks := slices.Grow(sc.mks[:0], len(xs))[:len(xs)]
 	sc.xs, sc.mks = xs, mks
-	n, err := sc.evaluate(k, xs, mks)
+	n, err := sc.ev.Scan(sc.delays, k, xs, mks, opt.Parallelism)
 	sc.countEval(n)
 	if err != nil {
 		return err
@@ -626,73 +609,6 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	}
 	sc.delays[k] = bestDelay
 	return nil
-}
-
-// evaluate sets mks[i] to the exact makespan with stage k's delay xs[i]
-// (ascending), every other delay as in sc.delays, and returns how many
-// candidates it answered. A held-world evaluator prices them in one
-// batch; otherwise they are evaluated one by one, concurrently under
-// Parallelism > 1.
-func (sc *scanCtx) evaluate(k int, xs, mks []float64) (int, error) {
-	opt, delays := sc.opt, sc.delays
-	switch {
-	case len(xs) == 0:
-		return 0, nil
-	case sc.held != nil:
-		return sc.held.scanMakespans(delays, k, xs, mks, opt.Parallelism)
-	case opt.Parallelism > 1 && len(xs) > 1:
-		return scanParallel(sc.ev, delays, k, xs, mks, opt.Parallelism)
-	}
-	for i, x := range xs {
-		delays[k] = x
-		mk, err := sc.ev.Makespan(delays)
-		if err != nil {
-			return i, err
-		}
-		mks[i] = mk
-	}
-	return len(xs), nil
-}
-
-// scanParallel fans a stage's candidate evaluations out over min(workers,
-// len(xs)) goroutines, each with its own Evaluator clone and private copy
-// of the delays, setting mks[i] to the makespan with stage k's delay
-// xs[i].
-// It returns how many evaluations ran. Work is handed out by an atomic
-// counter; any worker error stops the scan, and the WaitGroup join below
-// means no goroutine outlives the call.
-func scanParallel(ev Evaluator, delays []float64, k int, xs, mks []float64, workers int) (int, error) {
-	workers = min(workers, len(xs))
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var evals atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wev := ev.Clone()
-			d := slices.Clone(delays)
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(xs) {
-					return
-				}
-				d[k] = xs[i]
-				mk, err := wev.Makespan(d)
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				mks[i] = mk
-				evals.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return int(evals.Load()), cmp.Or(errs...)
 }
 
 // candidates returns the slotted delay candidates in [0, upper]. The slot

@@ -52,27 +52,24 @@ type EvalStats struct {
 	// FullRuns counts complete simulations of the job from its arrival —
 	// forks of the unstepped prepared world, which are bit-identical to
 	// from-scratch runs: the evaluations outside a candidate scan (a
-	// scan's base configuration, Tmax, the refinement passes' checks)
-	// and, with the cache disabled, every one.
+	// scan's base configuration, Tmax, the refinement passes' checks).
 	FullRuns int
 }
 
-// evalShared is the state an evaluator shares with all its clones: the
-// memo cache of evaluated configurations and the work counters, behind
-// mu.
-type evalShared struct {
-	disable bool
-
-	mu    sync.Mutex
+// evalMemo is an evaluator's exact memo cache of evaluated
+// configurations and its work counters.
+type evalMemo struct {
 	memo  map[string]float64
 	stats EvalStats
 }
 
-// counters returns the shared work counters.
-func (sh *evalShared) counters() EvalStats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.stats
+// lookup answers a configuration's key from the memo, counting a hit.
+func (m *evalMemo) lookup(key []byte) (float64, bool) {
+	mk, ok := m.memo[string(key)]
+	if ok {
+		m.stats.CacheHits++
+	}
+	return mk, ok
 }
 
 // activeSet is an evaluator's active stage set: a mask by stage position
@@ -164,29 +161,27 @@ func (f *fingerprinter) batchKey(i int) []byte {
 // set and undelayed, arriving into the world, unstepped — every
 // evaluation forks it with its delays as revisions instead of validating
 // and wiring the job again), an exact memo cache over (active set, delay
-// vector) keys, and held-world candidate scans (scanMakespans: every
-// candidate of one stage shares the simulation with the stage held back,
-// up to the candidate's own submission time). The simulator is
-// deterministic, memo keys are collision-free, and forks are
-// bit-identical to from-scratch runs, so schedules are byte-identical
-// with every layer on or off.
+// vector) keys, and held-world candidate scans (Scan: every candidate of
+// one stage shares the simulation with the stage held back, up to the
+// candidate's own submission time). The simulator is deterministic, memo
+// keys are collision-free, and forks are bit-identical to from-scratch
+// runs, so every answer is the Σ JCT of a fresh simulation, bit for bit.
 type simEvaluator struct {
+	evalMemo
 	// simOpt runs the worlds of an empty arrival: the coarse cluster, or
 	// with a placement the cluster as it is and its links.
 	simOpt    sim.Options
 	placement map[dag.StageID]int
 	job       *workload.Job
 	ids       []dag.StageID // the job's stages by position
-	shared    *evalShared
 	arrival   Arrival
 	ji        int // the sub-job's index in its world
 	active    activeSet
-	// world is the active set's prepared world, only ever forked; clones
-	// share it.
+	// world is the active set's prepared world, only ever forked.
 	world *sim.Stepper
 
-	// Per-clone scratch, reset by Clone: a fork's delay revisions and a
-	// scan's delay vector (see scanMakespans).
+	// Scratch: a fork's delay revisions and a scan's delay vector (see
+	// Scan).
 	keys    fingerprinter
 	updates []sim.DelayUpdate
 	held    []float64
@@ -202,8 +197,8 @@ func newSimEvaluator(opt Options, job *workload.Job, a Arrival) (*simEvaluator, 
 		so.Cluster, so.Links = opt.Cluster, opt.Links
 	}
 	e := &simEvaluator{
-		simOpt: so, placement: opt.Placement, job: job, ids: job.Graph.StagesView(), arrival: a, ji: ji,
-		shared: &evalShared{disable: opt.DisableEvalCache, memo: map[string]float64{}},
+		evalMemo: evalMemo{memo: map[string]float64{}},
+		simOpt:   so, placement: opt.Placement, job: job, ids: job.Graph.StagesView(), arrival: a, ji: ji,
 	}
 	if err := e.prepare(nil); err != nil {
 		return nil, err
@@ -241,65 +236,39 @@ func (e *simEvaluator) prepare(mask []bool) error {
 	return nil
 }
 
-// Clone returns a concurrency-safe copy: immutable inputs, the prepared
-// world and the shared cache state are carried over, the per-clone
-// scratch buffers are not.
-func (e *simEvaluator) Clone() Evaluator {
-	c := *e
-	c.keys, c.updates, c.held = fingerprinter{}, nil, nil
-	return &c
-}
-
 func (e *simEvaluator) SetActive(active []bool) error { return e.prepare(active) }
 
 // Close retires the prepared world.
 func (e *simEvaluator) Close() { e.world.Close() }
 
 func (e *simEvaluator) Makespan(delays []float64) (float64, error) {
-	sh := e.shared
-	var fp []byte
-	if !sh.disable {
-		fp = e.keys.key(&e.active, delays)
-		sh.mu.Lock()
-		if mk, ok := sh.memo[string(fp)]; ok {
-			sh.stats.CacheHits++
-			sh.mu.Unlock()
-			return mk, nil
-		}
-		sh.mu.Unlock()
+	fp := e.keys.key(&e.active, delays)
+	if mk, ok := e.lookup(fp); ok {
+		return mk, nil
 	}
 	mk, err := e.fullRun(delays)
 	if err != nil {
 		return 0, err
 	}
-	sh.mu.Lock()
-	if !sh.disable {
-		sh.memo[string(fp)] = mk
-	}
-	sh.stats.FullRuns++
-	sh.mu.Unlock()
+	e.memo[string(fp)] = mk
+	e.stats.FullRuns++
 	return mk, nil
 }
 
-// scanMakespans prices the surviving candidates xs (ascending) of one
-// scan of the stage at position k, every other delay fixed as in delays:
-// mks[i] gets the makespan with the stage delayed by xs[i]. It returns
-// how many candidates it answered.
-//
-// Memo hits are answered first. The misses share one held world: the
-// active sub-job arriving with the stage's delay set to the largest miss,
-// stepped to the stage's ready time tr (a root is ready at arrival).
-// Advancing it along the misses in ascending x, each miss but the last is
-// a fork at the boundary just before tr + x, where Fork re-arms the
-// stage's pending submission timer at tr + x, so the fork only simulates
-// [tr + x, end] and is bit-identical to a from-scratch run with delay x;
-// the last miss is the held world itself, drained. The forks are taken
+// Scan prices a scan's candidates in one batch. Memo hits are answered
+// first. The misses share one held world: the active sub-job arriving
+// with the stage's delay set to the largest miss, stepped to the stage's
+// ready time tr (a root is ready at arrival). Advancing it along the
+// misses in ascending x, each miss but the last is a fork at the boundary
+// just before tr + x, where Fork re-arms the stage's pending submission
+// timer at tr + x, so the fork only simulates [tr + x, end] and is
+// bit-identical to a from-scratch run with delay x; the last miss is the
+// held world itself, drained. The forks are taken
 // one at a time on the calling goroutine; with workers > 1 their drains
 // run on up to that many goroutines, all joined before it returns. Which
 // candidates hit, fork or drain depends only on the memo, never on the
 // interleaving, so the counters are the same at any parallelism.
-func (e *simEvaluator) scanMakespans(delays []float64, k int, xs, mks []float64, workers int) (int, error) {
-	sh := e.shared
+func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, workers int) (int, error) {
 	// The held world takes its delays as Fork revisions, so this vector
 	// is free again once it is built.
 	held := append(e.held[:0], delays...)
@@ -312,16 +281,13 @@ func (e *simEvaluator) scanMakespans(delays []float64, k int, xs, mks []float64,
 		keys.ends = append(keys.ends, len(keys.batch))
 	}
 	miss := keys.miss[:0]
-	sh.mu.Lock()
 	for i := range xs {
-		if mk, ok := sh.memo[string(keys.batchKey(i))]; ok {
+		if mk, ok := e.lookup(keys.batchKey(i)); ok {
 			mks[i] = mk
-			sh.stats.CacheHits++
 		} else {
 			miss = append(miss, i)
 		}
 	}
-	sh.mu.Unlock()
 	keys.miss = miss
 	hits := len(xs) - len(miss)
 	if len(miss) == 0 {
@@ -371,23 +337,21 @@ func (e *simEvaluator) scanMakespans(delays []float64, k int, xs, mks []float64,
 	if err != nil {
 		return hits, err
 	}
-	sh.mu.Lock()
 	for _, i := range miss {
-		sh.memo[string(keys.batchKey(i))] = mks[i]
+		e.memo[string(keys.batchKey(i))] = mks[i]
 	}
-	sh.stats.ForkedRuns += len(miss)
-	sh.mu.Unlock()
+	e.stats.ForkedRuns += len(miss)
 	return len(xs), nil
 }
 
 // drainPool drains a scan's forks on worker goroutines into mks; the
-// first error stops the scan (failed).
+// first error stops the scan (failed). Each worker keeps its own first
+// error.
 type drainPool struct {
 	queue  chan drainJob
 	wg     sync.WaitGroup
 	failed atomic.Bool
-	mu     sync.Mutex
-	err    error
+	errs   []error
 }
 
 type drainJob struct {
@@ -396,17 +360,15 @@ type drainJob struct {
 }
 
 func startDrains(workers int, mks []float64) *drainPool {
-	p := &drainPool{queue: make(chan drainJob)}
+	p := &drainPool{queue: make(chan drainJob), errs: make([]error, workers)}
 	p.wg.Add(workers)
-	for range workers {
+	for w := range workers {
 		go func() {
 			defer p.wg.Done()
 			for d := range p.queue {
 				var err error
 				if mks[d.i], err = d.s.DrainJCTSum(); err != nil {
-					p.mu.Lock()
-					p.err = cmp.Or(p.err, err)
-					p.mu.Unlock()
+					p.errs[w] = cmp.Or(p.errs[w], err)
 					p.failed.Store(true)
 				}
 			}
@@ -415,11 +377,12 @@ func startDrains(workers int, mks []float64) *drainPool {
 	return p
 }
 
-// wait closes the queue, joins every worker and returns the first error.
+// wait closes the queue, joins every worker and returns the first error
+// by worker.
 func (p *drainPool) wait() error {
 	close(p.queue)
 	p.wg.Wait()
-	return p.err
+	return cmp.Or(p.errs...)
 }
 
 // arrive returns a world in which the active sub-job, with the given
@@ -497,17 +460,17 @@ func (e *simEvaluator) fullRun(delays []float64) (float64, error) {
 // float operations. The key is exact, so a hit returns the identical
 // float a recomputation would.
 type approxEvaluator struct {
+	evalMemo
 	b         *perfmodel.BoundEvaluator
 	n         int     // the job's stage count
 	committed float64 // Arrival.Committed, added to every prediction
-	shared    *evalShared
 	active    activeSet
-	keys      fingerprinter // per-clone scratch, reset by Clone
+	keys      fingerprinter
 }
 
 func newApproxEvaluator(b *perfmodel.BoundEvaluator, n int, committed float64) *approxEvaluator {
 	return &approxEvaluator{b: b, n: n, committed: committed, active: newActiveSet(nil, n),
-		shared: &evalShared{memo: map[string]float64{}}}
+		evalMemo: evalMemo{memo: map[string]float64{}}}
 }
 
 func (e *approxEvaluator) SetActive(active []bool) error {
@@ -516,31 +479,27 @@ func (e *approxEvaluator) SetActive(active []bool) error {
 	return nil
 }
 
-// Clone hands the clone its own bound-evaluator and key scratch; the
-// immutable inputs, the active set and the memo stay shared.
-func (e *approxEvaluator) Clone() Evaluator {
-	c := *e
-	c.b = e.b.Clone()
-	c.keys = fingerprinter{}
-	return &c
-}
-
 func (e *approxEvaluator) Close() {}
 
 func (e *approxEvaluator) Makespan(delays []float64) (float64, error) {
 	fp := e.keys.key(&e.active, delays)
-	sh := e.shared
-	sh.mu.Lock()
-	if mk, ok := sh.memo[string(fp)]; ok {
-		sh.stats.CacheHits++
-		sh.mu.Unlock()
+	if mk, ok := e.lookup(fp); ok {
 		return mk, nil
 	}
-	sh.mu.Unlock()
 	mk := e.committed + e.b.PredictAt(delays)
-	sh.mu.Lock()
-	sh.memo[string(fp)] = mk
-	sh.stats.FullRuns++
-	sh.mu.Unlock()
+	e.memo[string(fp)] = mk
+	e.stats.FullRuns++
 	return mk, nil
+}
+
+// Scan prices the candidates in order on the calling goroutine; workers
+// is ignored.
+func (e *approxEvaluator) Scan(delays []float64, k int, xs, mks []float64, _ int) (int, error) {
+	x0 := delays[k]
+	for i, x := range xs {
+		delays[k] = x
+		mks[i], _ = e.Makespan(delays)
+	}
+	delays[k] = x0
+	return len(xs), nil
 }

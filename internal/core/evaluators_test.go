@@ -419,7 +419,7 @@ func TestPreparedWorldsAnswerOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range []Arrival{{}, {World: committed, At: 40}} {
-		ev, err := newSimEvaluator(Options{Cluster: c, DisableEvalCache: true}, job, a)
+		ev, err := newSimEvaluator(Options{Cluster: c}, job, a)
 		if err != nil {
 			t.Fatal(err)
 		}

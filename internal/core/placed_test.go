@@ -11,6 +11,7 @@ import (
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
+	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
 
@@ -70,11 +71,13 @@ func placedCases() []placedCase {
 	return out
 }
 
-// TestPlacedPlanIdentity: a placed job's schedule is the same bits with
-// the what-if cache off and at any Parallelism, the cached scan answers
-// candidates from forks, and the plan never predicts worse than stock.
+// TestPlacedPlanIdentity: a placed job's schedule is the same bits at any
+// Parallelism, the scan answers candidates from forks, and the plan never
+// predicts worse than stock; and the evaluator's answers on a placed job
+// are those of fresh placed simulations over the links, bit for bit.
 func TestPlacedPlanIdentity(t *testing.T) {
-	for _, pc := range placedCases() {
+	cases := placedCases()
+	for _, pc := range cases {
 		base := Options{Cluster: pc.c, Links: pc.links, Placement: pc.placement, MaxCandidates: 16}
 		ref := computeOK(t, base, pc.job)
 		if ref.Makespan > ref.StockMakespan {
@@ -83,22 +86,28 @@ func TestPlacedPlanIdentity(t *testing.T) {
 		if len(ref.K) > 0 && ref.ForkedEvals == 0 {
 			t.Errorf("%s: no candidate was answered from a fork", pc.name)
 		}
-		for _, mod := range []func(*Options){
-			func(o *Options) { o.DisableEvalCache = true },
-			func(o *Options) { o.Parallelism = 4 },
-			func(o *Options) { o.DisableEvalCache, o.Parallelism = true, 4 },
-		} {
-			opt := base
-			mod(&opt)
-			got := computeOK(t, opt, pc.job)
-			if !reflect.DeepEqual(got.Delays, ref.Delays) ||
-				math.Float64bits(got.Makespan) != math.Float64bits(ref.Makespan) ||
-				math.Float64bits(got.StockMakespan) != math.Float64bits(ref.StockMakespan) {
-				t.Errorf("%s cache-off=%v par=%d: schedule %v %v/%v, want %v %v/%v", pc.name,
-					opt.DisableEvalCache, opt.Parallelism, got.Delays, got.Makespan, got.StockMakespan,
-					ref.Delays, ref.Makespan, ref.StockMakespan)
-			}
+		opt := base
+		opt.Parallelism = 4
+		got := computeOK(t, opt, pc.job)
+		if !reflect.DeepEqual(got.Delays, ref.Delays) ||
+			math.Float64bits(got.Makespan) != math.Float64bits(ref.Makespan) ||
+			math.Float64bits(got.StockMakespan) != math.Float64bits(ref.StockMakespan) ||
+			got.CacheHits != ref.CacheHits || got.ForkedEvals != ref.ForkedEvals || got.FullEvals != ref.FullEvals {
+			t.Errorf("%s par=4: schedule %v %v/%v, want %v %v/%v", pc.name,
+				got.Delays, got.Makespan, got.StockMakespan, ref.Delays, ref.Makespan, ref.StockMakespan)
 		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, pc := range cases[:3] {
+		n := pc.job.Graph.Len()
+		half := make([]bool, n)
+		for p := range half {
+			half[p] = p%2 == 0
+		}
+		checkAnswersMatchFreshSim(t, whatIfCase{name: pc.name, job: pc.job,
+			opt:    Options{Cluster: pc.c, Links: pc.links, Placement: pc.placement},
+			simOpt: sim.Options{Cluster: pc.c, Links: pc.links, TrackNode: -1},
+		}, [][]bool{nil, half}, rng)
 	}
 }
 

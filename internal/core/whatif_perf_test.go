@@ -21,7 +21,7 @@ import (
 // world paused just before kid becomes ready, and the scan's held world
 // (kid held back, stepped to its readiness and advanced to just before
 // tr + heldX, the submission time of a candidate x = heldX), as
-// scanMakespans builds it.
+// Scan builds it.
 type whatIfFixture struct {
 	ev     *simEvaluator
 	delays []float64
@@ -39,7 +39,7 @@ const heldX = 3
 // few seconds, and pauses the scan prefix and the held world.
 func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *whatIfFixture {
 	tb.Helper()
-	ev, err := newSimEvaluator(Options{Cluster: c, DisableEvalCache: true}, job, Arrival{})
+	ev, err := newSimEvaluator(Options{Cluster: c}, job, Arrival{})
 	if err != nil {
 		tb.Fatal(err)
 	}

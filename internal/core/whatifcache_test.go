@@ -11,15 +11,133 @@ import (
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
+	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
 
+// whatIfCase is one sim evaluator under test and what the oracle needs
+// to re-run its answers from scratch: the simulator options of its
+// worlds, the committed runs the job arrives into (none = an empty
+// cluster) and the arrival time.
+type whatIfCase struct {
+	name      string
+	opt       Options
+	job       *workload.Job
+	simOpt    sim.Options
+	committed []sim.JobRun
+	at        float64
+}
+
+// checkAnswersMatchFreshSim holds the sim evaluator's what-if layers to
+// an oracle that shares none of them: under every mask, each active
+// stage's candidates are priced by a Scan (forks of a held world, drained
+// on one or four workers), by the same Scan again (all memo hits) and by
+// Makespan on a second evaluator (full runs), and every answer must equal,
+// bit for bit, the Σ JCT of a fresh sim.Run over the committed runs plus
+// the masked job arriving with those delays.
+func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng *rand.Rand) {
+	t.Helper()
+	a := Arrival{At: wc.at, FairByJob: wc.simOpt.FairByJob}
+	if wc.committed != nil {
+		w, err := sim.NewStepper(wc.simOpt, wc.committed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if err := w.AdvanceBefore(wc.at); err != nil {
+			t.Fatal(err)
+		}
+		a.World = w
+	}
+	scanEv, err := newSimEvaluator(wc.opt, wc.job, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scanEv.Close()
+	fullEv, err := newSimEvaluator(wc.opt, wc.job, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fullEv.Close()
+	ids := wc.job.Graph.StagesView()
+	fresh := func(mask []bool, delays []float64) float64 {
+		run := sim.JobRun{Job: wc.job, Arrival: wc.at, Active: mask, Placement: wc.opt.Placement,
+			Delays: map[dag.StageID]float64{}}
+		for p, x := range delays {
+			run.Delays[ids[p]] = x
+		}
+		res, err := sim.Run(wc.simOpt, append(slices.Clone(wc.committed), run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for i := range res.JobEnd {
+			sum += res.JCT(i)
+		}
+		return sum
+	}
+	xs := []float64{0, 2.5, 7, 15, 40}
+	mks := make([]float64, len(xs))
+	for mi, mask := range masks {
+		if err := scanEv.SetActive(mask); err != nil {
+			t.Fatal(err)
+		}
+		if err := fullEv.SetActive(mask); err != nil {
+			t.Fatal(err)
+		}
+		delays := make([]float64, len(ids))
+		for p := range delays {
+			if rng.Intn(3) == 0 {
+				delays[p] = float64(1 + rng.Intn(20))
+			}
+		}
+		for k := range ids {
+			if mask != nil && !mask[k] {
+				continue
+			}
+			want := make([]float64, len(xs))
+			for i, x := range xs {
+				d := slices.Clone(delays)
+				d[k] = x
+				want[i] = fresh(mask, d)
+				got, err := fullEv.Makespan(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Fatalf("%s mask %d stage %d x=%v: Makespan %v, fresh run %v", wc.name, mi, ids[k], x, got, want[i])
+				}
+			}
+			for pass, workers := range []int{1 + 3*(k%2), 1} {
+				before := scanEv.stats
+				n, err := scanEv.Scan(delays, k, xs, mks, workers)
+				if err != nil || n != len(xs) {
+					t.Fatalf("%s mask %d stage %d: Scan answered %d of %d (%v)", wc.name, mi, ids[k], n, len(xs), err)
+				}
+				if pass == 1 && (scanEv.stats.CacheHits-before.CacheHits != len(xs) || scanEv.stats.ForkedRuns != before.ForkedRuns) {
+					t.Fatalf("%s mask %d stage %d: a repeated scan was not all memo hits", wc.name, mi, ids[k])
+				}
+				for i, x := range xs {
+					if math.Float64bits(mks[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s mask %d stage %d x=%v pass %d: Scan %v, fresh run %v", wc.name, mi, ids[k], x, pass, mks[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	if scanEv.stats.ForkedRuns == 0 || fullEv.stats.FullRuns == 0 {
+		t.Fatalf("%s: vacuous: %d forked scan answers, %d full runs", wc.name, scanEv.stats.ForkedRuns, fullEv.stats.FullRuns)
+	}
+}
+
 // TestEvalCacheSchedulesByteIdentical is the contract of the what-if
-// layers: the memo cache is exact and forked runs are bit-identical to
-// from-scratch runs, so Compute must return the very same schedule with
-// the layers on (default) and off (DisableEvalCache), at any parallelism.
-// The work counters must also be parallelism-invariant — they surface in
-// experiment JSON that is compared across parallelism settings.
+// layers: memo hits, held-world forks and full runs all answer the Σ JCT
+// of a fresh simulation, bit for bit, on every paper workload under
+// several active masks, alone and arriving into a committed world — so
+// Compute's schedules are those of Alg. 1 as written. Compute's schedule
+// and work counters must also be parallelism-invariant (they surface in
+// experiment JSON that is compared across parallelism settings), and both
+// fast paths must actually fire.
 func TestEvalCacheSchedulesByteIdentical(t *testing.T) {
 	c := cluster.NewM4LargeCluster(4)
 	jobs := workload.PaperWorkloads(c, 0.25)
@@ -28,43 +146,35 @@ func TestEvalCacheSchedulesByteIdentical(t *testing.T) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	rng := rand.New(rand.NewSource(5))
+	committed := []sim.JobRun{{Job: workload.ALS(c, 0.25)}}
 	for _, name := range names {
 		job := jobs[name]
-		base := Options{Cluster: c, MaxCandidates: 10}
+		n := job.Graph.Len()
+		half, some := make([]bool, n), make([]bool, n)
+		for p := range n {
+			half[p] = p%2 == 0
+			some[p] = rng.Intn(3) > 0
+		}
+		masks := [][]bool{nil, half, some}
+		for _, wc := range []whatIfCase{
+			{name: name, opt: Options{Cluster: c}, job: job,
+				simOpt: sim.Options{Cluster: coarseFor(c), TrackNode: -1}},
+			{name: name + "/arrival", opt: Options{Cluster: c}, job: job,
+				simOpt:    sim.Options{Cluster: coarseFor(c), TrackNode: -1, FairByJob: true},
+				committed: committed, at: 40},
+		} {
+			checkAnswersMatchFreshSim(t, wc, masks, rng)
+		}
+
 		var ref *Schedule
 		for _, par := range []int{1, 4} {
-			opt := base
-			opt.Parallelism = par
-			on, err := Compute(opt, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.DisableEvalCache = true
-			off, err := Compute(opt, job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(on.Delays, off.Delays) {
-				t.Fatalf("%s par=%d: delays differ with cache on/off:\non:  %v\noff: %v",
-					name, par, on.Delays, off.Delays)
-			}
-			if on.Makespan != off.Makespan || on.StockMakespan != off.StockMakespan {
-				t.Fatalf("%s par=%d: makespans differ with cache on/off: %v/%v vs %v/%v",
-					name, par, on.Makespan, on.StockMakespan, off.Makespan, off.StockMakespan)
-			}
-			if on.Evaluations != off.Evaluations {
-				t.Fatalf("%s par=%d: evaluation counts differ: %d vs %d",
-					name, par, on.Evaluations, off.Evaluations)
-			}
+			on := computeOK(t, Options{Cluster: c, MaxCandidates: 10, Parallelism: par}, job)
 			// Counter bookkeeping: every evaluation is exactly one of
-			// hit / forked / full; disabling the cache forces all-full.
+			// hit / forked / full.
 			if got := on.CacheHits + on.ForkedEvals + on.FullEvals; got != on.Evaluations {
 				t.Fatalf("%s par=%d: counters %d+%d+%d != evaluations %d",
 					name, par, on.CacheHits, on.ForkedEvals, on.FullEvals, on.Evaluations)
-			}
-			if off.CacheHits != 0 || off.ForkedEvals != 0 || off.FullEvals != off.Evaluations {
-				t.Fatalf("%s par=%d: disabled cache still reports hits=%d forked=%d full=%d/%d",
-					name, par, off.CacheHits, off.ForkedEvals, off.FullEvals, off.Evaluations)
 			}
 			// These workloads re-query many configurations and scan many
 			// candidates per stage: both fast paths must actually fire.
@@ -79,7 +189,8 @@ func TestEvalCacheSchedulesByteIdentical(t *testing.T) {
 				continue
 			}
 			// Parallelism must change neither the schedule nor the counters.
-			if !reflect.DeepEqual(ref.Delays, on.Delays) || ref.Makespan != on.Makespan {
+			if !reflect.DeepEqual(ref.Delays, on.Delays) || ref.Makespan != on.Makespan ||
+				ref.StockMakespan != on.StockMakespan || ref.Evaluations != on.Evaluations {
 				t.Fatalf("%s: schedule differs across parallelism", name)
 			}
 			if ref.CacheHits != on.CacheHits || ref.ForkedEvals != on.ForkedEvals || ref.FullEvals != on.FullEvals {

@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
@@ -18,7 +17,8 @@ import (
 //   Lower      = max(critical path at solo rates + delays, Σ work / capacity)
 //   Upper      = layout where every stage runs at its structural worst-case
 //                share: solo time × conc × (1 + α·min(conc−1, 4)), conc = the
-//                number of stages that can overlap it per the (restricted) DAG
+//                number of stages that can overlap it per the (restricted) DAG,
+//                plus the simulator's step floor once per event a run can have
 //   Prediction = the Eq. 1–3 per-phase layout: every stage is three
 //                consecutive intervals (shuffle read, compute, shuffle write),
 //                each stretched by the time-averaged number of same-phase
@@ -47,6 +47,11 @@ const contentionSaturation = 4
 
 // defaultAlpha mirrors sim.Options.ContentionOverhead's default.
 const defaultAlpha = 0.22
+
+// minEventStep mirrors the simulator's floor on one event's time step
+// (minDT in internal/sim/engine.go): each event may end up to that much
+// later than the exact fluid timeline.
+const minEventStep = 1e-6
 
 // Eq. 1's phases, in execution order.
 const (
@@ -83,11 +88,12 @@ type BoundConfig struct {
 // delay vector indexed by position. The map-taking methods convert at the
 // boundary and answer identically.
 //
-// Not safe for concurrent use; Clone for parallel scans (clones share the
-// immutable inputs and the concurrency cache, own all scratch).
+// Not safe for concurrent use: it owns its scratch buffers and its
+// per-active-set cache.
 type BoundEvaluator struct {
-	cfg BoundConfig
-	g   *dag.Graph
+	cfg   BoundConfig
+	g     *dag.Graph
+	nodes int // the cluster's node count: one partition per node and stage
 
 	// Stages are indexed in topological order: ids[i] is stage i's ID,
 	// pos[i] its position, and topo[p] the index of the stage at position
@@ -108,7 +114,10 @@ type BoundEvaluator struct {
 	nActive   int
 	workLB    float64 // Σ active work / capacity (0 when excluded)
 
-	shared *boundShared
+	// conc caches the structural worst-case stretch factors per active set
+	// (a function of the DAG only, so computing them once per active set
+	// is free determinism).
+	conc map[string][]float64
 
 	// Bound scratch, reused across calls; dd holds a map-taking call's
 	// delays by position.
@@ -120,14 +129,6 @@ type BoundEvaluator struct {
 	stretch  [][nPhases]float64
 	ovS, ovF []float64
 	covs     []covEvent
-}
-
-// boundShared is the state clones share: the per-active-set structural
-// worst-case stretch factors (a function of the DAG only, so computing
-// them once per active set is free determinism).
-type boundShared struct {
-	mu   sync.Mutex
-	conc map[string][]float64
 }
 
 // NewBoundEvaluator validates the inputs and precomputes the per-stage
@@ -156,6 +157,7 @@ func NewBoundEvaluator(c *cluster.Cluster, job *workload.Job, cfg BoundConfig) (
 	b := &BoundEvaluator{
 		cfg:      cfg,
 		g:        job.Graph,
+		nodes:    len(c.Nodes),
 		ids:      topo,
 		pos:      ix[:n:n],
 		topo:     ix[n:],
@@ -166,7 +168,7 @@ func NewBoundEvaluator(c *cluster.Cluster, job *workload.Job, cfg BoundConfig) (
 		diskW:    f[2*n : 3*n : 3*n],
 		execW:    f[3*n : 4*n : 4*n],
 		phase:    f[4*n:],
-		shared:   &boundShared{conc: map[string][]float64{}},
+		conc:     map[string][]float64{},
 	}
 	for i, id := range topo {
 		b.pos[i] = job.Graph.Pos(id)
@@ -202,18 +204,6 @@ func NewBoundEvaluator(c *cluster.Cluster, job *workload.Job, cfg BoundConfig) (
 	b.activeIdx = make([]bool, n)
 	b.setAll()
 	return b, nil
-}
-
-// Clone returns a copy safe to use from another goroutine: immutable
-// inputs and the concurrency cache are shared, the active mask is copied
-// (SetActive on the parent must not retroactively move clones) and every
-// scratch buffer is private.
-func (b *BoundEvaluator) Clone() *BoundEvaluator {
-	c := *b
-	c.activeIdx = append([]bool(nil), b.activeIdx...)
-	c.up, c.up2, c.down, c.ends, c.dd = nil, nil, nil, nil, nil
-	c.lay, c.stretch, c.ovS, c.ovF, c.covs = nil, nil, nil, nil, nil
-	return &c
 }
 
 func (b *BoundEvaluator) setAll() {
@@ -408,13 +398,9 @@ func (b *BoundEvaluator) ScanLowerAt(k int, delays []float64) (through, rest flo
 // drops edges, so stages chained through an inactive middleman *can*
 // overlap and full-graph reachability would undercount.
 func (b *BoundEvaluator) concStretch() []float64 {
-	sh := b.shared
-	sh.mu.Lock()
-	if s, ok := sh.conc[b.activeKey]; ok {
-		sh.mu.Unlock()
+	if s, ok := b.conc[b.activeKey]; ok {
 		return s
 	}
-	sh.mu.Unlock()
 
 	n := len(b.ids)
 	words := (n + 63) / 64
@@ -471,9 +457,7 @@ func (b *BoundEvaluator) concStretch() []float64 {
 		}
 		st[i] = conc * (1 + defaultAlpha*extra)
 	}
-	sh.mu.Lock()
-	sh.conc[b.activeKey] = st
-	sh.mu.Unlock()
+	b.conc[b.activeKey] = st
 	return st
 }
 
@@ -521,6 +505,10 @@ func (b *BoundEvaluator) Bounds(delays map[dag.StageID]float64) Bounds {
 	if upper < lower {
 		upper = lower
 	}
+	// One step floor per event a fault-free run can have: the arrival,
+	// and per active stage its submission and three phase completions on
+	// each of its partitions.
+	upper += minEventStep * float64(1+b.nActive*(1+nPhases*b.nodes))
 	return Bounds{Lower: lower, Upper: upper}
 }
 

@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"sync"
 	"testing"
 
 	"delaystage/internal/cluster"
@@ -28,41 +27,6 @@ func TestPredictMonotoneInDelay(t *testing.T) {
 	big := predict(b, map[dag.StageID]float64{1: 1000})
 	if big < base+900 {
 		t.Fatalf("huge delay must dominate: base %.1f, delayed %.1f", base, big)
-	}
-}
-
-// Clones must not share layout scratch with their parent: concurrent
-// Predict calls on many clones with different delay vectors must each
-// match their sequential answer exactly.
-func TestPredictCloneIsolated(t *testing.T) {
-	c := cluster.NewM4LargeCluster(30)
-	j := workload.LDA(c, 0.2)
-	b := boundEval(t, c, j, BoundConfig{})
-	reach, err := dag.NewReachability(j.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := dag.ParallelStages(j.Graph, reach)
-	delays := make([]map[dag.StageID]float64, 16)
-	want := make([]float64, len(delays))
-	for i := range delays {
-		delays[i] = map[dag.StageID]float64{k[i%len(k)]: float64(10 * (i + 1))}
-		want[i] = predict(b, delays[i])
-	}
-	var wg sync.WaitGroup
-	got := make([]float64, len(delays))
-	for i := range delays {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = predict(b.Clone(), delays[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range delays {
-		if got[i] != want[i] {
-			t.Errorf("clone %d: prediction %v != sequential %v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -73,20 +73,13 @@ func (Fuxi) Plan(*cluster.Cluster, *workload.Job) (Plan, error) { return Plan{},
 
 // DelayStage runs Alg. 1 to compute submission delays for parallel stages.
 type DelayStage struct {
-	// Order is the execution-path scheduling sequence (default Descending).
+	// Order is the execution-path scheduling sequence (default Descending;
+	// Random shuffles with seed 0).
 	Order core.Order
-	// Seed drives the Random order.
-	Seed int64
-	// SlotSeconds / MaxCandidates tune the delay scan (0 = defaults).
-	SlotSeconds   float64
-	MaxCandidates int
-	// Parallelism evaluates delay candidates on that many goroutines
-	// (0/1 = sequential). The plan is bit-identical at any setting.
+	// Parallelism drains the candidate scans' forks on that many
+	// goroutines (0/1 = sequential; see core.Options.Parallelism). The
+	// plan is bit-identical at any setting.
 	Parallelism int
-	// DisableEvalCache turns off the what-if memo cache and snapshot
-	// forking in the sim evaluator (see core.Options.DisableEvalCache);
-	// plans are identical either way.
-	DisableEvalCache bool
 	// Approximate plans from the analytic model's prediction instead of
 	// what-if simulation (see core.Options.Approximate; used for
 	// trace-scale jobs).
@@ -104,14 +97,10 @@ func (d DelayStage) Name() string {
 // Plan implements Strategy: it runs the delay-time calculator.
 func (d DelayStage) Plan(c *cluster.Cluster, job *workload.Job) (Plan, error) {
 	s, err := core.Compute(core.Options{
-		Cluster:          c,
-		Order:            d.Order,
-		Seed:             d.Seed,
-		SlotSeconds:      d.SlotSeconds,
-		MaxCandidates:    d.MaxCandidates,
-		Parallelism:      d.Parallelism,
-		DisableEvalCache: d.DisableEvalCache,
-		Approximate:      d.Approximate,
+		Cluster:     c,
+		Order:       d.Order,
+		Parallelism: d.Parallelism,
+		Approximate: d.Approximate,
 	}, job)
 	if err != nil {
 		return Plan{}, err
