@@ -10,9 +10,6 @@
 //	simulate -crash-node 1 -crash-at 120 -fault-seed 7 -max-retries 4
 //	simulate -node-mttf 600 -mttf-horizon 200 -slow-node-frac 0.2 -slow-node-factor 3
 //	simulate -crash-rack 1 -rack-size 4 -crash-rack-at 90 -speculate -blacklist-after 2
-//	simulate -checkpoint-dir ckpt -checkpoint-every 30        # crash-safe run
-//	simulate -checkpoint-dir ckpt -checkpoint-every 30 -resume # continue after a kill
-//	simulate -checkpoint-dir ckpt -checkpoint-every 30 -resume -events run.jsonl -report
 //	simulate -events run.jsonl -chrometrace trace.json -json summary.json
 //	simulate -report                      # append the attribution report
 //	simulate -serve 127.0.0.1:9090 -linger 30s   # live /metrics, /healthz, pprof
@@ -20,13 +17,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
-	"math"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"delaystage/internal/attr"
 	"delaystage/internal/cli"
@@ -47,19 +40,18 @@ type options struct {
 	fault *cli.Faults
 	sinks *cli.Sinks
 	intro *cli.Introspection
-	ckpts *cli.Checkpoint
 
-	stratName, jsonPath                            *string
-	crashNode, rackSize, crashRack, parallelism    *int
-	crashAt, crashRackAt, specThreshold, ckptEvery *float64
-	guarded, approxPlan, report                    *bool
+	stratName, jsonPath                         *string
+	crashNode, rackSize, crashRack, parallelism *int
+	crashAt, crashRackAt, specThreshold         *float64
+	guarded, approxPlan, report                 *bool
 }
 
 // flags builds simulate's flag set.
 func flags() *options {
 	fs := cli.NewFlagSet("simulate")
 	o := &options{fs: fs, jobs: cli.JobFlags(fs, "TriangleCount"), fault: cli.FaultFlags(fs),
-		sinks: cli.SinkFlags(fs, "the run"), intro: cli.IntrospectionFlags(fs, "the run"), ckpts: cli.CheckpointFlags(fs),
+		sinks: cli.SinkFlags(fs, "the run"), intro: cli.IntrospectionFlags(fs, "the run"),
 
 		stratName:     fs.String("strategy", "delaystage", "spark | aggshuffle | fuxi | delaystage | delaystage-ascending | delaystage-random"),
 		crashNode:     fs.Int("crash-node", -1, "node to crash (-1 = none)"),
@@ -68,7 +60,6 @@ func flags() *options {
 		crashRack:     fs.Int("crash-rack", -1, "rack whose machines all crash at -crash-rack-at (-1 = none; requires -rack-size)"),
 		crashRackAt:   fs.Float64("crash-rack-at", 0, "rack crash time in simulated seconds"),
 		specThreshold: fs.Float64("spec-threshold", 0, "speculation slowness threshold vs the stage median (0 = default 1.5)"),
-		ckptEvery:     fs.Float64("checkpoint-every", 0, "checkpoint cadence in simulated seconds (requires -checkpoint-dir)"),
 		guarded:       fs.Bool("guarded", false, "attach the runtime watchdog to a delaystage strategy (cancels stale delays)"),
 		parallelism:   fs.Int("parallelism", 1, "goroutines for the delaystage candidate scan (plan is bit-identical at any setting)"),
 		approxPlan:    fs.Bool("approx-plan", false, "plan delaystage variants from the analytic Eq. 1–3 model (no simulation per candidate)"),
@@ -84,28 +75,7 @@ func (o *options) check() error {
 	if _, err := o.strategy(); err != nil {
 		return err
 	}
-	if err := o.faultPlan().Validate(); err != nil {
-		return err
-	}
-	if o.ckpts.Dir == "" {
-		if *o.ckptEvery != 0 {
-			return errors.New("-checkpoint-every requires -checkpoint-dir")
-		}
-		return nil
-	}
-	if *o.ckptEvery <= 0 || math.IsNaN(*o.ckptEvery) || math.IsInf(*o.ckptEvery, 0) {
-		return errors.New("-checkpoint-dir requires a finite -checkpoint-every > 0")
-	}
-	// A resumed run replays its prefix through the -events, -chrometrace
-	// and -report observers, so their output matches an uninterrupted
-	// run's. -serve stays out: its live counters describe the progress a
-	// process makes, and a resumed one would report the replayed prefix
-	// as progress made now. So does -guarded: sim refuses to persist a
-	// world with a Watchdog, whose state a checkpoint cannot hold.
-	if o.intro.Set() || *o.guarded {
-		return errors.New("-checkpoint-dir is incompatible with -serve and -guarded")
-	}
-	return nil
+	return o.faultPlan().Validate()
 }
 
 // strategy returns the -strategy scheduler.
@@ -157,12 +127,6 @@ func main() {
 	o.fs.Parse(os.Args[1:])
 	say := func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 
-	// SIGINT/SIGTERM cancel the context: a checkpointed run stops at the
-	// next checkpoint boundary with the file freshly flushed (resumable
-	// with -resume), and a -linger endpoint wakes up early.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	c := o.jobs.Cluster()
 	job, err := o.jobs.Job(c)
 	if err != nil {
@@ -200,37 +164,7 @@ func main() {
 		AggShuffle: p.AggShuffle, Faults: inj, MaxAttempts: o.fault.MaxAttempts,
 		Speculation: o.fault.Speculation, SpeculationThreshold: *o.specThreshold, BlacklistAfter: o.fault.BlacklistAfter,
 		Watchdog: p.Watchdog, Observer: obs.Multi(o.sinks.JSONL, o.sinks.Chrome, collector, live)}
-	runs := []sim.JobRun{{Job: job, Delays: p.Delays}}
-	var res *sim.Result
-	if o.ckpts.Dir == "" {
-		res, err = sim.Run(opt, runs)
-	} else {
-		// Crash-safe mode: the run halts every -checkpoint-every simulated
-		// seconds and atomically rewrites its checkpoint; a killed process
-		// re-run with -resume replays to the file's position and finishes
-		// with a bit-identical result and, as the sinks were truncated by
-		// Open and see the replayed prefix, identical sink output.
-		var st *sim.Stepper
-		read := func(path string) (err error) {
-			st, err = sim.ReadStepperFile(path, opt, runs)
-			return err
-		}
-		var path string
-		if path, err = o.ckpts.Open("simulate.ckpt", read, say); err != nil {
-			log.Fatal(err)
-		}
-		if st == nil {
-			if st, err = sim.NewStepper(opt, runs); err != nil {
-				log.Fatal(err)
-			}
-		}
-		res, err = runCheckpointed(ctx, st, path, *o.ckptEvery)
-		if errors.Is(err, context.Canceled) {
-			// Interrupted between checkpoints: the last one is on disk.
-			say(fmt.Sprintf("interrupted (%v); re-run with -resume to continue", err))
-			os.Exit(cli.ExitInterrupted)
-		}
-	}
+	res, err := sim.Run(opt, []sim.JobRun{{Job: job, Delays: p.Delays}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -299,37 +233,7 @@ func main() {
 			"makespan distribution of completed runs",
 			obs.ExpBuckets(10, 2, 10)).Observe(res.Makespan)
 	}
-	if err := o.intro.Close(ctx); err != nil {
+	if err := o.intro.Close(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// runCheckpointed drives st to the end of its run, pausing it just before
-// every multiple of every simulated seconds to rewrite its checkpoint at
-// path. Pausing at an event boundary perturbs nothing, so the result is
-// bit-identical to an uninterrupted run, and a stepper read back from any
-// checkpoint continues on the same cadence to the same result. ctx is
-// checked only after a checkpoint is written: an interrupted run always
-// leaves a fresh file behind, and returns ctx's error wrapped.
-func runCheckpointed(ctx context.Context, st *sim.Stepper, path string, every float64) (*sim.Result, error) {
-	for stop := every * (math.Floor(st.Clock()/every) + 1); ; stop += every {
-		if err := st.AdvanceBefore(stop); err != nil {
-			return nil, err
-		}
-		if st.Idle() {
-			break
-		}
-		if err := st.WriteFile(path); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("checkpointed run interrupted before t=%v (checkpoint flushed): %w", stop, err)
-		}
-	}
-	for st.HasPendingEvents() {
-		if err := st.StepNextEvent(); err != nil {
-			return nil, err
-		}
-	}
-	return st.Result()
 }

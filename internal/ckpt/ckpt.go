@@ -1,12 +1,12 @@
-// Package ckpt is the on-disk checkpoint envelope shared by every
-// crash-safe artifact in this repo (simulator snapshots, replay progress).
-// It frames an opaque payload with enough metadata to reject the three
-// ways a resume can go wrong: resuming the wrong thing (a typed kind
-// string), resuming across an incompatible encoding change (an explicit
-// version), and resuming against a different configuration than the one
-// that produced the checkpoint (a caller-supplied fingerprint). A CRC-64
-// trailer rejects torn or corrupted files — a process SIGKILLed mid-write
-// must never be able to half-resume.
+// Package ckpt is the on-disk checkpoint envelope behind cmd/replay's
+// crash-safe progress record. It frames an opaque payload with enough
+// metadata to reject the three ways a resume can go wrong: resuming the
+// wrong thing (a typed kind string), resuming across an incompatible
+// encoding change (an explicit version), and resuming against a
+// different configuration than the one that produced the checkpoint (a
+// caller-supplied fingerprint). A CRC-64 trailer rejects torn or
+// corrupted files — a process SIGKILLed mid-write must never be able to
+// half-resume.
 //
 // Layout (all integers little-endian):
 //
@@ -43,7 +43,7 @@ const maxPayload = 1 << 30
 
 // Envelope is one framed checkpoint.
 type Envelope struct {
-	// Kind names the payload type (e.g. "sim-snapshot"); 1–255 bytes.
+	// Kind names the payload type (e.g. "replay-progress"); 1–255 bytes.
 	Kind string
 	// Version is the payload encoding version; readers reject versions
 	// they do not understand.

@@ -6,7 +6,7 @@
 //
 // Every command exits with the same codes: ExitUsage for a malformed
 // flag or a failed check, ExitRuntime for an error while running, and
-// ExitInterrupted for a run a signal stopped.
+// ExitInterrupted for a checkpointed replay a signal stopped.
 package cli
 
 import (

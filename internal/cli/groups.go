@@ -202,8 +202,9 @@ func (g *Introspection) Close(ctx context.Context) error {
 	return g.srv.Close()
 }
 
-// Checkpoint is the crash-safety flag group: -checkpoint-dir makes the
-// run write checkpoints, and -resume continues from one.
+// Checkpoint is the crash-safety flag group of a trace replay:
+// -checkpoint-dir makes the replay write progress checkpoints, and
+// -resume continues from one.
 type Checkpoint struct {
 	Dir    string
 	resume bool

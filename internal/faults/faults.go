@@ -156,9 +156,6 @@ func NewInjector(plan FaultPlan) (*Injector, error) {
 	return &Injector{plan: plan}, nil
 }
 
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() FaultPlan { return in.plan }
-
 // Crashes returns the explicitly scheduled node crashes in time order.
 // It excludes the machine-level domains (rack crashes, MTTF draws),
 // whose expansion needs the cluster size — see CrashEvents.

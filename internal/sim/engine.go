@@ -668,14 +668,6 @@ func (e *engine) pushTimer(at float64, kind timerKind, st, job int) {
 	e.timers.push(timer{at: at, seq: e.seq, kind: kind, st: int32(st), job: int32(job)})
 }
 
-// timerKey is the stage a timer names, zero for job and node timers.
-func (e *engine) timerKey(t timer) skey {
-	if t.kind == tSubmitStage || t.kind == tRetry {
-		return e.states[t.st].key
-	}
-	return skey{}
-}
-
 // arrivalSeq is job ji's arrival-timer sequence number. Arrivals take a
 // reserved range below every counter-issued seq, so at equal times they
 // fire before all other timers and in job-index order — whether the job

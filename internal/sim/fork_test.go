@@ -45,6 +45,31 @@ func randomDelays(job *workload.Job, rng *rand.Rand) map[dag.StageID]float64 {
 	return d
 }
 
+// chaosInjector returns a fault plan exercising every machine-level
+// mechanism at once: hash-based crashes, a scheduled crash, slow nodes
+// and task failures (which, with Speculation/BlacklistAfter on, drive
+// the speculation and blacklisting paths too).
+func chaosInjector(t *testing.T) *faults.Injector {
+	t.Helper()
+	inj, err := faults.NewInjector(faults.FaultPlan{
+		Seed: 7, TaskFailureProb: 0.05, StragglerFrac: 0.25, StragglerFactor: 3,
+		SlowNodeFrac: 0.2, SlowNodeFactor: 2.5,
+		NodeMTTF: 4000, MTTFHorizon: 600,
+		Crashes: []faults.NodeCrash{{Node: 2, At: 40}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
+func chaosOptions(c *cluster.Cluster, inj *faults.Injector) Options {
+	return Options{
+		Cluster: c, TrackNode: -1, Faults: inj,
+		MaxAttempts: 8, Speculation: true, BlacklistAfter: 3,
+	}
+}
+
 // requireIdentical fails unless two results are deeply (bit-)identical.
 func requireIdentical(t *testing.T, ctx string, want, got *Result) {
 	t.Helper()
@@ -55,7 +80,7 @@ func requireIdentical(t *testing.T, ctx string, want, got *Result) {
 }
 
 // pausedAt returns a stepper over runs advanced to just before at: the
-// pause point the fork and persistence tests start from.
+// pause point the fork and injection tests start from.
 func pausedAt(t testing.TB, opt Options, runs []JobRun, at float64) *Stepper {
 	t.Helper()
 	s, err := NewStepper(opt, runs)

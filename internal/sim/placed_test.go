@@ -4,7 +4,6 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -168,14 +167,13 @@ func TestPlacedValidation(t *testing.T) {
 	}
 }
 
-// TestPlacedForkAndFile: a placed world paused with AdvanceBefore and
-// then forked, or written to disk and read back, steps on to exactly the
-// uninterrupted run; and a fork that revises a held-back stage's delay
-// matches a from-scratch run with that delay.
-func TestPlacedForkAndFile(t *testing.T) {
+// TestPlacedFork: a placed world paused with AdvanceBefore and then
+// forked steps on to exactly the uninterrupted run; and a fork that
+// revises a held-back stage's delay matches a from-scratch run with that
+// delay.
+func TestPlacedFork(t *testing.T) {
 	c := ref(3)
 	rng := rand.New(rand.NewSource(23))
-	path := filepath.Join(t.TempDir(), "placed.ckpt")
 	for _, job := range everyJob(c, 0.3) {
 		opt, runs := placedWorld(c, job, rng)
 		base, err := Run(opt, runs)
@@ -183,20 +181,7 @@ func TestPlacedForkAndFile(t *testing.T) {
 			t.Fatalf("%s: %v", job.Name, err)
 		}
 		for _, at := range []float64{0, base.Makespan * 0.4, base.Makespan * 0.8} {
-			s := pausedAt(t, opt, runs, at)
-			requireIdentical(t, job.Name+" fork", base, forkOut(t, s, nil))
-			if err := s.WriteFile(path); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := ReadStepperFile(path, opt, runs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := stepOut(loaded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdentical(t, job.Name+" file", base, got)
+			requireIdentical(t, job.Name+" fork", base, forkOut(t, pausedAt(t, opt, runs, at), nil))
 		}
 
 		// Hold the last stage back, fork just before it becomes ready with

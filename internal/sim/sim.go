@@ -197,8 +197,7 @@ type JobRun struct {
 	// sub-job. A masked placed run reads each active parent's share of
 	// the sub-job's input and needs a placement and links only for its
 	// active stages and the edges between them. A masked run takes no
-	// AggShuffle, and a world holding one cannot be written to a
-	// checkpoint.
+	// AggShuffle.
 	Active []bool
 }
 
@@ -331,9 +330,8 @@ func Run(opt Options, runs []JobRun) (*Result, error) {
 }
 
 // prepare validates a run configuration and applies the option defaults,
-// returning the normalized options. Shared by Run, NewStepper and
-// ReadStepperFile so every engine is constructed under exactly the
-// defaults a direct Run would use.
+// returning the normalized options. Shared by Run and NewStepper so every
+// engine is constructed under exactly the defaults a direct Run would use.
 func prepare(opt Options, runs []JobRun) (Options, error) {
 	if opt.Cluster == nil {
 		return opt, fmt.Errorf("sim: nil cluster")

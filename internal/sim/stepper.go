@@ -9,14 +9,13 @@ import (
 )
 
 // Stepper drives one simulation at event granularity, and it is the one
-// handle that pauses, forks and persists a simulated world. Its three
-// step primitives — HasPendingEvents, PeekNextEventTime, StepNextEvent —
-// let a caller stop a world between events: cmd/simulate checkpoints on a
-// simulated-time cadence, the what-if evaluator runs a world up to a
-// stage's ready time, and a caller that must not step past the next
-// arrival peeks first. Each world's trajectory stays bit-identical to an
-// uninterrupted Run: StepNextEvent is exactly one iteration of the same
-// event loop Run executes, and PeekNextEventTime only performs the
+// handle that pauses and forks a simulated world. Its three step
+// primitives — HasPendingEvents, PeekNextEventTime, StepNextEvent — let a
+// caller stop a world between events: the what-if evaluator runs a world
+// up to a stage's ready time, and a caller that must not step past the
+// next arrival peeks first. Each world's trajectory stays bit-identical
+// to an uninterrupted Run: StepNextEvent is exactly one iteration of the
+// same event loop Run executes, and PeekNextEventTime only performs the
 // mutations that are idempotent at an event boundary.
 //
 // A live world also grows: AdvanceBefore halts the stepper just before a
@@ -24,10 +23,7 @@ import (
 // same result as a stepper built over every run from the start. Between
 // steps the world can be forked (Fork) — the what-if evaluator prices
 // every delay candidate of a stage from one world that holds the stage
-// back — or checkpointed to disk (WriteFile, ReadStepperFile) for
-// crash-safe runs: a checkpoint records only the AdvanceBefore horizon,
-// event count and clock, and the reader rebuilds the world by replaying
-// the same configuration to that horizon.
+// back.
 //
 // A Stepper is single-goroutine: nothing inside is locked. Concurrency
 // lives above it — disjoint steppers on disjoint worlds can be driven from
@@ -153,9 +149,8 @@ func (s *Stepper) StepNextEvent() error {
 // advance lands at or past it, and the prefix stepped is the one a world
 // that also held a run arriving at t would have stepped (the boundary
 // Inject needs). A world whose jobs have all finished idles rather than
-// completing (see Idle), so AdvanceBefore never turns HasPendingEvents
-// false; only a simulation error ends the stepping. t = +Inf runs every
-// job to its end.
+// completing, so AdvanceBefore never turns HasPendingEvents false; only a
+// simulation error ends the stepping. t = +Inf runs every job to its end.
 func (s *Stepper) AdvanceBefore(t float64) error {
 	if math.IsNaN(t) {
 		return fmt.Errorf("sim: advance before NaN")
@@ -178,13 +173,6 @@ func (s *Stepper) AdvanceBefore(t float64) error {
 	return nil
 }
 
-// Idle reports whether the world has run out of work: every job has
-// finished or failed, or nothing is in flight or scheduled. The next
-// StepNextEvent then completes the run, unless Inject adds a job first.
-// It is how a driver pacing the world with AdvanceBefore, which leaves a
-// finished world idling, knows to drain it. A finished stepper is idle.
-func (s *Stepper) Idle() bool { return s.done || s.e.idle() }
-
 // Fork returns an independent stepper that continues this world from
 // where it stands, after revising the submission delays of stages that
 // were not yet submitted. The parent is only read: it stays usable, and
@@ -204,8 +192,7 @@ func (s *Stepper) Idle() bool { return s.done || s.e.idle() }
 // stage's new submission time (ready time + delay) is bit-identical to a
 // from-scratch Run with that delay in the run's Delays map — which is
 // how the what-if evaluator prices every delay candidate of a stage from
-// one world that holds the stage back. Its configuration does not record
-// the revision, so WriteFile refuses a fork that revised a delay.
+// one world that holds the stage back.
 //
 // The fork of a world with an Observer is detached: it has none, so the
 // parent's observer sees nothing the fork steps. Observers only read, so
