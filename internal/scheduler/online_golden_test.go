@@ -18,7 +18,7 @@ import (
 	"delaystage/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the online schedule golden in testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens in testdata/")
 
 const onlineGoldenPath = "testdata/online_schedules.golden"
 
