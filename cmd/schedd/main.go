@@ -51,7 +51,9 @@ import (
 
 	"delaystage/internal/cli"
 	"delaystage/internal/cluster"
+	"delaystage/internal/metrics"
 	"delaystage/internal/obs"
+	"delaystage/internal/scheduler"
 	"delaystage/internal/service"
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
@@ -91,7 +93,7 @@ func flags() *options {
 	so := &o.svc
 	fs.IntVar(&so.ReviseQueueDepth, "revise-depth", 0, "dispatch submit-when-ready (skip Alg. 1) when the live-job count reaches this (0 = off)")
 	fs.IntVar(&so.CacheCapacity, "cache-size", 0, "plan-template cache capacity (0 = 512, negative disables)")
-	fs.Float64Var(&so.DriftTolerance, "drift-tol", 0.15, "template validity: max relative per-stage drift on a cache hit")
+	fs.Float64Var(&so.DriftTolerance, "drift-tol", scheduler.DriftTolerance, "template validity: max relative per-stage drift on a cache hit")
 	fs.IntVar(&so.MaxCandidates, "max-candidates", 16, "delay candidates per stage in the planning sweep")
 	fs.Float64Var(&so.SlotSeconds, "slot", 1, "delay granularity in seconds")
 	fs.BoolVar(&so.FairByJob, "fair", true, "share resources first equally among jobs (Sec. 5.3)")
@@ -252,17 +254,6 @@ func drive(ctx context.Context, logger *slog.Logger, svc *service.Service, c *cl
 	cs := svc.ClusterState()
 	logger.Info("driver done",
 		"submitted", cs.Submitted, "admitted", cs.Admitted, "rejected", cs.Rejected,
-		"completed", cs.Done, "mean_jct", mean(jcts), "epochs", cs.Epoch)
+		"completed", cs.Done, "mean_jct", metrics.Mean(jcts), "epochs", cs.Epoch)
 	return nil
-}
-
-func mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v))
 }

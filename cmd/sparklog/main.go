@@ -69,7 +69,9 @@ func main() {
 		if err := jobspec.FromJob(job).Write(f); err != nil {
 			log.Fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\njob spec written to %s\n", *specOut)
 	}
 	if *dotOut != "" {

@@ -91,7 +91,7 @@ func main() {
 			jr.Delays = plan.Delays
 		}
 		if s.guarded {
-			wd, err := scheduler.GuardedDelayStage{}.WatchdogFor(c, believed, plan)
+			wd, err := scheduler.GuardedDelayStage{}.Guard(c, believed, plan)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,10 +8,11 @@
 // inputs (cluster, jobs, the engine's contention coefficient) — never
 // from live engine internals — so an offline pass over a JSONL event log
 // (cmd/analyze) reproduces the live report of cmd/simulate byte for
-// byte. The contention model mirrors the engine's sharing rule: k
-// consumers of one resource each get capacity/(k·cf) with
-// cf = 1+α·min(k−1,4); the fraction 1−1/(k·cf) of each overlapped second
-// is counted as contention wait and attributed evenly to the co-runners.
+// byte. The contention model is the engine's sharing rule: k consumers
+// of one resource each get capacity/(k·cf) with cf =
+// sim.ContentionFactor(α, k−1); the fraction 1−1/(k·cf) of each
+// overlapped second is counted as contention wait and attributed evenly
+// to the co-runners.
 package attr
 
 import (
@@ -25,10 +26,6 @@ import (
 	"delaystage/internal/workload"
 )
 
-// contentionSaturation mirrors the engine: the per-extra-consumer penalty
-// stops growing past this many extra consumers.
-const contentionSaturation = 4
-
 // Context is the static side of attribution: what the events alone cannot
 // carry. It must describe the run that produced the events.
 type Context struct {
@@ -36,19 +33,8 @@ type Context struct {
 	// Jobs[i] is the workload of job run index i (JobRun order).
 	Jobs []*workload.Job
 	// Alpha is the engine's ContentionOverhead with the same sentinel
-	// convention as sim.Options: 0 means the 0.22 default, negative means
-	// the pure fluid model (no overhead).
+	// convention as sim.Options (sim.ContentionAlpha resolves it).
 	Alpha float64
-}
-
-func (c Context) alpha() float64 {
-	switch {
-	case c.Alpha == 0:
-		return 0.22
-	case c.Alpha < 0:
-		return 0
-	}
-	return c.Alpha
 }
 
 // Collector buffers the event stream for a later Build. Attach it via
@@ -297,7 +283,7 @@ func Build(ctx Context, events []sim.Event) (*Report, error) {
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].less(refs[j]) })
 
-	rep := &Report{Alpha: ctx.alpha(), Makespan: makespan, JobErrors: jobErr}
+	rep := &Report{Alpha: sim.ContentionAlpha(ctx.Alpha), Makespan: makespan, JobErrors: jobErr}
 	if haveFaults {
 		rep.Faults = &fs
 	}
@@ -331,7 +317,7 @@ func Build(ctx Context, events []sim.Event) (*Report, error) {
 		rows[rep.Stages[i].Ref] = &rep.Stages[i]
 	}
 
-	sweepContention(rep, rows, intervals, ctx.alpha())
+	sweepContention(rep, rows, intervals, sim.ContentionAlpha(ctx.Alpha))
 	criticalPaths(ctx, rep, rows)
 
 	sort.Slice(rep.Pairs, func(i, j int) bool {
@@ -433,11 +419,7 @@ func sweepContention(rep *Report, rows map[StageRef]*StageAttr, intervals []inte
 				continue
 			}
 			sort.Slice(active, func(x, y int) bool { return active[x].less(active[y]) })
-			extra := float64(k - 1)
-			if extra > contentionSaturation {
-				extra = contentionSaturation
-			}
-			cf := 1 + alpha*extra
+			cf := sim.ContentionFactor(alpha, float64(k-1))
 			loss := (hi - lo) * (1 - 1/(float64(k)*cf))
 			share := loss / float64(k-1)
 			for _, ref := range active {

@@ -64,7 +64,7 @@ func TestNeverWorseGuardUnderProfileNoise(t *testing.T) {
 		if open.JCT(0) > spark.JCT(0)*(1+eps) {
 			openLoopWorse++
 		}
-		wd, err := g.WatchdogFor(c, believed, plan)
+		wd, err := g.Guard(c, believed, plan)
 		if err != nil {
 			t.Fatalf("trial %d: %v", i, err)
 		}

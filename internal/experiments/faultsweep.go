@@ -96,9 +96,9 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 	type planned struct {
 		believed *workload.Job // the noisy job the planner saw
 		ds       scheduler.Plan
-		// primer shares the plan's predicted timelines across the grid
-		// cells' per-run watchdogs (nil when the plan delays nothing).
-		primer *scheduler.GuardPrimer
+		// guard is shared by every grid cell's guarded run (nil when the
+		// plan delays nothing).
+		guard sim.Watchdog
 	}
 	plans := map[string]planned{}
 	cleanJCT := map[string]float64{}
@@ -108,11 +108,11 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		primer, err := scheduler.GuardedDelayStage{}.Primer(c, believed, ds)
+		guard, err := scheduler.GuardedDelayStage{}.Guard(c, believed, ds)
 		if err != nil {
 			return nil, err
 		}
-		plans[name] = planned{believed: believed, ds: ds, primer: primer}
+		plans[name] = planned{believed: believed, ds: ds, guard: guard}
 		clean, err := sim.Run(sim.Options{Cluster: c, TrackNode: -1},
 			[]sim.JobRun{{Job: jobs[name]}})
 		if err != nil {
@@ -160,12 +160,7 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 			case "delaystage":
 				run.Delays = pl.ds.Delays
 			case "guarded":
-				run.Delays = pl.ds.Delays
-				// Guards are stateful: a fresh one per run, drawn from the
-				// shared primer (predictions computed once per workload).
-				if pl.primer != nil {
-					opt.Watchdog = pl.primer.Watchdog()
-				}
+				run.Delays, opt.Watchdog = pl.ds.Delays, pl.guard
 			}
 			res, err := sim.Run(opt, []sim.JobRun{run})
 			if err != nil {
@@ -236,10 +231,7 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 			case "delaystage":
 				run.Delays = pl.ds.Delays
 			case "guarded":
-				run.Delays = pl.ds.Delays
-				if pl.primer != nil {
-					opt.Watchdog = pl.primer.Watchdog()
-				}
+				run.Delays, opt.Watchdog = pl.ds.Delays, pl.guard
 			}
 			res, err := sim.Run(opt, []sim.JobRun{run})
 			if err != nil {

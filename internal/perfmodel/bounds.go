@@ -6,6 +6,7 @@ import (
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
+	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
 
@@ -16,7 +17,7 @@ import (
 //
 //   Lower      = max(critical path at solo rates + delays, Σ work / capacity)
 //   Upper      = layout where every stage runs at its structural worst-case
-//                share: solo time × conc × (1 + α·min(conc−1, 4)), conc = the
+//                share: solo time × conc × sim.ContentionFactor(α, conc−1), conc = the
 //                number of stages that can overlap it per the (restricted) DAG,
 //                plus the simulator's step floor once per event a run can have
 //   Prediction = the Eq. 1–3 per-phase layout: every stage is three
@@ -40,18 +41,6 @@ import (
 // analytic tier therefore sets IncludeWorkBound = false. The Prediction
 // also never exceeds Upper: a layout never overlaps related stages, so the
 // time-averaged overlap of a phase is at most conc.
-
-// contentionSaturation mirrors the simulator's cap on the effective number
-// of interfering extra consumers (internal/sim/engine.go).
-const contentionSaturation = 4
-
-// defaultAlpha mirrors sim.Options.ContentionOverhead's default.
-const defaultAlpha = 0.22
-
-// minEventStep mirrors the simulator's floor on one event's time step
-// (minDT in internal/sim/engine.go): each event may end up to that much
-// later than the exact fluid timeline.
-const minEventStep = 1e-6
 
 // Eq. 1's phases, in execution order.
 const (
@@ -392,7 +381,7 @@ func (b *BoundEvaluator) ScanLowerAt(k int, delays []float64) (through, rest flo
 }
 
 // concStretch returns (cached per active set) each stage's structural
-// worst-case slowdown: conc × (1 + α·min(conc−1, saturation)), where conc
+// worst-case slowdown: conc × sim.ContentionFactor(α, conc−1), where conc
 // counts the stages the restricted DAG allows to overlap it, itself
 // included. Ancestry is computed on the restricted graph — restriction
 // drops edges, so stages chained through an inactive middleman *can*
@@ -451,11 +440,7 @@ func (b *BoundEvaluator) concStretch() []float64 {
 		if conc < 1 {
 			conc = 1
 		}
-		extra := conc - 1
-		if extra > contentionSaturation {
-			extra = contentionSaturation
-		}
-		st[i] = conc * (1 + defaultAlpha*extra)
+		st[i] = conc * sim.ContentionFactor(sim.DefaultContentionOverhead, conc-1)
 	}
 	b.conc[b.activeKey] = st
 	return st
@@ -508,7 +493,7 @@ func (b *BoundEvaluator) Bounds(delays map[dag.StageID]float64) Bounds {
 	// One step floor per event a fault-free run can have: the arrival,
 	// and per active stage its submission and three phase completions on
 	// each of its partitions.
-	upper += minEventStep * float64(1+b.nActive*(1+nPhases*b.nodes))
+	upper += sim.MinEventStep * float64(1+b.nActive*(1+nPhases*b.nodes))
 	return Bounds{Lower: lower, Upper: upper}
 }
 
@@ -622,11 +607,7 @@ func (b *BoundEvaluator) layout(delays []float64) [][nPhases + 1]float64 {
 					overlap = 0
 				}
 				fbar := 1 + overlap/(f-s)
-				extra := fbar - 1
-				if extra > contentionSaturation {
-					extra = contentionSaturation
-				}
-				stretch[i][ph] = fbar * (1 + defaultAlpha*extra)
+				stretch[i][ph] = fbar * sim.ContentionFactor(sim.DefaultContentionOverhead, fbar-1)
 			}
 		}
 	}

@@ -30,21 +30,17 @@ type Options struct {
 	// Noise is the maximum relative error applied to each extracted
 	// parameter, uniform in [−Noise, +Noise] (default 0.05).
 	Noise float64
-	// Seed seeds a private noise source. Ignored when Rng is set.
+	// Seed seeds the measurement noise.
 	Seed int64
-	// Rng, when non-nil, draws the measurement noise. Callers composing a
-	// larger reproducible pipeline pass one seeded *rand.Rand through every
-	// stochastic component instead of scattering seeds.
-	Rng *rand.Rand
-	// TargetParallelism is the executor count of the production cluster
-	// the job is sized for. The profiling executor processes one
-	// partition's share of the sample — running the whole 10% sample
-	// through one executor would take longer than the production job
-	// itself, which is not what the paper's single-executor profiling
-	// does (its measured overheads are 45–143 s). Default 60 (30
-	// m4.large × 2 executors).
-	TargetParallelism int
 }
+
+// targetParallelism is the executor count of the production cluster a
+// job is sized for (30 m4.large × 2 executors). The profiling executor
+// processes one partition's share of the sample — running the whole 10%
+// sample through one executor would take longer than the production job
+// itself, which is not what the paper's single-executor profiling does
+// (its measured overheads are 45–143 s).
+const targetParallelism = 60
 
 func (o *Options) defaults() {
 	if o.SampleFraction <= 0 || o.SampleFraction > 1 {
@@ -54,9 +50,6 @@ func (o *Options) defaults() {
 		o.Noise = 0
 	} else if o.Noise == 0 {
 		o.Noise = 0.05
-	}
-	if o.TargetParallelism <= 0 {
-		o.TargetParallelism = 60
 	}
 }
 
@@ -88,7 +81,7 @@ func ProfileJob(j *workload.Job, opt Options) (*Profile, error) {
 
 	// Down-sample the job input: the lone profiling executor processes one
 	// partition's share of the sample.
-	frac := opt.SampleFraction / float64(opt.TargetParallelism)
+	frac := opt.SampleFraction / targetParallelism
 	sampled := j.Clone()
 	for id, p := range sampled.Profiles {
 		p.ShuffleIn = int64(float64(p.ShuffleIn) * frac)
@@ -104,10 +97,7 @@ func ProfileJob(j *workload.Job, opt Options) (*Profile, error) {
 	}
 
 	// Extract parameters with measurement noise and scale back up.
-	rng := opt.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opt.Seed))
-	}
+	rng := rand.New(rand.NewSource(opt.Seed))
 	perturb := func(v float64) float64 {
 		return v * (1 + (rng.Float64()*2-1)*opt.Noise)
 	}

@@ -2,7 +2,6 @@ package profiler
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"delaystage/internal/cluster"
@@ -94,26 +93,5 @@ func TestDoesNotMutateInput(t *testing.T) {
 	}
 	if j.Profiles[1] != before {
 		t.Fatal("ProfileJob mutated the input job")
-	}
-}
-
-// An injected Rng must reproduce the equivalent Seed, so one seeded source
-// can drive profiling plus every other stochastic component.
-func TestProfileInjectedRng(t *testing.T) {
-	c := cluster.NewM4LargeCluster(4)
-	job := workload.PaperWorkloads(c, 0.3)["LDA"]
-	a, err := ProfileJob(job, Options{Noise: 0.2, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ProfileJob(job, Options{Noise: 0.2, Rng: rand.New(rand.NewSource(5))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range job.Graph.Stages() {
-		if a.Estimated.Profiles[id] != b.Estimated.Profiles[id] {
-			t.Fatalf("stage %d: injected rng diverged from seed: %+v vs %+v",
-				id, a.Estimated.Profiles[id], b.Estimated.Profiles[id])
-		}
 	}
 }

@@ -77,9 +77,9 @@ func TestGuardedDegradesUnderFailures(t *testing.T) {
 // crashes, persistent slow nodes, a rack outage, crash-plus-straggler mix —
 // and stays within 5% of stock Spark under the identical fault plan and
 // mitigations, the always-feasible floor of the paper's never-worse
-// argument. Regime cells share a single GuardPrimer and run in parallel,
-// so `go test -race` additionally checks that the guards share only
-// immutable state.
+// argument. Regime cells share a single guard and run in parallel, so
+// `go test -race` additionally checks that the guard holds no per-run
+// state.
 func TestGuardedNeverWorseUnderMachineFaults(t *testing.T) {
 	c := cluster.NewM4LargeCluster(8)
 	job := workload.PaperWorkloads(c, 0.3)["LDA"]
@@ -109,15 +109,15 @@ func TestGuardedNeverWorseUnderMachineFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primer, err := GuardedDelayStage{}.Primer(c, job, plan)
+	guard, err := GuardedDelayStage{}.Guard(c, job, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if primer == nil {
+	if guard == nil {
 		t.Fatal("plan delays nothing to guard")
 	}
 	for i, fp := range regimes {
-		fp, plan, primer := fp, plan, primer
+		fp, plan, guard := fp, plan, guard
 		t.Run(fmt.Sprintf("regime%d", i), func(t *testing.T) {
 			t.Parallel()
 			mk := func() *faults.Injector {
@@ -140,7 +140,7 @@ func TestGuardedNeverWorseUnderMachineFaults(t *testing.T) {
 			}
 			guardOpt := base
 			guardOpt.Faults = mk()
-			guardOpt.Watchdog = primer.Watchdog()
+			guardOpt.Watchdog = guard
 			guarded, err := sim.Run(guardOpt, []sim.JobRun{{Job: job, Delays: plan.Delays}})
 			if err != nil {
 				t.Fatal(err)

@@ -44,8 +44,6 @@ type Options struct {
 	Cluster *cluster.Cluster
 	// Admission gates arriving jobs (nil = AcceptAll).
 	Admission AdmissionPolicy
-	// Registry receives the service metrics (nil = a private registry).
-	Registry *obs.Registry
 	// SlotSeconds / MaxCandidates / FairByJob mirror
 	// scheduler.OnlineOptions.
 	SlotSeconds   float64
@@ -61,7 +59,8 @@ type Options struct {
 	// DriftTolerance is the template-validity threshold: a cache hit is
 	// reused only when a solo simulation under the cached delays keeps
 	// every stage's end within this relative deviation of the stored
-	// prediction (the guarded watchdog's drift test; 0 = 0.15).
+	// prediction (the guarded watchdog's drift test; 0 =
+	// scheduler.DriftTolerance).
 	DriftTolerance float64
 	// ReviseQueueDepth enables queue-length-aware delay revision: when the
 	// live-job count at an arrival is ≥ this, the job dispatches
@@ -77,10 +76,6 @@ type Options struct {
 	TimeScale float64
 	// Clock supplies wall time (nil = time.Now; tests inject).
 	Clock func() time.Time
-	// TimelineCapacity bounds the GET /v1/timeline milestone ring (0 =
-	// 256). The ring keeps the newest entries; evictions are reported via
-	// the response's "dropped" count.
-	TimelineCapacity int
 	// TraceLog, when non-nil, receives one JSONL trace line (schema
 	// delaystage/trace/v1) per job the moment it reaches a terminal state
 	// — the export cmd/analyze replays offline.
@@ -192,6 +187,11 @@ type jobRecord struct {
 	spans        *jobSpanData
 }
 
+// timelineCapacity bounds the GET /v1/timeline milestone ring. The ring
+// keeps the newest entries; evictions are reported via the response's
+// "dropped" count.
+const timelineCapacity = 256
+
 // Service is the scheduler daemon's engine. All methods are safe for
 // concurrent use; one mutex serializes the control and data planes.
 type Service struct {
@@ -219,7 +219,7 @@ type Service struct {
 
 	timeline []TimelineEvent // bounded milestone ring (GET /v1/timeline), seq n at n % tlCap
 	tlSeq    int             // next sequence number; also total ever added
-	tlCap    int
+	tlCap    int             // timelineCapacity; tests shrink it
 
 	mSubmitted, mAdmitted, mRejected     *obs.Counter
 	mCacheHit, mCacheMiss, mCacheInvalid *obs.Counter
@@ -248,11 +248,8 @@ func New(opt Options) (*Service, error) {
 	if opt.Admission == nil {
 		opt.Admission = AcceptAll{}
 	}
-	if opt.Registry == nil {
-		opt.Registry = obs.NewRegistry()
-	}
 	if opt.DriftTolerance <= 0 {
-		opt.DriftTolerance = 0.15
+		opt.DriftTolerance = scheduler.DriftTolerance
 	}
 	if opt.TimeScale <= 0 {
 		opt.TimeScale = 1
@@ -260,23 +257,20 @@ func New(opt Options) (*Service, error) {
 	if opt.Clock == nil {
 		opt.Clock = time.Now
 	}
-	if opt.TimelineCapacity <= 0 {
-		opt.TimelineCapacity = 256
-	}
 	if opt.Logger == nil {
 		opt.Logger = obs.DiscardLogger()
 	}
 	s := &Service{
 		opt:       opt,
 		admission: opt.Admission,
-		reg:       opt.Registry,
+		reg:       obs.NewRegistry(),
 		coarse:    sim.Coarsen(opt.Cluster),
 		clock:     opt.Clock,
 		logger:    opt.Logger,
 		traceLog:  opt.TraceLog,
 		planner:   planner,
 		jobs:      map[string]*jobRecord{},
-		tlCap:     opt.TimelineCapacity,
+		tlCap:     timelineCapacity,
 	}
 	s.start = s.clock()
 	switch {
@@ -698,7 +692,7 @@ func (s *Service) driftValid(job *workload.Job, t *template, delays map[dag.Stag
 		if !ok {
 			return false
 		}
-		if math.Abs(end-pred)/math.Max(pred, 1e-9) > s.opt.DriftTolerance {
+		if scheduler.Drift(end, pred) > s.opt.DriftTolerance {
 			return false
 		}
 	}

@@ -306,7 +306,8 @@ func TestTraceLiveOpenSpans(t *testing.T) {
 // eviction count, and sequence numbers stay strictly increasing.
 func TestTimelineRingBound(t *testing.T) {
 	c := cluster.NewM4LargeCluster(10)
-	s := newTestService(t, Options{Cluster: c, TimelineCapacity: 5})
+	s := newTestService(t, Options{Cluster: c})
+	s.tlCap = 5
 	job := workload.LDA(c, 0.1)
 	for i := 0; i < 4; i++ {
 		if _, err := s.Submit(SubmitRequest{Job: job, Arrival: ptr(float64(i * 10))}); err != nil {
@@ -340,7 +341,8 @@ func TestTimelineRingBound(t *testing.T) {
 func TestTimelineRingMatchesShiftModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 5} {
 		for adds := 0; adds <= 3*capacity; adds++ {
-			s := newTestService(t, Options{TimelineCapacity: capacity})
+			s := newTestService(t, Options{})
+			s.tlCap = capacity
 			var model []TimelineEvent
 			for i := 0; i < adds; i++ {
 				ev := TimelineEvent{Seq: i, T: float64(i) / 2, Kind: "k", Job: fmt.Sprintf("j-%d", i), Detail: strconv.Itoa(i)}

@@ -34,10 +34,51 @@ const (
 	// availEps is the availability-backlog granularity in bytes: finer
 	// backlogs are treated as caught-up (prevents micro-event storms).
 	availEps = 1.0
-	// minDT floors the event step; progress below it is advanced anyway
-	// so pathological rate oscillations cannot stall simulated time.
-	minDT = 1e-6
+	// aggShuffleOverhead inflates the compute volume of prefetched stages:
+	// proactive aggregation re-processes pushed partials (the paper
+	// observes LDA stages getting slower under AggShuffle).
+	aggShuffleOverhead = 0.02
+	// retryBackoff is the base of the exponential retry backoff: attempt
+	// n+1 starts retryBackoff·2^(n−1) seconds after attempt n failed.
+	retryBackoff = 2.0
 )
+
+// The contention model, shared with the analytic model (perfmodel) and
+// the attribution report (attr) so they cannot drift from the engine.
+const (
+	// MinEventStep floors the event step; progress below it is advanced
+	// anyway so pathological rate oscillations cannot stall simulated
+	// time. Each event may so end up to MinEventStep later than the exact
+	// fluid timeline.
+	MinEventStep = 1e-6
+	// ContentionSaturation caps the effective number of interfering
+	// extra consumers: interference (incast, seeks, stragglers) is mostly
+	// pairwise, and an unbounded linear loss would make aggregate
+	// throughput collapse under high multi-job concurrency.
+	ContentionSaturation = 4
+	// DefaultContentionOverhead is Options.ContentionOverhead's default α.
+	DefaultContentionOverhead = 0.22
+)
+
+// ContentionFactor is the sharing-efficiency loss 1 + α·min(extra,
+// ContentionSaturation) of a resource with extra consumers beyond the
+// first: each of f consumers sees capacity C/(f·ContentionFactor(α, f−1)).
+func ContentionFactor(alpha, extra float64) float64 {
+	return 1 + alpha*min(extra, ContentionSaturation)
+}
+
+// ContentionAlpha resolves Options.ContentionOverhead's sentinels: zero
+// means DefaultContentionOverhead, negative means 0 (the pure fluid
+// model).
+func ContentionAlpha(overhead float64) float64 {
+	switch {
+	case overhead == 0:
+		return DefaultContentionOverhead
+	case overhead < 0:
+		return 0
+	}
+	return overhead
+}
 
 type skey struct {
 	job   int
@@ -300,6 +341,9 @@ type engine struct {
 
 	// fault / recovery state
 	jobsLeft int // jobs neither complete nor failed
+	// tripped[j] marks a job whose Watchdog tripped; allocated by the
+	// first watch.
+	tripped []bool
 
 	// Machine health. nodeSlow[w] > 1 divides every phase rate on node w
 	// (persistent slow machine); nil when every node is healthy, so the
@@ -859,7 +903,7 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 	st.submitted = true
 	st.prefetched = prefetch
 	if prefetch {
-		st.computeTot = st.profile.perNodeIn * float64(e.nNodes) * (1 + e.opt.AggShuffleOverhead)
+		st.computeTot = st.profile.perNodeIn * float64(e.nNodes) * (1 + aggShuffleOverhead)
 	}
 	st.tl.Start = e.now
 	if o := e.opt.Observer; o != nil {
@@ -943,10 +987,7 @@ func (e *engine) finishRead(st *stageState, node int) {
 	if st.readsLeft == 0 {
 		st.tl.ReadEnd = e.now
 		if e.opt.Watchdog != nil {
-			e.applyDelayUpdates(e.opt.Watchdog.StageReadCompleted(WatchEvent{
-				Job: st.key.job, Stage: st.key.stage, Timeline: st.tl,
-				Retries: st.retries, JobStart: e.runs[st.key.job].Arrival, Now: e.now,
-			}))
+			e.watch(EvReadDone, st)
 		}
 	}
 	if st.node >= 0 && st.readsLeft > 0 {
@@ -964,7 +1005,7 @@ func (e *engine) computeVol(st *stageState) float64 {
 	vol := st.profile.perNodeIn
 	if st.prefetched {
 		// Proactive aggregation re-processes pushed partial outputs.
-		vol *= 1 + e.opt.AggShuffleOverhead
+		vol *= 1 + aggShuffleOverhead
 	}
 	return vol
 }
@@ -1024,10 +1065,7 @@ func (e *engine) finishWrite(st *stageState, node int) {
 		}
 	}
 	if e.opt.Watchdog != nil {
-		e.applyDelayUpdates(e.opt.Watchdog.StageCompleted(WatchEvent{
-			Job: st.key.job, Stage: st.key.stage, Timeline: st.tl,
-			Retries: st.retries, JobStart: e.runs[st.key.job].Arrival, Now: e.now,
-		}))
+		e.watch(EvStageCompleted, st)
 	}
 	for _, c := range st.children {
 		cst := &e.states[st.base+c]
@@ -1358,25 +1396,14 @@ func resizeF64(s *[]float64, n int) []float64 {
 	return v
 }
 
-// contended scales a resource's capacity by the sharing-efficiency loss:
-// f concurrent consumers see C/(1+α·min(f−1, 4)). The penalty saturates —
-// interference (incast, seeks, stragglers) is mostly pairwise, and an
-// unbounded linear loss would make aggregate throughput collapse under
-// high multi-job concurrency, destabilizing trace replays.
+// contended scales a resource's capacity by the sharing-efficiency loss
+// of n concurrent consumers (ContentionFactor).
 func (e *engine) contended(capacity float64, n int) float64 {
 	if n <= 1 {
 		return capacity
 	}
-	extra := float64(n - 1)
-	if extra > contentionSaturation {
-		extra = contentionSaturation
-	}
-	return capacity / (1 + e.opt.ContentionOverhead*extra)
+	return capacity / ContentionFactor(e.opt.ContentionOverhead, float64(n-1))
 }
-
-// contentionSaturation caps the effective number of interfering extra
-// consumers in the sharing-overhead model.
-const contentionSaturation = 4
 
 // jobShares splits capacity among items job-first (FairByJob): equally
 // among the jobs, then equally among each job's items. Without FairByJob
@@ -1927,8 +1954,8 @@ func (e *engine) step() (done bool, err error) {
 	if math.IsInf(dt, 1) {
 		return false, fmt.Errorf("sim: deadlock at t=%.3f with %d items", e.now, len(e.items))
 	}
-	if dt < minDT {
-		dt = minDT
+	if dt < MinEventStep {
+		dt = MinEventStep
 	}
 	if e.haltSet && e.now+dt >= e.haltAt {
 		// The same floating-point expression advance would store into
@@ -1992,8 +2019,8 @@ func (e *engine) peekNextEventTime() float64 {
 		// next and the step returns the descriptive error.
 		return e.now
 	}
-	if dt < minDT {
-		dt = minDT
+	if dt < MinEventStep {
+		dt = MinEventStep
 	}
 	return e.now + dt
 }

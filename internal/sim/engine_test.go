@@ -132,7 +132,7 @@ func TestAggShuffleOverheadApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := mustRun(t, Options{Cluster: c, TrackNode: -1}, []JobRun{{Job: j}})
-	agg := mustRun(t, Options{Cluster: c, TrackNode: -1, AggShuffle: true, AggShuffleOverhead: 0.10}, []JobRun{{Job: j}})
+	agg := mustRun(t, Options{Cluster: c, TrackNode: -1, AggShuffle: true}, []JobRun{{Job: j}})
 	if agg.JCT(0) <= plain.JCT(0) {
 		t.Fatalf("zero-skew prefetch must cost: plain %.1f, agg %.1f", plain.JCT(0), agg.JCT(0))
 	}

@@ -179,29 +179,19 @@ func TestCrashNodeValidated(t *testing.T) {
 	}
 }
 
-// cancelWatchdog zeroes every remaining delay the moment any stage
-// completes — the simplest guarded policy.
+// cancelWatchdog trips the moment any stage completes — the simplest
+// guarded policy — and counts the questions it gets after tripping.
 type cancelWatchdog struct {
-	delays map[dag.StageID]float64
-	fired  bool
+	fired      bool
+	askedAfter int
 }
 
-func (w *cancelWatchdog) StageReadCompleted(WatchEvent) []DelayUpdate { return nil }
-
-func (w *cancelWatchdog) StageCompleted(ev WatchEvent) []DelayUpdate {
+func (w *cancelWatchdog) Trip(ev WatchEvent) bool {
 	if w.fired {
-		return nil
+		w.askedAfter++
 	}
-	w.fired = true
-	var out []DelayUpdate
-	for id := range w.delays {
-		out = append(out, DelayUpdate{Job: ev.Job, Stage: id, Delay: 0})
-	}
-	return out
-}
-
-func (w *cancelWatchdog) TaskRetried(int, dag.StageID, int, int, float64) []DelayUpdate {
-	return nil
+	w.fired = w.fired || ev.Kind == EvStageCompleted
+	return w.fired
 }
 
 // A watchdog that cancels all delays after the first stage completion must
@@ -227,7 +217,7 @@ func TestWatchdogCancelsDelays(t *testing.T) {
 	if bad.JCT(0) < clean.JCT(0)+400 {
 		t.Fatalf("absurd delays should hurt a lot: %.1f vs %.1f", bad.JCT(0), clean.JCT(0))
 	}
-	wd := &cancelWatchdog{delays: absurd}
+	wd := &cancelWatchdog{}
 	guarded, err := Run(Options{Cluster: c, TrackNode: -1, Watchdog: wd},
 		[]JobRun{{Job: job, Delays: absurd}})
 	if err != nil {
@@ -235,6 +225,9 @@ func TestWatchdogCancelsDelays(t *testing.T) {
 	}
 	if !wd.fired {
 		t.Fatal("watchdog never saw a stage completion")
+	}
+	if wd.askedAfter != 0 {
+		t.Fatalf("the engine asked a tripped job's watchdog %d more times", wd.askedAfter)
 	}
 	if guarded.JCT(0) > clean.JCT(0)*1.05 {
 		t.Fatalf("guarded run %.1f not close to clean %.1f", guarded.JCT(0), clean.JCT(0))

@@ -196,12 +196,10 @@ func FuzzStepperInject(f *testing.F) {
 	})
 }
 
-// nopWatchdog is a Watchdog that never revises anything.
+// nopWatchdog is a Watchdog that never trips.
 type nopWatchdog struct{}
 
-func (nopWatchdog) StageReadCompleted(WatchEvent) []DelayUpdate                   { return nil }
-func (nopWatchdog) StageCompleted(WatchEvent) []DelayUpdate                       { return nil }
-func (nopWatchdog) TaskRetried(int, dag.StageID, int, int, float64) []DelayUpdate { return nil }
+func (nopWatchdog) Trip(WatchEvent) bool { return false }
 
 // TestInjectValidation: every way an injection could silently diverge is
 // an error instead, and a rejected injection leaves the world untouched.

@@ -5,12 +5,14 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"delaystage/internal/dag"
 )
 
 // Failure handling and recovery: capped retries with exponential backoff
 // for lost partitions, lineage-style recomputation of a crashed node's
 // shuffle outputs (Spark semantics: the producing partitions are re-run),
-// and the runtime watchdog hook that lets a guarded scheduler revise
+// and the runtime watchdog hook that lets a guarded scheduler cancel
 // not-yet-submitted delays when the plan goes stale. Every entry point is
 // a no-op without an Injector/Watchdog, keeping the fault-free engine
 // bit-identical to the pre-fault build.
@@ -46,7 +48,7 @@ func (e *engine) taskFailed(it *item) {
 		})
 		return
 	}
-	backoff := e.opt.RetryBackoff * math.Pow(2, float64(it.attempt-1))
+	backoff := retryBackoff * math.Pow(2, float64(it.attempt-1))
 	e.seq++
 	e.timers.push(timer{at: e.now + backoff, seq: e.seq, kind: tRetry, st: int32(it.st),
 		job: int32(it.key.job), node: int32(it.node), home: int32(it.home), ph: it.ph,
@@ -56,7 +58,7 @@ func (e *engine) taskFailed(it *item) {
 			Node: it.node, Attempt: it.attempt, Delay: backoff})
 	}
 	if e.opt.Watchdog != nil {
-		e.applyDelayUpdates(e.opt.Watchdog.TaskRetried(it.key.job, it.key.stage, it.node, it.attempt, e.now))
+		e.watch(EvTaskRetry, st)
 	}
 }
 
@@ -156,8 +158,8 @@ func (e *engine) crashNode(w int) {
 	for _, i := range lost {
 		e.scheduleRecompute(&e.states[i], w)
 	}
-	if cw, ok := e.opt.Watchdog.(CrashWatcher); ok {
-		e.applyDelayUpdates(cw.NodeCrashed(w, e.now))
+	if e.opt.Watchdog != nil {
+		e.watch(EvNodeCrash, nil)
 	}
 }
 
@@ -277,23 +279,54 @@ func (e *engine) failJob(job int, err error) {
 	}
 }
 
-// applyDelayUpdates applies a watchdog's revisions: an unsubmitted stage's
-// delay-after-ready becomes the given value (already-submitted stages and
-// failed jobs ignore revisions; past-due times submit immediately). A
-// ready stage gets a fresh submission timer; the superseded one no-ops or
-// chases the new time when it fires.
-func (e *engine) applyDelayUpdates(us []DelayUpdate) {
-	for _, u := range us {
-		if si := e.reviseDelay(u); si >= 0 {
-			e.pushTimer(e.states[si].submitAt, tSubmitStage, si, u.Job)
+// watch asks the Watchdog about stage st at checkpoint kind (st nil: a
+// node crash). When it trips, the remaining delays of st's job — of every
+// untripped job, on a crash — are cancelled: each stage named in the
+// run's Delays, in ascending stage ID, is revised to 0 (already-submitted
+// stages and failed jobs ignore revisions; past-due times submit
+// immediately). A ready stage gets a fresh submission timer; the
+// superseded one no-ops or chases the new time when it fires. A tripped
+// job is never asked about again.
+func (e *engine) watch(kind EventKind, st *stageState) {
+	if e.tripped == nil {
+		e.tripped = make([]bool, len(e.runs))
+	}
+	ev := WatchEvent{Kind: kind, Job: -1, Stage: -1}
+	if st != nil {
+		if e.tripped[st.key.job] {
+			return
+		}
+		ev = WatchEvent{Kind: kind, Job: st.key.job, Stage: st.key.stage, Timeline: st.tl,
+			Retries: st.retries, JobStart: e.runs[st.key.job].Arrival}
+	} else if !slices.Contains(e.tripped, false) {
+		return
+	}
+	if !e.opt.Watchdog.Trip(ev) {
+		return
+	}
+	for j, r := range e.runs {
+		if e.tripped[j] || ev.Job >= 0 && j != ev.Job {
+			continue
+		}
+		e.tripped[j] = true
+		ids := make([]dag.StageID, 0, len(r.Delays))
+		for id := range r.Delays {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			if si := e.reviseDelay(DelayUpdate{Job: j, Stage: id}); si >= 0 {
+				e.pushTimer(e.states[si].submitAt, tSubmitStage, si, j)
+			}
 		}
 	}
 }
 
-// reviseDelays applies a Fork's revisions like applyDelayUpdates, except
-// that a ready stage's pending submission timer is re-armed in place —
-// same sequence number, new time — so the world holds exactly the timers
-// a run configured with the new delay from the start would hold.
+// reviseDelays applies a Fork's revisions like watch's cancellations,
+// except that each stage gets the given delay and a ready stage's pending
+// submission timer is re-armed in place — same sequence number, new time
+// — so the world holds exactly the timers a run configured with the new
+// delay from the start would hold.
 func (e *engine) reviseDelays(us []DelayUpdate) {
 	for _, u := range us {
 		if si := e.reviseDelay(u); si >= 0 {

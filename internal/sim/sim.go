@@ -44,17 +44,13 @@ type Options struct {
 	// AggShuffle enables pipelined shuffle prefetching (the baseline of
 	// Liu et al., ICDCS'17).
 	AggShuffle bool
-	// AggShuffleOverhead inflates the compute volume of prefetched stages
-	// (proactive aggregation re-processes pushed partials; the paper
-	// observes LDA stages getting slower under AggShuffle). Negative
-	// means 0; default 0.05 when AggShuffle is on.
-	AggShuffleOverhead float64
 	// ContentionOverhead is the per-extra-consumer efficiency loss when f
 	// consumers share one resource: effective capacity C/(1+α(f−1)).
 	// The pure fluid model (α=0) is work-conserving, which understates
 	// the cost of synchronized parallel stages (incast, disk seeks,
 	// stragglers); the paper's measured stock-Spark timelines include
-	// those losses. Negative means 0; default 0.22. The ablation bench
+	// those losses. Negative means 0; zero means
+	// DefaultContentionOverhead. The ablation bench
 	// BenchmarkContentionOverhead sweeps it.
 	ContentionOverhead float64
 	// FairByJob shares each resource first equally among jobs, then among
@@ -81,10 +77,6 @@ type Options struct {
 	// (first try + retries). A partition that fails MaxAttempts times
 	// fails its job with a *StageFailureError. Zero means 4.
 	MaxAttempts int
-	// RetryBackoff is the base of the exponential retry backoff: attempt
-	// n+1 starts RetryBackoff·2^(n−1) seconds after attempt n failed.
-	// Zero means 2 s.
-	RetryBackoff float64
 	// Speculation enables straggler mitigation: once at least half of a
 	// stage's compute partitions have finished, a partition whose
 	// projected duration exceeds SpeculationThreshold times the median
@@ -103,9 +95,9 @@ type Options struct {
 	// fluid model keeps per-node volumes unchanged). Zero disables
 	// blacklisting.
 	BlacklistAfter int
-	// Watchdog observes stage completions and task retries at runtime and
-	// may revise the submission delays of not-yet-submitted stages (the
-	// guarded DelayStage strategy plugs in here). Nil: no monitoring.
+	// Watchdog watches each job's run against its plan and may trip it,
+	// cancelling the job's remaining delays (the guarded DelayStage
+	// strategy plugs in here). Nil: no monitoring.
 	Watchdog Watchdog
 	// Observer receives typed lifecycle events (stage ready/submitted/
 	// read-done/compute-done/completed, task retry, node crash, watchdog
@@ -115,16 +107,21 @@ type Options struct {
 	Observer Observer
 }
 
-// WatchEvent is what a Watchdog sees when a stage completes.
+// WatchEvent is what a Watchdog sees at one of its four checkpoints.
 type WatchEvent struct {
+	// Kind says which checkpoint: EvReadDone (the stage's shuffle read
+	// finished on every node; Timeline.ReadEnd set, End still zero),
+	// EvStageCompleted (before its children turn ready), EvTaskRetry
+	// (after the task_retry event) or EvNodeCrash (after the lost work is
+	// re-queued; Job and Stage are −1).
+	Kind     EventKind
 	Job      int
 	Stage    dag.StageID
 	Timeline StageTimeline
 	// Retries is the number of failed partition attempts the stage
-	// absorbed before completing.
+	// absorbed so far.
 	Retries  int
 	JobStart float64 // the job's arrival time
-	Now      float64
 }
 
 // DelayUpdate revises the submission delay of one not-yet-submitted
@@ -136,25 +133,16 @@ type DelayUpdate struct {
 	Delay float64
 }
 
-// Watchdog is the runtime plan monitor. All methods may return delay
-// revisions; they are called synchronously from the event loop.
-// StageReadCompleted fires when a stage's shuffle read finishes on every
-// node (Timeline.ReadEnd set, End still zero) — the earliest moment a
-// plan's predictions can be checked against reality, typically before
-// most planned delays have committed.
+// Watchdog is the runtime plan monitor, called synchronously from the
+// event loop. When Trip returns true the engine cancels the job's
+// remaining delays — every job's, on a node crash — by revising each
+// stage named in the run's Delays, in ascending stage ID, to 0: the
+// always-feasible submit-when-ready. A tripped job is never asked about
+// again. The read end is the earliest moment a plan's predictions can be
+// checked against reality, typically before most planned delays have
+// committed.
 type Watchdog interface {
-	StageReadCompleted(ev WatchEvent) []DelayUpdate
-	StageCompleted(ev WatchEvent) []DelayUpdate
-	TaskRetried(job int, stage dag.StageID, node, attempt int, now float64) []DelayUpdate
-}
-
-// CrashWatcher is an optional Watchdog extension (type-asserted like
-// ShareObserver): NodeCrashed fires when a machine-level crash executes,
-// after the lost work is re-queued, so a guarded scheduler can revise the
-// remaining delays once the cluster has lost capacity. A Watchdog that
-// does not implement it costs nothing.
-type CrashWatcher interface {
-	NodeCrashed(node int, now float64) []DelayUpdate
+	Trip(ev WatchEvent) bool
 }
 
 // StageFailureError reports that a job was aborted because one stage
@@ -361,9 +349,6 @@ func prepare(opt Options, runs []JobRun) (Options, error) {
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = 4
 	}
-	if opt.RetryBackoff <= 0 {
-		opt.RetryBackoff = 2
-	}
 	if opt.SpeculationThreshold == 0 {
 		opt.SpeculationThreshold = 1.5
 	} else if opt.SpeculationThreshold < 1 || math.IsNaN(opt.SpeculationThreshold) || math.IsInf(opt.SpeculationThreshold, 0) {
@@ -375,16 +360,7 @@ func prepare(opt Options, runs []JobRun) (Options, error) {
 	if opt.MaxTime <= 0 {
 		opt.MaxTime = 30 * 24 * 3600
 	}
-	if opt.ContentionOverhead == 0 {
-		opt.ContentionOverhead = 0.22
-	} else if opt.ContentionOverhead < 0 {
-		opt.ContentionOverhead = 0
-	}
-	if opt.AggShuffleOverhead == 0 {
-		opt.AggShuffleOverhead = 0.02
-	} else if opt.AggShuffleOverhead < 0 {
-		opt.AggShuffleOverhead = 0
-	}
+	opt.ContentionOverhead = ContentionAlpha(opt.ContentionOverhead)
 	return opt, nil
 }
 

@@ -197,8 +197,9 @@ func (s *Stepper) AdvanceBefore(t float64) error {
 // The fork of a world with an Observer is detached: it has none, so the
 // parent's observer sees nothing the fork steps. Observers only read, so
 // dropping one leaves the trajectory unchanged. A world with a Watchdog
-// cannot be forked: the watchdog acts on the world and holds state the
-// fork cannot duplicate. Faults are fine — the injector's draws are pure
+// cannot be forked: a trip pushes fresh submission timers beside the
+// superseded ones, so a ready stage may hold more than the one timer Fork
+// re-arms in place. Faults are fine — the injector's draws are pure
 // functions of (seed, task attempt), shared read-only across forks.
 func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 	if s.done {
@@ -206,7 +207,7 @@ func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 	}
 	p := s.e
 	if p.opt.Watchdog != nil {
-		return nil, fmt.Errorf("sim: a world with a Watchdog cannot be forked (watchdog state cannot be copied)")
+		return nil, fmt.Errorf("sim: a world with a Watchdog cannot be forked")
 	}
 	for _, u := range updates {
 		si := p.stateIdx(skey{u.Job, u.Stage})
@@ -232,7 +233,8 @@ func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 // returns an error rather than diverge when that is not the case (the
 // arrival is behind the horizon, or the stepper moved by StepNextEvent or
 // PeekNextEventTime), on a finished stepper, on an invalid run, and under
-// a Watchdog, whose per-job state is sized when the run starts. The run's
+// a Watchdog, whose per-job trip state the engine sizes to the runs of
+// its first check. The run's
 // job index is the number of runs before it; its Delays map is read, not
 // copied, as the stage becomes ready.
 func (s *Stepper) Inject(run JobRun) error {

@@ -16,17 +16,14 @@ import (
 type GenConfig struct {
 	Jobs int     // number of jobs (default 1000)
 	Span float64 // arrival window in seconds (default 8 days, the trace span)
-	// Seed seeds a private source. Ignored when Rng is set.
-	Seed int64
-	// Rng, when non-nil, drives generation, letting one seeded *rand.Rand
-	// feed every stochastic component of a reproducible pipeline.
-	Rng *rand.Rand
+	Seed int64   // seeds generation
 	// MaxStages caps the largest job (default 186, the paper's maximum).
 	MaxStages int
-	// ChainFrac is the fraction of jobs that are pure sequential chains —
-	// jobs without parallel stages (default 0.314, so 68.6% have them).
-	ChainFrac float64
 }
+
+// chainFrac is the fraction of jobs that are pure sequential chains —
+// jobs without parallel stages — so 68.6% have them.
+const chainFrac = 0.314
 
 func (c *GenConfig) defaults() {
 	if c.Jobs <= 0 {
@@ -38,9 +35,6 @@ func (c *GenConfig) defaults() {
 	if c.MaxStages <= 0 {
 		c.MaxStages = 186
 	}
-	if c.ChainFrac <= 0 {
-		c.ChainFrac = 0.314
-	}
 }
 
 // Generate produces a synthetic trace whose marginals match the paper's
@@ -51,15 +45,12 @@ func (c *GenConfig) defaults() {
 // job's DAG (stages start when their last parent ends).
 func Generate(cfg GenConfig) *Trace {
 	cfg.defaults()
-	rng := cfg.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &Trace{Jobs: make([]Job, 0, cfg.Jobs)}
 	for i := 0; i < cfg.Jobs; i++ {
 		arrival := rng.Float64() * cfg.Span
 		var job Job
-		if rng.Float64() < cfg.ChainFrac {
+		if rng.Float64() < chainFrac {
 			job = genChain(rng, arrival)
 		} else {
 			job = genDAG(rng, arrival, cfg.MaxStages)
