@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	simulate [-workload TriangleCount] [-strategy delaystage|spark|aggshuffle|fuxi] [-nodes 30] [-scale 1.0] [-parallelism n]
+//	simulate [-workload TriangleCount] [-strategy delaystage|spark|aggshuffle|fuxi] [-nodes 30] [-scale 1.0]
 //	simulate -spec job.json -strategy delaystage
 //	simulate -fault-rate 0.1 -straggler-frac 0.25 -straggler-factor 3 -guarded
 //	simulate -crash-node 1 -crash-at 120 -fault-seed 7 -max-retries 4
@@ -41,10 +41,10 @@ type options struct {
 	sinks *cli.Sinks
 	intro *cli.Introspection
 
-	stratName, jsonPath                         *string
-	crashNode, rackSize, crashRack, parallelism *int
-	crashAt, crashRackAt, specThreshold         *float64
-	guarded, approxPlan, report                 *bool
+	stratName, jsonPath                 *string
+	crashNode, rackSize, crashRack      *int
+	crashAt, crashRackAt, specThreshold *float64
+	guarded, approxPlan, report         *bool
 }
 
 // flags builds simulate's flag set.
@@ -61,7 +61,6 @@ func flags() *options {
 		crashRackAt:   fs.Float64("crash-rack-at", 0, "rack crash time in simulated seconds"),
 		specThreshold: fs.Float64("spec-threshold", 0, "speculation slowness threshold vs the stage median (0 = default 1.5)"),
 		guarded:       fs.Bool("guarded", false, "attach the runtime watchdog to a delaystage strategy (cancels stale delays)"),
-		parallelism:   fs.Int("parallelism", 1, "goroutines for the delaystage candidate scan (plan is bit-identical at any setting)"),
 		approxPlan:    fs.Bool("approx-plan", false, "plan delaystage variants from the analytic Eq. 1–3 model (no simulation per candidate)"),
 		jsonPath:      fs.String("json", "", "write a machine-readable run summary to this file (\"-\" = stdout)"),
 		report:        fs.Bool("report", false, "append the attribution report (time decomposition, contention matrix, critical path); cmd/analyze reproduces it byte-identically from a -events log"),
@@ -80,7 +79,7 @@ func (o *options) check() error {
 
 // strategy returns the -strategy scheduler.
 func (o *options) strategy() (scheduler.Strategy, error) {
-	ds := scheduler.DelayStage{Parallelism: *o.parallelism, Approximate: *o.approxPlan}
+	ds := scheduler.DelayStage{Approximate: *o.approxPlan}
 	var strat scheduler.Strategy
 	switch *o.stratName {
 	case "spark":

@@ -125,12 +125,8 @@ func TestApproximateGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: missing from golden", tc.name)
 		}
-		for _, par := range []int{0, 4} {
-			opt := tc.opt
-			opt.Parallelism = par
-			if got := scheduleBits(computeOK(t, opt, tc.job)); got != want {
-				t.Errorf("%s par=%d:\n got %s\nwant %s", tc.name, par, got, want)
-			}
+		if got := scheduleBits(computeOK(t, tc.opt, tc.job)); got != want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func sandwichDelayVectors(j *workload.Job) []map[dag.StageID]float64 {
 // analytic bounds sandwich the exact fluid-sim makespan for every gallery
 // and paper workload, fault-free, across delay vectors.
 func TestBoundSandwichGallery(t *testing.T) {
-	c := coarseFor(c30())
+	c := sim.Coarsen(c30())
 	jobs := workload.PaperWorkloads(c, 1)
 	for name, j := range workload.Gallery(c, 1) {
 		jobs[name] = j
@@ -109,7 +109,7 @@ func randomSandwichCase(c *cluster.Cluster, seed int64, nStages int) (*workload.
 }
 
 func TestBoundSandwichRandomJobs(t *testing.T) {
-	c := coarseFor(c30())
+	c := sim.Coarsen(c30())
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 4 + int(seed)*3
 		j, delays := randomSandwichCase(c, seed, n)
@@ -131,7 +131,7 @@ func FuzzBoundSandwich(f *testing.F) {
 	f.Add(int64(42), 25)
 	f.Add(int64(1337), 50)
 	f.Add(int64(67), 2)
-	c := coarseFor(c30())
+	c := sim.Coarsen(c30())
 	f.Fuzz(func(t *testing.T, seed int64, n int) {
 		if n < 2 {
 			n = 2
@@ -167,7 +167,6 @@ func TestTwoTierByteIdentical(t *testing.T) {
 	}{
 		{"sim", Options{Cluster: c}},
 		{"approx", Options{Cluster: c, Approximate: true}},
-		{"approx-par4", Options{Cluster: c, Approximate: true, Parallelism: 4}},
 	} {
 		for _, name := range names {
 			j := jobs[name]

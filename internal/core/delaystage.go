@@ -70,14 +70,6 @@ type Options struct {
 	// disabling it runs Alg. 1 verbatim. A second pass never changes the
 	// schedule: the pass ends on the makespan it started each scan from.
 	DisableRefine bool
-	// Parallelism drains the forks of the sim evaluator's held-world
-	// candidate scan on that many goroutines (the forks themselves are
-	// taken one at a time, in candidate order, on the calling goroutine).
-	// The argmin reduce replays the sequential comparison in candidate
-	// order, so the schedule — and every evaluation counter — is
-	// bit-identical to the sequential scan at any setting. Zero or one
-	// means sequential; Approximate scans are always sequential.
-	Parallelism int
 	// DisableBoundPrune turns off the two-tier scan's analytic tier so
 	// every candidate is answered by the exact evaluator — the single-tier
 	// reference the invariance tests and benchmarks compare against.
@@ -178,10 +170,9 @@ type Evaluator interface {
 	Makespan(delays []float64) (float64, error)
 	// Scan evaluates one candidate scan of the stage at position k: it
 	// sets mks[i] to the makespan with the stage's delay xs[i]
-	// (ascending), every other delay as in delays, on up to workers
-	// goroutines, and returns how many candidates it answered. delays is
-	// unchanged on return.
-	Scan(delays []float64, k int, xs, mks []float64, workers int) (int, error)
+	// (ascending), every other delay as in delays, and returns how many
+	// candidates it answered. delays is unchanged on return.
+	Scan(delays []float64, k int, xs, mks []float64) (int, error)
 	// Close releases what the evaluator holds once planning is done.
 	Close()
 }
@@ -387,7 +378,7 @@ func newScan(opt Options, job *workload.Job, a Arrival) (*scanCtx, error) {
 	case opt.Approximate:
 		bev, err = perfmodel.NewBoundEvaluator(opt.Cluster, job, perfmodel.BoundConfig{})
 	case !opt.DisableBoundPrune && opt.Placement == nil:
-		bev, err = perfmodel.NewBoundEvaluator(coarseFor(opt.Cluster), job, perfmodel.BoundConfig{IncludeWorkBound: true})
+		bev, err = perfmodel.NewBoundEvaluator(sim.Coarsen(opt.Cluster), job, perfmodel.BoundConfig{IncludeWorkBound: true})
 	}
 	if err != nil {
 		return nil, err
@@ -521,10 +512,10 @@ func (sc *scanCtx) countEval(n int) {
 // sweep); otherwise globalBest is used and updated (refinement).
 //
 // Tier 1 prunes against the *scan-start* best — not the running best —
-// so the surviving set, and with it every counter, is independent of
-// Parallelism. Byte-identity to the single-tier scan holds either way:
-// exact(c) ≥ lower(c) ≥ best₀ − tol ≥ runningBest − tol means the
-// sequential comparison below could never have accepted c.
+// because tier 2 answers the survivors as one batch. Byte-identity to the
+// single-tier scan holds either way: exact(c) ≥ lower(c) ≥ best₀ − tol ≥
+// runningBest − tol means the sequential comparison below could never
+// have accepted c.
 func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	sched, opt := sc.sched, sc.opt
 	// A zero delay is no delay: the stage has an incumbent to re-use only
@@ -577,10 +568,8 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	}
 	sc.skip = skip
 
-	// Tier 2: exact evaluation of the survivors, then the argmin replayed
-	// in candidate order — the same floats compared in the same order
-	// however they were evaluated, so the chosen delay (ties included) is
-	// bit-identical at any Parallelism.
+	// Tier 2: exact evaluation of the survivors, then the argmin in
+	// candidate order (ties keep the earlier candidate).
 	xs := sc.xs[:0]
 	for ci, x := range cands {
 		if x == incumbent && had {
@@ -593,7 +582,7 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	}
 	mks := slices.Grow(sc.mks[:0], len(xs))[:len(xs)]
 	sc.xs, sc.mks = xs, mks
-	n, err := sc.ev.Scan(sc.delays, k, xs, mks, opt.Parallelism)
+	n, err := sc.ev.Scan(sc.delays, k, xs, mks)
 	sc.countEval(n)
 	if err != nil {
 		return err

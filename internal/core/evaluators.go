@@ -1,43 +1,16 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
-	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
 	"delaystage/internal/perfmodel"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
-
-// coarseFor memoizes sim.Coarsen per cluster: online planners and
-// experiment sweeps build many evaluators against the same (immutable) cluster, and
-// the coarse view never changes. Bounded so a long-lived process creating
-// clusters forever does not leak — coarsening is cheap to redo.
-var (
-	coarseMu    sync.Mutex
-	coarseCache = map[*cluster.Cluster]*cluster.Cluster{}
-)
-
-func coarseFor(c *cluster.Cluster) *cluster.Cluster {
-	coarseMu.Lock()
-	defer coarseMu.Unlock()
-	if cc, ok := coarseCache[c]; ok {
-		return cc
-	}
-	if len(coarseCache) >= 256 {
-		clear(coarseCache)
-	}
-	cc := sim.Coarsen(c)
-	coarseCache[c] = cc
-	return cc
-}
 
 // EvalStats breaks the what-if evaluations of one Compute run down by how
 // they were answered.
@@ -192,7 +165,7 @@ func newSimEvaluator(opt Options, job *workload.Job, a Arrival) (*simEvaluator, 
 	if a.World != nil {
 		ji = a.World.Jobs()
 	}
-	so := sim.Options{Cluster: coarseFor(opt.Cluster), TrackNode: -1, FairByJob: a.FairByJob}
+	so := sim.Options{Cluster: sim.Coarsen(opt.Cluster), TrackNode: -1, FairByJob: a.FairByJob}
 	if opt.Placement != nil {
 		so.Cluster, so.Links = opt.Cluster, opt.Links
 	}
@@ -263,12 +236,10 @@ func (e *simEvaluator) Makespan(delays []float64) (float64, error) {
 // just before tr + x, where Fork re-arms the stage's pending submission
 // timer at tr + x, so the fork only simulates [tr + x, end] and is
 // bit-identical to a from-scratch run with delay x; the last miss is the
-// held world itself, drained. The forks are taken
-// one at a time on the calling goroutine; with workers > 1 their drains
-// run on up to that many goroutines, all joined before it returns. Which
-// candidates hit, fork or drain depends only on the memo, never on the
-// interleaving, so the counters are the same at any parallelism.
-func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, workers int) (int, error) {
+// held world itself, drained. Each fork is taken and drained in
+// candidate order on the calling goroutine, and the first error ends the
+// scan.
+func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64) (int, error) {
 	// The held world takes its delays as Fork revisions, so this vector
 	// is free again once it is built.
 	held := append(e.held[:0], delays...)
@@ -305,84 +276,26 @@ func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, workers 
 		return hits, err
 	}
 
-	var pool *drainPool
-	if workers = min(workers, len(miss)); workers > 1 {
-		pool = startDrains(workers, mks)
-	}
 	kid := e.ids[k]
 	for _, i := range miss {
-		if pool != nil && pool.failed.Load() {
-			break
-		}
 		s := w
 		if i != last {
 			if err = w.AdvanceBefore(tr + xs[i]); err != nil {
-				break
+				return hits, err
 			}
 			if s, err = w.Fork([]sim.DelayUpdate{{Job: e.ji, Stage: kid, Delay: xs[i]}}); err != nil {
-				break
+				return hits, err
 			}
 		}
-		if pool != nil {
-			pool.queue <- drainJob{i, s}
-		} else if mks[i], err = s.DrainJCTSum(); err != nil {
-			break
+		if mks[i], err = s.DrainJCTSum(); err != nil {
+			return hits, err
 		}
-	}
-	if pool != nil {
-		if werr := pool.wait(); err == nil {
-			err = werr
-		}
-	}
-	if err != nil {
-		return hits, err
 	}
 	for _, i := range miss {
 		e.memo[string(keys.batchKey(i))] = mks[i]
 	}
 	e.stats.ForkedRuns += len(miss)
 	return len(xs), nil
-}
-
-// drainPool drains a scan's forks on worker goroutines into mks; the
-// first error stops the scan (failed). Each worker keeps its own first
-// error.
-type drainPool struct {
-	queue  chan drainJob
-	wg     sync.WaitGroup
-	failed atomic.Bool
-	errs   []error
-}
-
-type drainJob struct {
-	i int
-	s *sim.Stepper
-}
-
-func startDrains(workers int, mks []float64) *drainPool {
-	p := &drainPool{queue: make(chan drainJob), errs: make([]error, workers)}
-	p.wg.Add(workers)
-	for w := range workers {
-		go func() {
-			defer p.wg.Done()
-			for d := range p.queue {
-				var err error
-				if mks[d.i], err = d.s.DrainJCTSum(); err != nil {
-					p.errs[w] = cmp.Or(p.errs[w], err)
-					p.failed.Store(true)
-				}
-			}
-		}()
-	}
-	return p
-}
-
-// wait closes the queue, joins every worker and returns the first error
-// by worker.
-func (p *drainPool) wait() error {
-	close(p.queue)
-	p.wg.Wait()
-	return cmp.Or(p.errs...)
 }
 
 // arrive returns a world in which the active sub-job, with the given
@@ -492,9 +405,8 @@ func (e *approxEvaluator) Makespan(delays []float64) (float64, error) {
 	return mk, nil
 }
 
-// Scan prices the candidates in order on the calling goroutine; workers
-// is ignored.
-func (e *approxEvaluator) Scan(delays []float64, k int, xs, mks []float64, _ int) (int, error) {
+// Scan prices the candidates in order.
+func (e *approxEvaluator) Scan(delays []float64, k int, xs, mks []float64) (int, error) {
 	x0 := delays[k]
 	for i, x := range xs {
 		delays[k] = x

@@ -411,7 +411,7 @@ func TestPreparedWorldsAnswerOnly(t *testing.T) {
 	for p := range mask {
 		mask[p] = p%2 == 0
 	}
-	committed, err := sim.NewStepper(sim.Options{Cluster: coarseFor(c), TrackNode: -1}, []sim.JobRun{{Job: workload.ALS(c, 0.3)}})
+	committed, err := sim.NewStepper(sim.Options{Cluster: sim.Coarsen(c), TrackNode: -1}, []sim.JobRun{{Job: workload.ALS(c, 0.3)}})
 	if err != nil {
 		t.Fatal(err)
 	}

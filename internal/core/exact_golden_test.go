@@ -102,12 +102,8 @@ func TestExactScheduleGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: missing from golden", tc.name)
 		}
-		for _, par := range []int{0, 4} {
-			opt := tc.opt
-			opt.Parallelism = par
-			if got := exactScheduleLine(computeOK(t, opt, tc.job)); got != want {
-				t.Errorf("%s par=%d:\n got %s\nwant %s", tc.name, par, got, want)
-			}
+		if got := exactScheduleLine(computeOK(t, tc.opt, tc.job)); got != want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
 		}
 	}
 }

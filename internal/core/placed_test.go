@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -71,10 +69,10 @@ func placedCases() []placedCase {
 	return out
 }
 
-// TestPlacedPlanIdentity: a placed job's schedule is the same bits at any
-// Parallelism, the scan answers candidates from forks, and the plan never
-// predicts worse than stock; and the evaluator's answers on a placed job
-// are those of fresh placed simulations over the links, bit for bit.
+// TestPlacedPlanIdentity: a placed job's scan answers candidates from
+// forks and its plan never predicts worse than stock; and the evaluator's
+// answers on a placed job are those of fresh placed simulations over the
+// links, bit for bit.
 func TestPlacedPlanIdentity(t *testing.T) {
 	cases := placedCases()
 	for _, pc := range cases {
@@ -85,16 +83,6 @@ func TestPlacedPlanIdentity(t *testing.T) {
 		}
 		if len(ref.K) > 0 && ref.ForkedEvals == 0 {
 			t.Errorf("%s: no candidate was answered from a fork", pc.name)
-		}
-		opt := base
-		opt.Parallelism = 4
-		got := computeOK(t, opt, pc.job)
-		if !reflect.DeepEqual(got.Delays, ref.Delays) ||
-			math.Float64bits(got.Makespan) != math.Float64bits(ref.Makespan) ||
-			math.Float64bits(got.StockMakespan) != math.Float64bits(ref.StockMakespan) ||
-			got.CacheHits != ref.CacheHits || got.ForkedEvals != ref.ForkedEvals || got.FullEvals != ref.FullEvals {
-			t.Errorf("%s par=4: schedule %v %v/%v, want %v %v/%v", pc.name,
-				got.Delays, got.Makespan, got.StockMakespan, ref.Delays, ref.Makespan, ref.StockMakespan)
 		}
 	}
 	rng := rand.New(rand.NewSource(9))

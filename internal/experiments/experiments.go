@@ -12,13 +12,12 @@ import (
 	"io"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
 	"delaystage/internal/metrics"
 	"delaystage/internal/scheduler"
+	"delaystage/internal/shardsim"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
@@ -40,20 +39,22 @@ type Config struct {
 	// Reps is the repetition count for error bars (default 5, as in the
 	// paper).
 	Reps int
-	// Parallelism is the worker count used to evaluate independent grid
-	// cells (workload × strategy × rep, fault-sweep points, trace groups).
-	// 0/1 runs everything sequentially. Results are bit-identical at any
-	// setting: every stochastic draw happens sequentially up front and the
-	// parallel cells are pure functions reduced in index order.
+	// Parallelism is the worker count of shardsim's pool, which evaluates
+	// independent grid cells (workload × strategy × rep, fault-sweep
+	// points, trace groups) and the Fig. 14 replay's worlds. 0/1 means one
+	// worker. Results are bit-identical at any setting: every stochastic
+	// draw happens sequentially up front and the cells are pure functions
+	// reduced in index order.
 	Parallelism int
 	// W receives the rendered output (default io.Discard).
 	W io.Writer
 	// OnGrid, when non-nil, is called once before each batch of
 	// independent grid cells runs, with the batch's cell count — live
 	// introspection (cmd/experiments -serve) uses it to publish how much
-	// work remains. OnCell is called once per completed cell, possibly
-	// from worker goroutines, so implementations must be safe for
-	// concurrent use. Neither hook may block: cells wait on nothing.
+	// work remains. OnCell is called once per completed cell, serially,
+	// in cell-index order and on the goroutine that runs the grid (the
+	// caller of the Fig* function), so it needs no locking. Neither hook
+	// may block: cells wait on nothing.
 	OnGrid func(cells int)
 	OnCell func()
 }
@@ -70,9 +71,6 @@ func (c *Config) defaults() {
 	}
 	if c.Reps <= 0 {
 		c.Reps = 5
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
 	}
 	if c.W == nil {
 		c.W = io.Discard
@@ -113,59 +111,25 @@ func jitterCluster(base *cluster.Cluster, rng *rand.Rand, frac float64) *cluster
 	return out
 }
 
-// forEach runs fn(i) for i in [0, n) on up to c.Parallelism goroutines,
-// reporting the batch size and each finished cell through the
-// OnGrid/OnCell hooks, so every grid is visible to live introspection.
-// fn must be a pure function of i writing only slots it owns (indexed
-// result slices); callers reduce those slots in index order afterwards, so
-// output is independent of scheduling. With one worker it is a plain
-// sequential loop that stops at the first error; in parallel mode every
-// claimed cell still runs and the lowest-index error is returned, keeping
-// the reported failure deterministic.
+// forEach runs fn(i) for i in [0, n) on c.Parallelism workers of
+// shardsim's ordered pool, reporting the batch size and each finished
+// cell through the OnGrid/OnCell hooks, so every grid is visible to live
+// introspection. fn must be a pure function of i writing only slots it
+// owns (indexed result slices); callers reduce those slots in index order
+// afterwards, so output is independent of scheduling. The lowest-index
+// error ends the grid and is returned.
 func (c *Config) forEach(n int, fn func(i int) error) error {
 	if c.OnGrid != nil {
 		c.OnGrid(n)
 	}
-	if c.OnCell != nil {
-		inner := fn
-		fn = func(i int) error {
-			err := inner(i)
-			c.OnCell()
-			return err
-		}
-	}
-	workers := min(c.Parallelism, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+	return shardsim.Ordered(shardsim.Config{Shards: c.Parallelism}, n,
+		func(i int) (struct{}, error) { return struct{}{}, fn(i) },
+		func(int, struct{}) error {
+			if c.OnCell != nil {
+				c.OnCell()
 			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+			return nil
+		})
 }
 
 // fprintf writes to the experiment's writer, ignoring errors (the writer

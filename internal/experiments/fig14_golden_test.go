@@ -6,7 +6,8 @@ import (
 	"flag"
 	"os"
 	"reflect"
-	"sync/atomic"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -54,24 +55,54 @@ func TestFig14Golden(t *testing.T) {
 }
 
 // TestFig14IntrospectionHooks: Fig. 14 announces one grid of n jobs per
-// variant through OnGrid and reports each of the 4·n replayed jobs through
-// OnCell, at any parallelism.
+// variant through OnGrid and reports each of the 4·n replayed jobs
+// through OnCell; Fig. 10 and the fault sweep announce their grids the
+// same way. At any parallelism every grid's cells are all reported before
+// the next grid is announced, and OnCell runs serially on the goroutine
+// that runs the grid: the calls are counted in plain ints, so under -race
+// two overlapping calls are a reported data race.
 func TestFig14IntrospectionHooks(t *testing.T) {
 	const n = 12
-	for _, par := range []int{1, 4} {
-		var grids []int
-		var cells atomic.Int64
-		cfg := Config{TraceJobs: n, Seed: 7, Parallelism: par,
-			OnGrid: func(c int) { grids = append(grids, c) },
-			OnCell: func() { cells.Add(1) }}
-		if _, err := Fig14(cfg); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(grids, []int{n, n, n, n}) {
-			t.Errorf("parallelism %d: OnGrid calls %v, want one grid of %d per variant", par, grids, n)
-		}
-		if got := cells.Load(); got != 4*n {
-			t.Errorf("parallelism %d: %d OnCell calls, want %d", par, got, 4*n)
+	for _, tc := range []struct {
+		name  string
+		run   func(Config) error
+		grids []int
+	}{
+		{"Fig14", func(c Config) error { _, err := Fig14(c); return err }, []int{n, n, n, n}},
+		// One cell per workload × rep.
+		{"Fig10", func(c Config) error { _, err := Fig10(c); return err }, []int{len(workloadNames) * 2}},
+		// One cell per (fault point, workload), then one per (machine
+		// point, mitigation off/on, workload).
+		{"FaultSweep", func(c Config) error { _, err := FaultSweep(c); return err },
+			[]int{len(faultSweepGrid) * len(workloadNames), len(machineSweepGrid) * 2 * len(workloadNames)}},
+	} {
+		for _, par := range []int{1, 4} {
+			caller := goid()
+			var grids, cells []int
+			cfg := Config{Scale: 0.1, Nodes: 10, TraceJobs: n, Reps: 2, Seed: 7, Parallelism: par,
+				OnGrid: func(c int) { grids, cells = append(grids, c), append(cells, 0) },
+				OnCell: func() {
+					if id := goid(); id != caller {
+						t.Errorf("%s parallelism %d: OnCell on goroutine %s, want %s", tc.name, par, id, caller)
+					}
+					cells[len(cells)-1]++
+				}}
+			if err := tc.run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(grids, tc.grids) {
+				t.Errorf("%s parallelism %d: OnGrid calls %v, want %v", tc.name, par, grids, tc.grids)
+			}
+			if !reflect.DeepEqual(cells, grids) {
+				t.Errorf("%s parallelism %d: OnCell calls per grid %v, want %v", tc.name, par, cells, grids)
+			}
 		}
 	}
+}
+
+// goid returns the current goroutine's id, read off its stack header
+// ("goroutine 7 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }

@@ -158,7 +158,7 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 	for _, n := range []int{10, 20, 40, 80, 120, 160, 186} {
 		job := workload.RandomJob("fig15", c, n, rng)
 		t0 := time.Now()
-		ms, err := core.Compute(core.Options{Cluster: c, Approximate: true, MaxCandidates: 12, DisableRefine: true, Parallelism: cfg.Parallelism}, job)
+		ms, err := core.Compute(core.Options{Cluster: c, Approximate: true, MaxCandidates: 12, DisableRefine: true}, job)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +167,7 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 		simMs := 0.0
 		if n <= 40 {
 			t0 = time.Now()
-			ss, err := core.Compute(core.Options{Cluster: c, MaxCandidates: 12, Parallelism: cfg.Parallelism}, job)
+			ss, err := core.Compute(core.Options{Cluster: c, MaxCandidates: 12}, job)
 			if err != nil {
 				return nil, err
 			}

@@ -76,10 +76,6 @@ type DelayStage struct {
 	// Order is the execution-path scheduling sequence (default Descending;
 	// Random shuffles with seed 0).
 	Order core.Order
-	// Parallelism drains the candidate scans' forks on that many
-	// goroutines (0/1 = sequential; see core.Options.Parallelism). The
-	// plan is bit-identical at any setting.
-	Parallelism int
 	// Approximate plans from the analytic model's prediction instead of
 	// what-if simulation (see core.Options.Approximate; used for
 	// trace-scale jobs).
@@ -99,7 +95,6 @@ func (d DelayStage) Plan(c *cluster.Cluster, job *workload.Job) (Plan, error) {
 	s, err := core.Compute(core.Options{
 		Cluster:     c,
 		Order:       d.Order,
-		Parallelism: d.Parallelism,
 		Approximate: d.Approximate,
 	}, job)
 	if err != nil {

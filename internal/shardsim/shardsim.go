@@ -1,7 +1,9 @@
-// Package shardsim runs many independent simulation worlds on a pool of
-// worker goroutines and hands their results back in world-index order —
-// the runner that takes the trace replay to full Alibaba scale (2.7M
-// jobs) with bounded memory.
+// Package shardsim is the repo's one worker pool: it runs independent
+// units of work on a pool of goroutines and hands their results back in
+// index order. Ordered is the generic runner; Run specialises it to
+// simulation worlds — the runner that takes the trace replay to full
+// Alibaba scale (2.7M jobs) with bounded memory — and the experiment
+// grids (internal/experiments) run their cells on Ordered directly.
 //
 // A world is one self-contained simulation: its own cluster (a disjoint
 // machine partition — per-job slices in the replay) and its own job
@@ -10,9 +12,9 @@
 // it, and its result is bit-identical to running it alone, at any shard
 // count.
 //
-// Determinism contract (same discipline as experiments.Config.Parallelism):
-// build(i) must be a pure function of i, and reduce(i, res) is called
-// exactly once per world, serially and in increasing i, whatever order
+// Determinism contract: work(i) (for Run, build(i)) must be a pure
+// function of i, and reduce(i, v) is called exactly once per index,
+// serially, in increasing i and on the calling goroutine, whatever order
 // the workers finish in. A caller folds straight into its output inside
 // reduce, so the result is byte-identical for any Shards setting.
 package shardsim
@@ -35,34 +37,32 @@ type World struct {
 
 // Config shapes a sharded run.
 type Config struct {
-	// Shards is the number of worker goroutines, each running one world
-	// at a time. Zero or negative means 1.
+	// Shards is the number of worker goroutines, each running one unit
+	// (a world, for Run) at a time. Zero or negative means 1.
 	Shards int
-	// Ctx, when non-nil, cancels the run early: workers take no new world
-	// once it is done, reduce is not called again, and Run returns
+	// Ctx, when non-nil, cancels the run early: workers take no new unit
+	// once it is done, reduce is not called again, and the run returns
 	// ctx.Err() after every worker has exited.
 	Ctx context.Context
 }
 
-// finished is one world's outcome on its way from a worker to reduce.
-type finished struct {
+// finished is one unit's outcome on its way from a worker to reduce.
+type finished[T any] struct {
 	idx int
-	res *sim.Result
+	v   T
 	err error
 }
 
-// Run simulates n worlds on cfg.Shards workers. Workers take world
-// indices in increasing order; build(i) materializes world i on the
-// worker that takes it, so at most Shards worlds hold engine state at
-// once. reduce(i, res) runs on the calling goroutine, serially and in
-// index order: a world that finishes early is parked until every earlier
-// world has been reduced.
+// Ordered runs work(i) for i in [0, n) on cfg.Shards workers, which take
+// indices in increasing order, so at most Shards units are in flight at
+// once. reduce(i, v) runs on the calling goroutine, serially and in index
+// order: a unit that finishes early is parked until every earlier unit
+// has been reduced.
 //
-// The first error in index order — from build, the simulation or reduce —
-// ends the run and is returned, so failures are deterministic too. Run
-// never returns before every worker has exited, so cancellation leaks
-// nothing.
-func Run(cfg Config, n int, build func(int) (World, error), reduce func(int, *sim.Result) error) error {
+// The first error in index order — from work or reduce — ends the run
+// and is returned, so failures are deterministic too. Ordered never
+// returns before every worker has exited, so cancellation leaks nothing.
+func Ordered[T any](cfg Config, n int, work func(int) (T, error), reduce func(int, T) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -73,8 +73,8 @@ func Run(cfg Config, n int, build func(int) (World, error), reduce func(int, *si
 	ctx, stop := context.WithCancel(parent)
 	workers := min(max(cfg.Shards, 1), n)
 	// One slot per worker: a worker hands its result off and takes the
-	// next world without waiting for reduce to catch up.
-	out := make(chan finished, workers)
+	// next unit without waiting for reduce to catch up.
+	out := make(chan finished[T], workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -86,8 +86,8 @@ func Run(cfg Config, n int, build func(int) (World, error), reduce func(int, *si
 				if i >= n {
 					return
 				}
-				f := finished{idx: i}
-				f.res, f.err = runWorld(i, build)
+				f := finished[T]{idx: i}
+				f.v, f.err = work(i)
 				select {
 				case out <- f:
 				case <-ctx.Done():
@@ -97,7 +97,7 @@ func Run(cfg Config, n int, build func(int) (World, error), reduce func(int, *si
 	}
 
 	var err error
-	parked := map[int]finished{}
+	parked := map[int]finished[T]{}
 	for i := 0; i < n && err == nil; {
 		if err = parent.Err(); err != nil {
 			break
@@ -116,13 +116,21 @@ func Run(cfg Config, n int, build func(int) (World, error), reduce func(int, *si
 		}
 		delete(parked, i)
 		if err = f.err; err == nil {
-			err = reduce(i, f.res)
+			err = reduce(i, f.v)
 		}
 		i++
 	}
 	stop()
 	wg.Wait()
 	return err
+}
+
+// Run simulates n worlds on cfg.Shards workers through Ordered: build(i)
+// materializes world i on the worker that takes it, so at most Shards
+// worlds hold engine state at once, and reduce(i, res) sees the results
+// serially and in index order on the calling goroutine.
+func Run(cfg Config, n int, build func(int) (World, error), reduce func(int, *sim.Result) error) error {
+	return Ordered(cfg, n, func(i int) (*sim.Result, error) { return runWorld(i, build) }, reduce)
 }
 
 // runWorld builds world i and runs it to completion.
