@@ -6,7 +6,7 @@
 // Usage:
 //
 //	experiments [-scale f] [-nodes n] [-trace-jobs n] [-reps n] [-seed n]
-//	            [-parallelism n] [-only fig10,table3,...] [-timeout d]
+//	            [-parallelism n] [-only fig10,table3,...]
 //	            [-json results.json] [-serve 127.0.0.1:9090]
 //
 // -serve exposes live progress while the grid runs: /metrics (experiments
@@ -16,72 +16,16 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"delaystage/internal/cli"
 	"delaystage/internal/experiments"
 	"delaystage/internal/obs"
 )
-
-// syncWriter buffers experiment output behind a mutex so a timed-out
-// experiment goroutine can keep writing while main drains what it produced
-// so far.
-type syncWriter struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (w *syncWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.buf.Write(p)
-}
-
-func (w *syncWriter) drain() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	s := w.buf.String()
-	w.buf.Reset()
-	return s
-}
-
-// runGuarded runs one experiment under an optional wall-clock guard and
-// returns its typed result. On expiry the experiment's partial output is
-// flushed with a warning and the run moves on (nil result); the abandoned
-// goroutine keeps writing into its private buffer, which is simply never
-// read again.
-func runGuarded(name string, run func(experiments.Config) (any, error), cfg experiments.Config, timeout time.Duration) (any, error) {
-	if timeout <= 0 {
-		return run(cfg)
-	}
-	w := &syncWriter{}
-	buffered := cfg
-	buffered.W = w
-	type outcome struct {
-		res any
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := run(buffered)
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		fmt.Fprint(os.Stdout, w.drain())
-		return o.res, o.err
-	case <-time.After(timeout):
-		fmt.Fprint(os.Stdout, w.drain())
-		fmt.Fprintf(os.Stderr, "experiments: WARNING: %s exceeded -timeout %v; results above are partial\n", name, timeout)
-		return nil, nil
-	}
-}
 
 // options is experiments' command line: the flag set and what it parses
 // into. The numeric flags bind straight into the experiment configuration.
@@ -90,7 +34,6 @@ type options struct {
 	cfg            experiments.Config
 	intro          *cli.Introspection
 	only, jsonPath *string
-	timeout        *time.Duration
 }
 
 // flags builds experiments' flag set.
@@ -98,7 +41,6 @@ func flags() *options {
 	fs := cli.NewFlagSet("experiments")
 	o := &options{fs: fs, intro: cli.IntrospectionFlags(fs, "the experiment grid"),
 		only:     fs.String("only", "", "comma-separated subset (fig2..fig17, table3, table4, a2, overhead, geo, online, sensitivity, fault)"),
-		timeout:  fs.Duration("timeout", 0, "per-experiment wall-clock guard (0 = none); an experiment past it is abandoned with a partial-results warning"),
 		jsonPath: fs.String("json", "", "write a machine-readable summary of every experiment's results to this file (\"-\" = stdout)"),
 	}
 	c := &o.cfg
@@ -161,7 +103,7 @@ func main() {
 	})
 	for _, name := range order {
 		started := time.Now()
-		res, err := runGuarded(name, runners[name], cfg, *o.timeout)
+		res, err := runners[name](cfg)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", name, err))
 		}

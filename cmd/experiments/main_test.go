@@ -11,7 +11,7 @@ import (
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"json": "", "linger": "0s", "nodes": "30", "only": "", "parallelism": "1", "reps": "5",
-		"scale": "1", "seed": "1", "serve": "", "timeout": "0s", "trace-jobs": "600",
+		"scale": "1", "seed": "1", "serve": "", "trace-jobs": "600",
 	}
 	got := map[string]string{}
 	flags().fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })

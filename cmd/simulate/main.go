@@ -146,10 +146,6 @@ func main() {
 	if err := o.sinks.Open(); err != nil {
 		log.Fatal(err)
 	}
-	var collector *attr.Collector
-	if *o.report {
-		collector = &attr.Collector{}
-	}
 	reg, err := o.intro.Start(say)
 	if err != nil {
 		log.Fatal(err)
@@ -157,6 +153,12 @@ func main() {
 	var live *attr.Live
 	if reg != nil {
 		live = attr.NewLive(reg, fmt.Sprintf("strategy=%q", strat.Name()))
+	}
+	// The attribution report feeds both -report and the -serve contention
+	// series, so it is built once from one event collection.
+	var collector *attr.Collector
+	if *o.report || reg != nil {
+		collector = &attr.Collector{}
 	}
 
 	opt := sim.Options{Cluster: c, TrackNode: 0, TrackCluster: o.sinks.Chrome != nil,
@@ -224,10 +226,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println()
-		fmt.Print(rep.Render())
+		if *o.report {
+			fmt.Println()
+			fmt.Print(rep.Render())
+		}
+		if live != nil {
+			live.Publish(rep)
+		}
 	}
 	if reg != nil {
+		// Observed last: CI polls for this histogram, so once it shows,
+		// every other series of the run is final.
 		reg.Histogram("attr_makespan_seconds", fmt.Sprintf("{strategy=%q}", strat.Name()),
 			"makespan distribution of completed runs",
 			obs.ExpBuckets(10, 2, 10)).Observe(res.Makespan)

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
@@ -270,18 +272,20 @@ func TestOfflineMatchesLive(t *testing.T) {
 	}
 }
 
-// TestLiveGauges: the Live observer integrates contention waits from
-// share snapshots and tracks completions without perturbing the run.
+// TestLiveGauges: the Live observer tracks completions without perturbing
+// the run, and Publish puts the report's per-resource contention wait on
+// /metrics — the same number -report renders.
 func TestLiveGauges(t *testing.T) {
 	c := cluster.NewM4LargeCluster(5)
 	job := workload.PaperWorkloads(c, 0.3)["TriangleCount"]
 	reg := obs.NewRegistry()
 	live := NewLive(reg, `strategy="spark"`)
+	col := &Collector{}
 	base, err := sim.Run(sim.Options{Cluster: c, TrackNode: -1}, []sim.JobRun{{Job: job}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Options{Cluster: c, TrackNode: -1, Observer: live},
+	res, err := sim.Run(sim.Options{Cluster: c, TrackNode: -1, Observer: obs.Multi(col, live)},
 		[]sim.JobRun{{Job: job}})
 	if err != nil {
 		t.Fatal(err)
@@ -289,6 +293,11 @@ func TestLiveGauges(t *testing.T) {
 	if base.Makespan != res.Makespan {
 		t.Errorf("live gauges perturbed the run: %.4f vs %.4f", base.Makespan, res.Makespan)
 	}
+	rep, err := Build(Context{Cluster: c, Jobs: []*workload.Job{job}}, col.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.Publish(rep)
 	var sb bytes.Buffer
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -297,12 +306,30 @@ func TestLiveGauges(t *testing.T) {
 	for _, want := range []string{
 		`attr_sim_seconds{strategy="spark"} `,
 		`attr_stages_completed_total{strategy="spark"} `,
-		`attr_contention_wait_seconds{res="net",strategy="spark"} `,
-		`attr_active_items{res="cpu",strategy="spark"} `,
 	} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
+		if !strings.Contains(out, want) {
 			t.Errorf("missing series %q in exposition:\n%s", want, out)
 		}
+	}
+	netWait := 0.0
+	for i := range rep.Stages {
+		netWait += rep.Stages[i].Wait[sim.ResNet]
+	}
+	if netWait <= 0 {
+		t.Fatalf("report shows no net contention (%g) — the check below would be vacuous", netWait)
+	}
+	const series = `attr_contention_wait_seconds{res="net",strategy="spark"} `
+	_, after, ok := strings.Cut(out, "\n"+series)
+	if !ok {
+		t.Fatalf("missing series %q in exposition:\n%s", series, out)
+	}
+	line, _, _ := strings.Cut(after, "\n")
+	got, err := strconv.ParseFloat(line, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != netWait {
+		t.Errorf("published net contention wait %v, report says %v", got, netWait)
 	}
 }
 

@@ -7,26 +7,24 @@ import (
 	"delaystage/internal/sim"
 )
 
-// Live streams attribution gauges into an obs.Registry while a simulation
-// runs, for scraping via the -serve introspection endpoint. It consumes
-// the engine's per-interval resource-share snapshots (sim.ShareObserver),
-// so its numbers are exact integrals, not samples — but unlike the
-// report, they exist only while the process runs; offline analysis uses
-// Build over the event log instead.
+// Live streams attribution series into an obs.Registry for scraping via
+// the -serve introspection endpoint. As a sim.Observer it tracks the
+// simulation clock, stage completions and retries while the run goes on;
+// Publish then adds the contention waits of the run's Report, so
+// /metrics carries the same number as the rendered report and as
+// cmd/analyze's rebuild of it from the event log.
 //
 // Exported series (all with an optional extra label, e.g. the strategy):
 //
 //	attr_sim_seconds                  current simulation time
 //	attr_stages_completed_total       stages that finished
 //	attr_retries_total                failed partition attempts
-//	attr_contention_wait_seconds{res} Σ dt·(1 − rate/iso) over items
-//	attr_active_items{res}            items sharing the resource now
+//	attr_contention_wait_seconds{res} Σ StageAttr.Wait[res] of published reports
 type Live struct {
 	simTime *obs.Gauge
 	stages  *obs.Counter
 	retries *obs.Counter
 	wait    [3]*obs.Counter
-	active  [3]*obs.Gauge
 }
 
 // NewLive registers the attribution series in reg. label is an optional
@@ -44,11 +42,9 @@ func NewLive(reg *obs.Registry, label string) *Live {
 		retries: reg.Counter("attr_retries_total", plain, "failed partition attempts"),
 	}
 	for _, res := range []sim.Resource{sim.ResNet, sim.ResCPU, sim.ResDisk} {
-		lab := fmt.Sprintf("{res=%q%s}", res.String(), withRes)
-		l.wait[res] = reg.Counter("attr_contention_wait_seconds", lab,
-			"seconds lost to resource sharing, integrated over work items")
-		l.active[res] = reg.Gauge("attr_active_items", lab,
-			"work items currently sharing the resource")
+		l.wait[res] = reg.Counter("attr_contention_wait_seconds",
+			fmt.Sprintf("{res=%q%s}", res.String(), withRes),
+			"seconds lost to resource sharing, summed over the attribution report's stages")
 	}
 	return l
 }
@@ -64,21 +60,14 @@ func (l *Live) OnEvent(ev sim.Event) {
 	}
 }
 
-// OnShares implements sim.ShareObserver.
-func (l *Live) OnShares(t, dt float64, samples []sim.ShareSample) {
-	var counts [3]float64
-	for _, s := range samples {
-		counts[s.Res]++
-		if s.IsoRate <= 0 {
-			continue
+// Publish adds each resource's contention wait, summed over the report's
+// stages, to attr_contention_wait_seconds{res}.
+func (l *Live) Publish(rep *Report) {
+	for res, c := range l.wait {
+		sum := 0.0
+		for i := range rep.Stages {
+			sum += rep.Stages[i].Wait[res]
 		}
-		loss := 1 - s.Rate/s.IsoRate
-		if loss > 0 {
-			l.wait[s.Res].Add(dt * loss)
-		}
-	}
-	l.simTime.Set(t + dt)
-	for res, n := range counts {
-		l.active[res].Set(n)
+		c.Add(sum)
 	}
 }

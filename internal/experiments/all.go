@@ -2,8 +2,9 @@ package experiments
 
 // Runner couples an experiment's registry name (the cmd/experiments -only
 // key) with its entry point. Keeping the list here means the CLI subset
-// flag and the per-experiment timeout guard agree on what exists. Run returns the experiment's typed result struct (for the
-// machine-readable -json summary) alongside rendering text to cfg.W.
+// flag and the -json summary agree on what exists. Run returns the
+// experiment's typed result struct (for the machine-readable -json
+// summary) alongside rendering text to cfg.W.
 type Runner struct {
 	Name string
 	Run  func(Config) (any, error)

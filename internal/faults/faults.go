@@ -286,27 +286,5 @@ func (in *Injector) Straggler(job, stage, node int) float64 {
 // profiler noise, trace generation and fault injection in a single
 // experiment — reproducible from one -seed flag.
 func (in *Injector) PerturbJob(rng *rand.Rand, j *workload.Job) *workload.Job {
-	n := in.plan.MispredictNoise
-	out := j.Clone()
-	if n == 0 {
-		return out
-	}
-	perturb := func(v float64) float64 { return v * (1 + (rng.Float64()*2-1)*n) }
-	for _, id := range out.Graph.Stages() {
-		p := out.Profiles[id]
-		p.ShuffleIn = int64(perturb(float64(p.ShuffleIn)))
-		p.ShuffleOut = int64(perturb(float64(p.ShuffleOut)))
-		p.ProcRate = perturb(p.ProcRate)
-		if p.ShuffleIn < 1 {
-			p.ShuffleIn = 1
-		}
-		if p.ShuffleOut < 0 {
-			p.ShuffleOut = 0
-		}
-		if p.ProcRate <= 0 {
-			p.ProcRate = 1
-		}
-		out.Profiles[id] = p
-	}
-	return out
+	return j.Perturbed(rng, in.plan.MispredictNoise)
 }

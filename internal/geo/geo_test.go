@@ -250,17 +250,30 @@ func TestPlanSequentialJob(t *testing.T) {
 	}
 }
 
-// linkBytes integrates the bytes the simulation moves over links.
-type linkBytes struct{ total float64 }
-
-func (*linkBytes) OnEvent(sim.Event) {}
-
-func (l *linkBytes) OnShares(_, dt float64, samples []sim.ShareSample) {
-	for _, s := range samples {
-		if s.Link {
-			l.total += s.Rate * dt
+// linkBytes derives the bytes the simulation moves over links from
+// existing Result fields: every read enters the cluster-wide net integral
+// (AvgNetRate·Makespan), while only reads over a node's own NIC enter that
+// node's tracked NetRate series — a link read never does. The difference
+// is the link traffic.
+func linkBytes(t *testing.T, opt sim.Options, runs []sim.JobRun) float64 {
+	t.Helper()
+	run := func(track int) *sim.Result {
+		opt.TrackNode = track
+		res, err := sim.Run(opt, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	all := run(-1)
+	total := all.AvgNetRate * all.Makespan
+	for dc := range opt.Cluster.Nodes {
+		s := run(dc).Node.NetRate
+		for i := 0; i+1 < len(s); i++ {
+			total -= s[i].V * (s[i+1].T - s[i].T)
 		}
 	}
+	return total
 }
 
 // The static WANBytes matches the traffic the simulation moves over WAN
@@ -274,15 +287,10 @@ func TestWANBytesAccounting(t *testing.T) {
 	}
 	for _, j := range []*Job{chainJob(t), {Workload: tc, Placement: spread}} {
 		viaFn := WANBytes(tp, j)
-		lb := &linkBytes{}
-		opt := tp.simOptions()
-		opt.Observer = lb
-		if _, err := sim.Run(opt, []sim.JobRun{{Job: j.Workload, Placement: j.Placement}}); err != nil {
-			t.Fatal(err)
-		}
+		simulated := linkBytes(t, tp.simOptions(), []sim.JobRun{{Job: j.Workload, Placement: j.Placement}})
 		// WANBytes truncates each parent's share to whole bytes.
-		if viaFn == 0 || math.Abs(lb.total-float64(viaFn)) > float64(j.Workload.Graph.Len()) {
-			t.Fatalf("%s: static WANBytes %d != simulated %.1f", j.Workload.Name, viaFn, lb.total)
+		if viaFn == 0 || math.Abs(simulated-float64(viaFn)) > float64(j.Workload.Graph.Len()) {
+			t.Fatalf("%s: static WANBytes %d != simulated %.1f", j.Workload.Name, viaFn, simulated)
 		}
 	}
 }

@@ -144,25 +144,10 @@ func (m multi) OnEvent(ev sim.Event) {
 	}
 }
 
-// multiShare is a fan-out that also forwards resource-share snapshots to
-// the members that want them, preserving the ShareObserver extension
-// through composition (the engine type-asserts Options.Observer once).
-type multiShare struct {
-	multi
-	shares []sim.ShareObserver
-}
-
-func (m multiShare) OnShares(t, dt float64, samples []sim.ShareSample) {
-	for _, o := range m.shares {
-		o.OnShares(t, dt, samples)
-	}
-}
-
 // Multi composes observers: nil for none, the observer itself for one, a
 // fan-out for more. Nil entries are dropped — including typed nils like a
 // `var t *ChromeTracer` that was never constructed, so call sites can pass
-// optional exporters unconditionally. If any composed observer implements
-// sim.ShareObserver, the fan-out does too.
+// optional exporters unconditionally.
 func Multi(os ...sim.Observer) sim.Observer {
 	var live []sim.Observer
 	for _, o := range os {
@@ -179,15 +164,6 @@ func Multi(os ...sim.Observer) sim.Observer {
 		return nil
 	case 1:
 		return live[0]
-	}
-	var shares []sim.ShareObserver
-	for _, o := range live {
-		if so, ok := o.(sim.ShareObserver); ok {
-			shares = append(shares, so)
-		}
-	}
-	if len(shares) > 0 {
-		return multiShare{multi: multi(live), shares: shares}
 	}
 	return multi(live)
 }

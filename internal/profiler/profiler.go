@@ -18,7 +18,6 @@ import (
 	"math/rand"
 
 	"delaystage/internal/cluster"
-	"delaystage/internal/dag"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
@@ -97,24 +96,7 @@ func ProfileJob(j *workload.Job, opt Options) (*Profile, error) {
 	}
 
 	// Extract parameters with measurement noise and scale back up.
-	rng := rand.New(rand.NewSource(opt.Seed))
-	perturb := func(v float64) float64 {
-		return v * (1 + (rng.Float64()*2-1)*opt.Noise)
-	}
-	est := j.Clone()
-	for _, id := range est.Graph.Stages() {
-		p := est.Profiles[id]
-		p.ShuffleIn = int64(perturb(float64(p.ShuffleIn)))
-		p.ShuffleOut = int64(perturb(float64(p.ShuffleOut)))
-		p.ProcRate = perturb(p.ProcRate)
-		if p.ShuffleIn < 1 {
-			p.ShuffleIn = 1
-		}
-		if p.ProcRate <= 0 {
-			p.ProcRate = 1
-		}
-		est.Profiles[dag.StageID(id)] = p
-	}
+	est := j.Perturbed(rand.New(rand.NewSource(opt.Seed)), opt.Noise)
 	if err := est.Validate(); err != nil {
 		return nil, fmt.Errorf("profiler: estimated job invalid: %w", err)
 	}

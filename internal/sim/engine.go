@@ -354,10 +354,6 @@ type engine struct {
 	blacklisted  []bool
 	nBlacklisted int
 
-	// shareObs is Options.Observer when it also implements ShareObserver
-	// (resolved once at construction); nil otherwise.
-	shareObs ShareObserver
-
 	// The halt (Stepper.AdvanceBefore): with haltSet, the event loop stops
 	// at the last event boundary before simulated time reaches haltAt —
 	// before firing any timer whose effective time is ≥ haltAt, before the
@@ -427,11 +423,9 @@ type engineBufs struct {
 
 	// Scratch buffers reused across events (the engine is single-threaded;
 	// each is live only within one helper call). medScratch is the
-	// speculation median scratch, shareScr the sample scratch handed to
-	// ShareObserver.OnShares.
+	// speculation median scratch.
 	itemPool      []*item
 	medScratch    []float64
-	shareScr      []ShareSample
 	shareScratch  []float64
 	demandScratch []float64
 	weightScratch []float64
@@ -501,9 +495,6 @@ func newEngine(opt Options, runs []JobRun) *engine {
 			e.netBW = append(e.netBW, bw)
 			e.totalNet += bw
 		}
-	}
-	if so, ok := opt.Observer.(ShareObserver); ok {
-		e.shareObs = so
 	}
 	return e
 }
@@ -1476,45 +1467,6 @@ func (e *engine) nextDT() float64 {
 	return dt
 }
 
-// emitShares publishes one ShareSample per live item for the interval
-// [e.now, e.now+dt) on which rates are constant. Only called when the
-// observer implements ShareObserver; the scratch slice is reused across
-// intervals so the steady state stays allocation-free.
-func (e *engine) emitShares(dt float64) {
-	s := e.shareScr[:0]
-	for _, it := range e.items {
-		var res Resource
-		var iso float64
-		switch it.ph {
-		case phRead:
-			res, iso = ResNet, e.netBW[it.node]
-		case phCompute:
-			res = ResCPU
-			ex := e.execs[it.node]
-			prof := &e.states[it.st].profile
-			if tpn := prof.tasksPerNode; tpn > 0 && ex > tpn {
-				ex = tpn
-			}
-			iso = ex * prof.procRate
-			if it.slow > 1 {
-				iso /= it.slow
-			}
-		case phWrite:
-			res, iso = ResDisk, e.diskBW[it.node]
-		}
-		node, link := it.node, false
-		if node >= e.nNodes {
-			node, link = it.home, true // a link read: report its receiving node
-		} else if s := e.nodeSlowdown(node); s > 1 {
-			iso /= s
-		}
-		s = append(s, ShareSample{Job: it.key.job, Stage: it.key.stage,
-			Node: node, Link: link, Res: res, Rate: it.rate, IsoRate: iso})
-	}
-	e.shareScr = s
-	e.shareObs.OnShares(e.now, dt, s)
-}
-
 // advance progresses every item by dt (rates are constant until then)
 // and moves the clock, in one pass over the items that also integrates
 // resource usage and collects the items that completed or died into the
@@ -1526,9 +1478,6 @@ func (e *engine) emitShares(dt float64) {
 // AggShuffle run tracks the capped items' and stages' compute progress,
 // which availability alone reads.
 func (e *engine) advance(dt float64) {
-	if e.shareObs != nil {
-		e.emitShares(dt)
-	}
 	if e.opt.TrackOccupancy {
 		e.recordOccupancy()
 	}

@@ -398,9 +398,9 @@ func TestSnapshotResumeErrors(t *testing.T) {
 
 // TestForkObservedWorld: the fork of a world with an Observer is
 // detached. Whether it continues the world or takes an injected
-// newcomer, it steps bit-identically to Run; none of its events or share
-// samples reaches the parent's observer; and the parent's own stream is
-// the one an unforked observed Run produces.
+// newcomer, it steps bit-identically to Run; none of its events reaches
+// the parent's observer; and the parent's own stream is the one an
+// unforked observed Run produces.
 func TestForkObservedWorld(t *testing.T) {
 	c := cluster.NewM4LargeCluster(6)
 	rng := rand.New(rand.NewSource(43))
@@ -420,17 +420,17 @@ func TestForkObservedWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := &shareRecorder{}
+		seen := &recorder{}
 		popt := opt
 		popt.Observer = seen
 		parent := pausedAt(t, popt, runs[:1], runs[1].Arrival)
 		quiet := func(ctx string, fork func()) {
 			t.Helper()
-			events, intervals := len(seen.events), seen.intervals
+			events := len(seen.events)
 			fork()
-			if len(seen.events) != events || seen.intervals != intervals {
-				t.Fatalf("%s/%s: the parent's observer saw %d events and %d share intervals of the fork",
-					job.Name, ctx, len(seen.events)-events, seen.intervals-intervals)
+			if len(seen.events) != events {
+				t.Fatalf("%s/%s: the parent's observer saw %d events of the fork",
+					job.Name, ctx, len(seen.events)-events)
 			}
 		}
 		// The planner's use: fork the live world and inject the newcomer.
@@ -466,18 +466,18 @@ func TestForkObservedWorld(t *testing.T) {
 	}
 }
 
-// requireObservedRun fails unless seen holds exactly the events and
-// share samples an observer attached to Run(opt, runs) receives.
-func requireObservedRun(t *testing.T, ctx string, opt Options, runs []JobRun, seen *shareRecorder) {
+// requireObservedRun fails unless seen holds exactly the events an
+// observer attached to Run(opt, runs) receives.
+func requireObservedRun(t *testing.T, ctx string, opt Options, runs []JobRun, seen *recorder) {
 	t.Helper()
-	want := &shareRecorder{}
+	want := &recorder{}
 	opt.Observer = want
 	if _, err := Run(opt, runs); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, seen) {
-		t.Fatalf("%s: observed stream differs from an unforked run's (%d events, %d intervals; want %d, %d)",
-			ctx, len(seen.events), seen.intervals, len(want.events), want.intervals)
+		t.Fatalf("%s: observed stream differs from an unforked run's (%d events; want %d)",
+			ctx, len(seen.events), len(want.events))
 	}
 }
 
@@ -633,9 +633,9 @@ func FuzzStepperFork(f *testing.F) {
 		jobs := galleryJobs(c, 0.2)
 		job := jobs[int(jobIdx)%len(jobs)]
 		rng := rand.New(rand.NewSource(seed))
-		var seen *shareRecorder
+		var seen *recorder
 		if seed%2 == 0 {
-			seen = &shareRecorder{}
+			seen = &recorder{}
 		}
 		if prefix > 0 {
 			fuzzMultiJobFork(t, c, jobs, job, rng, frac, stage, slack, 1+int(prefix-1)%3, fair, seen)
@@ -803,7 +803,7 @@ func requireDrainSum(t *testing.T, ctx string, s *Stepper, updates []DelayUpdate
 // as the scheduling service's data plane does: once drained, its stream
 // must be an unforked observed Run's.
 func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, job *workload.Job, rng *rand.Rand,
-	frac float64, stage uint8, x float64, n int, fair bool, seen *shareRecorder) {
+	frac float64, stage uint8, x float64, n int, fair bool, seen *recorder) {
 	opt := Options{Cluster: c, TrackNode: -1, FairByJob: fair}
 	var runs []JobRun
 	at := 0.0

@@ -157,31 +157,3 @@ func (r Resource) String() string {
 	}
 	return "unknown"
 }
-
-// ShareSample is one work item's resource share during a constant-rate
-// interval: the rate the fluid sharing actually allocated, and the rate
-// the item would sustain if it ran alone on the resource (capacity for
-// read/write, capped executor share times processing rate for compute —
-// straggler slowdowns are intrinsic to the item and stay in IsoRate).
-type ShareSample struct {
-	Job   int
-	Stage dag.StageID
-	Node  int
-	// Link marks a read over a link between two nodes (Options.Links);
-	// Node is then the receiving node and IsoRate the link's bandwidth.
-	Link    bool
-	Res     Resource
-	Rate    float64 // allocated bytes/s over this interval
-	IsoRate float64 // bytes/s the item would get alone on the resource
-}
-
-// ShareObserver is an optional extension of Observer: when the value in
-// Options.Observer also implements it, the engine calls OnShares once per
-// simulation interval (rates are constant within one) before advancing
-// time. t is the interval start, dt its length; samples is a scratch
-// slice valid only for the duration of the call and must not be retained.
-// Like Observer, implementations must not call back into the simulation;
-// a nil or non-ShareObserver observer costs the engine nothing.
-type ShareObserver interface {
-	OnShares(t, dt float64, samples []ShareSample)
-}

@@ -137,63 +137,6 @@ func TestObserverFaultEvents(t *testing.T) {
 	}
 }
 
-// shareRecorder captures resource-share snapshots; it also implements
-// Observer so it can be attached directly as Options.Observer.
-type shareRecorder struct {
-	recorder
-	intervals int
-	totalDT   float64
-	samples   []ShareSample
-}
-
-func (s *shareRecorder) OnShares(t, dt float64, samples []ShareSample) {
-	s.intervals++
-	s.totalDT += dt
-	s.samples = append(s.samples, samples...)
-}
-
-// TestShareObserverSnapshots: an observer implementing ShareObserver sees
-// one snapshot per simulation interval, samples carry sane rates
-// (0 ≤ rate, iso > 0), and attaching it perturbs nothing.
-func TestShareObserverSnapshots(t *testing.T) {
-	c := ref(5)
-	job := twoParallelJob(c, 10, 30, 10)
-	base := mustRun(t, Options{Cluster: c, TrackNode: -1}, []JobRun{{Job: job}})
-	rec := &shareRecorder{}
-	res := mustRun(t, Options{Cluster: c, TrackNode: -1, Observer: rec}, []JobRun{{Job: job}})
-
-	if base.Makespan != res.Makespan {
-		t.Errorf("makespan changed under share observation: %v vs %v", base.Makespan, res.Makespan)
-	}
-	if rec.intervals == 0 || len(rec.samples) == 0 {
-		t.Fatal("share observer saw no snapshots")
-	}
-	if rec.totalDT <= 0 || rec.totalDT > res.Makespan+1e-6 {
-		t.Errorf("snapshot intervals cover %v s of a %v s run", rec.totalDT, res.Makespan)
-	}
-	seen := map[Resource]bool{}
-	for _, s := range rec.samples {
-		if s.Rate < 0 {
-			t.Fatalf("negative rate in sample %+v", s)
-		}
-		if s.IsoRate <= 0 {
-			t.Fatalf("non-positive isolated rate in sample %+v", s)
-		}
-		if s.Node < 0 || s.Node >= 5 {
-			t.Fatalf("sample on unknown node: %+v", s)
-		}
-		if s.Res.String() == "unknown" {
-			t.Fatalf("sample with unknown resource: %+v", s)
-		}
-		seen[s.Res] = true
-	}
-	for _, r := range []Resource{ResNet, ResCPU, ResDisk} {
-		if !seen[r] {
-			t.Errorf("no %v samples in a read/compute/write workload", r)
-		}
-	}
-}
-
 // TestEventKindStrings pins the wire names — the JSONL schema depends on
 // them being stable.
 func TestEventKindStrings(t *testing.T) {

@@ -126,15 +126,15 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 }
 
 // TestResumedObserverSeesUninterruptedEvents: an Observer on a world
-// paused part-way and then resumed to its end receives the same event and
-// share streams as an observer on the uninterrupted run — the property
+// paused part-way and then resumed to its end receives the same event
+// stream as an observer on the uninterrupted run — the property
 // behind simulate's -events log, Chrome trace and report.
 func TestResumedObserverSeesUninterruptedEvents(t *testing.T) {
 	c := cluster.NewM4LargeCluster(6)
 	job := galleryJobs(c, 0.25)[3]
 	runs := []JobRun{{Job: job}}
 	for _, v := range stepVariants(t, c) {
-		want := &shareRecorder{}
+		want := &recorder{}
 		observed := v.opt
 		observed.Observer = want
 		ref, err := Run(observed, runs)
@@ -142,7 +142,7 @@ func TestResumedObserverSeesUninterruptedEvents(t *testing.T) {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		for _, frac := range []float64{0, 0.2, 0.5, 0.9} {
-			got := &shareRecorder{}
+			got := &recorder{}
 			observed.Observer = got
 			res, err := stepOut(pausedAt(t, observed, runs, ref.Makespan*frac))
 			if err != nil {
@@ -150,8 +150,8 @@ func TestResumedObserverSeesUninterruptedEvents(t *testing.T) {
 			}
 			requireIdentical(t, v.name+"/observed resume", ref, res)
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s resumed at %v of the run: observer saw %d events, %d share intervals; uninterrupted %d, %d",
-					v.name, frac, len(got.events), got.intervals, len(want.events), want.intervals)
+				t.Errorf("%s resumed at %v of the run: observer saw %d events; uninterrupted %d",
+					v.name, frac, len(got.events), len(want.events))
 			}
 		}
 	}

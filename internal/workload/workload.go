@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
@@ -126,6 +127,31 @@ func (j *Job) Clone() *Job {
 		nj.Profiles[id] = p
 	}
 	return nj
+}
+
+// Perturbed returns a clone of j whose profiled parameters carry
+// measurement noise: ShuffleIn, ShuffleOut and ProcRate of each stage, in
+// Graph.Stages() order, each scaled by a uniform factor in
+// [1−noise, 1+noise] drawn from rng, then clamped to ShuffleIn ≥ 1,
+// ShuffleOut ≥ 0 and ProcRate > 0. A zero noise returns the plain clone
+// and draws nothing from rng, so callers sharing it see the same stream
+// as without perturbation.
+func (j *Job) Perturbed(rng *rand.Rand, noise float64) *Job {
+	out := j.Clone()
+	if noise == 0 {
+		return out
+	}
+	perturb := func(v float64) float64 { return v * (1 + (rng.Float64()*2-1)*noise) }
+	for _, id := range out.Graph.Stages() {
+		p := out.Profiles[id]
+		p.ShuffleIn = max(int64(perturb(float64(p.ShuffleIn))), 1)
+		p.ShuffleOut = max(int64(perturb(float64(p.ShuffleOut))), 0)
+		if p.ProcRate = perturb(p.ProcRate); p.ProcRate <= 0 {
+			p.ProcRate = 1
+		}
+		out.Profiles[id] = p
+	}
+	return out
 }
 
 // PhaseSpec describes one stage by its intended *uncontended* phase
