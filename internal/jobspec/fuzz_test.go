@@ -1,6 +1,12 @@
 package jobspec
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,4 +29,183 @@ func FuzzParse(f *testing.F) {
 			return // cycles / bad profiles rejected, not panicked
 		}
 	})
+}
+
+// fuzzMaxStages is the stage limit FuzzDecodeMatchesJSON checks the
+// decoder's in-decode cutoff against, small enough to reach.
+const fuzzMaxStages = 3
+
+// FuzzDecodeMatchesJSON holds the one-pass decoder to encoding/json with
+// DisallowUnknownFields, on a submission and on a bare spec: both accept
+// or both reject, and accepted inputs decode to deeply equal values with
+// bit-identical floats. The decoder may reject more only with its
+// duplicate-key or trailing-data error, and only where a json.Decoder
+// token walk finds a duplicate key or data after the value; an input it
+// accepts has neither. Under a stage limit it rejects exactly the inputs
+// whose job is valid and longer than the limit, on top of the rest.
+func FuzzDecodeMatchesJSON(f *testing.F) {
+	f.Add(sampleJSON)
+	f.Add(`{"tenant":"a","arrival":12.5,"job":` + sampleJSON + `}`)
+	for _, src := range []string{
+		`{"job":{"name":"x","stages":[{"id":1,"parents":[],"phases":{"read_sec":-0,"tasks":3}}]}}`,
+		`{"Tenant":"a","ARRIVAL":1e-400,"jOb":{"ſtages":[{"id":2,"name":"😀\ud83d\ude00\ud800x\udc00\ud800\ud800\u00e9é\\\/\b\f\n\r\t","resources":{"shuffle_in_bytes":-9223372036854775808,"proc_rate_bps":1E+3}}]}}`,
+		"{\"tenant\":\"\xff\xc3(\xed\xa0\x80\",\"job\":{\"stages\":[null,{\"id\":1,\"parents\":[null,2]}]}}",
+		`{"tenant":null,"arrival":null,"job":{"name":null,"stages":[{"id":null,"parents":null,"phases":null,"resources":null}]}}`,
+		`{"job":{"stages":[{"id":1,"resources":{"shuffle_in_bytes":1,"shuffle_out_bytes":2,"proc_rate_bps":3,"sKew":0.5,"tasKs":4}}]}}`,
+		`{"job":{"stages":[{},{},{},{}]}}`,
+		`{"job":{"stages":[{},{},{},{}, 1]}}`,
+		`null`,
+		` {"arrival":1}` + "\t\r\n ",
+		`{"arrival":1e400}`,
+		`{"job":{"stages":[{"id":1.0}]}}`,
+		`{"job":{"stages":[{"id":1e2}]}}`,
+		`{"job":{"stages":[{"id":9223372036854775808}]}}`,
+		`{"job":{"stages":[{"id":"1"}]}}`,
+		`{"tenant":"a","tenant":"b"}`,
+		`{"tenAnt":"","tenAnt"`,
+		`{"job":{"stages":[{"id":1,"phases":{"read_sec":1}},{"phases":{},"phases":{"read_sec":2}}]}}`,
+		`{"job":{"stages":[{"id":1,"phases":{}}],"stages":[{"phases":{}}]}}`,
+		`{"job":{"name":"x"}} garbage`,
+		`{"job":{}}{}`,
+		`{"job":{"stages":[]},"owner":"x"}`,
+		`{"job":{"stages":[{"id":01}]}}`,
+		`{"job":{"stages":[{"id":-}]}}`,
+		`{"job":{"stages":[1,]}}`,
+		"{\"tenant\":\"\x01\"}",
+		`{"tenant":"\u12"}`,
+		`{"tenant":"\a"}`,
+		`{"tenant" "a"}`,
+		`{"tenant":"a",}`,
+		`[]`,
+		`"x"`,
+		``,
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		data := []byte(src)
+		sub, err := DecodeSubmission(data, math.MaxInt)
+		var want Submission
+		checkAgainstJSON(t, data, &sub, err, &want)
+
+		limited, lerr := DecodeSubmission(data, fuzzMaxStages)
+		over := err == nil && sub.Job != nil && len(sub.Job.Stages) > fuzzMaxStages
+		switch {
+		case errors.Is(lerr, errOverLimit):
+			if err == nil && !over {
+				t.Fatalf("stage-limit error on a job of at most %d stages: %v", fuzzMaxStages, lerr)
+			}
+		case over:
+			t.Fatalf("a job of %d stages passed the limit of %d", len(sub.Job.Stages), fuzzMaxStages)
+		case (lerr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(limited, sub):
+			t.Fatalf("the limit changed the outcome: %v vs %v", lerr, err)
+		}
+
+		spec, err := decodeSpec(data)
+		if spec == nil {
+			spec = new(Spec)
+		}
+		checkAgainstJSON(t, data, spec, err, new(Spec))
+	})
+}
+
+// checkAgainstJSON compares got, decoded with error err, with what a
+// json.Decoder with DisallowUnknownFields decodes from data into want.
+func checkAgainstJSON[T any](t *testing.T, data []byte, got *T, err error, want *T) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	jerr := dec.Decode(want)
+	dup, trailing := tokenWalk(data)
+	switch {
+	case err == nil && jerr != nil:
+		t.Fatalf("accepted what encoding/json rejects: %v", jerr)
+	case err == nil && (dup || trailing):
+		t.Fatalf("accepted a duplicate key (%v) or trailing data (%v)", dup, trailing)
+	case err == nil:
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded %+v, encoding/json %+v", got, want)
+		}
+		if g, w := floatBits(reflect.ValueOf(got), nil), floatBits(reflect.ValueOf(want), nil); !reflect.DeepEqual(g, w) {
+			t.Fatalf("float bits %x, encoding/json %x", g, w)
+		}
+	case errors.Is(err, errDuplicateKey):
+		if !dup {
+			t.Fatalf("duplicate-key error where a token walk finds none: %v", err)
+		}
+	case errors.Is(err, errTrailingData):
+		if !trailing {
+			t.Fatalf("trailing-data error where a token walk finds none: %v", err)
+		}
+	case jerr == nil:
+		t.Fatalf("rejected what encoding/json accepts: %v", err)
+	}
+}
+
+// tokenWalk walks the first JSON value in data with json.Decoder.Token and
+// reports whether one of its objects has two keys equal under
+// strings.EqualFold before any syntax error, and whether the value is
+// valid and anything but whitespace follows it.
+func tokenWalk(data []byte) (dup, trailing bool) {
+	type frame struct {
+		object, wantKey bool
+		keys            []string
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var stack []frame
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return dup, false
+		}
+		if n := len(stack); n > 0 && stack[n-1].wantKey {
+			if key, ok := tok.(string); ok {
+				top := &stack[n-1]
+				for _, k := range top.keys {
+					dup = dup || strings.EqualFold(k, key)
+				}
+				top.keys = append(top.keys, key)
+				top.wantKey = false
+				continue
+			}
+		}
+		switch tok {
+		case json.Delim('{'):
+			stack = append(stack, frame{object: true, wantKey: true})
+			continue
+		case json.Delim('['):
+			stack = append(stack, frame{})
+			continue
+		case json.Delim('}'), json.Delim(']'):
+			stack = stack[:len(stack)-1]
+		}
+		// A value ended: the walk is done, or its object wants a key next.
+		if len(stack) == 0 {
+			break
+		}
+		stack[len(stack)-1].wantKey = stack[len(stack)-1].object
+	}
+	_, err := dec.Token()
+	return dup, err != io.EOF
+}
+
+// floatBits appends the bits of every float64 reachable from v, in order.
+func floatBits(v reflect.Value, bits []uint64) []uint64 {
+	switch v.Kind() {
+	case reflect.Float64:
+		bits = append(bits, math.Float64bits(v.Float()))
+	case reflect.Pointer:
+		if !v.IsNil() {
+			bits = floatBits(v.Elem(), bits)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			bits = floatBits(v.Index(i), bits)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			bits = floatBits(v.Field(i), bits)
+		}
+	}
+	return bits
 }

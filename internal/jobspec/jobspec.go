@@ -59,18 +59,21 @@ type ResourceSpec struct {
 	Tasks           int     `json:"tasks,omitempty"`
 }
 
-// Parse reads a Spec from JSON.
+// Parse reads a Spec from JSON, decoded as DecodeSubmission decodes a
+// submission's job but with no stage limit, and validates it.
 func Parse(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("jobspec: %w", err)
+	}
+	s, err := decodeSpec(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
 }
 
 // Load reads a Spec from a file.
@@ -109,16 +112,21 @@ func (s *Spec) validate() error {
 
 // Job validates the spec and materializes it into a workload.Job against
 // the reference cluster (used to convert phase durations into byte
-// quantities). A Spec decoded without Parse, for example as a field of a
-// larger request, gets the same checks and error messages here.
+// quantities). A Spec decoded without Parse, for example as the job of a
+// Submission, gets the same checks and error messages here.
 func (s *Spec) Job(ref *cluster.Cluster) (*workload.Job, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	g := dag.New()
-	profiles := make(map[dag.StageID]workload.StageProfile, len(s.Stages))
+	edges := 0
 	for _, st := range s.Stages {
-		var parents []dag.StageID
+		edges += len(st.Parents)
+	}
+	g := dag.NewSized(len(s.Stages), edges)
+	profiles := make(map[dag.StageID]workload.StageProfile, len(s.Stages))
+	var parents []dag.StageID // reused: AddStage copies the list
+	for _, st := range s.Stages {
+		parents = parents[:0]
 		for _, p := range st.Parents {
 			parents = append(parents, dag.StageID(p))
 		}

@@ -56,6 +56,9 @@ func TestParseErrors(t *testing.T) {
 		`{"stages": [{"id": 1, "parents": [9], "phases": {"read_sec": 1}}]}`, // bad parent
 		`{"stages": [{"id": 1, "phases": {"read_sec": 1}, "bogus": true}]}`,  // unknown field
 		`not json`,
+		`{"stages": [{"id": 1, "phases": {"read_sec": 1}}], "Stages": [{"id": 2}]}`, // duplicate key
+		`{"stages": [{"id": 1, "phases": {"read_sec": 1}, "phases": {}}]}`,          // duplicate key
+		`{"stages": [{"id": 1, "phases": {"read_sec": 1}}]} {}`,                     // trailing data
 	}
 	for i, src := range cases {
 		if _, err := Parse(strings.NewReader(src)); err == nil {

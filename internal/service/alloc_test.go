@@ -20,16 +20,16 @@ var raceEnabled bool
 // template-cache path, through Handler(): decode, admission, a cache hit,
 // the data-plane injection and the status response. The submissions are
 // 1,000 simulated seconds apart, so each one drains the previous busy
-// period and opens a new epoch. A POST costs about 149 allocations and
-// 15.8 KB (Go 1.24); the budgets leave ~17% headroom on the count and
+// period and opens a new epoch. A POST costs about 119 allocations and
+// 14.2 KB (Go 1.24); the budgets leave ~17% headroom on the count and
 // ~26% on the bytes. A drained world dropped without Stepper.Close, so
-// that every epoch builds its engine from scratch (about 179 allocations
-// and 25.6 KB), fails both; so does a span tree built and kept for every
-// finished job (about 206 allocations and 22.3 KB). Like core's budgets
+// that every epoch builds its engine from scratch (about 149 allocations
+// and 24.0 KB), fails both; so does a span tree built and kept for every
+// finished job (about 176 allocations and 20.7 KB). Like core's budgets
 // it is not checked under -race, where sync.Pool drops a random share of
 // the pooled engines.
 func TestSubmitAllocBudget(t *testing.T) {
-	const budget, bytesBudget = 175, 20_000
+	const budget, bytesBudget = 140, 18_000
 	if raceEnabled {
 		t.Skip("sync.Pool drops engines under -race")
 	}

@@ -306,8 +306,14 @@ func malformedSubmits() []struct{ name, body string } {
 		{"empty stages", `{"job":{"name":"x","stages":[]}}`},
 		{"unknown field in job", `{"job":{"name":"x","stages":[{"id":0,"phases":{"read_sec":1,"compute_sec":1,"write_sec":1}}],"owner":"x"}}`},
 		{"too many stages", wideJobBody(maxSubmitStages + 1)},
+		{"duplicate job key", `{"job":` + oneStageJob + `,"job":` + oneStageJob + `}`},
+		{"duplicate phases key", `{"job":{"stages":[{"id":0,"phases":{"read_sec":1},"phases":{"compute_sec":1}}]}}`},
+		{"trailing data", `{"job":` + oneStageJob + `} garbage`},
 	}
 }
+
+// oneStageJob is a valid one-stage job spec.
+const oneStageJob = `{"name":"x","stages":[{"id":0,"phases":{"read_sec":1,"compute_sec":1,"write_sec":1}}]}`
 
 // conserved reports whether the service counters conserve: every
 // counted submission is admitted or rejected, and every admitted job is
@@ -351,6 +357,32 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 	if cs := s.ClusterState(); cs.Submitted != 0 {
 		t.Fatalf("oversized body counted: %+v", cs)
+	}
+}
+
+// TestSubmitStageLimitStopsDecode: a job over maxSubmitStages is refused
+// when its stage maxSubmitStages+1 begins. The body's syntax error after
+// that stage is never read.
+func TestSubmitStageLimitStopsDecode(t *testing.T) {
+	s := newTestService(t, Options{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := strings.TrimSuffix(wideJobBody(maxSubmitStages+1), `]}}`) + `,}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	want := fmt.Sprintf("over the limit of %d", maxSubmitStages)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, want) {
+		t.Fatalf("over-long job with a syntax error after it: %d %q, want 400 and %q", resp.StatusCode, eb.Error, want)
+	}
+	if cs := s.ClusterState(); cs.Submitted != 0 {
+		t.Fatalf("over-long job counted: %+v", cs)
 	}
 }
 

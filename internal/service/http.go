@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -39,15 +40,6 @@ const maxSubmitBytes = 8 << 20
 // superlinearly in the stage count, and the largest trace job has 186
 // stages.
 const maxSubmitStages = 1024
-
-// submitBody is the POST /v1/jobs request payload. The body is decoded
-// once: Job is decoded in the same pass as the envelope, under the same
-// unknown-field check, and Spec.Job then runs jobspec's validation.
-type submitBody struct {
-	Tenant  string        `json:"tenant"`
-	Arrival *float64      `json:"arrival"`
-	Job     *jobspec.Spec `json:"job"`
-}
 
 // errorBody is every non-2xx response payload.
 type errorBody struct {
@@ -120,25 +112,27 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// handleSubmit reads the body whole and decodes it with
+// jobspec.DecodeSubmission, which stops at stage maxSubmitStages+1;
+// Spec.Job then runs jobspec's validation.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var body submitBody
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
+	data, err := readBody(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, code, fmt.Errorf("decode request: %w", err))
+		writeError(w, code, fmt.Errorf("read request: %w", err))
+		return
+	}
+	body, err := jobspec.DecodeSubmission(data, maxSubmitStages)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if body.Job == nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing \"job\""))
-		return
-	}
-	if n := len(body.Job.Stages); n > maxSubmitStages {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("job has %d stages, over the limit of %d", n, maxSubmitStages))
 		return
 	}
 	job, err := body.Job.Job(s.opt.Cluster)
@@ -165,6 +159,28 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// readBody is io.ReadAll starting from a buffer of the body's declared
+// size, so that a body of known length is read in one allocation.
+func readBody(body io.Reader, size int64) ([]byte, error) {
+	if size < 0 || size > maxSubmitBytes {
+		size = 512
+	}
+	b := make([]byte, 0, size+1) // +1: room for the read that returns io.EOF
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func (s *Service) handleJobs(w http.ResponseWriter, _ *http.Request) {
