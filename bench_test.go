@@ -770,8 +770,17 @@ func BenchmarkServiceSubmit(b *testing.B) {
 // submissions gets a fresh service under cmd/schedd's defaults, warmed
 // with one solo submission per shape while the timer is stopped; the
 // blocks keep simulated time far inside the engine's horizon at any b.N.
-// ns/submission, B/op and allocs/op are per POST.
-func BenchmarkServiceSubmitHTTP(b *testing.B) {
+// ns/submission, B/op and allocs/op are per POST. Every job value is
+// byte-equal to a warm-up's, so every POST reuses an interned spec.
+func BenchmarkServiceSubmitHTTP(b *testing.B) { benchSubmitHTTP(b, false) }
+
+// BenchmarkServiceSubmitHTTPDistinct is BenchmarkServiceSubmitHTTP with a
+// name of its own in every POST's job: the plans are still template-cache
+// hits, as fingerprints leave names out, but no job value repeats within
+// a block, so every POST decodes, builds and interns its spec.
+func BenchmarkServiceSubmitHTTPDistinct(b *testing.B) { benchSubmitHTTP(b, true) }
+
+func benchSubmitHTTP(b *testing.B, distinct bool) {
 	const (
 		block   = 800    // submissions per service
 		gap     = 66.0   // simulated seconds between submissions
@@ -788,8 +797,10 @@ func BenchmarkServiceSubmitHTTP(b *testing.B) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	body := func(job *workload.Job, at float64) []byte {
-		raw, err := json.Marshal(map[string]any{"tenant": "bench", "arrival": at, "job": jobspec.FromJob(job)})
+	body := func(job *workload.Job, name string, at float64) []byte {
+		spec := jobspec.FromJob(job)
+		spec.Name = name
+		raw, err := json.Marshal(map[string]any{"tenant": "bench", "arrival": at, "job": spec})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -797,11 +808,16 @@ func BenchmarkServiceSubmitHTTP(b *testing.B) {
 	}
 	warmups := make([][]byte, len(names))
 	for k, name := range names {
-		warmups[k] = body(pool[name], float64(k)*warmGap)
+		warmups[k] = body(pool[name], pool[name].Name, float64(k)*warmGap)
 	}
 	posts := make([][]byte, block)
 	for k := range posts {
-		posts[k] = body(pool[names[k%len(names)]], float64(len(names))*warmGap+float64(k)*gap)
+		job := pool[names[k%len(names)]]
+		name := job.Name
+		if distinct {
+			name = fmt.Sprintf("%s-%d", name, k)
+		}
+		posts[k] = body(job, name, float64(len(names))*warmGap+float64(k)*gap)
 	}
 	var h http.Handler
 	post := func(raw []byte) {

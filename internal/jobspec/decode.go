@@ -55,17 +55,34 @@ var (
 // keys that name the same field, and anything but whitespace after the
 // top-level value are errors.
 func DecodeSubmission(data []byte, maxStages int) (Submission, error) {
-	d := decoder{data: data, maxStages: maxStages}
-	var sub Submission
+	sub, _, err := DecodeSubmissionKnown(data, maxStages, nil)
+	return sub, err
+}
+
+// DecodeSubmissionKnown is DecodeSubmission that also returns the bytes
+// of the job value, a window of data, and skips a job the caller already
+// holds. When known is not nil and the job value is an object, a
+// structural scan first finds where the object ends, and known is asked
+// about its bytes. If it answers true, the job is not decoded: sub.Job
+// is nil and job holds the bytes. Otherwise the job is decoded as
+// DecodeSubmission decodes it. The rest of the submission is decoded in
+// full either way, so a duplicate key or trailing data is still an error.
+//
+// known may answer true only for bytes that a job value decoded without
+// error under the same maxStages. They decode the same wherever they
+// appear, as the decoder reads nothing past a value's closing brace, and
+// on such bytes the scan ends exactly where the decode does.
+func DecodeSubmissionKnown(data []byte, maxStages int, known func(job []byte) bool) (sub Submission, job []byte, err error) {
+	d := decoder{data: data, maxStages: maxStages, known: known}
 	if !d.null() {
 		if err := d.submission(&sub); err != nil {
-			return Submission{}, err
+			return Submission{}, nil, err
 		}
 	}
 	if err := d.end(); err != nil {
-		return Submission{}, err
+		return Submission{}, nil, err
 	}
-	return sub, nil
+	return sub, d.jobBytes, nil
 }
 
 // decodeSpec decodes a bare Spec from data under DecodeSubmission's rules
@@ -102,6 +119,9 @@ type decoder struct {
 	off       int
 	maxStages int
 	buf       []byte // a string's resolved escapes
+
+	known    func([]byte) bool // DecodeSubmissionKnown's lookup
+	jobBytes []byte            // the job value, once read
 
 	parents   []int
 	phases    []PhaseSpec
@@ -428,13 +448,58 @@ func (d *decoder) submission(sub *Submission) error {
 			sub.Arrival = new(float64)
 			*sub.Arrival, err = d.float()
 		case "job":
-			sub.Job = new(Spec)
-			err = d.spec(sub.Job)
+			err = d.job(sub)
 		}
 		if err != nil {
 			return err
 		}
 	}
+}
+
+// job reads the submission's job value and records its bytes, skipping
+// it when the decoder's lookup knows them.
+func (d *decoder) job(sub *Submission) error {
+	start := d.off // field has skipped the whitespace before the value
+	if d.known != nil {
+		if end := skipObject(d.data, start); end > 0 && d.known(d.data[start:end]) {
+			d.off, d.jobBytes = end, d.data[start:end]
+			return nil
+		}
+	}
+	sub.Job = new(Spec)
+	if err := d.spec(sub.Job); err != nil {
+		return err
+	}
+	d.jobBytes = d.data[start:d.off]
+	return nil
+}
+
+// skipObject returns the offset just past the object that opens at
+// data[i], found by counting brackets outside strings, or -1 when data[i]
+// is not '{' or the brackets do not close. It checks no other syntax: on
+// input the decoder accepts, it ends where the decode ends.
+func skipObject(data []byte, i int) int {
+	if i >= len(data) || data[i] != '{' {
+		return -1
+	}
+	depth := 0
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case '"':
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				if data[i] == '\\' {
+					i++ // the escaped byte, which may be a quote
+				}
+			}
+		}
+	}
+	return -1
 }
 
 func (d *decoder) spec(s *Spec) error {

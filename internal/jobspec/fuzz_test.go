@@ -209,3 +209,79 @@ func floatBits(v reflect.Value, bits []uint64) []uint64 {
 	}
 	return bits
 }
+
+// FuzzJobSpan holds DecodeSubmissionKnown's job span and skip to the full
+// decode. A lookup that never answers true changes nothing. On a miss,
+// the span of an accepted body is exactly the job
+// value, as encoding/json's RawMessage delimits it, a window of the input,
+// and skipObject over it ends exactly at its end. Answering a lookup with
+// the span, or with a fixed spec decoded elsewhere, must skip that value
+// and decode everything else as the miss did: the same error, or none
+// and the same tenant and arrival.
+func FuzzJobSpan(f *testing.F) {
+	known := []byte(sampleJSON)
+	f.Add(`{"tenant":"a","arrival":12.5,"job":` + sampleJSON + `}`)
+	for _, src := range []string{
+		`{"job":` + sampleJSON + `,"tenant":"b"}`,
+		`{"JOB": ` + sampleJSON + "\n}",
+		`{"job":` + sampleJSON + `,"job":` + sampleJSON + `}`,
+		`{"job":` + sampleJSON + `} x`,
+		`{"job":` + sampleJSON + `,"owner":1}`,
+		`{"job":{"name":"a\"}{[","stages":[{"id":1,"name":"\\","phases":{}}]}}`,
+		`{"job":{"name":"\\"","stages":[]}}`,
+		`{"job":{"stages":[{"id":1,"parents":[]}]},"arrival":-0}`,
+		`{"job":{"stages":[}`,
+		`{"job":null}`,
+		`{"job":{}}`,
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		data := []byte(src)
+		sub, span, err := DecodeSubmissionKnown(data, math.MaxInt, func([]byte) bool { return false })
+		plain, perr := DecodeSubmission(data, math.MaxInt)
+		if (perr == nil) != (err == nil) || err != nil && perr.Error() != err.Error() || !reflect.DeepEqual(plain, sub) {
+			t.Fatalf("a lookup that never knows decoded %+v (%v), DecodeSubmission %+v (%v)", sub, err, plain, perr)
+		}
+		if err == nil && sub.Job != nil {
+			var env struct{ Job json.RawMessage }
+			if jerr := json.Unmarshal(data, &env); jerr != nil || !bytes.Equal(span, env.Job) {
+				t.Fatalf("span %q, encoding/json's job value %q (%v)", span, env.Job, jerr)
+			}
+			if off := cap(data) - cap(span); off < 0 || off+len(span) > len(data) || &data[off] != &span[0] {
+				t.Fatalf("span %q is not a window of the input", span)
+			}
+			if end := skipObject(span, 0); end != len(span) {
+				t.Fatalf("skip of %q ends at %d, the decode at %d", span, end, len(span))
+			}
+		} else if span != nil {
+			t.Fatalf("span %q without a decoded job (%v)", span, err)
+		}
+		for _, v := range [][]byte{span, known} {
+			if v == nil {
+				continue
+			}
+			hit := false
+			got, gotSpan, gerr := DecodeSubmissionKnown(data, math.MaxInt, func(job []byte) bool {
+				hit = bytes.Equal(job, v)
+				return hit
+			})
+			if (gerr == nil) != (err == nil) || gerr != nil && gerr.Error() != err.Error() {
+				t.Fatalf("lookup of %q: error %v, decoded %v", v, gerr, err)
+			}
+			if gerr != nil {
+				continue
+			}
+			if hit && (got.Job != nil || !bytes.Equal(gotSpan, v)) {
+				t.Fatalf("hit on %q decoded the job or spans %q", v, gotSpan)
+			}
+			if got.Tenant != sub.Tenant || (got.Arrival == nil) != (sub.Arrival == nil) ||
+				got.Arrival != nil && math.Float64bits(*got.Arrival) != math.Float64bits(*sub.Arrival) {
+				t.Fatalf("lookup of %q decoded %+v, the miss %+v", v, got, sub)
+			}
+			if !hit && !reflect.DeepEqual(got, sub) {
+				t.Fatalf("a missed lookup decoded %+v, the plain decode %+v", got, sub)
+			}
+		}
+	})
+}

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/jobspec"
 	"delaystage/internal/workload"
 )
 
@@ -20,16 +23,50 @@ var raceEnabled bool
 // template-cache path, through Handler(): decode, admission, a cache hit,
 // the data-plane injection and the status response. The submissions are
 // 1,000 simulated seconds apart, so each one drains the previous busy
-// period and opens a new epoch. A POST costs about 119 allocations and
-// 14.2 KB (Go 1.24); the budgets leave ~17% headroom on the count and
-// ~26% on the bytes. A drained world dropped without Stepper.Close, so
-// that every epoch builds its engine from scratch (about 149 allocations
-// and 24.0 KB), fails both; so does a span tree built and kept for every
-// finished job (about 176 allocations and 20.7 KB). Like core's budgets
-// it is not checked under -race, where sync.Pool drops a random share of
-// the pooled engines.
+// period and opens a new epoch. Their job values are byte-equal, so every
+// measured POST also reuses the interned spec instead of decoding and
+// building its job. A POST costs about 60 allocations and 9.8 KB (Go
+// 1.24); the budgets leave ~17% headroom on the count and ~26% on the
+// bytes. A drained world dropped without Stepper.Close, so that every
+// epoch builds its engine from scratch (about 89 allocations and 19.5
+// KB), fails both; so does a span tree built and kept for every finished
+// job (about 117 allocations and 16.2 KB). Like core's budgets it is not
+// checked under -race, where sync.Pool drops a random share of the pooled
+// engines.
 func TestSubmitAllocBudget(t *testing.T) {
-	const budget, bytesBudget = 140, 18_000
+	const budget, bytesBudget = 70, 12_300
+	allocs, bytes := submitAllocs(t, false)
+	if allocs > budget {
+		t.Errorf("%.0f allocations per cache-hit POST; budget %d", allocs, budget)
+	}
+	if bytes > bytesBudget {
+		t.Errorf("%.0f B per cache-hit POST; budget %d", bytes, bytesBudget)
+	}
+}
+
+// TestSubmitAllocBudgetDistinct is TestSubmitAllocBudget on a stream of
+// specs that never recur, as each POST names its job anew: every POST
+// decodes and builds its job, records a first sighting and then hits the
+// template cache, whose fingerprint leaves names out. A POST costs about
+// 115 allocations and 14.3 KB (Go 1.24); the budgets keep the same
+// headroom, and both mutants above fail both of them too (about 144
+// allocations and 24.0 KB, and 172 and 20.7 KB).
+func TestSubmitAllocBudgetDistinct(t *testing.T) {
+	const budget, bytesBudget = 135, 18_000
+	allocs, bytes := submitAllocs(t, true)
+	if allocs > budget {
+		t.Errorf("%.0f allocations per distinct-spec POST; budget %d", allocs, budget)
+	}
+	if bytes > bytesBudget {
+		t.Errorf("%.0f B per distinct-spec POST; budget %d", bytes, bytesBudget)
+	}
+}
+
+// submitAllocs returns the allocations and heap bytes of one cache-hit
+// POST, whose job is the same spec every time or, if distinct, a spec of
+// a name of its own.
+func submitAllocs(t *testing.T, distinct bool) (allocs, heap float64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops engines under -race")
 	}
@@ -38,6 +75,17 @@ func TestSubmitAllocBudget(t *testing.T) {
 	job := workload.CosineSimilarity(c, 0.15)
 	s := newTestService(t, Options{Cluster: c})
 	h := s.Handler()
+	body := func(k int) []byte {
+		spec := jobspec.FromJob(job)
+		if distinct {
+			spec.Name = fmt.Sprintf("%s-%d", spec.Name, k)
+		}
+		raw, err := json.Marshal(map[string]any{"tenant": "t", "arrival": float64(k) * gap, "job": spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
 	post := func(raw []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(raw)))
@@ -46,24 +94,25 @@ func TestSubmitAllocBudget(t *testing.T) {
 		}
 	}
 	// The cold plan stores the template; every later POST hits it.
-	post(submitBodyFor(t, job, "t", 0))
+	post(body(0))
 	// testing.AllocsPerRun calls its function once more than asked, and
-	// bytesPerRun takes as many again.
+	// bytesPerRun takes as many again. The first of these calls is a
+	// recurring spec's second sighting, which interns it.
 	bodies := make([][]byte, 2*posts+1)
 	for k := range bodies {
-		bodies[k] = submitBodyFor(t, job, "t", float64(k+1)*gap)
+		bodies[k] = body(k + 1)
 	}
 	next := 0
 	submit := func() {
 		post(bodies[next])
 		next++
 	}
-	allocs := testing.AllocsPerRun(posts, submit)
+	allocs = testing.AllocsPerRun(posts, submit)
 	// On one P with the collector off, sync.Pool hands every engine back,
 	// so the bytes depend neither on when collections run nor on which P
 	// the goroutine lands on.
 	procs, gc := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
-	bytes := bytesPerRun(posts, submit)
+	heap = bytesPerRun(posts, submit)
 	runtime.GOMAXPROCS(procs)
 	debug.SetGCPercent(gc)
 	if cs := s.ClusterState(); cs.Submitted != len(bodies)+1 || cs.Epoch != len(bodies) {
@@ -78,13 +127,15 @@ func TestSubmitAllocBudget(t *testing.T) {
 	if hits != len(bodies) {
 		t.Fatalf("%d cache hits over %d POSTs", hits, len(bodies))
 	}
-	t.Logf("%.0f allocations, %.0f B per cache-hit POST", allocs, bytes)
-	if allocs > budget {
-		t.Errorf("%.0f allocations per cache-hit POST; budget %d", allocs, budget)
+	wantReuse := len(bodies) - 1
+	if distinct {
+		wantReuse = 0
 	}
-	if bytes > bytesBudget {
-		t.Errorf("%.0f B per cache-hit POST; budget %d", bytes, bytesBudget)
+	if v := metricValue(t, s, `schedd_spec_intern_total{result="hit"}`); v != fmt.Sprint(wantReuse) {
+		t.Fatalf("%s interned specs reused over %d POSTs, want %d", v, len(bodies), wantReuse)
 	}
+	t.Logf("%.0f allocations, %.0f B per cache-hit POST", allocs, heap)
+	return allocs, heap
 }
 
 // bytesPerRun is the heap bytes allocated per call of f over runs calls.

@@ -113,8 +113,10 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // handleSubmit reads the body whole and decodes it with
-// jobspec.DecodeSubmission, which stops at stage maxSubmitStages+1;
-// Spec.Job then runs jobspec's validation.
+// jobspec.DecodeSubmissionKnown, which stops at stage maxSubmitStages+1.
+// A job value byte-equal to an interned one is skipped and its interned
+// job reused; any other job is built and validated by Spec.Job, and then
+// interned.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	data, err := readBody(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
 	if err != nil {
@@ -126,21 +128,45 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, fmt.Errorf("read request: %w", err))
 		return
 	}
-	body, err := jobspec.DecodeSubmission(data, maxSubmitStages)
+	var facts *specFacts
+	var lookup func([]byte) bool
+	if s.specs != nil {
+		lookup = func(v []byte) bool {
+			facts = s.specs.get(v)
+			return facts != nil
+		}
+	}
+	body, raw, err := jobspec.DecodeSubmissionKnown(data, maxSubmitStages, lookup)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	if body.Job == nil {
+	switch {
+	case facts != nil:
+		s.mInternHit.Inc()
+	case body.Job == nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing \"job\""))
 		return
+	default:
+		job, err := body.Job.Job(s.opt.Cluster)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		facts = newSpecFacts(job)
+		if s.specs != nil {
+			s.mInternMiss.Inc()
+			s.gInternSize.Set(float64(s.specs.put(raw, facts)))
+		}
 	}
-	job, err := body.Job.Job(s.opt.Cluster)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	st, err := s.Submit(SubmitRequest{Tenant: body.Tenant, Job: job, Arrival: body.Arrival})
+	st, err := s.submit(s.clock(), SubmitRequest{Tenant: body.Tenant, Job: facts.job, Arrival: body.Arrival}, facts)
+	writeSubmitted(w, st, err)
+}
+
+// writeSubmitted answers a submission with Submit's outcome: 200 with the
+// job's status, 429 with it when admission bounced the job, 400 on an
+// invalid arrival, 422 for an admitted job that failed, else 500.
+func writeSubmitted(w http.ResponseWriter, st JobStatus, err error) {
 	if err != nil {
 		code := http.StatusInternalServerError
 		var ae *scheduler.InvalidArrivalError

@@ -21,6 +21,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -68,8 +69,9 @@ type Options struct {
 	// queues a delay only adds latency on top of contention the objective
 	// already penalizes. 0 disables revision.
 	ReviseQueueDepth int
-	// CacheCapacity bounds the plan-template cache (0 = 512; negative
-	// disables caching).
+	// CacheCapacity bounds the plan-template cache and the table of
+	// interned job specs, each to this many entries (0 = 512; negative
+	// disables both).
 	CacheCapacity int
 	// TimeScale is simulated seconds per wall-clock second, used to derive
 	// the arrival time of submissions that do not carry one (0 = 1).
@@ -205,6 +207,8 @@ type Service struct {
 	logger   *slog.Logger
 	traceLog io.Writer
 
+	specs *specTable // interned job specs, under their own lock; nil = off
+
 	mu        sync.Mutex
 	planner   *scheduler.OnlinePlanner
 	cache     *templateCache
@@ -228,6 +232,8 @@ type Service struct {
 	mPlanSec, mJCT                       *obs.Histogram
 	mE2E, mQueueWait                     *obs.Histogram
 	gLive, gSimClock, gCacheSize         *obs.Gauge
+	mInternHit, mInternMiss              *obs.Counter
+	gInternSize                          *obs.Gauge
 }
 
 // New validates the configuration and returns an idle service.
@@ -273,11 +279,12 @@ func New(opt Options) (*Service, error) {
 		tlCap:     timelineCapacity,
 	}
 	s.start = s.clock()
-	switch {
-	case opt.CacheCapacity == 0:
-		s.cache = newTemplateCache(512)
-	case opt.CacheCapacity > 0:
-		s.cache = newTemplateCache(opt.CacheCapacity)
+	if capacity := opt.CacheCapacity; capacity >= 0 {
+		if capacity == 0 {
+			capacity = 512
+		}
+		s.cache = newTemplateCache(capacity)
+		s.specs = newSpecTable(capacity)
 	}
 	reg := s.reg
 	policy := fmt.Sprintf("{policy=%q}", s.admission.Name())
@@ -306,6 +313,10 @@ func New(opt Options) (*Service, error) {
 	s.gLive = reg.Gauge("schedd_jobs_live", "", "Admitted jobs not yet finished.")
 	s.gSimClock = reg.Gauge("schedd_sim_clock_seconds", "", "Simulated clock high-water mark.")
 	s.gCacheSize = reg.Gauge("schedd_plan_cache_entries", "", "Plan templates currently cached.")
+	const internHelp = "Submitted job specs by intern-table outcome: a hit reuses an interned spec's job, a miss decodes and builds it."
+	s.mInternHit = reg.Counter("schedd_spec_intern_total", `{result="hit"}`, internHelp)
+	s.mInternMiss = reg.Counter("schedd_spec_intern_total", `{result="miss"}`, internHelp)
+	s.gInternSize = reg.Gauge("schedd_spec_intern_entries", "", "Job specs currently interned.")
 	return s, nil
 }
 
@@ -349,14 +360,16 @@ func (s *Service) markTerminal(rec *jobRecord, t float64, failed bool, detail st
 		rec.reason = detail
 		s.counts.failed++
 		s.timelineAdd(t, "failed", rec.id, detail)
-		s.logger.Info("job failed", "trace_id", rec.id, "t", t, "reason", detail)
+		s.logger.LogAttrs(context.TODO(), slog.LevelInfo, "job failed",
+			slog.String("trace_id", rec.id), slog.Float64("t", t), slog.String("reason", detail))
 	} else {
 		rec.state = StateDone
 		s.counts.done++
 		s.mJCT.Observe(rec.jct)
 		s.mE2E.Observe(t - rec.requested)
 		s.timelineAdd(t, "done", rec.id, fmt.Sprintf("jct=%.3fs", rec.jct))
-		s.logger.Info("job done", "trace_id", rec.id, "t", t, "jct", rec.jct)
+		s.logger.LogAttrs(context.TODO(), slog.LevelInfo, "job done",
+			slog.String("trace_id", rec.id), slog.Float64("t", t), slog.Float64("jct", rec.jct))
 	}
 	s.exportTrace(rec)
 }
@@ -440,14 +453,21 @@ func (s *Service) virtualNow(now time.Time) float64 {
 // JobStatus in StateRejected with the policy's reason.
 func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 	now := s.clock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if req.Job == nil {
 		return JobStatus{}, fmt.Errorf("service: nil job")
 	}
 	if err := req.Job.Validate(); err != nil {
 		return JobStatus{}, err
 	}
+	return s.submit(now, req, nil)
+}
+
+// submit is Submit for a job that has been validated. facts, when not
+// nil, holds req.Job's precomputed facts, which submit uses instead of
+// deriving them again.
+func (s *Service) submit(now time.Time, req SubmitRequest, facts *specFacts) (JobStatus, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	requested := s.virtualNow(now)
 	if req.Arrival != nil {
 		// Same NaN/Inf vetting as the planner, surfaced before admission.
@@ -497,16 +517,21 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		s.mRejected.Inc()
 		s.counts.rejected++
 		s.timelineAdd(arrival, "rejected", rec.id, dec.Reason)
-		s.logger.Info("job rejected", "trace_id", rec.id, "tenant", rec.tenant,
-			"policy", s.admission.Name(), "reason", dec.Reason)
+		s.logger.LogAttrs(context.TODO(), slog.LevelInfo, "job rejected",
+			slog.String("trace_id", rec.id), slog.String("tenant", rec.tenant),
+			slog.String("policy", s.admission.Name()), slog.String("reason", dec.Reason))
 		s.exportTrace(rec)
 		return s.snapshot(rec), nil
 	}
 	s.mAdmitted.Inc()
 	s.counts.admitted++
-	rec.stageParents = stageParents(req.Job.Graph)
+	if facts != nil {
+		rec.stageParents = facts.parents
+	} else {
+		rec.stageParents = stageParents(req.Job.Graph)
+	}
 
-	run, err := s.plan(rec, req.Job, arrival, depth)
+	run, err := s.plan(rec, req.Job, facts, arrival, depth)
 	if err == nil {
 		rec.delays = run.Delays
 		err = s.dispatch(rec, run)
@@ -533,9 +558,10 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 		}
 	}
 	s.timelineAdd(arrival, "planned", rec.id, planDetail)
-	s.logger.Info("job planned", "trace_id", rec.id, "tenant", rec.tenant,
-		"arrival", arrival, "source", rec.planSource, "delays", len(run.Delays),
-		"queue_depth", depth)
+	s.logger.LogAttrs(context.TODO(), slog.LevelInfo, "job planned",
+		slog.String("trace_id", rec.id), slog.String("tenant", rec.tenant),
+		slog.Float64("arrival", arrival), slog.String("source", rec.planSource),
+		slog.Int("delays", len(run.Delays)), slog.Int("queue_depth", depth))
 	return s.snapshot(rec), nil
 }
 
@@ -550,8 +576,9 @@ func (e *jobFailedError) Unwrap() error { return e.err }
 
 // plan chooses the job's delay vector — queue revision, template cache, or
 // a cold Alg. 1 sweep — commits it to the planner and records the decision
-// audit the job's plan span exposes.
-func (s *Service) plan(rec *jobRecord, job *workload.Job, arrival float64, depth int) (sim.JobRun, error) {
+// audit the job's plan span exposes. facts, when not nil, holds the job's
+// fingerprint.
+func (s *Service) plan(rec *jobRecord, job *workload.Job, facts *specFacts, arrival float64, depth int) (sim.JobRun, error) {
 	t0 := time.Now()
 	audit := &obs.DecisionAudit{QueueDepth: depth}
 	rec.audit = audit
@@ -570,7 +597,11 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, arrival float64, depth
 		s.mRevised.Inc()
 		return s.planner.Commit(job, arrival, nil)
 	}
-	rec.fp = Fingerprint(job)
+	if facts != nil {
+		rec.fp = facts.fp
+	} else {
+		rec.fp = Fingerprint(job)
+	}
 	audit.Fingerprint = fmt.Sprintf("%016x", rec.fp)
 	if s.cache != nil {
 		if t := s.cache.get(rec.fp); t != nil {

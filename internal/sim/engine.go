@@ -434,8 +434,10 @@ type engineBufs struct {
 	busyScratch   []float64
 	doneScratch   []*item
 	deadScratch   []*item
-	perJobScratch map[int]int
 	stageRates    []float64 // per-slab-index total compute rate (AggShuffle)
+	// jobCount[j] counts job j's items in the bucket being shared
+	// (countJobs); it is all zero between calls.
+	jobCount []int
 }
 
 // recompKey identifies one lineage recomputation: the producing stage's
@@ -532,7 +534,6 @@ func (b *engineBufs) empty() {
 	b.doneScratch, b.deadScratch = b.doneScratch[:0], b.deadScratch[:0]
 	clear(b.occOpen)
 	clear(b.recomps)
-	clear(b.perJobScratch)
 }
 
 // reset empties the buffers and sizes them for a run over nNodes nodes
@@ -542,7 +543,6 @@ func (b *engineBufs) reset(nNodes, nRead, nJobs, nStages int) {
 	if b.occOpen == nil {
 		b.occOpen = make(map[skey]*OccupancySegment)
 		b.recomps = make(map[recompKey]*recompState)
-		b.perJobScratch = make(map[int]int)
 	}
 	b.netBW = slices.Grow(b.netBW, nRead)
 	b.diskBW = slices.Grow(b.diskBW, nNodes)
@@ -1403,32 +1403,49 @@ func (e *engine) contended(capacity float64, n int) float64 {
 // until the next jobShares call.
 func (e *engine) jobShares(its []*item, capacity float64) []float64 {
 	out := resizeF64(&e.shareScratch, len(its))
-	perJob := e.perJobScratch
-	clear(perJob)
-	for _, it := range its {
-		perJob[it.key.job]++
-	}
-	jobShare := capacity / float64(len(perJob))
+	jobShare := capacity / float64(e.countJobs(its))
 	for i, it := range its {
-		out[i] = jobShare / float64(perJob[it.key.job])
+		out[i] = jobShare / float64(e.jobCount[it.key.job])
 	}
+	e.uncountJobs(its)
 	return out
 }
 
 // jobWeights returns water-filling weights implementing job-first fairness.
 // The returned slice is the engine's weight scratch.
 func (e *engine) jobWeights(its []*item) []float64 {
-	perJob := e.perJobScratch
-	clear(perJob)
-	for _, it := range its {
-		perJob[it.key.job]++
-	}
-	nJobs := float64(len(perJob))
+	nJobs := float64(e.countJobs(its))
 	w := resizeF64(&e.weightScratch, len(its))
 	for i, it := range its {
-		w[i] = 1 / (nJobs * float64(perJob[it.key.job]))
+		w[i] = 1 / (nJobs * float64(e.jobCount[it.key.job]))
 	}
+	e.uncountJobs(its)
 	return w
+}
+
+// countJobs counts each job's items in its into jobCount and returns the
+// number of distinct jobs among them. uncountJobs zeroes the counts again
+// by walking the same items, so no call clears the whole slice.
+func (e *engine) countJobs(its []*item) int {
+	n := 0
+	for _, it := range its {
+		j := it.key.job
+		if j >= len(e.jobCount) {
+			e.jobCount = append(e.jobCount, make([]int, j+1-len(e.jobCount))...)
+		}
+		if e.jobCount[j] == 0 {
+			n++
+		}
+		e.jobCount[j]++
+	}
+	return n
+}
+
+// uncountJobs undoes countJobs(its).
+func (e *engine) uncountJobs(its []*item) {
+	for _, it := range its {
+		e.jobCount[it.key.job] = 0
+	}
 }
 
 // nextDT returns the time to the next item event (completion or
