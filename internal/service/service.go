@@ -180,13 +180,18 @@ type jobRecord struct {
 
 	// Tracing state. queueDepth is the live-job count admission saw;
 	// stageParents renders the DAG edges for stage-span attrs; audit is
-	// the planning decision; spans collects the data plane's per-stage
-	// observations from dispatch on. Once the record is terminal none of
-	// it changes again, so its span tree is rebuilt on demand.
+	// the planning decision. A dispatched record's stage spans are the
+	// engine's timelines: while it runs, buildTrace reads them from the
+	// epoch's stepper at job index run, in graph's stage-ID order; once
+	// it is terminal, timelines holds the copy markTerminal took and
+	// graph is dropped. None of it changes again, so a terminal record's
+	// span tree is rebuilt on demand.
 	queueDepth   int
 	stageParents map[dag.StageID]string
 	audit        *obs.DecisionAudit
-	spans        *jobSpanData
+	run          int
+	graph        *dag.Graph
+	timelines    []sim.StageTimeline
 }
 
 // timelineCapacity bounds the GET /v1/timeline milestone ring. The ring
@@ -323,36 +328,31 @@ func New(opt Options) (*Service, error) {
 // Registry returns the registry the service's metrics live in.
 func (s *Service) Registry() *obs.Registry { return s.reg }
 
-// epochObserver folds the data plane's event stream into per-job span
-// data and marks job records terminal as completion events step past. It
-// runs synchronously inside StepNextEvent, under the service mutex, so it
-// touches service state directly.
+// epochObserver marks job records terminal as the data plane's
+// job-terminal events step past. It runs synchronously inside the
+// stepper's event loop, under the service mutex, so it touches service
+// state directly.
 type epochObserver struct{ s *Service }
 
 // OnEvent implements sim.Observer.
 func (o *epochObserver) OnEvent(ev sim.Event) {
-	if ev.Job < 0 || ev.Job >= len(o.s.epochRecs) {
-		return // node-level events
-	}
-	rec := o.s.epochRecs[ev.Job]
-	switch ev.Kind {
-	case sim.EvJobDone, sim.EvJobFailed:
-		// The engine emits every stage event of a job before its terminal
-		// event, so the span data is complete when markTerminal exports it.
-		o.s.markTerminal(rec, ev.T, ev.Kind == sim.EvJobFailed, ev.Detail)
-	default:
-		rec.spans.observeStage(ev)
+	if ev.Kind == sim.EvJobDone || ev.Kind == sim.EvJobFailed {
+		o.s.markTerminal(o.s.epochRecs[ev.Job], ev.T, ev.Kind == sim.EvJobFailed, ev.Detail)
 	}
 }
 
-// markTerminal transitions a dispatched record to done/failed and exports
-// its trace. The record keeps its span data, which no later event touches,
-// so /v1/trace rebuilds the same tree from it. The live world steps each
-// event once, so each record gets here once.
+// markTerminal transitions a dispatched record to done/failed, copies its
+// stages' timelines off the live world onto the record, and exports its
+// trace. The engine reaches every milestone of a job before its terminal
+// event, and the copy outlives the epoch's Stepper.Close, so /v1/trace
+// rebuilds the same tree from it. The live world steps each event once,
+// so each record gets here once.
 func (s *Service) markTerminal(rec *jobRecord, t float64, failed bool, detail string) {
 	rec.end = t
 	rec.jct = t - rec.arrival
-	if fs := rec.spans.firstSubmit; fs >= 0 {
+	rec.timelines = s.liveTimelines(rec)
+	rec.graph = nil
+	if fs := firstSubmit(rec.timelines); reached(fs) {
 		s.mQueueWait.Observe(fs - rec.arrival)
 	}
 	if failed {
@@ -398,7 +398,7 @@ func (s *Service) dispatch(rec *jobRecord, run sim.JobRun) error {
 	} else if err := s.stepper.Inject(run); err != nil {
 		return fmt.Errorf("service: data plane: %w", err)
 	}
-	rec.spans = newJobSpanData()
+	rec.run, rec.graph = len(s.epochRecs), run.Job.Graph
 	s.epochRecs = append(s.epochRecs, rec)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -17,19 +16,19 @@ import (
 // instant through admission, planning, queue wait and per-stage execution
 // to its terminal state, and rendered as an obs.Trace span tree.
 //
-// Collection follows the live data plane. Admitted runs are injected into
-// one stepper per epoch and every engine event is stepped exactly once, so
-// each record's per-stage observations (jobRecord.spans) accumulate from
-// dispatch on and never need replaying. Span trees are built on demand:
-// once a record is terminal nothing it holds changes, and buildTrace reads
-// only the record for a terminal job, so every /v1/trace request rebuilds
-// the same bytes. The trace log gets its one line when the job turns
-// terminal (exportTrace), and decoding that line reproduces the live
-// response byte for byte.
+// Stage spans are the engine's own stage timelines: while a job runs,
+// buildTrace reads each stage's live milestones from the epoch's stepper
+// (sim.Stepper.Timeline), and when the job turns terminal markTerminal
+// keeps a copy on its record, which outlives the epoch's world. Span trees
+// are built on demand: once a record is terminal nothing it holds
+// changes, and buildTrace reads only the record for a terminal job, so
+// every /v1/trace request rebuilds the same bytes. The trace log gets its
+// one line when the job turns terminal (exportTrace), and decoding that
+// line reproduces the live response byte for byte.
 //
-// Memory bounds: a record keeps its span data (O(stages)) for the job
-// map's lifetime, no span tree is retained, and the timeline is a
-// fixed-capacity ring.
+// Memory bounds: a terminal record keeps one timeline per reached stage
+// (O(stages)) for the job map's lifetime, no span tree is retained, and
+// the timeline is a fixed-capacity ring.
 
 // TimelineSchema identifies the GET /v1/timeline response format.
 const TimelineSchema = "delaystage/timeline/v1"
@@ -55,61 +54,6 @@ type TimelineStatus struct {
 	Events   []TimelineEvent `json:"events"`
 }
 
-// jobSpanData is one dispatched job's execution observation, folded from
-// the live data plane's event stream.
-type jobSpanData struct {
-	firstSubmit float64 // first stage dispatch (queue-wait end); -1 unseen
-	stages      map[dag.StageID]*stageSpanData
-}
-
-// stageSpanData tracks one stage's phase transitions. Per-node phases
-// (read/compute) keep the last event's time — events arrive in simulated
-// order, so that is the phase's completion across nodes. -1 = unseen.
-type stageSpanData struct {
-	ready, submitted    float64
-	readEnd, computeEnd float64
-	end                 float64
-	prefetch            bool
-	retries             int
-}
-
-func newJobSpanData() *jobSpanData {
-	return &jobSpanData{firstSubmit: -1, stages: map[dag.StageID]*stageSpanData{}}
-}
-
-func (d *jobSpanData) stage(id dag.StageID) *stageSpanData {
-	st := d.stages[id]
-	if st == nil {
-		st = &stageSpanData{ready: -1, submitted: -1, readEnd: -1, computeEnd: -1, end: -1}
-		d.stages[id] = st
-	}
-	return st
-}
-
-// observeStage folds one engine event into the job's span data. Called
-// from the epoch observer, under the service mutex.
-func (d *jobSpanData) observeStage(ev sim.Event) {
-	switch ev.Kind {
-	case sim.EvStageReady:
-		d.stage(ev.Stage).ready = ev.T
-	case sim.EvStageSubmitted:
-		st := d.stage(ev.Stage)
-		st.submitted = ev.T
-		st.prefetch = ev.Prefetch
-		if d.firstSubmit < 0 {
-			d.firstSubmit = ev.T
-		}
-	case sim.EvReadDone:
-		d.stage(ev.Stage).readEnd = ev.T
-	case sim.EvComputeDone:
-		d.stage(ev.Stage).computeEnd = ev.T
-	case sim.EvStageCompleted:
-		d.stage(ev.Stage).end = ev.T
-	case sim.EvTaskRetry:
-		d.stage(ev.Stage).retries++
-	}
-}
-
 // stageParents renders a job's DAG edges as compact per-stage parent
 // lists ("0,1"), stored on the record at submit so traces don't retain
 // the workload.
@@ -132,20 +76,15 @@ func stageParents(g *dag.Graph) map[dag.StageID]string {
 	return out
 }
 
-// buildTrace assembles rec's span tree from the record and its span data,
-// under the service mutex. A terminal record's tree depends on the record
-// alone; a live one's open spans carry End = the data-plane clock and
-// Open = true.
+// buildTrace assembles rec's span tree from the record and its stages'
+// timelines, under the service mutex. A terminal record's tree depends on
+// the record alone; a live one's open spans carry End = the data-plane
+// clock and Open = true.
 func (s *Service) buildTrace(rec *jobRecord) *obs.Trace {
 	terminal := rec.state == StateDone || rec.state == StateFailed || rec.state == StateRejected
-	st := rec.state
-	if st == StateQueued && s.simClock >= rec.arrival {
-		st = StateRunning
-	}
-	now := math.Max(s.simClock, rec.arrival)
 	jobEnd, open := rec.end, false
 	if !terminal {
-		jobEnd, open = now, true
+		jobEnd, open = math.Max(s.simClock, rec.arrival), true
 	}
 
 	tr := &obs.Trace{
@@ -153,7 +92,7 @@ func (s *Service) buildTrace(rec *jobRecord) *obs.Trace {
 		TraceID: rec.id,
 		Job:     rec.name,
 		Tenant:  rec.tenant,
-		State:   string(st),
+		State:   string(s.snapshot(rec).State),
 		Epoch:   rec.epoch,
 	}
 	add := func(parent int, kind, name string, start, end float64, isOpen bool, attrs map[string]any, audit *obs.DecisionAudit) int {
@@ -195,71 +134,81 @@ func (s *Service) buildTrace(rec *jobRecord) *obs.Trace {
 	}
 	add(root, obs.SpanPlan, "plan", rec.arrival, rec.arrival, false, nil, rec.audit)
 
-	sd := rec.spans
-	fs := -1.0
-	if sd != nil {
-		fs = sd.firstSubmit
+	tls := rec.timelines
+	if !terminal {
+		tls = s.liveTimelines(rec)
 	}
-	switch {
-	case fs >= 0:
+	if fs := firstSubmit(tls); reached(fs) {
 		add(root, obs.SpanQueue, "queue", rec.arrival, fs, false,
 			map[string]any{"wait_seconds": fs - rec.arrival}, nil)
-	case terminal:
-		// Finished without dispatching a stage (failed before any submit).
-		add(root, obs.SpanQueue, "queue", rec.arrival, rec.end, false, nil, nil)
-	default:
-		add(root, obs.SpanQueue, "queue", rec.arrival, now, true, nil, nil)
+	} else {
+		// No stage dispatched yet, or the job failed before one was.
+		add(root, obs.SpanQueue, "queue", rec.arrival, jobEnd, open, nil, nil)
 	}
 
-	if sd != nil {
-		ids := make([]dag.StageID, 0, len(sd.stages))
-		for id := range sd.stages {
-			ids = append(ids, id)
+	for _, tl := range tls {
+		start := tl.Ready
+		if !reached(start) {
+			start = tl.Start
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			stg := sd.stages[id]
-			start := stg.ready
-			if start < 0 {
-				start = stg.submitted
-			}
-			end, stOpen := stg.end, false
-			if end < 0 {
-				end, stOpen = now, !terminal
-				if terminal {
-					end = rec.end
-				}
-			}
-			attrs := map[string]any{}
-			if stg.submitted >= 0 {
-				attrs["submitted"] = stg.submitted
-			}
-			if stg.readEnd >= 0 {
-				attrs["read_end"] = stg.readEnd
-			}
-			if stg.computeEnd >= 0 {
-				attrs["compute_end"] = stg.computeEnd
-			}
-			if d := rec.delays[id]; d > 0 {
-				attrs["delay"] = d
-			}
-			if stg.prefetch {
-				attrs["prefetch"] = true
-			}
-			if stg.retries > 0 {
-				attrs["retries"] = stg.retries
-			}
-			if p := rec.stageParents[id]; p != "" {
-				attrs["parents"] = p
-			}
-			if len(attrs) == 0 {
-				attrs = nil
-			}
-			add(root, obs.SpanStage, fmt.Sprintf("stage %d", id),
-				start, end, stOpen, attrs, nil)
+		end, stOpen := tl.End, false
+		if !reached(end) {
+			end, stOpen = jobEnd, open
 		}
+		attrs := map[string]any{}
+		if reached(tl.Start) {
+			attrs["submitted"] = tl.Start
+		}
+		if reached(tl.ReadEnd) {
+			attrs["read_end"] = tl.ReadEnd
+		}
+		if reached(tl.ComputeEnd) {
+			attrs["compute_end"] = tl.ComputeEnd
+		}
+		if d := rec.delays[tl.Stage]; d > 0 {
+			attrs["delay"] = d
+		}
+		if tl.Retries > 0 {
+			attrs["retries"] = tl.Retries
+		}
+		if p := rec.stageParents[tl.Stage]; p != "" {
+			attrs["parents"] = p
+		}
+		if len(attrs) == 0 {
+			attrs = nil
+		}
+		add(root, obs.SpanStage, fmt.Sprintf("stage %d", tl.Stage),
+			start, end, stOpen, attrs, nil)
 	}
 	return tr
+}
+
+// liveTimelines reads the timelines of a running record's stages that
+// have reached a milestone from the epoch's stepper, in ascending stage
+// ID. The stepper reports an unreached milestone as +Inf.
+func (s *Service) liveTimelines(rec *jobRecord) []sim.StageTimeline {
+	order := rec.graph.IDOrderPos()
+	out := make([]sim.StageTimeline, 0, len(order))
+	for _, p := range order {
+		if tl, ok := s.stepper.Timeline(rec.run, p); ok {
+			out = append(out, tl)
+		}
+	}
+	return out
+}
+
+// reached reports whether a stage milestone read from the engine has
+// happened.
+func reached(t float64) bool { return !math.IsInf(t, 1) }
+
+// firstSubmit is the earliest stage submission in tls, the end of the
+// job's queue wait, or +Inf before any.
+func firstSubmit(tls []sim.StageTimeline) float64 {
+	fs := math.Inf(1)
+	for _, tl := range tls {
+		fs = math.Min(fs, tl.Start)
+	}
+	return fs
 }
 
 // exportTrace writes a just-terminal record's span tree to the trace log,

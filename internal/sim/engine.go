@@ -918,10 +918,6 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 		it.capped = prefetch
 		e.addItem(it)
 	}
-	if st.readsLeft == 0 {
-		// all zero-volume
-		st.tl.ReadEnd = e.now
-	}
 }
 
 // submitPlaced creates a placed stage's reads: for each parent on

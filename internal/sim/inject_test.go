@@ -87,9 +87,11 @@ func injectRuns(t testing.TB, opt Options, jobs []*workload.Job, rng *rand.Rand,
 }
 
 // checkInjected builds the world live — job 0 in NewStepper, then
-// AdvanceBefore(a_k) + Inject(r_k) per later job — and requires the
-// finished Result, and the observed event stream, to equal those of Run
-// over all runs bit for bit.
+// AdvanceBefore(a_k) + Inject(r_k) per later job, then AdvanceBefore
+// through a few later stage milestones — and requires the finished
+// Result, and the observed event stream, to equal those of Run over all
+// runs bit for bit. Every boundary's Timeline reads are held to the
+// Result by checkTimelineReads.
 func checkInjected(t *testing.T, ctx string, opt Options, runs []JobRun) {
 	t.Helper()
 	var want, live recorder
@@ -103,6 +105,7 @@ func checkInjected(t *testing.T, ctx string, opt Options, runs []JobRun) {
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
+	var reads []timelineRead
 	for k, r := range runs[1:] {
 		if err := s.AdvanceBefore(r.Arrival); err != nil {
 			t.Fatalf("%s: advance before job %d: %v", ctx, k+1, err)
@@ -113,9 +116,16 @@ func checkInjected(t *testing.T, ctx string, opt Options, runs []JobRun) {
 		if c := s.Clock(); c > r.Arrival {
 			t.Fatalf("%s: clock %v past the arrival %v", ctx, c, r.Arrival)
 		}
+		reads = readTimelines(reads, s, runs, live.events, r.Arrival)
 		if err := s.Inject(r); err != nil {
 			t.Fatalf("%s: inject job %d: %v", ctx, k+1, err)
 		}
+	}
+	for _, at := range laterBoundaries(ref, runs[len(runs)-1].Arrival) {
+		if err := s.AdvanceBefore(at); err != nil {
+			t.Fatalf("%s: advance before %v: %v", ctx, at, err)
+		}
+		reads = readTimelines(reads, s, runs, live.events, at)
 	}
 	got := stepToCompletion(t, s)
 	if !reflect.DeepEqual(ref, got) {
@@ -124,6 +134,123 @@ func checkInjected(t *testing.T, ctx string, opt Options, runs []JobRun) {
 	}
 	if !reflect.DeepEqual(want.events, live.events) {
 		t.Errorf("%s: injected world's event stream differs from a fresh one's", ctx)
+	}
+	checkTimelineReads(t, ctx, runs, reads, got)
+}
+
+// laterBoundaries picks up to eight AdvanceBefore boundaries from the
+// stage milestones of res at or after from, in ascending order: every
+// other one is a milestone itself, the rest lie within eps after one.
+func laterBoundaries(res *Result, from float64) []float64 {
+	var ms []float64
+	for _, tl := range res.Timelines {
+		for _, m := range milestones(tl) {
+			if m >= from {
+				ms = append(ms, m)
+			}
+		}
+	}
+	sort.Float64s(ms)
+	var out []float64
+	for i := 0; i < 8 && len(ms) > 0; i++ {
+		at := ms[i*len(ms)/8]
+		if i%2 == 1 {
+			at += eps / 2
+		}
+		if len(out) == 0 || at > out[len(out)-1] {
+			out = append(out, at)
+		}
+	}
+	return out
+}
+
+// timelineRead is one Stepper.Timeline answer, read at the AdvanceBefore
+// boundary at, and the number of EvTaskRetry events the stage's
+// partitions had drawn by then.
+type timelineRead struct {
+	at       float64
+	job, pos int
+	tl       StageTimeline
+	ok       bool
+	retried  int
+}
+
+// readTimelines appends the Timeline answer for every stage of every job
+// the stepper holds, given the events it has emitted so far.
+func readTimelines(reads []timelineRead, s *Stepper, runs []JobRun, events []Event, at float64) []timelineRead {
+	type key struct {
+		job   int
+		stage dag.StageID
+	}
+	retried := map[key]int{}
+	for _, ev := range events {
+		if ev.Kind == EvTaskRetry {
+			retried[key{ev.Job, ev.Stage}]++
+		}
+	}
+	for j := 0; j < s.Jobs(); j++ {
+		for p, id := range runs[j].Job.Graph.StagesView() {
+			tl, ok := s.Timeline(j, p)
+			reads = append(reads, timelineRead{at: at, job: j, pos: p, tl: tl, ok: ok, retried: retried[key{j, id}]})
+		}
+	}
+	return reads
+}
+
+// milestones lists a timeline's milestone times in lifecycle order.
+func milestones(tl StageTimeline) [5]float64 {
+	return [5]float64{tl.Ready, tl.Start, tl.ReadEnd, tl.ComputeEnd, tl.End}
+}
+
+// checkTimelineReads is Timeline's property: at every boundary, each
+// milestone a read reports equals, bit for bit, the same field of the
+// stage's timeline in the drained res.Timelines (for a stage that never
+// completed, its last read), and each milestone it does not report
+// (+Inf) lies at or after the boundary, to the engine's eps: an
+// AggShuffle prefetch pass due within eps before a boundary runs after
+// it, as an arrival there would fire first. Retries is the live count of
+// failed attempts: one EvTaskRetry each, except the attempt that fails
+// the job.
+func checkTimelineReads(t *testing.T, ctx string, runs []JobRun, reads []timelineRead, res *Result) {
+	t.Helper()
+	type key struct{ job, pos int }
+	final := map[key]StageTimeline{}
+	for _, r := range reads {
+		if r.ok {
+			final[key{r.job, r.pos}] = r.tl
+		}
+	}
+	for _, tl := range res.Timelines {
+		final[key{tl.JobIndex, runs[tl.JobIndex].Job.Graph.Pos(tl.Stage)}] = tl
+	}
+	for _, r := range reads {
+		fin, seen := final[key{r.job, r.pos}]
+		if !r.ok {
+			if seen && (fin.Ready < r.at-eps || fin.Start < r.at-eps) {
+				t.Fatalf("%s: job %d pos %d reports nothing at %v but was ready at %v, submitted at %v",
+					ctx, r.job, r.pos, r.at, fin.Ready, fin.Start)
+			}
+			continue
+		}
+		if id := runs[r.job].Job.Graph.StagesView()[r.pos]; r.tl.JobIndex != r.job || r.tl.Stage != id {
+			t.Fatalf("%s: job %d pos %d reads as job %d stage %d", ctx, r.job, r.pos, r.tl.JobIndex, r.tl.Stage)
+		}
+		got, want := milestones(r.tl), milestones(fin)
+		for m := range got {
+			reported := !math.IsInf(got[m], 1)
+			if reported && math.Float64bits(got[m]) != math.Float64bits(want[m]) {
+				t.Fatalf("%s: job %d stage %d milestone %d reads %v at %v, the drained world has %v",
+					ctx, r.job, r.tl.Stage, m, got[m], r.at, want[m])
+			}
+			if !reported && want[m] < r.at-eps {
+				t.Fatalf("%s: job %d stage %d milestone %d unreported at %v, reached at %v",
+					ctx, r.job, r.tl.Stage, m, r.at, want[m])
+			}
+		}
+		if r.tl.Retries < r.retried || r.tl.Retries > r.retried+1 {
+			t.Fatalf("%s: job %d stage %d reads %d retries at %v after %d EvTaskRetry events",
+				ctx, r.job, r.tl.Stage, r.tl.Retries, r.at, r.retried)
+		}
 	}
 }
 

@@ -101,6 +101,45 @@ func (s *Stepper) ReadyTime(job, pos int) (float64, bool) {
 	return s.e.states[si].tl.Ready, true
 }
 
+// Timeline reports the live timeline of the job's stage at position pos
+// (addressed as for ReadyTime): each milestone the stage has reached
+// holds its time, bit-identical to the finished Result's, and each one it
+// has not reached yet reads +Inf, as a world may start at t = 0. Retries
+// is the live count of failed partition attempts. It reports false while
+// the stage has reached no milestone, for a position the job does not
+// have or its run's mask leaves out, and on a retired stepper.
+func (s *Stepper) Timeline(job, pos int) (StageTimeline, bool) {
+	if s.e == nil {
+		return StageTimeline{}, false
+	}
+	si := s.e.posIdx(job, pos)
+	if si < 0 {
+		return StageTimeline{}, false
+	}
+	st := &s.e.states[si]
+	if !st.readyValid && !st.submitted {
+		return StageTimeline{}, false
+	}
+	tl, inf := st.tl, math.Inf(1)
+	if !st.readyValid {
+		tl.Ready = inf // an AggShuffle prefetch submits before readiness
+	}
+	if !st.submitted {
+		tl.Start = inf
+	}
+	if !st.submitted || st.readsLeft > 0 {
+		tl.ReadEnd = inf
+	}
+	if !st.submitted || st.computeLeft > 0 {
+		tl.ComputeEnd = inf
+	}
+	if !st.complete {
+		tl.End = inf
+	}
+	tl.Retries = st.retries
+	return tl, true
+}
+
 // Jobs returns how many runs the world holds, injected ones included:
 // the job index the next Inject assigns.
 func (s *Stepper) Jobs() int {
