@@ -2,18 +2,14 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"delaystage/internal/golden"
 	"delaystage/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/replay.golden")
-
-const replayGoldenPath = "testdata/replay.golden"
 
 // TestReplayGolden pins replay's stdout and -json summary for all four
 // variants on a 40-job generated trace: exact planning, -approx-plan, and
@@ -62,17 +58,5 @@ func TestReplayGolden(t *testing.T) {
 			}
 		}
 	}
-	if *update {
-		if err := os.WriteFile(replayGoldenPath, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(replayGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("replay output differs from %s:\n got %s\nwant %s", replayGoldenPath, got.String(), want)
-	}
+	golden.Check(t, "testdata/replay.golden", []byte(got.String()))
 }

@@ -2,8 +2,6 @@ package attr
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -11,13 +9,12 @@ import (
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/faults"
+	"delaystage/internal/golden"
 	"delaystage/internal/obs"
 	"delaystage/internal/scheduler"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // runWithStrategy simulates TriangleCount under strat and returns the
 // attribution context, the collected events and the sim result.
@@ -41,27 +38,6 @@ func runWithStrategy(t *testing.T, strat scheduler.Strategy) (Context, []sim.Eve
 	return Context{Cluster: c, Jobs: []*workload.Job{job}}, col.Events, res
 }
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden file; if intentional, re-run with -update\ngot:\n%s", name, got)
-	}
-}
-
 // TestReportGoldens pins the full bottleneck report for TriangleCount
 // under each strategy. These files are the human-facing contract of the
 // report format; they also document how the contention profile shifts
@@ -82,7 +58,7 @@ func TestReportGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, tc.file, []byte(rep.Render()))
+			golden.Check(t, filepath.Join("testdata", tc.file), []byte(rep.Render()))
 		})
 	}
 }

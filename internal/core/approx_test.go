@@ -1,25 +1,18 @@
 package core
 
 import (
-	"bufio"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/golden"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the schedule goldens in testdata/")
-
-const approxGoldenPath = "testdata/approx_schedules.golden"
 
 // goldenCase is one (cluster, job, options) configuration of a schedule
 // golden.
@@ -74,61 +67,16 @@ func scheduleBits(s *Schedule) string {
 	return b.String()
 }
 
-// readGolden parses a "name rest-of-line" golden file into a map.
-func readGolden(t *testing.T, path string) map[string]string {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	out := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		name, rest, ok := strings.Cut(sc.Text(), " ")
-		if !ok {
-			t.Fatalf("malformed golden line %q", sc.Text())
-		}
-		out[name] = rest
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestApproximateGolden pins approximate-mode planning bit for bit: the
-// delays, makespan and stock makespan of every golden configuration must
-// match testdata/ exactly, sequentially and with a parallel scan. Run
-// with -update to regenerate after an intended model change.
+// TestApproximateGolden pins approximate-mode planning bit for bit: each
+// golden configuration is planned once, and the delays, makespan and
+// stock makespan of every plan must match testdata/ exactly. Run with
+// -update to regenerate after an intended model change.
 func TestApproximateGolden(t *testing.T) {
-	cases := approxGoldenCases()
-	if *updateGolden {
-		var b strings.Builder
-		for _, tc := range cases {
-			fmt.Fprintf(&b, "%s %s\n", tc.name, scheduleBits(computeOK(t, tc.opt, tc.job)))
-		}
-		if err := os.MkdirAll(filepath.Dir(approxGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(approxGoldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	var b strings.Builder
+	for _, tc := range approxGoldenCases() {
+		fmt.Fprintf(&b, "%s %s\n", tc.name, scheduleBits(computeOK(t, tc.opt, tc.job)))
 	}
-	golden := readGolden(t, approxGoldenPath)
-	if len(golden) != len(cases) {
-		t.Fatalf("golden has %d configurations, want %d", len(golden), len(cases))
-	}
-	for _, tc := range cases {
-		want, ok := golden[tc.name]
-		if !ok {
-			t.Fatalf("%s: missing from golden", tc.name)
-		}
-		if got := scheduleBits(computeOK(t, tc.opt, tc.job)); got != want {
-			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
-		}
-	}
+	golden.Check(t, "testdata/approx_schedules.golden", []byte(b.String()))
 }
 
 // TestApproximateNeverWorseSimulated: approximate-mode delays must never

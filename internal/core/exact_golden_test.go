@@ -3,19 +3,16 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/golden"
 	"delaystage/internal/sim"
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
 )
-
-const exactGoldenPath = "testdata/exact_schedules.golden"
 
 // exactGoldenCases enumerates the exact-mode (what-if simulation) golden
 // configurations: the paper and gallery jobs on raw 15- and 30-node
@@ -72,38 +69,16 @@ func exactScheduleLine(s *Schedule) string {
 }
 
 // TestExactScheduleGolden pins exact-mode planning bit for bit against a
-// golden generated before the engine's memory layout changed: every
-// delay, makespan and evaluation counter must match testdata/ exactly,
-// sequentially and with a parallel scan. The cache-on/off and two-tier
-// tests compare two runs of the same engine and so cannot see a bit
-// change both runs share; this golden can. Run with -update to
+// golden generated before the engine's memory layout changed: each
+// golden configuration is planned once, and every delay, makespan and
+// evaluation counter must match testdata/ exactly. The cache-on/off and
+// two-tier tests compare two runs of the same engine and so cannot see a
+// bit change both runs share; this golden can. Run with -update to
 // regenerate after an intended simulator change.
 func TestExactScheduleGolden(t *testing.T) {
-	cases := exactGoldenCases(t)
-	if *updateGolden {
-		var b strings.Builder
-		for _, tc := range cases {
-			fmt.Fprintf(&b, "%s %s\n", tc.name, exactScheduleLine(computeOK(t, tc.opt, tc.job)))
-		}
-		if err := os.MkdirAll(filepath.Dir(exactGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(exactGoldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
+	var b strings.Builder
+	for _, tc := range exactGoldenCases(t) {
+		fmt.Fprintf(&b, "%s %s\n", tc.name, exactScheduleLine(computeOK(t, tc.opt, tc.job)))
 	}
-	golden := readGolden(t, exactGoldenPath)
-	if len(golden) != len(cases) {
-		t.Fatalf("golden has %d configurations, want %d", len(golden), len(cases))
-	}
-	for _, tc := range cases {
-		want, ok := golden[tc.name]
-		if !ok {
-			t.Fatalf("%s: missing from golden", tc.name)
-		}
-		if got := exactScheduleLine(computeOK(t, tc.opt, tc.job)); got != want {
-			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
-		}
-	}
+	golden.Check(t, "testdata/exact_schedules.golden", []byte(b.String()))
 }

@@ -3,17 +3,13 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"delaystage/internal/golden"
 )
-
-var update = flag.Bool("update", false, "rewrite the goldens in testdata/")
-
-const fig14GoldenPath = "testdata/fig14.golden"
 
 // TestFig14Golden pins Fig. 14 / Table 4 on a 40-job trace: the rendered
 // text and the Fig14Result JSON, evaluation counters included, at
@@ -39,19 +35,7 @@ func TestFig14Golden(t *testing.T) {
 			t.Errorf("parallelism %d: output differs from parallelism 1", par)
 		}
 	}
-	if *update {
-		if err := os.WriteFile(fig14GoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(fig14GoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("Fig. 14 output differs from %s:\n got %s\nwant %s", fig14GoldenPath, got, want)
-	}
+	golden.Check(t, "testdata/fig14.golden", got)
 }
 
 // TestFig14IntrospectionHooks: Fig. 14 announces one grid of n jobs per

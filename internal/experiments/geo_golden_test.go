@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"os"
 	"testing"
-)
 
-const geoGoldenPath = "testdata/geo.golden"
+	"delaystage/internal/golden"
+)
 
 // TestGeoGolden pins the geo extension at `experiments -only geo`'s
 // configuration: the rendered tables and every GeoResult row, floats as
@@ -25,18 +24,5 @@ func TestGeoGolden(t *testing.T) {
 			math.Float64bits(row.WANMBps), math.Float64bits(row.StockJCT), math.Float64bits(row.DelayJCT),
 			math.Float64bits(row.GainP), math.Float64bits(row.WANUtilP), row.DelayCount)
 	}
-	got := w.Bytes()
-	if *update {
-		if err := os.WriteFile(geoGoldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(geoGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("geo output differs from %s:\n got %s\nwant %s", geoGoldenPath, got, want)
-	}
+	golden.Check(t, "testdata/geo.golden", w.Bytes())
 }

@@ -3,19 +3,15 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
 	"delaystage/internal/faults"
+	"delaystage/internal/golden"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixedRun executes the reference run all golden files are pinned to: ALS
 // at 0.2 scale on 3 nodes with hand-picked delays.
@@ -32,24 +28,6 @@ func fixedRun(t *testing.T, o sim.Observer) *sim.Result {
 	return res
 }
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden file; if intentional, re-run with -update\ngot:\n%s", name, got)
-	}
-}
-
 func TestJSONLGolden(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewJSONL(&buf)
@@ -57,7 +35,7 @@ func TestJSONLGolden(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "events.golden.jsonl", buf.Bytes())
+	golden.Check(t, "testdata/events.golden.jsonl", buf.Bytes())
 
 	// Every line must be valid JSON with monotonically non-decreasing t.
 	last := -1.0
@@ -92,7 +70,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	if err := ct.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "trace.golden.json", buf.Bytes())
+	golden.Check(t, "testdata/trace.golden.json", buf.Bytes())
 
 	var doc struct {
 		TraceEvents []struct {

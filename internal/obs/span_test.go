@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"delaystage/internal/golden"
 )
 
 // sampleTraces builds one rich trace (every span kind, audit, mixed attr
@@ -61,7 +63,7 @@ func TestTraceGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkGolden(t, "traces.golden.jsonl", buf.Bytes())
+	golden.Check(t, "testdata/traces.golden.jsonl", buf.Bytes())
 
 	traces, err := ReadTraces(bytes.NewReader(buf.Bytes()))
 	if err != nil {

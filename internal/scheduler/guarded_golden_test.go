@@ -4,20 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/faults"
+	"delaystage/internal/golden"
 	"delaystage/internal/obs"
 	"delaystage/internal/sim"
 	"delaystage/internal/workload"
 )
-
-const guardedGoldenPath = "testdata/guarded.golden"
 
 // guardedCase is one run of the guarded golden: job planned by
 // GuardedDelayStage on believed (the profiles the planner saw), then
@@ -133,26 +130,5 @@ func TestGuardedGolden(t *testing.T) {
 			t.Errorf("no run trips the guard first on %s (first triggers: %v)", trig, first)
 		}
 	}
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(guardedGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(guardedGoldenPath, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(guardedGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		got, wl := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(got) && i < len(wl); i++ {
-			if got[i] != wl[i] {
-				t.Fatalf("line %d:\n got %s\nwant %s", i+1, got[i], wl[i])
-			}
-		}
-		t.Fatalf("golden has %d lines, run produced %d", len(wl), len(got))
-	}
+	golden.Check(t, "testdata/guarded.golden", out.Bytes())
 }

@@ -1,26 +1,19 @@
 package scheduler
 
 import (
-	"bufio"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
+	"delaystage/internal/golden"
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the goldens in testdata/")
-
-const onlineGoldenPath = "testdata/online_schedules.golden"
 
 // onlineStream is one arrival stream of the online golden.
 type onlineStream struct {
@@ -129,11 +122,13 @@ func onlineAddLine(delays map[dag.StageID]float64, a PlanAudit) string {
 	return b.String()
 }
 
-// onlineGoldenLines plans every stream under every mode and returns one
-// "stream/mode/index line" entry per Add, in plan order.
-func onlineGoldenLines(t *testing.T) []string {
-	t.Helper()
-	var out []string
+// TestOnlineScheduleGolden pins online planning bit for bit: every Add's
+// delays, objective values, fallback and counters over four arrival
+// streams and three planner modes must match testdata/ exactly, one
+// "stream/mode/index line" entry per Add in plan order. Run with -update
+// to regenerate after an intended planner change.
+func TestOnlineScheduleGolden(t *testing.T) {
+	var b strings.Builder
 	for _, s := range onlineGoldenStreams(t) {
 		for _, m := range onlineGoldenModes {
 			opt := OnlineOptions{Cluster: s.cluster, FairByJob: s.fairByJob, MaxCandidates: 10}
@@ -144,48 +139,9 @@ func onlineGoldenLines(t *testing.T) []string {
 				if err != nil {
 					t.Fatalf("%s/%s job %d: %v", s.name, m.name, i, err)
 				}
-				out = append(out, fmt.Sprintf("%s/%s/%02d %s", s.name, m.name, i, onlineAddLine(run.Delays, p.LastAudit())))
+				fmt.Fprintf(&b, "%s/%s/%02d %s\n", s.name, m.name, i, onlineAddLine(run.Delays, p.LastAudit()))
 			}
 		}
 	}
-	return out
-}
-
-// TestOnlineScheduleGolden pins online planning bit for bit: every Add's
-// delays, objective values, fallback and counters over four arrival
-// streams and three planner modes must match testdata/ exactly. Run with
-// -update to regenerate after an intended planner change.
-func TestOnlineScheduleGolden(t *testing.T) {
-	lines := onlineGoldenLines(t)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(onlineGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(onlineGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(onlineGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(lines) {
-		t.Fatalf("golden has %d lines, want %d", len(want), len(lines))
-	}
-	for i := range lines {
-		if lines[i] != want[i] {
-			t.Errorf("line %d:\n got %s\nwant %s", i, lines[i], want[i])
-		}
-	}
+	golden.Check(t, "testdata/online_schedules.golden", []byte(b.String()))
 }

@@ -1,22 +1,16 @@
 package service
 
 import (
-	"flag"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/dag"
+	"delaystage/internal/golden"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the plan and trace goldens in testdata/")
-
-const busyPlansGoldenPath = "testdata/busy_plans.golden"
 
 // busyPlanLine renders one submission's plan: its source, the committed
 // delays as float bits, the audit's incumbent and chosen objective
@@ -108,39 +102,5 @@ func TestBusyPlansGolden(t *testing.T) {
 	if busyCold < 100 {
 		t.Fatalf("vacuous: only %d cold plans landed in a busy world", busyCold)
 	}
-	checkGolden(t, busyPlansGoldenPath, lines)
-}
-
-// checkGolden requires lines to equal the golden file at path line for
-// line, or rewrites the file with them under -update.
-func checkGolden(t *testing.T, path string, lines []string) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(lines) {
-		t.Fatalf("%s has %d lines, want %d", path, len(want), len(lines))
-	}
-	bad := 0
-	for i := range lines {
-		if lines[i] != want[i] {
-			if bad++; bad <= 5 {
-				t.Errorf("%s line %d:\n got %s\nwant %s", path, i+1, lines[i], want[i])
-			}
-		}
-	}
-	if bad > 5 {
-		t.Errorf("%s: %d lines differ", path, bad)
-	}
+	golden.Check(t, "testdata/busy_plans.golden", []byte(strings.Join(lines, "\n")+"\n"))
 }

@@ -9,9 +9,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-)
 
-const tracesGoldenPath = "testdata/traces.golden"
+	"delaystage/internal/golden"
+)
 
 // traceBody renders a job's GET /v1/trace body as one compact JSON line,
 // with the plan span's wall_seconds (the one nondeterministic field)
@@ -91,5 +91,5 @@ func TestTracesGolden(t *testing.T) {
 	if live < 100 {
 		t.Fatalf("vacuous: only %d live traces with an open stage span", live)
 	}
-	checkGolden(t, tracesGoldenPath, lines)
+	golden.Check(t, "testdata/traces.golden", []byte(strings.Join(lines, "\n")+"\n"))
 }

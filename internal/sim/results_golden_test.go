@@ -1,22 +1,16 @@
 package sim
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"delaystage/internal/cluster"
 	"delaystage/internal/faults"
+	"delaystage/internal/golden"
 )
-
-var updateResults = flag.Bool("update", false, "rewrite testdata/results.golden")
-
-const resultsGoldenPath = "testdata/results.golden"
 
 // bits renders a float as its exact IEEE-754 bit pattern.
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
@@ -142,32 +136,5 @@ func resultsGolden(t *testing.T) string {
 // sample shows here alone. Run with -update to regenerate after an
 // intended simulator change.
 func TestResultsGolden(t *testing.T) {
-	got := resultsGolden(t)
-	if *updateResults {
-		if err := os.MkdirAll(filepath.Dir(resultsGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(resultsGoldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(resultsGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	section := ""
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if strings.HasPrefix(wl[i], "== ") {
-			section = wl[i]
-		}
-		if gl[i] != wl[i] {
-			t.Fatalf("results differ from the golden at line %d (%s):\n got %.200s\nwant %.200s", i+1, section, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("results have %d lines, the golden %d", len(gl), len(wl))
+	golden.Check(t, "testdata/results.golden", []byte(resultsGolden(t)))
 }
