@@ -23,13 +23,14 @@
 // with -approx-plan (plan from the analytic Eq. 1–3 model instead of
 // what-if simulation) and -variants to pick the strategies to replay.
 //
-// -checkpoint-dir makes the replay crash-safe: after every folded job the
-// per-variant progress (bit-exact JCTs and utilization sums) is written
-// atomically to <dir>/replay.ckpt, and -resume continues from it at any
-// shard count — a SIGKILLed replay resumed with the same flags produces a
-// byte-identical -json summary. A missing checkpoint starts fresh; a
-// corrupt or mismatched one (different trace or flags) is discarded with a
-// note.
+// -checkpoint-dir makes the replay crash-safe: every folded job appends
+// one fixed-size record (its failed flag and the bits of its JCT and
+// utilizations) to the progress log <dir>/replay.ckpt and fsyncs it, so a
+// checkpoint costs the same at any trace length. -resume re-folds the log
+// and continues at any shard count: a SIGKILLed replay resumed with the
+// same flags produces a byte-identical -json summary and log. A torn tail
+// is dropped; a missing log, or one of a different trace or flags, starts
+// fresh with a note.
 //
 // Diagnostics go to stderr as JSON lines (log/slog); -log-level picks the
 // floor (debug, info, warn, error). Results stay on stdout. A usage error
@@ -48,7 +49,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"delaystage/internal/ckpt"
 	"delaystage/internal/cli"
 	"delaystage/internal/core"
 	"delaystage/internal/metrics"
@@ -197,40 +197,28 @@ func main() {
 		runsDone = reg.Counter("replay_runs_completed_total", "", "sim runs completed across all variants")
 	}
 
-	// Progress checkpointing. The fingerprint covers the trace bytes and
-	// every flag that shapes a replayed run, so a checkpoint written under
-	// different inputs is rejected and discarded.
+	// Progress checkpointing: one record per folded job, appended to a
+	// log whose fingerprint covers the trace bytes and every flag that
+	// shapes a replayed run, so a log written under different inputs is
+	// discarded.
 	state := make([]*replay.Progress, len(variants))
 	for i := range state {
 		state[i] = &replay.Progress{}
 	}
-	saveProgress := func() error { return nil }
+	var progressLog *replay.Log
 	if o.ckpts.Dir != "" {
-		traceHash.Write(o.configKey(variants))
-		fingerprint := traceHash.Sum64()
-		read := func(path string) error {
-			env, err := ckpt.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			if err := env.Expect(replay.ProgressKind, replay.ProgressVersion, fingerprint); err != nil {
-				return err
-			}
-			loaded, err := replay.DecodeProgress(env.Payload, len(variants))
-			if err == nil {
-				state = loaded
-			}
-			return err
-		}
-		path, err := o.ckpts.Open("replay.ckpt", read, say)
+		path, resume, err := o.ckpts.Open("replay.ckpt")
 		if err != nil {
 			fail(err)
 		}
-		saveProgress = func() error {
-			return ckpt.WriteFile(path, ckpt.Envelope{
-				Kind: replay.ProgressKind, Version: replay.ProgressVersion,
-				Fingerprint: fingerprint, Payload: replay.EncodeProgress(state),
-			})
+		traceHash.Write(o.configKey(variants))
+		var note string
+		progressLog, note, err = replay.OpenLog(path, traceHash.Sum64(), len(tr.Jobs), state, resume)
+		if err != nil {
+			fail(err)
+		}
+		if note != "" {
+			say(note)
 		}
 	}
 	summary := map[string]*variantSummary{}
@@ -260,7 +248,7 @@ func main() {
 			if runsDone != nil {
 				runsDone.Inc()
 			}
-			return saveProgress()
+			return progressLog.Append(res)
 		})
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
@@ -292,6 +280,9 @@ func main() {
 			NetUtil: p.NetInt / p.TimeInt, Failed: p.Failed}
 	}
 
+	if err := progressLog.Close(); err != nil {
+		fail(err)
+	}
 	if err := o.sinks.Close(nil); err != nil {
 		fail(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -89,6 +90,82 @@ func TestCheckpointRejectsOtherTrace(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("after rejecting the checkpoint the run differs from a fresh one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestResumeFromCutLogs: a checkpointed two-variant replay's log, cut at
+// every record boundary, cut inside a record, or with one bit flipped in a
+// record, resumes to the -json summary and the log of the uninterrupted
+// run, byte for byte. The uninterrupted log is exactly its 20-byte header
+// plus one 29-byte record per job and variant.
+func TestResumeFromCutLogs(t *testing.T) {
+	const jobs, variants, header, record = 4, 2, 20, 29
+	dir := t.TempDir()
+	var csv bytes.Buffer
+	if err := trace.Generate(trace.GenConfig{Jobs: jobs, Seed: 3, MaxStages: 6}).WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(dir, "trace.csv")
+	if err := os.WriteFile(tracePath, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	read := func(path string) []byte {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	run := func(name string, resume bool) (summary, log []byte, stderr string) {
+		ck := filepath.Join(dir, name)
+		args := []string{"-f", tracePath, "-variants", "fuxi,default", "-checkpoint-dir", ck,
+			"-json", ck + ".json"}
+		if resume {
+			args = append(args, "-resume")
+		}
+		stderr = runReplay(t, args...)
+		return read(ck + ".json"), read(filepath.Join(ck, "replay.ckpt")), stderr
+	}
+	wantSummary, wantLog, _ := run("full", false)
+	if len(wantLog) != header+record*variants*jobs {
+		t.Fatalf("log is %d bytes, want %d", len(wantLog), header+record*variants*jobs)
+	}
+
+	type cut struct {
+		name      string
+		log       []byte
+		recovered int
+	}
+	var cuts []cut
+	for k := 0; k <= variants*jobs; k++ {
+		cuts = append(cuts, cut{fmt.Sprintf("boundary-%d", k), wantLog[:header+k*record], k})
+	}
+	for _, k := range []int{0, jobs, variants*jobs - 1} {
+		cuts = append(cuts, cut{fmt.Sprintf("mid-record-%d", k), wantLog[:header+k*record+record/2], k})
+		flipped := append([]byte(nil), wantLog...)
+		flipped[header+k*record+5] ^= 0x10
+		cuts = append(cuts, cut{fmt.Sprintf("bit-flip-%d", k), flipped, k})
+	}
+	for _, c := range cuts {
+		ck := filepath.Join(dir, c.name)
+		if err := os.MkdirAll(ck, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(ck, "replay.ckpt"), c.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		summary, log, stderr := run(c.name, true)
+		note := fmt.Sprintf("recovered %d of %d runs, dropped %d torn tail bytes",
+			c.recovered, variants*jobs, len(c.log)-header-c.recovered*record)
+		if !strings.Contains(stderr, "resumed from") || !strings.Contains(stderr, note) {
+			t.Errorf("%s: resume note does not say %q:\n%s", c.name, note, stderr)
+		}
+		if !bytes.Equal(summary, wantSummary) {
+			t.Errorf("%s: resumed summary differs from the uninterrupted one", c.name)
+		}
+		if !bytes.Equal(log, wantLog) {
+			t.Errorf("%s: resumed log differs from the uninterrupted one", c.name)
+		}
 	}
 }
 

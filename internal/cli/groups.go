@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"math"
 	"os"
@@ -14,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"delaystage/internal/ckpt"
 	"delaystage/internal/cluster"
 	"delaystage/internal/faults"
 	"delaystage/internal/jobspec"
@@ -225,29 +223,13 @@ func CheckpointFlags(fs *FlagSet) *Checkpoint {
 }
 
 // Open creates -checkpoint-dir and returns the path of the named
-// checkpoint file in it. With -resume it first loads that file with read:
-// a missing file or a ckpt format error (a corrupt, stale or foreign
-// checkpoint) starts the run fresh, with a note through say; any other
-// error is returned.
-func (g *Checkpoint) Open(name string, read func(path string) error, say func(string)) (string, error) {
+// checkpoint file in it, and whether -resume asks to continue from that
+// file. What a resume keeps of the file is up to its format's owner.
+func (g *Checkpoint) Open(name string) (path string, resume bool, err error) {
 	if err := os.MkdirAll(g.Dir, 0o755); err != nil {
-		return "", err
+		return "", false, err
 	}
-	path := filepath.Join(g.Dir, name)
-	if !g.resume {
-		return path, nil
-	}
-	switch err := read(path); {
-	case err == nil:
-		say("resumed from " + path)
-	case errors.Is(err, fs.ErrNotExist):
-		say(fmt.Sprintf("no checkpoint at %s; starting fresh", path))
-	case ckpt.IsFormat(err):
-		say(fmt.Sprintf("unusable checkpoint (%v); starting fresh", err))
-	default:
-		return "", err
-	}
-	return path, nil
+	return filepath.Join(g.Dir, name), g.resume, nil
 }
 
 // Jobs is the job-selection flag group: a paper workload at a scale, or a

@@ -8,19 +8,18 @@
 // Alg. 1 (unless the variant is plain Fuxi) and simulated, so only the
 // in-flight worlds hold engine state even on the full 2.7M-job trace.
 // Results come back in job order and fold into the variant's Progress, so
-// every sum is bit-identical at any shard count.
+// every sum is bit-identical at any shard count. A checkpointed replay
+// appends each fold to a progress Log (log.go) and resumes by re-folding
+// it.
 package replay
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
 
-	"delaystage/internal/ckpt"
 	"delaystage/internal/cli"
 	"delaystage/internal/cluster"
 	"delaystage/internal/core"
@@ -194,100 +193,33 @@ type Progress struct {
 // fold is a variant's shardsim reduce. shardsim calls it serially in job
 // order, so p always equals a sequential replay's state after its first
 // p.Done jobs — the floating-point sums are bit-identical at any shard
-// count, and every checkpoint save writes such a prefix.
+// count, and a progress Log appended after each fold holds such a prefix.
 type fold struct {
 	p     *Progress
 	start int                                // job index of world 0: the jobs a resumed run skips
 	then  func(i int, res *sim.Result) error // when non-nil, called after each fold
 }
 
-// reduce folds world k's result. A job that exhausted its retry budget
-// under fault injection is a data point of the variant, not a replay
-// error; it contributes no JCT.
+// reduce folds world k's result.
 func (f *fold) reduce(k int, res *sim.Result) error {
-	p := f.p
-	if res.Failed(0) != nil {
-		p.Failed++
-	} else {
-		jct := res.JCT(0)
-		p.JCTs = append(p.JCTs, jct)
-		p.CPUInt += res.AvgCPUUtil * jct
-		p.NetInt += res.AvgNetUtil * jct
-		p.TimeInt += jct
-	}
-	p.Done++
+	f.p.add(recordOf(res))
 	if f.then == nil {
 		return nil
 	}
 	return f.then(f.start+k, res)
 }
 
-// ProgressKind and ProgressVersion tag a progress checkpoint's envelope.
-const (
-	ProgressKind    = "replay-progress"
-	ProgressVersion = 1
-)
-
-// EncodeProgress serializes per-variant progress in variant order; floats
-// as IEEE-754 bits, so a resumed replay sums the identical values.
-func EncodeProgress(ps []*Progress) []byte {
-	var b []byte
-	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u64(uint64(len(ps)))
-	for _, p := range ps {
-		u64(uint64(p.Done))
-		u64(uint64(p.Failed))
-		f64(p.CPUInt)
-		f64(p.NetInt)
-		f64(p.TimeInt)
-		u64(uint64(len(p.JCTs)))
-		for _, j := range p.JCTs {
-			f64(j)
-		}
+// add folds one job's record. A job that exhausted its retry budget under
+// fault injection is a data point of the variant, not a replay error; it
+// contributes no JCT.
+func (p *Progress) add(r record) {
+	if r.failed {
+		p.Failed++
+	} else {
+		p.JCTs = append(p.JCTs, r.jct)
+		p.CPUInt += r.cpu * r.jct
+		p.NetInt += r.net * r.jct
+		p.TimeInt += r.jct
 	}
-	return b
-}
-
-// DecodeProgress is EncodeProgress's inverse for nVariants variants.
-func DecodeProgress(b []byte, nVariants int) ([]*Progress, error) {
-	bad := func(reason string) ([]*Progress, error) {
-		return nil, &ckpt.FormatError{Reason: reason}
-	}
-	off := 0
-	u64 := func() uint64 {
-		if off+8 > len(b) {
-			off = len(b) + 1 // poison: every later read fails too
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		return v
-	}
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	if n := u64(); n != uint64(nVariants) {
-		return bad("variant count mismatch")
-	}
-	ps := make([]*Progress, nVariants)
-	for i := range ps {
-		p := &Progress{}
-		p.Done = int(u64())
-		p.Failed = int(u64())
-		p.CPUInt = f64()
-		p.NetInt = f64()
-		p.TimeInt = f64()
-		nj := u64()
-		if off > len(b) || nj > uint64(len(b)) {
-			return bad("truncated progress payload")
-		}
-		p.JCTs = make([]float64, 0, nj)
-		for j := uint64(0); j < nj; j++ {
-			p.JCTs = append(p.JCTs, f64())
-		}
-		ps[i] = p
-	}
-	if off != len(b) {
-		return bad("progress payload length mismatch")
-	}
-	return ps, nil
+	p.Done++
 }
