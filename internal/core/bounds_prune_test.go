@@ -145,10 +145,11 @@ func FuzzBoundSandwich(f *testing.F) {
 }
 
 // TestTwoTierByteIdentical is the invariance regression: with the bound
-// tier on (default) the chosen delay vector, makespan, and path audit are
-// byte-identical to the single-tier scan (DisableBoundPrune) on every
-// gallery and paper workload, under both evaluators — and the tier must
-// actually fire somewhere, or it is dead weight.
+// tier and the drain cutoff on (default) the chosen delay vector,
+// makespan, and path audit are byte-identical to the single-tier scan
+// (DisableBoundPrune), which drains every candidate to its end, on every
+// gallery and paper workload, under both evaluators — and the tier and
+// the cutoff must actually fire somewhere, or they are dead weight.
 func TestTwoTierByteIdentical(t *testing.T) {
 	c := c30()
 	jobs := workload.PaperWorkloads(c, 1)
@@ -160,7 +161,7 @@ func TestTwoTierByteIdentical(t *testing.T) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	totalPruned := 0
+	totalPruned, totalCut := 0, 0
 	for _, cfg := range []struct {
 		label string
 		opt   Options
@@ -187,9 +188,12 @@ func TestTwoTierByteIdentical(t *testing.T) {
 			if math.Float64bits(two.Makespan) != math.Float64bits(ref.Makespan) {
 				t.Fatalf("%s/%s: makespan %v != %v", cfg.label, name, two.Makespan, ref.Makespan)
 			}
-			if ref.Prune.Bounded != 0 || ref.Prune.Pruned != 0 {
-				t.Fatalf("%s/%s: single-tier run reported bound activity: %+v",
-					cfg.label, name, ref.Prune)
+			if ref.Prune.Bounded != 0 || ref.Prune.Pruned != 0 || ref.CutEvals != 0 {
+				t.Fatalf("%s/%s: single-tier run reported bound activity: %+v, %d cut drains",
+					cfg.label, name, ref.Prune, ref.CutEvals)
+			}
+			if two.CutEvals > two.ForkedEvals {
+				t.Fatalf("%s/%s: %d cut drains of %d forked evaluations", cfg.label, name, two.CutEvals, two.ForkedEvals)
 			}
 			if n := two.Prune.Exact + two.Prune.Approx; n != two.Evaluations {
 				t.Fatalf("%s/%s: exact+approx counters %d != evaluations %d",
@@ -199,9 +203,13 @@ func TestTwoTierByteIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: exact counter %d in the wrong mode", cfg.label, name, two.Prune.Exact)
 			}
 			totalPruned += two.Prune.Pruned
+			totalCut += two.CutEvals
 		}
 	}
 	if totalPruned == 0 {
 		t.Fatal("bound tier never pruned a candidate across the gallery")
+	}
+	if totalCut == 0 {
+		t.Fatal("no candidate drain was cut across the gallery")
 	}
 }

@@ -70,12 +70,14 @@ type Options struct {
 	// disabling it runs Alg. 1 verbatim. A second pass never changes the
 	// schedule: the pass ends on the makespan it started each scan from.
 	DisableRefine bool
-	// DisableBoundPrune turns off the two-tier scan's analytic tier so
-	// every candidate is answered by the exact evaluator — the single-tier
-	// reference the invariance tests and benchmarks compare against.
-	// Schedules are byte-identical either way: a pruned candidate's lower
-	// bound already met the scan's best, so its exact makespan provably
-	// fails the improve-by-tolerance test.
+	// DisableBoundPrune turns off both of the scan's bounds — the
+	// analytic tier and the drain cutoff (Evaluator.Scan) — so every
+	// candidate is answered by the exact evaluator and drained to its
+	// end: the single-tier reference the invariance tests and benchmarks
+	// compare against. Schedules are byte-identical either way: a pruned
+	// candidate's lower bound already met the scan-start best, and a cut
+	// candidate's live bound the running best, so its exact makespan
+	// provably fails the improve-by-tolerance test.
 	DisableBoundPrune bool
 	// Approximate switches the candidate evaluation from the what-if
 	// fluid simulation (default; faithful to Alg. 1 lines 12–14) to the
@@ -149,6 +151,10 @@ type Schedule struct {
 	CacheHits   int
 	ForkedEvals int
 	FullEvals   int
+	// CutEvals counts the ForkedEvals whose drain stopped early, once its
+	// live Σ JCT bound showed the candidate could not win (a subset of
+	// ForkedEvals).
+	CutEvals int
 	// Prune breaks the two-tier scan down: bounded / pruned candidates and
 	// the exact-vs-approximate split of Evaluations.
 	Prune PruneStats
@@ -171,8 +177,12 @@ type Evaluator interface {
 	// Scan evaluates one candidate scan of the stage at position k: it
 	// sets mks[i] to the makespan with the stage's delay xs[i]
 	// (ascending), every other delay as in delays, and returns how many
-	// candidates it answered. delays is unchanged on return.
-	Scan(delays []float64, k int, xs, mks []float64) (int, error)
+	// candidates it answered. delays is unchanged on return. best is the
+	// scan-start best: a candidate that provably cannot beat the running
+	// best of the scan's argmin loop (mks[i] < best − 1e-9, in candidate
+	// order) may read +Inf instead of its makespan; +Inf asks for every
+	// makespan.
+	Scan(delays []float64, k int, xs, mks []float64, best float64) (int, error)
 	// Close releases what the evaluator holds once planning is done.
 	Close()
 }
@@ -473,6 +483,7 @@ func (sc *scanCtx) result(err error) (*Schedule, error) {
 	if sc.stats != nil {
 		st := *sc.stats
 		sched.CacheHits, sched.ForkedEvals, sched.FullEvals = st.CacheHits, st.ForkedRuns, st.FullRuns
+		sched.CutEvals = st.CutRuns
 	}
 	sched.ComputeTime = time.Since(sc.start)
 	return sched, nil
@@ -569,7 +580,12 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	sc.skip = skip
 
 	// Tier 2: exact evaluation of the survivors, then the argmin in
-	// candidate order (ties keep the earlier candidate).
+	// candidate order (ties keep the earlier candidate). The evaluator
+	// replays the argmin loop to cut losing drains short against the
+	// running best; a cut candidate reads +Inf and loses here as its
+	// exact makespan would. Within one memo key space the best never
+	// rises, so a cut configuration never wins and no later base
+	// evaluation asks for it.
 	xs := sc.xs[:0]
 	for ci, x := range cands {
 		if x == incumbent && had {
@@ -582,7 +598,11 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	}
 	mks := slices.Grow(sc.mks[:0], len(xs))[:len(xs)]
 	sc.xs, sc.mks = xs, mks
-	n, err := sc.ev.Scan(sc.delays, k, xs, mks)
+	limit := best
+	if opt.DisableBoundPrune {
+		limit = math.Inf(1)
+	}
+	n, err := sc.ev.Scan(sc.delays, k, xs, mks, limit)
 	sc.countEval(n)
 	if err != nil {
 		return err

@@ -27,22 +27,31 @@ type EvalStats struct {
 	// from-scratch runs: the evaluations outside a candidate scan (a
 	// scan's base configuration, Tmax, the refinement passes' checks).
 	FullRuns int
+	// CutRuns counts the ForkedRuns whose drain stopped early: its live
+	// Σ JCT bound showed the candidate could not beat the scan's running
+	// best (see Scan).
+	CutRuns int
 }
 
 // evalMemo is an evaluator's exact memo cache of evaluated
-// configurations and its work counters.
+// configurations and its work counters. A configuration a scan cut
+// holds the loser marker +Inf rather than its Σ JCT.
 type evalMemo struct {
 	memo  map[string]float64
 	stats EvalStats
 }
 
-// lookup answers a configuration's key from the memo, counting a hit.
-func (m *evalMemo) lookup(key []byte) (float64, bool) {
+// lookup answers a configuration's key from the memo, counting a hit. A
+// loser marker answers only a scan (scan set), where it loses as the
+// exact answer would; to anything else it is a miss, so the
+// configuration is simulated afresh.
+func (m *evalMemo) lookup(key []byte, scan bool) (float64, bool) {
 	mk, ok := m.memo[string(key)]
-	if ok {
+	if ok && (scan || !math.IsInf(mk, 1)) {
 		m.stats.CacheHits++
+		return mk, true
 	}
-	return mk, ok
+	return 0, false
 }
 
 // activeSet is an evaluator's active stage set: a mask by stage position
@@ -216,7 +225,7 @@ func (e *simEvaluator) Close() { e.world.Close() }
 
 func (e *simEvaluator) Makespan(delays []float64) (float64, error) {
 	fp := e.keys.key(&e.active, delays)
-	if mk, ok := e.lookup(fp); ok {
+	if mk, ok := e.lookup(fp, false); ok {
 		return mk, nil
 	}
 	mk, err := e.fullRun(delays)
@@ -239,7 +248,14 @@ func (e *simEvaluator) Makespan(delays []float64) (float64, error) {
 // held world itself, drained. Each fork is taken and drained in
 // candidate order on the calling goroutine, and the first error ends the
 // scan.
-func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64) (int, error) {
+//
+// With a finite best, Scan replays the scan's argmin loop in candidate
+// order, memo hits included, and drains each miss with the running best
+// less the scan's tolerance as its limit: a drain whose live Σ JCT bound
+// shows the candidate cannot beat the running best stops there (a cut),
+// and the candidate reads, and is memoised as, the loser marker +Inf.
+// best = +Inf drains every miss to its end.
+func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, best float64) (int, error) {
 	// The held world takes its delays as Fork revisions, so this vector
 	// is free again once it is built.
 	held := append(e.held[:0], delays...)
@@ -253,7 +269,7 @@ func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64) (int, er
 	}
 	miss := keys.miss[:0]
 	for i := range xs {
-		if mk, ok := e.lookup(keys.batchKey(i)); ok {
+		if mk, ok := e.lookup(keys.batchKey(i), true); ok {
 			mks[i] = mk
 		} else {
 			miss = append(miss, i)
@@ -277,18 +293,32 @@ func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64) (int, er
 	}
 
 	kid := e.ids[k]
-	for _, i := range miss {
-		s := w
-		if i != last {
-			if err = w.AdvanceBefore(tr + xs[i]); err != nil {
+	cutoff := best < math.Inf(1)
+	next := 0 // the next miss
+	for i := range xs {
+		if next < len(miss) && miss[next] == i {
+			next++
+			s := w
+			if i != last {
+				if err = w.AdvanceBefore(tr + xs[i]); err != nil {
+					return hits, err
+				}
+				if s, err = w.Fork([]sim.DelayUpdate{{Job: e.ji, Stage: kid, Delay: xs[i]}}); err != nil {
+					return hits, err
+				}
+			}
+			mk, cut, err := s.DrainJCTSum(best - 1e-9) // without a cutoff best stays +Inf
+			if err != nil {
 				return hits, err
 			}
-			if s, err = w.Fork([]sim.DelayUpdate{{Job: e.ji, Stage: kid, Delay: xs[i]}}); err != nil {
-				return hits, err
+			if cut {
+				mk = math.Inf(1)
+				e.stats.CutRuns++
 			}
+			mks[i] = mk
 		}
-		if mks[i], err = s.DrainJCTSum(); err != nil {
-			return hits, err
+		if cutoff && mks[i] < best-1e-9 {
+			best = mks[i]
 		}
 	}
 	for _, i := range miss {
@@ -357,7 +387,8 @@ func (e *simEvaluator) fullRun(delays []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.DrainJCTSum()
+	mk, _, err := s.DrainJCTSum(math.Inf(1))
+	return mk, err
 }
 
 // approxEvaluator answers the same question from the analytic model's
@@ -396,7 +427,7 @@ func (e *approxEvaluator) Close() {}
 
 func (e *approxEvaluator) Makespan(delays []float64) (float64, error) {
 	fp := e.keys.key(&e.active, delays)
-	if mk, ok := e.lookup(fp); ok {
+	if mk, ok := e.lookup(fp, false); ok {
 		return mk, nil
 	}
 	mk := e.committed + e.b.PredictAt(delays)
@@ -405,8 +436,9 @@ func (e *approxEvaluator) Makespan(delays []float64) (float64, error) {
 	return mk, nil
 }
 
-// Scan prices the candidates in order.
-func (e *approxEvaluator) Scan(delays []float64, k int, xs, mks []float64) (int, error) {
+// Scan prices the candidates in order; a layout is never cut, so best is
+// not read.
+func (e *approxEvaluator) Scan(delays []float64, k int, xs, mks []float64, _ float64) (int, error) {
 	x0 := delays[k]
 	for i, x := range xs {
 		delays[k] = x

@@ -191,7 +191,7 @@ func checkMaskedRun(t *testing.T, opt sim.Options, mc maskCase, committed *workl
 		if res, err := fk.Result(); err != nil || !reflect.DeepEqual(res, ref) {
 			t.Fatalf("world=%v mask %v: fork of the prepared world differs from the restricted job's run (%v)", withWorld, mc.mask, err)
 		}
-		if sum, err := fork().DrainJCTSum(); err != nil || math.Float64bits(sum) != math.Float64bits(refSum) {
+		if sum, _, err := fork().DrainJCTSum(math.Inf(1)); err != nil || math.Float64bits(sum) != math.Float64bits(refSum) {
 			t.Fatalf("world=%v mask %v: fork's DrainJCTSum %v (%v), restricted run's Σ JCT %v", withWorld, mc.mask, sum, err, refSum)
 		}
 		prepared.Close()
@@ -443,7 +443,7 @@ func TestPreparedWorldsAnswerOnly(t *testing.T) {
 			if _, err := fk.Result(); err == nil {
 				t.Errorf("world=%v mask=%v: a fork of the prepared world has a Result", a.World != nil, m != nil)
 			}
-			if got, err := fk.DrainJCTSum(); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			if got, _, err := fk.DrainJCTSum(math.Inf(1)); err != nil || math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("world=%v mask=%v: drained fork %v (%v), the evaluator's answer %v", a.World != nil, m != nil, got, err, want)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -102,7 +103,7 @@ func (f *whatIfFixture) drainFork(tb testing.TB, s *sim.Stepper, x float64) (flo
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mk, err := fk.DrainJCTSum()
+	mk, _, err := fk.DrainJCTSum(math.Inf(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func (f *whatIfFixture) fullEvents(tb testing.TB) int {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := s.DrainJCTSum(); err != nil {
+	if _, _, err := s.DrainJCTSum(math.Inf(1)); err != nil {
 		tb.Fatal(err)
 	}
 	return s.Events()

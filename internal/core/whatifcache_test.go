@@ -109,7 +109,7 @@ func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng 
 			}
 			for pass := range 2 {
 				before := scanEv.stats
-				n, err := scanEv.Scan(delays, k, xs, mks)
+				n, err := scanEv.Scan(delays, k, xs, mks, math.Inf(1))
 				if err != nil || n != len(xs) {
 					t.Fatalf("%s mask %d stage %d: Scan answered %d of %d (%v)", wc.name, mi, ids[k], n, len(xs), err)
 				}

@@ -27,12 +27,14 @@ type Fig14Row struct {
 // evaluator answered them — from the memo cache, by forking a scan
 // snapshot (sim evaluator only: just the suffix after the scanned stage's
 // ready time was simulated), or by a full from-scratch simulation or
-// layout.
+// layout. CutEvals counts the forked evaluations whose drain stopped
+// early on its live JCT bound.
 type EvalEfficiency struct {
 	Evaluations int
 	CacheHits   int
 	ForkedEvals int
 	FullEvals   int
+	CutEvals    int `json:",omitempty"`
 	// Two-tier scan counters: candidates screened by the analytic bound,
 	// candidates discarded without evaluation, and (approximate mode only)
 	// evaluations answered by the analytic model.
@@ -46,6 +48,7 @@ func (e *EvalEfficiency) add(s *core.Schedule) {
 	e.CacheHits += s.CacheHits
 	e.ForkedEvals += s.ForkedEvals
 	e.FullEvals += s.FullEvals
+	e.CutEvals += s.CutEvals
 	e.Bounded += s.Prune.Bounded
 	e.Pruned += s.Prune.Pruned
 	e.Approx += s.Prune.Approx

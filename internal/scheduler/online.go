@@ -35,12 +35,14 @@ type OnlineOptions struct {
 	// job-first fairness. The caller's committed world must share the
 	// same way.
 	FairByJob bool
-	// DisableBoundPrune turns off the analytic candidate-pruning tier so
-	// every candidate is answered by a multi-job simulation — the
-	// single-tier reference the invariance tests compare against. Plans
-	// are byte-identical either way: a pruned candidate's objective lower
-	// bound already met the scan-start best, so its exact evaluation
-	// provably fails the improve-by-tolerance test.
+	// DisableBoundPrune turns off the analytic candidate-pruning tier and
+	// the drain cutoff (core.Options.DisableBoundPrune) so every
+	// candidate is answered by a multi-job simulation drained to its end
+	// — the single-tier reference the invariance tests compare against.
+	// Plans are byte-identical either way: a pruned candidate's objective
+	// lower bound already met the scan-start best, and a cut candidate's
+	// live bound the running best, so its exact evaluation provably fails
+	// the improve-by-tolerance test.
 	DisableBoundPrune bool
 	// Approximate prices every candidate from the analytic model instead
 	// of simulating the committed runs: the objective becomes Σ
@@ -113,6 +115,9 @@ type PlanAudit struct {
 	// exactly (Exact) or by the analytic model (Approx, approximate
 	// mode). Evaluations == Exact + Approx.
 	Prune core.PruneStats
+	// CutEvals counts the candidate drains stopped early by their live
+	// Σ JCT bound (core.Schedule.CutEvals).
+	CutEvals int
 }
 
 // OnlinePlanner plans continuously arriving jobs one at a time against
@@ -252,7 +257,8 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64, world *sim.Stepp
 		return sim.JobRun{}, err
 	}
 	p.audit = PlanAudit{Evaluations: sched.Evaluations, ParallelStages: len(sched.K), Paths: len(sched.Paths),
-		IncumbentTotal: sched.StockMakespan, ChosenTotal: sched.Makespan, Prune: sched.Prune}
+		IncumbentTotal: sched.StockMakespan, ChosenTotal: sched.Makespan, Prune: sched.Prune,
+		CutEvals: sched.CutEvals}
 	run := sim.JobRun{Job: job, Arrival: arrival}
 	// Never worse than submitting everything immediately: when the sweep
 	// beat stock by less than tolerance (or not at all), commit nil delays

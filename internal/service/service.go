@@ -233,7 +233,7 @@ type Service struct {
 	mSubmitted, mAdmitted, mRejected     *obs.Counter
 	mCacheHit, mCacheMiss, mCacheInvalid *obs.Counter
 	mRevised, mEpochs                    *obs.Counter
-	mPruned, mExactEvals                 *obs.Counter
+	mPruned, mExactEvals, mDrainsCut     *obs.Counter
 	mPlanSec, mJCT                       *obs.Histogram
 	mE2E, mQueueWait                     *obs.Histogram
 	gLive, gSimClock, gCacheSize         *obs.Gauge
@@ -304,6 +304,8 @@ func New(opt Options) (*Service, error) {
 		"Delay candidates the analytic bound tier eliminated before any simulation.")
 	s.mExactEvals = reg.Counter("schedd_plan_exact_evals_total", "",
 		"Delay candidates answered by an exact multi-job simulation.")
+	s.mDrainsCut = reg.Counter("schedd_plan_drains_cut_total", "",
+		"Candidate simulations stopped early: their live JCT bound showed they could not win.")
 	s.mEpochs = reg.Counter("schedd_epochs_total", "", "Busy-period epochs completed (world drained).")
 	s.mPlanSec = reg.Histogram("schedd_planning_seconds", "",
 		"Wall-clock latency of one Alg. 1 planning sweep.", obs.ExpBuckets(1e-4, 2, 16))
@@ -642,6 +644,7 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, facts *specFacts, arri
 	audit.ApproxEvals = pa.Prune.Approx
 	s.mPruned.Add(float64(pa.Prune.Pruned))
 	s.mExactEvals.Add(float64(pa.Prune.Exact))
+	s.mDrainsCut.Add(float64(pa.CutEvals))
 	audit.IncumbentTotal = pa.IncumbentTotal
 	audit.ChosenTotal = pa.ChosenTotal
 	if pa.FallbackNoWin {

@@ -499,7 +499,7 @@ func ptr(v float64) *float64 { return &v }
 
 // TestPlanAuditPruneFields: a cold planner decision must carry the
 // two-tier scan counters in its trace audit, bump the prune/exact-eval
-// counters, and surface the outcome in the planned timeline milestone.
+// and cut-drain counters, and surface the outcome in the planned timeline milestone.
 func TestPlanAuditPruneFields(t *testing.T) {
 	s := newTestService(t, Options{})
 	c := cluster.NewM4LargeCluster(10)
@@ -538,7 +538,7 @@ func TestPlanAuditPruneFields(t *testing.T) {
 	if err := s.Registry().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"schedd_plan_pruned_total", "schedd_plan_exact_evals_total"} {
+	for _, name := range []string{"schedd_plan_pruned_total", "schedd_plan_exact_evals_total", "schedd_plan_drains_cut_total"} {
 		val := ""
 		for _, line := range strings.Split(buf.String(), "\n") {
 			if strings.HasPrefix(line, name+" ") {

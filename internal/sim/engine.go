@@ -208,6 +208,9 @@ type profileView struct {
 	// idle (one task occupies at most one executor). Zero means "one
 	// full wave" (no cap).
 	tasksPerNode float64
+	// computeSec is one partition's solo compute work in executor-seconds,
+	// the unit of the live Σ JCT bound (bound.go).
+	computeSec float64
 }
 
 // timer is a scheduled engine event. Its indices are int32 so a timer
@@ -335,8 +338,9 @@ type engine struct {
 	// answerOnly marks the engine of an answer-only world
 	// (Stepper.AnswerOnly): a what-if world, or one DrainJCTSum is
 	// draining. It retires without finalize, so advance skips the usage
-	// integrals and the tracked series, which only finalize reads. clone
-	// carries it to forks; newEngine and release clear it.
+	// integrals and the tracked series, which only finalize reads; it
+	// keeps the live Σ JCT bound instead (bound.go). clone carries it to
+	// forks; newEngine and release clear it.
 	answerOnly bool
 
 	// fault / recovery state
@@ -368,6 +372,16 @@ type engine struct {
 	// so a timer at haltAt would not shorten it.)
 	haltSet bool
 	haltAt  float64
+
+	// The live Σ JCT lower bound (bound.go): Σ JCT of the finished jobs,
+	// how many jobs have arrived and not finished and Σ of their
+	// arrivals, and Σ over unfinished jobs of their unstarted work's
+	// least time on the cluster.
+	lbDone, lbStarts, lbNeed float64
+	lbArrived                int
+	// perCap is, by phase, the seconds one unit of work takes on the
+	// whole cluster: 1 / (network bandwidth, executors, disk bandwidth).
+	perCap [3]float64
 }
 
 // engineBufs are the engine's reusable buffers. They keep their capacity
@@ -415,6 +429,9 @@ type engineBufs struct {
 	// error, sized for the initial runs and grown by Stepper.Inject.
 	jobStart, jobEnd []float64
 	jobErrs          []error
+	// work holds each job's share of the live Σ JCT bound (bound.go);
+	// only an answer-only engine keeps it.
+	work []jobWork
 
 	// fault / recovery state
 	stagesLeft []int  // incomplete stages per job
@@ -498,6 +515,7 @@ func newEngine(opt Options, runs []JobRun) *engine {
 			e.totalNet += bw
 		}
 	}
+	e.perCap = [3]float64{phRead: 1 / e.totalNet, phCompute: 1 / e.totalExec, phWrite: 1 / e.totalDisk}
 	return e
 }
 
@@ -529,6 +547,7 @@ func (b *engineBufs) empty() {
 	}
 	b.netBW, b.diskBW, b.execs = b.netBW[:0], b.diskBW[:0], b.execs[:0]
 	b.jobBase, b.inW, b.timers = b.jobBase[:0], b.inW[:0], b.timers[:0]
+	b.work = b.work[:0]
 	b.stagesLeft = b.stagesLeft[:0]
 	clear(b.jobErrs)
 	b.doneScratch, b.deadScratch = b.doneScratch[:0], b.deadScratch[:0]
@@ -784,6 +803,9 @@ func (e *engine) addRun(ji int, run JobRun) {
 			skew:         p.Skew,
 			tasksPerNode: float64(p.Tasks) / n,
 		}
+		if p.ProcRate > 0 {
+			st.profile.computeSec = st.profile.perNodeIn / p.ProcRate
+		}
 		st.tl.JobIndex, st.tl.Stage = ji, sid
 		st.computeTot = st.profile.perNodeIn * n
 		if e.opt.AggShuffle || run.Placement != nil {
@@ -793,6 +815,9 @@ func (e *engine) addRun(ji int, run JobRun) {
 		}
 	}
 	e.stagesLeft = append(e.stagesLeft, stages)
+	if e.answerOnly {
+		e.addWork(ji)
+	}
 	e.timers.push(timer{at: run.Arrival, seq: arrivalSeq(ji), kind: tJobArrival, job: int32(ji)})
 }
 
@@ -893,6 +918,7 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 	}
 	st.submitted = true
 	st.prefetched = prefetch
+	e.startWork(st.key.job, phRead, st.profile.perNodeIn*e.partitions(st))
 	if prefetch {
 		st.computeTot = st.profile.perNodeIn * float64(e.nNodes) * (1 + aggShuffleOverhead)
 	}
@@ -998,6 +1024,7 @@ func (e *engine) computeVol(st *stageState) float64 {
 }
 
 func (e *engine) startCompute(st *stageState, node int) {
+	e.startWork(st.key.job, phCompute, st.profile.computeSec)
 	vol := e.computeVol(st)
 	if vol <= eps {
 		e.finishCompute(st, node)
@@ -1017,6 +1044,7 @@ func (e *engine) finishCompute(st *stageState, node int) {
 	if st.computeLeft == 0 {
 		st.tl.ComputeEnd = e.now
 	}
+	e.startWork(st.key.job, phWrite, st.profile.perNodeOut)
 	vol := st.profile.perNodeOut
 	if vol <= eps {
 		e.finishWrite(st, node)
@@ -1047,6 +1075,7 @@ func (e *engine) finishWrite(st *stageState, node int) {
 	e.stagesLeft[st.key.job]--
 	if e.stagesLeft[st.key.job] == 0 {
 		e.jobsLeft--
+		e.finishWork(st.key.job)
 		if o := e.opt.Observer; o != nil {
 			o.OnEvent(Event{T: e.now, Kind: EvJobDone, Job: st.key.job, Stage: -1, Node: -1})
 		}
@@ -1073,6 +1102,7 @@ func (e *engine) finishWrite(st *stageState, node int) {
 func (e *engine) fireTimer(t timer) {
 	switch t.kind {
 	case tJobArrival:
+		e.arriveWork(int(t.job))
 		// The job's roots, in insertion order: no stage of the job has
 		// started yet, so a stage waits on no parent exactly when it has
 		// no active one.

@@ -260,7 +260,7 @@ func TestDrainJCTSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		end, err := f.DrainJCTSum()
+		end, _, err := f.DrainJCTSum(math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestDrainJCTSum(t *testing.T) {
 		if _, err := f.Result(); err == nil {
 			t.Errorf("%s: Result after DrainJCTSum did not error", job.Name)
 		}
-		if _, err := f.DrainJCTSum(); err == nil {
+		if _, _, err := f.DrainJCTSum(math.Inf(1)); err == nil {
 			t.Errorf("%s: second DrainJCTSum did not error", job.Name)
 		}
 
@@ -298,7 +298,7 @@ func TestDrainJCTSum(t *testing.T) {
 		if err := w.Inject(all[2]); err != nil {
 			t.Fatal(err)
 		}
-		got, err := w.DrainJCTSum()
+		got, _, err := w.DrainJCTSum(math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -762,7 +762,7 @@ func requireAnswerOnlySum(t *testing.T, ctx string, s *Stepper, updates []DelayU
 	if _, err := f.Result(); err == nil {
 		t.Fatalf("%s: an answer-only fork has a Result", ctx)
 	}
-	sum, err := f.DrainJCTSum()
+	sum, _, err := f.DrainJCTSum(math.Inf(1))
 	if err != nil {
 		t.Fatalf("%s: drain: %v", ctx, err)
 	}
@@ -779,7 +779,7 @@ func requireDrainSum(t *testing.T, ctx string, s *Stepper, updates []DelayUpdate
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.DrainJCTSum()
+	got, _, err := f.DrainJCTSum(math.Inf(1))
 	if err != nil {
 		t.Fatalf("%s: drain: %v", ctx, err)
 	}

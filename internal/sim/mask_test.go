@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -112,7 +113,7 @@ func TestStepperClose(t *testing.T) {
 	if _, err := s.Result(); err == nil {
 		t.Fatal("Result of a closed stepper succeeded")
 	}
-	if _, err := s.DrainJCTSum(); err == nil {
+	if _, _, err := s.DrainJCTSum(math.Inf(1)); err == nil {
 		t.Fatal("DrainJCTSum of a closed stepper succeeded")
 	}
 	got, err := stepOut(fk)

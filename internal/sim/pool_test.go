@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -61,13 +62,13 @@ func answerOnlyDrains(opt Options, runs []JobRun, at float64, upd []DelayUpdate)
 		if err != nil {
 			return nil, err
 		}
-		sum, err := f.DrainJCTSum()
+		sum, _, err := f.DrainJCTSum(math.Inf(1))
 		if err != nil {
 			return nil, err
 		}
 		res.JobEnd, res.Events = append(res.JobEnd, sum), res.Events+f.Events()
 	}
-	sum, err := s.DrainJCTSum()
+	sum, _, err := s.DrainJCTSum(math.Inf(1))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -256,6 +257,7 @@ func (e *engine) failJob(job int, err error) {
 	e.failed[job] = true
 	e.jobErrs[job] = err
 	e.jobEnd[job] = e.now
+	e.finishWork(job)
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvJobFailed, Job: job, Stage: -1, Node: -1, Detail: err.Error()})
 	}
@@ -315,7 +317,7 @@ func (e *engine) watch(kind EventKind, st *stageState) {
 		}
 		slices.Sort(ids)
 		for _, id := range ids {
-			if si := e.reviseDelay(DelayUpdate{Job: j, Stage: id}); si >= 0 {
+			if si := e.reviseDelay(e.stateIdx(skey{j, id}), DelayUpdate{Job: j, Stage: id}); si >= 0 {
 				e.pushTimer(e.states[si].submitAt, tSubmitStage, si, j)
 			}
 		}
@@ -326,21 +328,34 @@ func (e *engine) watch(kind EventKind, st *stageState) {
 // except that each stage gets the given delay and a ready stage's pending
 // submission timer is re-armed in place — same sequence number, new time
 // — so the world holds exactly the timers a run configured with the new
-// delay from the start would hold.
-func (e *engine) reviseDelays(us []DelayUpdate) {
+// delay from the start would hold. Each update's stage is resolved once,
+// to vet the update and to revise it; the first update that names no
+// stage, a submitted one or an invalid delay is an error (the caller
+// drops the fork).
+func (e *engine) reviseDelays(us []DelayUpdate) error {
 	for _, u := range us {
-		if si := e.reviseDelay(u); si >= 0 {
+		si := e.stateIdx(skey{u.Job, u.Stage})
+		switch {
+		case si < 0:
+			return fmt.Errorf("sim: fork: job %d has no stage %d", u.Job, u.Stage)
+		case e.states[si].submitted:
+			return fmt.Errorf("sim: fork: job %d stage %d was already submitted at t=%.6g", u.Job, u.Stage, e.now)
+		case u.Delay < 0 || math.IsNaN(u.Delay) || math.IsInf(u.Delay, 0):
+			return fmt.Errorf("sim: fork: job %d stage %d has invalid delay %v", u.Job, u.Stage, u.Delay)
+		}
+		if si = e.reviseDelay(si, u); si >= 0 {
 			e.rearmSubmit(si)
 		}
 	}
+	return nil
 }
 
-// reviseDelay records one revision as the stage's delay override and, for
-// a stage that is already ready, moves its submitAt to ready time + delay
+// reviseDelay records one revision of the stage at slab index si (-1:
+// the world has no such stage) as the stage's delay override and, for a
+// stage that is already ready, moves its submitAt to ready time + delay
 // (never before now). It returns the stage's slab index when the stage is
 // ready and so needs its submission timer set, -1 otherwise.
-func (e *engine) reviseDelay(u DelayUpdate) int {
-	si := e.stateIdx(skey{u.Job, u.Stage})
+func (e *engine) reviseDelay(si int, u DelayUpdate) int {
 	if si < 0 {
 		return -1
 	}

@@ -248,19 +248,11 @@ func (s *Stepper) Fork(updates []DelayUpdate) (*Stepper, error) {
 	if p.opt.Watchdog != nil {
 		return nil, fmt.Errorf("sim: a world with a Watchdog cannot be forked")
 	}
-	for _, u := range updates {
-		si := p.stateIdx(skey{u.Job, u.Stage})
-		switch {
-		case si < 0:
-			return nil, fmt.Errorf("sim: fork: job %d has no stage %d", u.Job, u.Stage)
-		case p.states[si].submitted:
-			return nil, fmt.Errorf("sim: fork: job %d stage %d was already submitted at t=%.6g", u.Job, u.Stage, p.now)
-		case u.Delay < 0 || math.IsNaN(u.Delay) || math.IsInf(u.Delay, 0):
-			return nil, fmt.Errorf("sim: fork: job %d stage %d has invalid delay %v", u.Job, u.Stage, u.Delay)
-		}
-	}
 	e := p.clone()
-	e.reviseDelays(updates)
+	if err := e.reviseDelays(updates); err != nil {
+		e.release()
+		return nil, err
+	}
 	return &Stepper{e: e, horizon: s.horizon}, nil
 }
 
@@ -307,15 +299,17 @@ func (s *Stepper) Inject(run JobRun) error {
 
 // AnswerOnly makes the world answer-only: from here on it, and every fork
 // taken of it afterwards, steps without the usage integrals and tracked
-// series that only a finalized Result reports. Its trajectory — clock,
+// series that only a finalized Result reports, and keeps instead the live
+// Σ JCT bound a limited DrainJCTSum reads. Its trajectory — clock,
 // events, stage timelines, job ends — is unchanged, DrainJCTSum is its
 // only answer, and Result errors. The what-if evaluator makes its
 // prepared worlds answer-only, so the worlds its candidate scans step
 // and fork keep nothing nobody reads. It does nothing on a retired
 // stepper.
 func (s *Stepper) AnswerOnly() {
-	if s.e != nil {
-		s.e.answerOnly = true
+	if e := s.e; e != nil && !e.answerOnly {
+		e.answerOnly = true
+		e.trackWork()
 	}
 }
 
@@ -326,28 +320,50 @@ func (s *Stepper) AnswerOnly() {
 // answer path of a what-if evaluation, which needs one number, so the
 // world steps answer-only (see AnswerOnly). Observers see every event as
 // in a full run.
-func (s *Stepper) DrainJCTSum() (float64, error) {
+//
+// A finite limit lets the drain stop early. Before each step it reads a
+// live lower bound on the world's Σ JCT (bound.go), less a float slack of
+// 1e-9·(1 + bound); once that floor reaches limit, the world provably
+// cannot end below limit, and DrainJCTSum retires the engine and returns
+// the floor with cut set. limit = +Inf always drains to the end, bit for
+// bit as without a limit.
+func (s *Stepper) DrainJCTSum(limit float64) (sum float64, cut bool, err error) {
 	s.AnswerOnly()
+	bounded := limit < math.Inf(1)
 	for !s.done {
+		if bounded {
+			if lb := s.e.jctFloor(); lb >= limit {
+				s.retire()
+				return lb, true, nil
+			}
+		}
 		if err := s.StepNextEvent(); err != nil {
-			return 0, err
+			return 0, false, err
 		}
 	}
 	if s.err != nil {
-		return 0, s.err
+		return 0, false, s.err
 	}
 	e := s.e
 	if e == nil {
-		return 0, fmt.Errorf("sim: JCT sum requested from a retired stepper")
+		return 0, false, fmt.Errorf("sim: JCT sum requested from a retired stepper")
 	}
 	total := 0.0
 	for i, end := range e.jobEnd {
 		total += end - e.jobStart[i]
 	}
+	s.retire()
+	return total, false, nil
+}
+
+// retire hands the engine back to the pool without a Result, keeping its
+// clock, event and job counts readable.
+func (s *Stepper) retire() {
+	e := s.e
+	s.done = true
 	s.clock, s.events, s.jobs = e.now, e.res.Events, len(e.runs)
 	e.release()
 	s.e = nil
-	return total, nil
 }
 
 // Close retires an unfinished stepper's engine to the pool without
@@ -361,11 +377,8 @@ func (s *Stepper) Close() {
 	if s.done {
 		return
 	}
-	e := s.e
-	s.done, s.err = true, errClosed
-	s.clock, s.events, s.jobs = e.now, e.res.Events, len(e.runs)
-	e.release()
-	s.e = nil
+	s.retire()
+	s.err = errClosed
 }
 
 var errClosed = errors.New("sim: stepper closed")
@@ -427,6 +440,8 @@ func (e *engine) clone() *engine {
 	copy(c.jobEnd, e.jobEnd)
 	copy(c.jobErrs, e.jobErrs)
 	c.jobBase = append(c.jobBase, e.jobBase...)
+	c.work = append(c.work, e.work...)
+	c.lbDone, c.lbStarts, c.lbNeed, c.lbArrived = e.lbDone, e.lbStarts, e.lbNeed, e.lbArrived
 	c.inW = append(c.inW, e.inW...)
 
 	// The slab copies whole; the few per-stage slices and maps the loop

@@ -291,7 +291,7 @@ func TestAnswerOnlyWorld(t *testing.T) {
 					t.Errorf("%s/%s: answer-only %s ends at event %d, t=%v; the full run at %d, %v",
 						job.Name, other.Name, name, s.Events(), s.Clock(), ref.Events, ref.JobEnd)
 				}
-				got, err := s.DrainJCTSum()
+				got, _, err := s.DrainJCTSum(math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
