@@ -155,6 +155,10 @@ type Schedule struct {
 	// live Σ JCT bound showed the candidate could not win (a subset of
 	// ForkedEvals).
 	CutEvals int
+	// ReusedScans counts the candidate scans whose held world started
+	// from the previous scan's ready boundary instead of the job's
+	// arrival.
+	ReusedScans int
 	// Prune breaks the two-tier scan down: bounded / pruned candidates and
 	// the exact-vs-approximate split of Evaluations.
 	Prune PruneStats
@@ -483,7 +487,7 @@ func (sc *scanCtx) result(err error) (*Schedule, error) {
 	if sc.stats != nil {
 		st := *sc.stats
 		sched.CacheHits, sched.ForkedEvals, sched.FullEvals = st.CacheHits, st.ForkedRuns, st.FullRuns
-		sched.CutEvals = st.CutRuns
+		sched.CutEvals, sched.ReusedScans = st.CutRuns, st.ReusedScans
 	}
 	sched.ComputeTime = time.Since(sc.start)
 	return sched, nil

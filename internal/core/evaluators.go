@@ -31,6 +31,10 @@ type EvalStats struct {
 	// Σ JCT bound showed the candidate could not beat the scan's running
 	// best (see Scan).
 	CutRuns int
+	// ReusedScans counts the candidate scans whose held world started
+	// from the previous scan's ready boundary rather than from the
+	// sub-job's arrival (see Scan).
+	ReusedScans int
 }
 
 // evalMemo is an evaluator's exact memo cache of evaluated
@@ -161,6 +165,12 @@ type simEvaluator struct {
 	active    activeSet
 	// world is the active set's prepared world, only ever forked.
 	world *sim.Stepper
+	// kept is the last scan's held world, paused where its scanned stage
+	// became ready and only ever forked, and keptDelays the delays (by
+	// position) it holds; kept is nil when there is none. The next scan
+	// under the same active set may start from it (resume).
+	kept       *sim.Stepper
+	keptDelays []float64
 
 	// Scratch: a fork's delay revisions and a scan's delay vector (see
 	// Scan).
@@ -214,14 +224,26 @@ func (e *simEvaluator) prepare(mask []bool) error {
 	if e.world != nil {
 		e.world.Close()
 	}
+	e.dropKept()
 	e.world, e.active = w, act
 	return nil
 }
 
 func (e *simEvaluator) SetActive(active []bool) error { return e.prepare(active) }
 
-// Close retires the prepared world.
-func (e *simEvaluator) Close() { e.world.Close() }
+// Close retires the prepared world and the kept one.
+func (e *simEvaluator) Close() {
+	e.world.Close()
+	e.dropKept()
+}
+
+// dropKept retires the kept world.
+func (e *simEvaluator) dropKept() {
+	if e.kept != nil {
+		e.kept.Close()
+		e.kept = nil
+	}
+}
 
 func (e *simEvaluator) Makespan(delays []float64) (float64, error) {
 	fp := e.keys.key(&e.active, delays)
@@ -255,6 +277,11 @@ func (e *simEvaluator) Makespan(delays []float64) (float64, error) {
 // shows the candidate cannot beat the running best stops there (a cut),
 // and the candidate reads, and is memoised as, the loser marker +Inf.
 // best = +Inf drains every miss to its end.
+//
+// The held world need not start at the arrival: Scan keeps a fork of it
+// at the stage's ready time, and the next scan starts from that when the
+// Fork contract makes it the world arrive and stepping would reach (see
+// resume).
 func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, best float64) (int, error) {
 	// The held world takes its delays as Fork revisions, so this vector
 	// is free again once it is built.
@@ -283,13 +310,18 @@ func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, best flo
 
 	last := miss[len(miss)-1]
 	held[k] = xs[last]
-	w, err := e.arrive(held)
+	w, err := e.resume(held, k)
 	if err != nil {
 		return hits, err
 	}
 	tr, err := e.stepToReady(w, k)
 	if err != nil {
 		return hits, err
+	}
+	if !e.root(k) {
+		if err := e.keep(w, held); err != nil {
+			return hits, err
+		}
 	}
 
 	kid := e.ids[k]
@@ -345,18 +377,82 @@ func (e *simEvaluator) arrive(delays []float64) (*sim.Stepper, error) {
 	return e.world.Fork(ups)
 }
 
-// stepToReady steps a world from arrive to the event boundary where the
-// stage at position k becomes ready and returns its ready time. A root of
-// the sub-job — no active parent — is ready at arrival: the world is left
-// unstepped (stepping would advance past it) and the ready time is the
-// arrival, which the root's recorded ready time can only exceed, by the
-// engine's clock tolerance.
-func (e *simEvaluator) stepToReady(w *sim.Stepper, k int) (float64, error) {
-	root := true
-	for _, p := range e.job.Graph.ParentPos(k) {
-		root = root && !e.active.on(p)
+// resume returns the world a scan of the stage at position k under the
+// given delays (by position) starts from, positioned no later than the
+// stage's readiness. That is a fork of the kept world when the Fork
+// contract makes it bit-identical to arrive's world stepped as far:
+//   - the stage is not yet ready there;
+//   - every active stage whose delay differs from the kept world's has not
+//     been submitted there;
+//   - each such stage that is already ready became ready at the kept
+//     world's clock, so its new submission time, ready time plus its new
+//     delay, is no earlier than that clock.
+//
+// A stage that became ready earlier held its old submission timer
+// through the last advance, which that timer may have cut short; one
+// that became ready at the clock had it pushed after the advance, so its
+// old delay shaped nothing yet. A stage not yet ready reads its delay at
+// readiness. The delays that differ go in as the fork's revisions.
+// Otherwise resume falls back to arrive.
+func (e *simEvaluator) resume(delays []float64, k int) (*sim.Stepper, error) {
+	w := e.kept
+	if w == nil {
+		return e.arrive(delays)
 	}
-	if root {
+	if _, ready := w.ReadyTime(e.ji, k); ready {
+		return e.arrive(delays)
+	}
+	now := w.Clock()
+	ups := e.updates[:0]
+	for p, v := range delays {
+		if v == e.keptDelays[p] || !e.active.on(p) {
+			continue
+		}
+		if tl, ok := w.Timeline(e.ji, p); ok && (tl.Start < math.Inf(1) || tl.Ready < math.Inf(1) && tl.Ready != now) {
+			return e.arrive(delays)
+		}
+		ups = append(ups, sim.DelayUpdate{Job: e.ji, Stage: e.ids[p], Delay: v})
+	}
+	e.updates = ups
+	f, err := w.Fork(ups)
+	if err == nil {
+		e.stats.ReusedScans++
+	}
+	return f, err
+}
+
+// keep replaces the kept world with a fork of w, a scan's held world at
+// its scanned stage's ready time, which holds the given delays.
+func (e *simEvaluator) keep(w *sim.Stepper, delays []float64) error {
+	f, err := w.Fork(nil)
+	if err != nil {
+		return err
+	}
+	e.dropKept()
+	e.kept = f
+	e.keptDelays = append(e.keptDelays[:0], delays...)
+	return nil
+}
+
+// root reports whether the stage at position k is a root of the active
+// sub-job: it has no active parent, so it is ready at arrival.
+func (e *simEvaluator) root(k int) bool {
+	for _, p := range e.job.Graph.ParentPos(k) {
+		if e.active.on(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// stepToReady steps a world from arrive (or resume) to the event boundary
+// where the stage at position k becomes ready and returns its ready time.
+// A root of the sub-job is ready at arrival: the world is left unstepped
+// (stepping would advance past it) and the ready time is the arrival,
+// which the root's recorded ready time can only exceed, by the engine's
+// clock tolerance.
+func (e *simEvaluator) stepToReady(w *sim.Stepper, k int) (float64, error) {
+	if e.root(k) {
 		return e.arrival.At, nil
 	}
 	for {

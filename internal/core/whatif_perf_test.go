@@ -139,6 +139,16 @@ func (f *whatIfFixture) heldFork(tb testing.TB) float64 {
 	return mk
 }
 
+// clone forks the held world under the candidate delay heldX and closes
+// the fork unstepped: a fork's fixed cost.
+func (f *whatIfFixture) clone(tb testing.TB) {
+	fk, err := f.held.Fork([]sim.DelayUpdate{{Job: 0, Stage: f.kid, Delay: heldX}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fk.Close()
+}
+
 // benchTraceJob returns a fixed trace DAG for the per-layer bench: the
 // first tracegen job (seed 3) with 30–60 stages, on its coarse slice.
 func benchTraceJob(tb testing.TB) (*cluster.Cluster, *workload.Job) {
@@ -190,7 +200,10 @@ var whatIfSink float64
 // readiness, and held one forked from a scan's held world at the
 // candidate's submission time (the common case inside a scan). Each
 // reports the engine events one evaluation steps (events/op) and the
-// time per event (ns/event), the engine step's own cost.
+// time per event (ns/event), the engine step's own cost. clone times
+// what every forked evaluation pays before its first step: a Fork of the
+// held world under the candidate's delay, then Close, which hands the
+// engine back to the pool.
 func BenchmarkWhatIfEval(b *testing.B) {
 	c, job := benchTraceJob(b)
 	f := newWhatIfFixture(b, c, job)
@@ -221,6 +234,12 @@ func BenchmarkWhatIfEval(b *testing.B) {
 		b.StopTimer()
 		_, n := f.drainFork(b, f.held, heldX)
 		reportPerEvent(b, float64(n))
+	})
+	b.Run("clone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.clone(b)
+		}
 	})
 }
 
@@ -276,6 +295,7 @@ func TestWhatIfEvalAllocBudget(t *testing.T) {
 			{"full", func() { f.full(t) }},
 			{"fork", func() { f.fork(t, 3) }},
 			{"held", func() { f.heldFork(t) }},
+			{"clone", func() { f.clone(t) }},
 		}
 		// Warm the pool so its first fills do not bill the measured runs.
 		for _, ev := range evals {
@@ -321,9 +341,9 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestComputeAllocBudget bounds the allocations of one whole Alg. 1 run,
 // planned as cmd/replay plans a DAG of more than 60 stages (Descending,
-// MaxCandidates 6), on a 136-stage trace DAG: about 2,810 allocations and
-// 363 KB for some 830 evaluations (Go 1.24). The budgets leave
-// ~30% headroom on the count and ~18% on the bytes, room for another Go
+// MaxCandidates 6), on a 136-stage trace DAG: about 2,890 allocations and
+// 371 KB for some 830 evaluations (Go 1.24). The budgets leave
+// ~26% headroom on the count and ~16% on the bytes, room for another Go
 // release's map layout (the memo map and its keys are about a third of
 // the bytes). They catch allocations that scale with the job inside the
 // planner's inner loops: a fresh delay vector per candidate scan (about

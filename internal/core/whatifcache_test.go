@@ -27,6 +27,46 @@ type whatIfCase struct {
 	at        float64
 }
 
+// arrival builds the case's Arrival: its committed runs paused just
+// before the arrival time, or an empty cluster. The caller closes the
+// world.
+func (wc whatIfCase) arrival(t testing.TB) Arrival {
+	t.Helper()
+	a := Arrival{At: wc.at, FairByJob: wc.simOpt.FairByJob}
+	if wc.committed != nil {
+		w, err := sim.NewStepper(wc.simOpt, wc.committed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AdvanceBefore(wc.at); err != nil {
+			t.Fatal(err)
+		}
+		a.World = w
+	}
+	return a
+}
+
+// fresh is the oracle: Σ JCT of a fresh sim.Run over the committed runs
+// plus the job, masked, arriving with the delays (by position).
+func (wc whatIfCase) fresh(t testing.TB, mask []bool, delays []float64) float64 {
+	t.Helper()
+	ids := wc.job.Graph.StagesView()
+	run := sim.JobRun{Job: wc.job, Arrival: wc.at, Active: mask, Placement: wc.opt.Placement,
+		Delays: map[dag.StageID]float64{}}
+	for p, x := range delays {
+		run.Delays[ids[p]] = x
+	}
+	res, err := sim.Run(wc.simOpt, append(slices.Clone(wc.committed), run))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for i := range res.JobEnd {
+		sum += res.JCT(i)
+	}
+	return sum
+}
+
 // checkAnswersMatchFreshSim holds the sim evaluator's what-if layers to
 // an oracle that shares none of them: under every mask, each active
 // stage's candidates are priced by a Scan (forks of a held world, drained
@@ -36,17 +76,9 @@ type whatIfCase struct {
 // the masked job arriving with those delays.
 func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng *rand.Rand) {
 	t.Helper()
-	a := Arrival{At: wc.at, FairByJob: wc.simOpt.FairByJob}
-	if wc.committed != nil {
-		w, err := sim.NewStepper(wc.simOpt, wc.committed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		if err := w.AdvanceBefore(wc.at); err != nil {
-			t.Fatal(err)
-		}
-		a.World = w
+	a := wc.arrival(t)
+	if a.World != nil {
+		defer a.World.Close()
 	}
 	scanEv, err := newSimEvaluator(wc.opt, wc.job, a)
 	if err != nil {
@@ -59,22 +91,6 @@ func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng 
 	}
 	defer fullEv.Close()
 	ids := wc.job.Graph.StagesView()
-	fresh := func(mask []bool, delays []float64) float64 {
-		run := sim.JobRun{Job: wc.job, Arrival: wc.at, Active: mask, Placement: wc.opt.Placement,
-			Delays: map[dag.StageID]float64{}}
-		for p, x := range delays {
-			run.Delays[ids[p]] = x
-		}
-		res, err := sim.Run(wc.simOpt, append(slices.Clone(wc.committed), run))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := 0.0
-		for i := range res.JobEnd {
-			sum += res.JCT(i)
-		}
-		return sum
-	}
 	xs := []float64{0, 2.5, 7, 15, 40}
 	mks := make([]float64, len(xs))
 	for mi, mask := range masks {
@@ -98,7 +114,7 @@ func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng 
 			for i, x := range xs {
 				d := slices.Clone(delays)
 				d[k] = x
-				want[i] = fresh(mask, d)
+				want[i] = wc.fresh(t, mask, d)
 				got, err := fullEv.Makespan(d)
 				if err != nil {
 					t.Fatal(err)

@@ -28,13 +28,15 @@ type Fig14Row struct {
 // snapshot (sim evaluator only: just the suffix after the scanned stage's
 // ready time was simulated), or by a full from-scratch simulation or
 // layout. CutEvals counts the forked evaluations whose drain stopped
-// early on its live JCT bound.
+// early on its live JCT bound, ReusedScans the candidate scans that
+// started from the previous scan's ready boundary.
 type EvalEfficiency struct {
 	Evaluations int
 	CacheHits   int
 	ForkedEvals int
 	FullEvals   int
 	CutEvals    int `json:",omitempty"`
+	ReusedScans int `json:",omitempty"`
 	// Two-tier scan counters: candidates screened by the analytic bound,
 	// candidates discarded without evaluation, and (approximate mode only)
 	// evaluations answered by the analytic model.
@@ -49,6 +51,7 @@ func (e *EvalEfficiency) add(s *core.Schedule) {
 	e.ForkedEvals += s.ForkedEvals
 	e.FullEvals += s.FullEvals
 	e.CutEvals += s.CutEvals
+	e.ReusedScans += s.ReusedScans
 	e.Bounded += s.Prune.Bounded
 	e.Pruned += s.Prune.Pruned
 	e.Approx += s.Prune.Approx

@@ -42,8 +42,8 @@ func jctSlack(lb float64) float64 { return 1e-9 * (1 + lb) }
 
 // partitions is how many partitions the stage runs: one per node, or the
 // one of a placed stage.
-func (e *engine) partitions(st *stageState) float64 {
-	if st.node >= 0 {
+func (e *engine) partitions(in *stageInfo) float64 {
+	if in.node >= 0 {
 		return 1
 	}
 	return float64(e.nNodes)
@@ -87,23 +87,23 @@ func (e *engine) addWork(j int) {
 	var w jobWork
 	base := e.jobBase[j]
 	for i := base; i < base+e.runs[j].Job.Graph.Len(); i++ {
-		st := &e.states[i]
-		if st.off {
+		in, st := &e.info[i], &e.states[i]
+		if in.off {
 			continue
 		}
 		w.arrived = w.arrived || st.readyValid
-		n := e.partitions(st)
+		n := e.partitions(in)
 		reads, computes, writes := n, n, n
 		if st.submitted {
 			read := n - float64(st.readsLeft) // partitions whose reads are done
-			if st.node >= 0 && st.readsLeft > 0 {
+			if in.node >= 0 && st.readsLeft > 0 {
 				read = 0 // a placed stage's reads are flows into its one partition
 			}
-			reads, computes, writes = 0, n-read+float64(len(st.pendingCompute)), float64(st.computeLeft)
+			reads, computes, writes = 0, n-read+float64(len(e.pending[i])), float64(st.computeLeft)
 		}
-		w.left[phRead] += st.profile.perNodeIn * reads * e.perCap[phRead]
-		w.left[phCompute] += st.profile.computeSec * computes * e.perCap[phCompute]
-		w.left[phWrite] += st.profile.perNodeOut * writes * e.perCap[phWrite]
+		w.left[phRead] += in.profile.perNodeIn * reads * e.perCap[phRead]
+		w.left[phCompute] += in.profile.computeSec * computes * e.perCap[phCompute]
+		w.left[phWrite] += in.profile.perNodeOut * writes * e.perCap[phWrite]
 	}
 	w.need = needOf(&w.left)
 	e.lbNeed += w.need

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"delaystage/internal/dag"
 )
@@ -131,10 +132,14 @@ type item struct {
 	startAt   float64
 }
 
-// stageState tracks one (job, stage) through its lifecycle. It lives in
-// the engine's slab (engine.states) and refers to other stages by slab
-// index, never by pointer, so a fork copies the slab in bulk.
-type stageState struct {
+// stageInfo is the half of a (job, stage)'s state that addRun wires once
+// and nothing writes again; a world and all its forks share it
+// (stageTable). The other half, stageState, is what the event loop
+// writes. Each half lives in a slab with one entry per stage, in (job,
+// insertion) order: job j's stage s sits at jobBase[j] + Graph.Pos(s) in
+// both. Stages refer to each other by slab index, never by pointer, so
+// neither slab needs rewiring.
+type stageInfo struct {
 	key     skey
 	profile profileView
 
@@ -152,41 +157,34 @@ type stageState struct {
 	wOff     int
 	node     int
 
+	// off marks a stage its run's Active mask leaves out. Its active
+	// children do not count it as a parent, and its own parentsLeft
+	// starts at zero, so completing parents only drive it negative: it
+	// never becomes ready.
+	off bool
+}
+
+// stageState tracks one (job, stage) through its lifecycle: the counters,
+// flags and times the event loop writes. It is pointer-free, so a fork
+// copies the slab as one block. The per-stage lists only AggShuffle,
+// fault and speculation runs keep live in the engine's side tables
+// (pending, compDurs, specDone), keyed by slab index.
+type stageState struct {
 	parentsLeft int
 
 	readsLeft   int
 	computeLeft int
 	writesLeft  int
 
-	// pendingCompute holds node indices whose read finished before all
-	// parents completed (possible only with AggShuffle prefetch).
-	pendingCompute []int
-
-	// off marks a stage its run's Active mask leaves out. Its active
-	// children do not count it as a parent, and its own parentsLeft
-	// starts at zero, so completing parents only drive it negative: it
-	// never becomes ready.
-	off         bool
-	submitted   bool // read items created
-	prefetched  bool // read items were created as an AggShuffle prefetch
-	computeDone float64
-	computeTot  float64
-
-	tl StageTimeline
-	// readyValid marks tl.Ready as set.
-	readyValid bool
-	complete   bool
-
 	// retries counts failed partition attempts (faults only).
 	retries int
-	// compDurs records finished compute-partition durations and specDone
-	// the partitions already cloned — both only maintained under
-	// Options.Speculation (nil otherwise).
-	compDurs []float64
-	specDone map[int]bool
 	// recomputeHolds > 0 blocks compute starts while a crashed parent's
 	// shuffle output is being recomputed (lineage recovery).
 	recomputeHolds int
+
+	computeDone float64
+	computeTot  float64
+
 	// submitAt is the authoritative submission time once ready; a
 	// watchdog may move it (tSubmitStage re-schedules itself until now ≥
 	// submitAt).
@@ -194,9 +192,49 @@ type stageState struct {
 	// delayOverride, when hasOverride is set, replaces the run's
 	// configured delay (a watchdog or Fork revision that arrived before
 	// the stage became ready).
-	hasOverride   bool
 	delayOverride float64
+
+	tl stageTimes
+
+	submitted  bool // read items created
+	prefetched bool // read items were created as an AggShuffle prefetch
+	// readyValid marks tl.ready as set.
+	readyValid  bool
+	complete    bool
+	hasOverride bool
 }
+
+// stageTimes is the mutable part of a stage's StageTimeline: its
+// milestones and, once it completes, its retry count.
+type stageTimes struct {
+	ready, start, readEnd, computeEnd, end float64
+	retries                                int
+}
+
+// timeline assembles the stage's StageTimeline from its two slabs.
+func (e *engine) timeline(si int) StageTimeline {
+	k, t := e.info[si].key, &e.states[si].tl
+	return StageTimeline{JobIndex: k.job, Stage: k.stage, Ready: t.ready, Start: t.start,
+		ReadEnd: t.readEnd, ComputeEnd: t.computeEnd, End: t.end, Retries: t.retries}
+}
+
+// stageTable is the stage-info slab of one world, shared by the world and
+// every fork of it. refs counts the engines holding it. An engine appends
+// to the slab (addRun) only while it is the sole holder; otherwise it
+// first copies the slab into a table of its own, so an Inject into a fork
+// or into its parent never writes what the other reads. The last engine
+// to let go hands the table to tablePool, whose tables the next worlds
+// fill.
+type stageTable struct {
+	refs atomic.Int32
+	info []stageInfo
+}
+
+// tablePool recycles the stage tables no engine holds any more, cleared.
+var tablePool sync.Pool
+
+// partKey names one partition of a stage: its slab index and home node.
+type partKey struct{ st, home int }
 
 type profileView struct {
 	perNodeIn  float64
@@ -313,16 +351,27 @@ func (h timerHeap) down(i int) {
 }
 
 type engine struct {
+	// engineRun is the per-run state, zero in a new engine and in a
+	// pooled one (release zeroes it).
+	engineRun
+	// engineBufs holds the state slab, items, timers, buckets and
+	// scratch: every buffer a pooled engine reuses.
+	engineBufs
+}
+
+// engineRun is the engine's per-run state. Every field starts at its zero
+// value.
+type engineRun struct {
 	opt  Options
 	runs []JobRun
 
 	nNodes                         int
 	totalExec, totalNet, totalDisk float64
 
-	// engineBufs holds the slab, items, timers, buckets and scratch: every
-	// buffer a pooled engine reuses. All other fields are per-run state
-	// that starts at its zero value.
-	engineBufs
+	// tab is the shared stage-info slab and info its entries: the
+	// immutable half of every stage's state (stageInfo).
+	tab  *stageTable
+	info []stageInfo
 
 	seq int
 	now float64
@@ -393,10 +442,9 @@ type engineBufs struct {
 	diskBW []float64
 	execs  []float64
 
-	// states is the stage-state slab, one entry per (job, stage) in
-	// (job, insertion) order: job j's stage s sits at jobBase[j] +
-	// Graph.Pos(s). Iterating it is deterministic, so maybePrefetch
-	// submits prefetches — and thus appends items — in a fixed order.
+	// states is the mutable stage-state slab, indexed as engineRun.info.
+	// Iterating it is deterministic, so maybePrefetch submits prefetches
+	// — and thus appends items — in a fixed order.
 	states  []stageState
 	jobBase []int
 	// inW holds every stage's input weights over its parents
@@ -424,6 +472,16 @@ type engineBufs struct {
 	dirtyW []bool
 
 	occOpen map[skey]*OccupancySegment
+
+	// The side tables of the per-stage lists few runs keep, by slab
+	// index; nil until first used. pending holds the nodes whose read
+	// finished while the stage could not compute yet (an AggShuffle
+	// prefetch, or a recompute hold). compDurs records finished
+	// compute-partition durations and specDone the partitions already
+	// cloned (Options.Speculation only).
+	pending  map[int][]int
+	compDurs map[int][]float64
+	specDone map[partKey]bool
 
 	// Per-job result slots: arrival, end (completion or abort) and abort
 	// error, sized for the initial runs and grown by Stepper.Inject.
@@ -478,17 +536,18 @@ type recompState struct {
 // Result is taken. The Result is never pooled; it always belongs to the caller.
 var enginePool sync.Pool
 
-// newEngine returns an engine for the given runs, reset from a pooled one
-// when the pool has one. Its per-job result slots are sized for the
-// initial runs; Stepper.Inject grows them. The Result has no timelines
-// until finalize builds them from the stage slab.
+// newEngine returns an engine for the given runs, a pooled one when the
+// pool has one. Its per-job result slots are sized for the initial runs;
+// Stepper.Inject grows them. The Result has no timelines until finalize
+// builds them from the stage slab.
 func newEngine(opt Options, runs []JobRun) *engine {
 	e, _ := enginePool.Get().(*engine)
 	if e == nil {
 		e = new(engine)
 	}
-	// Only the buffers survive; every other field starts at its zero value.
-	*e = engine{engineBufs: e.engineBufs, opt: opt, runs: runs, nNodes: len(opt.Cluster.Nodes)}
+	// A pooled engine comes back with its per-run state zeroed and its
+	// buffers empty (release), just as a new one starts.
+	e.opt, e.runs, e.nNodes = opt, runs, len(opt.Cluster.Nodes)
 	nRead := e.nNodes
 	if opt.Links != nil {
 		nRead += e.nNodes * e.nNodes
@@ -519,32 +578,61 @@ func newEngine(opt Options, runs []JobRun) *engine {
 	return e
 }
 
-// release hands a finished engine's buffers back to the pool. The caller
-// must hold the only reference: nothing may touch the engine afterwards.
-// References into the caller's world (options, runs, graphs, the Result)
-// are dropped so a pooled engine pins none of it.
+// release hands a finished engine's buffers back to the pool, emptied
+// and with its per-run state zeroed, as newEngine expects them. The
+// caller must hold the only reference: nothing may touch the engine
+// afterwards. References into the caller's world (options, runs, graphs,
+// the Result) are dropped so a pooled engine pins none of it.
 func (e *engine) release() {
+	e.dropTable()
 	e.empty()
-	*e = engine{engineBufs: e.engineBufs}
+	e.engineRun = engineRun{}
 	enginePool.Put(e)
 }
 
+// ownTable readies the engine's stage table for n more stages: it keeps a
+// table it holds alone, and otherwise moves to a copy of its own in a
+// pooled table, so the stages it appends are never seen by an engine that
+// shares the old one.
+func (e *engine) ownTable(n int) {
+	if t := e.tab; t != nil && t.refs.Load() == 1 {
+		t.info = slices.Grow(t.info, n)
+		return
+	}
+	t, _ := tablePool.Get().(*stageTable)
+	if t == nil {
+		t = new(stageTable)
+	}
+	t.refs.Store(1)
+	t.info = append(slices.Grow(t.info[:0], len(e.info)+n), e.info...)
+	e.dropTable()
+	e.tab, e.info = t, t.info
+}
+
+// dropTable lets go of the engine's stage table. The last holder clears
+// it and returns it to tablePool.
+func (e *engine) dropTable() {
+	t := e.tab
+	if t == nil {
+		return
+	}
+	e.tab, e.info = nil, nil
+	if t.refs.Add(-1) == 0 {
+		clear(t.info)
+		t.info = t.info[:0]
+		tablePool.Put(t)
+	}
+}
+
 // empty drops the buffers' contents, keeping their capacity. Live items
-// rejoin the item pool; the slab, buckets and maps are cleared so no
-// stale stage, item or graph reference outlives its run.
+// rejoin the item pool, and the maps and error slots are cleared so no
+// reference into the caller's world outlives its run. The item list and
+// buckets are only truncated (reset truncates the buckets): they point
+// at the engine's own pooled items, which pin nothing else.
 func (b *engineBufs) empty() {
 	b.itemPool = append(b.itemPool, b.items...)
-	clear(b.items)
 	b.items = b.items[:0]
-	clear(b.states)
 	b.states = b.states[:0]
-	for w := range b.computeBk {
-		clear(b.computeBk[w])
-		clear(b.writeBk[w])
-	}
-	for w := range b.readBk {
-		clear(b.readBk[w])
-	}
 	b.netBW, b.diskBW, b.execs = b.netBW[:0], b.diskBW[:0], b.execs[:0]
 	b.jobBase, b.inW, b.timers = b.jobBase[:0], b.inW[:0], b.timers[:0]
 	b.work = b.work[:0]
@@ -553,12 +641,14 @@ func (b *engineBufs) empty() {
 	b.doneScratch, b.deadScratch = b.doneScratch[:0], b.deadScratch[:0]
 	clear(b.occOpen)
 	clear(b.recomps)
+	clear(b.pending)
+	clear(b.compDurs)
+	clear(b.specDone)
 }
 
-// reset empties the buffers and sizes them for a run over nNodes nodes
-// with nRead read buckets, nJobs jobs and nStages (job, stage) pairs.
+// reset sizes the empty buffers for a run over nNodes nodes with nRead
+// read buckets, nJobs jobs and nStages (job, stage) pairs.
 func (b *engineBufs) reset(nNodes, nRead, nJobs, nStages int) {
-	b.empty()
 	if b.occOpen == nil {
 		b.occOpen = make(map[skey]*OccupancySegment)
 		b.recomps = make(map[recompKey]*recompState)
@@ -624,9 +714,9 @@ const itemBlock = 32
 // whole-struct literal would build the item on the stack and copy all of
 // it over — so the fields no caller sets (attempt, capped, recompute,
 // spec and the rest) start at zero, whatever the pooled item held.
-func (e *engine) newItem(st *stageState, home, node int, ph phase, vol float64) *item {
+func (e *engine) newItem(in *stageInfo, home, node int, ph phase, vol float64) *item {
 	it := e.popItem()
-	it.key, it.st, it.home, it.node, it.ph = st.key, st.idx, home, node, ph
+	it.key, it.st, it.home, it.node, it.ph = in.key, in.idx, home, node, ph
 	it.remaining, it.rate = vol, 0
 	it.capped, it.done, it.volume, it.capRate = false, 0, vol, 0
 	it.execUsed = 0
@@ -771,32 +861,34 @@ func (e *engine) addRun(ji int, run JobRun) {
 	base := len(e.states)
 	e.jobBase = append(e.jobBase, base)
 	stages := g.Len()
+	e.ownTable(stages)
 	for i, sid := range g.StagesView() {
-		// Append a zero state and fill it in place: a literal would be
+		// Append zero entries and fill them in place: a literal would be
 		// built on the stack and copied over whole.
+		e.tab.info = append(e.tab.info, stageInfo{})
 		e.states = append(e.states, stageState{})
-		st := &e.states[base+i]
-		st.key, st.idx, st.base = skey{ji, sid}, base+i, base
+		in, st := &e.tab.info[base+i], &e.states[base+i]
+		in.key, in.idx, in.base = skey{ji, sid}, base+i, base
 		if run.Active != nil && !run.Active[i] {
-			st.off = true
+			in.off = true
 			stages--
 			continue
 		}
 		p := run.Job.Profiles[sid]
-		st.parents, st.children = g.ParentPos(i), g.ChildPos(i)
-		st.parentsLeft = len(st.parents)
+		in.parents, in.children = g.ParentPos(i), g.ChildPos(i)
+		st.parentsLeft = len(in.parents)
 		if run.Active != nil {
-			for _, pp := range st.parents {
+			for _, pp := range in.parents {
 				if !run.Active[pp] {
 					st.parentsLeft--
 				}
 			}
 		}
-		st.node = -1
+		in.node = -1
 		if run.Placement != nil {
-			st.node = run.Placement[sid]
+			in.node = run.Placement[sid]
 		}
-		st.profile = profileView{
+		in.profile = profileView{
 			perNodeIn:    float64(p.ShuffleIn) / n,
 			perNodeOut:   float64(p.ShuffleOut) / n,
 			procRate:     p.ProcRate,
@@ -804,16 +896,16 @@ func (e *engine) addRun(ji int, run JobRun) {
 			tasksPerNode: float64(p.Tasks) / n,
 		}
 		if p.ProcRate > 0 {
-			st.profile.computeSec = st.profile.perNodeIn / p.ProcRate
+			in.profile.computeSec = in.profile.perNodeIn / p.ProcRate
 		}
-		st.tl.JobIndex, st.tl.Stage = ji, sid
-		st.computeTot = st.profile.perNodeIn * n
+		st.computeTot = in.profile.perNodeIn * n
 		if e.opt.AggShuffle || run.Placement != nil {
 			// Only prefetching and placed reads read the weights.
-			st.wOff = len(e.inW)
+			in.wOff = len(e.inW)
 			e.inW = run.Job.AppendInputWeights(e.inW, sid, run.Active)
 		}
 	}
+	e.info = e.tab.info
 	e.stagesLeft = append(e.stagesLeft, stages)
 	if e.answerOnly {
 		e.addWork(ji)
@@ -837,7 +929,7 @@ func (e *engine) posIdx(job, pos int) int {
 	if job < 0 || job >= len(e.jobBase) || pos < 0 || pos >= e.runs[job].Job.Graph.Len() {
 		return -1
 	}
-	if si := e.jobBase[job] + pos; !e.states[si].off {
+	if si := e.jobBase[job] + pos; !e.info[si].off {
 		return si
 	}
 	return -1
@@ -886,61 +978,63 @@ func (e *engine) delayOf(k skey) float64 {
 	return d[k.stage]
 }
 
-// markReady records stage readiness and schedules its (possibly delayed)
-// submission.
-func (e *engine) markReady(st *stageState) {
+// markReady records the readiness of the stage at slab index si and
+// schedules its (possibly delayed) submission.
+func (e *engine) markReady(si int) {
+	in, st := &e.info[si], &e.states[si]
 	if st.readyValid {
 		return
 	}
 	st.readyValid = true
-	st.tl.Ready = e.now
+	st.tl.ready = e.now
 	if o := e.opt.Observer; o != nil {
-		o.OnEvent(Event{T: e.now, Kind: EvStageReady, Job: st.key.job, Stage: st.key.stage, Node: -1})
+		o.OnEvent(Event{T: e.now, Kind: EvStageReady, Job: in.key.job, Stage: in.key.stage, Node: -1})
 	}
 	if st.submitted {
 		// AggShuffle prefetch already created the read items; readiness
 		// only unblocks compute (handled by parent-completion bookkeeping).
 		return
 	}
-	d := e.delayOf(st.key)
+	d := e.delayOf(in.key)
 	if st.hasOverride {
 		d = st.delayOverride
 	}
 	st.submitAt = e.now + d
-	e.pushTimer(st.submitAt, tSubmitStage, st.idx, st.key.job)
+	e.pushTimer(st.submitAt, tSubmitStage, si, in.key.job)
 }
 
-// submit creates the stage's read items on every node, or those of its
-// one partition when it is placed.
-func (e *engine) submit(st *stageState, prefetch bool) {
+// submit creates the read items of the stage at slab index si on every
+// node, or those of its one partition when it is placed.
+func (e *engine) submit(si int, prefetch bool) {
+	in, st := &e.info[si], &e.states[si]
 	if st.submitted {
 		return
 	}
 	st.submitted = true
 	st.prefetched = prefetch
-	e.startWork(st.key.job, phRead, st.profile.perNodeIn*e.partitions(st))
+	e.startWork(in.key.job, phRead, in.profile.perNodeIn*e.partitions(in))
 	if prefetch {
-		st.computeTot = st.profile.perNodeIn * float64(e.nNodes) * (1 + aggShuffleOverhead)
+		st.computeTot = in.profile.perNodeIn * float64(e.nNodes) * (1 + aggShuffleOverhead)
 	}
-	st.tl.Start = e.now
+	st.tl.start = e.now
 	if o := e.opt.Observer; o != nil {
-		o.OnEvent(Event{T: e.now, Kind: EvStageSubmitted, Job: st.key.job, Stage: st.key.stage, Node: -1, Prefetch: prefetch})
+		o.OnEvent(Event{T: e.now, Kind: EvStageSubmitted, Job: in.key.job, Stage: in.key.stage, Node: -1, Prefetch: prefetch})
 	}
-	if st.node >= 0 {
-		e.submitPlaced(st)
+	if in.node >= 0 {
+		e.submitPlaced(si)
 		return
 	}
 	st.readsLeft = e.nNodes
 	st.computeLeft = e.nNodes
 	st.writesLeft = e.nNodes
 	for w := 0; w < e.nNodes; w++ {
-		vol := st.profile.perNodeIn
+		vol := in.profile.perNodeIn
 		if vol <= eps {
 			// No network input: read completes immediately.
-			e.finishRead(st, w)
+			e.finishRead(si, w)
 			continue
 		}
-		it := e.newItem(st, w, e.placeNode(w), phRead, vol)
+		it := e.newItem(in, w, e.placeNode(w), phRead, vol)
 		it.capped = prefetch
 		e.addItem(it)
 	}
@@ -954,147 +1048,172 @@ func (e *engine) submit(st *stageState, prefetch bool) {
 // whose reads are all empty goes straight to compute. Parents a masked
 // run leaves out are skipped, so a stage without an active parent reads
 // as a root.
-func (e *engine) submitPlaced(st *stageState) {
+func (e *engine) submitPlaced(si int) {
+	in, st := &e.info[si], &e.states[si]
 	st.readsLeft, st.computeLeft, st.writesLeft = 0, 1, 1
-	in := st.profile.perNodeIn
+	vin := in.profile.perNodeIn
 	root, local := true, false
 	remote := 0.0
-	for i, p := range st.parents {
-		ps := &e.states[st.base+p]
+	for i, p := range in.parents {
+		ps := &e.info[in.base+p]
 		if ps.off {
 			continue
 		}
 		root = false
-		if w := ps.node; w != st.node {
-			if vol := e.inW[st.wOff+i] * in; vol > eps {
-				e.addPlacedRead(st, e.linkBucket(w, st.node), vol)
+		if w := ps.node; w != in.node {
+			if vol := e.inW[in.wOff+i] * vin; vol > eps {
+				e.addPlacedRead(si, e.linkBucket(w, in.node), vol)
 				remote += vol
 			}
 		} else {
 			local = true
 		}
 	}
-	if vol := in - remote; (root || local) && vol > eps {
-		e.addPlacedRead(st, st.node, vol)
+	if vol := vin - remote; (root || local) && vol > eps {
+		e.addPlacedRead(si, in.node, vol)
 	}
 	if st.readsLeft == 0 {
 		st.readsLeft = 1
-		e.finishRead(st, st.node)
+		e.finishRead(si, in.node)
 	}
 }
 
 // addPlacedRead adds one read flow of a placed stage on read bucket bk.
-func (e *engine) addPlacedRead(st *stageState, bk int, vol float64) {
-	st.readsLeft++
-	e.addItem(e.newItem(st, st.node, bk, phRead, vol))
+func (e *engine) addPlacedRead(si, bk int, vol float64) {
+	in := &e.info[si]
+	e.states[si].readsLeft++
+	e.addItem(e.newItem(in, in.node, bk, phRead, vol))
 }
 
 // linkBucket is the read bucket of the link from node src to node dst.
 func (e *engine) linkBucket(src, dst int) int { return e.nNodes*(1+src) + dst }
 
-func (e *engine) finishRead(st *stageState, node int) {
+func (e *engine) finishRead(si, node int) {
+	in, st := &e.info[si], &e.states[si]
 	if o := e.opt.Observer; o != nil {
-		o.OnEvent(Event{T: e.now, Kind: EvReadDone, Job: st.key.job, Stage: st.key.stage, Node: node})
+		o.OnEvent(Event{T: e.now, Kind: EvReadDone, Job: in.key.job, Stage: in.key.stage, Node: node})
 	}
 	st.readsLeft--
 	if st.readsLeft == 0 {
-		st.tl.ReadEnd = e.now
+		st.tl.readEnd = e.now
 		if e.opt.Watchdog != nil {
-			e.watch(EvReadDone, st)
+			e.watch(EvReadDone, si)
 		}
 	}
-	if st.node >= 0 && st.readsLeft > 0 {
+	if in.node >= 0 && st.readsLeft > 0 {
 		return // a placed stage computes once every read is done
 	}
 	if st.parentsLeft == 0 && st.recomputeHolds == 0 {
-		e.startCompute(st, node)
+		e.startCompute(si, node)
 	} else {
-		st.pendingCompute = append(st.pendingCompute, node)
+		if e.pending == nil {
+			e.pending = make(map[int][]int)
+		}
+		e.pending[si] = append(e.pending[si], node)
 	}
 }
 
-// computeVol is the compute-phase volume of one partition of the stage.
-func (e *engine) computeVol(st *stageState) float64 {
-	vol := st.profile.perNodeIn
-	if st.prefetched {
+// startPending starts the compute of every partition of the stage at
+// slab index si that finished reading while it could not compute.
+func (e *engine) startPending(si int) {
+	if len(e.pending) == 0 {
+		return
+	}
+	nodes, ok := e.pending[si]
+	if !ok {
+		return
+	}
+	for _, w := range nodes {
+		e.startCompute(si, w)
+	}
+	delete(e.pending, si)
+}
+
+// computeVol is the compute-phase volume of one partition of the stage
+// at slab index si.
+func (e *engine) computeVol(si int) float64 {
+	vol := e.info[si].profile.perNodeIn
+	if e.states[si].prefetched {
 		// Proactive aggregation re-processes pushed partial outputs.
 		vol *= 1 + aggShuffleOverhead
 	}
 	return vol
 }
 
-func (e *engine) startCompute(st *stageState, node int) {
-	e.startWork(st.key.job, phCompute, st.profile.computeSec)
-	vol := e.computeVol(st)
+func (e *engine) startCompute(si, node int) {
+	in := &e.info[si]
+	e.startWork(in.key.job, phCompute, in.profile.computeSec)
+	vol := e.computeVol(si)
 	if vol <= eps {
-		e.finishCompute(st, node)
+		e.finishCompute(si, node)
 		return
 	}
-	it := e.newItem(st, node, e.placeNode(node), phCompute, vol)
+	it := e.newItem(in, node, e.placeNode(node), phCompute, vol)
 	it.attempt = 1
 	e.armCompute(it)
 	e.addItem(it)
 }
 
-func (e *engine) finishCompute(st *stageState, node int) {
+func (e *engine) finishCompute(si, node int) {
+	in, st := &e.info[si], &e.states[si]
 	if o := e.opt.Observer; o != nil {
-		o.OnEvent(Event{T: e.now, Kind: EvComputeDone, Job: st.key.job, Stage: st.key.stage, Node: node})
+		o.OnEvent(Event{T: e.now, Kind: EvComputeDone, Job: in.key.job, Stage: in.key.stage, Node: node})
 	}
 	st.computeLeft--
 	if st.computeLeft == 0 {
-		st.tl.ComputeEnd = e.now
+		st.tl.computeEnd = e.now
 	}
-	e.startWork(st.key.job, phWrite, st.profile.perNodeOut)
-	vol := st.profile.perNodeOut
+	e.startWork(in.key.job, phWrite, in.profile.perNodeOut)
+	vol := in.profile.perNodeOut
 	if vol <= eps {
-		e.finishWrite(st, node)
+		e.finishWrite(si, node)
 		return
 	}
-	e.addItem(e.newItem(st, node, e.placeNode(node), phWrite, vol))
+	e.addItem(e.newItem(in, node, e.placeNode(node), phWrite, vol))
 }
 
-func (e *engine) finishWrite(st *stageState, node int) {
+func (e *engine) finishWrite(si, node int) {
+	in, st := &e.info[si], &e.states[si]
 	if o := e.opt.Observer; o != nil {
-		o.OnEvent(Event{T: e.now, Kind: EvWriteDone, Job: st.key.job, Stage: st.key.stage, Node: node})
+		o.OnEvent(Event{T: e.now, Kind: EvWriteDone, Job: in.key.job, Stage: in.key.stage, Node: node})
 	}
 	st.writesLeft--
 	if st.writesLeft > 0 {
 		return
 	}
 	// Stage complete.
+	job := in.key.job
 	st.complete = true
 	st.computeDone = st.computeTot
-	st.tl.End = e.now
-	st.tl.Retries = st.retries
-	if e.now > e.jobEnd[st.key.job] {
-		e.jobEnd[st.key.job] = e.now
+	st.tl.end = e.now
+	st.tl.retries = st.retries
+	if e.now > e.jobEnd[job] {
+		e.jobEnd[job] = e.now
 	}
 	if o := e.opt.Observer; o != nil {
-		o.OnEvent(Event{T: e.now, Kind: EvStageCompleted, Job: st.key.job, Stage: st.key.stage, Node: -1})
+		o.OnEvent(Event{T: e.now, Kind: EvStageCompleted, Job: job, Stage: in.key.stage, Node: -1})
 	}
-	e.stagesLeft[st.key.job]--
-	if e.stagesLeft[st.key.job] == 0 {
+	e.stagesLeft[job]--
+	if e.stagesLeft[job] == 0 {
 		e.jobsLeft--
-		e.finishWork(st.key.job)
+		e.finishWork(job)
 		if o := e.opt.Observer; o != nil {
-			o.OnEvent(Event{T: e.now, Kind: EvJobDone, Job: st.key.job, Stage: -1, Node: -1})
+			o.OnEvent(Event{T: e.now, Kind: EvJobDone, Job: job, Stage: -1, Node: -1})
 		}
 	}
 	if e.opt.Watchdog != nil {
-		e.watch(EvStageCompleted, st)
+		e.watch(EvStageCompleted, si)
 	}
-	for _, c := range st.children {
-		cst := &e.states[st.base+c]
+	for _, c := range in.children {
+		ci := in.base + c
+		cst := &e.states[ci]
 		cst.parentsLeft--
 		if cst.parentsLeft == 0 {
 			if cst.recomputeHolds == 0 {
 				// Unblock any partitions that prefetched their input already.
-				for _, w := range cst.pendingCompute {
-					e.startCompute(cst, w)
-				}
-				cst.pendingCompute = nil
+				e.startPending(ci)
 			}
-			e.markReady(cst)
+			e.markReady(ci)
 		}
 	}
 }
@@ -1108,8 +1227,8 @@ func (e *engine) fireTimer(t timer) {
 		// no active one.
 		base := e.jobBase[t.job]
 		for i := base; i < base+e.runs[t.job].Job.Graph.Len(); i++ {
-			if st := &e.states[i]; !st.off && st.parentsLeft == 0 {
-				e.markReady(st)
+			if !e.info[i].off && e.states[i].parentsLeft == 0 {
+				e.markReady(i)
 			}
 		}
 	case tSubmitStage:
@@ -1122,7 +1241,7 @@ func (e *engine) fireTimer(t timer) {
 			e.pushTimer(st.submitAt, tSubmitStage, int(t.st), int(t.job))
 			return
 		}
-		e.submit(st, false)
+		e.submit(int(t.st), false)
 	case tRecompute:
 		// no-op; loop recomputes rates
 	case tRetry:
@@ -1139,31 +1258,32 @@ func (e *engine) maybePrefetch() {
 		return
 	}
 	for i := range e.states {
-		st := &e.states[i]
-		if st.submitted || len(st.parents) == 0 {
+		in := &e.info[i]
+		if e.states[i].submitted || len(in.parents) == 0 {
 			continue
 		}
 		ok := true
-		for _, p := range st.parents {
-			pst := &e.states[st.base+p]
+		for _, p := range in.parents {
+			pst := &e.states[in.base+p]
 			if !pst.submitted && !pst.complete {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			e.submit(st, true)
+			e.submit(i, true)
 		}
 	}
 }
 
-// availability returns A(t) ∈ [0,1] and dA/dt for a prefetched stage given
-// current parent compute progress and the per-slab-index compute rates
-// (nil when the caller needs no dA/dt).
-func (e *engine) availability(st *stageState, computeRates []float64) (a, da float64) {
-	for i, p := range st.parents {
-		w := e.inW[st.wOff+i]
-		pi := st.base + p
+// availability returns A(t) ∈ [0,1] and dA/dt for the prefetched stage at
+// slab index si given current parent compute progress and the
+// per-slab-index compute rates (nil when the caller needs no dA/dt).
+func (e *engine) availability(si int, computeRates []float64) (a, da float64) {
+	in := &e.info[si]
+	for i, p := range in.parents {
+		w := e.inW[in.wOff+i]
+		pi := in.base + p
 		pst := &e.states[pi]
 		if pst.complete {
 			a += w
@@ -1173,7 +1293,7 @@ func (e *engine) availability(st *stageState, computeRates []float64) (a, da flo
 			continue
 		}
 		prog := pst.computeDone / pst.computeTot
-		s := pst.profile.skew
+		s := e.info[pi].profile.skew
 		if s < 1e-3 {
 			// Homogeneous tasks: output lands only at completion.
 			continue
@@ -1286,16 +1406,16 @@ func (e *engine) computeNodeRates(w int) {
 	cf := e.contended(1, len(its))
 	nodeCF := e.nodeSlowdown(w)
 	for i, it := range its {
-		st := &e.states[it.st]
+		pv := &e.info[it.st].profile
 		share := equal
 		if shares != nil {
 			share = shares[i]
 		}
-		if tpn := st.profile.tasksPerNode; tpn > 0 && share > tpn {
+		if tpn := pv.tasksPerNode; tpn > 0 && share > tpn {
 			share = tpn
 		}
 		it.execUsed = share
-		it.rate = share * st.profile.procRate * cf
+		it.rate = share * pv.procRate * cf
 		if it.slow > 1 {
 			it.rate /= it.slow
 		}
@@ -1364,9 +1484,8 @@ func (e *engine) readNodeRates(w int, stageRates []float64) {
 		demands[i] = math.Inf(1)
 		it.capRate = 0
 		if it.capped {
-			st := &e.states[it.st]
-			if st.parentsLeft > 0 {
-				a, da := e.availability(st, stageRates)
+			if e.states[it.st].parentsLeft > 0 {
+				a, da := e.availability(it.st, stageRates)
 				capVol := it.volume * a
 				it.capRate = it.volume * da
 				if it.done >= capVol-availEps {
@@ -1491,9 +1610,8 @@ func (e *engine) nextDT() float64 {
 			}
 		}
 		if agg && it.capped && it.ph == phRead {
-			st := &e.states[it.st]
-			if st.parentsLeft > 0 {
-				a, _ := e.availability(st, nil) // da not needed here
+			if e.states[it.st].parentsLeft > 0 {
+				a, _ := e.availability(it.st, nil) // da not needed here
 				capVol := it.volume * a
 				backlog := capVol - it.done
 				// Catch-up events below a byte of backlog are noise: with
@@ -1734,9 +1852,11 @@ func (e *engine) fireDone() {
 					Node: it.node, Attempt: it.attempt})
 			}
 		}
-		st := &e.states[it.st]
 		if e.opt.Speculation && it.ph == phCompute && !it.recompute {
-			st.compDurs = append(st.compDurs, e.now-it.startAt)
+			if e.compDurs == nil {
+				e.compDurs = make(map[int][]float64)
+			}
+			e.compDurs[it.st] = append(e.compDurs[it.st], e.now-it.startAt)
 		}
 		if it.recompute {
 			e.finishRecompute(it)
@@ -1744,11 +1864,11 @@ func (e *engine) fireDone() {
 		}
 		switch it.ph {
 		case phRead:
-			e.finishRead(st, it.home)
+			e.finishRead(it.st, it.home)
 		case phCompute:
-			e.finishCompute(st, it.home)
+			e.finishCompute(it.st, it.home)
 		case phWrite:
-			e.finishWrite(st, it.home)
+			e.finishWrite(it.st, it.home)
 		}
 	}
 	sortItems(dead)
@@ -1803,14 +1923,14 @@ func (e *engine) maybeSpeculate() {
 		if it.ph != phCompute || it.recompute || it.spec || it.rival != nil || it.cancelled {
 			continue
 		}
-		st := &e.states[it.st]
-		if st.specDone[it.home] || len(st.compDurs)*2 < e.nNodes {
+		durs := e.compDurs[it.st]
+		if e.specDone[partKey{it.st, it.home}] || len(durs)*2 < e.nNodes {
 			continue
 		}
 		if it.rate <= eps || e.now <= it.startAt {
 			continue
 		}
-		med := e.medianDur(st.compDurs)
+		med := e.medianDur(durs)
 		proj := (e.now - it.startAt) + it.remaining/it.rate
 		if med <= 0 || proj <= e.opt.SpeculationThreshold*med {
 			continue
@@ -1833,16 +1953,15 @@ func (e *engine) medianDur(ds []float64) float64 {
 // not migrate partial state); original and clone race, first finisher
 // wins. The partition is marked so it is never cloned twice.
 func (e *engine) launchSpec(it *item) {
-	st := &e.states[it.st]
-	if st.specDone == nil {
-		st.specDone = make(map[int]bool)
+	if e.specDone == nil {
+		e.specDone = make(map[partKey]bool)
 	}
-	st.specDone[it.home] = true
+	e.specDone[partKey{it.st, it.home}] = true
 	tgt := e.specTarget(it)
 	if tgt < 0 {
 		return
 	}
-	cl := e.newItem(st, it.home, tgt, phCompute, it.volume)
+	cl := e.newItem(&e.info[it.st], it.home, tgt, phCompute, it.volume)
 	cl.attempt, cl.spec = it.attempt, true
 	e.armCompute(cl)
 	cl.rival = it
@@ -2076,8 +2195,8 @@ func (e *engine) finalize() {
 	for ji, run := range e.runs {
 		base := e.jobBase[ji]
 		for _, p := range run.Job.Graph.IDOrderPos() {
-			if st := &e.states[base+p]; st.complete {
-				tls = append(tls, st.tl)
+			if e.states[base+p].complete {
+				tls = append(tls, e.timeline(base+p))
 			}
 		}
 	}

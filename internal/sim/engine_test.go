@@ -10,7 +10,7 @@ import (
 )
 
 func TestContendedScaling(t *testing.T) {
-	e := &engine{opt: Options{ContentionOverhead: 0.2}}
+	e := &engine{engineRun: engineRun{opt: Options{ContentionOverhead: 0.2}}}
 	if got := e.contended(100, 1); got != 100 {
 		t.Errorf("single consumer: %v, want 100", got)
 	}

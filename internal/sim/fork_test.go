@@ -521,7 +521,9 @@ func TestForkLeavesParentIntact(t *testing.T) {
 // TestForkConcurrent forks one paused parent from 8 goroutines at once,
 // each pricing a different delay for the scanned stage; every fork must
 // match the from-scratch run with that delay. Run under -race it also
-// proves Fork only reads its parent.
+// proves Fork only reads its parent. Then 8 more forks outlive their
+// closed parent and drain on 8 goroutines at once, so the last to
+// finish, whichever it is, retires the stage table they share.
 func TestForkConcurrent(t *testing.T) {
 	c := cluster.NewM4LargeCluster(4)
 	coarse := Coarsen(c)
@@ -567,6 +569,28 @@ func TestForkConcurrent(t *testing.T) {
 			t.Fatalf("fork %d: %v", i, errs[i])
 		}
 		requireIdentical(t, "concurrent fork", want[i], got[i])
+	}
+
+	forks := make([]*Stepper, workers)
+	for i := range forks {
+		if forks[i], err = parent.Fork([]DelayUpdate{{Job: 0, Stage: kid, Delay: float64(3 * i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parent.Close()
+	for i, f := range forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = stepOut(f)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("fork %d of a closed parent: %v", i, errs[i])
+		}
+		requireIdentical(t, "fork of a closed parent", want[i], got[i])
 	}
 }
 

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -91,7 +93,9 @@ func injectRuns(t testing.TB, opt Options, jobs []*workload.Job, rng *rand.Rand,
 // through a few later stage milestones — and requires the finished
 // Result, and the observed event stream, to equal those of Run over all
 // runs bit for bit. Every boundary's Timeline reads are held to the
-// Result by checkTimelineReads.
+// Result by checkTimelineReads. At each injection boundary it also forks
+// the world and injects job 0 into the fork, before or after the
+// parent's injection (checkForkInject).
 func checkInjected(t *testing.T, ctx string, opt Options, runs []JobRun) {
 	t.Helper()
 	var want, live recorder
@@ -117,9 +121,12 @@ func checkInjected(t *testing.T, ctx string, opt Options, runs []JobRun) {
 			t.Fatalf("%s: clock %v past the arrival %v", ctx, c, r.Arrival)
 		}
 		reads = readTimelines(reads, s, runs, live.events, r.Arrival)
-		if err := s.Inject(r); err != nil {
-			t.Fatalf("%s: inject job %d: %v", ctx, k+1, err)
-		}
+		twin := JobRun{Job: runs[0].Job, Arrival: r.Arrival, Delays: runs[0].Delays}
+		checkForkInject(t, ctx, opt, runs[:k+1], s, twin, k%2 == 0, func() {
+			if err := s.Inject(r); err != nil {
+				t.Fatalf("%s: inject job %d: %v", ctx, k+1, err)
+			}
+		})
 	}
 	for _, at := range laterBoundaries(ref, runs[len(runs)-1].Arrival) {
 		if err := s.AdvanceBefore(at); err != nil {
@@ -136,6 +143,87 @@ func checkInjected(t *testing.T, ctx string, opt Options, runs []JobRun) {
 		t.Errorf("%s: injected world's event stream differs from a fresh one's", ctx)
 	}
 	checkTimelineReads(t, ctx, runs, reads, got)
+}
+
+// checkForkInject forks s, a world of runs paused at an injection
+// boundary, and injects twin into the fork — first, or after
+// injectParent injected the parent's own next run — then drains the
+// fork and requires its Result to be that of a fresh Run over runs plus
+// twin, bit for bit. The fork shares the parent's stage table until
+// either of them grows it, so an injection into one that wrote into the
+// other's would show here or in the parent's check.
+func checkForkInject(t *testing.T, ctx string, opt Options, runs []JobRun, s *Stepper, twin JobRun, forkFirst bool, injectParent func()) {
+	t.Helper()
+	opt.Observer = nil // a fork has none
+	ref, err := Run(opt, append(slices.Clone(runs), twin))
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	fk, err := s.Fork(nil)
+	if err != nil {
+		t.Fatalf("%s: fork: %v", ctx, err)
+	}
+	if !forkFirst {
+		injectParent()
+	}
+	if err := fk.Inject(twin); err != nil {
+		t.Fatalf("%s: inject into the fork: %v", ctx, err)
+	}
+	if forkFirst {
+		injectParent()
+	}
+	if got := stepToCompletion(t, fk); !reflect.DeepEqual(ref, got) {
+		t.Errorf("%s: fork with job %d injected differs from a fresh world (events %d vs %d)",
+			ctx, len(runs), got.Events, ref.Events)
+	}
+}
+
+// TestForkInjectKeepsWorldsApart: a world and its fork share their stage
+// info, so each injection must land in its own world only. A world of one
+// job, and one grown by an injection first (its stage table then has
+// room to spare), is forked at a later boundary; the parent and the fork
+// each get a different job, in either order, and each must finish as a
+// fresh world of its own runs does, bit for bit.
+func TestForkInjectKeepsWorldsApart(t *testing.T) {
+	c := cluster.NewM4LargeCluster(4)
+	jobs := galleryJobs(c, 0.2)
+	opt := Options{Cluster: c, TrackNode: -1}
+	for _, grown := range []bool{false, true} {
+		for _, forkFirst := range []bool{false, true} {
+			runs := []JobRun{{Job: jobs[0]}}
+			s, err := NewStepper(opt, runs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grown {
+				runs = append(runs, JobRun{Job: jobs[1], Arrival: 20})
+				if err := s.AdvanceBefore(20); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Inject(runs[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.AdvanceBefore(45); err != nil {
+				t.Fatal(err)
+			}
+			mine := JobRun{Job: jobs[2], Arrival: 45}
+			ctx := fmt.Sprintf("grown=%v forkFirst=%v", grown, forkFirst)
+			checkForkInject(t, ctx, opt, runs, s, JobRun{Job: jobs[3], Arrival: 45}, forkFirst, func() {
+				if err := s.Inject(mine); err != nil {
+					t.Fatal(err)
+				}
+			})
+			ref, err := Run(opt, append(slices.Clone(runs), mine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stepToCompletion(t, s); !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s: parent with its own job injected differs from a fresh world (events %d vs %d)",
+					ctx, got.Events, ref.Events)
+			}
+		}
+	}
 }
 
 // laterBoundaries picks up to eight AdvanceBefore boundaries from the
@@ -306,6 +394,9 @@ func FuzzStepperInject(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint32(0x32323))
 	f.Add(int64(4), uint8(4), uint32(0x44321))
 	f.Add(int64(5), uint8(5), uint32(0x20202))
+	// Three injections into a pipelined-shuffle world, forked and
+	// injected at each boundary (checkForkInject).
+	f.Add(int64(6), uint8(2), uint32(0x00e6e))
 	c := cluster.NewM4LargeCluster(4)
 	gallery := galleryJobs(c, 0.2)
 	f.Fuzz(func(t *testing.T, seed int64, variant uint8, modeBits uint32) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -272,7 +273,7 @@ func TestNewItemResetsPooledItem(t *testing.T) {
 		}
 	}
 	e.freeItem(stale)
-	st := &stageState{key: skey{job: 1, stage: 4}, idx: 6}
+	st := &stageInfo{key: skey{job: 1, stage: 4}, idx: 6}
 	it := e.newItem(st, 2, 3, phWrite, 40)
 	if it != stale {
 		t.Fatal("newItem did not reuse the freed item")
@@ -281,4 +282,17 @@ func TestNewItemResetsPooledItem(t *testing.T) {
 	if *it != want {
 		t.Errorf("newItem over a stale pooled item = %+v, want %+v", *it, want)
 	}
+}
+
+// clone deep-copies a result (every slice gets fresh backing).
+func (r *Result) clone() Result {
+	c := *r
+	c.Timelines = slices.Clone(r.Timelines)
+	c.JobEnd = append([]float64(nil), r.JobEnd...)
+	c.JobStart = append([]float64(nil), r.JobStart...)
+	c.JobErrors = append([]error(nil), r.JobErrors...)
+	c.Node = r.Node.clone()
+	c.Cluster = r.Cluster.clone()
+	c.Occupancy = append([]OccupancySegment(nil), r.Occupancy...)
+	return c
 }

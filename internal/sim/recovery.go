@@ -40,8 +40,7 @@ func (e *engine) taskFailed(it *item) {
 	if e.failed[it.key.job] {
 		return
 	}
-	st := &e.states[it.st]
-	st.retries++
+	e.states[it.st].retries++
 	e.res.Retries++
 	if it.attempt >= e.opt.MaxAttempts {
 		e.failJob(it.key.job, &StageFailureError{
@@ -59,7 +58,7 @@ func (e *engine) taskFailed(it *item) {
 			Node: it.node, Attempt: it.attempt, Delay: backoff})
 	}
 	if e.opt.Watchdog != nil {
-		e.watch(EvTaskRetry, st)
+		e.watch(EvTaskRetry, it.st)
 	}
 }
 
@@ -69,16 +68,17 @@ func (e *engine) retryTask(t timer) {
 	if e.failed[t.job] {
 		return
 	}
-	st := &e.states[t.st]
+	si := int(t.st)
+	in, st := &e.info[si], &e.states[si]
 	var vol float64
 	switch t.ph {
 	case phRead, phCompute:
-		vol = st.profile.perNodeIn
+		vol = in.profile.perNodeIn
 		if t.ph == phCompute {
-			vol = e.computeVol(st)
+			vol = e.computeVol(si)
 		}
 	case phWrite:
-		vol = st.profile.perNodeOut
+		vol = in.profile.perNodeOut
 	}
 	if vol <= eps {
 		vol = eps * 2 // degenerate volume: completes on the next event
@@ -87,7 +87,7 @@ func (e *engine) retryTask(t timer) {
 	// previous attempts got blacklisted meanwhile, the retry lands on a
 	// healthy node instead of dying in the same place again.
 	home := int(t.home)
-	it := e.newItem(st, home, e.placeNode(home), t.ph, vol)
+	it := e.newItem(in, home, e.placeNode(home), t.ph, vol)
 	it.attempt, it.recompute = int(t.attempt), t.recomp
 	it.capped = t.ph == phRead && st.prefetched && st.parentsLeft > 0 && !t.recomp
 	if t.ph == phCompute {
@@ -138,29 +138,29 @@ func (e *engine) crashNode(w int) {
 	// needed, in (job, stage ID) order.
 	var lost []int
 	for i := range e.states {
-		st := &e.states[i]
-		if !st.complete || e.failed[st.key.job] || e.stagesLeft[st.key.job] == 0 {
+		in := &e.info[i]
+		if !e.states[i].complete || e.failed[in.key.job] || e.stagesLeft[in.key.job] == 0 {
 			continue
 		}
-		for _, c := range st.children {
-			if cst := &e.states[st.base+c]; !cst.complete && !cst.off {
+		for _, c := range in.children {
+			if ci := in.base + c; !e.states[ci].complete && !e.info[ci].off {
 				lost = append(lost, i)
 				break
 			}
 		}
 	}
 	slices.SortFunc(lost, func(a, b int) int {
-		ka, kb := e.states[a].key, e.states[b].key
+		ka, kb := e.info[a].key, e.info[b].key
 		if c := cmp.Compare(ka.job, kb.job); c != 0 {
 			return c
 		}
 		return cmp.Compare(ka.stage, kb.stage)
 	})
 	for _, i := range lost {
-		e.scheduleRecompute(&e.states[i], w)
+		e.scheduleRecompute(i, w)
 	}
 	if e.opt.Watchdog != nil {
-		e.watch(EvNodeCrash, nil)
+		e.watch(EvNodeCrash, -1)
 	}
 }
 
@@ -169,39 +169,42 @@ func (e *engine) crashNode(w int) {
 // that have not finished computing hold off new compute starts until the
 // output is restored (the fluid analogue of Spark's FetchFailed →
 // parent-resubmit path).
-func (e *engine) scheduleRecompute(st *stageState, w int) {
-	rk := recompKey{st.key, w}
+func (e *engine) scheduleRecompute(si, w int) {
+	in := &e.info[si]
+	rk := recompKey{in.key, w}
 	if _, active := e.recomps[rk]; active {
 		return
 	}
 	rs := &recompState{}
-	for _, c := range st.children {
-		cst := &e.states[st.base+c]
+	for _, c := range in.children {
+		ci := in.base + c
+		cst := &e.states[ci]
 		if cst.complete || cst.computeLeft == 0 {
 			continue // already past consuming this output
 		}
 		cst.recomputeHolds++
-		rs.held = append(rs.held, cst.idx)
+		rs.held = append(rs.held, ci)
 	}
 	e.recomps[rk] = rs
-	e.recompPhase(st, w, phRead, 1)
+	e.recompPhase(si, w, phRead, 1)
 }
 
 // recompPhase creates the next item of a recomputation chain, skipping
 // zero-volume phases.
-func (e *engine) recompPhase(st *stageState, w int, ph phase, attempt int) {
+func (e *engine) recompPhase(si, w int, ph phase, attempt int) {
+	in := &e.info[si]
 	for {
 		var vol float64
 		switch ph {
 		case phRead:
-			vol = st.profile.perNodeIn
+			vol = in.profile.perNodeIn
 		case phCompute:
-			vol = e.computeVol(st)
+			vol = e.computeVol(si)
 		case phWrite:
-			vol = st.profile.perNodeOut
+			vol = in.profile.perNodeOut
 		}
 		if vol > eps {
-			it := e.newItem(st, w, e.placeNode(w), ph, vol)
+			it := e.newItem(in, w, e.placeNode(w), ph, vol)
 			it.attempt, it.recompute = attempt, true
 			if ph == phCompute {
 				e.armCompute(it)
@@ -210,7 +213,7 @@ func (e *engine) recompPhase(st *stageState, w int, ph phase, attempt int) {
 			return
 		}
 		if ph == phWrite {
-			e.releaseRecompute(st.key, w)
+			e.releaseRecompute(in.key, w)
 			return
 		}
 		ph++
@@ -220,12 +223,11 @@ func (e *engine) recompPhase(st *stageState, w int, ph phase, attempt int) {
 // finishRecompute advances a recomputation chain when one of its items
 // completes.
 func (e *engine) finishRecompute(it *item) {
-	st := &e.states[it.st]
 	if it.ph == phWrite {
 		e.releaseRecompute(it.key, it.home)
 		return
 	}
-	e.recompPhase(st, it.home, it.ph+1, 1)
+	e.recompPhase(it.st, it.home, it.ph+1, 1)
 }
 
 // releaseRecompute ends a recomputation: held children may compute again.
@@ -240,10 +242,7 @@ func (e *engine) releaseRecompute(k skey, w int) {
 		cst := &e.states[h]
 		cst.recomputeHolds--
 		if cst.recomputeHolds == 0 && cst.parentsLeft == 0 {
-			for _, node := range cst.pendingCompute {
-				e.startCompute(cst, node)
-			}
-			cst.pendingCompute = nil
+			e.startPending(h)
 		}
 	}
 }
@@ -281,25 +280,26 @@ func (e *engine) failJob(job int, err error) {
 	}
 }
 
-// watch asks the Watchdog about stage st at checkpoint kind (st nil: a
-// node crash). When it trips, the remaining delays of st's job — of every
+// watch asks the Watchdog about the stage at slab index si at checkpoint
+// kind (si < 0: a node crash). When it trips, the remaining delays of st's job — of every
 // untripped job, on a crash — are cancelled: each stage named in the
 // run's Delays, in ascending stage ID, is revised to 0 (already-submitted
 // stages and failed jobs ignore revisions; past-due times submit
 // immediately). A ready stage gets a fresh submission timer; the
 // superseded one no-ops or chases the new time when it fires. A tripped
 // job is never asked about again.
-func (e *engine) watch(kind EventKind, st *stageState) {
+func (e *engine) watch(kind EventKind, si int) {
 	if e.tripped == nil {
 		e.tripped = make([]bool, len(e.runs))
 	}
 	ev := WatchEvent{Kind: kind, Job: -1, Stage: -1}
-	if st != nil {
-		if e.tripped[st.key.job] {
+	if si >= 0 {
+		k := e.info[si].key
+		if e.tripped[k.job] {
 			return
 		}
-		ev = WatchEvent{Kind: kind, Job: st.key.job, Stage: st.key.stage, Timeline: st.tl,
-			Retries: st.retries, JobStart: e.runs[st.key.job].Arrival}
+		ev = WatchEvent{Kind: kind, Job: k.job, Stage: k.stage, Timeline: e.timeline(si),
+			Retries: e.states[si].retries, JobStart: e.runs[k.job].Arrival}
 	} else if !slices.Contains(e.tripped, false) {
 		return
 	}
@@ -374,7 +374,7 @@ func (e *engine) reviseDelay(si int, u DelayUpdate) int {
 	if !st.readyValid {
 		return -1
 	}
-	st.submitAt = max(st.tl.Ready+d, e.now)
+	st.submitAt = max(st.tl.ready+d, e.now)
 	return si
 }
 

@@ -98,7 +98,7 @@ func (s *Stepper) ReadyTime(job, pos int) (float64, bool) {
 	if si < 0 || !s.e.states[si].readyValid {
 		return 0, false
 	}
-	return s.e.states[si].tl.Ready, true
+	return s.e.states[si].tl.ready, true
 }
 
 // Timeline reports the live timeline of the job's stage at position pos
@@ -120,7 +120,7 @@ func (s *Stepper) Timeline(job, pos int) (StageTimeline, bool) {
 	if !st.readyValid && !st.submitted {
 		return StageTimeline{}, false
 	}
-	tl, inf := st.tl, math.Inf(1)
+	tl, inf := s.e.timeline(si), math.Inf(1)
 	if !st.readyValid {
 		tl.Ready = inf // an AggShuffle prefetch submits before readiness
 	}
@@ -216,7 +216,9 @@ func (s *Stepper) AdvanceBefore(t float64) error {
 // where it stands, after revising the submission delays of stages that
 // were not yet submitted. The parent is only read: it stays usable, and
 // any number of goroutines may fork it at once while nobody steps it.
-// The fork keeps the parent's Inject horizon.
+// (The fork shares the parent's immutable stage info and counts itself
+// among its holders atomically; see stageTable.) The fork keeps the
+// parent's Inject horizon.
 //
 // Updates may only name stages that were not yet submitted (submitted
 // work cannot be un-submitted) with a finite, non-negative delay; stages
@@ -412,15 +414,17 @@ func (s *Stepper) Result() (*Result, error) {
 
 // clone deep-copies the engine's mutable state into an engine from the
 // pool. Immutable inputs — the cluster capacities, job graphs and their
-// position lists, the fault injector — are shared; everything the event
-// loop writes is copied, so the original can be forked again later.
-// Scratch buffers are not copied (they carry no state across events).
+// position lists, the stage-info slab, the fault injector — are shared;
+// everything the event loop writes is copied, so the original can be
+// forked again later. Scratch buffers are not copied (they carry no state
+// across events).
 //
-// The stage slab and the items copy in bulk: stage links are slab
-// indices and need no rewiring, an item's owning stage is a slab index
-// too, and the per-node buckets are rebuilt as the e.items subsequences
-// they are — so their order, which fixes the floating-point accumulation
-// order of the rates passes, carries over exactly. Only a live
+// The mutable stage slab and the items copy in bulk: stage links are
+// slab indices and need no rewiring, an item's owning stage is a slab
+// index too, and the per-node buckets are rebuilt as the e.items
+// subsequences they are — so their order, which fixes the floating-point
+// accumulation order of the rates passes, carries over exactly. The
+// stage side tables copy only when they hold anything, and only a live
 // speculation race needs an old→new item map to rewire its rival links.
 // The clone has no Observer.
 func (e *engine) clone() *engine {
@@ -444,20 +448,20 @@ func (e *engine) clone() *engine {
 	c.lbDone, c.lbStarts, c.lbNeed, c.lbArrived = e.lbDone, e.lbStarts, e.lbNeed, e.lbArrived
 	c.inW = append(c.inW, e.inW...)
 
-	// The slab copies whole; the few per-stage slices and maps the loop
-	// mutates in place get fresh backing.
+	// The info slab is shared, the pointer-free state slab copies as one
+	// block, and the side tables' lists get fresh backing.
+	if e.tab != nil {
+		e.tab.refs.Add(1)
+		c.tab, c.info = e.tab, e.info
+	}
 	c.states = append(c.states, e.states...)
-	for i := range c.states {
-		st := &c.states[i]
-		if st.pendingCompute != nil {
-			st.pendingCompute = append([]int(nil), st.pendingCompute...)
+	c.pending = cloneLists(c.pending, e.pending)
+	c.compDurs = cloneLists(c.compDurs, e.compDurs)
+	if len(e.specDone) > 0 {
+		if c.specDone == nil {
+			c.specDone = make(map[partKey]bool, len(e.specDone))
 		}
-		if st.compDurs != nil {
-			st.compDurs = append([]float64(nil), st.compDurs...)
-		}
-		if st.specDone != nil {
-			st.specDone = maps.Clone(st.specDone)
-		}
+		maps.Copy(c.specDone, e.specDone)
 	}
 
 	rivals := false
@@ -486,7 +490,20 @@ func (e *engine) clone() *engine {
 	copy(c.dirtyW, e.dirtyW)
 
 	c.timers = append(c.timers, e.timers...)
-	c.res = e.res.clone()
+	// The result in progress holds counters and the series the tracking
+	// options record; the rest is finalize's, and a finalized engine is
+	// never cloned.
+	c.res.Events, c.res.Retries = e.res.Events, e.res.Retries
+	c.res.SpecLaunched, c.res.SpecWins, c.res.Blacklisted = e.res.SpecLaunched, e.res.SpecWins, e.res.Blacklisted
+	if e.opt.TrackNode >= 0 {
+		c.res.Node = e.res.Node.clone()
+	}
+	if e.opt.TrackCluster {
+		c.res.Cluster = e.res.Cluster.clone()
+	}
+	if len(e.res.Occupancy) > 0 {
+		c.res.Occupancy = slices.Clone(e.res.Occupancy)
+	}
 	for k, seg := range e.occOpen {
 		s := *seg
 		c.occOpen[k] = &s
@@ -506,20 +523,22 @@ func (e *engine) clone() *engine {
 	return c
 }
 
-// clone deep-copies a result (every slice gets fresh backing). A result
-// in progress holds no per-job slots: they live in the engine's buffers.
-func (r *Result) clone() Result {
-	c := *r
-	c.Timelines = slices.Clone(r.Timelines)
-	c.JobEnd = append([]float64(nil), r.JobEnd...)
-	c.JobStart = append([]float64(nil), r.JobStart...)
-	c.JobErrors = append([]error(nil), r.JobErrors...)
-	c.Node = r.Node.clone()
-	c.Cluster = r.Cluster.clone()
-	c.Occupancy = append([]OccupancySegment(nil), r.Occupancy...)
-	return c
+// cloneLists copies a side table's lists into dst, an empty table
+// allocated only when src holds anything, and returns dst.
+func cloneLists[T any](dst, src map[int][]T) map[int][]T {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[int][]T, len(src))
+	}
+	for k, v := range src {
+		dst[k] = slices.Clone(v)
+	}
+	return dst
 }
 
+// clone deep-copies a usage record (every series gets fresh backing).
 func (u NodeUsage) clone() NodeUsage {
 	return NodeUsage{
 		CPUBusy:  append(Series(nil), u.CPUBusy...),

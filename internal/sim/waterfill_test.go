@@ -171,7 +171,7 @@ func TestEqualSplitReadShares(t *testing.T) {
 				e.netBW[w] = capacity
 				for n := 1; n <= 64; n++ {
 					for i := range n {
-						it := e.newItem(&stageState{key: skey{job: 0, stage: 1}}, w, w, phRead, 1)
+						it := e.newItem(&stageInfo{key: skey{job: 0, stage: 1}}, w, w, phRead, 1)
 						it.rate = float64(i) // stale
 						e.addItem(it)
 					}
