@@ -17,7 +17,7 @@ import (
 // sandwichEps is the relative tolerance of the bound-sandwich checks: the
 // analytic bounds are exact closed forms, but the simulator accumulates
 // float integration error over thousands of steps.
-const sandwichEps = 1e-9
+const sandwichEps = sim.ScanTolerance
 
 // checkSandwich asserts lower ≤ simulated makespan ≤ upper for one
 // (job, delays) configuration on the given cluster, fault-free, and that

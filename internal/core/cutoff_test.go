@@ -16,7 +16,7 @@ import (
 func scanArgmin(mks []float64, best float64) (int, float64) {
 	win := -1
 	for i, mk := range mks {
-		if mk < best-1e-9 {
+		if mk < best-sim.ScanTolerance {
 			win, best = i, mk
 		}
 	}

@@ -183,9 +183,9 @@ type Evaluator interface {
 	// (ascending), every other delay as in delays, and returns how many
 	// candidates it answered. delays is unchanged on return. best is the
 	// scan-start best: a candidate that provably cannot beat the running
-	// best of the scan's argmin loop (mks[i] < best − 1e-9, in candidate
-	// order) may read +Inf instead of its makespan; +Inf asks for every
-	// makespan.
+	// best of the scan's argmin loop (mks[i] < best − sim.ScanTolerance,
+	// in candidate order) may read +Inf instead of its makespan; +Inf
+	// asks for every makespan.
 	Scan(delays []float64, k int, xs, mks []float64, best float64) (int, error)
 	// Close releases what the evaluator holds once planning is done.
 	Close()
@@ -557,9 +557,11 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 	cands := candidates(upper, opt.SlotSeconds, opt.MaxCandidates, sc.spread)
 
 	// Tier 1: analytic lower bounds. lower(x) = max(rest, through+x) in
-	// O(1) per candidate after one O(V+E) ScanLower. The small slack term
+	// O(1) per candidate after one O(V+E) ScanLower. The slack term
 	// absorbs the simulator's float-integration noise: a bound that ties
-	// the exact makespan to ~1e-9 relative precision must not prune.
+	// the exact makespan to ~1e-9 relative precision must not prune. It is
+	// the drain cut's test (sim.ScanTolerance), so both discard only
+	// candidates the argmin below rejects.
 	skip := sc.skip[:0]
 	if sc.bounds != nil && len(cands) > 1 {
 		if through, rest, ok := sc.bounds.ScanLowerAt(k, sc.delays); ok {
@@ -572,7 +574,7 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 						lb = t
 					}
 					lb += sc.committed
-					if lb-1e-9*(1+lb) >= best-1e-9 {
+					if lb-sim.ScanTolerance*(1+lb) >= best-sim.ScanTolerance {
 						s = true
 						sched.Prune.Pruned++
 					}
@@ -612,7 +614,7 @@ func (sc *scanCtx) scan(k int, globalBest *float64) error {
 		return err
 	}
 	for i, x := range xs {
-		if mks[i] < best-1e-9 {
+		if mks[i] < best-sim.ScanTolerance {
 			best = mks[i]
 			bestDelay = x
 		}

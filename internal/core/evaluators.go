@@ -339,7 +339,7 @@ func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, best flo
 					return hits, err
 				}
 			}
-			mk, cut, err := s.DrainJCTSum(best - 1e-9) // without a cutoff best stays +Inf
+			mk, cut, err := s.DrainJCTSum(best - sim.ScanTolerance) // without a cutoff best stays +Inf
 			if err != nil {
 				return hits, err
 			}
@@ -349,7 +349,7 @@ func (e *simEvaluator) Scan(delays []float64, k int, xs, mks []float64, best flo
 			}
 			mks[i] = mk
 		}
-		if cutoff && mks[i] < best-1e-9 {
+		if cutoff && mks[i] < best-sim.ScanTolerance {
 			best = mks[i]
 		}
 	}

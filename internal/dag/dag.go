@@ -30,21 +30,15 @@ type Stage struct {
 }
 
 // Graph is a directed acyclic graph of stages. The zero value is not
-// usable; construct with New.
+// usable; construct with New, NewSized or Build.
 type Graph struct {
-	stages   map[StageID]*Stage
-	children map[StageID][]StageID
-	order    []StageID // insertion order, for deterministic iteration
-	// childPos / parentPos index the edges by insertion position: entry i
-	// lists the positions of stage order[i]'s children (in the order of
-	// the child index) and parents (in Stage.Parents order). Validate
-	// builds both over one backing array.
-	childPos, parentPos [][]int
-	// idPos lists the positions in ascending stage-ID order; Validate
-	// builds it.
-	idPos []int
-	// validated marks that the child index matches the current stage set,
-	// making repeated Validate calls read-only — and therefore safe from
+	stages map[StageID]*Stage
+	order  []StageID // insertion order, for deterministic iteration
+	// idx is the position index Validate and Build derive; it is never
+	// changed in place, only replaced.
+	idx index
+	// validated marks that idx matches the current stage set, making
+	// repeated Validate calls read-only — and therefore safe from
 	// concurrent evaluators hammering the same job (every sim.Run and
 	// NewStepper validates its jobs).
 	validated bool
@@ -53,6 +47,141 @@ type Graph struct {
 	// lasts, and allocates them one by one after that.
 	stageSlab  []Stage
 	parentSlab []StageID
+}
+
+// index holds a graph's edges by insertion position in compressed-row
+// form: stage i's parents sit at parentPos[parentOff[i]:parentOff[i+1]]
+// (Stage.Parents order) and its children at
+// childPos[childOff[i]:childOff[i+1]] (ascending position, a child once
+// per edge), with the children's IDs in the same range of childIDs. topo
+// is Kahn's order of the positions and idPos the positions in ascending
+// stage-ID order. Every int slice shares one backing array.
+type index struct {
+	parentOff, parentPos, childOff, childPos, topo, idPos []int
+	childIDs                                              []StageID
+}
+
+// newIndex carves an index for n stages and e edges out of back, which
+// it grows when short; childIDs, one slot per edge, comes from the
+// caller.
+func newIndex(n, e int, back []int, childIDs []StageID) index {
+	if k := indexInts(n, e); cap(back) < k {
+		back = make([]int, k)
+	}
+	cut := func(k int) []int {
+		s := back[:k:k]
+		back = back[k:]
+		return s
+	}
+	return index{
+		parentOff: cut(n + 1), parentPos: cut(e),
+		childOff: cut(n + 1), childPos: cut(e),
+		topo: cut(n), idPos: cut(n),
+		childIDs: childIDs,
+	}
+}
+
+// indexInts is the length of the int array an index for n stages and e
+// edges is carved from.
+func indexInts(n, e int) int { return 4*n + 2 + 2*e }
+
+// setParents fills the parent half of the index from parents, entry i
+// the positions of stage i's parents, and returns the first position
+// outside [0, len(parents)) it meets as (stage, parent), or -1, -1.
+func (ix *index) setParents(parents [][]int) (int, int) {
+	n := len(parents)
+	off := 0
+	for i, pp := range parents {
+		ix.parentOff[i] = off
+		for _, p := range pp {
+			if p < 0 || p >= n {
+				return i, p
+			}
+			ix.parentPos[off] = p
+			off++
+		}
+	}
+	ix.parentOff[n] = off
+	return -1, -1
+}
+
+// complete fills in the rest of an index whose parent half (parentOff,
+// parentPos) is set, for the stages order, and reports whether the graph
+// is acyclic. On a cycle topo holds only the stages Kahn's pass reached.
+func (ix *index) complete(order []StageID) bool {
+	ix.link(order)
+	ok := ix.kahn()
+	for i := range ix.idPos {
+		ix.idPos[i] = i
+	}
+	slices.SortFunc(ix.idPos, func(a, b int) int { return cmp.Compare(order[a], order[b]) })
+	return ok
+}
+
+// link inverts the parent half into the child half. Visiting the
+// children by position lists each stage's children in ascending
+// position. It fills childIDs from order unless order is nil, and uses
+// idPos as its fill cursor.
+func (ix *index) link(order []StageID) {
+	n := len(ix.idPos)
+	off := ix.childOff
+	clear(off)
+	for _, p := range ix.parentPos {
+		off[p+1]++
+	}
+	for i := range n {
+		off[i+1] += off[i]
+	}
+	next := ix.idPos
+	copy(next, off[:n])
+	for i := range n {
+		for _, p := range ix.parentPos[ix.parentOff[i]:ix.parentOff[i+1]] {
+			ix.childPos[next[p]] = i
+			if order != nil {
+				ix.childIDs[next[p]] = order[i]
+			}
+			next[p]++
+		}
+	}
+}
+
+// kahn is Kahn's algorithm over the index, writing the order into topo
+// with idPos as the in-degree scratch. Children are listed in ascending
+// position, so stages that become ready together enter the queue in
+// position order and the result is deterministic. It reports whether
+// every stage was ordered.
+func (ix *index) kahn() bool {
+	indeg, queue := ix.idPos, ix.topo
+	q := 0
+	for i := range indeg {
+		indeg[i] = ix.parentOff[i+1] - ix.parentOff[i]
+		if indeg[i] == 0 {
+			queue[q] = i
+			q++
+		}
+	}
+	for head := 0; head < q; head++ {
+		u := queue[head]
+		for _, c := range ix.childPos[ix.childOff[u]:ix.childOff[u+1]] {
+			if indeg[c]--; indeg[c] == 0 {
+				queue[q] = c
+				q++
+			}
+		}
+	}
+	return q == len(indeg)
+}
+
+// clone returns a deep copy of the index.
+func (ix *index) clone() index {
+	c := newIndex(len(ix.topo), len(ix.childIDs), nil, slices.Clone(ix.childIDs))
+	copy(c.parentOff, ix.parentOff)
+	copy(c.parentPos, ix.parentPos)
+	copy(c.childOff, ix.childOff)
+	copy(c.childPos, ix.childPos)
+	copy(c.topo, ix.topo)
+	copy(c.idPos, ix.idPos)
+	return c
 }
 
 // New returns an empty graph.
@@ -144,171 +273,170 @@ func (g *Graph) Parents(id StageID) []StageID {
 	return append([]StageID(nil), s.Parents...)
 }
 
-// ChildrenView returns id's child index slice WITHOUT copying. Callers
-// must treat it as read-only; Validate must have run for the index to be
-// populated. Same hot-path rationale as StagesView.
-func (g *Graph) ChildrenView(id StageID) []StageID { return g.children[id] }
+// ChildrenView returns id's child IDs, in ascending position, WITHOUT
+// copying (nil for a leaf or an unknown id). Callers must treat it as
+// read-only; Validate must have run for the index to be populated. Same
+// hot-path rationale as StagesView.
+func (g *Graph) ChildrenView(id StageID) []StageID {
+	s := g.stages[id]
+	if s == nil || s.pos+1 >= len(g.idx.childOff) {
+		return nil
+	}
+	lo, hi := g.idx.childOff[s.pos], g.idx.childOff[s.pos+1]
+	if lo == hi {
+		return nil
+	}
+	return g.idx.childIDs[lo:hi:hi]
+}
 
 // Validate checks referential integrity and acyclicity and (re)builds the
-// child index and the position index (Pos, ChildPos, ParentPos,
-// IDOrderPos). It must
-// be called after the last AddStage and before any analysis method. Once
-// a graph has validated, further calls are read-only no-ops until the
-// next AddStage.
+// position index (ChildrenView, Pos, ChildPos, ParentPos, IDOrderPos). It
+// must be called after the last AddStage and before any analysis method.
+// Once a graph has validated, further calls are read-only no-ops until
+// the next AddStage.
 func (g *Graph) Validate() error {
 	if g.validated {
 		return nil
 	}
-	kids, parents, err := g.buildIndex()
+	ix, err := g.buildIndex()
 	if err != nil {
 		return err
 	}
-	edges := 0
-	for _, ks := range kids {
-		edges += len(ks)
-	}
-	// The child index lists each stage's children in insertion order, all
-	// slices of one backing array; stages without children get no entry.
-	children := make(map[StageID][]StageID, len(g.stages))
-	back := make([]StageID, edges)
-	for i, ks := range kids {
-		if len(ks) == 0 {
-			continue
-		}
-		cs := back[:len(ks):len(ks)]
-		back = back[len(ks):]
-		for j, k := range ks {
-			cs[j] = g.order[k]
-		}
-		children[g.order[i]] = cs
-	}
-	idPos := make([]int, len(g.order))
-	for i := range idPos {
-		idPos[i] = i
-	}
-	slices.SortFunc(idPos, func(a, b int) int { return cmp.Compare(g.order[a], g.order[b]) })
-	g.children, g.childPos, g.parentPos, g.idPos = children, kids, parents, idPos
-	if topoOrder(kids, parents) == nil {
+	ok := ix.complete(g.order)
+	g.idx = ix
+	if !ok {
 		return ErrCycle
 	}
 	g.validated = true
 	return nil
 }
 
-// buildIndex derives the position index of the current stage set without
-// storing it: per insertion position, the positions of the stage's parents
-// (Stage.Parents order) and children (insertion order of the child), all
-// slices of one backing array.
-func (g *Graph) buildIndex() (kids, parents [][]int, err error) {
-	n := len(g.order)
+// buildIndex derives the parent half of the position index of the
+// current stage set, with room for the rest, without storing it.
+func (g *Graph) buildIndex() (index, error) {
 	edges := 0
 	for _, id := range g.order {
 		edges += len(g.stages[id].Parents)
 	}
-	back := make([]int, 2*edges)
-	parents = make([][]int, n)
+	ix := newIndex(len(g.order), edges, nil, make([]StageID, edges))
 	off := 0
 	for i, id := range g.order {
-		ps := g.stages[id].Parents
-		pp := back[off : off+len(ps) : off+len(ps)]
-		for j, p := range ps {
+		ix.parentOff[i] = off
+		for _, p := range g.stages[id].Parents {
 			par, ok := g.stages[p]
 			if !ok {
-				return nil, nil, fmt.Errorf("%w: stage %d references parent %d", ErrUnknownStage, id, p)
+				return index{}, fmt.Errorf("%w: stage %d references parent %d", ErrUnknownStage, id, p)
 			}
-			pp[j] = par.pos
+			ix.parentPos[off] = par.pos
+			off++
 		}
-		parents[i] = pp
-		off += len(ps)
 	}
-	return childIndex(parents, back[off:]), parents, nil
+	ix.parentOff[len(g.order)] = off
+	return ix, nil
 }
 
-// childIndex inverts a parent-position index: entry i lists the positions
-// of stage i's children in ascending order, a child once per edge, all
-// slices of back, which must hold one slot per edge.
-func childIndex(parents [][]int, back []int) [][]int {
-	nKids := make([]int, len(parents))
-	for _, pp := range parents {
-		for _, p := range pp {
-			nKids[p]++
+// Build returns the validated graph of the stages ids, inserted in that
+// order, where parents[i] lists the positions in ids of stage i's
+// parents. It is AddStage for every stage followed by Validate, with the
+// same errors — ErrDuplicateStage for the first repeated ID, ErrCycle —
+// plus ErrUnknownStage for a parent position outside ids, but it fills
+// the graph in one pass with a fixed number of allocations. Builders
+// that already hold their stages by position use it.
+func Build(ids []StageID, parents [][]int) (*Graph, error) {
+	n := len(ids)
+	if len(parents) != n {
+		return nil, fmt.Errorf("dag: %d parent lists for %d stages", len(parents), n)
+	}
+	g := &Graph{stages: make(map[StageID]*Stage, n), stageSlab: make([]Stage, n)}
+	for i, id := range ids {
+		if _, ok := g.stages[id]; ok {
+			return nil, fmt.Errorf("%w: %d", ErrDuplicateStage, id)
 		}
+		g.stages[id] = &g.stageSlab[i]
 	}
-	kids := make([][]int, len(parents))
-	off := 0
-	for i, k := range nKids {
-		kids[i] = back[off : off : off+k]
-		off += k
-	}
-	for i, pp := range parents {
-		for _, p := range pp {
-			kids[p] = append(kids[p], i)
-		}
-	}
-	return kids
-}
-
-// Acyclic reports whether the graph given by a parent-position index has
-// no dependency cycle: entry i lists the positions, each in
-// [0, len(parents)), of stage i's parents. It is Validate's Kahn pass for
-// callers that hold stages in their own form and need only the verdict,
-// so they need not build a Graph to learn it.
-func Acyclic(parents [][]int) bool {
 	edges := 0
 	for _, pp := range parents {
 		edges += len(pp)
 	}
-	return topoOrder(childIndex(parents, make([]int, edges)), parents) != nil
+	// One array holds the insertion order, the parent lists and the child
+	// IDs; each part is capped so that a later AddStage cannot write into
+	// the next.
+	sids := make([]StageID, n+2*edges)
+	g.order = sids[:n:n]
+	copy(g.order, ids)
+	g.parentSlab = sids[n : n+edges : n+edges]
+	ix := newIndex(n, edges, nil, sids[n+edges:])
+	if i, p := ix.setParents(parents); i >= 0 {
+		return nil, fmt.Errorf("%w: stage %d references parent position %d", ErrUnknownStage, ids[i], p)
+	}
+	for i, id := range ids {
+		st := &g.stageSlab[i]
+		st.ID, st.pos = id, i
+		if lo, hi := ix.parentOff[i], ix.parentOff[i+1]; hi > lo {
+			ps := g.parentSlab[lo:hi:hi]
+			for j, p := range ix.parentPos[lo:hi] {
+				ps[j] = ids[p]
+			}
+			st.Parents = ps
+		}
+	}
+	ok := ix.complete(g.order)
+	g.idx = ix
+	if !ok {
+		return nil, ErrCycle
+	}
+	g.validated = true
+	return g, nil
 }
 
-// topoOrder is Kahn's algorithm over the position index: the ready queue
-// is kept in insertion order (stages that become ready together enter in
-// position order), so the result is deterministic. It returns the
-// positions in topological order, or nil on a cycle.
-func topoOrder(kids, parents [][]int) []int {
-	n := len(parents)
-	indeg := make([]int, n)
-	queue := make([]int, 0, n)
-	for i, pp := range parents {
-		indeg[i] = len(pp)
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
+// CycleCheck runs Validate's Kahn pass over parent-position indexes for
+// callers that hold stages in their own form and need only the verdict,
+// reusing its scratch from call to call: the trace parser checks every
+// job of a trace with one. The zero value is ready to use.
+type CycleCheck struct{ back []int }
+
+// Acyclic reports whether the graph given by a parent-position index has
+// no dependency cycle: entry i lists the positions of stage i's parents.
+// A position outside [0, len(parents)) counts as a cycle.
+func (c *CycleCheck) Acyclic(parents [][]int) bool {
+	edges := 0
+	for _, pp := range parents {
+		edges += len(pp)
 	}
-	for head := 0; head < len(queue); head++ {
-		start := len(queue)
-		for _, c := range kids[queue[head]] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-		slices.Sort(queue[start:])
+	if k := indexInts(len(parents), edges); cap(c.back) < k {
+		c.back = make([]int, k)
 	}
-	if len(queue) != n {
-		return nil
+	ix := newIndex(len(parents), edges, c.back, nil)
+	if i, _ := ix.setParents(parents); i >= 0 {
+		return false
 	}
-	return queue
+	ix.link(nil)
+	return ix.kahn()
+}
+
+// Acyclic is CycleCheck.Acyclic with a fresh scratch.
+func Acyclic(parents [][]int) bool {
+	var c CycleCheck
+	return c.Acyclic(parents)
 }
 
 // TopoSort returns the stage IDs in a topological order (parents before
 // children). Ties are broken by insertion order so the result is
 // deterministic. Returns ErrCycle if the graph is cyclic. On a validated
-// graph it reads the stored position index; otherwise it derives one.
+// graph it reads the stored order; otherwise it derives one.
 func (g *Graph) TopoSort() ([]StageID, error) {
-	kids, parents := g.childPos, g.parentPos
+	ix := g.idx
 	if !g.validated {
 		var err error
-		if kids, parents, err = g.buildIndex(); err != nil {
+		if ix, err = g.buildIndex(); err != nil {
 			return nil, err
 		}
+		if !ix.complete(g.order) {
+			return nil, ErrCycle
+		}
 	}
-	order := topoOrder(kids, parents)
-	if order == nil {
-		return nil, ErrCycle
-	}
-	out := make([]StageID, len(order))
-	for i, p := range order {
+	out := make([]StageID, len(ix.topo))
+	for i, p := range ix.topo {
 		out[i] = g.order[p]
 	}
 	return out, nil
@@ -324,20 +452,26 @@ func (g *Graph) Pos(id StageID) int {
 }
 
 // ChildPos returns the positions of the children of the stage at
-// position i, in child-index order, WITHOUT copying. Callers must treat
-// it as read-only; Validate must have run. The simulator wires every
-// what-if run from the position index instead of hashing stage IDs.
-func (g *Graph) ChildPos(i int) []int { return g.childPos[i] }
+// position i, in ascending order, WITHOUT copying. Callers must treat it
+// as read-only; Validate must have run. The simulator wires every what-if
+// run from the position index instead of hashing stage IDs.
+func (g *Graph) ChildPos(i int) []int {
+	lo, hi := g.idx.childOff[i], g.idx.childOff[i+1]
+	return g.idx.childPos[lo:hi:hi]
+}
 
 // ParentPos returns the positions of the parents of the stage at
 // position i, in Stage.Parents order, WITHOUT copying. Same contract as
 // ChildPos.
-func (g *Graph) ParentPos(i int) []int { return g.parentPos[i] }
+func (g *Graph) ParentPos(i int) []int {
+	lo, hi := g.idx.parentOff[i], g.idx.parentOff[i+1]
+	return g.idx.parentPos[lo:hi:hi]
+}
 
 // IDOrderPos returns every stage's position, ordered by ascending stage
 // ID, WITHOUT copying. Same contract as ChildPos. The simulator emits its
 // per-stage timelines in this order.
-func (g *Graph) IDOrderPos() []int { return g.idPos }
+func (g *Graph) IDOrderPos() []int { return g.idx.idPos }
 
 // Roots returns stages with no parents, in insertion order.
 func (g *Graph) Roots() []StageID {
@@ -350,15 +484,19 @@ func (g *Graph) Roots() []StageID {
 	return out
 }
 
-// Clone returns a deep copy of the graph (child index included if built).
+// Clone returns a deep copy of the graph. A clone of a validated graph is
+// validated, with its own copy of the position index.
 func (g *Graph) Clone() *Graph {
-	ng := New()
+	edges := 0
+	for _, id := range g.order {
+		edges += len(g.stages[id].Parents)
+	}
+	ng := NewSized(len(g.order), edges)
 	for _, id := range g.order {
 		ng.MustAdd(*g.stages[id])
 	}
-	ng.children = make(map[StageID][]StageID, len(g.children))
-	for id, cs := range g.children {
-		ng.children[id] = append([]StageID(nil), cs...)
+	if g.validated {
+		ng.idx, ng.validated = g.idx.clone(), true
 	}
 	return ng
 }

@@ -325,6 +325,41 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneStaysValidated: a clone of a validated graph answers the
+// position views without a Validate of its own, from its own copy.
+func TestCloneStaysValidated(t *testing.T) {
+	g := fig7(t)
+	c := g.Clone()
+	if got := c.ChildrenView(1); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("clone children(1) = %v, want [3]", got)
+	}
+	if &c.ChildPos(0)[0] == &g.ChildPos(0)[0] {
+		t.Fatal("clone shares the original's position index")
+	}
+}
+
+// TestBuildErrors: Build reports what AddStage and Validate would for a
+// repeated ID and a self-dependency, and rejects a parent position
+// outside the stages or a parent list count that does not match.
+func TestBuildErrors(t *testing.T) {
+	if _, err := Build([]StageID{4, 7, 4}, make([][]int, 3)); err == nil || err.Error() != "dag: duplicate stage id: 4" {
+		t.Fatalf("duplicate: %v", err)
+	}
+	if _, err := Build([]StageID{1, 2}, [][]int{nil, {1}}); !errors.Is(err, ErrCycle) {
+		t.Fatalf("self-dependency: %v", err)
+	}
+	if _, err := Build([]StageID{1, 2}, [][]int{nil, {2}}); !errors.Is(err, ErrUnknownStage) {
+		t.Fatalf("position out of range: %v", err)
+	}
+	if _, err := Build([]StageID{1, 2}, [][]int{nil}); err == nil {
+		t.Fatal("parent lists for too few stages accepted")
+	}
+	g, err := Build(nil, nil)
+	if err != nil || g.Len() != 0 {
+		t.Fatalf("empty: %v, %d stages", err, g.Len())
+	}
+}
+
 func TestDiamond(t *testing.T) {
 	// 1 → {2,3} → 4: classic diamond; 2 and 3 are the only parallel stages.
 	g := New()

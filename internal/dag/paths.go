@@ -59,7 +59,7 @@ func ExecutionPaths(g *Graph, r *Reachability, weight func(StageID) float64) []P
 			continue
 		}
 		best, bestID, has := 0.0, StageID(0), false
-		for _, c := range g.children[s] {
+		for _, c := range g.ChildrenView(s) {
 			if inK[c] && (!has || down[c] > best) {
 				best, bestID, has = down[c], c, true
 			}
@@ -160,7 +160,7 @@ func CriticalPath(g *Graph, weight func(StageID) float64) (Path, float64) {
 	for i := len(topo) - 1; i >= 0; i-- {
 		s := topo[i]
 		best, bestID, has := 0.0, StageID(0), false
-		for _, c := range g.children[s] {
+		for _, c := range g.ChildrenView(s) {
 			if !has || down[c] > best {
 				best, bestID, has = down[c], c, true
 			}

@@ -296,8 +296,9 @@ func refTopoSort(g *Graph) []StageID {
 
 // TestPropertyPositionIndex: Pos, ParentPos and ChildPos mirror the ID
 // view exactly (insertion positions, Stage.Parents order, child-index
-// order), IDOrderPos sorts the positions by stage ID, and TopoSort — on the stored index of a validated graph and on
-// the index an unvalidated clone derives — matches the reference order.
+// order), IDOrderPos sorts the positions by stage ID, and TopoSort — on
+// the stored index of a validated graph and its clone, and on the index
+// an unvalidated copy derives — matches the reference order.
 func TestPropertyPositionIndex(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%40) + 1
@@ -342,7 +343,7 @@ func TestPropertyPositionIndex(t *testing.T) {
 			seen[p] = true
 		}
 		want := refTopoSort(g)
-		for _, gr := range []*Graph{g, g.Clone()} {
+		for _, gr := range []*Graph{g, g.Clone(), readd(g)} {
 			got, err := gr.TopoSort()
 			if err != nil || len(got) != len(want) {
 				return false
@@ -417,6 +418,88 @@ func TestPropertyNewSizedAndAcyclic(t *testing.T) {
 			cyc.MustAdd(s)
 		}
 		return !Acyclic(parents) && errors.Is(cyc.Validate(), ErrCycle)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readd returns an unvalidated graph holding g's stages in g's order.
+func readd(g *Graph) *Graph {
+	out := New()
+	for _, id := range g.StagesView() {
+		out.MustAdd(*g.Stage(id))
+	}
+	return out
+}
+
+// positions returns g's parent-position index, one fresh list per stage.
+func positions(g *Graph) [][]int {
+	parents := make([][]int, g.Len())
+	for i := range parents {
+		parents[i] = slices.Clone(g.ParentPos(i))
+	}
+	return parents
+}
+
+// sameGraph reports whether a and b agree on every view the package
+// exports: insertion order, parents, children by ID and by position,
+// IDOrderPos and TopoSort.
+func sameGraph(a, b *Graph) bool {
+	if !slices.Equal(a.StagesView(), b.StagesView()) || !slices.Equal(a.IDOrderPos(), b.IDOrderPos()) {
+		return false
+	}
+	for i, id := range a.StagesView() {
+		if !slices.Equal(a.Parents(id), b.Parents(id)) ||
+			!slices.Equal(a.ChildrenView(id), b.ChildrenView(id)) ||
+			!slices.Equal(a.ChildPos(i), b.ChildPos(i)) ||
+			!slices.Equal(a.ParentPos(i), b.ParentPos(i)) || a.Pos(id) != b.Pos(id) {
+			return false
+		}
+	}
+	ta, errA := a.TopoSort()
+	tb, errB := b.TopoSort()
+	return errA == nil && errB == nil && slices.Equal(ta, tb)
+}
+
+// TestPropertyBuildMatchesAddStage: Build from a graph's IDs and parent
+// positions gives the graph AddStage and Validate built, its clone too;
+// and once one edge is reversed into a cycle, or one ID repeated, Build
+// fails with the error text Validate or AddStage gives.
+func TestPropertyBuildMatchesAddStage(t *testing.T) {
+	f := func(seed int64, sz uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(sz%40) + 1
+		g := shuffledDAG(rng, n)
+		parents := positions(g)
+		b, err := Build(g.StagesView(), parents)
+		if err != nil || !sameGraph(g, b) || !sameGraph(g, b.Clone()) {
+			return false
+		}
+		ids := slices.Clone(g.StagesView())
+		if n > 1 {
+			dup := slices.Clone(ids)
+			dup[n-1] = dup[0]
+			ref := New()
+			var refErr error
+			for _, id := range dup {
+				if refErr = ref.AddStage(Stage{ID: id}); refErr != nil {
+					break
+				}
+			}
+			if _, err := Build(dup, make([][]int, n)); err == nil || err.Error() != refErr.Error() {
+				return false
+			}
+		}
+		for i, pp := range parents {
+			if len(pp) == 0 {
+				continue
+			}
+			parents[pp[0]] = append(parents[pp[0]], i)
+			_, err := Build(ids, parents)
+			return errors.Is(err, ErrCycle) && err.Error() == ErrCycle.Error()
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func NewReachability(g *Graph) (*Reachability, error) {
 	// Descendants: walk topo order in reverse; desc(u) = ∪_{c∈children(u)} ({c} ∪ desc(c)).
 	for i := n - 1; i >= 0; i-- {
 		u := topo[i]
-		for _, c := range g.children[u] {
+		for _, c := range g.ChildrenView(u) {
 			ci := r.idx[c]
 			r.desc[i].set(ci)
 			r.desc[i].or(r.desc[ci])

@@ -34,11 +34,18 @@ type jobWork struct {
 	done    bool
 }
 
+// ScanTolerance is the planner's improvement tolerance: a candidate wins
+// a scan only with a makespan below best − ScanTolerance. Every lower
+// bound lb that discards candidates unevaluated — the analytic tier's and
+// the drain cut's — is first lowered by the float allowance
+// ScanTolerance·(1 + lb) (jctSlack), and discards only once that floor
+// reaches best − ScanTolerance. A discarded candidate is therefore one
+// the improvement test provably rejects.
+const ScanTolerance = 1e-9
+
 // jctSlack is the bound's float allowance: the bound less it never
-// exceeds the drained Σ JCT (FuzzDrainBound). It is the two-tier scan's
-// tolerance, so a cut drain is one the planner's improve-by-tolerance
-// test provably rejects.
-func jctSlack(lb float64) float64 { return 1e-9 * (1 + lb) }
+// exceeds the drained Σ JCT (FuzzDrainBound).
+func jctSlack(lb float64) float64 { return float64(ScanTolerance * (1 + lb)) }
 
 // partitions is how many partitions the stage runs: one per node, or the
 // one of a placed stage.
@@ -101,9 +108,9 @@ func (e *engine) addWork(j int) {
 			}
 			reads, computes, writes = 0, n-read+float64(len(e.pending[i])), float64(st.computeLeft)
 		}
-		w.left[phRead] += in.profile.perNodeIn * reads * e.perCap[phRead]
-		w.left[phCompute] += in.profile.computeSec * computes * e.perCap[phCompute]
-		w.left[phWrite] += in.profile.perNodeOut * writes * e.perCap[phWrite]
+		w.left[phRead] += float64(in.profile.perNodeIn * reads * e.perCap[phRead])
+		w.left[phCompute] += float64(in.profile.computeSec * computes * e.perCap[phCompute])
+		w.left[phWrite] += float64(in.profile.perNodeOut * writes * e.perCap[phWrite])
 	}
 	w.need = needOf(&w.left)
 	e.lbNeed += w.need
@@ -126,7 +133,7 @@ func (e *engine) startWork(job int, ph phase, v float64) {
 		return
 	}
 	t := w.left[ph]
-	w.left[ph] = t - v*e.perCap[ph]
+	w.left[ph] = t - float64(v*e.perCap[ph])
 	if t < w.need {
 		return // another phase is slower still: the need stands
 	}
@@ -170,7 +177,7 @@ func (e *engine) finishWork(job int) {
 
 // jctFloor is the live lower bound on the world's Σ JCT less its slack.
 func (e *engine) jctFloor() float64 {
-	lb := e.lbDone + float64(e.lbArrived)*e.now - e.lbStarts
+	lb := e.lbDone + float64(float64(e.lbArrived)*e.now) - e.lbStarts
 	if e.opt.Faults == nil {
 		lb += e.lbNeed
 	}

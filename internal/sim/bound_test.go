@@ -75,7 +75,7 @@ func FuzzDrainBound(f *testing.F) {
 				r.Placement = randomPlacement(job, len(c.Nodes), rng)
 			}
 			runs = append(runs, r)
-			at += rng.Float64() * 40
+			at += float64(rng.Float64() * 40)
 		}
 		ref, err := Run(opt, runs)
 		if err != nil {

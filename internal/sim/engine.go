@@ -65,7 +65,7 @@ const (
 // ContentionSaturation) of a resource with extra consumers beyond the
 // first: each of f consumers sees capacity C/(f·ContentionFactor(α, f−1)).
 func ContentionFactor(alpha, extra float64) float64 {
-	return 1 + alpha*min(extra, ContentionSaturation)
+	return 1 + float64(alpha*min(extra, ContentionSaturation))
 }
 
 // ContentionAlpha resolves Options.ContentionOverhead's sentinels: zero
@@ -1061,7 +1061,7 @@ func (e *engine) submitPlaced(si int) {
 		}
 		root = false
 		if w := ps.node; w != in.node {
-			if vol := e.inW[in.wOff+i] * vin; vol > eps {
+			if vol := float64(e.inW[in.wOff+i] * vin); vol > eps {
 				e.addPlacedRead(si, e.linkBucket(w, in.node), vol)
 				remote += vol
 			}
@@ -1306,7 +1306,7 @@ func (e *engine) availability(si int, computeRates []float64) (a, da float64) {
 			a += w
 			continue
 		}
-		a += w * ramp
+		a += float64(w * ramp)
 		var rate float64
 		if computeRates != nil {
 			rate = computeRates[pi]
@@ -1486,7 +1486,7 @@ func (e *engine) readNodeRates(w int, stageRates []float64) {
 		if it.capped {
 			if e.states[it.st].parentsLeft > 0 {
 				a, da := e.availability(it.st, stageRates)
-				capVol := it.volume * a
+				capVol := float64(it.volume * a)
 				it.capRate = it.volume * da
 				if it.done >= capVol-availEps {
 					// No backlog: limited to the production rate.
@@ -1612,7 +1612,7 @@ func (e *engine) nextDT() float64 {
 		if agg && it.capped && it.ph == phRead {
 			if e.states[it.st].parentsLeft > 0 {
 				a, _ := e.availability(it.st, nil) // da not needed here
-				capVol := it.volume * a
+				capVol := float64(it.volume * a)
 				backlog := capVol - it.done
 				// Catch-up events below a byte of backlog are noise: with
 				// many heterogeneous nodes they degenerate into an event
@@ -1654,13 +1654,13 @@ func (e *engine) advance(dt float64) {
 		if usage {
 			switch it.ph {
 			case phRead:
-				e.netBytesInt += it.rate * dt
+				e.netBytesInt += float64(it.rate * dt)
 				totNet += it.rate
 				if it.node == e.opt.TrackNode {
 					trackNet += it.rate
 				}
 			case phWrite:
-				e.diskBytesInt += it.rate * dt
+				e.diskBytesInt += float64(it.rate * dt)
 				totDisk += it.rate
 				if it.node == e.opt.TrackNode {
 					trackDisk += it.rate
@@ -1669,7 +1669,7 @@ func (e *engine) advance(dt float64) {
 				busyExecs[it.node] += it.execUsed
 			}
 		}
-		p := it.rate * dt
+		p := float64(it.rate * dt)
 		it.remaining -= p
 		if agg {
 			if it.capped {
@@ -1703,7 +1703,7 @@ func (e *engine) advance(dt float64) {
 			busy = e.execs[w]
 		}
 		if busy > 0 {
-			e.cpuBusyInt += busy * dt
+			e.cpuBusyInt += float64(busy * dt)
 			totBusyExec += busy
 			if w == e.opt.TrackNode {
 				trackCPUBusy = busy / e.execs[w]

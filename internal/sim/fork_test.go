@@ -229,7 +229,7 @@ func TestSnapshotForkDelayBitIdentical(t *testing.T) {
 					requireIdentical(t, ctx+" at readiness", want[i], forkOut(t, held, upd(x)))
 				}
 				for i, x := range xs {
-					for _, b := range []float64{tr + x/2, tr + x} {
+					for _, b := range []float64{tr + float64(x/2), tr + x} {
 						if err := held.AdvanceBefore(b); err != nil {
 							t.Fatal(err)
 						}
@@ -693,7 +693,7 @@ func FuzzStepperFork(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := frac * ref.Makespan
+		at := float64(frac * ref.Makespan)
 		popt := opt
 		if seen != nil {
 			popt.Observer = seen
@@ -834,7 +834,7 @@ func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, jo
 	for i := 0; i < n; i++ {
 		pj := jobs[rng.Intn(len(jobs))]
 		runs = append(runs, JobRun{Job: pj, Arrival: at, Delays: randomDelays(pj, rng)})
-		at += rng.Float64() * 20
+		at += float64(rng.Float64() * 20)
 	}
 	copt := opt
 	if seen != nil {
@@ -852,7 +852,7 @@ func fuzzMultiJobFork(t *testing.T, c *cluster.Cluster, jobs []*workload.Job, jo
 			t.Fatal(err)
 		}
 	}
-	arrival := at + frac*30
+	arrival := at + float64(frac*30)
 	if err := committed.AdvanceBefore(arrival); err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func injectRuns(t testing.TB, opt Options, jobs []*workload.Job, rng *rand.Rand,
 	runs := []JobRun{{Job: jobs[0], Delays: randomDelays(jobs[0], rng)}}
 	for k, mode := range modes {
 		prev := runs[len(runs)-1].Arrival
-		arrival := prev + rng.Float64()*40
+		arrival := prev + float64(rng.Float64()*40)
 		if mode != arriveAfterGap && mode != arriveTied {
 			res, err := Run(opt, runs)
 			if err != nil {
@@ -53,7 +53,7 @@ func injectRuns(t testing.TB, opt Options, jobs []*workload.Job, rng *rand.Rand,
 				cands = append(cands, res.JobEnd...)
 				if mode == arriveJustAfterEvent {
 					for i := range cands {
-						cands[i] += rng.Float64() * eps
+						cands[i] += float64(rng.Float64() * eps)
 					}
 				}
 			case arriveAtDelayTimer:
@@ -67,7 +67,7 @@ func injectRuns(t testing.TB, opt Options, jobs []*workload.Job, rng *rand.Rand,
 				for _, e := range res.JobEnd {
 					end = math.Max(end, e)
 				}
-				cands = append(cands, end+1+rng.Float64()*20)
+				cands = append(cands, end+1+float64(rng.Float64()*20))
 			}
 			var ok []float64
 			for _, c := range cands {

@@ -101,7 +101,7 @@ func poolTasks(t *testing.T) []poolTask {
 		one := []JobRun{{Job: job(i), Delays: randomDelays(job(i), rng)}}
 		multi := []JobRun{
 			{Job: job(i), Delays: randomDelays(job(i), rng)},
-			{Job: job(i + 1), Arrival: 15 + 10*float64(i), Delays: randomDelays(job(i+1), rng)},
+			{Job: job(i + 1), Arrival: 15 + float64(10*float64(i)), Delays: randomDelays(job(i+1), rng)},
 			{Job: job(i + 2), Arrival: 40, Delays: randomDelays(job(i+2), rng)},
 		}
 		// An answer-only world's drains, after each full run of the same

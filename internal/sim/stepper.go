@@ -325,7 +325,7 @@ func (s *Stepper) AnswerOnly() {
 //
 // A finite limit lets the drain stop early. Before each step it reads a
 // live lower bound on the world's Σ JCT (bound.go), less a float slack of
-// 1e-9·(1 + bound); once that floor reaches limit, the world provably
+// ScanTolerance·(1 + bound); once that floor reaches limit, the world provably
 // cannot end below limit, and DrainJCTSum retires the engine and returns
 // the floor with cut set. limit = +Inf always drains to the end, bit for
 // bit as without a limit.

@@ -47,7 +47,7 @@ func waterFillInto(alloc []float64, active []int, capacity float64, demands, wei
 		next := active[:0]
 		unit := remaining / wSum
 		for _, i := range active {
-			share := unit * weightOf(weights, i)
+			share := float64(unit * weightOf(weights, i))
 			if demands[i] <= share+1e-15 {
 				alloc[i] = demands[i]
 				remaining -= demands[i]

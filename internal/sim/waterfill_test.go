@@ -78,7 +78,7 @@ func TestWaterFillProperties(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(n8%10) + 1
-		capacity := rng.Float64() * 100
+		capacity := float64(rng.Float64() * 100)
 		demands := make([]float64, n)
 		totalDemand := 0.0
 		hasElastic := false
@@ -87,7 +87,7 @@ func TestWaterFillProperties(t *testing.T) {
 				demands[i] = math.Inf(1)
 				hasElastic = true
 			} else {
-				demands[i] = rng.Float64() * 40
+				demands[i] = float64(rng.Float64() * 40)
 				totalDemand += demands[i]
 			}
 		}
@@ -125,7 +125,7 @@ func TestWaterFillMaxMin(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
-		capacity := 10 + rng.Float64()*50
+		capacity := 10 + float64(rng.Float64()*50)
 		demands := make([]float64, n)
 		for i := range demands {
 			if rng.Float64() < 0.4 {

@@ -1,10 +1,16 @@
 package trace
 
 import (
+	"encoding/csv"
+	"fmt"
+	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"delaystage/internal/dag"
 )
 
 // splitTaskName is the strings.Split decoder the task-name scanner
@@ -44,7 +50,7 @@ func FuzzParseTaskName(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		dst := []int{7}
-		id, got, ok := scanTaskName(name, dst)
+		id, got, ok := scanTaskName([]byte(name), dst)
 		if !ok && (id != 0 || !slices.Equal(got, dst)) {
 			t.Fatalf("%q: rejected name must return 0 and dst as it came: %d %v", name, id, got)
 		}
@@ -96,3 +102,156 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// parseCSV is the encoding/csv parser the byte-level row scanner
+// replaced, kept as FuzzParseMatchesCSV's differential oracle: every row
+// goes through csv.Reader, and each job's rows are renumbered,
+// deduplicated and checked for a cycle as Parse documents.
+func parseCSV(r io.Reader, dropped func(*Job)) (*Trace, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
+	var jobs []Job
+	index := map[string]int{}
+	for row := 1; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		if len(rec) < 7 {
+			return nil, fmt.Errorf("trace: row %d: record has %d fields, want ≥7", row, len(rec))
+		}
+		name, jobName := rec[0], rec[2]
+		start, err1 := strconv.ParseFloat(rec[5], 64)
+		end, err2 := strconv.ParseFloat(rec[6], 64)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("trace: row %d: bad times %q/%q in job %s", row, rec[5], rec[6], jobName)
+		}
+		k, seen := index[jobName]
+		if !seen {
+			k = len(jobs)
+			index[jobName] = k
+			jobs = append(jobs, Job{Name: jobName})
+		}
+		id, parents, ok := splitTaskName(name)
+		st := Stage{ID: id, Start: start, End: end}
+		switch {
+		case !ok:
+			st.ID = -1
+		case len(parents) > 0:
+			st.Parents = []int{}
+			for _, p := range parents {
+				if p != id {
+					st.Parents = append(st.Parents, p)
+				}
+			}
+		}
+		jobs[k].Stages = append(jobs[k].Stages, st)
+	}
+	tr := &Trace{}
+	for k := range jobs {
+		job := &jobs[k]
+		maxID := 0
+		for _, s := range job.Stages {
+			maxID = max(maxID, s.ID)
+		}
+		pos := map[int]int{}
+		var kept []Stage
+		for _, st := range job.Stages {
+			if st.ID < 0 {
+				maxID++
+				st.ID = maxID
+			}
+			if _, seen := pos[st.ID]; seen {
+				continue
+			}
+			pos[st.ID] = len(kept)
+			if len(kept) == 0 || st.Start < job.Arrival {
+				job.Arrival = st.Start
+			}
+			kept = append(kept, st)
+		}
+		job.Stages = kept
+		parents := make([][]int, len(kept))
+		for i, s := range kept {
+			for _, p := range s.Parents {
+				if q, ok := pos[p]; ok {
+					parents[i] = append(parents[i], q)
+				}
+			}
+		}
+		if !dag.Acyclic(parents) {
+			if dropped != nil {
+				dropped(job)
+			}
+			continue
+		}
+		tr.Jobs = append(tr.Jobs, *job)
+	}
+	return tr, nil
+}
+
+// FuzzParseMatchesCSV: the byte-level scanner, its encoding/csv fallback
+// and the per-job assembly must agree with parseCSV on every input:
+// the same jobs (names, arrivals, stages, parents) and the same dropped
+// cyclic jobs, or byte-identical error texts.
+func FuzzParseMatchesCSV(f *testing.F) {
+	long := "M1,1,j," + strings.Repeat("x", 5000) + ",T,0,10,1,1\nM2_1,1,j,b,T,1,2,1,1\n"
+	for _, seed := range []string{
+		sampleCSV,
+		"M1,1,\"job,a\",b,T,0,10,1,1\nR2_1,1,\"job,a\",b,T,3,9,1,1\n", // quoted commas
+		"M1,1,j,\"multi\nline\",T,0,10,1,1\nM2_1,1,j,b,T,1,2,1,1\n",   // quoted newline
+		"M1,1,j,b,T,0,10,1,1\r\nR2_1,1,j,b,T,1,2,1,1\r\n",             // CRLF
+		"M1,1,j,b\rx,T,0,10,1,1\nM2,1,j,b,T,1,2,1,1\n",                // bare \r in a field
+		"\nM1,1,j,b,T,0,10,1,1\n\n\nM2_1,1,j,b,T,1,2,1,1\n\n",         // blank lines
+		"M1,1,j,b,T,0,10,1,1\nM2_1,1,k,b,T,1,2,1,1",                   // no final newline
+		"M1,1,j,b,T,0,10,1,1\n\nM2,1,j,b\"x,T,0,1,1,1\n",              // bare quote on line 3
+		"M1,1,j,b,T,0,10,1,1\nM2,1,j,\"b\n\"x,T,0,1,1,1\n",            // error after a quoted newline
+		long, // row longer than the buffer
+		"M1,1,j,b,T,0,10,1,1\nM1,1,k,b,T,0,1,1,1\nR2_1,1,j,b,T,2,4,1,1\n", // interleaved jobs
+		"M1,1,short\n", "M1,1,j,b,T,x,1,1,1\n", "\"unterminated\n", "\r", "\r\n\r\n",
+		"R1_2,1,c,b,T,0,1,1,1\nR2_1,1,c,b,T,0,1,1,1\nM1,1,g,b,T,0,1,1,1\n", // cyclic job
+		"M9223372036854775807,1,j,b,T,0,1,1,1\nx,1,j,b,T,0,1,1,1\ny,1,j,b,T,0,1,1,1\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		var gotDrop, wantDrop []Job
+		got, err := parse(strings.NewReader(src), func(j *Job) { gotDrop = append(gotDrop, *j) })
+		want, wantErr := parseCSV(strings.NewReader(src), func(j *Job) { wantDrop = append(wantDrop, *j) })
+		if err != nil || wantErr != nil {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("errors differ:\n got  %v\n want %v", err, wantErr)
+			}
+			return
+		}
+		if !sameJobs(got.Jobs, want.Jobs) || !sameJobs(gotDrop, wantDrop) {
+			t.Fatalf("traces differ:\n got  %+v dropped %+v\n want %+v dropped %+v", got.Jobs, gotDrop, want.Jobs, wantDrop)
+		}
+	})
+}
+
+// sameJobs compares jobs field by field: times bit for bit (a NaN time
+// parses), an empty parent list equal to none.
+func sameJobs(a, b []Job) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || !sameBits(a[i].Arrival, b[i].Arrival) || len(a[i].Stages) != len(b[i].Stages) {
+			return false
+		}
+		for k, s := range a[i].Stages {
+			w := b[i].Stages[k]
+			if s.ID != w.ID || !sameBits(s.Start, w.Start) || !sameBits(s.End, w.End) || !slices.Equal(s.Parents, w.Parents) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

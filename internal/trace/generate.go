@@ -99,7 +99,7 @@ func stageCount(rng *rand.Rand, max int) int {
 	}
 	// Tail: log-uniform 15 .. max.
 	lo, hi := math.Log(15), math.Log(float64(max))
-	return int(math.Exp(lo + rng.Float64()*(hi-lo)))
+	return int(math.Exp(lo + float64(rng.Float64()*(hi-lo))))
 }
 
 // genDAG builds a job with parallel stages. Real trace DAGs are wide

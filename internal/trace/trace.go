@@ -11,12 +11,16 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"delaystage/internal/dag"
 )
@@ -49,29 +53,116 @@ type Trace struct {
 // (present in the real trace) are dropped. Each call builds a fresh graph:
 // parsed jobs keep no graph resident.
 func (j *Job) Graph() (*dag.Graph, error) {
-	known := make(map[int]bool, len(j.Stages))
-	edges := 0
+	sc := scratchPool.Get().(*jobScratch)
+	defer scratchPool.Put(sc)
+	maxID := 0
 	for _, s := range j.Stages {
-		known[s.ID] = true
-		edges += len(s.Parents)
+		maxID = max(maxID, s.ID)
 	}
-	g := dag.NewSized(len(j.Stages), edges)
-	var parents []dag.StageID // reused: AddStage copies the list
-	for _, s := range j.Stages {
-		parents = parents[:0]
-		for _, p := range s.Parents {
-			if known[p] && p != s.ID {
-				parents = append(parents, dag.StageID(p))
-			}
-		}
-		if err := g.AddStage(dag.Stage{ID: dag.StageID(s.ID), Parents: parents}); err != nil {
-			return nil, fmt.Errorf("trace job %s: %w", j.Name, err)
-		}
+	sc.pos.reset(len(j.Stages), maxID)
+	sc.ids = sc.ids[:0]
+	for i, s := range j.Stages {
+		sc.pos.add(s.ID, i)
+		sc.ids = append(sc.ids, dag.StageID(s.ID))
 	}
-	if err := g.Validate(); err != nil {
+	g, err := dag.Build(sc.ids, sc.link(j.Stages))
+	if err != nil {
 		return nil, fmt.Errorf("trace job %s: %w", j.Name, err)
 	}
 	return g, nil
+}
+
+// scratchPool holds Job.Graph's scratch, so that building a graph
+// allocates only the graph.
+var scratchPool = sync.Pool{New: func() any { return new(jobScratch) }}
+
+// jobScratch is one job's working state, reused job after job: the stage
+// ID → position table, and the job's parent positions.
+type jobScratch struct {
+	pos     posTable
+	ids     []dag.StageID
+	back    []int
+	parents [][]int
+}
+
+// link resolves each stage's parents to positions through pos, which
+// must hold the stages' IDs, dropping dangling and self references: the
+// edges Job.Graph keeps. It returns one list per stage, all slices of one
+// reused array.
+func (sc *jobScratch) link(stages []Stage) [][]int {
+	edges := 0
+	for _, s := range stages {
+		edges += len(s.Parents)
+	}
+	if cap(sc.back) < edges {
+		sc.back = make([]int, 0, edges)
+	}
+	back := sc.back[:0]
+	sc.parents = sc.parents[:0]
+	for _, s := range stages {
+		lo := len(back)
+		for _, p := range s.Parents {
+			if q, ok := sc.pos.get(p); ok && p != s.ID {
+				back = append(back, q)
+			}
+		}
+		sc.parents = append(sc.parents, back[lo:len(back):len(back)])
+	}
+	return sc.parents
+}
+
+// posTable maps one job's stage IDs to their positions: a dense slice for
+// small non-negative IDs, as trace IDs are, and a map only for the
+// sparse or negative rest.
+type posTable struct {
+	dense  []int // ID → position+1 for IDs below len(dense); 0 = absent
+	sparse map[int]int
+}
+
+// reset empties the table for a job of n stages whose IDs mostly lie in
+// [0, maxID]; the dense part stops at 4n+64 so that its clearing stays
+// linear in the job.
+func (t *posTable) reset(n, maxID int) {
+	size := max(min(maxID+1, 4*n+64), 0)
+	if cap(t.dense) < size {
+		t.dense = make([]int, size)
+	} else {
+		t.dense = t.dense[:size]
+		clear(t.dense)
+	}
+	if len(t.sparse) > 0 {
+		clear(t.sparse)
+	}
+}
+
+// add records id at pos and reports true, or reports false if id is
+// already present.
+func (t *posTable) add(id, pos int) bool {
+	if uint(id) < uint(len(t.dense)) {
+		if t.dense[id] != 0 {
+			return false
+		}
+		t.dense[id] = pos + 1
+		return true
+	}
+	if _, ok := t.sparse[id]; ok {
+		return false
+	}
+	if t.sparse == nil {
+		t.sparse = map[int]int{}
+	}
+	t.sparse[id] = pos
+	return true
+}
+
+// get returns id's position.
+func (t *posTable) get(id int) (int, bool) {
+	if uint(id) < uint(len(t.dense)) {
+		p := t.dense[id]
+		return p - 1, p != 0
+	}
+	p, ok := t.sparse[id]
+	return p, ok
 }
 
 // scanTaskName decodes the Alibaba task-name dependency grammar: a letter
@@ -82,30 +173,36 @@ func (j *Job) Graph() (*dag.Graph, error) {
 // that structure ("task_...", "MergeTask", ...) or one that breaks it
 // mid-way ("M3_1_x", "M1_") — returns id 0, dst as it came and ok false,
 // and its task is treated as an independent stage.
-func scanTaskName(name string, dst []int) (id int, _ []int, ok bool) {
+func scanTaskName(name []byte, dst []int) (id int, _ []int, ok bool) {
 	i := 0
 	for i < len(name) && (name[i] < '0' || name[i] > '9') {
 		i++
 	}
 	// Reject the "task_1234" style: prefix containing '_' is unstructured.
-	if i == 0 || i >= len(name) || strings.IndexByte(name[:i], '_') >= 0 {
-		return 0, dst, false
-	}
-	tok, rest, more := strings.Cut(name[i:], "_")
-	id, err := strconv.Atoi(tok)
-	if err != nil {
+	if i == 0 || i >= len(name) || bytes.IndexByte(name[:i], '_') >= 0 {
 		return 0, dst, false
 	}
 	n := len(dst)
-	for more {
-		tok, rest, more = strings.Cut(rest, "_")
-		v, err := strconv.Atoi(tok)
+	rest := name[i:]
+	for first := true; ; first = false {
+		tok := rest
+		j := bytes.IndexByte(rest, '_')
+		if j >= 0 {
+			tok, rest = rest[:j], rest[j+1:]
+		}
+		v, err := strconv.Atoi(string(tok))
 		if err != nil {
 			return 0, dst[:n], false
 		}
-		dst = append(dst, v)
+		if first {
+			id = v
+		} else {
+			dst = append(dst, v)
+		}
+		if j < 0 {
+			return id, dst, true
+		}
 	}
-	return id, dst, true
 }
 
 // Parse reads a batch_task.csv stream (columns: task_name, instance_num,
@@ -123,123 +220,55 @@ func Parse(r io.Reader) (*Trace, error) { return parse(r, nil) }
 // parent lists, so a row's list costs no allocation of its own.
 const parentChunk = 4096
 
-// parse reads and assembles the trace in one pass per job: each row's
-// name is scanned once into the job's own stage list, which is then
-// renumbered and deduplicated in place, and each job's DAG is checked by
-// one Kahn pass over those stages without building a dag.Graph. dropped,
-// if non-nil, sees every job removed as cyclic.
+// parse reads the rows with a byte-level scanner: a row with no '"' and
+// no '\r' is split on commas inside the reader's buffer, so it costs no
+// string of its own. From the first row that holds either byte, or is
+// longer than the buffer, the rest of the stream goes to encoding/csv,
+// whose quoting, line-ending and error rules the fast path matches on
+// the rows it takes. Jobs are then assembled one by one, each into one
+// []Stage, and each job's DAG is checked by one Kahn pass without
+// building a dag.Graph. dropped, if non-nil, sees every job removed as
+// cyclic; the job it is handed is valid only during the call.
 func parse(r io.Reader, dropped func(*Job)) (*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	// Jobs in order of first appearance, their rows as read. A row whose
-	// name does not decode holds ID -1 (structured IDs are never negative)
-	// until assembly gives it a synthetic one.
-	var jobs []Job
-	index := map[string]int{}
-	var arena []int
-	for row := 1; ; row++ {
-		rec, err := cr.Read()
+	a := assembler{index: map[string]int{}, last: -1}
+	br := bufio.NewReader(r)
+	// row counts records, as the errors number them; lines counts every
+	// line read, blank ones included, as encoding/csv's errors do.
+	row, lines := 0, 0
+	for {
+		line, err := br.ReadSlice('\n')
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		if err == bufio.ErrBufferFull || bytes.IndexByte(line, '"') >= 0 || bytes.IndexByte(line, '\r') >= 0 {
+			rest := io.MultiReader(bytes.NewReader(bytes.Clone(line)), br)
+			if err := a.readCSV(rest, row, lines); err != nil {
+				return nil, err
+			}
+			break
+		}
+		if len(line) == 0 {
+			break
+		}
+		lines++
+		if line[0] != '\n' { // encoding/csv skips blank lines
+			row++
+			if err := a.addLine(row, bytes.TrimSuffix(line, []byte{'\n'})); err != nil {
+				return nil, err
+			}
+		}
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		if len(rec) < 7 {
-			return nil, fmt.Errorf("trace: row %d: record has %d fields, want ≥7", row, len(rec))
-		}
-		name, jobName := rec[0], rec[2]
-		start, err1 := strconv.ParseFloat(rec[5], 64)
-		end, err2 := strconv.ParseFloat(rec[6], 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("trace: row %d: bad times %q/%q in job %s", row, rec[5], rec[6], jobName)
-		}
-		k, seen := index[jobName]
-		if !seen {
-			k = len(jobs)
-			index[jobName] = k
-			jobs = append(jobs, Job{Name: jobName})
-		}
-		// A name of n bytes lists fewer than n/2+1 parents; start a new
-		// chunk when the current one might not hold them, so the append
-		// below never moves earlier rows' lists.
-		if need := len(name)/2 + 1; cap(arena)-len(arena) < need {
-			arena = make([]int, 0, max(parentChunk, need))
-		}
-		n := len(arena)
-		var id int
-		var ok bool
-		id, arena, ok = scanTaskName(name, arena)
-		st := Stage{ID: id, Start: start, End: end}
-		switch {
-		case !ok:
-			// No dependency list, or a corrupt one; the work is real.
-			// Keep the stage without the untrustworthy edges.
-			st.ID = -1
-		case len(arena) > n:
-			kept := arena[n:n]
-			for _, p := range arena[n:] {
-				if p != id {
-					kept = append(kept, p)
-				}
-			}
-			arena = arena[:n+len(kept)]
-			st.Parents = arena[n:len(arena):len(arena)]
-		}
-		jobs[k].Stages = append(jobs[k].Stages, st)
 	}
-	tr := &Trace{}
-	// Scratch reused across jobs: stage ID → position, and the parent
-	// position index the cycle check reads.
-	pos := map[int]int{}
-	var back, ends []int
-	var parents [][]int
-	for k := range jobs {
-		job := &jobs[k]
-		// Unstructured tasks get synthetic IDs after the max structured
-		// one.
-		maxID := 0
-		for _, s := range job.Stages {
-			maxID = max(maxID, s.ID)
-		}
-		clear(pos)
-		kept := job.Stages[:0]
-		for _, st := range job.Stages {
-			if st.ID < 0 {
-				maxID++
-				st.ID = maxID
-			}
-			if _, seen := pos[st.ID]; seen {
-				continue // duplicate task rows exist in the real trace
-			}
-			pos[st.ID] = len(kept)
-			if len(kept) == 0 || st.Start < job.Arrival {
-				job.Arrival = st.Start
-			}
-			kept = append(kept, st)
-		}
-		job.Stages = kept
-		// The edges Job.Graph would keep, dangling parents dropped. Rows
-		// already lost their self parents and duplicates are collapsed
-		// above, so a cycle is the only way the job's graph can fail to
-		// build.
-		back, ends = back[:0], ends[:0]
-		for _, s := range job.Stages {
-			for _, p := range s.Parents {
-				if q, ok := pos[p]; ok {
-					back = append(back, q)
-				}
-			}
-			ends = append(ends, len(back))
-		}
-		parents = parents[:0]
-		lo := 0
-		for _, hi := range ends {
-			parents = append(parents, back[lo:hi:hi])
-			lo = hi
-		}
-		if !dag.Acyclic(parents) {
+	a.flush()
+	// The kept jobs close ranks in place.
+	tr := &Trace{Jobs: a.jobs[:0]}
+	var sc jobScratch
+	var cc dag.CycleCheck
+	for k := range a.jobs {
+		job := &a.jobs[k]
+		if !settle(job, &sc, &cc) {
 			if dropped != nil {
 				dropped(job)
 			}
@@ -248,6 +277,177 @@ func parse(r io.Reader, dropped func(*Job)) (*Trace, error) {
 		tr.Jobs = append(tr.Jobs, *job)
 	}
 	return tr, nil
+}
+
+// assembler collects the parsed rows into jobs, in order of first
+// appearance. A job's rows gather in cur while they arrive back to back,
+// and move into the job's own []Stage — one exact-size allocation for a
+// job whose rows are contiguous — when another job's row comes. A row
+// whose name does not decode holds ID -1 (structured IDs are never
+// negative) until settle gives it a synthetic one.
+type assembler struct {
+	jobs  []Job
+	index map[string]int
+	last  int // the job of the previous row, or -1
+	cur   []Stage
+	arena []int // the rows' parent lists
+}
+
+// addLine splits one fast-path row on commas and adds it.
+func (a *assembler) addLine(row int, line []byte) error {
+	var f [7][]byte
+	n := 0
+	for {
+		i := bytes.IndexByte(line, ',')
+		field := line
+		if i >= 0 {
+			field, line = line[:i], line[i+1:]
+		}
+		if n < len(f) {
+			f[n] = field
+		}
+		n++
+		if i < 0 {
+			break
+		}
+	}
+	if n < 7 {
+		return fmt.Errorf("trace: row %d: record has %d fields, want ≥7", row, n)
+	}
+	return a.add(row, f[0], f[2], f[5], f[6])
+}
+
+// readCSV reads the rest of the stream with encoding/csv, numbering rows
+// after row and shifting its errors' line numbers past the lines already
+// read.
+func (a *assembler) readCSV(r io.Reader, row, lines int) error {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
+	var buf []byte
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			var pe *csv.ParseError
+			if errors.As(err, &pe) {
+				pe.StartLine += lines
+				pe.Line += lines
+			}
+			return fmt.Errorf("trace: %w", err)
+		}
+		row++
+		if len(rec) < 7 {
+			return fmt.Errorf("trace: row %d: record has %d fields, want ≥7", row, len(rec))
+		}
+		// add takes bytes: copy the four fields it reads into one buffer.
+		buf = append(buf[:0], rec[0]...)
+		job := len(buf)
+		buf = append(buf, rec[2]...)
+		t0 := len(buf)
+		buf = append(buf, rec[5]...)
+		t1 := len(buf)
+		buf = append(buf, rec[6]...)
+		if err := a.add(row, buf[:job], buf[job:t0], buf[t0:t1], buf[t1:]); err != nil {
+			return err
+		}
+	}
+}
+
+// add appends one row's stage to its job.
+func (a *assembler) add(row int, name, jobName, t0, t1 []byte) error {
+	start, err1 := strconv.ParseFloat(string(t0), 64)
+	end, err2 := strconv.ParseFloat(string(t1), 64)
+	if err1 != nil || err2 != nil {
+		return fmt.Errorf("trace: row %d: bad times %q/%q in job %s", row, t0, t1, jobName)
+	}
+	if a.last < 0 || a.jobs[a.last].Name != string(jobName) {
+		a.flush()
+		k, seen := a.index[string(jobName)]
+		if !seen {
+			k = len(a.jobs)
+			name := string(jobName)
+			a.index[name] = k
+			a.jobs = append(a.jobs, Job{Name: name})
+		}
+		a.last = k
+	}
+	// A name of n bytes lists fewer than n/2+1 parents; start a new chunk
+	// when the current one might not hold them, so the append below
+	// never moves earlier rows' lists.
+	if need := len(name)/2 + 1; cap(a.arena)-len(a.arena) < need {
+		a.arena = make([]int, 0, max(parentChunk, need))
+	}
+	n := len(a.arena)
+	id, arena, ok := scanTaskName(name, a.arena)
+	a.arena = arena
+	st := Stage{ID: id, Start: start, End: end}
+	switch {
+	case !ok:
+		// No dependency list, or a corrupt one; the work is real. Keep
+		// the stage without the untrustworthy edges.
+		st.ID = -1
+	case len(arena) > n:
+		kept := arena[n:n]
+		for _, p := range arena[n:] {
+			if p != id {
+				kept = append(kept, p)
+			}
+		}
+		a.arena = arena[:n+len(kept)]
+		st.Parents = a.arena[n:len(a.arena):len(a.arena)]
+	}
+	a.cur = append(a.cur, st)
+	return nil
+}
+
+// flush moves the gathered rows into their job's stages.
+func (a *assembler) flush() {
+	if len(a.cur) == 0 {
+		return
+	}
+	j := &a.jobs[a.last]
+	if j.Stages == nil {
+		j.Stages = make([]Stage, len(a.cur))
+		copy(j.Stages, a.cur)
+	} else {
+		j.Stages = append(j.Stages, a.cur...)
+	}
+	a.cur = a.cur[:0]
+}
+
+// settle finishes one job in place: unstructured tasks get synthetic IDs
+// after the max structured one, a repeated stage row is collapsed into
+// the first, the arrival becomes the earliest start, and the edges
+// Job.Graph would keep are checked for a cycle, the only way the job's
+// graph can still fail to build. It reports whether the job is acyclic.
+func settle(job *Job, sc *jobScratch, cc *dag.CycleCheck) bool {
+	maxID, unnamed := 0, 0
+	for _, s := range job.Stages {
+		maxID = max(maxID, s.ID)
+		if s.ID < 0 {
+			unnamed++
+		}
+	}
+	sc.pos.reset(len(job.Stages), maxID+unnamed)
+	kept := job.Stages[:0]
+	for _, st := range job.Stages {
+		if st.ID < 0 {
+			maxID++
+			st.ID = maxID
+		}
+		if !sc.pos.add(st.ID, len(kept)) {
+			continue // duplicate task rows exist in the real trace
+		}
+		if len(kept) == 0 || st.Start < job.Arrival {
+			job.Arrival = st.Start
+		}
+		kept = append(kept, st)
+	}
+	job.Stages = kept
+	return cc.Acyclic(sc.link(job.Stages))
 }
 
 // WriteCSV emits the trace in the batch_task.csv format Parse understands,

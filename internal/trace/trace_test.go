@@ -2,11 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/dag"
 )
 
 func TestParseTaskName(t *testing.T) {
@@ -27,7 +31,7 @@ func TestParseTaskName(t *testing.T) {
 		{"M1_x", 0, nil, false},
 	}
 	for _, c := range cases {
-		id, parents, ok := scanTaskName(c.in, nil)
+		id, parents, ok := scanTaskName([]byte(c.in), nil)
 		if ok != c.ok {
 			t.Errorf("%q: ok=%v, want %v", c.in, ok, c.ok)
 			continue
@@ -264,6 +268,84 @@ func TestWorkloadConversion(t *testing.T) {
 	}
 }
 
+// addStageGraph is Job.Graph as AddStage and Validate build it, with a
+// map for the known IDs: the reference TestJobGraphMatchesAddStage holds
+// the pooled dag.Build path to.
+func addStageGraph(j *Job) (*dag.Graph, error) {
+	known := map[int]bool{}
+	for _, s := range j.Stages {
+		known[s.ID] = true
+	}
+	g := dag.New()
+	for _, s := range j.Stages {
+		var parents []dag.StageID
+		for _, p := range s.Parents {
+			if known[p] && p != s.ID {
+				parents = append(parents, dag.StageID(p))
+			}
+		}
+		if err := g.AddStage(dag.Stage{ID: dag.StageID(s.ID), Parents: parents}); err != nil {
+			return nil, fmt.Errorf("trace job %s: %w", j.Name, err)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("trace job %s: %w", j.Name, err)
+	}
+	return g, nil
+}
+
+// TestJobGraphMatchesAddStage: Job.Graph gives the graph, or the error
+// text, that AddStage and Validate give — for generated jobs and for
+// dangling, self and repeated parents, duplicate, sparse and negative
+// IDs, and cycles — while four goroutines share its pooled scratch.
+func TestJobGraphMatchesAddStage(t *testing.T) {
+	jobs := Generate(GenConfig{Jobs: 60, Seed: 5}).Jobs
+	jobs = append(jobs,
+		Job{Name: "dangling", Stages: []Stage{{ID: 1, Parents: []int{7, 1}}, {ID: 2, Parents: []int{1, 1, 9}}}},
+		Job{Name: "dup", Stages: []Stage{{ID: 3}, {ID: 4, Parents: []int{3}}, {ID: 3, Parents: []int{4}}}},
+		Job{Name: "sparse", Stages: []Stage{{ID: 1 << 40}, {ID: -5, Parents: []int{1 << 40}}, {ID: 2, Parents: []int{-5}}}},
+		Job{Name: "cycle", Stages: []Stage{{ID: 1, Parents: []int{3}}, {ID: 2, Parents: []int{1}}, {ID: 3, Parents: []int{2}}}},
+		Job{Name: "empty"},
+	)
+	check := func(j *Job) error {
+		got, err := j.Graph()
+		want, wantErr := addStageGraph(j)
+		if err != nil || wantErr != nil {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				return fmt.Errorf("job %s: error %v, want %v", j.Name, err, wantErr)
+			}
+			return nil
+		}
+		gt, _ := got.TopoSort()
+		wt, _ := want.TopoSort()
+		if !slices.Equal(got.StagesView(), want.StagesView()) || !slices.Equal(gt, wt) ||
+			!slices.Equal(got.IDOrderPos(), want.IDOrderPos()) {
+			return fmt.Errorf("job %s: graphs differ", j.Name)
+		}
+		for i, id := range got.StagesView() {
+			if !slices.Equal(got.Parents(id), want.Parents(id)) || !slices.Equal(got.ChildrenView(id), want.ChildrenView(id)) ||
+				!slices.Equal(got.ChildPos(i), want.ChildPos(i)) || !slices.Equal(got.ParentPos(i), want.ParentPos(i)) {
+				return fmt.Errorf("job %s: stage %d differs", j.Name, id)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range jobs {
+				if err := check(&jobs[(k+w*17)%len(jobs)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func TestWorkloadBadSplit(t *testing.T) {
 	tr := Generate(GenConfig{Jobs: 1, Seed: 4})
 	ref := cluster.NewM4LargeCluster(2)
@@ -314,7 +396,7 @@ func TestClassifyTaskName(t *testing.T) {
 		{"R2_2_", false},
 	}
 	for _, c := range cases {
-		if _, _, ok := scanTaskName(c.in, nil); ok != c.structured {
+		if _, _, ok := scanTaskName([]byte(c.in), nil); ok != c.structured {
 			t.Errorf("scanTaskName(%q) ok=%v, want %v", c.in, ok, c.structured)
 		}
 	}

@@ -127,7 +127,7 @@ func AnalyzeUsage(u *Usage, machineID string) (UsageStats, error) {
 		st.Machines++
 		for _, s := range ms {
 			cpuSum += s.CPUUtil
-			netSum += (s.NetIn + s.NetOut) / 2
+			netSum += float64((s.NetIn + s.NetOut) / 2)
 			n++
 			if s.CPUUtil < 10 {
 				low++
@@ -170,16 +170,16 @@ func GenerateUsage(machines int, span, interval float64, seed int64) *Usage {
 			for remaining <= 0 {
 				busy = !busy
 				if busy {
-					remaining += rng.ExpFloat64() * busyMean
+					remaining += float64(rng.ExpFloat64() * busyMean)
 				} else {
-					remaining += rng.ExpFloat64() * idleMean
+					remaining += float64(rng.ExpFloat64() * idleMean)
 				}
 			}
 			remaining -= interval
 			var cpu, net float64
 			if busy {
-				cpu = 55 + rng.Float64()*43 // 55–98%
-				net = 20 + rng.Float64()*42
+				cpu = 55 + float64(rng.Float64()*43) // 55–98%
+				net = 20 + float64(rng.Float64()*42)
 			} else {
 				cpu = rng.Float64() * 10 // 0–10%
 				net = rng.Float64() * 8
