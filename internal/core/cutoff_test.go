@@ -58,12 +58,12 @@ func TestScanCutMemoContract(t *testing.T) {
 				}
 				a = Arrival{World: w, At: 40, FairByJob: true}
 			}
-			cutEv, err := newSimEvaluator(Options{Cluster: c}, job, a)
+			cutEv, err := newSimEvaluator(Options{Cluster: c}, job, a, new(PlanStats))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cutEv.Close()
-			fullEv, err := newSimEvaluator(Options{Cluster: c}, job, a)
+			fullEv, err := newSimEvaluator(Options{Cluster: c}, job, a, new(PlanStats))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,16 +94,16 @@ func TestScanCutMemoContract(t *testing.T) {
 					}
 				}
 
-				before := cutEv.stats
+				before := *cutEv.stats
 				again := make([]float64, len(xs))
 				if _, err := cutEv.Scan(delays, k, xs, again, best); err != nil {
 					t.Fatal(err)
 				}
 				after := before
 				after.CacheHits += len(xs)
-				if cutEv.stats != after || !slices.Equal(again, got) {
+				if *cutEv.stats != after || !slices.Equal(again, got) {
 					t.Fatalf("%s world=%v stage %d: repeated scan moved %+v to %+v, answers %v then %v",
-						name, withWorld, k, before, cutEv.stats, got, again)
+						name, withWorld, k, before, *cutEv.stats, got, again)
 				}
 
 				for i, x := range xs {
@@ -113,20 +113,20 @@ func TestScanCutMemoContract(t *testing.T) {
 					cuts++
 					d := slices.Clone(delays)
 					d[k] = x
-					before := cutEv.stats
+					before := *cutEv.stats
 					mk, err := cutEv.Makespan(d)
 					if err != nil {
 						t.Fatal(err)
 					}
 					after := before
-					after.FullRuns++
-					if math.Float64bits(mk) != math.Float64bits(want[i]) || cutEv.stats != after {
+					after.FullEvals++
+					if math.Float64bits(mk) != math.Float64bits(want[i]) || *cutEv.stats != after {
 						t.Fatalf("%s world=%v stage %d x=%v: Makespan of a cut configuration %v (counters %+v → %+v), want a fresh run's %v",
-							name, withWorld, k, x, mk, before, cutEv.stats, want[i])
+							name, withWorld, k, x, mk, before, *cutEv.stats, want[i])
 					}
 					after.CacheHits++
-					if mk2, err := cutEv.Makespan(d); err != nil || math.Float64bits(mk2) != math.Float64bits(mk) || cutEv.stats != after {
-						t.Fatalf("%s world=%v stage %d x=%v: Makespan asked again: %v (%v), counters %+v", name, withWorld, k, x, mk2, err, cutEv.stats)
+					if mk2, err := cutEv.Makespan(d); err != nil || math.Float64bits(mk2) != math.Float64bits(mk) || *cutEv.stats != after {
+						t.Fatalf("%s world=%v stage %d x=%v: Makespan asked again: %v (%v), counters %+v", name, withWorld, k, x, mk2, err, *cutEv.stats)
 					}
 				}
 			}

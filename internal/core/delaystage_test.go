@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -290,5 +291,36 @@ func TestGalleryWorkloadsImprove(t *testing.T) {
 			t.Errorf("%s: delayed %.1f worse than stock %.1f", name, delayed, stock)
 		}
 		t.Logf("%s: stock %.1f → %.1f (−%.1f%%)", name, stock, delayed, 100*(stock-delayed)/stock)
+	}
+}
+
+// TestPlanStatsAdd: Add sums every counter of the record, the embedded
+// Prune's included. Each int field of two records gets a distinct value,
+// so a counter Add misses (or adds into the wrong field) shows.
+func TestPlanStatsAdd(t *testing.T) {
+	var a, b PlanStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	var ints []reflect.StructField
+	for _, f := range reflect.VisibleFields(va.Type()) {
+		switch f.Type.Kind() {
+		case reflect.Int:
+			ints = append(ints, f)
+		case reflect.Struct: // an embedded group; its fields are visible too
+		default:
+			t.Fatalf("PlanStats field %s is a %s: extend this test", f.Name, f.Type.Kind())
+		}
+	}
+	if len(ints) < 10 {
+		t.Fatalf("found %d int fields, want at least 10", len(ints))
+	}
+	for i, f := range ints {
+		va.FieldByIndex(f.Index).SetInt(int64(i + 1))
+		vb.FieldByIndex(f.Index).SetInt(int64(1000 * (i + 1)))
+	}
+	a.Add(b)
+	for i, f := range ints {
+		if got, want := va.FieldByIndex(f.Index).Int(), int64(1001*(i+1)); got != want {
+			t.Errorf("PlanStats.%s = %d after Add, want %d", f.Name, got, want)
+		}
 	}
 }

@@ -352,7 +352,7 @@ func FuzzMaskedRun(f *testing.F) {
 func TestSimEvaluatorMatchesDirectSim(t *testing.T) {
 	c := c30()
 	j := workload.LDA(c, 0.2)
-	ev, err := newSimEvaluator(Options{Cluster: c}, j, Arrival{})
+	ev, err := newSimEvaluator(Options{Cluster: c}, j, Arrival{}, new(PlanStats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestPreparedWorldsAnswerOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range []Arrival{{}, {World: committed, At: 40}} {
-		ev, err := newSimEvaluator(Options{Cluster: c}, job, a)
+		ev, err := newSimEvaluator(Options{Cluster: c}, job, a, new(PlanStats))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ const heldX = 3
 // few seconds, and pauses the scan prefix and the held world.
 func newWhatIfFixture(tb testing.TB, c *cluster.Cluster, job *workload.Job) *whatIfFixture {
 	tb.Helper()
-	ev, err := newSimEvaluator(Options{Cluster: c}, job, Arrival{})
+	ev, err := newSimEvaluator(Options{Cluster: c}, job, Arrival{}, new(PlanStats))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -80,12 +80,12 @@ func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng 
 	if a.World != nil {
 		defer a.World.Close()
 	}
-	scanEv, err := newSimEvaluator(wc.opt, wc.job, a)
+	scanEv, err := newSimEvaluator(wc.opt, wc.job, a, new(PlanStats))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer scanEv.Close()
-	fullEv, err := newSimEvaluator(wc.opt, wc.job, a)
+	fullEv, err := newSimEvaluator(wc.opt, wc.job, a, new(PlanStats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +124,12 @@ func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng 
 				}
 			}
 			for pass := range 2 {
-				before := scanEv.stats
+				before := *scanEv.stats
 				n, err := scanEv.Scan(delays, k, xs, mks, math.Inf(1))
 				if err != nil || n != len(xs) {
 					t.Fatalf("%s mask %d stage %d: Scan answered %d of %d (%v)", wc.name, mi, ids[k], n, len(xs), err)
 				}
-				if pass == 1 && (scanEv.stats.CacheHits-before.CacheHits != len(xs) || scanEv.stats.ForkedRuns != before.ForkedRuns) {
+				if pass == 1 && (scanEv.stats.CacheHits-before.CacheHits != len(xs) || scanEv.stats.ForkedEvals != before.ForkedEvals) {
 					t.Fatalf("%s mask %d stage %d: a repeated scan was not all memo hits", wc.name, mi, ids[k])
 				}
 				for i, x := range xs {
@@ -140,8 +140,8 @@ func checkAnswersMatchFreshSim(t *testing.T, wc whatIfCase, masks [][]bool, rng 
 			}
 		}
 	}
-	if scanEv.stats.ForkedRuns == 0 || fullEv.stats.FullRuns == 0 {
-		t.Fatalf("%s: vacuous: %d forked scan answers, %d full runs", wc.name, scanEv.stats.ForkedRuns, fullEv.stats.FullRuns)
+	if scanEv.stats.ForkedEvals == 0 || fullEv.stats.FullEvals == 0 {
+		t.Fatalf("%s: vacuous: %d forked scan answers, %d full runs", wc.name, scanEv.stats.ForkedEvals, fullEv.stats.FullEvals)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"delaystage/internal/core"
 	"delaystage/internal/replay"
 )
 
@@ -246,7 +247,7 @@ func TestFig14EvalSumsEverySchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := newFig14Replay(cfg)
-	var want EvalEfficiency
+	var want core.PlanStats
 	for _, v := range replay.Variants {
 		if v.Plain {
 			continue
@@ -256,7 +257,7 @@ func TestFig14EvalSumsEverySchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.add(s)
+			want.Add(s.PlanStats)
 		}
 	}
 	if r.Eval.Bounded == 0 || r.Eval.Pruned == 0 {

@@ -22,46 +22,11 @@ type Fig14Row struct {
 	AvgCPUUtil, AvgNetUtil float64
 }
 
-// EvalEfficiency aggregates the planner's what-if evaluation counters over
-// one figure: how many candidate evaluations Alg. 1 made and how the
-// evaluator answered them — from the memo cache, by forking a scan
-// snapshot (sim evaluator only: just the suffix after the scanned stage's
-// ready time was simulated), or by a full from-scratch simulation or
-// layout. CutEvals counts the forked evaluations whose drain stopped
-// early on its live JCT bound, ReusedScans the candidate scans that
-// started from the previous scan's ready boundary.
-type EvalEfficiency struct {
-	Evaluations int
-	CacheHits   int
-	ForkedEvals int
-	FullEvals   int
-	CutEvals    int `json:",omitempty"`
-	ReusedScans int `json:",omitempty"`
-	// Two-tier scan counters: candidates screened by the analytic bound,
-	// candidates discarded without evaluation, and (approximate mode only)
-	// evaluations answered by the analytic model.
-	Bounded int
-	Pruned  int
-	Approx  int
-}
-
-func (e *EvalEfficiency) add(s *core.Schedule) {
-	e.Evaluations += s.Evaluations
-	e.CacheHits += s.CacheHits
-	e.ForkedEvals += s.ForkedEvals
-	e.FullEvals += s.FullEvals
-	e.CutEvals += s.CutEvals
-	e.ReusedScans += s.ReusedScans
-	e.Bounded += s.Prune.Bounded
-	e.Pruned += s.Prune.Pruned
-	e.Approx += s.Prune.Approx
-}
-
 // Fig14Result carries the Fig. 14 CDFs and the Table 4 utilizations.
 type Fig14Result struct {
 	Rows []Fig14Row
-	// Eval sums the planners' evaluation counters over the whole replay.
-	Eval EvalEfficiency
+	// Eval sums the planners' work over the whole replay.
+	Eval core.PlanStats
 }
 
 // Fig14 reproduces Fig. 14 and Table 4: replaying a synthetic Alibaba
@@ -89,7 +54,7 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 				cfg.OnCell()
 			}
 			if sched != nil {
-				out.Eval.add(sched)
+				out.Eval.Add(sched.PlanStats)
 			}
 			return nil
 		})
@@ -148,9 +113,9 @@ type Fig15Point struct {
 // Fig15Result carries the Fig. 15 scaling curve.
 type Fig15Result struct {
 	Points []Fig15Point
-	// Eval sums the evaluation counters over every Compute call of the
-	// figure (the hit/fork/full breakdown covers the sim-evaluator runs).
-	Eval EvalEfficiency
+	// Eval sums the planning work of every Compute call of the figure
+	// (the hit/fork/full breakdown covers the sim-evaluator runs).
+	Eval core.PlanStats
 }
 
 // Fig15 reproduces Fig. 15: DelayStage's strategy computation time versus
@@ -169,7 +134,7 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 			return nil, err
 		}
 		modelMs := float64(time.Since(t0).Microseconds()) / 1000
-		out.Eval.add(ms)
+		out.Eval.Add(ms.PlanStats)
 		simMs := 0.0
 		if n <= 40 {
 			t0 = time.Now()
@@ -178,7 +143,7 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 				return nil, err
 			}
 			simMs = float64(time.Since(t0).Microseconds()) / 1000
-			out.Eval.add(ss)
+			out.Eval.Add(ss.PlanStats)
 		}
 		out.Points = append(out.Points, Fig15Point{Stages: n, ModelMs: modelMs, SimMs: simMs})
 	}

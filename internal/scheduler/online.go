@@ -90,11 +90,10 @@ func CheckArrival(v float64) error { return checkArrival(0, v) }
 // span (GET /v1/trace/{id}). Valid after Add returns nil; Commit (cache
 // hits, queue revisions) does not touch it.
 type PlanAudit struct {
-	// Evaluations counts objective evaluations this Add performed
-	// (core.Schedule.Evaluations: memo hits included), the
-	// submit-when-ready incumbent too. Zero for trivial DAGs (no
-	// delay-eligible stage: the sweep never ran).
-	Evaluations int
+	// PlanStats is this Add's planning work (core.Schedule.PlanStats),
+	// the submit-when-ready incumbent's evaluation included. Zero for
+	// trivial DAGs (no delay-eligible stage: the sweep never ran).
+	core.PlanStats
 	// ParallelStages and Paths size the Alg. 1 search space: how many
 	// stages were delay-eligible, over how many execution paths.
 	ParallelStages int
@@ -109,15 +108,6 @@ type PlanAudit struct {
 	// sweep's delays: no candidate beat the incumbent beyond tolerance,
 	// so the job was committed submit-when-ready.
 	FallbackNoWin bool
-	// Prune breaks the two-tier candidate scan down: Bounded candidates
-	// received an analytic objective lower bound, Pruned ones were
-	// eliminated by it before any simulation, and the rest were answered
-	// exactly (Exact) or by the analytic model (Approx, approximate
-	// mode). Evaluations == Exact + Approx.
-	Prune core.PruneStats
-	// CutEvals counts the candidate drains stopped early by their live
-	// Σ JCT bound (core.Schedule.CutEvals).
-	CutEvals int
 }
 
 // OnlinePlanner plans continuously arriving jobs one at a time against
@@ -256,9 +246,8 @@ func (p *OnlinePlanner) Add(job *workload.Job, arrival float64, world *sim.Stepp
 	if err != nil {
 		return sim.JobRun{}, err
 	}
-	p.audit = PlanAudit{Evaluations: sched.Evaluations, ParallelStages: len(sched.K), Paths: len(sched.Paths),
-		IncumbentTotal: sched.StockMakespan, ChosenTotal: sched.Makespan, Prune: sched.Prune,
-		CutEvals: sched.CutEvals}
+	p.audit = PlanAudit{PlanStats: sched.PlanStats, ParallelStages: len(sched.K), Paths: len(sched.Paths),
+		IncumbentTotal: sched.StockMakespan, ChosenTotal: sched.Makespan}
 	run := sim.JobRun{Job: job, Arrival: arrival}
 	// Never worse than submitting everything immediately: when the sweep
 	// beat stock by less than tolerance (or not at all), commit nil delays

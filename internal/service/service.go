@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/dag"
 	"delaystage/internal/obs"
 	"delaystage/internal/perfmodel"
@@ -199,6 +200,34 @@ type jobRecord struct {
 // "dropped" count.
 const timelineCapacity = 256
 
+// planCounters are the /metrics counters of planning work: one per
+// core.PlanStats field, each bumped by that field of every cold plan.
+var planCounters = []struct {
+	name, help string
+	field      func(core.PlanStats) int
+}{
+	{"schedd_plan_evaluations_total", "Objective evaluations of cold Alg. 1 sweeps, memo hits included.",
+		func(s core.PlanStats) int { return s.Evaluations }},
+	{"schedd_plan_memo_hits_total", "Evaluations answered from the what-if memo cache.",
+		func(s core.PlanStats) int { return s.CacheHits }},
+	{"schedd_plan_forked_evals_total", "Delay candidates answered on a fork of their scan's held world.",
+		func(s core.PlanStats) int { return s.ForkedEvals }},
+	{"schedd_plan_full_evals_total", "Evaluations answered by a full simulation from the job's arrival.",
+		func(s core.PlanStats) int { return s.FullEvals }},
+	{"schedd_plan_drains_cut_total", "Candidate simulations stopped early: their live JCT bound showed they could not win.",
+		func(s core.PlanStats) int { return s.CutEvals }},
+	{"schedd_plan_reused_scans_total", "Candidate scans started from the previous scan's ready boundary.",
+		func(s core.PlanStats) int { return s.ReusedScans }},
+	{"schedd_plan_bounded_total", "Delay candidates given an analytic lower bound.",
+		func(s core.PlanStats) int { return s.Bounded }},
+	{"schedd_plan_pruned_total", "Delay candidates the analytic bound tier eliminated before any simulation.",
+		func(s core.PlanStats) int { return s.Pruned }},
+	{"schedd_plan_exact_evals_total", "Delay candidates answered by an exact multi-job simulation.",
+		func(s core.PlanStats) int { return s.Exact }},
+	{"schedd_plan_approx_evals_total", "Evaluations answered by the analytic model (approximate planning).",
+		func(s core.PlanStats) int { return s.Approx }},
+}
+
 // Service is the scheduler daemon's engine. All methods are safe for
 // concurrent use; one mutex serializes the control and data planes.
 type Service struct {
@@ -233,7 +262,7 @@ type Service struct {
 	mSubmitted, mAdmitted, mRejected     *obs.Counter
 	mCacheHit, mCacheMiss, mCacheInvalid *obs.Counter
 	mRevised, mEpochs                    *obs.Counter
-	mPruned, mExactEvals, mDrainsCut     *obs.Counter
+	mPlanWork                            []*obs.Counter // by planCounters index
 	mPlanSec, mJCT                       *obs.Histogram
 	mE2E, mQueueWait                     *obs.Histogram
 	gLive, gSimClock, gCacheSize         *obs.Gauge
@@ -300,12 +329,10 @@ func New(opt Options) (*Service, error) {
 	s.mCacheMiss = reg.Counter("schedd_plan_cache_misses_total", "", "Plan-template cache misses (cold Alg. 1 sweep).")
 	s.mCacheInvalid = reg.Counter("schedd_plan_cache_invalid_total", "", "Cache hits discarded by the drift test.")
 	s.mRevised = reg.Counter("schedd_plan_revised_total", "", "Plans revised to submit-when-ready by queue depth.")
-	s.mPruned = reg.Counter("schedd_plan_pruned_total", "",
-		"Delay candidates the analytic bound tier eliminated before any simulation.")
-	s.mExactEvals = reg.Counter("schedd_plan_exact_evals_total", "",
-		"Delay candidates answered by an exact multi-job simulation.")
-	s.mDrainsCut = reg.Counter("schedd_plan_drains_cut_total", "",
-		"Candidate simulations stopped early: their live JCT bound showed they could not win.")
+	s.mPlanWork = make([]*obs.Counter, len(planCounters))
+	for i, c := range planCounters {
+		s.mPlanWork[i] = reg.Counter(c.name, "", c.help)
+	}
 	s.mEpochs = reg.Counter("schedd_epochs_total", "", "Busy-period epochs completed (world drained).")
 	s.mPlanSec = reg.Histogram("schedd_planning_seconds", "",
 		"Wall-clock latency of one Alg. 1 planning sweep.", obs.ExpBuckets(1e-4, 2, 16))
@@ -642,9 +669,9 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, facts *specFacts, arri
 	audit.Pruned = pa.Prune.Pruned
 	audit.ExactEvals = pa.Prune.Exact
 	audit.ApproxEvals = pa.Prune.Approx
-	s.mPruned.Add(float64(pa.Prune.Pruned))
-	s.mExactEvals.Add(float64(pa.Prune.Exact))
-	s.mDrainsCut.Add(float64(pa.CutEvals))
+	for i, c := range planCounters {
+		s.mPlanWork[i].Add(float64(c.field(pa.PlanStats)))
+	}
 	audit.IncumbentTotal = pa.IncumbentTotal
 	audit.ChosenTotal = pa.ChosenTotal
 	if pa.FallbackNoWin {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/dag"
 	"delaystage/internal/jobspec"
 	"delaystage/internal/scheduler"
@@ -498,8 +499,10 @@ func TestFingerprintInvariance(t *testing.T) {
 func ptr(v float64) *float64 { return &v }
 
 // TestPlanAuditPruneFields: a cold planner decision must carry the
-// two-tier scan counters in its trace audit, bump the prune/exact-eval
-// and cut-drain counters, and surface the outcome in the planned timeline milestone.
+// two-tier scan counters in its trace audit, bump every planning-work
+// counter on /metrics by its plan audit field (the prune/exact-eval and
+// cut-drain ones by a non-zero count), and surface the outcome in the
+// planned timeline milestone.
 func TestPlanAuditPruneFields(t *testing.T) {
 	s := newTestService(t, Options{})
 	c := cluster.NewM4LargeCluster(10)
@@ -538,15 +541,25 @@ func TestPlanAuditPruneFields(t *testing.T) {
 	if err := s.Registry().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"schedd_plan_pruned_total", "schedd_plan_exact_evals_total", "schedd_plan_drains_cut_total"} {
-		val := ""
+	metric := func(name string) string {
 		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.HasPrefix(line, name+" ") {
-				val = strings.TrimPrefix(line, name+" ")
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
 			}
 		}
-		if val == "" || val == "0" {
+		return ""
+	}
+	for _, name := range []string{"schedd_plan_pruned_total", "schedd_plan_exact_evals_total", "schedd_plan_drains_cut_total"} {
+		if val := metric(name); val == "" || val == "0" {
 			t.Fatalf("counter %s not bumped (got %q)\n%s", name, val, buf.String())
+		}
+	}
+	// After one cold plan every planning-work counter is that plan's
+	// PlanStats field.
+	pa := s.planner.LastAudit()
+	for _, c := range planCounters {
+		if got, want := metric(c.name), strconv.Itoa(c.field(pa.PlanStats)); got != want {
+			t.Errorf("counter %s = %q, want the plan audit's %s", c.name, got, want)
 		}
 	}
 	var planned bool
@@ -560,6 +573,31 @@ func TestPlanAuditPruneFields(t *testing.T) {
 	}
 	if !planned {
 		t.Fatal("no planned milestone")
+	}
+}
+
+// TestPlanCountersCoverPlanStats: the /metrics table reads every int
+// field of core.PlanStats exactly once, so a counter added to the record
+// must be added to the table.
+func TestPlanCountersCoverPlanStats(t *testing.T) {
+	var ps core.PlanStats
+	v := reflect.ValueOf(&ps).Elem()
+	want := map[int]string{}
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.Type.Kind() == reflect.Int {
+			v.FieldByIndex(f.Index).SetInt(int64(len(want) + 1))
+			want[len(want)+1] = f.Name
+		}
+	}
+	for _, c := range planCounters {
+		n := c.field(ps)
+		if _, ok := want[n]; !ok {
+			t.Errorf("%s reads no field, or one another counter reads", c.name)
+		}
+		delete(want, n)
+	}
+	if len(want) > 0 {
+		t.Errorf("PlanStats fields without a counter: %v", want)
 	}
 }
 
