@@ -50,10 +50,10 @@ func checkSandwich(t *testing.T, c *cluster.Cluster, j *workload.Job,
 		t.Fatalf("%s: sim: %v", label, err)
 	}
 	mk := res.JCT(0)
-	if bd.Lower > mk*(1+sandwichEps)+sandwichEps {
+	if bd.Lower > float64(mk*(1+sandwichEps))+sandwichEps {
 		t.Errorf("%s: lower bound %.9f above sim makespan %.9f", label, bd.Lower, mk)
 	}
-	if bd.Upper < mk*(1-sandwichEps)-sandwichEps {
+	if bd.Upper < float64(mk*(1-sandwichEps))-sandwichEps {
 		t.Errorf("%s: upper bound %.9f below sim makespan %.9f", label, bd.Upper, mk)
 	}
 }

@@ -472,7 +472,7 @@ func (b *BoundEvaluator) stretchedEnd(delays []float64, stretch []float64) float
 				ready = b.ends[pi]
 			}
 		}
-		b.ends[i] = ready + b.delay(delays, i) + b.solo[i]*stretch[i]
+		b.ends[i] = ready + b.delay(delays, i) + float64(b.solo[i]*stretch[i])
 		if b.ends[i] > hi {
 			hi = b.ends[i]
 		}
@@ -493,7 +493,7 @@ func (b *BoundEvaluator) Bounds(delays map[dag.StageID]float64) Bounds {
 	// One step floor per event a fault-free run can have: the arrival,
 	// and per active stage its submission and three phase completions on
 	// each of its partitions.
-	upper += sim.MinEventStep * float64(1+b.nActive*(1+nPhases*b.nodes))
+	upper += float64(sim.MinEventStep * float64(1+b.nActive*(1+nPhases*b.nodes)))
 	return Bounds{Lower: lower, Upper: upper}
 }
 
@@ -577,7 +577,7 @@ func (b *BoundEvaluator) layout(delays []float64) [][nPhases + 1]float64 {
 			t := ready + b.delay(delays, i)
 			lay[i][0] = t
 			for ph := 0; ph < nPhases; ph++ {
-				t += b.phase[i*nPhases+ph] * stretch[i][ph]
+				t += float64(b.phase[i*nPhases+ph] * stretch[i][ph])
 				lay[i][ph+1] = t
 			}
 		}
@@ -701,7 +701,7 @@ func (b *BoundEvaluator) phaseOverlaps(lay [][nPhases + 1]float64, ph int) {
 	for i := 0; i < len(evs); {
 		t := evs[i].t
 		if i > 0 {
-			integral += cur * (t - prev)
+			integral += float64(cur * (t - prev))
 		}
 		prev = t
 		for i < len(evs) && evs[i].t == t {

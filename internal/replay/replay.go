@@ -217,8 +217,8 @@ func (p *Progress) add(r record) {
 		p.Failed++
 	} else {
 		p.JCTs = append(p.JCTs, r.jct)
-		p.CPUInt += r.cpu * r.jct
-		p.NetInt += r.net * r.jct
+		p.CPUInt += float64(r.cpu * r.jct)
+		p.NetInt += float64(r.net * r.jct)
 		p.TimeInt += r.jct
 	}
 	p.Done++

@@ -111,7 +111,7 @@ func (t *TokenBucket) Admit(r AdmissionRequest) AdmissionDecision {
 		t.buckets[r.Tenant] = b
 	}
 	if dt := r.Now.Sub(b.last).Seconds(); dt > 0 {
-		b.level += dt * t.rate
+		b.level += float64(dt * t.rate)
 		if b.level > t.burst {
 			b.level = t.burst
 		}

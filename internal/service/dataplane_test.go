@@ -192,7 +192,7 @@ func TestSyncDoesNotPerturb(t *testing.T) {
 			readsBetween(s)
 			return
 		}
-		mid := (load[submitted-1].at + load[submitted].at) / 2
+		mid := float64((load[submitted-1].at + load[submitted].at) / 2)
 		s.clock = func() time.Time { return s.start.Add(time.Duration(mid * float64(time.Second))) }
 		readsBetween(s)
 		if s.simClock < mid-1e-6 {

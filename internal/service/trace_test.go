@@ -434,7 +434,7 @@ func TestTerminalTraceStable(t *testing.T) {
 		`{"id":1,"resources":{"proc_rate_bps":1}}]}}`)
 	states := map[JobState]int{}
 	for e := 0; e < epochs; e++ {
-		base := float64(e) * gap
+		base := float64(float64(e) * gap)
 		now = t0.Add(time.Duration(base * float64(time.Second)))
 		if e%2 == 0 {
 			if rec := serve(http.MethodPost, "/v1/jobs", unplannable); rec.Code != http.StatusUnprocessableEntity {
@@ -452,7 +452,7 @@ func TestTerminalTraceStable(t *testing.T) {
 		// Move the clock in small steps, so each job is compared at the
 		// first read after it ends, until the busy period drains.
 		for at := base; s.ClusterState().Live > 0; at += step {
-			if at > base+gap/2 {
+			if at > base+float64(gap/2) {
 				t.Fatalf("epoch %d did not drain by %v", e, at)
 			}
 			now = t0.Add(time.Duration(at * float64(time.Second)))
