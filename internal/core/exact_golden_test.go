@@ -58,13 +58,13 @@ func exactGoldenCases(t *testing.T) []goldenCase {
 
 // exactScheduleLine renders everything an exact-mode schedule carries
 // that a bit change in the simulator could move: the delays, makespan and
-// stock makespan as float bits, and the evaluation and pruning counters.
+// stock makespan as float bits, and every planning-work counter.
 func exactScheduleLine(s *Schedule) string {
 	var b strings.Builder
 	b.WriteString(scheduleBits(s))
-	fmt.Fprintf(&b, " evals=%d hits=%d forked=%d full=%d bounded=%d pruned=%d exact=%d approx=%d",
+	fmt.Fprintf(&b, " evals=%d hits=%d forked=%d full=%d bounded=%d pruned=%d exact=%d approx=%d cut=%d reused=%d",
 		s.Evaluations, s.CacheHits, s.ForkedEvals, s.FullEvals,
-		s.Prune.Bounded, s.Prune.Pruned, s.Prune.Exact, s.Prune.Approx)
+		s.Prune.Bounded, s.Prune.Pruned, s.Prune.Exact, s.Prune.Approx, s.CutEvals, s.ReusedScans)
 	return b.String()
 }
 

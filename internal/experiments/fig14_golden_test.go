@@ -12,10 +12,9 @@ import (
 )
 
 // TestFig14Golden pins Fig. 14 / Table 4 on a 40-job trace: the rendered
-// text and the Fig14Result JSON, evaluation counters included (all but
-// the cut-drain and reused-scan counts, which are only checked against
-// the forked count), at parallelism 1 and 4. Run with -update to
-// regenerate after an intended change.
+// text and the Fig14Result JSON, every planning-work counter included,
+// at parallelism 1 and 4. Run with -update to regenerate after an
+// intended change.
 func TestFig14Golden(t *testing.T) {
 	var got []byte
 	for _, par := range []int{1, 4} {
@@ -24,17 +23,15 @@ func TestFig14Golden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
-		// The cut-drain and reused-scan counts are telemetry the golden
-		// does not pin: each must be non-zero and at most the forked
-		// evaluations (a reused scan forks at least one), and then leaves
-		// the JSON (each is omitted when zero).
+		// The cut-drain and reused-scan counts must be non-zero, so the
+		// golden pins the drain cutoff and the scan reuse at work, and at
+		// most the forked evaluations (a reused scan forks at least one).
 		if e := r.Eval; e.CutEvals == 0 || e.CutEvals > e.ForkedEvals {
 			t.Errorf("parallelism %d: %d cut drains of %d forked evaluations", par, e.CutEvals, e.ForkedEvals)
 		}
 		if e := r.Eval; e.ReusedScans == 0 || e.ReusedScans > e.ForkedEvals {
 			t.Errorf("parallelism %d: %d reused scans for %d forked evaluations", par, e.ReusedScans, e.ForkedEvals)
 		}
-		r.Eval.CutEvals, r.Eval.ReusedScans = 0, 0
 		js, err := json.MarshalIndent(r, "", "  ")
 		if err != nil {
 			t.Fatal(err)
