@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -108,10 +109,12 @@ func liveJCTs(s *Service) map[string]uint64 {
 }
 
 // requireEpochsOffline is the live-equals-offline oracle: for every
-// drained epoch, sim.Run over the epoch's committed runs — each job at its
-// admitted arrival with its chosen delays, in admission order — gives
-// every job the live JCT bit for bit.
-func requireEpochsOffline(t *testing.T, name string, s *Service, load []arrival) {
+// drained epoch, sim.Run over the epoch's committed runs (in injection
+// order) must reproduce each job's live JCT bit for bit, and its EvJobDone
+// events must come in the order of the epoch's "done" entries in
+// /v1/timeline. It returns how many of those events share their instant
+// with the one before.
+func requireEpochsOffline(t *testing.T, name string, s *Service, load []arrival) (ties int) {
 	t.Helper()
 	byEpoch := map[int][]*jobRecord{}
 	jobOf := map[*jobRecord]*workload.Job{}
@@ -125,13 +128,25 @@ func requireEpochsOffline(t *testing.T, name string, s *Service, load []arrival)
 	if len(byEpoch) != s.epoch {
 		t.Fatalf("%s: %d epochs hold jobs, %d drained", name, len(byEpoch), s.epoch)
 	}
+	tl := s.Timeline()
+	if tl.Dropped > 0 {
+		t.Fatalf("%s: the timeline ring dropped %d entries", name, tl.Dropped)
+	}
+	liveDone := map[int][]string{} // epoch → job IDs in "done" entry order
+	for _, ev := range tl.Events {
+		if ev.Kind == "done" {
+			epoch := s.jobs[ev.Job].epoch
+			liveDone[epoch] = append(liveDone[epoch], ev.Job)
+		}
+	}
 	multi := 0
 	for epoch, recs := range byEpoch {
 		runs := make([]sim.JobRun, len(recs))
 		for i, rec := range recs {
 			runs[i] = sim.JobRun{Job: jobOf[rec], Arrival: rec.arrival, Delays: rec.delays}
 		}
-		res, err := sim.Run(sim.Options{Cluster: s.coarse, TrackNode: -1, FairByJob: s.opt.FairByJob}, runs)
+		ends := &jobDoneRecorder{}
+		res, err := sim.Run(sim.Options{Cluster: s.coarse, TrackNode: -1, FairByJob: s.opt.FairByJob, Observer: ends}, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +155,16 @@ func requireEpochsOffline(t *testing.T, name string, s *Service, load []arrival)
 				t.Fatalf("%s: epoch %d job %s: live JCT %v, offline %v", name, epoch, rec.id, rec.jct, res.JCT(i))
 			}
 		}
+		offline := make([]string, len(ends.events))
+		for i, ev := range ends.events {
+			offline[i] = recs[ev.Job].id
+			if i > 0 && ev.T == ends.events[i-1].T {
+				ties++
+			}
+		}
+		if !slices.Equal(liveDone[epoch], offline) {
+			t.Fatalf("%s: epoch %d: live done order %v, offline EvJobDone order %v", name, epoch, liveDone[epoch], offline)
+		}
 		if len(recs) > 1 {
 			multi++
 		}
@@ -147,6 +172,35 @@ func requireEpochsOffline(t *testing.T, name string, s *Service, load []arrival)
 	if multi == 0 {
 		t.Fatalf("%s: vacuous — no epoch held more than one job", name)
 	}
+	return ties
+}
+
+// jobDoneRecorder keeps a run's EvJobDone events.
+type jobDoneRecorder struct{ events []sim.Event }
+
+// OnEvent implements sim.Observer.
+func (r *jobDoneRecorder) OnEvent(ev sim.Event) {
+	if ev.Kind == sim.EvJobDone {
+		r.events = append(r.events, ev)
+	}
+}
+
+// twinLoad submits each gallery job twice at one arrival, 90 s after the
+// previous pair: the twin is a template-cache hit on its sibling's plan,
+// so the two run in lockstep and end at one instant, in one step.
+func twinLoad(c *cluster.Cluster) []arrival {
+	g := workload.Gallery(c, 0.3)
+	names := make([]string, 0, len(g))
+	for n := range g {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var load []arrival
+	for k, n := range names {
+		at := float64(k) * 90
+		load = append(load, arrival{job: g[n], at: at}, arrival{job: g[n], at: at})
+	}
+	return load
 }
 
 // readsBetween exercises every read path that advances the data plane.
@@ -158,19 +212,25 @@ func readsBetween(s *Service) {
 	s.ClusterState()
 }
 
-// TestLiveMatchesOffline: under the gallery, Poisson and replay drivers,
-// with and without reads between submissions, every drained epoch's live
-// JCTs equal sim.Run over its committed runs.
+// TestLiveMatchesOffline: under the gallery, Poisson and replay drivers
+// and a load of twin jobs, with and without reads between submissions,
+// every drained epoch's live JCTs and job-done order equal sim.Run's over
+// its committed runs. The twins end at one instant, so their order comes
+// from the engine's step, not from their times.
 func TestLiveMatchesOffline(t *testing.T) {
 	c := cluster.NewM4LargeCluster(10)
 	loads := map[string][]arrival{
 		"gallery": galleryLoad(c),
 		"poisson": poissonLoad(c, 40, 0.05, 0.9/50, 7),
 		"replay":  replayLoad(t, c, 12, 6000),
+		"twins":   twinLoad(c),
 	}
 	for name, load := range loads {
-		requireEpochsOffline(t, name, runLoad(t, c, load, func(*Service) {}), load)
+		ties := requireEpochsOffline(t, name, runLoad(t, c, load, func(*Service) {}), load)
 		requireEpochsOffline(t, name+"+sync", runLoad(t, c, load, readsBetween), load)
+		if name == "twins" && ties == 0 {
+			t.Fatal("twins: vacuous — no two jobs ended at one instant")
+		}
 	}
 }
 

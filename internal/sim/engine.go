@@ -487,6 +487,9 @@ type engineBufs struct {
 	// error, sized for the initial runs and grown by Stepper.Inject.
 	jobStart, jobEnd []float64
 	jobErrs          []error
+	// ended lists the jobs that completed or aborted since the last
+	// Stepper.TakeEnded, in the order their terminal events fired.
+	ended []int
 	// work holds each job's share of the live Σ JCT bound (bound.go);
 	// only an answer-only engine keeps it.
 	work []jobWork
@@ -637,6 +640,7 @@ func (b *engineBufs) empty() {
 	b.jobBase, b.inW, b.timers = b.jobBase[:0], b.inW[:0], b.timers[:0]
 	b.work = b.work[:0]
 	b.stagesLeft = b.stagesLeft[:0]
+	b.ended = b.ended[:0]
 	clear(b.jobErrs)
 	b.doneScratch, b.deadScratch = b.doneScratch[:0], b.deadScratch[:0]
 	clear(b.occOpen)
@@ -1197,6 +1201,7 @@ func (e *engine) finishWrite(si, node int) {
 	if e.stagesLeft[job] == 0 {
 		e.jobsLeft--
 		e.finishWork(job)
+		e.ended = append(e.ended, job)
 		if o := e.opt.Observer; o != nil {
 			o.OnEvent(Event{T: e.now, Kind: EvJobDone, Job: job, Stage: -1, Node: -1})
 		}

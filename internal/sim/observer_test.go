@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -159,6 +160,72 @@ func TestEventKindStrings(t *testing.T) {
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("EventKind(%d).String() = %q, want %q", k, k.String(), s)
+		}
+	}
+}
+
+// TestTakeEndedMatchesObserver: the jobs TakeEnded reports, call after
+// call, are the observer's EvJobDone and EvJobFailed events in order,
+// with their times and error texts. The load has twin jobs that end in
+// one step and, under certain task failure, jobs that abort.
+func TestTakeEndedMatchesObserver(t *testing.T) {
+	c := ref(6)
+	lda := workload.PaperWorkloads(c, 0.2)["LDA"]
+	chain := chainJob(c, 20, 30, 10, 0)
+	runs := []JobRun{{Job: chain}, {Job: chain}, {Job: lda, Arrival: 5}, {Job: chain, Arrival: 40}, {Job: chain, Arrival: 40}}
+	for _, fail := range []float64{0, 1} {
+		inj, err := faults.NewInjector(faults.FaultPlan{Seed: 3, TaskFailureProb: fail})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recorder{}
+		st, err := NewStepper(Options{Cluster: c, TrackNode: -1, Faults: inj, MaxAttempts: 2, Observer: rec}, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []JobEnd
+		for _, at := range []float64{1, 30, 40, 100, math.Inf(1)} {
+			if err := st.AdvanceBefore(at); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := st.Fork(nil); err == nil {
+				if err := f.AdvanceBefore(math.Inf(1)); err != nil || len(f.TakeEnded(nil)) != st.e.jobsLeft {
+					t.Fatalf("fail=%v: a fork at %v did not report just the jobs it ended (%v)", fail, at, err)
+				}
+				f.Close()
+			}
+			got = st.TakeEnded(got)
+			if more := st.TakeEnded(nil); len(more) != 0 {
+				t.Fatalf("fail=%v: a second TakeEnded reported %v", fail, more)
+			}
+		}
+		var want []Event
+		for _, ev := range rec.events {
+			if ev.Kind == EvJobDone || ev.Kind == EvJobFailed {
+				want = append(want, ev)
+			}
+		}
+		if len(got) != len(runs) || len(got) != len(want) {
+			t.Fatalf("fail=%v: TakeEnded reported %d jobs, observer %d, runs %d", fail, len(got), len(want), len(runs))
+		}
+		ties := 0
+		for i, je := range got {
+			detail := ""
+			if je.Err != nil {
+				detail = je.Err.Error()
+			}
+			if w := want[i]; je.Job != w.Job || je.End != w.T || detail != w.Detail || (w.Kind == EvJobFailed) != (fail == 1) {
+				t.Fatalf("fail=%v: end %d: TakeEnded %+v, observer %+v", fail, i, je, w)
+			}
+			if i > 0 && je.End == got[i-1].End {
+				ties++
+			}
+		}
+		if fail == 0 && ties == 0 {
+			t.Fatal("vacuous: no two jobs ended at one instant")
+		}
+		if st.Close(); len(st.TakeEnded(nil)) != 0 {
+			t.Fatal("a closed stepper reported ended jobs")
 		}
 	}
 }

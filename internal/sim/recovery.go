@@ -257,6 +257,7 @@ func (e *engine) failJob(job int, err error) {
 	e.jobErrs[job] = err
 	e.jobEnd[job] = e.now
 	e.finishWork(job)
+	e.ended = append(e.ended, job)
 	if o := e.opt.Observer; o != nil {
 		o.OnEvent(Event{T: e.now, Kind: EvJobFailed, Job: job, Stage: -1, Node: -1, Detail: err.Error()})
 	}

@@ -103,7 +103,9 @@ type Options struct {
 	// read-done/compute-done/completed, task retry, node crash, watchdog
 	// delay revision, job done/failed) synchronously from the event loop.
 	// Nil (the default) is bit-identical to a build without the
-	// observability layer and adds no hot-path allocations.
+	// observability layer and adds no hot-path allocations. The online
+	// service's data plane runs with none: it learns which jobs ended
+	// from Stepper.TakeEnded.
 	Observer Observer
 }
 

@@ -140,6 +140,32 @@ func (s *Stepper) Timeline(job, pos int) (StageTimeline, bool) {
 	return tl, true
 }
 
+// JobEnd is one job's terminal event as TakeEnded reports it: the job
+// index, the instant it completed or aborted, and the abort's error (nil
+// for a completed job).
+type JobEnd struct {
+	Job int
+	End float64
+	Err error
+}
+
+// TakeEnded appends to dst every job that completed or aborted since the
+// last call, in the order their EvJobDone and EvJobFailed events fired,
+// and forgets them. A caller that drives a live world with AdvanceBefore
+// learns from it which jobs ended, with no Observer. A fork starts with
+// none, and a retired stepper reports none.
+func (s *Stepper) TakeEnded(dst []JobEnd) []JobEnd {
+	e := s.e
+	if e == nil {
+		return dst
+	}
+	for _, j := range e.ended {
+		dst = append(dst, JobEnd{Job: j, End: e.jobEnd[j], Err: e.jobErrs[j]})
+	}
+	e.ended = e.ended[:0]
+	return dst
+}
+
 // Jobs returns how many runs the world holds, injected ones included:
 // the job index the next Inject assigns.
 func (s *Stepper) Jobs() int {
@@ -426,7 +452,7 @@ func (s *Stepper) Result() (*Result, error) {
 // accumulation order of the rates passes, carries over exactly. The
 // stage side tables copy only when they hold anything, and only a live
 // speculation race needs an old→new item map to rewire its rival links.
-// The clone has no Observer.
+// The clone has no Observer, and no ended jobs for TakeEnded.
 func (e *engine) clone() *engine {
 	opt := e.opt
 	opt.Observer = nil
