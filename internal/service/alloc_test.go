@@ -25,16 +25,16 @@ var raceEnabled bool
 // 1,000 simulated seconds apart, so each one drains the previous busy
 // period and opens a new epoch. Their job values are byte-equal, so every
 // measured POST also reuses the interned spec instead of decoding and
-// building its job. A POST costs about 53 allocations and 9.6 KB (Go
+// building its job. A POST costs about 45 allocations and 9.0 KB (Go
 // 1.24); the budgets leave ~17% headroom on the count and ~26% on the
 // bytes. A drained world dropped without Stepper.Close, so that every
-// epoch builds its engine from scratch (about 82 allocations and 19.3
+// epoch builds its engine from scratch (about 77 allocations and 18.4
 // KB), fails both; so does a span tree built and kept for every finished
-// job (about 107 allocations and 16.0 KB). Like core's budgets it is not
+// job (about 99 allocations and 15.3 KB). Like core's budgets it is not
 // checked under -race, where sync.Pool drops a random share of the pooled
 // engines.
 func TestSubmitAllocBudget(t *testing.T) {
-	const budget, bytesBudget = 62, 12_100
+	const budget, bytesBudget = 53, 11_300
 	allocs, bytes := submitAllocs(t, false)
 	if allocs > budget {
 		t.Errorf("%.0f allocations per cache-hit POST; budget %d", allocs, budget)
@@ -48,11 +48,11 @@ func TestSubmitAllocBudget(t *testing.T) {
 // specs that never recur, as each POST names its job anew: every POST
 // decodes and builds its job, records a first sighting and then hits the
 // template cache, whose fingerprint leaves names out. A POST costs about
-// 108 allocations and 14.1 KB (Go 1.24); the budgets keep the same
-// headroom, and both mutants above fail both of them too (about 137
-// allocations and 23.8 KB, and 162 and 20.5 KB).
+// 92 allocations and 12.9 KB (Go 1.24); the budgets keep the same
+// headroom, and both mutants above fail both of them too (about 124
+// allocations and 22.4 KB, and 146 and 19.3 KB).
 func TestSubmitAllocBudgetDistinct(t *testing.T) {
-	const budget, bytesBudget = 126, 17_800
+	const budget, bytesBudget = 108, 16_300
 	allocs, bytes := submitAllocs(t, true)
 	if allocs > budget {
 		t.Errorf("%.0f allocations per distinct-spec POST; budget %d", allocs, budget)

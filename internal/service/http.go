@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"delaystage/internal/jobspec"
@@ -180,11 +181,88 @@ func writeSubmitted(w http.ResponseWriter, st JobStatus, err error) {
 		writeError(w, code, err)
 		return
 	}
+	code := http.StatusOK
 	if st.State == StateRejected {
-		writeJSON(w, http.StatusTooManyRequests, st)
+		code = http.StatusTooManyRequests
+	}
+	bp := submitBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= 4<<10 {
+			submitBufs.Put(bp)
+		}
+	}()
+	b, ok := appendJobStatus((*bp)[:0], st)
+	*bp = b
+	if !ok {
+		writeJSON(w, code, st)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(b)
+}
+
+// submitBufs recycles writeSubmitted's response buffers.
+var submitBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendJobStatus appends st as writeJSON writes it — json.Encoder with
+// SetIndent("", "  "), trailing newline included — without reflection. It
+// reports false, having appended nothing, for a float encoding/json
+// rejects (NaN or ±Inf); FuzzSubmitResponseMatchesJSON holds the rest to
+// encoding/json.
+func appendJobStatus(b []byte, st JobStatus) ([]byte, bool) {
+	start, ok := len(b), true
+	key := func(k string) {
+		b = append(b, ",\n  \""...)
+		b = append(b, k...)
+		b = append(b, "\": "...)
+	}
+	str := func(k, v string) {
+		key(k)
+		b = obs.AppendJSONString(b, v)
+	}
+	num := func(k string, v float64) {
+		key(k)
+		var finite bool
+		b, finite = obs.AppendJSONFloat(b, v)
+		ok = ok && finite
+	}
+	b = append(b, "{\n  \"id\": "...)
+	b = obs.AppendJSONString(b, st.ID)
+	str("name", st.Name)
+	if st.Tenant != "" {
+		str("tenant", st.Tenant)
+	}
+	str("state", string(st.State))
+	if st.Reason != "" {
+		str("reason", st.Reason)
+	}
+	key("stages")
+	b = strconv.AppendInt(b, int64(st.Stages), 10)
+	num("arrival", st.Arrival)
+	if st.End != 0 {
+		num("end", st.End)
+	}
+	if st.JCT != 0 {
+		num("jct", st.JCT)
+	}
+	if !ok {
+		return b[:start], false
+	}
+	if st.PlanSource != "" {
+		str("plan_source", st.PlanSource)
+	}
+	if st.CacheHit {
+		key("cache_hit")
+		b = append(b, "true"...)
+	}
+	if st.Revised {
+		key("revised")
+		b = append(b, "true"...)
+	}
+	key("epoch")
+	b = strconv.AppendInt(b, int64(st.Epoch), 10)
+	return append(b, "\n}\n"...), true
 }
 
 // readBody is io.ReadAll starting from a buffer of the body's declared
