@@ -98,8 +98,8 @@ type Options struct {
 
 // PlanStats is the planning work of Alg. 1 calls: how many objective
 // evaluations they made, how the evaluator answered them and how the
-// two-tier candidate scan split them. Schedule and scheduler.PlanAudit
-// embed it, and aggregates over many calls sum it with Add.
+// two-tier candidate scan split them. Schedule embeds it, and aggregates
+// over many calls sum it with Add.
 type PlanStats struct {
 	// Evaluations counts objective evaluations, memo hits included.
 	Evaluations int

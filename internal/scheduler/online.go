@@ -49,8 +49,8 @@ type OnlineOptions struct {
 	// committed-job lower bounds + the newcomer's predicted makespan (the
 	// Eq. 1–3 per-phase layout). No simulation runs at all during
 	// planning — the massive-scale mode behind service
-	// ApproximatePlanning. IncumbentTotal/ChosenTotal become predictions,
-	// not simulated sums.
+	// ApproximatePlanning. The schedule's StockMakespan and Makespan
+	// become predictions, not simulated sums.
 	Approximate bool
 }
 
@@ -85,31 +85,6 @@ func checkArrival(index int, v float64) error {
 // before admission instead of discovering it deep in the planner.
 func CheckArrival(v float64) error { return checkArrival(0, v) }
 
-// PlanAudit records how the most recent Add reached its decision — the
-// per-decision visibility the scheduling service attaches to a job's plan
-// span (GET /v1/trace/{id}). Valid after Add returns nil; Commit (cache
-// hits, queue revisions) does not touch it.
-type PlanAudit struct {
-	// PlanStats is this Add's planning work (core.Schedule.PlanStats),
-	// the submit-when-ready incumbent's evaluation included. Zero for
-	// trivial DAGs (no delay-eligible stage: the sweep never ran).
-	core.PlanStats
-	// ParallelStages and Paths size the Alg. 1 search space: how many
-	// stages were delay-eligible, over how many execution paths.
-	ParallelStages int
-	Paths          int
-	// IncumbentTotal is the objective (Σ JCT over committed jobs plus the
-	// newcomer) with nil delays — the submit-when-ready incumbent.
-	// ChosenTotal is the committed plan's objective value; it equals
-	// IncumbentTotal whenever FallbackNoWin fired.
-	IncumbentTotal float64
-	ChosenTotal    float64
-	// FallbackNoWin reports that the never-worse guard discarded the
-	// sweep's delays: no candidate beat the incumbent beyond tolerance,
-	// so the job was committed submit-when-ready.
-	FallbackNoWin bool
-}
-
 // OnlinePlanner plans continuously arriving jobs one at a time against
 // the runs already committed — the incremental core of PlanOnline,
 // exposed so a long-running scheduler daemon (internal/service) can admit
@@ -122,7 +97,6 @@ type PlanAudit struct {
 type OnlinePlanner struct {
 	opt    OnlineOptions
 	coarse *cluster.Cluster
-	audit  PlanAudit
 
 	committed []sim.JobRun
 	// last is the highest arrival committed so far; Add and Commit
@@ -160,9 +134,6 @@ func NewOnlinePlanner(opt OnlineOptions) (*OnlinePlanner, error) {
 // Committed returns the runs planned so far, in arrival order, ready to
 // simulate. The slice is a view: it grows on the next Add/Commit.
 func (p *OnlinePlanner) Committed() []sim.JobRun { return p.committed }
-
-// LastAudit returns the decision audit of the most recent successful Add.
-func (p *OnlinePlanner) LastAudit() PlanAudit { return p.audit }
 
 // Reset drops every committed run while keeping the arrival watermark.
 // Only valid when the caller knows the cluster is idle (every committed
@@ -227,38 +198,38 @@ func (p *OnlinePlanner) admit(job *workload.Job, arrival float64) error {
 }
 
 // Add plans one job against the committed runs, commits it and returns
-// the planned run. world is the committed runs' simulation, on the
-// planner's coarse cluster view (sim.Coarsen) and sharing as FairByJob
-// says, paused (AdvanceBefore) just before arrival; nil when nothing is
-// committed. It is only forked. The delay sweep (core.PlanArrival)
-// minimizes the sum of completion times over every committed job plus
-// the newcomer, pricing each candidate exactly on forks of world or, in
-// approximate mode, as Σ committed lower bounds + the newcomer's
-// predicted JCT (world is then not read).
-func (p *OnlinePlanner) Add(job *workload.Job, arrival float64, world *sim.Stepper) (sim.JobRun, error) {
+// the planned run with the schedule core.PlanArrival planned it from:
+// its planning work, its search space (K, Paths) and the objective of
+// submit-when-ready (StockMakespan) and of its delays (Makespan). world
+// is the committed runs' simulation, on the planner's coarse cluster view
+// (sim.Coarsen) and sharing as FairByJob says, paused (AdvanceBefore)
+// just before arrival; nil when nothing is committed. It is only forked.
+// The delay sweep minimizes the sum of completion times over every
+// committed job plus the newcomer, pricing each candidate exactly on
+// forks of world or, in approximate mode, as Σ committed lower bounds +
+// the newcomer's predicted JCT (world is then not read).
+//
+// The run is never worse than submitting everything immediately: unless
+// the schedule's delays beat StockMakespan by more than
+// sim.ScanTolerance, it is committed with nil delays. That never-worse
+// fallback fired exactly when the run's Delays are nil while sched.K is
+// non-empty; the committed objective is then StockMakespan.
+func (p *OnlinePlanner) Add(job *workload.Job, arrival float64, world *sim.Stepper) (sim.JobRun, *core.Schedule, error) {
 	if err := p.admit(job, arrival); err != nil {
-		return sim.JobRun{}, err
+		return sim.JobRun{}, nil, err
 	}
 	sched, err := core.PlanArrival(core.Options{Cluster: p.coarse, SlotSeconds: p.opt.SlotSeconds,
 		MaxCandidates: p.opt.MaxCandidates, DisableBoundPrune: p.opt.DisableBoundPrune,
 		Approximate: p.opt.Approximate}, job,
 		core.Arrival{World: world, At: arrival, FairByJob: p.opt.FairByJob, Committed: p.committedBound()})
 	if err != nil {
-		return sim.JobRun{}, err
+		return sim.JobRun{}, nil, err
 	}
-	p.audit = PlanAudit{PlanStats: sched.PlanStats, ParallelStages: len(sched.K), Paths: len(sched.Paths),
-		IncumbentTotal: sched.StockMakespan, ChosenTotal: sched.Makespan}
 	run := sim.JobRun{Job: job, Arrival: arrival}
-	// Never worse than submitting everything immediately: when the sweep
-	// beat stock by less than tolerance (or not at all), commit nil delays
-	// so the run is indistinguishable from submit-when-ready.
-	if len(sched.Delays) > 0 && sched.Makespan < sched.StockMakespan-1e-9 {
+	if len(sched.Delays) > 0 && sched.Makespan < sched.StockMakespan-sim.ScanTolerance {
 		run.Delays = sched.Delays
-	} else if len(sched.K) > 0 {
-		p.audit.FallbackNoWin = true
-		p.audit.ChosenTotal = p.audit.IncumbentTotal
 	}
-	return p.commit(run), nil
+	return p.commit(run), sched, nil
 }
 
 // PlanOnline plans every job in arrival order and returns the runs ready
@@ -291,7 +262,7 @@ func PlanOnline(opt OnlineOptions, jobs []*workload.Job, arrivals []float64) ([]
 				return nil, err
 			}
 		}
-		run, err := p.Add(job, arrivals[i], world)
+		run, _, err := p.Add(job, arrivals[i], world)
 		if err == nil && !opt.Approximate {
 			if world == nil {
 				world, err = sim.NewStepper(sim.Options{Cluster: p.coarse, TrackNode: -1, FairByJob: opt.FairByJob}, []sim.JobRun{run})

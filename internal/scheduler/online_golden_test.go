@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"delaystage/internal/cluster"
+	"delaystage/internal/core"
 	"delaystage/internal/dag"
 	"delaystage/internal/golden"
+	"delaystage/internal/sim"
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
 )
@@ -104,22 +106,28 @@ var onlineGoldenModes = []struct {
 
 // onlineAddLine renders one Add's decision: the committed delays, the
 // incumbent and chosen objective values as float bits, the never-worse
-// fallback and every planning-work counter.
-func onlineAddLine(delays map[dag.StageID]float64, a PlanAudit) string {
+// fallback (nil delays while K is non-empty, the chosen value then the
+// incumbent's) and every planning-work counter.
+func onlineAddLine(run sim.JobRun, sched *core.Schedule) string {
 	var b strings.Builder
-	ids := make([]dag.StageID, 0, len(delays))
-	for id := range delays {
+	ids := make([]dag.StageID, 0, len(run.Delays))
+	for id := range run.Delays {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	fmt.Fprintf(&b, "inc=%016x chosen=%016x fallback=%t", math.Float64bits(a.IncumbentTotal),
-		math.Float64bits(a.ChosenTotal), a.FallbackNoWin)
+	fallback := run.Delays == nil && len(sched.K) > 0
+	chosen := sched.Makespan
+	if fallback {
+		chosen = sched.StockMakespan
+	}
+	fmt.Fprintf(&b, "inc=%016x chosen=%016x fallback=%t", math.Float64bits(sched.StockMakespan),
+		math.Float64bits(chosen), fallback)
 	for _, id := range ids {
-		fmt.Fprintf(&b, " %d:%016x", id, math.Float64bits(delays[id]))
+		fmt.Fprintf(&b, " %d:%016x", id, math.Float64bits(run.Delays[id]))
 	}
 	fmt.Fprintf(&b, " evals=%d bounded=%d pruned=%d exact=%d approx=%d hits=%d forked=%d full=%d cut=%d reused=%d",
-		a.Evaluations, a.Prune.Bounded, a.Prune.Pruned, a.Prune.Exact, a.Prune.Approx,
-		a.CacheHits, a.ForkedEvals, a.FullEvals, a.CutEvals, a.ReusedScans)
+		sched.Evaluations, sched.Prune.Bounded, sched.Prune.Pruned, sched.Prune.Exact, sched.Prune.Approx,
+		sched.CacheHits, sched.ForkedEvals, sched.FullEvals, sched.CutEvals, sched.ReusedScans)
 	return b.String()
 }
 
@@ -136,11 +144,11 @@ func TestOnlineScheduleGolden(t *testing.T) {
 			m.set(&opt)
 			p := newPlannerWorld(t, opt)
 			for i, job := range s.jobs {
-				run, err := p.add(job, s.arrivals[i])
+				run, sched, err := p.add(job, s.arrivals[i])
 				if err != nil {
 					t.Fatalf("%s/%s job %d: %v", s.name, m.name, i, err)
 				}
-				fmt.Fprintf(&b, "%s/%s/%02d %s\n", s.name, m.name, i, onlineAddLine(run.Delays, p.LastAudit()))
+				fmt.Fprintf(&b, "%s/%s/%02d %s\n", s.name, m.name, i, onlineAddLine(run, sched))
 			}
 		}
 	}

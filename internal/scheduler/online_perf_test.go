@@ -35,7 +35,7 @@ func TestOnlineAddAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := p.add(jobs[3], arrivals[3]); err != nil {
+		if _, _, err := p.add(jobs[3], arrivals[3]); err != nil {
 			t.Fatal(err)
 		}
 	}

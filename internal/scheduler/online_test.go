@@ -36,17 +36,17 @@ func newPlannerWorld(t testing.TB, opt OnlineOptions) *plannerWorld {
 
 // add plans job on the world paused just before arrival, then joins the
 // committed run to the world.
-func (w *plannerWorld) add(job *workload.Job, arrival float64) (sim.JobRun, error) {
+func (w *plannerWorld) add(job *workload.Job, arrival float64) (sim.JobRun, *core.Schedule, error) {
 	if w.world != nil {
 		if err := w.world.AdvanceBefore(arrival); err != nil {
-			return sim.JobRun{}, err
+			return sim.JobRun{}, nil, err
 		}
 	}
-	run, err := w.Add(job, arrival, w.world)
+	run, sched, err := w.Add(job, arrival, w.world)
 	if err != nil {
-		return sim.JobRun{}, err
+		return sim.JobRun{}, nil, err
 	}
-	return run, w.join(run)
+	return run, sched, w.join(run)
 }
 
 // commit commits an externally planned run and joins it to the world.
@@ -296,7 +296,7 @@ func TestOnlinePlannerMatchesBatch(t *testing.T) {
 	}
 	p := newPlannerWorld(t, opt)
 	for i := range jobs {
-		if _, err := p.add(jobs[i], arrivals[i]); err != nil {
+		if _, _, err := p.add(jobs[i], arrivals[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,14 +314,14 @@ func TestOnlinePlannerResetKeepsWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Add(chain, 100, nil); err != nil {
+	if _, _, err := p.Add(chain, 100, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.Reset()
 	if len(p.Committed()) != 0 {
 		t.Fatal("Reset left committed runs")
 	}
-	if _, err := p.Add(chain, 50, nil); err == nil {
+	if _, _, err := p.Add(chain, 50, nil); err == nil {
 		t.Fatal("arrival before the watermark accepted after Reset")
 	}
 	if _, err := p.Commit(chain, 120, nil); err != nil {
@@ -332,54 +332,54 @@ func TestOnlinePlannerResetKeepsWatermark(t *testing.T) {
 	}
 }
 
-// LastAudit must describe the decision Add just made: the search-space
-// sizing, the incumbent-vs-chosen objective values, and whether the
-// never-worse guard fired — the fields the scheduling service attaches to
-// a job's plan span.
-func TestOnlinePlannerLastAudit(t *testing.T) {
+// Add's schedule must describe the decision Add just made: the
+// search-space sizing, the incumbent-vs-chosen objective values, and
+// whether the never-worse fallback fired (nil delays while K is
+// non-empty) — the fields the scheduling service attaches to a job's
+// plan span.
+func TestOnlinePlannerAddSchedule(t *testing.T) {
 	c := cluster.NewM4LargeCluster(10)
 	j := workload.CosineSimilarity(c, 0.15)
 
 	p := newPlannerWorld(t, OnlineOptions{Cluster: c})
-	run, err := p.add(j, 0)
+	run, sched, err := p.add(j, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := p.LastAudit()
-	if a.ParallelStages == 0 || a.Paths == 0 {
-		t.Fatalf("search space not recorded: %+v", a)
+	if len(sched.K) == 0 || len(sched.Paths) == 0 {
+		t.Fatalf("search space not recorded: %+v", sched)
 	}
-	if a.Evaluations < 2 {
-		t.Fatalf("sweep ran but Evaluations = %d", a.Evaluations)
+	if sched.Evaluations < 2 {
+		t.Fatalf("sweep ran but Evaluations = %d", sched.Evaluations)
 	}
-	if a.IncumbentTotal <= 0 || a.ChosenTotal <= 0 || a.ChosenTotal > a.IncumbentTotal {
-		t.Fatalf("objective values inconsistent: %+v", a)
+	if sched.StockMakespan <= 0 || sched.Makespan <= 0 || sched.Makespan > sched.StockMakespan {
+		t.Fatalf("objective values inconsistent: %+v", sched)
 	}
-	if a.FallbackNoWin != (run.Delays == nil) {
-		t.Fatalf("FallbackNoWin=%v but Delays=%v", a.FallbackNoWin, run.Delays)
+	if run.Delays != nil && !(sched.Makespan < sched.StockMakespan-sim.ScanTolerance) {
+		t.Fatalf("delays %v committed without beating stock: %+v", run.Delays, sched)
 	}
 
-	// MaxCandidates=1 forces a no-win sweep: the guard fires and the
-	// chosen objective collapses to the incumbent.
+	// MaxCandidates=1 forces a no-win sweep: the fallback fires, so the
+	// run carries nil delays although K is non-empty.
 	p = newPlannerWorld(t, OnlineOptions{Cluster: c, MaxCandidates: 1})
-	if _, err := p.add(j, 0); err != nil {
+	run, sched, err = p.add(j, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a = p.LastAudit()
-	if !a.FallbackNoWin || a.ChosenTotal != a.IncumbentTotal {
-		t.Fatalf("no-win audit: %+v", a)
+	if run.Delays != nil || len(sched.K) == 0 {
+		t.Fatalf("no-win decision: delays %v, K %v", run.Delays, sched.K)
 	}
 
 	// A single-stage chain has no delay-eligible stage: the sweep never
-	// runs and the audit says so.
+	// runs and the schedule says so.
 	chain := workload.RandomJob("chain", c, 1, rand.New(rand.NewSource(2)))
 	p = newPlannerWorld(t, OnlineOptions{Cluster: c})
-	if _, err := p.add(chain, 0); err != nil {
+	run, sched, err = p.add(chain, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a = p.LastAudit()
-	if a.ParallelStages != 0 || a.Evaluations != 0 || a.Paths != 0 {
-		t.Fatalf("trivial-DAG audit should be empty: %+v", a)
+	if len(sched.K) != 0 || sched.Evaluations != 0 || len(sched.Paths) != 0 || run.Delays != nil {
+		t.Fatalf("trivial-DAG schedule should be empty: %+v, delays %v", sched, run.Delays)
 	}
 }
 
@@ -409,10 +409,11 @@ func TestOnlinePruneByteIdentical(t *testing.T) {
 			MaxCandidates: 10, DisableBoundPrune: disable})
 		var agg core.PlanStats
 		for i := range jobs {
-			if _, err := p.add(jobs[i], arrivals[i]); err != nil {
+			_, sched, err := p.add(jobs[i], arrivals[i])
+			if err != nil {
 				return nil, core.PlanStats{}, err
 			}
-			agg.Add(p.LastAudit().PlanStats)
+			agg.Add(sched.PlanStats)
 		}
 		return p.Committed(), agg, nil
 	}
@@ -452,14 +453,14 @@ func TestOnlineApproximatePlans(t *testing.T) {
 		MaxCandidates: 10, Approximate: true})
 	approx := 0
 	for i := range jobs {
-		if _, err := p.add(jobs[i], arrivals[i]); err != nil {
+		_, sched, err := p.add(jobs[i], arrivals[i])
+		if err != nil {
 			t.Fatal(err)
 		}
-		a := p.LastAudit()
-		if a.Prune.Exact != 0 {
-			t.Fatalf("job %d: approximate mode ran %d exact evaluations", i, a.Prune.Exact)
+		if sched.Prune.Exact != 0 {
+			t.Fatalf("job %d: approximate mode ran %d exact evaluations", i, sched.Prune.Exact)
 		}
-		approx += a.Prune.Approx
+		approx += sched.Prune.Approx
 	}
 	if approx == 0 {
 		t.Fatal("approximate mode never scored a candidate")
@@ -492,7 +493,7 @@ func TestOnlineApproximatePlans(t *testing.T) {
 }
 
 // A failed Add leaves the planner as it found it: the committed runs,
-// their lower-bound sum, the arrival watermark and the last audit.
+// their lower-bound sum and the arrival watermark.
 func TestOnlinePlannerRecoversFromFailedAdd(t *testing.T) {
 	c := cluster.NewM4LargeCluster(10)
 	jobs, arrivals := onlineFixture(c, 2, 5)
@@ -503,19 +504,19 @@ func TestOnlinePlannerRecoversFromFailedAdd(t *testing.T) {
 		stuck.Profiles[id] = p
 	}
 	p := newPlannerWorld(t, OnlineOptions{Cluster: c, FairByJob: true, MaxCandidates: 8})
-	if _, err := p.add(jobs[0], arrivals[0]); err != nil {
+	if _, _, err := p.add(jobs[0], arrivals[0]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.commit(jobs[1], arrivals[1], nil); err != nil {
 		t.Fatal(err)
 	}
 	committed := slices.Clone(p.Committed())
-	lb, last, audit := p.committedBound(), p.last, p.LastAudit()
-	if _, err := p.add(stuck, arrivals[1]+100); err == nil {
-		t.Fatal("a job beyond the simulator's horizon was planned")
+	lb, last := p.committedBound(), p.last
+	if _, sched, err := p.add(stuck, arrivals[1]+100); err == nil || sched != nil {
+		t.Fatalf("a job beyond the simulator's horizon was planned (schedule %v, err %v)", sched, err)
 	}
-	if !reflect.DeepEqual(p.Committed(), committed) || p.committedBound() != lb || p.last != last || p.LastAudit() != audit {
-		t.Fatalf("a failed Add changed the planner: %d runs (was %d), Σ lower bounds %v (was %v), watermark %v (was %v), audit %+v (was %+v)",
-			len(p.Committed()), len(committed), p.committedBound(), lb, p.last, last, p.LastAudit(), audit)
+	if !reflect.DeepEqual(p.Committed(), committed) || p.committedBound() != lb || p.last != last {
+		t.Fatalf("a failed Add changed the planner: %d runs (was %d), Σ lower bounds %v (was %v), watermark %v (was %v)",
+			len(p.Committed()), len(committed), p.committedBound(), lb, p.last, last)
 	}
 }

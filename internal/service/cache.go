@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"delaystage/internal/dag"
 	"delaystage/internal/workload"
@@ -22,9 +22,10 @@ import (
 // Two properties keep reuse sound:
 //
 //   - Templates transfer across stage-ID renamings: delays and the drift
-//     reference are keyed by each stage's *rank* in sorted-ID order, not
-//     by the raw IDs, and are re-instantiated onto the hit job's IDs. Two
-//     jobs with the same shape but shifted IDs hit the same template.
+//     reference are indexed by each stage's *rank* in sorted-ID order
+//     (rank r is the stage at Graph.IDOrderPos()[r]), not by the raw IDs,
+//     and are re-instantiated onto the hit job's IDs. Two jobs with the
+//     same shape but shifted IDs hit the same template.
 //
 //   - Every hit is validity-checked with the guarded watchdog's drift
 //     test before reuse: one fault-free solo simulation of the hit job
@@ -46,11 +47,13 @@ import (
 // template is one cached control-plane decision.
 type template struct {
 	fp uint64
-	// delays maps stage rank (index in sorted-ID order) → chosen delay.
-	delays map[int]float64
-	// predEnd maps stage rank → absolute end time of a fault-free solo
+	// delays holds each rank's chosen delay, 0 for a stage submitted when
+	// ready (core.Schedule.Delays holds no zero delay); nil when the plan
+	// was submit-when-ready.
+	delays []float64
+	// predEnd holds each rank's absolute end time in a fault-free solo
 	// run at arrival 0 under delays: the drift reference.
-	predEnd map[int]float64
+	predEnd []float64
 	// source is the sourceKey of the job the template was planned from
 	// (nil for a template built by hand: every hit on it is checked).
 	source []byte
@@ -136,14 +139,6 @@ func sourceKey(buf []byte, j *workload.Job) []byte {
 	return buf
 }
 
-// rankedIDs returns the job's stage IDs in sorted order; index in the
-// returned slice is the stage's rank.
-func rankedIDs(j *workload.Job) []dag.StageID {
-	ids := j.Graph.Stages()
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
-
 // qlog quantizes a positive magnitude onto a log₂ grid with 8 buckets per
 // octave (~9% per bucket): profiles measured on slightly different data
 // batches land in the same bucket, genuinely different stages do not.
@@ -157,36 +152,34 @@ func qlog(x float64) int64 {
 // Fingerprint hashes a job's plan-template equivalence class: the DAG
 // shape (stage count and parent edges over stage ranks) plus each stage's
 // quantized profile. Names and raw stage IDs are excluded so recurring
-// jobs fingerprint equal across submissions.
+// jobs fingerprint equal across submissions. j must have validated.
 func Fingerprint(j *workload.Job) uint64 {
-	ids := rankedIDs(j)
-	rank := make(map[dag.StageID]int, len(ids))
-	for i, id := range ids {
-		rank[id] = i
+	g := j.Graph
+	order := g.IDOrderPos()
+	rank := make([]int, len(order)) // by position
+	for r, p := range order {
+		rank[p] = r
 	}
 	h := fnv.New64a()
-	buf := make([]byte, 0, 64)
+	var buf [8]byte
 	putInt := func(v int64) {
-		buf = buf[:0]
-		for i := 0; i < 8; i++ {
-			buf = append(buf, byte(uint64(v)>>(8*i)))
-		}
-		h.Write(buf)
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
 	}
-	putInt(int64(len(ids)))
-	for i, id := range ids {
-		putInt(int64(i))
-		parents := j.Graph.Parents(id)
-		pr := make([]int, 0, len(parents))
-		for _, p := range parents {
-			pr = append(pr, rank[p])
+	putInt(int64(len(order)))
+	var pr []int
+	for r, p := range order {
+		putInt(int64(r))
+		pr = pr[:0]
+		for _, q := range g.ParentPos(p) {
+			pr = append(pr, rank[q])
 		}
-		sort.Ints(pr)
+		slices.Sort(pr)
 		putInt(int64(len(pr)))
-		for _, p := range pr {
-			putInt(int64(p))
+		for _, q := range pr {
+			putInt(int64(q))
 		}
-		prof := j.Profiles[id]
+		prof := j.Profiles[g.StagesView()[p]]
 		putInt(qlog(float64(prof.ShuffleIn)))
 		putInt(qlog(float64(prof.ShuffleOut)))
 		putInt(qlog(prof.ProcRate))
@@ -196,18 +189,28 @@ func Fingerprint(j *workload.Job) uint64 {
 	return h.Sum64()
 }
 
-// instantiate maps the template's rank-keyed delays onto the job's actual
-// stage IDs. A nil return means the template holds no delays (the stored
-// plan was submit-when-ready).
+// byRank returns get(id) for every stage of g, by rank.
+func byRank(g *dag.Graph, get func(dag.StageID) float64) []float64 {
+	ids := g.StagesView()
+	out := make([]float64, len(ids))
+	for r, p := range g.IDOrderPos() {
+		out[r] = get(ids[p])
+	}
+	return out
+}
+
+// instantiate maps the template's rank-indexed delays onto the job's
+// actual stage IDs. A nil return means the template holds no delays (the
+// stored plan was submit-when-ready).
 func (t *template) instantiate(j *workload.Job) map[dag.StageID]float64 {
 	if len(t.delays) == 0 {
 		return nil
 	}
-	ids := rankedIDs(j)
-	out := make(map[dag.StageID]float64, len(t.delays))
-	for r, d := range t.delays {
-		if r < len(ids) {
-			out[ids[r]] = d
+	ids := j.Graph.StagesView()
+	out := make(map[dag.StageID]float64)
+	for r, p := range j.Graph.IDOrderPos() {
+		if r < len(t.delays) && t.delays[r] != 0 {
+			out[ids[p]] = t.delays[r]
 		}
 	}
 	return out

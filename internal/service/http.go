@@ -160,7 +160,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.gInternSize.Set(float64(s.specs.put(raw, facts)))
 		}
 	}
-	st, err := s.submit(s.clock(), SubmitRequest{Tenant: body.Tenant, Job: facts.job, Arrival: body.Arrival}, facts)
+	st, err := s.submit(s.clock(), body.Tenant, body.Arrival, facts)
 	writeSubmitted(w, st, err)
 }
 

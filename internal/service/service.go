@@ -484,22 +484,21 @@ func (s *Service) Submit(req SubmitRequest) (JobStatus, error) {
 	if err := req.Job.Validate(); err != nil {
 		return JobStatus{}, err
 	}
-	return s.submit(now, req, nil)
+	return s.submit(now, req.Tenant, req.Arrival, newSpecFacts(req.Job))
 }
 
-// submit is Submit for a job that has been validated. facts, when not
-// nil, holds req.Job's precomputed facts, which submit uses instead of
-// deriving them again.
-func (s *Service) submit(now time.Time, req SubmitRequest, facts *specFacts) (JobStatus, error) {
+// submit is Submit for the validated job facts.job, whose other facts
+// submit reads instead of deriving them again.
+func (s *Service) submit(now time.Time, tenant string, reqArrival *float64, facts *specFacts) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	requested := s.virtualNow(now)
-	if req.Arrival != nil {
+	if reqArrival != nil {
 		// Same NaN/Inf vetting as the planner, surfaced before admission.
-		if err := scheduler.CheckArrival(*req.Arrival); err != nil {
+		if err := scheduler.CheckArrival(*reqArrival); err != nil {
 			return JobStatus{}, err
 		}
-		requested = *req.Arrival
+		requested = *reqArrival
 	}
 	arrival := math.Max(requested, s.simClock)
 	if err := s.advanceBefore(arrival); err != nil {
@@ -513,9 +512,9 @@ func (s *Service) submit(now time.Time, req SubmitRequest, facts *specFacts) (Jo
 
 	rec := &jobRecord{
 		id:         "j-" + strconv.Itoa(s.nextID),
-		name:       req.Job.Name,
-		tenant:     req.Tenant,
-		stages:     req.Job.Graph.Len(),
+		name:       facts.job.Name,
+		tenant:     tenant,
+		stages:     facts.job.Graph.Len(),
 		state:      StateQueued,
 		requested:  requested,
 		clamped:    arrival > requested,
@@ -529,7 +528,7 @@ func (s *Service) submit(now time.Time, req SubmitRequest, facts *specFacts) (Jo
 	s.timelineAdd(arrival, "submitted", rec.id, rec.name)
 
 	dec := s.admission.Admit(AdmissionRequest{
-		Tenant:     req.Tenant,
+		Tenant:     tenant,
 		Stages:     rec.stages,
 		Arrival:    arrival,
 		QueueDepth: depth,
@@ -550,13 +549,9 @@ func (s *Service) submit(now time.Time, req SubmitRequest, facts *specFacts) (Jo
 	}
 	s.mAdmitted.Inc()
 	s.counts.admitted++
-	if facts != nil {
-		rec.stageParents = facts.parents
-	} else {
-		rec.stageParents = stageParents(req.Job.Graph)
-	}
+	rec.stageParents = facts.parents
 
-	run, err := s.plan(rec, req.Job, facts, arrival, depth)
+	run, err := s.plan(rec, facts, arrival, depth)
 	if err == nil {
 		rec.delays = run.Delays
 		err = s.dispatch(rec, run)
@@ -599,11 +594,11 @@ type jobFailedError struct{ err error }
 func (e *jobFailedError) Error() string { return e.err.Error() }
 func (e *jobFailedError) Unwrap() error { return e.err }
 
-// plan chooses the job's delay vector — queue revision, template cache, or
-// a cold Alg. 1 sweep — commits it to the planner and records the decision
-// audit the job's plan span exposes. facts, when not nil, holds the job's
-// fingerprint.
-func (s *Service) plan(rec *jobRecord, job *workload.Job, facts *specFacts, arrival float64, depth int) (sim.JobRun, error) {
+// plan chooses the delay vector of the job facts.job — queue revision,
+// template cache, or a cold Alg. 1 sweep — commits it to the planner and
+// records the decision audit the job's plan span exposes.
+func (s *Service) plan(rec *jobRecord, facts *specFacts, arrival float64, depth int) (sim.JobRun, error) {
+	job := facts.job
 	t0 := time.Now()
 	audit := &obs.DecisionAudit{QueueDepth: depth}
 	rec.audit = audit
@@ -622,11 +617,7 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, facts *specFacts, arri
 		s.mRevised.Inc()
 		return s.planner.Commit(job, arrival, nil)
 	}
-	if facts != nil {
-		rec.fp = facts.fp
-	} else {
-		rec.fp = Fingerprint(job)
-	}
+	rec.fp = facts.fp
 	audit.Fingerprint = fmt.Sprintf("%016x", rec.fp)
 	if s.cache != nil {
 		if t := s.cache.get(rec.fp); t != nil {
@@ -650,28 +641,29 @@ func (s *Service) plan(rec *jobRecord, job *workload.Job, facts *specFacts, arri
 	}
 	solo := len(s.planner.Committed()) == 0
 	tPlan := time.Now()
-	run, err := s.planner.Add(job, arrival, s.stepper)
+	run, sched, err := s.planner.Add(job, arrival, s.stepper)
 	s.mPlanSec.Observe(time.Since(tPlan).Seconds())
 	if err != nil {
 		return sim.JobRun{}, err
 	}
 	rec.planSource = "planner"
 	audit.Source = "planner"
-	pa := s.planner.LastAudit()
-	audit.Evaluations = pa.Evaluations
-	audit.ParallelStages = pa.ParallelStages
-	audit.Paths = pa.Paths
-	audit.Bounded = pa.Prune.Bounded
-	audit.Pruned = pa.Prune.Pruned
-	audit.ExactEvals = pa.Prune.Exact
-	audit.ApproxEvals = pa.Prune.Approx
+	audit.Evaluations = sched.Evaluations
+	audit.ParallelStages = len(sched.K)
+	audit.Paths = len(sched.Paths)
+	audit.Bounded = sched.Prune.Bounded
+	audit.Pruned = sched.Prune.Pruned
+	audit.ExactEvals = sched.Prune.Exact
+	audit.ApproxEvals = sched.Prune.Approx
 	for i, c := range planCounters {
-		s.mPlanWork[i].Add(float64(c.field(pa.PlanStats)))
+		s.mPlanWork[i].Add(float64(c.field(sched.PlanStats)))
 	}
-	audit.IncumbentTotal = pa.IncumbentTotal
-	audit.ChosenTotal = pa.ChosenTotal
-	if pa.FallbackNoWin {
+	audit.IncumbentTotal = sched.StockMakespan
+	audit.ChosenTotal = sched.Makespan
+	if run.Delays == nil && len(sched.K) > 0 {
+		// Add's never-worse fallback committed submit-when-ready.
 		audit.Fallback = "never-worse"
+		audit.ChosenTotal = sched.StockMakespan
 	}
 	audit.Delays = auditDelays(run.Delays)
 	if s.cache != nil && solo {
@@ -699,57 +691,47 @@ func auditDelays(delays map[dag.StageID]float64) map[string]float64 {
 }
 
 // planEnds predicts every stage's solo completion time under the delays
-// on the coarse planning cluster: a fault-free simulation normally, or
-// the analytic model's predicted stage ends under ApproximatePlanning
-// (the drift test must not reintroduce simulations when planning is
-// analytic). Both sides of a drift comparison always come from the same
-// predictor, so the mode switch cannot invalidate stored templates.
-func (s *Service) planEnds(job *workload.Job, delays map[dag.StageID]float64) (map[dag.StageID]float64, error) {
+// on the coarse planning cluster, by rank (see template): a fault-free
+// simulation normally, or the analytic model's predicted stage ends under
+// ApproximatePlanning (the drift test must not reintroduce simulations
+// when planning is analytic). Both sides of a drift comparison always
+// come from the same predictor, so the mode switch cannot invalidate
+// stored templates.
+func (s *Service) planEnds(job *workload.Job, delays map[dag.StageID]float64) ([]float64, error) {
 	if s.opt.ApproximatePlanning {
 		b, err := perfmodel.NewBoundEvaluator(s.coarse, job, perfmodel.BoundConfig{})
 		if err != nil {
 			return nil, err
 		}
 		spans := b.PredictSpans(delays)
-		ends := make(map[dag.StageID]float64, len(spans))
-		for id, sp := range spans {
-			ends[id] = sp.End
-		}
-		return ends, nil
+		return byRank(job.Graph, func(id dag.StageID) float64 { return spans[id].End }), nil
 	}
+	// A solo run's timelines are in stage-ID order, that is by rank.
 	res, err := sim.Run(sim.Options{Cluster: s.coarse, TrackNode: -1},
 		[]sim.JobRun{{Job: job, Delays: delays}})
 	if err != nil {
 		return nil, err
 	}
-	ends := make(map[dag.StageID]float64, len(res.Timelines))
-	for _, tl := range res.Timelines {
-		ends[tl.Stage] = tl.End
+	ends := make([]float64, len(res.Timelines))
+	for r, tl := range res.Timelines {
+		ends[r] = tl.End
 	}
 	return ends, nil
 }
 
 // driftValid replays the guarded watchdog's drift test for a cache hit:
 // each stage's predicted end under the instantiated delays compared
-// against the template's stored prediction. plan skips it for a hit by
-// the template's own source job (templateCache.fromSource), whose
-// prediction it would reproduce exactly.
+// against the template's stored prediction of the same rank. plan skips
+// it for a hit by the template's own source job
+// (templateCache.fromSource), whose prediction it would reproduce
+// exactly.
 func (s *Service) driftValid(job *workload.Job, t *template, delays map[dag.StageID]float64) bool {
 	ends, err := s.planEnds(job, delays)
 	if err != nil || len(ends) != len(t.predEnd) {
 		return false
 	}
-	ids := rankedIDs(job)
-	rank := make(map[dag.StageID]int, len(ids))
-	for i, id := range ids {
-		rank[id] = i
-	}
-	for id, end := range ends {
-		pred, ok := t.predEnd[rank[id]]
-		if !ok {
-			return false
-		}
-		if scheduler.Drift(end, pred) > s.opt.DriftTolerance {
+	for r, end := range ends {
+		if scheduler.Drift(end, t.predEnd[r]) > s.opt.DriftTolerance {
 			return false
 		}
 	}
@@ -763,20 +745,11 @@ func (s *Service) storeTemplate(fp uint64, job *workload.Job, run sim.JobRun) {
 	if err != nil {
 		return
 	}
-	ids := rankedIDs(job)
-	rank := make(map[dag.StageID]int, len(ids))
-	for i, id := range ids {
-		rank[id] = i
+	var delays []float64
+	if len(run.Delays) > 0 {
+		delays = byRank(job.Graph, func(id dag.StageID) float64 { return run.Delays[id] })
 	}
-	pred := make(map[int]float64, len(ends))
-	for id, end := range ends {
-		pred[rank[id]] = end
-	}
-	delays := make(map[int]float64, len(run.Delays))
-	for id, d := range run.Delays {
-		delays[rank[id]] = d
-	}
-	s.cache.put(&template{fp: fp, delays: delays, predEnd: pred, source: sourceKey(nil, job)})
+	s.cache.put(&template{fp: fp, delays: delays, predEnd: ends, source: sourceKey(nil, job)})
 	s.gCacheSize.Set(float64(s.cache.len()))
 }
 

@@ -293,9 +293,9 @@ func TestTemplateDriftInvalidation(t *testing.T) {
 	fp := Fingerprint(job)
 	// A template predicting every stage ends at t=1 is hopeless for a
 	// multi-hundred-second job.
-	bogus := &template{fp: fp, predEnd: map[int]float64{}}
-	for i := range rankedIDs(job) {
-		bogus.predEnd[i] = 1
+	bogus := &template{fp: fp, predEnd: make([]float64, job.Graph.Len())}
+	for r := range bogus.predEnd {
+		bogus.predEnd[r] = 1
 	}
 	s.cache.put(bogus)
 
@@ -478,7 +478,7 @@ func TestFingerprintInvariance(t *testing.T) {
 		g.MustAdd(dag.Stage{ID: dag.StageID(base)})
 		g.MustAdd(dag.Stage{ID: dag.StageID(base + 1), Parents: []dag.StageID{dag.StageID(base)}})
 		prof := workload.StageProfile{ShuffleIn: 1 << 30, ShuffleOut: 1 << 28, ProcRate: rate}
-		return &workload.Job{
+		job := &workload.Job{
 			Name:  fmt.Sprintf("fp-%d", base),
 			Graph: g,
 			Profiles: map[dag.StageID]workload.StageProfile{
@@ -486,6 +486,10 @@ func TestFingerprintInvariance(t *testing.T) {
 				dag.StageID(base + 1): prof,
 			},
 		}
+		if err := job.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return job
 	}
 	a, b := build(0, 1e8), build(100, 1e8)
 	if Fingerprint(a) != Fingerprint(b) {
@@ -506,7 +510,8 @@ func ptr(v float64) *float64 { return &v }
 func TestPlanAuditPruneFields(t *testing.T) {
 	s := newTestService(t, Options{})
 	c := cluster.NewM4LargeCluster(10)
-	st, err := s.Submit(SubmitRequest{Job: workload.ALS(c, 0.3), Arrival: ptr(0.0)})
+	job := workload.ALS(c, 0.3)
+	st, err := s.Submit(SubmitRequest{Job: job, Arrival: ptr(0.0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,11 +560,19 @@ func TestPlanAuditPruneFields(t *testing.T) {
 		}
 	}
 	// After one cold plan every planning-work counter is that plan's
-	// PlanStats field.
-	pa := s.planner.LastAudit()
+	// PlanStats field: the schedule a twin planner plans the same solo
+	// arrival from.
+	twin, err := scheduler.NewOnlinePlanner(scheduler.OnlineOptions{Cluster: s.opt.Cluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sched, err := twin.Add(job, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range planCounters {
-		if got, want := metric(c.name), strconv.Itoa(c.field(pa.PlanStats)); got != want {
-			t.Errorf("counter %s = %q, want the plan audit's %s", c.name, got, want)
+		if got, want := metric(c.name), strconv.Itoa(c.field(sched.PlanStats)); got != want {
+			t.Errorf("counter %s = %q, want the schedule's %s", c.name, got, want)
 		}
 	}
 	var planned bool
