@@ -44,41 +44,23 @@ func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	// Mean's division by a constant length may compile to a product; the
+	// conversion keeps it out of a fused x − m.
+	m := float64(Mean(xs))
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (p ∈ [0,100]) using linear
-// interpolation on the sorted copy of xs. Empty input yields 0, NaN p
-// yields NaN, and p outside [0,100] clamps to the extremes.
+// interpolation on the sorted copy of xs: NewCDF(xs).Quantile(p / 100).
+// Empty input yields 0, NaN p yields NaN, and p outside [0,100] clamps to
+// the extremes.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if math.IsNaN(p) {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return NewCDF(xs).Quantile(p / 100)
 }
 
 // CDF is an empirical cumulative distribution.
@@ -105,9 +87,9 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.xs))
 }
 
-// Quantile returns the q-th quantile (q ∈ [0,1]) using the same linear
-// interpolation as Percentile, so Quantile(p/100) ≡ Percentile(p) —
-// including the degenerate cases (empty → 0, NaN q → NaN, clamping).
+// Quantile returns the q-th quantile (q ∈ [0,1]) by linear interpolation
+// between the two nearest order statistics, with the degenerate cases
+// (empty → 0, NaN q → NaN, clamping) Percentile shares.
 func (c *CDF) Quantile(q float64) float64 {
 	n := len(c.xs)
 	if n == 0 {
@@ -122,14 +104,14 @@ func (c *CDF) Quantile(q float64) float64 {
 	if q >= 1 {
 		return c.xs[n-1]
 	}
-	rank := q * float64(n-1)
+	rank := float64(q * float64(n-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return c.xs[lo]
 	}
 	frac := rank - float64(lo)
-	return c.xs[lo]*(1-frac) + c.xs[hi]*frac
+	return float64(c.xs[lo]*(1-frac)) + float64(c.xs[hi]*frac)
 }
 
 // Mean returns the sample mean.
@@ -190,7 +172,7 @@ func ResampleStep(pts []StepPoint, start, end, width float64) []float64 {
 		b0 := int((segStart - start) / width)
 		b1 := int(math.Ceil((segEnd - start) / width))
 		for b := b0; b < b1 && b < nBins; b++ {
-			binStart := start + float64(b)*width
+			binStart := start + float64(float64(b)*width)
 			binEnd := binStart + width
 			lo := math.Max(segStart, binStart)
 			hi := math.Min(segEnd, binEnd)
@@ -231,14 +213,14 @@ func TimeWeightedMeanStd(pts []StepPoint, start, end float64) (mean, std float64
 			continue
 		}
 		total += w
-		sum += pts[i].V * w
-		sumSq += pts[i].V * pts[i].V * w
+		sum += float64(pts[i].V * w)
+		sumSq += float64(pts[i].V * pts[i].V * w)
 	}
 	if total <= 0 {
 		return 0, 0
 	}
 	mean = sum / total
-	variance := sumSq/total - mean*mean
+	variance := sumSq/total - float64(mean*mean)
 	if variance < 0 {
 		variance = 0
 	}

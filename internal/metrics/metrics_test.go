@@ -129,7 +129,7 @@ func TestResampleConservesIntegralProperty(t *testing.T) {
 		tcur := 0.0
 		for i := 0; i < 10; i++ {
 			pts = append(pts, StepPoint{T: tcur, V: rng.Float64() * 50})
-			tcur += 0.5 + rng.Float64()*3
+			tcur += 0.5 + float64(rng.Float64()*3)
 		}
 		end := tcur
 		width := 0.9
@@ -141,17 +141,17 @@ func TestResampleConservesIntegralProperty(t *testing.T) {
 			if i+1 < len(pts) {
 				segEnd = pts[i+1].T
 			}
-			exact += pts[i].V * (segEnd - pts[i].T)
+			exact += float64(pts[i].V * (segEnd - pts[i].T))
 		}
 		approxInt := 0.0
 		for i, b := range bins {
-			binStart := float64(i) * width
+			binStart := float64(float64(i) * width)
 			binEnd := math.Min(binStart+width, end)
 			_ = binEnd
-			approxInt += b * width
+			approxInt += float64(b * width)
 		}
 		// Last bin may extend past end; allow small slack.
-		return math.Abs(approxInt-exact) < exact*0.02+1
+		return math.Abs(approxInt-exact) < float64(exact*0.02)+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestQuantileMatchesPercentile(t *testing.T) {
 		n := rng.Intn(40) + 1
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = rng.Float64()*1000 - 200
+			xs[i] = float64(rng.Float64()*1000) - 200
 		}
 		c := NewCDF(xs)
 		for p := 0.0; p <= 100; p += 2.5 {

@@ -7,8 +7,9 @@ import (
 )
 
 // Reflection-free JSON appenders for the schedd submit response, each
-// byte-identical to encoding/json. The differential fuzz test
-// FuzzSubmitResponseMatchesJSON (internal/service) holds them to it.
+// byte-identical to encoding/json, and for the -events writer's detail
+// field. The differential fuzz test FuzzSubmitResponseMatchesJSON
+// (internal/service) holds them to encoding/json.
 
 // AppendJSONFloat appends f as encoding/json encodes a float64: the
 // shortest decimal that round-trips, in exponent form below 1e-6 and from
@@ -35,9 +36,7 @@ func AppendJSONFloat(b []byte, f float64) ([]byte, bool) {
 // HTML escaping on (json.Marshal, and json.Encoder by default): <, > and
 // & become \u003c, \u003e and \u0026; \b, \f, \n, \r and \t take their
 // short escapes and other control bytes \u00XX; invalid UTF-8 becomes
-// \ufffd; and U+2028 and U+2029 are escaped. The -events writer keeps
-// its own, plainer escaper (appendJSONString), so that existing event
-// logs keep their bytes.
+// \ufffd; and U+2028 and U+2029 are escaped.
 func AppendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0

@@ -21,7 +21,6 @@ import (
 	"io"
 	"reflect"
 	"strconv"
-	"unicode/utf8"
 
 	"delaystage/internal/sim"
 )
@@ -90,43 +89,11 @@ func (l *JSONL) OnEvent(ev sim.Event) {
 	}
 	if ev.Detail != "" {
 		b = append(b, `,"detail":`...)
-		b = appendJSONString(b, ev.Detail)
+		b = AppendJSONString(b, ev.Detail)
 	}
 	b = append(b, '}', '\n')
 	l.buf = b
 	l.bw.Write(b)
-}
-
-// appendJSONString appends s as a JSON string literal. Unlike
-// strconv.AppendQuote (whose \x escapes are not valid JSON), the escaping
-// here is strict JSON: quote, backslash and control characters are
-// escaped, valid UTF-8 passes through verbatim, and invalid bytes become
-// U+FFFD — so every emitted line parses with encoding/json and
-// decoding and re-encoding round-trips encoder output byte-for-byte.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for _, r := range s {
-		switch {
-		case r == '"':
-			b = append(b, '\\', '"')
-		case r == '\\':
-			b = append(b, '\\', '\\')
-		case r == '\n':
-			b = append(b, '\\', 'n')
-		case r == '\r':
-			b = append(b, '\\', 'r')
-		case r == '\t':
-			b = append(b, '\\', 't')
-		case r < 0x20:
-			const hex = "0123456789abcdef"
-			b = append(b, '\\', 'u', '0', '0', hex[r>>4], hex[r&0xf])
-		default:
-			// Ranging over a string yields U+FFFD for invalid bytes, so
-			// appending the rune re-encodes them as valid UTF-8.
-			b = utf8.AppendRune(b, r)
-		}
-	}
-	return append(b, '"')
 }
 
 // SetRun sets the run label stamped on subsequent lines (RunLabeled).

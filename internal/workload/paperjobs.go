@@ -171,9 +171,10 @@ func RandomJob(name string, ref *cluster.Cluster, nStages int, rng *rand.Rand) *
 			}
 		}
 		// Solo runtime 10–3,000 s, log-uniform-ish, split across phases.
-		total := 10 * pow(1.0+rng.Float64(), 8) // ~10 … ~2,560 s, log-skewed
-		read := total * (0.2 + rng.Float64()*0.3)
-		write := total * (0.02 + rng.Float64()*0.08)
+		// The conversions keep every product out of a fused multiply-add.
+		total := float64(10 * pow(1.0+float64(rng.Float64()), 8)) // ~10 … ~2,560 s, log-skewed
+		read := float64(total * (0.2 + float64(rng.Float64()*0.3)))
+		write := float64(total * (0.02 + float64(rng.Float64()*0.08)))
 		compute := total - read - write
 		stages = append(stages, Stage{
 			ID:      dag.StageID(i),

@@ -141,7 +141,12 @@ func (j *Job) Perturbed(rng *rand.Rand, noise float64) *Job {
 	if noise == 0 {
 		return out
 	}
-	perturb := func(v float64) float64 { return v * (1 + (rng.Float64()*2-1)*noise) }
+	// Each product is converted so that no GOARCH fuses it into the sum
+	// after it; rand's Float64 ends in a product of its own.
+	perturb := func(v float64) float64 {
+		f := float64(float64(rng.Float64())*2) - 1 // U[−1, 1)
+		return v * (1 + float64(f*noise))
+	}
 	for _, id := range out.Graph.Stages() {
 		p := out.Profiles[id]
 		p.ShuffleIn = max(int64(perturb(float64(p.ShuffleIn))), 1)
