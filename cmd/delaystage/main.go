@@ -34,7 +34,7 @@ type options struct {
 	jobs                        *cli.Jobs
 	orderName, logPath, dotPath *string
 	seed                        *int64
-	profile, approx, noPrune    *bool
+	profile, approx             *bool
 }
 
 // flags builds delaystage's flag set.
@@ -45,7 +45,6 @@ func flags() *options {
 		seed:      fs.Int64("seed", 1, "seed for the random order / profiling noise"),
 		profile:   fs.Bool("profile", false, "plan on profiled (noisy) parameters, as the prototype does"),
 		approx:    fs.Bool("approx-plan", false, "plan from the analytic Eq. 1–3 model (no simulation per candidate; makespans are predictions)"),
-		noPrune:   fs.Bool("no-bound-prune", false, "disable the analytic pruning tier of the candidate scan (single-tier reference; the schedule is identical either way)"),
 		logPath:   fs.String("eventlog", "", "Spark event log to derive the job from (overrides -workload)"),
 		dotPath:   fs.String("dot", "", "write the schedule-annotated DAG as Graphviz DOT to this file"),
 	}
@@ -115,7 +114,7 @@ func main() {
 	}
 
 	sched, err := core.Compute(core.Options{Cluster: c, Order: order, Seed: *o.seed,
-		Approximate: *o.approx, DisableBoundPrune: *o.noPrune}, planJob)
+		Approximate: *o.approx}, planJob)
 	if err != nil {
 		log.Fatal(err)
 	}

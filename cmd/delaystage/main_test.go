@@ -10,7 +10,7 @@ import (
 // with other commands must not add, drop or re-default any of them.
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
-		"approx-plan": "false", "dot": "", "eventlog": "", "no-bound-prune": "false",
+		"approx-plan": "false", "dot": "", "eventlog": "",
 		"nodes": "30", "order": "descending", "profile": "false", "scale": "1",
 		"seed": "1", "spec": "", "workload": "LDA",
 	}
