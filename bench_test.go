@@ -654,7 +654,7 @@ func BenchmarkPlanOnlineLatency(b *testing.B) {
 	}
 	submitAll := func(b *testing.B, svc *service.Service, base float64) {
 		for j, job := range jobs {
-			at := base + float64(j)*1500
+			at := base + float64(float64(j)*1500)
 			if _, err := svc.Submit(service.SubmitRequest{Tenant: "bench", Job: job, Arrival: &at}); err != nil {
 				b.Fatal(err)
 			}
@@ -817,7 +817,7 @@ func benchSubmitHTTP(b *testing.B, distinct bool) {
 		if distinct {
 			name = fmt.Sprintf("%s-%d", name, k)
 		}
-		posts[k] = body(job, name, float64(len(names))*warmGap+float64(k)*gap)
+		posts[k] = body(job, name, float64(float64(len(names))*warmGap)+float64(float64(k)*gap))
 	}
 	var h http.Handler
 	post := func(raw []byte) {

@@ -420,7 +420,7 @@ func sweepContention(rep *Report, rows map[StageRef]*StageAttr, intervals []inte
 			}
 			sort.Slice(active, func(x, y int) bool { return active[x].less(active[y]) })
 			cf := sim.ContentionFactor(alpha, float64(k-1))
-			loss := (hi - lo) * (1 - 1/(float64(k)*cf))
+			loss := float64((hi - lo) * (1 - 1/(float64(k)*cf)))
 			share := loss / float64(k-1)
 			for _, ref := range active {
 				if row := rows[ref]; row != nil {

@@ -111,7 +111,7 @@ func NewM4LargeCluster(n int) *Cluster {
 func NewTraceCluster(n, coresPerMachine int, rng *rand.Rand) *Cluster {
 	c := &Cluster{Nodes: make([]Node, n)}
 	for i := range c.Nodes {
-		bw := Mbps(100 + rng.Float64()*(2000-100))
+		bw := Mbps(100 + float64(rng.Float64()*(2000-100)))
 		c.Nodes[i] = Node{ID: i, Executors: coresPerMachine, NetBW: bw, DiskBW: MBps(80)}
 	}
 	return c

@@ -204,7 +204,7 @@ func TestPropertyCriticalPathIsMax(t *testing.T) {
 		g := randomDAG(rng, n)
 		w := map[StageID]float64{}
 		for _, id := range g.Stages() {
-			w[id] = 1 + rng.Float64()*10
+			w[id] = 1 + float64(rng.Float64()*10)
 		}
 		wf := func(id StageID) float64 { return w[id] }
 		_, best := CriticalPath(g, wf)

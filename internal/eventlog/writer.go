@@ -133,7 +133,7 @@ func Synthesize(job *workload.Job, res *sim.Result, tasksPerStage int, rng *rand
 		for i := 0; i < tasksPerStage; i++ {
 			frac := 1.0
 			if p.Skew > 0 {
-				frac = 1 - p.Skew*rng.Float64()
+				frac = 1 - float64(p.Skew*rng.Float64())
 			}
 			st.TaskDurationsMs = append(st.TaskDurationsMs, int64(base*frac))
 		}

@@ -106,7 +106,9 @@ func mbps(v float64) float64 { return v / cluster.MB }
 func jitterCluster(base *cluster.Cluster, rng *rand.Rand, frac float64) *cluster.Cluster {
 	out := &cluster.Cluster{Nodes: append([]cluster.Node(nil), base.Nodes...)}
 	for i := range out.Nodes {
-		out.Nodes[i].NetBW *= 1 + (rng.Float64()*2-1)*frac
+		// rand's Float64 ends in a product of its own; the conversions
+		// keep every product out of a fused multiply-add.
+		out.Nodes[i].NetBW *= 1 + float64((float64(float64(rng.Float64())*2)-1)*frac)
 	}
 	return out
 }

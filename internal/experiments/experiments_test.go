@@ -72,7 +72,7 @@ func TestFig4(t *testing.T) {
 		}
 		m /= float64(len(xs))
 		for _, x := range xs {
-			s += (x - m) * (x - m)
+			s += float64((x - m) * (x - m))
 		}
 		return s / float64(len(xs))
 	}

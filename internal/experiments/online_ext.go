@@ -39,7 +39,7 @@ func OnlineExtension(cfg Config) (*OnlineResult, error) {
 	for i := 0; i < nJobs; i++ {
 		jobs = append(jobs, workload.RandomJob("online", c, 5+rng.Intn(6), rng))
 		arrivals = append(arrivals, at)
-		at += (400 + rng.Float64()*500) * cfg.Scale
+		at += float64((400 + float64(rng.Float64()*500)) * cfg.Scale)
 	}
 
 	out := &OnlineResult{}

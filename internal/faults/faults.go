@@ -195,7 +195,7 @@ func (in *Injector) CrashEvents(nodes int) []NodeCrash {
 			t := 0.0
 			for k := 0; k < mttfDrawCap; k++ {
 				u := in.u01(kindNodeCrash, 0, k, w, 0)
-				t += -p.NodeMTTF * math.Log1p(-u)
+				t += float64(-p.NodeMTTF * math.Log1p(-u))
 				if t > p.MTTFHorizon {
 					break
 				}
@@ -263,7 +263,7 @@ func (in *Injector) TaskFailure(job, stage, node, attempt int) (failFrac float64
 	if in.u01(kindTaskFail, job, stage, node, attempt) >= in.plan.TaskFailureProb {
 		return 0, false
 	}
-	return 0.05 + 0.90*in.u01(kindFailPoint, job, stage, node, attempt), true
+	return 0.05 + float64(0.90*in.u01(kindFailPoint, job, stage, node, attempt)), true
 }
 
 // Straggler returns the processing-rate slowdown of a stage-partition

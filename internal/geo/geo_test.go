@@ -270,7 +270,7 @@ func linkBytes(t *testing.T, opt sim.Options, runs []sim.JobRun) float64 {
 	for dc := range opt.Cluster.Nodes {
 		s := run(dc).Node.NetRate
 		for i := 0; i+1 < len(s); i++ {
-			total -= s[i].V * (s[i+1].T - s[i].T)
+			total -= float64(s[i].V * (s[i+1].T - s[i].T))
 		}
 	}
 	return total

@@ -42,7 +42,7 @@ func GreedyWANPlacement(t *Topology, j *workload.Job) (Placement, error) {
 			cost := 0.0
 			for i, pid := range parents {
 				if p[pid] != dc {
-					cost += weights[i] * in
+					cost += float64(weights[i] * in)
 				}
 			}
 			if cost < bestCost {

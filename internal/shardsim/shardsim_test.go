@@ -246,7 +246,7 @@ func TestShardAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	budget := plain*1.25 + 200
+	budget := float64(plain*1.25) + 200
 	if sharded > budget {
 		t.Errorf("sharded run allocates %.0f per pass, budget %.0f (plain: %.0f)", sharded, budget, plain)
 	}
