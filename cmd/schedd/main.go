@@ -53,7 +53,6 @@ import (
 	"delaystage/internal/cluster"
 	"delaystage/internal/metrics"
 	"delaystage/internal/obs"
-	"delaystage/internal/scheduler"
 	"delaystage/internal/service"
 	"delaystage/internal/trace"
 	"delaystage/internal/workload"
@@ -93,7 +92,6 @@ func flags() *options {
 	so := &o.svc
 	fs.IntVar(&so.ReviseQueueDepth, "revise-depth", 0, "dispatch submit-when-ready (skip Alg. 1) when the live-job count reaches this (0 = off)")
 	fs.IntVar(&so.CacheCapacity, "cache-size", 0, "plan-template cache and job-spec intern table capacity, each (0 = 512, negative disables both)")
-	fs.Float64Var(&so.DriftTolerance, "drift-tol", scheduler.DriftTolerance, "template validity: max relative per-stage drift on a cache hit")
 	fs.IntVar(&so.MaxCandidates, "max-candidates", 16, "delay candidates per stage in the planning sweep")
 	fs.Float64Var(&so.SlotSeconds, "slot", 1, "delay granularity in seconds")
 	fs.BoolVar(&so.FairByJob, "fair", true, "share resources first equally among jobs (Sec. 5.3)")

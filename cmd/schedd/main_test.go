@@ -11,7 +11,7 @@ import (
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"addr": ":8080", "approx-plan": "false", "arrival-rate": "0.01", "burst": "5", "cache-size": "0",
-		"drift-tol": "0.15", "events": "", "fair": "true", "log-level": "info", "max-candidates": "16",
+		"events": "", "fair": "true", "log-level": "info", "max-candidates": "16",
 		"nodes": "10", "once": "false", "poisson": "0", "policy": "accept-all", "queue-cap": "8",
 		"rate": "1", "replay": "", "revise-depth": "0", "seed": "1", "slot": "1", "timescale": "1",
 	}
